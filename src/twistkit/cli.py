@@ -72,13 +72,7 @@ def _cmd_partition(args) -> int:
             oracle = abs(fock.partition_trace(spectrum, sym, beta, cutoff))
         else:
             z = partition.z_twisted_antiunitary(spectrum, sym, beta)
-            enum_cutoff = min(cutoff, max(2, int(round(40 ** (1.0 / max(1, len(spectrum)))))))
-            tail = (
-                fock.truncation_tail_bound(spectrum, beta, enum_cutoff)
-                if len(spectrum)
-                else 0.0
-            )
-            oracle = fock.antiunitary_partition_trace(spectrum, sym, beta, enum_cutoff).real
+            oracle = fock.antiunitary_partition_trace(spectrum, sym, beta, cutoff).real
         rel = abs(z - oracle) / z if z else 0.0
         print(
             ",".join(

@@ -76,10 +76,10 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
     translates weighted by e^{-i*n*theta} gives, for tau = t - s >= 0,
 
         K = (1/2w) [ e^{-w*tau}/(1 - x*e^{-i*theta})
-                     + e^{w*tau} * x*e^{i*theta}/(1 - x*e^{i*theta}) ]
+                     + e^{-w*(beta-tau)} * e^{i*theta}/(1 - x*e^{i*theta}) ]
 
-    with x = e^{-beta*omega}; the tau < 0 value follows from the
-    Hermitian symmetry K(t,s) = conj(K(s,t)).
+    with x = e^{-beta*omega} (e^{-w*(beta-tau)} = x e^{w*tau} cannot
+    overflow); the tau < 0 value follows from K(t,s) = conj(K(s,t)).
     """
     if not (0.0 <= t < beta and 0.0 <= s < beta):
         raise DomainError("t and s must lie in [0, beta)")
@@ -95,9 +95,9 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
             f"kernel is ill-conditioned: |1 - e^(-beta*omega) e^(+-i*theta)| "
             f"< 1e-8 at omega={omega}, theta={theta}, beta={beta}"
         )
-    return (math.exp(-omega * tau) / denom_m + math.exp(omega * tau) * x * phase / denom_p) / (
-        2.0 * omega
-    )
+    return (
+        math.exp(-omega * tau) / denom_m + math.exp(-omega * (beta - tau)) * phase / denom_p
+    ) / (2.0 * omega)
 
 
 def kernel_fourier(

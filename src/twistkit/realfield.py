@@ -6,6 +6,13 @@ the conjugate basis, the last M are ordinary mode coefficients.  In these
 coordinates both induced symmetries are honest complex-linear unitary
 matrices, and "real" means commuting with the natural conjugation
 J(c, d) = (conj(d), conj(c)).
+
+The induced matrix is a generalized permutation: it maps each doubled
+basis vector e_c to u_c e_sigma(c) with a unit phase u_c, and sigma is an
+involution.  It therefore diagonalizes orbit by orbit.  A fixed index c
+has the eigenpair (u_c, e_c).  A 2-cycle a <-> b has the eigenvalues
+lambda = +-sqrt(u_a u_b) with unit eigenvectors
+(e_a + (u_a / lambda) e_b) / sqrt(2).
 """
 
 from __future__ import annotations
@@ -13,10 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .correlation import TwistedKernel, kernel_grid, kernel_twist_angle
 from .errors import (
@@ -31,7 +36,6 @@ from .fock import (
     implement_symmetry,
 )
 from .spectrum import (
-    ANTIUNITARY,
     UNITARY,
     ModeSpectrum,
     SymmetrySpec,
@@ -43,11 +47,17 @@ UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExtendedSpectrum:
-    """Doubled spectrum with the induced unitary on the coefficient space."""
+    """Doubled spectrum with the induced unitary on the coefficient space.
+
+    ``phases[j]`` and column ``j`` of ``eigenbasis`` are the j-th
+    eigenpair of ``induced``, at the frequency ``doubled_omegas()[j]``.
+    """
 
     base: ModeSpectrum
     kind: str  # kind of the input symmetry
     induced: np.ndarray = field(repr=False)  # (2M, 2M) unitary
+    phases: np.ndarray = field(repr=False)  # (2M,) unit eigenvalues
+    eigenbasis: np.ndarray = field(repr=False)  # (2M, 2M) unitary W
 
     @property
     def n_doubled(self) -> int:
@@ -67,89 +77,61 @@ class ExtendedSpectrum:
 
 
 def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
-    """Double the spectrum and build the induced unitary matrix.
+    """Double the spectrum and build the induced unitary with its eigenbasis.
 
-    Unitary input with phases rho_k gives diag(conj(rho); rho).
-    Antiunitary input (pairing pi, phases eta) acts by swapping the two
-    sectors: in coordinates, (c, d) -> (conj(eta_pi) applied to relocated
-    d, eta applied to relocated c), which is the linear matrix
-    [[0, B], [A, 0]] with A[pi(k), k] = eta_k and B[pi(k), k] =
-    conj(eta_k).
+    Unitary input (phases rho) fixes every doubled index: diag(conj(rho); rho).
+    Antiunitary input (pairing pi, phases eta) swaps the sectors: each k
+    gives the 2-cycle k <-> M + pi(k) with u_k = eta_k and
+    u_{M+pi(k)} = conj(eta_{pi(k)}).  A 2-cycle a < b puts +lambda in slot
+    a and -lambda in slot b, so each slot keeps its doubled frequency.
     """
     check_alignment(spectrum, sym)
     m = len(spectrum)
-    induced = np.zeros((2 * m, 2 * m), dtype=complex)
+    n = 2 * m
+    eta = np.asarray(sym.phases, dtype=complex)
     if sym.kind == UNITARY:
-        for k, rho in enumerate(sym.phases):
-            induced[k, k] = complex(rho).conjugate()
-            induced[m + k, m + k] = rho
+        u = np.concatenate([eta.conj(), eta])
+        orbits = [(c, u[c], c, u[c]) for c in range(n)]
     else:
-        for k, eta in enumerate(sym.phases):
-            j = sym.partner_index(k)
-            induced[j, m + k] = complex(eta).conjugate()  # B block
-            induced[m + j, k] = eta  # A block
-    # structural guarantees, checked numerically once at build time
-    defect = np.abs(induced @ induced.conj().T - np.eye(2 * m)).max() if m else 0.0
-    if defect > UNITARITY_TOL:
-        raise InternalConsistencyError(f"induced matrix not unitary ({defect:.3e})")
-    swap = np.zeros((2 * m, 2 * m))
-    swap[:m, m:] = np.eye(m)
-    swap[m:, :m] = np.eye(m)
-    reality = np.abs(swap @ np.conj(induced) @ swap - induced).max() if m else 0.0
-    if reality > UNITARITY_TOL:
-        raise InternalConsistencyError(
-            f"induced matrix does not commute with the natural conjugation "
-            f"({reality:.3e})"
-        )
-    induced.setflags(write=False)
-    return ExtendedSpectrum(base=spectrum, kind=sym.kind, induced=induced)
-
-
-def _diagonalize_full(ext: ExtendedSpectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omegas, eigenphases, eigenbasis W) with W unitary, columns eigvecs.
-
-    The induced unitary is normal and block-diagonal over equal-omega
-    groups of doubled indices; each block is Schur-diagonalized (exact
-    diagonalization with orthonormal vectors, degenerate eigenvalues
-    included).  Ordering within a block: eigenphase angle, then input
-    index.
-    """
-    omegas = ext.doubled_omegas()
-    n = ext.n_doubled
-    w_basis = np.zeros((n, n), dtype=complex)
+        pi = [sym.partner_index(k) for k in range(m)]
+        orbits = [(k, eta[k], m + pi[k], eta[pi[k]].conjugate()) for k in range(m)]
+    induced = np.zeros((n, n), dtype=complex)
     phases = np.zeros(n, dtype=complex)
-    order = np.argsort(omegas, kind="stable")
-    pos = 0
-    while pos < n:
-        w0 = omegas[order[pos]]
-        idx = [int(i) for i in order if omegas[i] == w0]
-        block = ext.induced[np.ix_(idx, idx)]
-        t, z = scipy.linalg.schur(block, output="complex")
-        evals = np.diag(t)
-        off = np.abs(t - np.diag(evals)).max() if len(idx) > 1 else 0.0
-        if off > 1e-10:
-            raise InternalConsistencyError(
-                f"induced block is not normal (off-diagonal {off:.3e})"
-            )
-        key = sorted(
-            range(len(idx)),
-            key=lambda i: (round(cmath.phase(evals[i]) % (2 * math.pi), 12), i),
-        )
-        for slot, i in enumerate(key):
-            col = order[pos + slot]
-            phases[col] = evals[i]
-            w_basis[idx, col] = z[:, i]
-        pos += len(idx)
-    bad = np.abs(np.abs(phases) - 1.0).max() if n else 0.0
-    if bad > 1e-10:
-        raise InternalConsistencyError(f"non-unit induced eigenvalue ({bad:.3e})")
-    return omegas, phases, w_basis
+    basis = np.zeros((n, n), dtype=complex)
+    for a, u_a, b, u_b in orbits:
+        induced[b, a], induced[a, b] = u_a, u_b
+        if a == b:
+            phases[a], basis[a, a] = u_a, 1.0
+            continue
+        root = cmath.sqrt(u_a * u_b)
+        for slot, lam in ((a, root), (b, -root)):
+            phases[slot] = lam
+            basis[[a, b], slot] = np.array([1.0, u_a / lam]) / math.sqrt(2.0)
+    # structural guarantees, checked numerically once at build time
+    eye = np.eye(n)
+    defects = {
+        "induced matrix not unitary": induced @ induced.conj().T - eye,
+        # J U J = U, with J swapping the two halves and conjugating
+        "induced matrix does not commute with the natural conjugation": (
+            np.roll(induced.conj(), (m, m), axis=(0, 1)) - induced
+        ),
+        "orbit eigenpairs off: U W - W Lambda": induced @ basis - basis * phases,
+        "orbit eigenbasis not orthonormal: W* W - I": basis.conj().T @ basis - eye,
+    }
+    for what, defect in defects.items():
+        size = float(np.abs(defect).max()) if n else 0.0
+        if size > UNITARITY_TOL:
+            raise InternalConsistencyError(f"{what} ({size:.3e})")
+    for arr in (induced, phases, basis):
+        arr.setflags(write=False)
+    return ExtendedSpectrum(
+        base=spectrum, kind=sym.kind, induced=induced, phases=phases, eigenbasis=basis
+    )
 
 
 def diagonalize_induced(ext: ExtendedSpectrum) -> list[tuple[float, complex]]:
     """Per-doubled-mode (omega, unit eigenphase) of the induced unitary."""
-    omegas, phases, _ = _diagonalize_full(ext)
-    return [(float(w), complex(p)) for w, p in zip(omegas, phases)]
+    return [(float(w), complex(p)) for w, p in zip(ext.doubled_omegas(), ext.phases)]
 
 
 def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
@@ -192,7 +174,7 @@ def extended_kernel(ext: ExtendedSpectrum, beta: float, t: float, s: float) -> E
     Off-diagonal (sector-mixing) entries are structurally zero for
     unitary inputs.
     """
-    omegas, phases, w_basis = _diagonalize_full(ext)
+    omegas, phases, w_basis = ext.doubled_omegas(), ext.phases, ext.eigenbasis
     diag = np.array(
         [
             TwistedKernel(float(w), kernel_twist_angle(p), beta)(t, s)
@@ -209,7 +191,7 @@ def extended_kernel_grid(ext: ExtendedSpectrum, beta: float, m: int) -> np.ndarr
     Hermitian; positive definite for both input kinds (discrete
     counterpart of the positivity of the extended correlation operator).
     """
-    omegas, phases, w_basis = _diagonalize_full(ext)
+    omegas, phases, w_basis = ext.doubled_omegas(), ext.phases, ext.eigenbasis
     n = ext.n_doubled
     out = np.zeros((m * n, m * n), dtype=complex)
     for j, (w, p) in enumerate(zip(omegas, phases)):

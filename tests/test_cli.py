@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistkit
+from twistkit import fock
 from twistkit.cli import main
+from twistkit.spectrum import load_config
 
 LN2 = math.log(2.0)
 
@@ -65,6 +72,22 @@ class TestPartitionCommand:
 
     def test_antiunitary_table(self, anti_config, capsys):
         assert main(["partition", "--config", anti_config, "--beta", "1"]) == 0
+
+    def test_antiunitary_oracle_uses_requested_cutoff(self, anti_config, capsys):
+        args = ["partition", "--config", anti_config, "--beta", "1", "--cutoff", "12"]
+        assert main(args) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        spec, _ = load_config(anti_config)
+        assert row[6] == f"{fock.truncation_tail_bound(spec, 1.0, 12):.16e}"
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, twistkit.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(twistkit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestKernelCommand:

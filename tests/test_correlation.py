@@ -126,6 +126,16 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             co.kernel_closed_form(1.0, 0.0, 1.0, 1.5, 0.2)
 
+    @pytest.mark.parametrize("t, s", [(0.95, 0.05), (0.05, 0.95), (0.75, 0.25), (0.25, 0.75)])
+    def test_large_omega_two_image_limit(self, t, s):
+        # x = e^{-beta omega} underflows, so only the two nearest images remain
+        omega, theta, beta = 1000.0, 0.7, 1.0
+        tau = abs(t - s)
+        phase = cmath.exp(1j * theta if t >= s else -1j * theta)
+        want = (math.exp(-omega * tau) + math.exp(-omega * (beta - tau)) * phase) / (2 * omega)
+        got = co.kernel_closed_form(omega, theta, beta, t, s)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestKernelOracle:
     def test_factorized_matches_dense(self):

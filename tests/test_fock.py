@@ -175,6 +175,24 @@ class TestSymmetryImplementation:
         h = fock.hamiltonian(space).matrix
         assert np.abs(u @ h - h @ u).max() == 0.0
 
+    @pytest.mark.parametrize("n_modes", [1, 2], ids=["fixed", "pair"])
+    def test_commutes_with_h_exactly_random(self, n_modes):
+        rng = np.random.default_rng(31 + n_modes)
+        labels = ("a", "b")[:n_modes]
+        for _ in range(30):
+            w = float(rng.uniform(0.3, 3.0))
+            spec = validate_spectrum([(lbl, w) for lbl in labels])
+            sym = SymmetrySpec(
+                kind="antiunitary",
+                phases=tuple(np.exp(2j * np.pi * rng.uniform(size=n_modes))),
+                labels=labels,
+                partners=labels[::-1],
+            )
+            space = fock.build_space(spec, 4 if n_modes == 1 else 3)
+            u = fock.implement_symmetry(space, sym).matrix
+            h = fock.hamiltonian(space).matrix
+            assert np.abs(u @ h - h @ u).max() == 0.0
+
     def test_unitary_diagonal_unit_modulus(self):
         space = fock.build_space(single_mode(), 4)
         u = fock.implement_symmetry(space, SymmetrySpec(kind="unitary", phases=(1j,)))
@@ -298,6 +316,35 @@ class TestScalableTraces:
         dense = fock.twisted_trace(space, [], 1.1, u)
         fast = fock.antiunitary_partition_trace(spec, sym, 1.1, 3)
         assert abs(dense - fast) < 1e-12 * max(1.0, abs(dense))
+
+    def test_antiunitary_trace_fixed_modes_match_dense(self):
+        spec = validate_spectrum([("a", 0.7), ("b", 1.2)])
+        sym = SymmetrySpec(
+            kind="antiunitary",
+            phases=(0.6 + 0.8j, 1j),
+            labels=("a", "b"),
+            partners=("a", "b"),
+        )
+        space = fock.build_space(spec, 3)
+        u = fock.implement_symmetry(space, sym)
+        dense = fock.twisted_trace(space, [], 0.8, u)
+        fast = fock.antiunitary_partition_trace(spec, sym, 0.8, 3)
+        assert abs(dense - fast) < 1e-12 * max(1.0, abs(dense))
+
+    @pytest.mark.parametrize("cutoff", [3, 5, 7])
+    def test_antiunitary_trace_matches_enumeration(self, cutoff):
+        # one swapped pair (a, b) and one fixed mode c
+        spec = validate_spectrum([("a", 0.6), ("b", 0.6), ("c", 0.9)])
+        sym = SymmetrySpec(
+            kind="antiunitary",
+            phases=(0.6 + 0.8j, 1j, -0.8 + 0.6j),
+            labels=("a", "b", "c"),
+            partners=("b", "a", "c"),
+        )
+        for beta in (0.5, 1.3):
+            enum = fock._enumerated_antiunitary_trace(spec, sym, beta, cutoff)
+            fast = fock.antiunitary_partition_trace(spec, sym, beta, cutoff)
+            assert abs(enum - fast) < 1e-12 * abs(enum)
 
 
 @settings(max_examples=60, deadline=None)

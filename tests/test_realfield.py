@@ -98,6 +98,32 @@ class TestDiagonalize:
                 assert np.abs(phases - np.conj(p)).min() < 1e-10
 
 
+    @pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+    def test_closed_form_eigenpairs(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            if kind == "unitary":
+                m = int(rng.integers(1, 4))
+                spec = validate_spectrum([(f"m{i}", 1.0) for i in range(m)])
+                sym = SymmetrySpec(
+                    kind="unitary", phases=tuple(np.exp(2j * np.pi * rng.uniform(size=m)))
+                )
+            else:
+                spec, sym = random_antiunitary(
+                    rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(1, 3))
+                )
+            ext = rf.extend(spec, sym)
+            w, lam = ext.eigenbasis, ext.phases
+            n = ext.n_doubled
+            assert np.abs(ext.induced @ w - w * lam).max() < 1e-14
+            assert np.abs(w.conj().T @ w - np.eye(n)).max() < 1e-14
+            expected = np.linalg.eigvals(ext.induced)
+            for value in lam:
+                assert np.abs(expected - value).min() < 1e-12
+            for value in expected:
+                assert np.abs(lam - value).min() < 1e-12
+
+
 class TestPartitionRoutes:
     def test_conjugation_value(self):
         s = validate_spectrum([("k0", LN2)])
