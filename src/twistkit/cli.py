@@ -2,9 +2,10 @@
 
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
 twisted-circle``.  Exit codes: 0 success, 1 assertion failure, 2 parse or
-usage failure, 3 capacity exceeded.  All numeric output uses fixed
-17-significant-digit lowercase scientific formatting so identical inputs
-produce byte-identical output.
+usage failure, 3 capacity exceeded, 4 a result outside the float range
+(RangeError), 5 an internal consistency check failed.  All numeric output
+uses fixed 17-significant-digit lowercase scientific formatting so
+identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from .errors import (
     CapacityError,
     ConfigError,
     DomainError,
+    InternalConsistencyError,
     KindError,
     PreconditionError,
+    RangeError,
 )
 from .spectrum import (
     ANTIUNITARY,
@@ -38,6 +41,8 @@ from .spectrum import (
 PARSE_FAILURE = 2
 ASSERTION_FAILURE = 1
 CAPACITY_FAILURE = 3
+RANGE_FAILURE = 4
+INTERNAL_FAILURE = 5
 
 
 def fmt(x: float) -> str:
@@ -109,7 +114,7 @@ def _cmd_kernel(args) -> int:
             )
             return PARSE_FAILURE
         ext = realfield.extend(spectrum, sym)
-        _export_extended(ext, beta, args.grid, args.output)
+        realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
         print(f"wrote extended kernel grid to {args.output}")
         return 0
     label, omega = _select_mode(spectrum, args.mode)
@@ -141,33 +146,6 @@ def _cmd_kernel(args) -> int:
         if worst > tail + 1e-6:
             return ASSERTION_FAILURE
     return 0
-
-
-def _export_extended(ext, beta: float, m: int, path: str) -> None:
-    """CSV of the extended block kernel: one row per (t, s, sector pair)."""
-    import csv
-
-    times = [i * beta / m for i in range(m)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "s", "row_sector", "col_sector", "re_k", "im_k", "tail_bound"])
-        for t in times:
-            for s in times:
-                value = realfield.extended_kernel(ext, beta, t, s)
-                n = ext.n_doubled
-                for a in range(n):
-                    for b in range(n):
-                        writer.writerow(
-                            [
-                                fmt(t),
-                                fmt(s),
-                                str(a),
-                                str(b),
-                                fmt(value.block[a, b].real),
-                                fmt(value.block[a, b].imag),
-                                fmt(0.0),
-                            ]
-                        )
 
 
 def _cmd_verify(args) -> int:
@@ -256,6 +234,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAPACITY_FAILURE
+    except RangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return RANGE_FAILURE
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INTERNAL_FAILURE
     except (
         AdmissibilityError,
         ConfigError,

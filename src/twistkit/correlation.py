@@ -7,12 +7,23 @@ implemented and cross-checked in the tests: a closed form obtained as a
 geometric image sum, a twisted Fourier partial sum with an explicit tail
 bound, and a normalized twisted Fock trace of the time-ordered two-field
 product.
+
+On the uniform grid t_j = j*beta/m the sampled kernel depends only on
+the lag: K(t_i, t_j) = v[i - j] for i >= j, with v[d] = K(d*beta/m, 0),
+and K(t_j, t_i) = conj K(t_i, t_j).  It is twisted-circulant, D C D*
+with C circulant and D = diag(e^{i*theta*t/beta}) (R. M. Gray, Toeplitz
+and Circulant Matrices: A Review, 2006), so the grid, the resolvent
+check and the CSV export are all derived from m closed-form values.
+
+Range errors: values outside the float range raise RangeError, which the
+CLI maps to exit code 4.  Only the partition products of
+:mod:`twistkit.partition` raise it; a near-degenerate kernel here
+(|1 - e^{-beta*omega} e^{+-i*theta}| < 1e-8) warns instead.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -107,7 +118,9 @@ def kernel_fourier(
 
     Returns (1/beta) * sum_{|n| <= n_cutoff} e^{i*nu_n*(t-s)}/(nu_n^2 +
     omega^2) together with beta/(2*pi^2*(n_cutoff - 1)), an upper bound on
-    the dropped |n| > n_cutoff terms (valid for n_cutoff >= 2).
+    the dropped |n| > n_cutoff terms (valid for n_cutoff >= 2).  This is
+    an independent oracle for the closed form (the ``kernel`` verify suite
+    and ``twistkit kernel --verify``); no production path evaluates it.
     """
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
@@ -191,15 +204,40 @@ class KernelGrid:
         return self.times.shape[0]
 
 
-def kernel_grid(kernel: TwistedKernel, m: int) -> KernelGrid:
+def _lag_values(kernel: TwistedKernel, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times t_j = j*h (h = beta/m) and the lag values v[d] = K(d*h, 0).
+
+    These m closed-form values determine the whole sampled kernel:
+    K(t_i, t_j) = v[i - j] for i >= j and conj(v[j - i]) above the
+    diagonal.
+    """
     if m < 1:
         raise DomainError("grid size must be >= 1")
     times = np.arange(m) * (kernel.beta / m)
-    matrix = np.empty((m, m), dtype=complex)
-    for i, t in enumerate(times):
-        for j in range(i, m):
-            matrix[i, j] = kernel(t, times[j])
-            matrix[j, i] = matrix[i, j].conjugate()
+    lags = np.array(
+        [kernel_closed_form(kernel.omega, kernel.theta, kernel.beta, float(t), 0.0) for t in times]
+    )
+    return times, lags
+
+
+def _hermitian_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """The (m*n, m*n) matrix whose (n x n) block (i, j) is blocks[i - j]
+    for i >= j and blocks[j - i]^H above the diagonal.
+
+    ``blocks`` has shape (m, n, n).  The matrix is gathered by one copy
+    from a strided view of the 2m - 1 distinct blocks.
+    """
+    m, n = blocks.shape[:2]
+    # both[m-1 + d] is the block at lag d = i - j, for -m < d < m
+    both = np.concatenate([blocks[:0:-1].conj().swapaxes(1, 2), blocks])
+    view = np.lib.stride_tricks.sliding_window_view(both, m, axis=0)[..., ::-1]
+    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
+
+
+def kernel_grid(kernel: TwistedKernel, m: int) -> KernelGrid:
+    """The m x m sampled kernel, gathered from its m lag values."""
+    times, lags = _lag_values(kernel, m)
+    matrix = _hermitian_toeplitz(lags[:, None, None])
     times.setflags(write=False)
     matrix.setflags(write=False)
     return KernelGrid(kernel=kernel, times=times, matrix=matrix)
@@ -286,45 +324,58 @@ def verify_resolvent(
             f"test function violates the twisted boundary condition "
             f"(relative defect {defect:.3e})"
         )
-    times = np.arange(m) * (beta / m)
-    source = np.array([-g_second(s) + omega**2 * g(s) for s in times])
-    weight = beta / m
-    max_res = 0.0
-    for t in times:
-        row = np.array([kernel(float(t), float(s)) for s in times])
-        val = weight * np.dot(row, source)
-        max_res = max(max_res, abs(val - g(float(t))))
-    return ResolventReport(m=m, max_residual=float(max_res), boundary_defect=float(defect))
-
-
-def export_kernel_csv(
-    path, kernel: TwistedKernel, m: int, n_cutoff: Optional[int] = None
-) -> None:
-    """Write kernel samples as CSV: t, s, re_k, im_k, tail_bound.
-
-    Values come from the closed form (tail_bound column 0) unless
-    ``n_cutoff`` selects the Fourier partial sum with its tail estimate.
-    Output is deterministic: fixed row order, 17-significant-digit
-    lowercase scientific floats, LF line endings.
-    """
     grid = kernel_grid(kernel, m)
+    source = np.array([-g_second(s) + omega**2 * g(s) for s in grid.times])
+    target = np.array([g(float(t)) for t in grid.times])
+    values = (beta / m) * (grid.matrix @ source)
+    max_res = float(np.abs(values - target).max())
+    return ResolventReport(m=m, max_residual=max_res, boundary_defect=float(defect))
+
+
+#: A CSV row with "\0" standing for its t and s columns, then the sector
+#: columns (if any), re_k, im_k and a zero tail_bound.
+_ROW = "\0%s,%.16e,%.16e," + f"{0.0:.16e}" + "\n"
+
+
+def write_kernel_csv(path, times: np.ndarray, blocks: np.ndarray, sectors: bool = False) -> None:
+    """Stream a sampled Hermitian kernel as CSV.
+
+    ``blocks[d]`` (shape (m, n, n)) is the block K(t_i, t_j) at lag
+    d = i - j >= 0; above the diagonal K(t_i, t_j) = blocks[j - i]^H, the
+    layout of :func:`_hermitian_toeplitz`.  Each of the 2m - 1 distinct
+    blocks is formatted once, as text with a placeholder for (t, s).  A
+    scalar kernel (n = 1, no sector columns) is written one t-row per
+    write; with ``sectors`` every row carries row_sector and col_sector,
+    and each (t, s) block is one write.  Output is deterministic: fixed
+    row order, 17-significant-digit lowercase scientific floats, LF line
+    endings.
+    """
+    m, n = blocks.shape[:2]
+    keys = [f",{a},{b}" if sectors else "" for a in range(n) for b in range(n)]
+
+    def text(block: np.ndarray) -> str:
+        return "".join([_ROW % (k, z.real, z.imag) for k, z in zip(keys, block.ravel().tolist())])
+
+    lower = [text(b) for b in blocks]
+    upper = [text(b.conj().T) for b in blocks]
+    stamps = [f"{t:.16e}" for t in times.tolist()]
+    columns = "t,s,row_sector,col_sector," if sectors else "t,s,"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "s", "re_k", "im_k", "tail_bound"])
-        for i, t in enumerate(grid.times):
-            for j, s in enumerate(grid.times):
-                if n_cutoff is None:
-                    val, tail = grid.matrix[i, j], 0.0
-                else:
-                    val, tail = kernel_fourier(
-                        kernel.omega, kernel.theta, kernel.beta, float(t), float(s), n_cutoff
-                    )
-                writer.writerow(
-                    [
-                        f"{float(t):.16e}",
-                        f"{float(s):.16e}",
-                        f"{val.real:.16e}",
-                        f"{val.imag:.16e}",
-                        f"{tail:.16e}",
-                    ]
-                )
+        fh.write(columns + "re_k,im_k,tail_bound\n")
+        for i, t in enumerate(stamps):
+            row = zip(stamps, lower[i::-1] + upper[1 : m - i])
+            if not sectors:
+                fh.write("".join([b.replace("\0", f"{t},{s}") for s, b in row]))
+                continue
+            for s, b in row:
+                fh.write(b.replace("\0", f"{t},{s}"))
+
+
+def export_kernel_csv(path, kernel: TwistedKernel, m: int) -> None:
+    """Write the closed-form kernel on the m-point grid as CSV.
+
+    Columns t, s, re_k, im_k, tail_bound (always 0), streamed from the m
+    lag values by :func:`write_kernel_csv`; the m x m grid is never formed.
+    """
+    times, lags = _lag_values(kernel, m)
+    write_kernel_csv(path, times, lags[:, None, None])

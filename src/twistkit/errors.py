@@ -25,6 +25,10 @@ class DomainError(TwistkitError):
     """A numeric argument is outside its mathematical domain (e.g. beta <= 0)."""
 
 
+class RangeError(TwistkitError):
+    """A finite positive result lies outside the floating-point range."""
+
+
 class InternalConsistencyError(TwistkitError):
     """A structurally guaranteed property failed numerically."""
 

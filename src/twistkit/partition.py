@@ -2,7 +2,8 @@
 
 All values are finite products over the mode list, accumulated in
 log-space with log1p so that many near-unity factors do not lose
-precision.
+precision.  A product that is finite and positive but overflows or
+underflows a float raises RangeError instead of returning inf, 0 or nan.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import cmath
 import math
 from typing import Optional
 
-from .errors import DomainError, InternalConsistencyError, KindError
+from .errors import DomainError, InternalConsistencyError, KindError, RangeError
 from .spectrum import (
     ANTIUNITARY,
     UNITARY,
@@ -31,13 +32,24 @@ def _require_beta(beta: float) -> None:
         raise DomainError(f"beta must be positive, got {beta}")
 
 
+def _exp_in_range(log_z: float, what: str) -> float:
+    """e^{log_z}, or RangeError where that is not a positive finite float."""
+    try:
+        z = math.exp(log_z)
+    except OverflowError:
+        z = math.inf
+    if not 0.0 < z < math.inf:
+        raise RangeError(f"{what} = exp({log_z!r}) is outside the float range")
+    return z
+
+
 def z_untwisted(spectrum: ModeSpectrum, beta: float) -> float:
     """Tr(e^{-beta H}) = prod_k (1 - e^{-beta omega_k})^{-2}."""
     _require_beta(beta)
     log_z = 0.0
     for w in spectrum.omegas:
         log_z -= 2.0 * math.log1p(-math.exp(-beta * w))
-    return math.exp(log_z)
+    return _exp_in_range(log_z, "untwisted partition function")
 
 
 def z_twisted_unitary(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) -> float:
@@ -55,7 +67,7 @@ def z_twisted_unitary(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) ->
         x = math.exp(-beta * w)
         # |1 - rho x|^2 = 1 - 2 Re(rho) x + x^2
         log_z -= math.log1p(x * (x - 2.0 * rho.real))
-    return math.exp(log_z)
+    return _exp_in_range(log_z, "unitary twisted partition function")
 
 
 def _square_phases(sym: SymmetrySpec) -> SymmetrySpec:
@@ -79,29 +91,28 @@ def z_twisted_antiunitary(
 ) -> float:
     """Tr(U_V e^{-beta H}) = sqrt(Tr(U_{V^2} e^{-2 beta H})).
 
-    The inner value is evaluated as a complex product so the
-    conjugate-pair cancellation can be checked numerically; a residual
-    imaginary part beyond 1e-10 relative raises
-    InternalConsistencyError.
+    The inner value is a product of complex factors, accumulated as a
+    log-modulus and a phase so that it cannot overflow midway; the
+    conjugate-pair cancellation is checked numerically: a residual phase
+    beyond 1e-10 raises InternalConsistencyError.
     """
     _require_beta(beta)
     if sym.kind != ANTIUNITARY:
         raise KindError("z_twisted_antiunitary requires an antiunitary symmetry")
     check_alignment(spectrum, sym)
     squared = _square_phases(sym)
-    inner = 1.0 + 0.0j
+    log_inner, phase = 0.0, 0.0
     for w, rho in zip(spectrum.omegas, squared.phases):
         x = math.exp(-2.0 * beta * w)
-        inner /= (1.0 - rho * x) * (1.0 - rho.conjugate() * x)
-    scale = abs(inner)
-    if scale > 0.0 and abs(inner.imag) > 1e-10 * scale:
+        factor = (1.0 - rho * x) * (1.0 - rho.conjugate() * x)
+        log_inner -= math.log(abs(factor))
+        phase -= cmath.phase(factor)
+    if abs(math.sin(phase)) > 1e-10 or math.cos(phase) < 0.0:
         raise InternalConsistencyError(
-            f"inner trace {inner} is not real; conjugate pairing violated"
+            f"inner trace has phase {phase!r}, not 0; conjugate pairing violated"
         )
-    if inner.real < 0.0:
-        raise InternalConsistencyError(f"inner trace {inner} is negative")
-    z = math.sqrt(inner.real)
-    if 0.0 < z < TINY_Z_FLAG:
+    z = _exp_in_range(0.5 * log_inner, "antiunitary partition function")
+    if z < TINY_Z_FLAG:
         # Flag (do not fail): positivity is asserted for every beta > 0,
         # but degenerate eta choices can drive the value toward underflow.
         import warnings

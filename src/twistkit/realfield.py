@@ -23,11 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import TwistedKernel, kernel_grid, kernel_twist_angle
+from .correlation import (
+    TwistedKernel,
+    _hermitian_toeplitz,
+    _lag_values,
+    kernel_twist_angle,
+    write_kernel_csv,
+)
 from .errors import (
     ConfigError,
     DomainError,
     InternalConsistencyError,
+    RangeError,
 )
 from .fock import (
     DenseOperator,
@@ -148,6 +155,8 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     z = 1.0 + 0.0j
     for w, lam in diagonalize_induced(ext):
         z /= 1.0 - lam * math.exp(-beta * w)
+    if z == 0.0 or not cmath.isfinite(z):
+        raise RangeError(f"real-field partition value {z} is outside the float range")
     if abs(z) > 0.0 and abs(z.imag) > 1e-10 * abs(z):
         raise InternalConsistencyError(
             f"real-field partition value {z} is not real; "
@@ -185,20 +194,42 @@ def extended_kernel(ext: ExtendedSpectrum, beta: float, t: float, s: float) -> E
     return ExtendedKernelValue(omegas=omegas, phases=phases, diagonal=diag, block=block)
 
 
+def _lag_blocks(ext: ExtendedSpectrum, beta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid times and the (m, 2M, 2M) extended kernel blocks at lags d >= 0.
+
+    Each doubled eigenmode j contributes a twisted-circulant scalar grid,
+    held as its m lag values V[:, j]; the block at lag d is
+    W diag(V[d]) W*, and K(t_i, t_k) is the block at lag i - k (its
+    adjoint above the diagonal).
+    """
+    if m < 1:
+        raise DomainError("grid size must be >= 1")
+    omegas, phases, w_basis = ext.doubled_omegas(), ext.phases, ext.eigenbasis
+    times = np.arange(m) * (beta / m)
+    lags = np.empty((m, ext.n_doubled), dtype=complex)
+    for j, (w, p) in enumerate(zip(omegas, phases)):
+        _, lags[:, j] = _lag_values(TwistedKernel(float(w), kernel_twist_angle(p), beta), m)
+    return times, np.einsum("aj,dj,bj->dab", w_basis, lags, w_basis.conj())
+
+
 def extended_kernel_grid(ext: ExtendedSpectrum, beta: float, m: int) -> np.ndarray:
     """Sampled extended kernel: shape (m*2M, m*2M), index = (time, sector).
 
     Hermitian; positive definite for both input kinds (discrete
     counterpart of the positivity of the extended correlation operator).
     """
-    omegas, phases, w_basis = ext.doubled_omegas(), ext.phases, ext.eigenbasis
-    n = ext.n_doubled
-    out = np.zeros((m * n, m * n), dtype=complex)
-    for j, (w, p) in enumerate(zip(omegas, phases)):
-        grid = kernel_grid(TwistedKernel(float(w), kernel_twist_angle(p), beta), m)
-        proj = np.outer(w_basis[:, j], w_basis[:, j].conj())
-        out += np.kron(grid.matrix, proj)
-    return out
+    return _hermitian_toeplitz(_lag_blocks(ext, beta, m)[1])
+
+
+def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int) -> None:
+    """Write the extended kernel on the m-point grid as CSV.
+
+    One row per (t, s, row_sector, col_sector), written one (t, s) block
+    at a time by :func:`twistkit.correlation.write_kernel_csv`; the
+    (m*2M)^2 grid is never formed.
+    """
+    times, blocks = _lag_blocks(ext, beta, m)
+    write_kernel_csv(path, times, blocks, sectors=True)
 
 
 def field_coefficient_map(ext: ExtendedSpectrum, q: np.ndarray) -> np.ndarray:

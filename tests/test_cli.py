@@ -90,6 +90,37 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
+class TestRangeExitCodes:
+    """Results beyond the float range exit 4, failed internal checks exit 5."""
+
+    @pytest.mark.parametrize("kind", ["none", "antiunitary"])
+    def test_partition_overflow_exits_4(self, tmp_path, capsys, kind):
+        modes = [{"label": f"k{i}", "omega": 0.01} for i in range(400)]
+        doc = {"modes": modes}
+        if kind == "antiunitary":
+            doc["symmetry"] = {
+                "kind": "antiunitary",
+                "pairing": {m["label"]: m["label"] for m in modes},
+                "phases": [{"re": 1.0, "im": 0.0}] * 400,
+            }
+        cfg = write_config(tmp_path / "big.json", doc)
+        assert main(["partition", "--config", cfg, "--beta", "1"]) == 4
+        assert "outside the float range" in capsys.readouterr().err
+
+    def test_internal_consistency_exits_5(self, anti_config, tmp_path, monkeypatch, capsys):
+        from twistkit import cli
+        from twistkit.errors import InternalConsistencyError
+
+        def broken(spectrum, sym):
+            raise InternalConsistencyError("induced matrix not unitary (1.000e+00)")
+
+        monkeypatch.setattr(cli.realfield, "extend", broken)
+        args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
+                "--output", str(tmp_path / "k.csv"), "--extended"]
+        assert main(args) == 5
+        assert "not unitary" in capsys.readouterr().err
+
+
 class TestKernelCommand:
     def test_deterministic_csv(self, minus_one_config, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -137,6 +168,13 @@ class TestKernelCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
         assert len(lines) == 1 + 4 * 4 * 16  # (t, s) pairs x 4x4 sector entries
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_empty_grid_exits_2(self, minus_one_config, anti_config, tmp_path, extended):
+        cfg = anti_config if extended else minus_one_config
+        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "0",
+                "--output", str(tmp_path / "k.csv")]
+        assert main(args + ["--extended"] if extended else args) == 2
 
 
 class TestVerifyCommand:

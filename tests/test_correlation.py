@@ -191,6 +191,19 @@ class TestKernelGrid:
         assert op_norm <= 1.0 / omega**2 + slack
 
 
+    @pytest.mark.parametrize("m", [33, 64])
+    def test_twisted_circulant_matches_pointwise(self, m):
+        omega, theta, beta = 0.9, 2.1, 1.3
+        grid = co.kernel_grid(co.TwistedKernel(omega, theta, beta), m)
+        times = grid.times.tolist()
+        pointwise = np.array(
+            [[co.kernel_closed_form(omega, theta, beta, t, s) for s in times] for t in times]
+        )
+        assert np.abs(grid.matrix - pointwise).max() <= 1e-15 * np.abs(pointwise).max()
+        off = ~np.eye(m, dtype=bool)
+        assert np.array_equal(grid.matrix[off], grid.matrix.conj().T[off])
+
+
 class TestApplyInverse:
     def test_eigenfunction(self):
         spec = validate_spectrum([("m", 1.2)])
@@ -284,6 +297,26 @@ class TestVerifyResolvent:
         ]
         assert all(o >= 1.9 for o in orders)
 
+    def test_matches_pointwise_quadrature(self):
+        theta, beta, omega, m = 1.1, 1.0, 1.4, 64
+        kern = co.TwistedKernel(omega, theta, beta)
+        nus = co.twisted_frequencies(theta, beta, [-1, 0, 2])
+        coeffs = [0.4, 1.0, 0.2 - 0.5j]
+
+        def g(t):
+            return sum(c * cmath.exp(1j * nu * t) for c, nu in zip(coeffs, nus))
+
+        def g2(t):
+            return sum(-c * nu**2 * cmath.exp(1j * nu * t) for c, nu in zip(coeffs, nus))
+
+        times = [j * (beta / m) for j in range(m)]
+        source = np.array([-g2(s) + omega**2 * g(s) for s in times])
+        loop = max(
+            abs((beta / m) * np.dot([kern(t, s) for s in times], source) - g(t)) for t in times
+        )
+        report = co.verify_resolvent(kern, g, g2, m=m)
+        assert abs(report.max_residual - loop) <= 1e-13
+
     def test_noncompliant_function_rejected(self):
         kern = co.TwistedKernel(1.0, 1.5, 1.0)
         with pytest.raises(PreconditionError):
@@ -305,3 +338,17 @@ class TestCsvExport:
         lines = p.read_text().splitlines()
         assert lines[0] == "t,s,re_k,im_k,tail_bound"
         assert len(lines) == 1 + 36
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_rows_are_grid_entries(self, tmp_path, m):
+        kern = co.TwistedKernel(0.7, 4.4, 1.3)
+        p = tmp_path / "k.csv"
+        co.export_kernel_csv(p, kern, m)
+        grid = co.kernel_grid(kern, m)
+        want = [
+            f"{t:.16e},{s:.16e},{grid.matrix[i, j].real:.16e},"
+            f"{grid.matrix[i, j].imag:.16e},{0.0:.16e}"
+            for i, t in enumerate(grid.times)
+            for j, s in enumerate(grid.times)
+        ]
+        assert p.read_text().splitlines()[1:] == want

@@ -19,6 +19,8 @@ from twistkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 ANTI = str(GOLDEN / "anti_pair_fixed.json")
+GENERIC = str(GOLDEN / "unitary_generic.json")
+ANTI2 = str(GOLDEN / "anti_two_pairs_fixed.json")
 BETAS = ["--beta", "0.5", "--beta", "1", "--beta", "2"]
 
 #: name -> argv of a command that exits 0; "{output}" stands for the CSV
@@ -30,6 +32,14 @@ CASES = {
     "kernel_default": ["kernel", "--grid", "8", "--beta", "1", "--output", "{output}"],
     "kernel_extended_anti": [
         "kernel", "--config", ANTI, "--extended", "--grid", "4", "--beta", "1",
+        "--output", "{output}",
+    ],
+    "kernel_generic_verify": [
+        "kernel", "--config", GENERIC, "--grid", "33", "--beta", "1.3", "--verify",
+        "--output", "{output}",
+    ],
+    "kernel_extended_two_pairs": [
+        "kernel", "--config", ANTI2, "--extended", "--grid", "7", "--beta", "0.9",
         "--output", "{output}",
     ],
 }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistkit import fock, partition
-from twistkit.errors import DomainError, KindError
+from twistkit.errors import DomainError, KindError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -172,3 +172,47 @@ class TestDiagnostics:
         for _, factor in rows:
             prod *= factor
         assert abs(prod - partition.z_twisted_unitary(s, sym, 1.2)) < 1e-12 * prod
+
+
+class TestRangeErrors:
+    """400 modes at omega=0.01, beta=1: Z is about e^3688, beyond a float."""
+
+    SPEC = validate_spectrum([(f"k{i}", 0.01) for i in range(400)])
+
+    def test_untwisted_overflow_is_typed(self):
+        with pytest.raises(RangeError):
+            partition.z_untwisted(self.SPEC, 1.0)
+
+    def test_unitary_overflow_is_typed(self):
+        sym = SymmetrySpec(kind="unitary", phases=(1.0 + 0j,) * 400)
+        with pytest.raises(RangeError):
+            partition.z_twisted_unitary(self.SPEC, sym, 1.0)
+
+    def test_antiunitary_overflow_is_typed_not_nan(self):
+        labels = self.SPEC.labels
+        sym = SymmetrySpec(
+            kind="antiunitary", phases=(1.0 + 0j,) * 400, labels=labels, partners=labels
+        )
+        with pytest.raises(RangeError):
+            partition.z_twisted_antiunitary(self.SPEC, sym, 1.0)
+
+    def test_realfield_route_overflow_is_typed(self):
+        from twistkit import realfield
+
+        labels = self.SPEC.labels
+        sym = SymmetrySpec(
+            kind="antiunitary", phases=(1.0 + 0j,) * 400, labels=labels, partners=labels
+        )
+        with pytest.raises(RangeError):
+            realfield.z_via_realfield(realfield.extend(self.SPEC, sym), 1.0)
+
+    def test_large_but_representable_values_are_unchanged(self):
+        # 100 of the modes give Z near e^392 (its square, the inner trace, e^784)
+        spec = validate_spectrum([(f"k{i}", 0.01) for i in range(100)])
+        labels = spec.labels
+        sym = SymmetrySpec(
+            kind="antiunitary", phases=(1.0 + 0j,) * 100, labels=labels, partners=labels
+        )
+        z = partition.z_twisted_antiunitary(spec, sym, 1.0)
+        assert math.isfinite(z)
+        assert abs(z - (1.0 - math.exp(-0.02)) ** -100) <= 1e-12 * z

@@ -178,6 +178,35 @@ class TestExtendedKernel:
             assert np.linalg.eigvalsh(grid).min() > 0.0
 
 
+    @pytest.mark.parametrize("n_pairs, n_fixed", [(1, 0), (2, 1)])
+    def test_grid_matches_pointwise_blocks(self, n_pairs, n_fixed):
+        spec, sym = random_antiunitary(np.random.default_rng(5), n_pairs, n_fixed)
+        ext = rf.extend(spec, sym)
+        beta, m, n = 1.2, 7, ext.n_doubled
+        grid = rf.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
+        for i in range(m):
+            for k in range(m):
+                block = rf.extended_kernel(ext, beta, i * beta / m, k * beta / m).block
+                assert np.abs(grid[i, :, k, :] - block).max() <= 1e-14
+
+    def test_csv_rows_are_grid_entries(self, tmp_path):
+        spec, sym = random_antiunitary(np.random.default_rng(6), 1, 1)
+        ext = rf.extend(spec, sym)
+        beta, m, n = 0.8, 5, ext.n_doubled
+        p = tmp_path / "ext.csv"
+        rf.export_extended_kernel_csv(p, ext, beta, m)
+        grid = rf.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
+        times = np.arange(m) * (beta / m)
+        want = [
+            f"{times[i]:.16e},{times[k]:.16e},{a},{b},{grid[i, a, k, b].real:.16e},"
+            f"{grid[i, a, k, b].imag:.16e},{0.0:.16e}"
+            for i in range(m) for k in range(m) for a in range(n) for b in range(n)
+        ]
+        lines = p.read_text().splitlines()
+        assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
+        assert lines[1:] == want
+
+
 class TestRealFieldChecks:
     @pytest.mark.parametrize(
         "sym",
