@@ -1,11 +1,13 @@
 """Batch command-line front door.
 
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
-twisted-circle``.  Exit codes: 0 success, 1 assertion failure, 2 parse or
-usage failure, 3 capacity exceeded, 4 a result outside the float range
-(RangeError), 5 an internal consistency check failed.  All numeric output
-uses fixed 17-significant-digit lowercase scientific formatting so
-identical inputs produce byte-identical output.
+twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`
+(``partition`` and ``kernel --verify`` run the suites' own checks); this
+module only renders them.  Exit codes: 0 success, 1 assertion failure, 2
+parse, usage or out-of-domain input, 3 capacity exceeded, 4 a result
+outside the float range (RangeError), 5 an internal consistency check
+failed.  All numeric output uses fixed 17-significant-digit lowercase
+scientific formatting so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from . import correlation, fock, partition, realfield, verify
+from . import correlation, realfield, verify
 from .errors import (
     AdmissibilityError,
     CapacityError,
@@ -29,9 +31,7 @@ from .errors import (
 )
 from .spectrum import (
     ANTIUNITARY,
-    UNITARY,
     ModeSpectrum,
-    SymmetrySpec,
     load_config,
     parse_config,
     spectrum_to_config,
@@ -58,40 +58,29 @@ def _load(path: Optional[str]):
     return load_config(path)
 
 
+def _render(check: verify.CheckResult) -> str:
+    status = "pass" if check.passed else "FAIL"
+    return (f"[{status}] {check.suite}: {check.name} (deviation {fmt(check.deviation)}, "
+            f"threshold {fmt(check.threshold)})")
+
+
+def _report_failures(checks: list[verify.CheckResult]) -> int:
+    """Print each failed check to stderr; the exit code for the lot."""
+    failed = [c for c in checks if not c.passed]
+    for check in failed:
+        print(_render(check), file=sys.stderr)
+    return ASSERTION_FAILURE if failed else 0
+
+
 def _cmd_partition(args) -> int:
     spectrum, sym = _load(args.config)
-    cutoff = args.cutoff
     print("beta,z_untwisted,z_twisted,lower_bound,oracle_z,rel_err,tail_bound")
-    ok = True
+    checks = []
     for beta in args.beta:
-        z0 = partition.z_untwisted(spectrum, beta)
-        bound = partition.positivity_lower_bound(spectrum, beta)
-        tail = (
-            fock.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
-        )
-        if sym is None:
-            z = z0
-            oracle = fock.partition_trace(spectrum, None, beta, cutoff).real
-        elif sym.kind == UNITARY:
-            z = partition.z_twisted_unitary(spectrum, sym, beta)
-            oracle = abs(fock.partition_trace(spectrum, sym, beta, cutoff))
-        else:
-            z = partition.z_twisted_antiunitary(spectrum, sym, beta)
-            oracle = fock.antiunitary_partition_trace(spectrum, sym, beta, cutoff).real
-        rel = abs(z - oracle) / z if z else 0.0
-        print(
-            ",".join(
-                [fmt(beta), fmt(z0), fmt(z), fmt(bound), fmt(oracle), fmt(rel), fmt(tail)]
-            )
-        )
-        if not z > 0.0:
-            ok = False
-        if sym is None or sym.kind == UNITARY:
-            if z < bound * (1.0 - 1e-12):
-                ok = False
-        if rel > tail + 1e-8:
-            ok = False
-    return 0 if ok else ASSERTION_FAILURE
+        columns, row_checks = verify.partition_row(spectrum, sym, beta, args.cutoff)
+        print(",".join(fmt(v) for v in columns))
+        checks += row_checks
+    return _report_failures(checks)
 
 
 def _select_mode(spectrum: ModeSpectrum, label: Optional[str]) -> tuple[str, float]:
@@ -126,25 +115,14 @@ def _cmd_kernel(args) -> int:
     correlation.export_kernel_csv(args.output, kern, args.grid)
     print(f"wrote {args.grid * args.grid} kernel samples to {args.output}")
     if args.verify:
-        from .spectrum import validate_spectrum
-
-        single = validate_spectrum([(label, omega)])
-        single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
-        cutoff = 800
-        tail = fock.truncation_tail_bound(single, beta, cutoff)
-        worst = 0.0
-        m_check = min(args.grid, 8)
-        for i in range(m_check):
-            for j in range(m_check):
-                t = i * beta / m_check
-                s = j * beta / m_check
-                closed = kern(t, s)
-                oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
-                four, ftail = correlation.kernel_fourier(omega, theta, beta, t, s, 2000)
-                worst = max(worst, abs(closed - oracle), max(0.0, abs(closed - four) - ftail))
+        # The closed form and both oracles depend on t - s only, so the
+        # 2m - 1 distinct lags of the m x m check grid cover all its cells.
+        m = min(args.grid, 8)
+        lags = [d * beta / m for d in range(m)]
+        points = [(t, 0.0) for t in lags] + [(0.0, s) for s in lags[1:]]
+        worst, checks = verify.kernel_agreement(kern, rho, points)
         print(f"max three-way disagreement: {fmt(worst)}")
-        if worst > tail + 1e-6:
-            return ASSERTION_FAILURE
+        return _report_failures(checks)
     return 0
 
 
@@ -153,9 +131,7 @@ def _cmd_verify(args) -> int:
     results = verify.run_suite(args.suite, spectrum, sym, seed=args.seed)
     n_pass = sum(1 for r in results if r.passed)
     for r in results:
-        status = "pass" if r.passed else "FAIL"
-        print(f"[{status}] {r.suite}: {r.name} (deviation {fmt(r.deviation)}, "
-              f"threshold {fmt(r.threshold)})")
+        print(_render(r))
     print(f"{n_pass}/{len(results)} checks passed")
     return 0 if n_pass == len(results) else ASSERTION_FAILURE
 

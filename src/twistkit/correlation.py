@@ -16,9 +16,9 @@ and Circulant Matrices: A Review, 2006), so the grid, the resolvent
 check and the CSV export are all derived from m closed-form values.
 
 Range errors: values outside the float range raise RangeError, which the
-CLI maps to exit code 4.  Only the partition products of
-:mod:`twistkit.partition` raise it; a near-degenerate kernel here
-(|1 - e^{-beta*omega} e^{+-i*theta}| < 1e-8) warns instead.
+CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
+at theta = 0 once beta*omega^2 < ~1e-308); a representable near-degenerate
+kernel (|1 - e^{-beta*omega} e^{+-i*theta}| < 1e-8) warns instead.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, KindError, PreconditionError
+from .errors import ConfigError, DomainError, KindError, PreconditionError, RangeError
 from .spectrum import (
     UNITARY,
     ModeSpectrum,
@@ -89,8 +89,11 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
         K = (1/2w) [ e^{-w*tau}/(1 - x*e^{-i*theta})
                      + e^{-w*(beta-tau)} * e^{i*theta}/(1 - x*e^{i*theta}) ]
 
-    with x = e^{-beta*omega} (e^{-w*(beta-tau)} = x e^{w*tau} cannot
-    overflow); the tau < 0 value follows from K(t,s) = conj(K(s,t)).
+    with x = e^{-beta*omega}, evaluated without cancellation as
+    (p + e^{i*theta} q)/(2w*D): D = |1 - x*e^{i*theta}|^2 = expm1(-beta*w)^2
+    + 4x*sin^2(theta/2), p = -e^{-w*tau}*expm1(-2w(beta-tau)) and
+    q = -e^{-w(beta-tau)}*expm1(-2w*tau).  RangeError where D underflows or
+    K overflows; the tau < 0 value follows from K(t,s) = conj(K(s,t)).
     """
     if not (0.0 <= t < beta and 0.0 <= s < beta):
         raise DomainError("t and s must lie in [0, beta)")
@@ -98,17 +101,20 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
     if tau < 0.0:
         return kernel_closed_form(omega, theta, beta, s, t).conjugate()
     x = math.exp(-beta * omega)
-    phase = cmath.exp(1j * theta)
-    denom_m = 1.0 - x / phase
-    denom_p = 1.0 - x * phase
-    if min(abs(denom_m), abs(denom_p)) < 1e-8:
+    denom = math.expm1(-beta * omega) ** 2 + 4.0 * x * math.sin(0.5 * theta) ** 2
+    p = -math.exp(-omega * tau) * math.expm1(-2.0 * omega * (beta - tau))
+    q = -math.exp(-omega * (beta - tau)) * math.expm1(-2.0 * omega * tau)
+    value = (p + cmath.exp(1j * theta) * q) / (2.0 * omega) / denom if denom else math.inf
+    if not cmath.isfinite(value):
+        raise RangeError(
+            f"kernel at omega={omega}, theta={theta}, beta={beta} is outside the float range"
+        )
+    if denom < 1e-16:
         warnings.warn(
             f"kernel is ill-conditioned: |1 - e^(-beta*omega) e^(+-i*theta)| "
             f"< 1e-8 at omega={omega}, theta={theta}, beta={beta}"
         )
-    return (
-        math.exp(-omega * tau) / denom_m + math.exp(-omega * (beta - tau)) * phase / denom_p
-    ) / (2.0 * omega)
+    return value
 
 
 def kernel_fourier(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, DomainError
 from .spectrum import (
     ANTIUNITARY,
     UNITARY,
@@ -360,6 +360,11 @@ def twisted_trace(
     return complex(np.sum(np.diag(prod.matrix) * boltz))
 
 
+def _require_cutoff(cutoff: int) -> None:
+    if cutoff < 0:
+        raise DomainError(f"occupation cutoff must be nonnegative, got {cutoff}")
+
+
 def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
     """Relative-error bound for occupation-truncated twisted traces.
 
@@ -368,6 +373,7 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     """
     if beta <= 0.0:
         raise ConfigError("beta must be positive")
+    _require_cutoff(cutoff)
     log_keep = 0.0
     for w in spectrum.omegas:
         log_keep += 2.0 * math.log1p(-math.exp(-beta * w * (cutoff + 1)))
@@ -395,6 +401,7 @@ def partition_trace(
     sums; each sum is accumulated term by term.  Agreement with the dense
     :func:`twisted_trace` path is asserted in the test suite.
     """
+    _require_cutoff(cutoff)
     if sym is not None:
         if sym.kind != UNITARY:
             raise ConfigError("partition_trace handles unitary twists only")
@@ -426,6 +433,7 @@ def antiunitary_partition_trace(
     if sym.kind != ANTIUNITARY:
         raise ConfigError("antiunitary_partition_trace needs an antiunitary twist")
     check_alignment(spectrum, sym)
+    _require_cutoff(cutoff)
     total = 1.0 + 0.0j
     for k, w in enumerate(spectrum.omegas):
         j = sym.partner_index(k)

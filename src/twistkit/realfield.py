@@ -136,11 +136,6 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
     )
 
 
-def diagonalize_induced(ext: ExtendedSpectrum) -> list[tuple[float, complex]]:
-    """Per-doubled-mode (omega, unit eigenphase) of the induced unitary."""
-    return [(float(w), complex(p)) for w, p in zip(ext.doubled_omegas(), ext.phases)]
-
-
 def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     """Partition function through the doubled-theory product formula.
 
@@ -153,7 +148,7 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     if not beta > 0.0:
         raise DomainError("beta must be positive")
     z = 1.0 + 0.0j
-    for w, lam in diagonalize_induced(ext):
+    for w, lam in zip(ext.doubled_omegas().tolist(), ext.phases.tolist()):
         z /= 1.0 - lam * math.exp(-beta * w)
     if z == 0.0 or not cmath.isfinite(z):
         raise RangeError(f"real-field partition value {z} is outside the float range")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import AdmissibilityError, ConfigError, KindError
+from .errors import AdmissibilityError, ConfigError, DomainError, KindError
 
 UNIT_MODULUS_TOL = 1e-12
 
@@ -165,6 +165,8 @@ def twisted_circle_spectrum(
     the eigenvalues of -d^2/dx^2 + m^2 on functions obeying
     f(2pi) = exp(i*rho) f(0).
     """
+    if not (math.isfinite(rho_twist) and math.isfinite(mass)):
+        raise DomainError(f"twist {rho_twist} and mass {mass} must be finite")
     if mass < 0.0:
         raise AdmissibilityError("mass must be nonnegative")
     shift = rho_twist / (2.0 * math.pi)

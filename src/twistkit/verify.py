@@ -1,8 +1,10 @@
 """Named verification suites over a (spectrum, symmetry) configuration.
 
 Each suite runs a fixed list of checks and returns structured results;
-the CLI renders them and sets the exit code.  Checks that need a dense
-Fock oracle pick the occupation cutoff adaptively so the matrices fit the
+the CLI renders them and sets the exit code; ``partition`` and ``kernel
+--verify`` render :func:`partition_row` and :func:`kernel_agreement`, the
+checks the suites of those names run.  Checks that need a dense Fock
+oracle pick the occupation cutoff adaptively so the matrices fit the
 capacity budget.
 """
 
@@ -10,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from . import correlation, fock, partition, realfield
-from .errors import CapacityError, ConfigError, KindError
-from .spectrum import ANTIUNITARY, UNITARY, ModeSpectrum, SymmetrySpec
+from .errors import CapacityError, ConfigError, DomainError, KindError
+from .spectrum import ANTIUNITARY, UNITARY, ModeSpectrum, SymmetrySpec, validate_spectrum
 
 SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
 
@@ -211,53 +213,49 @@ def suite_symmetry(
     return results
 
 
+def partition_row(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float, cutoff: int
+) -> tuple[tuple[float, ...], list[CheckResult]]:
+    """One partition table row and the checks on it.
+
+    Columns: beta, z_untwisted, z_twisted, lower_bound, oracle_z, rel_err,
+    tail_bound.  Checks: each closed-form Z against its truncated trace at
+    ``cutoff`` (compared as complex numbers, within the tail bound plus a
+    per-kind slack), and for a unitary twist the positivity lower bound.
+    """
+    z_plain = partition.z_untwisted(spectrum, beta)
+    bound = partition.positivity_lower_bound(spectrum, beta)
+    tail = fock.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
+    trace = fock.partition_trace(spectrum, None, beta, cutoff)
+    # (route, closed form, truncated trace, slack on top of the tail bound)
+    routes = [("untwisted product formula", z_plain, trace, 1e-10)]
+    if sym is not None and sym.kind == UNITARY:
+        z = partition.z_twisted_unitary(spectrum, sym, beta)
+        trace = fock.partition_trace(spectrum, sym, beta, cutoff)
+        routes.append(("unitary product formula", z, trace, 1e-10))
+    elif sym is not None:
+        z = partition.z_twisted_antiunitary(spectrum, sym, beta)
+        trace = fock.antiunitary_partition_trace(spectrum, sym, beta, cutoff)
+        routes.append(("antiunitary square-root identity", z, trace, 1e-8))
+    checks = [
+        CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, tail + slack)
+        for name, value, oracle, slack in routes
+    ]
+    _, z, trace, _ = routes[-1]
+    rel = checks[-1].deviation
+    if sym is not None and sym.kind == UNITARY:
+        positivity = max(0.0, bound - z)
+        checks.append(CheckResult("partition", "twist positivity lower bound", positivity, 1e-14 * z))
+    return (beta, z_plain, z, bound, trace.real, rel, tail), checks
+
+
 def suite_partition(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    results: list[CheckResult] = []
     beta = 1.0
-    cutoff = 40
-    tail = fock.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
-    z_plain = partition.z_untwisted(spectrum, beta)
-    oracle_plain = fock.partition_trace(spectrum, None, beta, cutoff).real
-    results.append(
-        CheckResult(
-            "partition",
-            "untwisted product formula vs truncated trace",
-            abs(z_plain - oracle_plain) / z_plain,
-            tail + 1e-10,
-        )
-    )
-    if sym is not None and sym.kind == UNITARY:
-        z = partition.z_twisted_unitary(spectrum, sym, beta)
-        oracle = fock.partition_trace(spectrum, sym, beta, cutoff)
-        results.append(
-            CheckResult(
-                "partition",
-                "unitary product formula vs truncated trace",
-                abs(z - oracle) / z,
-                tail + 1e-10,
-            )
-        )
-        results.append(
-            CheckResult(
-                "partition",
-                "twist positivity lower bound",
-                max(0.0, partition.positivity_lower_bound(spectrum, beta) - z),
-                1e-14 * z,
-            )
-        )
+    columns, results = partition_row(spectrum, sym, beta, cutoff=40)
+    z = columns[2]
     if sym is not None and sym.kind == ANTIUNITARY:
-        z = partition.z_twisted_antiunitary(spectrum, sym, beta)
-        oracle = fock.antiunitary_partition_trace(spectrum, sym, beta, cutoff)
-        results.append(
-            CheckResult(
-                "partition",
-                "antiunitary square-root identity vs truncated trace",
-                abs(z - oracle) / abs(z),
-                tail + 1e-8,
-            )
-        )
         ext = realfield.extend(spectrum, sym)
         z_rf = realfield.z_via_realfield(ext, beta)
         results.append(
@@ -282,6 +280,35 @@ def suite_partition(
     return results
 
 
+def kernel_agreement(
+    kern: correlation.TwistedKernel, rho: complex, points: Iterable[tuple[float, float]]
+) -> tuple[float, list[CheckResult]]:
+    """The closed-form kernel of phase ``rho`` against both oracles.
+
+    At each (t, s) point: the Fock trace at cutoff 800 (within its tail
+    bound + 1e-8) and the 4000-term Fourier sum (within its tail bound).
+    Also returns the worst disagreement the truncations do not explain:
+    the largest Fock deviation or Fourier excess over its tail bound.
+    """
+    beta = kern.beta
+    single = validate_spectrum([("k", kern.omega)])
+    single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
+    cutoff = 800
+    worst_oracle = worst_fourier = fourier_tail = 0.0
+    for t, s in points:
+        closed = kern(t, s)
+        oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
+        worst_oracle = max(worst_oracle, abs(closed - oracle))
+        four, fourier_tail = correlation.kernel_fourier(kern.omega, kern.theta, beta, t, s, 4000)
+        worst_fourier = max(worst_fourier, abs(closed - four))
+    tail = fock.truncation_tail_bound(single, beta, cutoff)
+    checks = [
+        CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8),
+        CheckResult("kernel", "closed form vs Fourier partial sum", worst_fourier, fourier_tail),
+    ]
+    return max(worst_oracle, worst_fourier - fourier_tail), checks
+
+
 def suite_kernel(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
@@ -289,35 +316,13 @@ def suite_kernel(
         return [CheckResult("kernel", "empty-spectrum (vacuous)", 0.0, 0.0)]
     if sym is not None and sym.kind != UNITARY:
         raise KindError("kernel suite needs a unitary (or absent) symmetry")
-    results: list[CheckResult] = []
-    from .spectrum import validate_spectrum
-
-    label, omega = spectrum.labels[0], spectrum.omegas[0]
-    single = validate_spectrum([(label, omega)])
     rho = complex(sym.phases[0]) if sym is not None else 1.0 + 0.0j
-    single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,)) if sym is not None else None
     beta = 1.0
     theta = correlation.kernel_twist_angle(rho)
-    kern = correlation.TwistedKernel(omega, theta, beta)
-    cutoff = 800
-    tail = fock.truncation_tail_bound(single, beta, cutoff)
+    kern = correlation.TwistedKernel(spectrum.omegas[0], theta, beta)
     rng = np.random.default_rng(seed)
-    worst_oracle = 0.0
-    worst_fourier = 0.0
-    fourier_tail = 0.0
-    for _ in range(20):
-        t, s = rng.uniform(0.0, beta, size=2)
-        closed = kern(t, s)
-        oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
-        worst_oracle = max(worst_oracle, abs(closed - oracle))
-        four, fourier_tail = correlation.kernel_fourier(omega, theta, beta, t, s, 4000)
-        worst_fourier = max(worst_fourier, abs(closed - four))
-    results.append(
-        CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8)
-    )
-    results.append(
-        CheckResult("kernel", "closed form vs Fourier partial sum", worst_fourier, fourier_tail)
-    )
+    points = [tuple(rng.uniform(0.0, beta, size=2)) for _ in range(20)]
+    _, results = kernel_agreement(kern, rho, points)
     grid = correlation.kernel_grid(kern, 32)
     results.append(
         CheckResult(
@@ -411,6 +416,8 @@ def run_suite(
     """Run one named suite (or 'all'); skips kind-mismatched suites under 'all'."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     if name != "all":
         return _SUITE_FUNCS[name](spectrum, sym, seed=seed)
     results: list[CheckResult] = []

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import twistkit
-from twistkit import fock
+from twistkit import cli, correlation, fock, verify
 from twistkit.cli import main
 from twistkit.spectrum import load_config
 
@@ -81,13 +82,72 @@ class TestPartitionCommand:
         assert row[6] == f"{fock.truncation_tail_bound(spec, 1.0, 12):.16e}"
 
 
+def _run_cli(args, **kwargs):
+    """Run ``python -m twistkit.cli`` in a subprocess against this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(twistkit.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, twistkit.cli; print('scipy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(twistkit.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
+    out = _run_cli(["-c", code], check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--beta", "1", "--cutoff", "-1"],
+        ["verify", "--seed", "-1"],
+        ["spectrum", "gen", "twisted-circle", "--twist", "nan", "--n-min", "0", "--n-max", "2"],
+        ["spectrum", "gen", "twisted-circle", "--twist", "inf", "--n-min", "0", "--n-max", "2"],
+    ],
+)
+def test_out_of_domain_numbers_exit_2(argv):
+    proc = _run_cli(["-m", "twistkit.cli", *argv])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_calls_no_oracle():
+    # The oracles and their thresholds live in twistkit.verify only.
+    assert not hasattr(cli, "fock")
+    source = inspect.getsource(cli)
+    for name in ("kernel_oracle", "kernel_fourier", "partition_trace",
+                 "antiunitary_partition_trace", "truncation_tail_bound"):
+        assert name not in source
+
+
+class TestSharedChecksBite:
+    """A broken oracle input fails the CLI command and its verify suite alike."""
+
+    def test_partition_trace_without_conjugate_phase(self, monkeypatch, capsys):
+        def broken(spectrum, sym, beta, cutoff):
+            # S_N(rho x)^2 where the trace has S_N(rho x) S_N(conj(rho) x)
+            total = 1.0 + 0.0j
+            for w, rho in zip(spectrum.omegas, sym.phases if sym else [1.0] * len(spectrum)):
+                total *= fock._truncated_geometric(rho * math.exp(-beta * w), cutoff) ** 2
+            return total
+
+        monkeypatch.setattr(fock, "partition_trace", broken)
+        assert main(["partition", "--beta", "1"]) == 1
+        assert "[FAIL] partition: unitary product formula" in capsys.readouterr().err
+        assert main(["verify", "--suite", "partition"]) == 1
+
+    def test_kernel_oracle_off_by_1e_7(self, minus_one_config, tmp_path, monkeypatch, capsys):
+        oracle = correlation.kernel_oracle
+        monkeypatch.setattr(
+            correlation, "kernel_oracle", lambda *args: oracle(*args) + 1e-7
+        )
+        args = ["kernel", "--config", minus_one_config, "--beta", "1", "--grid", "8",
+                "--output", str(tmp_path / "k.csv"), "--verify"]
+        assert main(args) == 1
+        assert "[FAIL] kernel: closed form vs Fock-trace oracle" in capsys.readouterr().err
+        spec, sym = load_config(minus_one_config)
+        assert not all(r.passed for r in verify.suite_kernel(spec, sym))
 
 
 class TestRangeExitCodes:
@@ -122,6 +182,14 @@ class TestRangeExitCodes:
 
 
 class TestKernelCommand:
+    def test_unrepresentable_kernel_exits_4(self, tmp_path, capsys, recwarn):
+        cfg = write_config(tmp_path / "tiny.json", {"modes": [{"label": "k", "omega": 1e-200}]})
+        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "4",
+                "--output", str(tmp_path / "k.csv")]
+        assert main(args) == 4
+        assert capsys.readouterr().err.startswith("error:")
+        assert not recwarn.list  # the range error replaces the ill-conditioning warning
+
     def test_deterministic_csv(self, minus_one_config, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["kernel", "--config", minus_one_config, "--beta", "1", "--grid", "8"]

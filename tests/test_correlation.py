@@ -1,11 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from twistkit import correlation as co, fock
-from twistkit.errors import DomainError, PreconditionError
+from twistkit.errors import DomainError, PreconditionError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 
@@ -136,6 +137,28 @@ class TestClosedForm:
         got = co.kernel_closed_form(omega, theta, beta, t, s)
         assert abs(got - want) <= 1e-12 * abs(want)
 
+
+    @pytest.mark.parametrize("omega, theta", [(1e-20, 0.0), (1e-310, 0.5), (1e-12, 0.5)])
+    def test_tiny_beta_omega_matches_fourier(self, omega, theta):
+        # 1 - e^{-beta*omega} cancels completely here; the expm1 form does not
+        beta, t, s = 1.0, 0.3, 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            closed = co.kernel_closed_form(omega, theta, beta, t, s)
+        four, tail = co.kernel_fourier(omega, theta, beta, t, s, 4000)
+        assert abs(closed - four) <= tail + 1e-15 * abs(four)
+
+    @pytest.mark.parametrize("omega", [1e-200, 1e-160])
+    def test_unrepresentable_kernel_raises_range_error(self, omega):
+        # 1e-200: the denominator underflows to 0; 1e-160: K ~ 1e320 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RangeError):
+                co.kernel_closed_form(omega, 0.0, 1.0, 0.3, 0.1)
+
+    def test_diagonal_is_real(self):
+        for theta in (0.3, 1.7, 4.0):
+            assert co.kernel_closed_form(0.9, theta, 1.3, 0.4, 0.4).imag == 0.0
 
 class TestKernelOracle:
     def test_factorized_matches_dense(self):
