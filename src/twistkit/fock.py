@@ -1,25 +1,40 @@
-"""Truncated two-charge bosonic Fock space.
+"""Truncated two-charge bosonic Fock space, acted on without matrices.
 
-Every closed-form claim in the package is checked against explicit dense
-matrices built here.  The space carries one pair of oscillators (charge +
-and charge -) per mode, each truncated at occupation ``cutoff``; creation
-out of the top level maps to zero, so operator identities are asserted on
-the sub-cutoff block where the truncation is invisible.
+Every closed-form claim in the package is checked against this oracle.
+Each mode carries a pair of oscillators (charge + and charge -), each
+truncated at occupation ``cutoff``.  A state is a complex tensor of shape
+``(cutoff + 1,) * 2M`` with one axis per (mode, charge) slot: slot 2k is the
++ charge of mode k, slot 2k + 1 its - charge, and the index along an axis is
+the slot's occupation, so the vacuum is the entry at the origin.
 
-Basis order is lexicographic in (mode, charge, occupation) with the +
-charge preceding the - charge within each mode; the vacuum has index 0.
+Operators are plain functions of a state:
+
+- a linear field is a (2, 2M) table of creation and annihilation
+  coefficients per slot (:func:`apply_field`).  Creation at a slot is a
+  shifted slice along its axis times sqrt(n + 1), and the top level is
+  annihilated, so operator identities hold on the sub-cutoff block, where
+  every occupation is below the cutoff;
+- H is diagonal, a broadcast sum of per-slot energies
+  (:meth:`FockSpace.energies`);
+- U_S, U_V (:func:`apply_symmetry`) and TC (:func:`apply_tc`) are
+  generalized permutations: per-level phases on each slot, then a
+  permutation of the axes; TC also conjugates.
+
+The traces at the end evaluate the partition-function oracles at any
+cutoff, factorized per oscillator or per orbit of the mode pairing.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
+from .partition import _log_abs2_one_minus
 from .spectrum import (
     ANTIUNITARY,
     UNITARY,
@@ -28,223 +43,212 @@ from .spectrum import (
     check_alignment,
 )
 
-#: Default cap on dense matrix entries (dim**2) for one operator.  The env
-#: var TWISTKIT_CAPACITY overrides it at runtime.
-DEFAULT_CAPACITY = 20_000_000
-
-#: Cap on basis enumeration length for diagonal/permutation traces that
-#: never materialize a dense matrix.
-ENUMERATION_CAPACITY = 40_000_000
+#: Highest occupation cutoff :func:`oracle_cutoff` picks.
+MAX_CUTOFF = 8
+#: Most states one state tensor may hold: 3**10, five modes at cutoff 2.
+MAX_STATES = 3**10
 
 
-def matrix_budget() -> int:
-    raw = os.environ.get("TWISTKIT_CAPACITY")
-    return int(raw) if raw else DEFAULT_CAPACITY
+def oracle_cutoff(n_modes: int) -> int:
+    """The verify oracle's cutoff: the largest N <= MAX_CUTOFF with
+    (N + 1)**(2M) <= MAX_STATES, that is 8, 8, 5, 2, 2 for M = 1..5.
 
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Square complex matrix, optionally composed with entrywise conjugation.
-
-    ``antilinear=True`` means the operator acts as ``x -> matrix @ conj(x)``
-    in the fixed basis.  Composition honors the antilinear rule: when the
-    left factor is antilinear the right factor's matrix is conjugated.
+    At cutoff 1 the sub-cutoff block is the vacuum alone, where no identity
+    is tested, so from six modes on this raises CapacityError.
     """
+    n = MAX_CUTOFF
+    while (n + 1) ** (2 * n_modes) > MAX_STATES:
+        n -= 1
+    if n < 2:
+        raise CapacityError(
+            f"{n_modes} modes admit only cutoff {n} within {MAX_STATES} states"
+        )
+    return n
 
-    matrix: np.ndarray
-    antilinear: bool = False
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ConfigError("operator matrix must be square")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+def _axis_shape(n_slots: int, slot: int, length: int) -> tuple[int, ...]:
+    """Shape that broadcasts a per-level table along one slot axis."""
+    shape = [1] * n_slots
+    shape[slot] = length
+    return tuple(shape)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.dim != other.dim:
-            raise ConfigError("operator dimensions do not match")
-        rhs = np.conj(other.matrix) if self.antilinear else other.matrix
-        return DenseOperator(self.matrix @ rhs, self.antilinear ^ other.antilinear)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        v = np.conj(vec) if self.antilinear else vec
-        return self.matrix @ v
-
-    def adjoint(self) -> "DenseOperator":
-        # <A* x, y> = conj(<x, A y>) for antilinear A gives the plain
-        # transpose; the linear case is the usual conjugate transpose.
-        if self.antilinear:
-            return DenseOperator(self.matrix.T, True)
-        return DenseOperator(self.matrix.conj().T, False)
-
-    def scaled(self, c: complex) -> "DenseOperator":
-        return DenseOperator(c * self.matrix, self.antilinear)
-
-    def plus(self, other: "DenseOperator") -> "DenseOperator":
-        if self.antilinear != other.antilinear:
-            raise ConfigError("cannot add linear and antilinear operators")
-        return DenseOperator(self.matrix + other.matrix, self.antilinear)
+def _at(n_slots: int, slot: int, level: int, width: int) -> tuple:
+    """Index of one level along a slot axis, and levels 0..width-1 elsewhere."""
+    index: list = [slice(0, width)] * n_slots
+    index[slot] = level
+    return tuple(index)
 
 
 @dataclass(frozen=True)
-class TruncatedFockSpace:
-    """Enumerated occupation basis over all modes and both charges."""
+class FockSpace:
+    """Occupation tensors over all modes and both charges at one cutoff."""
 
     spectrum: ModeSpectrum
     cutoff: int
-    occupations: np.ndarray = field(repr=False)  # (dim, 2*n_modes) ints
+
+    def __post_init__(self):
+        if self.cutoff < 1:
+            raise ConfigError("cutoff must be >= 1")
+        if self.dim > MAX_STATES:
+            raise CapacityError(f"{self.dim} states exceed the cap of {MAX_STATES}")
 
     @property
     def n_modes(self) -> int:
         return len(self.spectrum)
 
     @property
+    def n_slots(self) -> int:
+        return 2 * self.n_modes
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.cutoff + 1,) * self.n_slots
+
+    @property
     def dim(self) -> int:
-        return self.occupations.shape[0]
-
-    def identity(self) -> DenseOperator:
-        return DenseOperator(np.eye(self.dim, dtype=complex))
-
-    def energies(self) -> np.ndarray:
-        """Diagonal of H; integer occupation sums per distinct omega, scaled
-        once each, so symmetry-related states get bit-identical energies."""
-        omegas = np.asarray(self.spectrum.omegas, dtype=float)
-        out = np.zeros(self.dim)
-        for w in np.unique(omegas):
-            slots = np.repeat(omegas == w, 2)
-            out += self.occupations[:, slots].sum(axis=1) * w
-        return out
-
-    def subcutoff_mask(self) -> np.ndarray:
-        """Boolean mask of states with every occupation strictly below cutoff."""
-        if self.n_modes == 0:
-            return np.ones(1, dtype=bool)
-        return (self.occupations < self.cutoff).all(axis=1)
+        return (self.cutoff + 1) ** self.n_slots
 
     def slot(self, charge: str, label: str) -> int:
-        """Column index in the occupation table for (mode, charge)."""
-        if charge not in ("+", "-"):
-            raise ConfigError(f"charge must be '+' or '-', got {charge!r}")
+        """Axis of the (mode, charge) slot."""
         try:
             k = self.spectrum.labels.index(label)
         except ValueError:
             raise ConfigError(f"unknown mode label {label!r}") from None
-        return 2 * k + (0 if charge == "+" else 1)
+        return 2 * k + _charge_offset(charge)
+
+    def vacuum(self) -> np.ndarray:
+        state = np.zeros(self.shape, dtype=complex)
+        state[(0,) * self.n_slots] = 1.0
+        return state
+
+    def energies(self) -> np.ndarray:
+        """Diagonal of H as a tensor: per distinct omega, the integer
+        occupation count of its slots times omega once, so symmetry-related
+        states get bit-identical energies."""
+        levels = np.arange(self.cutoff + 1)
+        omegas = self.spectrum.omegas
+        out = np.zeros(self.shape)
+        for w in sorted(set(omegas)):
+            count = sum(
+                levels.reshape(_axis_shape(self.n_slots, s, self.cutoff + 1))
+                for s in range(self.n_slots)
+                if omegas[s // 2] == w
+            )
+            out += w * count
+        return out
+
+    def sub_block(self, state: np.ndarray) -> np.ndarray:
+        """The sub-cutoff rows of a full state: every occupation below the cutoff."""
+        return state[(slice(0, self.cutoff),) * self.n_slots]
+
+    def random_state(self, rng: np.random.Generator) -> np.ndarray:
+        """Seeded standard-normal complex state supported on the sub-cutoff
+        block, held as that block: shape (cutoff,) * 2M."""
+        size = (self.cutoff,) * self.n_slots
+        state = np.empty(size, dtype=complex)
+        state.real, state.imag = rng.normal(size=size), rng.normal(size=size)
+        return state
 
 
-def _enumerate_occupations(n_slots: int, cutoff: int) -> np.ndarray:
-    """All occupation tuples in lexicographic order, first slot most significant."""
-    if n_slots == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    base = cutoff + 1
-    dim = base**n_slots
-    idx = np.arange(dim)
-    occ = np.empty((dim, n_slots), dtype=np.int64)
-    for j in range(n_slots - 1, -1, -1):
-        occ[:, j] = idx % base
-        idx //= base
-    return occ
+def _charge_offset(charge: str) -> int:
+    if charge not in ("+", "-"):
+        raise ConfigError(f"charge must be '+' or '-', got {charge!r}")
+    return 0 if charge == "+" else 1
 
 
-def build_space(
-    spectrum: ModeSpectrum, cutoff: int, budget: Optional[int] = None
-) -> TruncatedFockSpace:
-    """Build the truncated space; guards dense-matrix storage dim**2."""
-    if cutoff < 1:
-        raise ConfigError("cutoff must be >= 1")
-    budget = matrix_budget() if budget is None else budget
-    n_slots = 2 * len(spectrum)
-    dim = (cutoff + 1) ** n_slots
-    if dim * dim > budget:
-        raise CapacityError(
-            f"dense operators would need {dim * dim} entries, budget {budget}"
-        )
-    occ = _enumerate_occupations(n_slots, cutoff)
-    occ.setflags(write=False)
-    return TruncatedFockSpace(spectrum=spectrum, cutoff=cutoff, occupations=occ)
+def _creation_amplitudes(cutoff: int) -> np.ndarray:
+    """<n+1| alpha* |n> = sqrt(n + 1) for n = 0 .. cutoff - 1."""
+    return np.sqrt(np.arange(1.0, cutoff + 1))
 
 
-def _single_creation(cutoff: int) -> np.ndarray:
-    """Truncated oscillator creation matrix; the top level is annihilated."""
-    n = cutoff + 1
-    m = np.zeros((n, n), dtype=complex)
-    for k in range(cutoff):
-        m[k + 1, k] = math.sqrt(k + 1)
-    return m
+def apply_field(
+    space: FockSpace, field: np.ndarray, state: np.ndarray, subcutoff: bool = False
+) -> np.ndarray:
+    """A linear field applied to a state; its sub-cutoff rows only if asked.
 
-
-def _slot_operator(space: TruncatedFockSpace, slot: int, local: np.ndarray) -> np.ndarray:
-    """Embed a single-oscillator matrix at one (mode, charge) slot."""
-    n_slots = 2 * space.n_modes
-    out = np.array([[1.0 + 0j]])
-    eye = np.eye(space.cutoff + 1, dtype=complex)
-    for j in range(n_slots):
-        out = np.kron(out, local if j == slot else eye)
+    ``field[0, s]`` and ``field[1, s]`` are the coefficients of the creation
+    and the annihilation operator at slot s.  ``state`` is a full state or
+    a sub-cutoff block (a state supported there); the result is the full
+    state, or with ``subcutoff`` its sub-cutoff block.  Each coefficient
+    scales an amplitude once, so a product of two slot operators on a basis
+    state is one product of two numbers in either order.
+    """
+    n = space.n_slots
+    n_in = state.shape[0] if n else 1
+    n_out = space.cutoff if subcutoff else space.cutoff + 1
+    width = min(n_in, n_out)
+    amps = _creation_amplitudes(space.cutoff)
+    out = np.zeros((n_out,) * n, dtype=complex)
+    for s in range(n):
+        create, destroy = field[:, s]
+        for m in range(space.cutoff):
+            # alpha*|m> = amps[m] |m+1> and alpha|m+1> = amps[m] |m> on axis s
+            if create != 0 and m < n_in and m + 1 < n_out:
+                out[_at(n, s, m + 1, width)] += (create * amps[m]) * state[_at(n, s, m, width)]
+            if destroy != 0 and m + 1 < n_in and m < n_out:
+                out[_at(n, s, m, width)] += (destroy * amps[m]) * state[_at(n, s, m + 1, width)]
     return out
 
 
-def creation(space: TruncatedFockSpace, charge: str, label: str) -> DenseOperator:
-    """Creation operator alpha*_charge(mode) with sqrt(n+1) amplitudes."""
-    slot = space.slot(charge, label)
-    return DenseOperator(_slot_operator(space, slot, _single_creation(space.cutoff)))
+def sub_commutator(space: FockSpace, a: np.ndarray, b: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The sub-cutoff rows of [A, B] applied to a state, for two field tables."""
+    out = apply_field(space, a, apply_field(space, b, state), subcutoff=True)
+    out -= apply_field(space, b, apply_field(space, a, state), subcutoff=True)
+    return out
 
 
-def annihilation(space: TruncatedFockSpace, charge: str, label: str) -> DenseOperator:
-    return creation(space, charge, label).adjoint()
+def adjoint(field: np.ndarray) -> np.ndarray:
+    """Field table of the adjoint: (c alpha* + d alpha)* = conj(d) alpha* + conj(c) alpha."""
+    return np.conj(field[::-1])
+
+
+def _mode_coeffs(space: FockSpace, coeffs: Sequence[complex]) -> np.ndarray:
+    f = np.asarray(coeffs, dtype=complex)
+    if f.shape != (space.n_modes,):
+        raise ConfigError("coefficient vector length must equal the mode count")
+    return f
+
+
+def creation(space: FockSpace, charge: str, label: str) -> np.ndarray:
+    """Field table of the creation operator alpha*_charge(mode)."""
+    field = np.zeros((2, space.n_slots), dtype=complex)
+    field[0, space.slot(charge, label)] = 1.0
+    return field
 
 
 def creation_functional(
-    space: TruncatedFockSpace, charge: str, coeffs: Sequence[complex]
-) -> DenseOperator:
-    """Linear creation functional smeared over the modes.
+    space: FockSpace, charge: str, coeffs: Sequence[complex]
+) -> np.ndarray:
+    """Field table of the creation functional smeared over the modes.
 
     ``coeffs`` are the components of f in the mode basis.  For charge '+'
     this is A+*(f-bar) = sum_k conj(f_k) alpha+*(k); for charge '-' it is
     A-*(f) = sum_k f_k alpha-*(k).
     """
-    f = np.asarray(coeffs, dtype=complex)
-    if f.shape != (space.n_modes,):
-        raise ConfigError("coefficient vector length must equal the mode count")
-    weights = np.conj(f) if charge == "+" else f
-    total = np.zeros((space.dim, space.dim), dtype=complex)
-    for k, lbl in enumerate(space.spectrum.labels):
-        if weights[k] != 0:
-            total += weights[k] * creation(space, charge, lbl).matrix
-    return DenseOperator(total)
+    f = _mode_coeffs(space, coeffs)
+    field = np.zeros((2, space.n_slots), dtype=complex)
+    field[0, _charge_offset(charge)::2] = np.conj(f) if charge == "+" else f
+    return field
 
 
 def annihilation_functional(
-    space: TruncatedFockSpace, charge: str, coeffs: Sequence[complex]
-) -> DenseOperator:
+    space: FockSpace, charge: str, coeffs: Sequence[complex]
+) -> np.ndarray:
     """Adjoint partner of :func:`creation_functional` at the same coefficients.
 
     Charge '+': A+(f) = sum_k f_k alpha+(k); charge '-': A-(f-bar) =
     sum_k conj(f_k) alpha-(k).
     """
-    return creation_functional(space, charge, coeffs).adjoint()
-
-
-def hamiltonian(space: TruncatedFockSpace) -> DenseOperator:
-    return DenseOperator(np.diag(space.energies().astype(complex)))
-
-
-def number_operator(space: TruncatedFockSpace) -> DenseOperator:
-    if space.n_modes == 0:
-        return space.identity().scaled(0.0)
-    return DenseOperator(np.diag(space.occupations.sum(axis=1).astype(complex)))
+    return adjoint(creation_functional(space, charge, coeffs))
 
 
 def imaginary_time_field(
-    space: TruncatedFockSpace,
+    space: FockSpace,
     t: float,
     coeffs: Sequence[complex],
     conjugate: bool = False,
-) -> DenseOperator:
+) -> np.ndarray:
     """Imaginary-time field phi(t, f-bar), or its conjugate partner.
 
     Per-mode scalars omega^{-1/2} exp(-/+ t*omega) weight the creation and
@@ -252,112 +256,84 @@ def imaginary_time_field(
     desk scale (t <= beta, finite spectra) everything stays finite, but
     magnitudes of order exp(beta*omega_max) appear in intermediate values.
     """
-    f = np.asarray(coeffs, dtype=complex)
-    if f.shape != (space.n_modes,):
-        raise ConfigError("coefficient vector length must equal the mode count")
+    f = _mode_coeffs(space, coeffs)
     w = np.asarray(space.spectrum.omegas, dtype=float)
     decay = f * np.exp(-t * w) / np.sqrt(w)
     growth = f * np.exp(t * w) / np.sqrt(w)
     if not conjugate:
         # phi(t, f-bar) = [A+*(decay-bar) + A-(growth-bar)] / sqrt(2)
-        op = creation_functional(space, "+", decay).plus(
-            annihilation_functional(space, "-", growth)
+        field = creation_functional(space, "+", decay) + annihilation_functional(
+            space, "-", growth
         )
     else:
         # phi-bar(t, f) = [A-*(decay) + A+(growth)] / sqrt(2)
-        op = creation_functional(space, "-", decay).plus(
-            annihilation_functional(space, "+", growth)
+        field = creation_functional(space, "-", decay) + annihilation_functional(
+            space, "+", growth
         )
-    return op.scaled(1.0 / math.sqrt(2.0))
+    return field / math.sqrt(2.0)
 
 
-def _unitary_diagonal(space: TruncatedFockSpace, phases: Sequence[complex]) -> np.ndarray:
-    """Diagonal of U_S: product over modes of rho^(n+) * conj(rho)^(n-).
+def _generalized_permutation(
+    state: np.ndarray,
+    source: Sequence[int],
+    phases: Optional[Sequence[np.ndarray]] = None,
+    conjugate: bool = False,
+) -> np.ndarray:
+    """Axis t of the result is axis ``source[t]`` of (phases * state).
 
-    The + charge carries rho and the - charge carries conj(rho); this is
-    the frozen phase convention, enforced by the conjugation test
-    U_S alpha+*(k) U_S* = rho_k alpha+*(k).
+    ``phases`` holds one per-level table per slot; their product over the
+    slots multiplies the state in one step, so every entry is one product.
+    The permutation keeps every occupation, so ``state`` may be any block
+    of levels 0..L-1 on each axis, such as the sub-cutoff block.
     """
-    rho = np.asarray(phases, dtype=complex)
-    diag = np.ones(space.dim, dtype=complex)
-    for k in range(space.n_modes):
-        n_plus = space.occupations[:, 2 * k]
-        n_minus = space.occupations[:, 2 * k + 1]
-        diag *= rho[k] ** n_plus * np.conj(rho[k]) ** n_minus
-    return diag
+    n = state.ndim
+    if phases is not None:
+        levels = state.shape[0] if n else 1
+        tables = (p[:levels].reshape(_axis_shape(n, s, levels)) for s, p in enumerate(phases))
+        product = reduce(np.multiply, tables, np.ones((1,) * n, dtype=complex))
+        product *= state
+        state = product
+    out = np.transpose(state, source)
+    return np.conj(out) if conjugate else out
 
 
-def _antiunitary_action(
-    space: TruncatedFockSpace, sym: SymmetrySpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """(target index, phase) of U_V applied to each basis state.
+def _symmetry_action(sym: SymmetrySpec, cutoff: int) -> tuple[list[int], list[np.ndarray]]:
+    """Axis permutation and per-slot level phases of U_S or U_V.
 
-    U_V alpha+*(k) U_V* = eta_{pi(k)} alpha-*(pi(k)) and
-    U_V alpha-*(k) U_V* = conj(eta_{pi(k)}) alpha+*(pi(k)), so occupations
-    map as (n+_k, n-_k) -> (n-_k, n+_k) relocated to mode pi(k).
+    U_S: the + slot of mode k carries rho_k**n and the - slot conj(rho_k)**n,
+    the frozen convention U_S alpha+*(k) U_S* = rho_k alpha+*(k); no axis
+    moves.  U_V alpha+*(k) U_V* = eta_{pi(k)} alpha-*(pi(k)) and
+    U_V alpha-*(k) U_V* = conj(eta_{pi(k)}) alpha+*(pi(k)): the + slot of
+    mode k carries eta_{pi(k)}**n and becomes the - slot of pi(k), the - slot
+    carries conj(eta_{pi(k)})**n and becomes the + slot of pi(k).
     """
-    perm = [sym.partner_index(k) for k in range(space.n_modes)]
-    eta = np.asarray(sym.phases, dtype=complex)
-    occ = space.occupations
-    target_occ = np.empty_like(occ)
-    phase = np.ones(space.dim, dtype=complex)
-    for k in range(space.n_modes):
-        j = perm[k]
-        target_occ[:, 2 * j] = occ[:, 2 * k + 1]
-        target_occ[:, 2 * j + 1] = occ[:, 2 * k]
-        # state phase: prod_j eta_j^(n+_{pi(j)}) conj(eta_j)^(n-_{pi(j)})
-        phase *= eta[j] ** occ[:, 2 * k] * np.conj(eta[j]) ** occ[:, 2 * k + 1]
-    base = space.cutoff + 1
-    weights = base ** np.arange(2 * space.n_modes - 1, -1, -1)
-    target = target_occ @ weights
-    return target, phase
-
-
-def implement_symmetry(space: TruncatedFockSpace, sym: SymmetrySpec) -> DenseOperator:
-    """Fock-space implementation U_S; unitary in both symmetry kinds."""
-    check_alignment(space.spectrum, sym)
+    m = len(sym.phases)
     if sym.kind == UNITARY:
-        return DenseOperator(np.diag(_unitary_diagonal(space, sym.phases)))
-    target, phase = _antiunitary_action(space, sym)
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    m[target, np.arange(space.dim)] = phase
-    return DenseOperator(m)
+        source = list(range(2 * m))
+        per_slot = [p for rho in sym.phases for p in (complex(rho), complex(rho).conjugate())]
+    else:
+        source, per_slot = [0] * (2 * m), [1.0 + 0.0j] * (2 * m)
+        for k in range(m):
+            j = sym.partner_index(k)
+            source[2 * j], source[2 * j + 1] = 2 * k + 1, 2 * k
+            eta = complex(sym.phases[j])
+            per_slot[2 * k], per_slot[2 * k + 1] = eta, eta.conjugate()
+    levels = np.arange(cutoff + 1)
+    return source, [p**levels for p in per_slot]
 
 
-def tc_operator(space: TruncatedFockSpace) -> DenseOperator:
-    """Time-charge reversal: swap + and - occupations, then conjugate."""
-    occ = space.occupations
-    target_occ = np.empty_like(occ)
-    target_occ[:, 0::2] = occ[:, 1::2]
-    target_occ[:, 1::2] = occ[:, 0::2]
-    if space.n_modes == 0:
-        return DenseOperator(np.eye(1, dtype=complex), antilinear=True)
-    base = space.cutoff + 1
-    weights = base ** np.arange(2 * space.n_modes - 1, -1, -1)
-    target = target_occ @ weights
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    m[target, np.arange(space.dim)] = 1.0
-    return DenseOperator(m, antilinear=True)
+def apply_symmetry(space: FockSpace, sym: SymmetrySpec, state: np.ndarray) -> np.ndarray:
+    """Fock-space implementation U_S of either symmetry kind, applied to a
+    full state or a sub-cutoff block; it is unitary in both kinds."""
+    check_alignment(space.spectrum, sym)
+    source, phases = _symmetry_action(sym, space.cutoff)
+    return _generalized_permutation(state, source, phases)
 
 
-def twisted_trace(
-    space: TruncatedFockSpace,
-    factors: Sequence[DenseOperator],
-    beta: float,
-    twist: DenseOperator,
-) -> complex:
-    """Tr(factors ... twist exp(-beta H)), heat factor applied diagonally."""
-    boltz = np.exp(-beta * space.energies())
-    prod = twist
-    for op in reversed(factors):
-        if op.dim != space.dim:
-            raise ConfigError("factor dimension does not match the space")
-        prod = op @ prod
-    if prod.dim != space.dim:
-        raise ConfigError("twist dimension does not match the space")
-    if prod.antilinear:
-        raise ConfigError("trace of an antilinear composition is not defined")
-    return complex(np.sum(np.diag(prod.matrix) * boltz))
+def apply_tc(space: FockSpace, state: np.ndarray) -> np.ndarray:
+    """Time-charge reversal of a full state or a sub-cutoff block: swap the
+    + and - axes of every mode, then conjugate."""
+    return _generalized_permutation(state, [s ^ 1 for s in range(space.n_slots)], conjugate=True)
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -374,9 +350,7 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     if beta <= 0.0:
         raise ConfigError("beta must be positive")
     _require_cutoff(cutoff)
-    log_keep = 0.0
-    for w in spectrum.omegas:
-        log_keep += 2.0 * math.log1p(-math.exp(-beta * w * (cutoff + 1)))
+    log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
     return -math.expm1(log_keep)
 
 
@@ -398,8 +372,8 @@ def partition_trace(
 
     U_S and exp(-beta H) are both diagonal over the occupation basis, so
     the full-basis sum factorizes into per-oscillator truncated geometric
-    sums; each sum is accumulated term by term.  Agreement with the dense
-    :func:`twisted_trace` path is asserted in the test suite.
+    sums; each sum is accumulated term by term.  Agreement with a dense
+    trace is asserted in the test suite.
     """
     _require_cutoff(cutoff)
     if sym is not None:
@@ -427,8 +401,7 @@ def antiunitary_partition_trace(
     geometric sum, a fixed mode (n+ = n- = n, phase 1) contributes
     S_N(x^2), and a swapped pair (k, pi(k)) contributes
     S_N(r x^2) S_N(conj(r) x^2) with r = eta_k conj(eta_pi(k)).  Equality
-    with the basis enumeration and the dense trace is asserted in the
-    tests.
+    with the basis sum and a dense trace is asserted in the tests.
     """
     if sym.kind != ANTIUNITARY:
         raise ConfigError("antiunitary_partition_trace needs an antiunitary twist")
@@ -450,19 +423,19 @@ def antiunitary_partition_trace(
 def _enumerated_antiunitary_trace(
     spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float, cutoff: int
 ) -> complex:
-    """Truncated Tr(U_V exp(-beta H)) by basis enumeration (test oracle).
+    """Truncated Tr(U_V exp(-beta H)) summed over the basis (test oracle).
 
-    Sums the phases of the basis states fixed by the occupation relabeling
-    over the full enumerated basis, without building dense matrices.
+    U_V sends the basis state n to a phase times the state whose slot t
+    holds n[source[t]], so its diagonal is the phase on the states with
+    n[t] = n[source[t]] for every t.  ``source`` is an involution, and
+    einsum sums exactly those states by giving each of its cycles one
+    index, without forming the (N+1)^(2M) tensor.
     """
     check_alignment(spectrum, sym)
-    n_slots = 2 * len(spectrum)
-    dim = (cutoff + 1) ** n_slots
-    if dim > ENUMERATION_CAPACITY:
-        raise CapacityError(f"basis enumeration of {dim} states exceeds the cap")
-    occ = _enumerate_occupations(n_slots, cutoff)
-    space = TruncatedFockSpace(spectrum=spectrum, cutoff=cutoff, occupations=occ)
-    target, phase = _antiunitary_action(space, sym)
-    fixed = target == np.arange(space.dim)
-    boltz = np.exp(-beta * space.energies()[fixed])
-    return complex(np.sum(phase[fixed] * boltz))
+    _require_cutoff(cutoff)
+    source, phases = _symmetry_action(sym, cutoff)
+    levels = np.arange(cutoff + 1)
+    operands: list = []
+    for t, w in enumerate(np.repeat(np.asarray(spectrum.omegas, dtype=float), 2)):
+        operands += [phases[t] * np.exp(-beta * w * levels), [min(t, source[t])]]
+    return complex(np.einsum(*operands, [])) if operands else 1.0 + 0.0j

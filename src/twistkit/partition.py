@@ -1,8 +1,8 @@
 """Closed-form twisted partition functions and twist-positivity bounds.
 
-All values are finite products over the mode list, accumulated in
-log-space with log1p so that many near-unity factors do not lose
-precision.  A product that is finite and positive but overflows or
+All values are finite products over the mode list, accumulated in log
+space from factors log |1 - rho e^{-beta omega}|^2 that do not cancel, so
+that neither near-unity factors nor tiny beta*omega lose precision.  A product that is finite and positive but overflows or
 underflows a float raises RangeError instead of returning inf, 0 or nan.
 """
 
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
 
-from .errors import DomainError, InternalConsistencyError, KindError, RangeError
+from .errors import DomainError, KindError, RangeError
 from .spectrum import (
     ANTIUNITARY,
     UNITARY,
@@ -43,12 +42,29 @@ def _exp_in_range(log_z: float, what: str) -> float:
     return z
 
 
+def _log_abs2_one_minus(y: float, rho: complex) -> float:
+    """log |1 - rho e^{-y}|^2 for y > 0 and a unit phase rho = e^{i theta}.
+
+    With x = e^{-y} the value is the log of D = expm1(-y)^2 +
+    4x sin^2(theta/2), the denominator of
+    :func:`twistkit.correlation.kernel_closed_form`, in which nothing
+    cancels; hypot keeps the sum from underflowing.  For x < 1/2, where
+    D >= 1/4, it is log1p(x (x - 2 cos theta)) instead, so that a tiny x is
+    not rounded away.  Where even hypot is 0 (y underflowed to 0 at
+    rho = 1) it is -inf, and the product it enters overflows into
+    RangeError.
+    """
+    x = math.exp(-y)
+    if x < 0.5:
+        return math.log1p(x * (x - 2.0 * rho.real))
+    root = math.hypot(math.expm1(-y), 2.0 * math.sqrt(x) * math.sin(0.5 * cmath.phase(rho)))
+    return 2.0 * math.log(root) if root > 0.0 else -math.inf
+
+
 def z_untwisted(spectrum: ModeSpectrum, beta: float) -> float:
     """Tr(e^{-beta H}) = prod_k (1 - e^{-beta omega_k})^{-2}."""
     _require_beta(beta)
-    log_z = 0.0
-    for w in spectrum.omegas:
-        log_z -= 2.0 * math.log1p(-math.exp(-beta * w))
+    log_z = -sum(_log_abs2_one_minus(beta * w, 1.0 + 0.0j) for w in spectrum.omegas)
     return _exp_in_range(log_z, "untwisted partition function")
 
 
@@ -62,11 +78,7 @@ def z_twisted_unitary(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) ->
     if sym.kind != UNITARY:
         raise KindError("z_twisted_unitary requires a unitary symmetry")
     check_alignment(spectrum, sym)
-    log_z = 0.0
-    for w, rho in zip(spectrum.omegas, sym.phases):
-        x = math.exp(-beta * w)
-        # |1 - rho x|^2 = 1 - 2 Re(rho) x + x^2
-        log_z -= math.log1p(x * (x - 2.0 * rho.real))
+    log_z = -sum(_log_abs2_one_minus(beta * w, rho) for w, rho in zip(spectrum.omegas, sym.phases))
     return _exp_in_range(log_z, "unitary twisted partition function")
 
 
@@ -91,26 +103,17 @@ def z_twisted_antiunitary(
 ) -> float:
     """Tr(U_V e^{-beta H}) = sqrt(Tr(U_{V^2} e^{-2 beta H})).
 
-    The inner value is a product of complex factors, accumulated as a
-    log-modulus and a phase so that it cannot overflow midway; the
-    conjugate-pair cancellation is checked numerically: a residual phase
-    beyond 1e-10 raises InternalConsistencyError.
+    The inner trace is the unitary product for V^2 at 2 beta, whose every
+    factor |1 - rho x|^2 is real and positive, so Z is half its log-sum.
     """
     _require_beta(beta)
     if sym.kind != ANTIUNITARY:
         raise KindError("z_twisted_antiunitary requires an antiunitary symmetry")
     check_alignment(spectrum, sym)
     squared = _square_phases(sym)
-    log_inner, phase = 0.0, 0.0
-    for w, rho in zip(spectrum.omegas, squared.phases):
-        x = math.exp(-2.0 * beta * w)
-        factor = (1.0 - rho * x) * (1.0 - rho.conjugate() * x)
-        log_inner -= math.log(abs(factor))
-        phase -= cmath.phase(factor)
-    if abs(math.sin(phase)) > 1e-10 or math.cos(phase) < 0.0:
-        raise InternalConsistencyError(
-            f"inner trace has phase {phase!r}, not 0; conjugate pairing violated"
-        )
+    log_inner = -sum(
+        _log_abs2_one_minus(2.0 * beta * w, rho) for w, rho in zip(spectrum.omegas, squared.phases)
+    )
     z = _exp_in_range(0.5 * log_inner, "antiunitary partition function")
     if z < TINY_Z_FLAG:
         # Flag (do not fail): positivity is asserted for every beta > 0,
@@ -128,21 +131,3 @@ def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
     for w in spectrum.omegas:
         s += math.log1p(math.exp(-beta * w))
     return math.exp(-2.0 * s)
-
-
-def per_mode_factors(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float
-) -> list[tuple[str, float]]:
-    """Diagnostic breakdown: (label, |1 - rho e^{-beta omega}|^{-2})."""
-    _require_beta(beta)
-    if sym is None:
-        phases = (1.0 + 0.0j,) * len(spectrum)
-    elif sym.kind == UNITARY:
-        check_alignment(spectrum, sym)
-        phases = sym.phases
-    else:
-        raise KindError("per-mode factors are defined for unitary twists")
-    rows = []
-    for lbl, w, rho in zip(spectrum.labels, spectrum.omegas, phases):
-        rows.append((lbl, 1.0 / abs(1.0 - rho * cmath.exp(-beta * w)) ** 2))
-    return rows

@@ -108,16 +108,6 @@ class SymmetrySpec:
         return self.labels.index(self.partners[k])
 
 
-@dataclass(frozen=True)
-class TwistAngle:
-    """Principal angle theta in [0, 2*pi) with exp(i*theta) = rho."""
-
-    theta: float
-
-    def phase(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-
 def principal_angle(phase: complex) -> float:
     """Argument of a unit-modulus number mapped into [0, 2*pi)."""
     theta = cmath.phase(phase)
@@ -179,13 +169,6 @@ def twisted_circle_spectrum(
         omega = math.hypot(n + shift, mass)
         pairs.append((f"n={n}", omega))
     return validate_spectrum(pairs)
-
-
-def symmetry_angles(sym: SymmetrySpec) -> tuple[TwistAngle, ...]:
-    """Per-mode twist angles theta_k in [0, 2*pi) for a unitary symmetry."""
-    if sym.kind != UNITARY:
-        raise KindError("twist angles are defined for unitary symmetries")
-    return tuple(TwistAngle(principal_angle(p)) for p in sym.phases)
 
 
 def check_alignment(spectrum: ModeSpectrum, sym: SymmetrySpec) -> None:

@@ -3,9 +3,17 @@
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
 --verify`` render :func:`partition_row` and :func:`kernel_agreement`, the
-checks the suites of those names run.  Checks that need a dense Fock
-oracle pick the occupation cutoff adaptively so the matrices fit the
-capacity budget.
+checks the suites of those names run.
+
+The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
+of ``realfield`` act with the matrix-free Fock oracle of
+:mod:`twistkit.fock` at :func:`twistkit.fock.oracle_cutoff` (8, 8, 5, 2, 2
+for 1-5 modes; CapacityError, exit 3, from six modes on).  An operator
+identity A B = C is checked as A(Bv) - Cv on seeded standard-normal states
+v supported on the sub-cutoff block, compared on the sub-cutoff rows; the
+two exact checks (threshold 0) probe where no rounding enters, a basis
+state and the all-ones state.  The inner-product checks of TC and U use
+seeded unit states on the sub-cutoff block.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import correlation, fock, partition, realfield
-from .errors import CapacityError, ConfigError, DomainError, KindError
+from .errors import ConfigError, DomainError, KindError
 from .spectrum import ANTIUNITARY, UNITARY, ModeSpectrum, SymmetrySpec, validate_spectrum
 
 SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
@@ -35,137 +43,127 @@ class CheckResult:
         return self.deviation <= self.threshold
 
 
-def adaptive_cutoff(n_modes: int, budget: Optional[int] = None, cap: int = 8) -> int:
-    """Largest cutoff whose dense operators fit the budget, at most ``cap``."""
-    budget = fock.matrix_budget() if budget is None else budget
-    if n_modes == 0:
-        return cap
-    dim_max = int(math.floor(budget**0.25))  # dim**2 <= budget
-    n = int(math.floor(dim_max ** (1.0 / (2 * n_modes)))) - 1
-    if n < 1:
-        raise CapacityError(
-            f"{n_modes} modes do not admit even cutoff 1 within the budget"
-        )
-    return min(n, cap)
-
-
-def _max_abs(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).max()) if matrix.size else 0.0
-
-
-def _sub_block(space: fock.TruncatedFockSpace, matrix: np.ndarray) -> float:
-    mask = space.subcutoff_mask()
-    cut = matrix[np.ix_(mask, mask)]
-    return _max_abs(cut)
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.abs(values).max()) if np.size(values) else 0.0
 
 
 def _random_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def _oracle_space(spectrum: ModeSpectrum) -> fock.FockSpace:
+    return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)))
+
+
+def _unit_states(space: fock.FockSpace, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two seeded random unit states on the sub-cutoff block, for inner products."""
+    x, y = space.random_state(rng), space.random_state(rng)
+    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+
 def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
     if len(spectrum) == 0:
         return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
-    space = fock.build_space(spectrum, adaptive_cutoff(len(spectrum)))
+    space = _oracle_space(spectrum)
     rng = np.random.default_rng(seed)
     f = _random_coeffs(rng, len(spectrum))
     g = _random_coeffs(rng, len(spectrum))
-    eye = np.eye(space.dim)
+    v = space.random_state(rng)
 
+    inner_gf = complex(np.vdot(g, f))  # <g, f>
     a_plus = fock.annihilation_functional(space, "+", f)
     a_plus_star = fock.creation_functional(space, "+", g)
-    comm = a_plus.matrix @ a_plus_star.matrix - a_plus_star.matrix @ a_plus.matrix
-    inner_gf = complex(np.vdot(g, f))  # <g, f>
     results.append(
         CheckResult(
             "ccr",
             "[A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block",
-            _sub_block(space, comm - inner_gf * eye),
+            _max_abs(fock.sub_commutator(space, a_plus, a_plus_star, v) - inner_gf * v),
             1e-12,
         )
     )
     a_minus = fock.annihilation_functional(space, "-", g)
     a_minus_star = fock.creation_functional(space, "-", f)
-    comm_m = a_minus.matrix @ a_minus_star.matrix - a_minus_star.matrix @ a_minus.matrix
     results.append(
         CheckResult(
             "ccr",
             "[A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block",
-            _sub_block(space, comm_m - inner_gf * eye),
+            _max_abs(fock.sub_commutator(space, a_minus, a_minus_star, v) - inner_gf * v),
             1e-12,
         )
     )
-    cross = (
-        a_plus_star.matrix @ a_minus_star.matrix
-        - a_minus_star.matrix @ a_plus_star.matrix
-    )
-    results.append(
-        CheckResult("ccr", "[A+*(g-bar), A-*(f)] = 0 on full space", _max_abs(cross), 0.0)
-    )
+    # Exact zero, on a basis state, where each entry of either order is one
+    # product of two coefficients.  Splitting g-bar = Re g - i Im g keeps one
+    # of the two real, so both orders round alike.
+    e = np.zeros((space.cutoff,) * space.n_slots, dtype=complex)
+    e[tuple(rng.integers(0, space.cutoff, size=space.n_slots))] = 1.0
+
+    def cross_commutator(part: np.ndarray) -> float:
+        plus = fock.creation_functional(space, "+", part)
+        lhs = fock.apply_field(space, plus, fock.apply_field(space, a_minus_star, e))
+        lhs -= fock.apply_field(space, a_minus_star, fock.apply_field(space, plus, e))
+        return _max_abs(lhs)
+
+    cross = max(cross_commutator(g.real), cross_commutator(g.imag))
+    results.append(CheckResult("ccr", "[A+*(g-bar), A-*(f)] = 0 on full space", cross, 0.0))
     # dynamics: e^{itH} A+*(f-bar) e^{-itH} = A+*((e^{-it omega} f)-bar)
     t = 0.83
-    energies = space.energies()
-    u_t = np.diag(np.exp(1j * t * energies))
-    evolved = u_t @ fock.creation_functional(space, "+", f).matrix @ u_t.conj().T
+    u_t = np.exp(1j * t * space.sub_block(space.energies()))
+    evolved = u_t * fock.apply_field(
+        space, fock.creation_functional(space, "+", f), np.conj(u_t) * v, subcutoff=True
+    )
     shifted = fock.creation_functional(
         space, "+", f * np.exp(-1j * t * np.asarray(spectrum.omegas))
-    ).matrix
+    )
+    evolved -= fock.apply_field(space, shifted, v, subcutoff=True)
     results.append(
-        CheckResult(
-            "ccr",
-            "Heisenberg dynamics of A+* on sub-cutoff block",
-            _sub_block(space, evolved - shifted),
-            1e-10,
-        )
+        CheckResult("ccr", "Heisenberg dynamics of A+* on sub-cutoff block", _max_abs(evolved), 1e-10)
     )
     return results
 
 
 def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
-    space = fock.build_space(spectrum, adaptive_cutoff(len(spectrum)))
-    tc = fock.tc_operator(space)
-    eye = np.eye(space.dim)
-    square = tc @ tc
-    results.append(
-        CheckResult("tc", "TC squares to the identity", _max_abs(square.matrix - eye), 0.0)
-    )
+    space = _oracle_space(spectrum)
     rng = np.random.default_rng(seed)
-    x = _random_coeffs(rng, space.dim)
-    y = _random_coeffs(rng, space.dim)
-    lhs = complex(np.vdot(tc.apply(x), tc.apply(y)))
+
+    def tc(state: np.ndarray) -> np.ndarray:
+        return fock.apply_tc(space, state)
+
+    x, y = _unit_states(space, rng)
+    results.append(CheckResult("tc", "TC squares to the identity", _max_abs(tc(tc(x)) - x), 0.0))
+    lhs = complex(np.vdot(tc(x), tc(y)))
     rhs = complex(np.vdot(x, y)).conjugate()
     results.append(CheckResult("tc", "TC is antiunitary on random vectors", abs(lhs - rhs), 1e-12))
+    v = space.random_state(rng)
     if len(spectrum) > 0:
         f = _random_coeffs(rng, len(spectrum))
-        conj_plus = tc @ fock.creation_functional(space, "+", f) @ tc
+        # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) v = A-*(f) TC v
+        plus = fock.creation_functional(space, "+", f)
+        minus = fock.creation_functional(space, "-", f)
+        residual = tc(fock.apply_field(space, plus, v, subcutoff=True))
+        residual -= fock.apply_field(space, minus, tc(v), subcutoff=True)
         results.append(
             CheckResult(
-                "tc",
-                "TC A+*(f-bar) TC = A-*(f) on sub-cutoff block",
-                _sub_block(
-                    space, conj_plus.matrix - fock.creation_functional(space, "-", f).matrix
-                ),
-                1e-12,
+                "tc", "TC A+*(f-bar) TC = A-*(f) on sub-cutoff block", _max_abs(residual), 1e-12
             )
         )
         t = 0.41
         phi = fock.imaginary_time_field(space, t, f, conjugate=False)
         phibar = fock.imaginary_time_field(space, t, f, conjugate=True)
-        conj_phi = tc @ phi @ tc
+        residual = tc(fock.apply_field(space, phi, v, subcutoff=True))
+        residual -= fock.apply_field(space, phibar, tc(v), subcutoff=True)
         results.append(
             CheckResult(
                 "tc",
                 "TC phi(t, f-bar) TC = phibar(t, f) on sub-cutoff block",
-                _sub_block(space, conj_phi.matrix - phibar.matrix),
+                _max_abs(residual),
                 1e-10,
             )
         )
     if sym is not None:
-        u = fock.implement_symmetry(space, sym)
-        comm = (u @ tc).matrix - (tc @ u).matrix
-        results.append(CheckResult("tc", "[U_S, TC] = 0", _max_abs(comm), 1e-12))
+        residual = fock.apply_symmetry(space, sym, tc(v)) - tc(fock.apply_symmetry(space, sym, v))
+        results.append(CheckResult("tc", "[U_S, TC] = 0", _max_abs(residual), 1e-12))
     return results
 
 
@@ -175,41 +173,41 @@ def suite_symmetry(
     if sym is None:
         raise ConfigError("symmetry suite requires a symmetry in the config")
     results: list[CheckResult] = []
-    space = fock.build_space(spectrum, adaptive_cutoff(len(spectrum)))
-    u = fock.implement_symmetry(space, sym)
-    eye = np.eye(space.dim)
-    results.append(
-        CheckResult(
-            "symmetry", "U is unitary", _max_abs((u @ u.adjoint()).matrix - eye), 1e-12
-        )
-    )
-    h = fock.hamiltonian(space)
-    results.append(
-        CheckResult(
-            "symmetry",
-            "[U, H] = 0",
-            _max_abs((u @ h).matrix - (h @ u).matrix),
-            0.0,
-        )
-    )
-    vac = np.zeros(space.dim, dtype=complex)
-    vac[0] = 1.0
-    results.append(
-        CheckResult("symmetry", "U fixes the vacuum", float(np.abs(u.apply(vac) - vac).max()), 0.0)
-    )
+    space = _oracle_space(spectrum)
+    rng = np.random.default_rng(seed)
+
+    def u(state: np.ndarray) -> np.ndarray:
+        return fock.apply_symmetry(space, sym, state)
+
+    x, y = _unit_states(space, rng)
+    # U*U = I: U keeps every inner product
+    unitarity = abs(complex(np.vdot(u(x), u(y))) - complex(np.vdot(x, y)))
+    results.append(CheckResult("symmetry", "U is unitary", unitarity, 1e-12))
+    # Exact zero, on the full space: U is a phase times a basis permutation,
+    # so U H 1 - H U 1 is phase * (E(n) - E(U n)), one product per entry.
+    energies = space.energies()
+    h_u_ones = u(np.ones(space.shape))
+    h_u_ones *= energies
+    commutator = u(energies)
+    commutator -= h_u_ones
+    results.append(CheckResult("symmetry", "[U, H] = 0", _max_abs(commutator), 0.0))
+    del energies, h_u_ones, commutator  # three full-space tensors; keeps peak memory down
+    vac = space.vacuum()
+    results.append(CheckResult("symmetry", "U fixes the vacuum", _max_abs(u(vac) - vac), 0.0))
+    v = space.random_state(rng)
+    uv = u(v)
     for k, lbl in enumerate(spectrum.labels):
-        alpha_plus = fock.creation(space, "+", lbl)
-        conj = u @ alpha_plus @ u.adjoint()
+        # U alpha U* = c beta, as U alpha v = c beta U v
         if sym.kind == UNITARY:
-            expected = alpha_plus.matrix * sym.phases[k]
+            expected = fock.creation(space, "+", lbl) * sym.phases[k]
             name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
         else:
             j = sym.partner_index(k)
-            expected = (
-                fock.creation(space, "-", spectrum.labels[j]).matrix * sym.phases[j]
-            )
+            expected = fock.creation(space, "-", spectrum.labels[j]) * sym.phases[j]
             name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
-        results.append(CheckResult("symmetry", name, _max_abs(conj.matrix - expected), 1e-12))
+        residual = u(fock.apply_field(space, fock.creation(space, "+", lbl), v, subcutoff=True))
+        residual -= fock.apply_field(space, expected, uv, subcutoff=True)
+        results.append(CheckResult("symmetry", name, _max_abs(residual), 1e-12))
     return results
 
 
@@ -393,8 +391,7 @@ def suite_realfield(
             0.0,
         )
     )
-    cutoff = adaptive_cutoff(len(spectrum), cap=6)
-    report = realfield.real_field_checks(ext, sym, cutoff, seed=seed)
+    report = realfield.real_field_checks(ext, sym, fock.oracle_cutoff(len(spectrum)), seed=seed)
     for key, dev in report.items():
         results.append(CheckResult("realfield", f"doubled-field oracle: {key}", dev, 1e-8))
     return results

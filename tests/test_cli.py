@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistkit
 from twistkit import cli, correlation, fock, verify
 from twistkit.cli import main
-from twistkit.spectrum import load_config
+from twistkit.spectrum import SymmetrySpec, load_config
 
 LN2 = math.log(2.0)
 
@@ -243,6 +244,89 @@ class TestKernelCommand:
         args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "0",
                 "--output", str(tmp_path / "k.csv")]
         assert main(args + ["--extended"] if extended else args) == 2
+
+
+def bench_shaped_config(n_modes, kind, seed):
+    """Random omegas in [0.3, 3] and unit phases; antiunitary configs pair
+    up equal-omega modes and leave one fixed mode when n_modes is odd."""
+    rng = np.random.default_rng(seed)
+
+    def phase():
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        return {"re": math.cos(a), "im": math.sin(a)}
+
+    if kind == "unitary":
+        modes = [{"label": f"m{k}", "omega": rng.uniform(0.3, 3.0)} for k in range(n_modes)]
+        sym = {"kind": "unitary", "phases": [phase() for _ in modes]}
+        return {"modes": modes, "symmetry": sym}
+    modes, pairing = [], {}
+    for p in range(n_modes // 2):
+        omega = rng.uniform(0.3, 3.0)
+        modes += [{"label": f"p{p}a", "omega": omega}, {"label": f"p{p}b", "omega": omega}]
+        pairing[f"p{p}a"], pairing[f"p{p}b"] = f"p{p}b", f"p{p}a"
+    if n_modes % 2:
+        modes.append({"label": "f", "omega": rng.uniform(0.3, 3.0)})
+        pairing["f"] = "f"
+    sym = {"kind": "antiunitary", "pairing": pairing, "phases": [phase() for _ in modes]}
+    return {"modes": modes, "symmetry": sym}
+
+
+class TestVerifyReach:
+    """The cutoff rule checks up to five modes and refuses six."""
+
+    @pytest.mark.parametrize("n_modes", [4, 5])
+    @pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+    def test_four_and_five_modes_pass(self, tmp_path, capsys, n_modes, kind):
+        cfg = write_config(tmp_path / "cfg.json", bench_shaped_config(n_modes, kind, n_modes))
+        assert main(["verify", "--config", cfg, "--suite", "all", "--seed", "17"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.strip().endswith("checks passed")
+
+    def test_six_modes_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", bench_shaped_config(6, "unitary", 6))
+        assert main(["verify", "--config", cfg, "--suite", "all"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestVerifyPower:
+    """Deliberately broken Fock oracles fail ``verify --suite all``."""
+
+    def bundled_fails(self):
+        spectrum, sym = cli._load(None)
+        return not all(r.passed for r in verify.run_suite("all", spectrum, sym))
+
+    def test_amplitude_table(self, monkeypatch):
+        def seven(cutoff):
+            amps = np.sqrt(np.arange(1.0, cutoff + 1))
+            amps[1:] = 7.0  # sqrt(n + 1) -> 7 for n >= 1
+            return amps
+
+        monkeypatch.setattr(fock, "_creation_amplitudes", seven)
+        assert self.bundled_fails()
+
+    def test_flipped_charge_phase_convention(self, monkeypatch):
+        apply_symmetry = fock.apply_symmetry
+
+        def flipped(space, sym, state):
+            # conj(rho) on the + charge and rho on the - charge
+            conj = SymmetrySpec(kind="unitary", phases=tuple(np.conj(sym.phases)))
+            return apply_symmetry(space, conj, state)
+
+        monkeypatch.setattr(fock, "apply_symmetry", flipped)
+        assert self.bundled_fails()
+
+    def test_tc_without_conjugation(self, monkeypatch):
+        apply_tc = fock.apply_tc
+        monkeypatch.setattr(fock, "apply_tc", lambda space, state: np.conj(apply_tc(space, state)))
+        assert self.bundled_fails()
+
+
+def test_no_environment_knobs():
+    # behaviour is set by arguments and config files only
+    for path in Path(twistkit.__file__).parent.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "os.environ" not in source and "getenv" not in source, path.name
+    assert not hasattr(fock, "DenseOperator")
 
 
 class TestVerifyCommand:

@@ -5,25 +5,32 @@ import warnings
 import numpy as np
 import pytest
 
+import dense
 from twistkit import correlation as co, fock
 from twistkit.errors import DomainError, PreconditionError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 
 def dense_kernel_oracle(spec, sym, beta, t, s, cutoff):
-    """Literal Fock-trace evaluation with dense matrices (small cutoffs)."""
-    space = fock.build_space(spec, cutoff)
-    u = (
-        fock.implement_symmetry(space, sym)
-        if sym is not None
-        else space.identity()
+    """Literal Fock-trace evaluation with dense np.kron matrices (small cutoffs)."""
+    (omega,) = spec.omegas
+    rho = sym.phases[0] if sym is not None else 1.0
+    a_plus = dense.slot_creation(2, cutoff, 0)
+    a_minus = dense.slot_creation(2, cutoff, 1)
+
+    def field(tau, conjugate):
+        # phi(t, 1) = [e^{-t w} A+* + e^{t w} A-] / sqrt(2 w); phibar swaps the charges
+        create, destroy = (a_minus, a_plus) if conjugate else (a_plus, a_minus)
+        return (math.exp(-tau * omega) * create + math.exp(tau * omega) * destroy.T) / math.sqrt(
+            2.0 * omega
+        )
+
+    twist = dense.unitary_symmetry([rho], cutoff) @ np.diag(
+        np.exp(-beta * np.diag(dense.hamiltonian([omega], cutoff)))
     )
-    phi = fock.imaginary_time_field(space, t, [1.0])
-    phibar = fock.imaginary_time_field(space, s, [1.0], conjugate=True)
-    ordered = [phibar, phi] if t >= s else [phi, phibar]
-    num = fock.twisted_trace(space, ordered, beta, u)
-    den = fock.twisted_trace(space, [], beta, u)
-    return num / den
+    phi, phibar = field(t, False), field(s, True)
+    ordered = phibar @ phi if t >= s else phi @ phibar
+    return complex(np.trace(ordered @ twist) / np.trace(twist))
 
 
 class TestTwistedFrequencies:

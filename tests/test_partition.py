@@ -163,15 +163,31 @@ class TestAntiunitary:
         assert partition.z_twisted_antiunitary(s, sym, 1.0) == 1.0
 
 
-class TestDiagnostics:
-    def test_per_mode_factors_multiply_to_z(self):
-        s = validate_spectrum([("a", 0.9), ("b", 1.8)])
-        sym = SymmetrySpec(kind="unitary", phases=(1j, -1.0 + 0j))
-        rows = partition.per_mode_factors(s, sym, 1.2)
-        prod = 1.0
-        for _, factor in rows:
-            prod *= factor
-        assert abs(prod - partition.z_twisted_unitary(s, sym, 1.2)) < 1e-12 * prod
+class TestTinyBetaOmega:
+    """Z at beta*omega down to 1e-17, where 1 - e^{-y} cancels completely."""
+
+    Y = (1e-4, 1e-6, 1e-8, 1e-12, 1e-17)
+
+    @pytest.mark.parametrize("y", Y)
+    def test_products_match_expm1_form(self, y):
+        # every product is (-expm1(-y))^-2 here: one mode at beta*omega = y,
+        # or a swapped pair with equal phases at 2*beta*omega = y
+        want = (-math.expm1(-y)) ** -2
+        one = validate_spectrum([("a", y)])
+        pair = validate_spectrum([("a", y / 2), ("b", y / 2)])
+        anti = SymmetrySpec(
+            kind="antiunitary", phases=(1j, 1j), labels=("a", "b"), partners=("b", "a")
+        )
+        for z in (
+            partition.z_untwisted(one, 1.0),
+            partition.z_twisted_unitary(one, SymmetrySpec(kind="unitary", phases=(1.0 + 0j,)), 1.0),
+            partition.z_twisted_antiunitary(pair, anti, 1.0),
+        ):
+            assert abs(z - want) <= 1e-14 * want
+
+    def test_tail_bound_is_a_fraction(self):
+        tail = fock.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
+        assert isinstance(tail, float) and 0.0 <= tail <= 1.0
 
 
 class TestRangeErrors:

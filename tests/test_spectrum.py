@@ -5,14 +5,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from twistkit.errors import AdmissibilityError, ConfigError, KindError
+from twistkit.errors import AdmissibilityError, ConfigError
 from twistkit.spectrum import (
     ModeSpectrum,
     SymmetrySpec,
     parse_config,
     principal_angle,
     spectrum_to_config,
-    symmetry_angles,
     twisted_circle_spectrum,
     validate_spectrum,
 )
@@ -92,19 +91,11 @@ class TestSymmetrySpec:
 
     def test_angles_of_real_phases(self):
         sym = SymmetrySpec(kind="unitary", phases=(1.0 + 0j, -1.0 + 0j))
-        thetas = [a.theta for a in symmetry_angles(sym)]
+        thetas = [principal_angle(p) for p in sym.phases]
         assert thetas == [0.0, math.pi]
 
     def test_angles_branch(self):
-        sym = SymmetrySpec(kind="unitary", phases=(cmath.exp(0.3j),))
-        assert abs(symmetry_angles(sym)[0].theta - 0.3) < 1e-12
-
-    def test_angles_reject_antiunitary(self):
-        sym = SymmetrySpec(
-            kind="antiunitary", phases=(1.0 + 0j,), labels=("a",), partners=("a",)
-        )
-        with pytest.raises(KindError):
-            symmetry_angles(sym)
+        assert abs(principal_angle(cmath.exp(0.3j)) - 0.3) < 1e-12
 
 
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
