@@ -137,14 +137,13 @@ def kernel_fourier(
     return value, tail
 
 
-def _truncated_sums(y: complex, cutoff: int) -> tuple[complex, complex, complex]:
-    """(sum y^n, sum n*y^n, sum_{n<N} (n+1)*y^n) over occupations 0..N."""
+def _destroy_expectation(y: complex, cutoff: int) -> complex:
+    """<alpha alpha*> = sum_{n<N} (n+1) y^n / sum_{n<=N} y^n of one truncated
+    oscillator with Boltzmann-and-twist weight y; alpha alpha* vanishes on
+    the top level by the truncation convention."""
     n = np.arange(cutoff + 1)
     powers = y**n
-    s0 = complex(np.sum(powers))
-    s_num = complex(np.sum(n * powers))
-    s_low = complex(np.sum((n[:-1] + 1) * powers[:-1]))
-    return s0, s_num, s_low
+    return complex(np.sum((n[:-1] + 1) * powers[:-1])) / complex(np.sum(powers))
 
 
 def kernel_oracle(
@@ -164,6 +163,12 @@ def kernel_oracle(
     geometric-type sums; the result is identical to building dense
     matrices at the same cutoff (asserted in tests), but scales to the
     large cutoffs the tail bound needs.
+
+    The growing factor e^{omega |tau|} multiplies an expectation
+    <alpha* alpha> = c x <alpha alpha*>, with x = e^{-beta omega} and c the
+    oscillator's twist eigenvalue, so it is folded in as
+    c e^{-omega (beta - |tau|)}: no intermediate leaves the float range,
+    and RangeError is raised only where the value itself does.
     """
     if len(spectrum) != 1:
         raise ConfigError("kernel_oracle is defined for single-mode spectra")
@@ -179,22 +184,16 @@ def kernel_oracle(
     omega = spectrum.omegas[0]
     x = math.exp(-beta * omega)
     # + oscillator carries twist eigenvalues rho^n, - oscillator conj(rho)^n.
-    zp, np_num, np_low = _truncated_sums(rho * x, cutoff)
-    zm, nm_num, nm_low = _truncated_sums(rho.conjugate() * x, cutoff)
-    # <a* a> and <a a*> per oscillator (a a* vanishes on the top level by
-    # the truncation convention, hence the s_low sums).
-    ep_create = np_num / zp  # <alpha+* alpha+>
-    ep_destroy = np_low / zp  # <alpha+ alpha+*>
-    em_create = nm_num / zm
-    em_destroy = nm_low / zm
-    tau = t - s
-    if tau >= 0.0:
-        # phibar(s) phi(t): alpha-* alpha- and alpha+ alpha+* survive.
-        val = math.exp(omega * tau) * em_create + math.exp(-omega * tau) * ep_destroy
-    else:
-        # phi(t) phibar(s): alpha+* alpha+ and alpha- alpha-* survive.
-        val = math.exp(-omega * tau) * ep_create + math.exp(omega * tau) * em_destroy
-    return complex(val) / (2.0 * omega)
+    plus, minus = (_destroy_expectation(c * x, cutoff) for c in (rho, rho.conjugate()))
+    # t >= s: phibar(s) phi(t), where alpha-* alpha- and alpha+ alpha+* survive;
+    # t < s: phi(t) phibar(s), where alpha+* alpha+ and alpha- alpha-* survive.
+    twist, grown, decayed = (rho.conjugate(), minus, plus) if t >= s else (rho, plus, minus)
+    lag = abs(t - s)
+    val = twist * math.exp(omega * lag - beta * omega) * grown + math.exp(-omega * lag) * decayed
+    value = complex(val) / (2.0 * omega)
+    if not cmath.isfinite(value):
+        raise RangeError(f"kernel oracle at omega={omega}, beta={beta} is outside the float range")
+    return value
 
 
 @dataclass(frozen=True)

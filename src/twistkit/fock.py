@@ -18,10 +18,11 @@ Operators are plain functions of a state:
   (:meth:`FockSpace.energies`);
 - U_S, U_V (:func:`apply_symmetry`) and TC (:func:`apply_tc`) are
   generalized permutations: per-level phases on each slot, then a
-  permutation of the axes; TC also conjugates.
+  permutation of the axes, read from a :class:`twistkit.spectrum.SlotAction`
+  for U_S and U_V alike; TC also conjugates.
 
-The traces at the end evaluate the partition-function oracles at any
-cutoff, factorized per oscillator or per orbit of the mode pairing.
+The truncated trace at the end evaluates the partition-function oracle at
+any cutoff as a product over the cycles of the slot action.
 """
 
 from __future__ import annotations
@@ -35,13 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DomainError
 from .partition import _log_abs2_one_minus
-from .spectrum import (
-    ANTIUNITARY,
-    UNITARY,
-    ModeSpectrum,
-    SymmetrySpec,
-    check_alignment,
-)
+from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
 #: Highest occupation cutoff :func:`oracle_cutoff` picks.
 MAX_CUTOFF = 8
@@ -297,37 +292,16 @@ def _generalized_permutation(
     return np.conj(out) if conjugate else out
 
 
-def _symmetry_action(sym: SymmetrySpec, cutoff: int) -> tuple[list[int], list[np.ndarray]]:
-    """Axis permutation and per-slot level phases of U_S or U_V.
-
-    U_S: the + slot of mode k carries rho_k**n and the - slot conj(rho_k)**n,
-    the frozen convention U_S alpha+*(k) U_S* = rho_k alpha+*(k); no axis
-    moves.  U_V alpha+*(k) U_V* = eta_{pi(k)} alpha-*(pi(k)) and
-    U_V alpha-*(k) U_V* = conj(eta_{pi(k)}) alpha+*(pi(k)): the + slot of
-    mode k carries eta_{pi(k)}**n and becomes the - slot of pi(k), the - slot
-    carries conj(eta_{pi(k)})**n and becomes the + slot of pi(k).
-    """
-    m = len(sym.phases)
-    if sym.kind == UNITARY:
-        source = list(range(2 * m))
-        per_slot = [p for rho in sym.phases for p in (complex(rho), complex(rho).conjugate())]
-    else:
-        source, per_slot = [0] * (2 * m), [1.0 + 0.0j] * (2 * m)
-        for k in range(m):
-            j = sym.partner_index(k)
-            source[2 * j], source[2 * j + 1] = 2 * k + 1, 2 * k
-            eta = complex(sym.phases[j])
-            per_slot[2 * k], per_slot[2 * k + 1] = eta, eta.conjugate()
-    levels = np.arange(cutoff + 1)
-    return source, [p**levels for p in per_slot]
+def _level_phases(phases: Sequence[complex], cutoff: int) -> list[np.ndarray]:
+    """Per-slot tables of the level powers phase**n, n = 0 .. cutoff."""
+    return [p ** np.arange(cutoff + 1) for p in phases]
 
 
 def apply_symmetry(space: FockSpace, sym: SymmetrySpec, state: np.ndarray) -> np.ndarray:
     """Fock-space implementation U_S of either symmetry kind, applied to a
     full state or a sub-cutoff block; it is unitary in both kinds."""
-    check_alignment(space.spectrum, sym)
-    source, phases = _symmetry_action(sym, space.cutoff)
-    return _generalized_permutation(state, source, phases)
+    action = slot_action(space.spectrum, sym)
+    return _generalized_permutation(state, action.source, _level_phases(action.phases, space.cutoff))
 
 
 def apply_tc(space: FockSpace, state: np.ndarray) -> np.ndarray:
@@ -368,74 +342,39 @@ def partition_trace(
     beta: float,
     cutoff: int,
 ) -> complex:
-    """Truncated Tr(U_S exp(-beta H)) for a diagonal (unitary or absent) twist.
+    """Truncated Tr(U exp(-beta H)) for either symmetry kind (or none),
+    factorized over the cycles of the slot action.
 
-    U_S and exp(-beta H) are both diagonal over the occupation basis, so
-    the full-basis sum factorizes into per-oscillator truncated geometric
-    sums; each sum is accumulated term by term.  Agreement with a dense
-    trace is asserted in the test suite.
+    Only basis states constant on each cycle are fixed, so with
+    x = e^{-beta omega} and S_N the truncated geometric sum, a cycle of
+    length L and phase product r contributes S_N(r x^L), accumulated term
+    by term.  Equality with the basis sum and a dense trace is asserted in
+    the tests.
     """
     _require_cutoff(cutoff)
-    if sym is not None:
-        if sym.kind != UNITARY:
-            raise ConfigError("partition_trace handles unitary twists only")
-        check_alignment(spectrum, sym)
-        phases = sym.phases
-    else:
-        phases = (1.0 + 0.0j,) * len(spectrum)
     total = 1.0 + 0.0j
-    for w, rho in zip(spectrum.omegas, phases):
-        x = math.exp(-beta * w)
-        total *= _truncated_geometric(rho * x, cutoff)
-        total *= _truncated_geometric(np.conj(rho) * x, cutoff)
+    for first, length, r in slot_action(spectrum, sym).cycles:
+        x = math.exp(-length * beta * spectrum.omegas[first // 2])
+        total *= _truncated_geometric(r * x, cutoff)
     return complex(total)
 
 
-def antiunitary_partition_trace(
+def _enumerated_trace(
     spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float, cutoff: int
 ) -> complex:
-    """Truncated Tr(U_V exp(-beta H)), factorized over the orbits of pi.
+    """Truncated Tr(U exp(-beta H)) summed over the basis (test oracle).
 
-    U_V is a generalized permutation of the occupation basis; only states
-    it fixes contribute.  With x = e^{-beta omega} and S_N the truncated
-    geometric sum, a fixed mode (n+ = n- = n, phase 1) contributes
-    S_N(x^2), and a swapped pair (k, pi(k)) contributes
-    S_N(r x^2) S_N(conj(r) x^2) with r = eta_k conj(eta_pi(k)).  Equality
-    with the basis sum and a dense trace is asserted in the tests.
-    """
-    if sym.kind != ANTIUNITARY:
-        raise ConfigError("antiunitary_partition_trace needs an antiunitary twist")
-    check_alignment(spectrum, sym)
-    _require_cutoff(cutoff)
-    total = 1.0 + 0.0j
-    for k, w in enumerate(spectrum.omegas):
-        j = sym.partner_index(k)
-        x2 = math.exp(-2.0 * beta * w)
-        if j == k:
-            total *= _truncated_geometric(x2, cutoff)
-        elif k < j:
-            r = complex(sym.phases[k]) * complex(sym.phases[j]).conjugate()
-            total *= _truncated_geometric(r * x2, cutoff)
-            total *= _truncated_geometric(r.conjugate() * x2, cutoff)
-    return complex(total)
-
-
-def _enumerated_antiunitary_trace(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float, cutoff: int
-) -> complex:
-    """Truncated Tr(U_V exp(-beta H)) summed over the basis (test oracle).
-
-    U_V sends the basis state n to a phase times the state whose slot t
+    U sends the basis state n to a phase times the state whose slot t
     holds n[source[t]], so its diagonal is the phase on the states with
     n[t] = n[source[t]] for every t.  ``source`` is an involution, and
     einsum sums exactly those states by giving each of its cycles one
     index, without forming the (N+1)^(2M) tensor.
     """
-    check_alignment(spectrum, sym)
     _require_cutoff(cutoff)
-    source, phases = _symmetry_action(sym, cutoff)
+    action = slot_action(spectrum, sym)
+    phases = _level_phases(action.phases, cutoff)
     levels = np.arange(cutoff + 1)
     operands: list = []
     for t, w in enumerate(np.repeat(np.asarray(spectrum.omegas, dtype=float), 2)):
-        operands += [phases[t] * np.exp(-beta * w * levels), [min(t, source[t])]]
+        operands += [phases[t] * np.exp(-beta * w * levels), [min(t, action.source[t])]]
     return complex(np.einsum(*operands, [])) if operands else 1.0 + 0.0j

@@ -1,9 +1,11 @@
 """Closed-form twisted partition functions and twist-positivity bounds.
 
-All values are finite products over the mode list, accumulated in log
-space from factors log |1 - rho e^{-beta omega}|^2 that do not cancel, so
-that neither near-unity factors nor tiny beta*omega lose precision.  A product that is finite and positive but overflows or
-underflows a float raises RangeError instead of returning inf, 0 or nan.
+All values are finite products, accumulated in log space from factors
+log |1 - r e^{-y}|^2 that do not cancel, so that neither near-unity
+factors nor tiny beta*omega lose precision.  A product that is finite and
+positive but overflows or underflows a float raises RangeError instead of
+returning inf, 0 or nan.  The twisted product runs over the cycles of the
+symmetry's :class:`twistkit.spectrum.SlotAction`, for either kind.
 """
 
 from __future__ import annotations
@@ -11,16 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, KindError, RangeError
-from .spectrum import (
-    ANTIUNITARY,
-    UNITARY,
-    ModeSpectrum,
-    SymmetrySpec,
-    check_alignment,
-)
+from .errors import DomainError, RangeError
+from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
-#: Below this value an antiunitary partition function is reported as
+#: Below this value a twisted partition function is reported as
 #: suspiciously small (flagged, not failed): positivity holds for all
 #: beta > 0 but degenerate constructions can approach zero.
 TINY_Z_FLAG = 1e-300
@@ -68,64 +64,37 @@ def z_untwisted(spectrum: ModeSpectrum, beta: float) -> float:
     return _exp_in_range(log_z, "untwisted partition function")
 
 
-def z_twisted_unitary(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) -> float:
-    """Tr(U_S e^{-beta H}) = prod_k |1 - rho_k e^{-beta omega_k}|^{-2}.
+def z_twisted(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) -> float:
+    """Tr(U e^{-beta H}) = prod_cycles (1 - r x^L)^{-1}, x = e^{-beta omega},
+    for either symmetry kind.
 
-    The result is structurally real and positive; it is returned as a
-    float.
+    The cycles of the slot action come in conjugate pairs or are
+    self-conjugate, so Z = exp(-1/2 sum_cycles log |1 - r x^L|^2) > 0.  The
+    1-cycles rho_k, conj(rho_k) of a unitary twist give prod_k |1 - rho_k
+    x_k|^{-2}; the 2-cycles of an antiunitary one give the square-root
+    identity Z = sqrt(Tr(U_{V^2} e^{-2 beta H})).
     """
     _require_beta(beta)
-    if sym.kind != UNITARY:
-        raise KindError("z_twisted_unitary requires a unitary symmetry")
-    check_alignment(spectrum, sym)
-    log_z = -sum(_log_abs2_one_minus(beta * w, rho) for w, rho in zip(spectrum.omegas, sym.phases))
-    return _exp_in_range(log_z, "unitary twisted partition function")
-
-
-def _square_phases(sym: SymmetrySpec) -> SymmetrySpec:
-    """Unitary S**2 of an antiunitary V, composed structurally.
-
-    V(sum c_k e_k) = sum conj(c_k) eta_k e_{pi(k)} gives
-    V^2 e_k = conj(eta_k) eta_{pi(k)} e_k, diagonal since pi is an
-    involution.
-    """
-    if sym.kind != ANTIUNITARY:
-        raise KindError("square is computed for antiunitary symmetries")
-    phases = []
-    for k in range(len(sym.phases)):
-        j = sym.partner_index(k)
-        phases.append(complex(sym.phases[k]).conjugate() * sym.phases[j])
-    return SymmetrySpec(kind=UNITARY, phases=tuple(phases))
-
-
-def z_twisted_antiunitary(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float
-) -> float:
-    """Tr(U_V e^{-beta H}) = sqrt(Tr(U_{V^2} e^{-2 beta H})).
-
-    The inner trace is the unitary product for V^2 at 2 beta, whose every
-    factor |1 - rho x|^2 is real and positive, so Z is half its log-sum.
-    """
-    _require_beta(beta)
-    if sym.kind != ANTIUNITARY:
-        raise KindError("z_twisted_antiunitary requires an antiunitary symmetry")
-    check_alignment(spectrum, sym)
-    squared = _square_phases(sym)
-    log_inner = -sum(
-        _log_abs2_one_minus(2.0 * beta * w, rho) for w, rho in zip(spectrum.omegas, squared.phases)
+    log_z = -0.5 * sum(
+        _log_abs2_one_minus(length * beta * spectrum.omegas[first // 2], r)
+        for first, length, r in slot_action(spectrum, sym).cycles
     )
-    z = _exp_in_range(0.5 * log_inner, "antiunitary partition function")
+    z = _exp_in_range(log_z, "twisted partition function")
     if z < TINY_Z_FLAG:
         # Flag (do not fail): positivity is asserted for every beta > 0,
-        # but degenerate eta choices can drive the value toward underflow.
+        # but degenerate phase choices can drive the value toward underflow.
         import warnings
 
-        warnings.warn(f"antiunitary partition value {z} is below {TINY_Z_FLAG}")
+        warnings.warn(f"twisted partition value {z} is below {TINY_Z_FLAG}")
     return z
 
 
 def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
-    """exp(-2 sum_k log(1 + e^{-beta omega_k})) <= Z for any unitary twist."""
+    """exp(-2 sum_k log(1 + e^{-beta omega_k})) <= Z for every twist.
+
+    Each cycle of the slot action has |1 - r x^L|^{-1} >= (1 + x^L)^{-1}
+    >= (1 + x)^{-L}, and the cycles cover every slot once.
+    """
     _require_beta(beta)
     s = 0.0
     for w in spectrum.omegas:

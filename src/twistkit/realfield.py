@@ -7,12 +7,13 @@ coordinates both induced symmetries are honest complex-linear unitary
 matrices, and "real" means commuting with the natural conjugation
 J(c, d) = (conj(d), conj(c)).
 
-The induced matrix is a generalized permutation: it maps each doubled
-basis vector e_c to u_c e_sigma(c) with a unit phase u_c, and sigma is an
-involution.  It therefore diagonalizes orbit by orbit.  A fixed index c
-has the eigenpair (u_c, e_c).  A 2-cycle a <-> b has the eigenvalues
-lambda = +-sqrt(u_a u_b) with unit eigenvectors
-(e_a + (u_a / lambda) e_b) / sqrt(2).
+The induced matrix is the transpose of the symmetry's slot action
+(:class:`twistkit.spectrum.SlotAction`), a generalized permutation: it maps
+each doubled basis vector e_c to u_c e_sigma(c) with a unit phase u_c, and
+sigma is an involution.  It therefore diagonalizes orbit by orbit, one
+orbit per cycle of the slot action.  A fixed index c has the eigenpair
+(u_c, e_c).  A 2-cycle a <-> b has the eigenvalues lambda = +-sqrt(u_a u_b)
+with unit eigenvectors (e_a + (u_a / lambda) e_b) / sqrt(2).
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ from .errors import (
     InternalConsistencyError,
     RangeError,
 )
-from .spectrum import (
-    UNITARY,
-    ModeSpectrum,
-    SymmetrySpec,
-    check_alignment,
-)
+from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
 UNITARITY_TOL = 1e-12
 
@@ -56,7 +52,6 @@ class ExtendedSpectrum:
     """
 
     base: ModeSpectrum
-    kind: str  # kind of the input symmetry
     induced: np.ndarray = field(repr=False)  # (2M, 2M) unitary
     phases: np.ndarray = field(repr=False)  # (2M,) unit eigenvalues
     eigenbasis: np.ndarray = field(repr=False)  # (2M, 2M) unitary W
@@ -78,6 +73,22 @@ class ExtendedSpectrum:
         return out
 
 
+def _doubled(slot: int, m: int) -> int:
+    """Doubled index of a slot: the - slot 2c + 1 is c, the + slot 2k is M + k."""
+    return slot // 2 if slot % 2 else m + slot // 2
+
+
+def _induced(action: SlotAction, m: int) -> np.ndarray:
+    """The transpose of the slot action: slot t takes its occupation from
+    s = source[t] with the phase p_s, so e_{d(t)} goes to p_s e_{d(s)}."""
+    induced = np.zeros((2 * m, 2 * m), dtype=complex)
+    # numpy complex128: u_a / lambda in Python complex moves the eigenbasis by an ulp
+    phases = np.asarray(action.phases, dtype=complex)
+    for t, s in enumerate(action.source):
+        induced[_doubled(s, m), _doubled(t, m)] = phases[s]
+    return induced
+
+
 def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
     """Double the spectrum and build the induced unitary with its eigenbasis.
 
@@ -87,21 +98,15 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
     u_{M+pi(k)} = conj(eta_{pi(k)}).  A 2-cycle a < b puts +lambda in slot
     a and -lambda in slot b, so each slot keeps its doubled frequency.
     """
-    check_alignment(spectrum, sym)
+    action = slot_action(spectrum, sym)
     m = len(spectrum)
     n = 2 * m
-    eta = np.asarray(sym.phases, dtype=complex)
-    if sym.kind == UNITARY:
-        u = np.concatenate([eta.conj(), eta])
-        orbits = [(c, u[c], c, u[c]) for c in range(n)]
-    else:
-        pi = [sym.partner_index(k) for k in range(m)]
-        orbits = [(k, eta[k], m + pi[k], eta[pi[k]].conjugate()) for k in range(m)]
-    induced = np.zeros((n, n), dtype=complex)
+    induced = _induced(action, m)
     phases = np.zeros(n, dtype=complex)
     basis = np.zeros((n, n), dtype=complex)
-    for a, u_a, b, u_b in orbits:
-        induced[b, a], induced[a, b] = u_a, u_b
+    for first, _, _ in action.cycles:
+        a, b = sorted((_doubled(first, m), _doubled(action.source[first], m)))
+        u_a, u_b = induced[b, a], induced[a, b]
         if a == b:
             phases[a], basis[a, a] = u_a, 1.0
             continue
@@ -126,9 +131,7 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
             raise InternalConsistencyError(f"{what} ({size:.3e})")
     for arr in (induced, phases, basis):
         arr.setflags(write=False)
-    return ExtendedSpectrum(
-        base=spectrum, kind=sym.kind, induced=induced, phases=phases, eigenbasis=basis
-    )
+    return ExtendedSpectrum(base=spectrum, induced=induced, phases=phases, eigenbasis=basis)
 
 
 def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:

@@ -10,6 +10,8 @@ A :class:`SymmetrySpec` describes a symmetry commuting with the frequency
 operator, either as per-mode unit phases (unitary case) or as an involutive
 mode pairing with unit phases (antiunitary case, acting as
 ``V(sum c_k e_k) = sum conj(c_k) eta_k e_{pi(k)}``).
+Both kinds are normalized once, here, into a :class:`SlotAction`, which is
+the only form the Fock action, the traces, Z and the doubled eigenbasis read.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import AdmissibilityError, ConfigError, DomainError, KindError
+from .errors import AdmissibilityError, ConfigError, DomainError
 
 UNIT_MODULUS_TOL = 1e-12
 
@@ -101,11 +104,59 @@ class SymmetrySpec:
         elif self.labels is not None or self.partners is not None:
             raise ConfigError("unitary symmetry takes phases only")
 
-    def partner_index(self, k: int) -> int:
-        """Index of pi(k) in the stored label order (antiunitary only)."""
-        if self.kind != ANTIUNITARY:
-            raise KindError("partner_index is defined for antiunitary symmetries")
-        return self.labels.index(self.partners[k])
+    @cached_property
+    def action(self) -> SlotAction:
+        """The slot action of U_S or U_V.  U_S alpha+*(k) U_S* = rho_k alpha+*(k)
+        fixes every slot; U_V alpha+*(k) U_V* = eta_{pi(k)} alpha-*(pi(k)) moves
+        the + slot of mode k onto the - slot of pi(k) and its - slot, with the
+        conjugate phase, onto the + slot."""
+        m = len(self.phases)
+        if self.kind == UNITARY:
+            source = range(2 * m)
+            phases = [p for rho in self.phases for p in (complex(rho), complex(rho).conjugate())]
+        else:
+            source, phases = [0] * (2 * m), [1.0 + 0.0j] * (2 * m)
+            for k, partner in enumerate(self.partners):
+                j = self.labels.index(partner)
+                source[2 * j], source[2 * j + 1] = 2 * k + 1, 2 * k
+                eta = complex(self.phases[j])
+                phases[2 * k], phases[2 * k + 1] = eta, eta.conjugate()
+        return SlotAction(tuple(source), tuple(phases))
+
+
+@dataclass(frozen=True)
+class SlotAction:
+    """A symmetry as a generalized permutation of the 2M (mode, charge) slots.
+
+    Slot 2k is the + charge of mode k, slot 2k + 1 its - charge.  The basis
+    state n goes to prod_s phases[s]**n[s] times the state whose slot t holds
+    n[source[t]]; an antiunitary twist moves + slots onto - slots.  Only
+    states constant on each cycle are fixed, so every trace is a product
+    over the cycles.
+    """
+
+    source: tuple[int, ...]
+    phases: tuple[complex, ...]
+
+    @cached_property
+    def cycles(self) -> list[tuple[int, int, complex]]:
+        """(first slot, length L, phase product r) of each cycle, by smallest slot."""
+        cycles = []
+        for first, r in enumerate(self.phases):
+            t, length = self.source[first], 1
+            while t > first:
+                t, r, length = self.source[t], r * self.phases[t], length + 1
+            if t == first:
+                cycles.append((first, length, r))
+        return cycles
+
+
+def slot_action(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> SlotAction:
+    """The slot action of ``sym`` after :func:`check_alignment`; the identity for None."""
+    if sym is None:
+        return SlotAction(tuple(range(2 * len(spectrum))), (1.0 + 0.0j,) * (2 * len(spectrum)))
+    check_alignment(spectrum, sym)
+    return sym.action
 
 
 def principal_angle(phase: complex) -> float:
@@ -234,37 +285,25 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
         if not isinstance(s, dict):
             raise ConfigError("symmetry must be an object")
         kind = s.get("kind")
-        if kind == UNITARY:
-            _reject_unknown(s, {"kind", "phases"}, "symmetry")
-            phases = tuple(
-                _parse_complex(p, f"symmetry.phases[{i}]")
-                for i, p in enumerate(s.get("phases", []))
-            )
-            sym = SymmetrySpec(kind=UNITARY, phases=phases)
-        elif kind == ANTIUNITARY:
-            _reject_unknown(s, {"kind", "pairing", "phases"}, "symmetry")
+        if kind not in (UNITARY, ANTIUNITARY):
+            raise ConfigError(f"symmetry.kind must be '{UNITARY}' or '{ANTIUNITARY}'")
+        allowed = {"kind", "pairing", "phases"} if kind == ANTIUNITARY else {"kind", "phases"}
+        _reject_unknown(s, allowed, "symmetry")
+        labels = partners = None
+        if kind == ANTIUNITARY:
             pairing = s.get("pairing")
             if not isinstance(pairing, dict):
                 raise ConfigError("symmetry.pairing must be a label -> label object")
-            partners = []
             for lbl in spectrum.labels:
                 if lbl not in pairing:
                     raise ConfigError(f"symmetry.pairing: missing mode {lbl!r}")
-                partners.append(str(pairing[lbl]))
             if set(pairing) != set(spectrum.labels):
                 raise ConfigError("symmetry.pairing mentions unknown modes")
-            phases = tuple(
-                _parse_complex(p, f"symmetry.phases[{i}]")
-                for i, p in enumerate(s.get("phases", []))
-            )
-            sym = SymmetrySpec(
-                kind=ANTIUNITARY,
-                phases=phases,
-                labels=spectrum.labels,
-                partners=tuple(partners),
-            )
-        else:
-            raise ConfigError(f"symmetry.kind must be '{UNITARY}' or '{ANTIUNITARY}'")
+            labels, partners = spectrum.labels, tuple(str(pairing[lbl]) for lbl in spectrum.labels)
+        phases = tuple(
+            _parse_complex(p, f"symmetry.phases[{i}]") for i, p in enumerate(s.get("phases", []))
+        )
+        sym = SymmetrySpec(kind=kind, phases=phases, labels=labels, partners=partners)
         check_alignment(spectrum, sym)
     return spectrum, sym
 

@@ -202,13 +202,21 @@ def suite_symmetry(
             expected = fock.creation(space, "+", lbl) * sym.phases[k]
             name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
         else:
-            j = sym.partner_index(k)
-            expected = fock.creation(space, "-", spectrum.labels[j]) * sym.phases[j]
+            partner = sym.partners[k]
+            expected = fock.creation(space, "-", partner) * sym.phases[spectrum.labels.index(partner)]
             name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
         residual = u(fock.apply_field(space, fock.creation(space, "+", lbl), v, subcutoff=True))
         residual -= fock.apply_field(space, expected, uv, subcutoff=True)
         results.append(CheckResult("symmetry", name, _max_abs(residual), 1e-12))
     return results
+
+
+#: Name of the twisted partition check and its slack on top of the tail
+#: bound, by symmetry kind; both kinds share one closed form and one trace.
+_TWISTED_ROUTE = {
+    UNITARY: ("unitary product formula", 1e-10),
+    ANTIUNITARY: ("antiunitary square-root identity", 1e-8),
+}
 
 
 def partition_row(
@@ -227,14 +235,10 @@ def partition_row(
     trace = fock.partition_trace(spectrum, None, beta, cutoff)
     # (route, closed form, truncated trace, slack on top of the tail bound)
     routes = [("untwisted product formula", z_plain, trace, 1e-10)]
-    if sym is not None and sym.kind == UNITARY:
-        z = partition.z_twisted_unitary(spectrum, sym, beta)
+    if sym is not None:
+        name, slack = _TWISTED_ROUTE[sym.kind]
         trace = fock.partition_trace(spectrum, sym, beta, cutoff)
-        routes.append(("unitary product formula", z, trace, 1e-10))
-    elif sym is not None:
-        z = partition.z_twisted_antiunitary(spectrum, sym, beta)
-        trace = fock.antiunitary_partition_trace(spectrum, sym, beta, cutoff)
-        routes.append(("antiunitary square-root identity", z, trace, 1e-8))
+        routes.append((name, partition.z_twisted(spectrum, sym, beta), trace, slack))
     checks = [
         CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, tail + slack)
         for name, value, oracle, slack in routes

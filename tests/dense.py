@@ -3,7 +3,10 @@
 Built without ``twistkit.fock``: single-oscillator matrices joined with
 ``np.kron``, or explicit loops over the occupations.  The basis order is
 the C order of the state tensors: slot 2k is the + charge of mode k, slot
-2k + 1 its - charge, the first slot most significant.
+2k + 1 its - charge, the first slot most significant.  The symmetries are
+built from their raw phases and pairings, never from the slot action of
+``twistkit.spectrum``, and so are the induced matrices on the doubled
+coefficient space at the end.
 """
 
 import math
@@ -62,6 +65,23 @@ def antiunitary_symmetry(partners, phases, cutoff):
             target[2 * j], target[2 * j + 1] = occ[2 * k + 1], occ[2 * k]
             phase *= phases[j] ** occ[2 * k] * np.conj(phases[j]) ** occ[2 * k + 1]
         out[np.ravel_multi_index(target, shape), np.ravel_multi_index(occ, shape)] = phase
+    return out
+
+
+def induced_unitary(phases):
+    """Induced matrix of U_S on the doubled space: diag(conj(rho); rho)."""
+    return np.diag(np.concatenate([np.conj(phases), phases]))
+
+
+def induced_antiunitary(partners, phases):
+    """Induced matrix of U_V on the doubled space: e_k goes to
+    eta_k e_{M+pi(k)}, and e_{M+pi(k)} to conj(eta_{pi(k)}) e_k."""
+    m = len(phases)
+    out = np.zeros((2 * m, 2 * m), dtype=complex)
+    for k in range(m):
+        j = partners[k]
+        out[m + j, k] = phases[k]
+        out[k, m + j] = np.conj(phases[j])
     return out
 
 

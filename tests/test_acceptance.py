@@ -49,7 +49,7 @@ def test_criterion_1_product_formula_equivalence(capsys):
         for beta in (0.5, 1.0, 2.0):
             n = cutoff_for_tail(spec, beta)
             tail = fock.truncation_tail_bound(spec, beta, n)
-            z = partition.z_twisted_unitary(spec, sym, beta)
+            z = partition.z_twisted(spec, sym, beta)
             oracle = fock.partition_trace(spec, sym, beta, n)
             rel = abs(z - oracle) / z
             worst = max(worst, rel - tail)
@@ -74,7 +74,7 @@ def test_criterion_2_twist_positivity(capsys):
             kind="unitary", phases=tuple(random_unit(rng) for _ in range(n_modes))
         )
         beta = float(rng.uniform(0.2, 3.0))
-        z = partition.z_twisted_unitary(spec, sym, beta)
+        z = partition.z_twisted(spec, sym, beta)
         if not (z > 0.0 and z >= partition.positivity_lower_bound(spec, beta) * (1 - 1e-12)):
             failures += 1
     announce(capsys, 2, "twist positivity on 1000 random specs", failures == 0,
@@ -89,8 +89,8 @@ def test_criterion_3_antiunitary_identity(capsys):
     sym1 = SymmetrySpec(
         kind="antiunitary", phases=(1.0 + 0j,), labels=("k0",), partners=("k0",)
     )
-    z1 = partition.z_twisted_antiunitary(spec1, sym1, 1.0)
-    oracle1 = fock.antiunitary_partition_trace(spec1, sym1, 1.0, 40)
+    z1 = partition.z_twisted(spec1, sym1, 1.0)
+    oracle1 = fock.partition_trace(spec1, sym1, 1.0, 40)
     worst = max(worst, abs(z1 - 4.0 / 3.0), abs(z1 - oracle1) / z1)
     # worked example: two-mode swap, value 16/9
     spec2 = validate_spectrum([("a", LN2), ("b", LN2)])
@@ -100,9 +100,9 @@ def test_criterion_3_antiunitary_identity(capsys):
         labels=("a", "b"),
         partners=("b", "a"),
     )
-    z2 = partition.z_twisted_antiunitary(spec2, sym2, 1.0)
+    z2 = partition.z_twisted(spec2, sym2, 1.0)
     n2 = 30
-    oracle2 = fock.antiunitary_partition_trace(spec2, sym2, 1.0, n2)
+    oracle2 = fock.partition_trace(spec2, sym2, 1.0, n2)
     tail2 = fock.truncation_tail_bound(spec2, 1.0, n2)
     worst = max(worst, abs(z2 - 16.0 / 9.0), abs(z2 - oracle2) / z2 - tail2)
     # 50 random 2-mode pairings (both swap and fixed-point shapes)
@@ -125,8 +125,8 @@ def test_criterion_3_antiunitary_identity(capsys):
             partners=partners,
         )
         n = 30
-        z = partition.z_twisted_antiunitary(spec, sym, 1.0)
-        oracle = fock.antiunitary_partition_trace(spec, sym, 1.0, n)
+        z = partition.z_twisted(spec, sym, 1.0)
+        oracle = fock.partition_trace(spec, sym, 1.0, n)
         tail = fock.truncation_tail_bound(spec, 1.0, n)
         excess = max(excess, abs(z - oracle) / abs(z) - tail)
     ok = worst <= 1e-8 and excess <= 1e-8
@@ -261,7 +261,7 @@ def test_criterion_7_doubled_space_consistency(capsys):
             partners=tuple(partners),
         )
         beta = float(rng.uniform(0.4, 2.0))
-        z_sqrt = partition.z_twisted_antiunitary(spec, sym, beta)
+        z_sqrt = partition.z_twisted(spec, sym, beta)
         z_rf = rf.z_via_realfield(rf.extend(spec, sym), beta)
         worst_z = max(worst_z, abs(z_sqrt - z_rf) / abs(z_sqrt))
     # extended kernel block structure and positivity

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import twistkit
-from twistkit import cli, correlation, fock, verify
+from twistkit import cli, correlation, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import SymmetrySpec, load_config
 
@@ -117,8 +117,7 @@ def test_cli_calls_no_oracle():
     # The oracles and their thresholds live in twistkit.verify only.
     assert not hasattr(cli, "fock")
     source = inspect.getsource(cli)
-    for name in ("kernel_oracle", "kernel_fourier", "partition_trace",
-                 "antiunitary_partition_trace", "truncation_tail_bound"):
+    for name in ("kernel_oracle", "kernel_fourier", "partition_trace", "truncation_tail_bound"):
         assert name not in source
 
 
@@ -190,6 +189,14 @@ class TestKernelCommand:
         assert main(args) == 4
         assert capsys.readouterr().err.startswith("error:")
         assert not recwarn.list  # the range error replaces the ill-conditioning warning
+
+    def test_verify_at_large_omega_exits_0(self, tmp_path, capsys):
+        # beta*omega = 1000: the Fock-trace oracle's e^{omega tau} used to overflow
+        cfg = write_config(tmp_path / "big.json", {"modes": [{"label": "k", "omega": 1000.0}]})
+        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "8", "--verify",
+                "--output", str(tmp_path / "k.csv")]
+        assert main(args) == 0
+        assert "max three-way disagreement" in capsys.readouterr().out
 
     def test_deterministic_csv(self, minus_one_config, tmp_path, capsys):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -327,6 +334,17 @@ def test_no_environment_knobs():
         source = path.read_text(encoding="utf-8")
         assert "os.environ" not in source and "getenv" not in source, path.name
     assert not hasattr(fock, "DenseOperator")
+
+
+def test_symmetry_kinds_are_normalized_in_one_place():
+    # fock, partition and realfield read the slot action only; what each
+    # kind does is known to twistkit.spectrum alone
+    for module in (fock, partition, realfield):
+        source = inspect.getsource(module)
+        for name in ("UNITARY", "ANTIUNITARY", "partner_index", ".kind"):
+            assert name not in source, (module.__name__, name)
+    for name in ("z_twisted_unitary", "z_twisted_antiunitary", "antiunitary_partition_trace"):
+        assert not hasattr(twistkit, name) and name not in twistkit.__all__
 
 
 class TestVerifyCommand:

@@ -203,6 +203,53 @@ class TestKernelOracle:
         scaled = co.kernel_oracle(scaled_spec, sym, beta / c, t / c, s / c, 1200)
         assert abs(scaled - base / c) < 1e-9
 
+    @pytest.mark.parametrize("omega", [700.0, 1000.0])
+    def test_large_omega_matches_closed_form(self, omega):
+        # e^{omega tau} alone overflows a float from omega*tau ~ 710 on; the
+        # exponents carry a rounding error of about beta*omega*eps ~ 1e-13
+        spec = validate_spectrum([("m", omega)])
+        rho = cmath.exp(0.7j)
+        sym = SymmetrySpec(kind="unitary", phases=(rho,))
+        theta = co.kernel_twist_angle(rho)
+        for t, s in [(0.0, 0.0), (0.999, 0.0), (0.0, 0.999), (0.5, 0.25), (0.1, 0.9)]:
+            oracle = co.kernel_oracle(spec, sym, 1.0, t, s, 800)
+            closed = co.kernel_closed_form(omega, theta, 1.0, t, s)
+            assert abs(oracle - closed) <= 1e-12 * abs(closed)
+
+    def test_agrees_with_the_growing_factor_form(self):
+        # The form that multiplied e^{omega |tau|} in, wherever it is finite
+        # and the truncated geometric sums do not cancel (beta*omega >= 0.5).
+        def growing(omega, rho, beta, t, s, cutoff):
+            n = np.arange(cutoff + 1)
+
+            def sums(y):
+                powers = y**n
+                z = np.sum(powers)
+                return np.sum(n * powers) / z, np.sum((n[:-1] + 1) * powers[:-1]) / z
+
+            x = math.exp(-beta * omega)
+            p_create, p_destroy = sums(rho * x)
+            m_create, m_destroy = sums(rho.conjugate() * x)
+            tau = t - s
+            if tau >= 0.0:
+                val = math.exp(omega * tau) * m_create + math.exp(-omega * tau) * p_destroy
+            else:
+                val = math.exp(-omega * tau) * p_create + math.exp(omega * tau) * m_destroy
+            return complex(val) / (2.0 * omega)
+
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            beta = float(rng.uniform(0.25, 4.0))
+            omega = max(float(rng.uniform(0.3, 3.0)), 0.5 / beta)
+            rho = cmath.exp(2j * math.pi * float(rng.uniform()))
+            m = int(rng.integers(8, 64))
+            t, s = (beta * int(k) / m for k in rng.integers(0, m, size=2))
+            spec = validate_spectrum([("m", omega)])
+            sym = SymmetrySpec(kind="unitary", phases=(rho,))
+            want = growing(omega, rho, beta, t, s, 800)
+            got = co.kernel_oracle(spec, sym, beta, t, s, 800)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
 
 class TestKernelGrid:
     def test_hermitian_and_positive_definite(self):

@@ -428,7 +428,7 @@ class TestScalableTraces:
         )
         space = fock.FockSpace(spec, 3)
         trace = dense_trace(space, 1.1, sym)
-        fast = fock.antiunitary_partition_trace(spec, sym, 1.1, 3)
+        fast = fock.partition_trace(spec, sym, 1.1, 3)
         assert abs(trace - fast) < 1e-12 * max(1.0, abs(trace))
 
     def test_antiunitary_trace_fixed_modes_match_dense(self):
@@ -441,7 +441,7 @@ class TestScalableTraces:
         )
         space = fock.FockSpace(spec, 3)
         trace = dense_trace(space, 0.8, sym)
-        fast = fock.antiunitary_partition_trace(spec, sym, 0.8, 3)
+        fast = fock.partition_trace(spec, sym, 0.8, 3)
         assert abs(trace - fast) < 1e-12 * max(1.0, abs(trace))
 
     @pytest.mark.parametrize("cutoff", [3, 5, 7])
@@ -455,8 +455,18 @@ class TestScalableTraces:
             partners=("b", "a", "c"),
         )
         for beta in (0.5, 1.3):
-            enum = fock._enumerated_antiunitary_trace(spec, sym, beta, cutoff)
-            fast = fock.antiunitary_partition_trace(spec, sym, beta, cutoff)
+            enum = fock._enumerated_trace(spec, sym, beta, cutoff)
+            fast = fock.partition_trace(spec, sym, beta, cutoff)
+            assert abs(enum - fast) < 1e-12 * abs(enum)
+
+    @pytest.mark.parametrize("cutoff", [3, 5, 7])
+    def test_unitary_trace_matches_enumeration(self, cutoff):
+        # the identity permutation: every slot is its own cycle
+        spec = validate_spectrum([("a", 0.6), ("b", 0.6), ("c", 0.9)])
+        sym = SymmetrySpec(kind="unitary", phases=(0.6 + 0.8j, 1j, -0.8 + 0.6j))
+        for beta in (0.5, 1.3):
+            enum = fock._enumerated_trace(spec, sym, beta, cutoff)
+            fast = fock.partition_trace(spec, sym, beta, cutoff)
             assert abs(enum - fast) < 1e-12 * abs(enum)
 
 

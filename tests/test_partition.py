@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistkit import fock, partition
-from twistkit.errors import DomainError, KindError, RangeError
+from twistkit.errors import DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -38,36 +38,36 @@ class TestTwistedUnitary:
     def test_rho_one_reduces_to_untwisted(self):
         s = validate_spectrum([("k0", LN2)])
         sym = SymmetrySpec(kind="unitary", phases=(1.0 + 0j,))
-        assert abs(partition.z_twisted_unitary(s, sym, 1.0) - 4.0) < 1e-14
+        assert abs(partition.z_twisted(s, sym, 1.0) - 4.0) < 1e-14
 
     def test_rho_minus_one(self):
         s = validate_spectrum([("k0", LN2)])
         sym = SymmetrySpec(kind="unitary", phases=(-1.0 + 0j,))
-        assert abs(partition.z_twisted_unitary(s, sym, 1.0) - 4.0 / 9.0) < 1e-14
+        assert abs(partition.z_twisted(s, sym, 1.0) - 4.0 / 9.0) < 1e-14
 
     def test_rho_i(self):
         s = validate_spectrum([("k0", LN2)])
         sym = SymmetrySpec(kind="unitary", phases=(1j,))
-        assert abs(partition.z_twisted_unitary(s, sym, 1.0) - 0.8) < 1e-14
+        assert abs(partition.z_twisted(s, sym, 1.0) - 0.8) < 1e-14
 
-    def test_rejects_antiunitary(self):
+    def test_antiunitary_fixed_mode_same_route(self):
+        # one closed form serves both kinds: a fixed mode is one 2-cycle, r = 1
         s = validate_spectrum([("a", 1.0)])
         sym = SymmetrySpec(
             kind="antiunitary", phases=(1.0 + 0j,), labels=("a",), partners=("a",)
         )
-        with pytest.raises(KindError):
-            partition.z_twisted_unitary(s, sym, 1.0)
+        assert abs(partition.z_twisted(s, sym, 1.0) - 1.0 / -math.expm1(-2.0)) <= 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(unit_phase, st.floats(min_value=0.5, max_value=3.0))
     def test_single_mode_extremes(self, rho, omega):
         # |1 - rho x|^2 is extremized at rho = +-1 for x in (0, 1)
         s = validate_spectrum([("a", omega)])
-        z = partition.z_twisted_unitary(s, SymmetrySpec(kind="unitary", phases=(rho,)), 1.0)
-        z_hi = partition.z_twisted_unitary(
+        z = partition.z_twisted(s, SymmetrySpec(kind="unitary", phases=(rho,)), 1.0)
+        z_hi = partition.z_twisted(
             s, SymmetrySpec(kind="unitary", phases=(1.0 + 0j,)), 1.0
         )
-        z_lo = partition.z_twisted_unitary(
+        z_lo = partition.z_twisted(
             s, SymmetrySpec(kind="unitary", phases=(-1.0 + 0j,)), 1.0
         )
         assert z_lo - 1e-14 <= z <= z_hi + 1e-14
@@ -81,7 +81,7 @@ class TestLowerBound:
     def test_equality_at_rho_minus_one(self):
         s = validate_spectrum([("k0", LN2)])
         sym = SymmetrySpec(kind="unitary", phases=(-1.0 + 0j,))
-        z = partition.z_twisted_unitary(s, sym, 1.0)
+        z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - partition.positivity_lower_bound(s, 1.0)) < 1e-14
 
     def test_empty_spectrum(self):
@@ -96,7 +96,7 @@ class TestLowerBound:
     def test_bound_holds(self, mode_data, beta):
         s = validate_spectrum([(f"m{i}", w) for i, (_, w) in enumerate(mode_data)])
         sym = SymmetrySpec(kind="unitary", phases=tuple(p for p, _ in mode_data))
-        z = partition.z_twisted_unitary(s, sym, beta)
+        z = partition.z_twisted(s, sym, beta)
         assert z > 0.0
         assert z >= partition.positivity_lower_bound(s, beta) * (1.0 - 1e-12)
 
@@ -112,7 +112,7 @@ class TestOracleAgreement:
             s = validate_spectrum([(f"m{i}", w) for i, w in enumerate(omegas)])
             sym = SymmetrySpec(kind="unitary", phases=phases)
             cutoff = 90
-            z = partition.z_twisted_unitary(s, sym, beta)
+            z = partition.z_twisted(s, sym, beta)
             oracle = fock.partition_trace(s, sym, beta, cutoff)
             tail = fock.truncation_tail_bound(s, beta, cutoff)
             assert abs(z - oracle) / z <= tail + 1e-10
@@ -124,9 +124,9 @@ class TestAntiunitary:
         sym = SymmetrySpec(
             kind="antiunitary", phases=(1.0 + 0j,), labels=("k0",), partners=("k0",)
         )
-        z = partition.z_twisted_antiunitary(s, sym, 1.0)
+        z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - 4.0 / 3.0) < 1e-14
-        oracle = fock.antiunitary_partition_trace(s, sym, 1.0, 40)
+        oracle = fock.partition_trace(s, sym, 1.0, 40)
         assert abs(z - oracle) < 1e-10
 
     def test_two_mode_swap(self):
@@ -137,9 +137,9 @@ class TestAntiunitary:
             labels=("a", "b"),
             partners=("b", "a"),
         )
-        z = partition.z_twisted_antiunitary(s, sym, 1.0)
+        z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - 16.0 / 9.0) < 1e-14
-        oracle = fock.antiunitary_partition_trace(s, sym, 1.0, 20)
+        oracle = fock.partition_trace(s, sym, 1.0, 20)
         tail = fock.truncation_tail_bound(s, 1.0, 20)
         assert abs(z - oracle) / z <= tail + 1e-10
 
@@ -152,15 +152,15 @@ class TestAntiunitary:
             sym = SymmetrySpec(
                 kind="antiunitary", phases=etas, labels=("a", "b"), partners=("b", "a")
             )
-            z = partition.z_twisted_antiunitary(s, sym, 1.0)
-            oracle = fock.antiunitary_partition_trace(s, sym, 1.0, 25)
+            z = partition.z_twisted(s, sym, 1.0)
+            oracle = fock.partition_trace(s, sym, 1.0, 25)
             tail = fock.truncation_tail_bound(s, 1.0, 25)
             assert abs(z - oracle) / z <= tail + 1e-8
 
     def test_empty_spectrum(self):
         s = validate_spectrum([])
         sym = SymmetrySpec(kind="antiunitary", phases=(), labels=(), partners=())
-        assert partition.z_twisted_antiunitary(s, sym, 1.0) == 1.0
+        assert partition.z_twisted(s, sym, 1.0) == 1.0
 
 
 class TestTinyBetaOmega:
@@ -180,8 +180,8 @@ class TestTinyBetaOmega:
         )
         for z in (
             partition.z_untwisted(one, 1.0),
-            partition.z_twisted_unitary(one, SymmetrySpec(kind="unitary", phases=(1.0 + 0j,)), 1.0),
-            partition.z_twisted_antiunitary(pair, anti, 1.0),
+            partition.z_twisted(one, SymmetrySpec(kind="unitary", phases=(1.0 + 0j,)), 1.0),
+            partition.z_twisted(pair, anti, 1.0),
         ):
             assert abs(z - want) <= 1e-14 * want
 
@@ -202,7 +202,7 @@ class TestRangeErrors:
     def test_unitary_overflow_is_typed(self):
         sym = SymmetrySpec(kind="unitary", phases=(1.0 + 0j,) * 400)
         with pytest.raises(RangeError):
-            partition.z_twisted_unitary(self.SPEC, sym, 1.0)
+            partition.z_twisted(self.SPEC, sym, 1.0)
 
     def test_antiunitary_overflow_is_typed_not_nan(self):
         labels = self.SPEC.labels
@@ -210,7 +210,7 @@ class TestRangeErrors:
             kind="antiunitary", phases=(1.0 + 0j,) * 400, labels=labels, partners=labels
         )
         with pytest.raises(RangeError):
-            partition.z_twisted_antiunitary(self.SPEC, sym, 1.0)
+            partition.z_twisted(self.SPEC, sym, 1.0)
 
     def test_realfield_route_overflow_is_typed(self):
         from twistkit import realfield
@@ -229,6 +229,36 @@ class TestRangeErrors:
         sym = SymmetrySpec(
             kind="antiunitary", phases=(1.0 + 0j,) * 100, labels=labels, partners=labels
         )
-        z = partition.z_twisted_antiunitary(spec, sym, 1.0)
+        z = partition.z_twisted(spec, sym, 1.0)
         assert math.isfinite(z)
         assert abs(z - (1.0 - math.exp(-0.02)) ** -100) <= 1e-12 * z
+
+
+class TestTinyZFlag:
+    """A Z in (1e-308, TINY_Z_FLAG) is returned but flagged, for either kind."""
+
+    def check(self, spec, sym, want):
+        with pytest.warns(UserWarning, match="below") as record:
+            z = partition.z_twisted(spec, sym, 1.0)
+        assert 1e-308 < z < partition.TINY_Z_FLAG
+        assert abs(z - want) <= 1e-10 * want  # a log-sum of 1010 terms near 0.69
+        assert "antiunitary" not in str(record[0].message)
+
+    def test_unitary(self):
+        # 505 modes at rho = -1: Z = (1 + x)^-1010 with x = e^-0.001
+        spec = validate_spectrum([(f"k{i}", 1e-3) for i in range(505)])
+        sym = SymmetrySpec(kind="unitary", phases=(-1.0 + 0j,) * 505)
+        self.check(spec, sym, (1.0 + math.exp(-1e-3)) ** -1010)
+
+    def test_antiunitary(self):
+        # 505 swapped pairs at r = eta_a conj(eta_b) = -1: Z = (1 + x^2)^-1010
+        labels = [f"{c}{i}" for i in range(505) for c in "ab"]
+        spec = validate_spectrum([(lbl, 1e-3) for lbl in labels])
+        partners = [f"{'b' if lbl[0] == 'a' else 'a'}{lbl[1:]}" for lbl in labels]
+        sym = SymmetrySpec(
+            kind="antiunitary",
+            phases=(1.0 + 0j, -1.0 + 0j) * 505,
+            labels=tuple(labels),
+            partners=tuple(partners),
+        )
+        self.check(spec, sym, (1.0 + math.exp(-2e-3)) ** -1010)

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import dense
+
 from twistkit import correlation as co, partition, realfield as rf
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -56,6 +58,18 @@ class TestExtend:
         s = validate_spectrum([("k0", LN2)])
         ext = rf.extend(s, conjugation_sym())
         assert np.abs(ext.induced - np.array([[0, 1], [1, 0]])).max() == 0.0
+
+    def test_induced_matches_the_raw_rule(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            spec, sym = random_antiunitary(
+                rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(0, 3))
+            )
+            partners = [sym.labels.index(p) for p in sym.partners]
+            ref = dense.induced_antiunitary(partners, sym.phases)
+            assert np.array_equal(rf.extend(spec, sym).induced, ref)
+            unitary = SymmetrySpec(kind="unitary", phases=sym.phases)
+            assert np.array_equal(rf.extend(spec, unitary).induced, dense.induced_unitary(sym.phases))
 
     def test_induced_commutes_with_natural_conjugation(self):
         rng = np.random.default_rng(1)
@@ -134,14 +148,14 @@ class TestPartitionRoutes:
                 rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(1, 3))
             )
             beta = float(rng.uniform(0.4, 2.0))
-            z_sqrt = partition.z_twisted_antiunitary(spec, sym, beta)
+            z_sqrt = partition.z_twisted(spec, sym, beta)
             z_rf = rf.z_via_realfield(rf.extend(spec, sym), beta)
             assert abs(z_sqrt - z_rf) <= 1e-10 * abs(z_sqrt)
 
     def test_unitary_route_matches_product_formula(self):
         s = validate_spectrum([("a", 0.9), ("b", 1.7)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, cmath.exp(2.2j)))
-        z = partition.z_twisted_unitary(s, sym, 1.3)
+        z = partition.z_twisted(s, sym, 1.3)
         z_rf = rf.z_via_realfield(rf.extend(s, sym), 1.3)
         assert abs(z - z_rf) < 1e-12 * z
 
