@@ -27,7 +27,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,13 +51,6 @@ KERNEL_TWIST_SIGN = -1
 def kernel_twist_angle(rho: complex) -> float:
     """Kernel twist angle in [0, 2pi) for a unitary symmetry phase."""
     return principal_angle(cmath.exp(1j * KERNEL_TWIST_SIGN * cmath.phase(rho)))
-
-
-def twisted_frequencies(theta: float, beta: float, n_window: Sequence[int]) -> list[float]:
-    """nu_n = (theta + 2*pi*n)/beta; the modes e^{i nu t} obey g(beta)=e^{i theta}g(0)."""
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
-    return [(theta + 2.0 * math.pi * n) / beta for n in n_window]
 
 
 @dataclass(frozen=True)
@@ -127,12 +120,16 @@ def kernel_fourier(
     the dropped |n| > n_cutoff terms (valid for n_cutoff >= 2).  This is
     an independent oracle for the closed form (the ``kernel`` verify suite
     and ``twistkit kernel --verify``); no production path evaluates it.
+    A term whose nu_n^2 + omega^2 overflows (omega above about 1e154) is
+    below the float range and counts as 0, not as an OverflowError.
     """
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
     ns = np.arange(-n_cutoff, n_cutoff + 1)
     nu = (theta + 2.0 * math.pi * ns) / beta
-    value = complex(np.sum(np.exp(1j * nu * (t - s)) / (nu**2 + omega**2)) / beta)
+    with np.errstate(over="ignore"):
+        denominators = nu**2 + np.float64(omega) ** 2
+    value = complex(np.sum(np.exp(1j * nu * (t - s)) / denominators) / beta)
     tail = beta / (2.0 * math.pi**2 * max(n_cutoff - 1, 1))
     return value, tail
 

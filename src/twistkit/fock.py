@@ -21,8 +21,10 @@ Operators are plain functions of a state:
   permutation of the axes, read from a :class:`twistkit.spectrum.SlotAction`
   for U_S and U_V alike; TC also conjugates.
 
-The truncated trace at the end evaluates the partition-function oracle at
-any cutoff as a product over the cycles of the slot action.
+The truncated traces of the partition-function oracle need no state
+tensors: they are products over the cycles of the slot action, kept with
+their tail bounds in :mod:`twistkit.partition`, which imports no numpy.
+``truncation_tail_bound`` is re-exported here for existing callers.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError
-from .partition import _log_abs2_one_minus
+from .errors import CapacityError, ConfigError
+from .partition import truncation_tail_bound  # re-exported for existing callers
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
 #: Highest occupation cutoff :func:`oracle_cutoff` picks.
@@ -308,73 +310,3 @@ def apply_tc(space: FockSpace, state: np.ndarray) -> np.ndarray:
     """Time-charge reversal of a full state or a sub-cutoff block: swap the
     + and - axes of every mode, then conjugate."""
     return _generalized_permutation(state, [s ^ 1 for s in range(space.n_slots)], conjugate=True)
-
-
-def _require_cutoff(cutoff: int) -> None:
-    if cutoff < 0:
-        raise DomainError(f"occupation cutoff must be nonnegative, got {cutoff}")
-
-
-def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
-    """Relative-error bound for occupation-truncated twisted traces.
-
-    Bounds 1 - prod_k (1 - exp(-beta*omega_k*(N+1)))**2 from above, valid
-    for any twist with unit-modulus diagonal eigenvalues.
-    """
-    if beta <= 0.0:
-        raise ConfigError("beta must be positive")
-    _require_cutoff(cutoff)
-    log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
-    return -math.expm1(log_keep)
-
-
-def _truncated_geometric(y: complex, cutoff: int) -> complex:
-    """sum_{n=0}^{N} y^n by literal accumulation (Horner)."""
-    acc = 0.0 + 0.0j
-    for _ in range(cutoff + 1):
-        acc = 1.0 + y * acc
-    return acc
-
-
-def partition_trace(
-    spectrum: ModeSpectrum,
-    sym: Optional[SymmetrySpec],
-    beta: float,
-    cutoff: int,
-) -> complex:
-    """Truncated Tr(U exp(-beta H)) for either symmetry kind (or none),
-    factorized over the cycles of the slot action.
-
-    Only basis states constant on each cycle are fixed, so with
-    x = e^{-beta omega} and S_N the truncated geometric sum, a cycle of
-    length L and phase product r contributes S_N(r x^L), accumulated term
-    by term.  Equality with the basis sum and a dense trace is asserted in
-    the tests.
-    """
-    _require_cutoff(cutoff)
-    total = 1.0 + 0.0j
-    for first, length, r in slot_action(spectrum, sym).cycles:
-        x = math.exp(-length * beta * spectrum.omegas[first // 2])
-        total *= _truncated_geometric(r * x, cutoff)
-    return complex(total)
-
-
-def _enumerated_trace(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float, cutoff: int
-) -> complex:
-    """Truncated Tr(U exp(-beta H)) summed over the basis (test oracle).
-
-    U sends the basis state n to a phase times the state whose slot t
-    holds n[source[t]], so its diagonal is the phase on the states with
-    n[t] = n[source[t]] for every t.  ``source`` is an involution, and
-    einsum sums exactly those states by giving each of its cycles one
-    index, without forming the (N+1)^(2M) tensor.
-    """
-    _require_cutoff(cutoff)
-    action = slot_action(spectrum, sym)
-    phases = _level_phases(action.phases, cutoff)
-    levels = np.arange(cutoff + 1)
-    operands: list = []
-    for t, w in enumerate(np.repeat(np.asarray(spectrum.omegas, dtype=float), 2)):
-        operands += [phases[t] * np.exp(-beta * w * levels), [min(t, action.source[t])]]
-    return complex(np.einsum(*operands, [])) if operands else 1.0 + 0.0j

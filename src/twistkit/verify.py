@@ -14,19 +14,27 @@ v supported on the sub-cutoff block, compared on the sub-cutoff rows; the
 two exact checks (threshold 0) probe where no rounding enters, a basis
 state and the all-ones state.  The inner-product checks of TC and U use
 seeded unit states on the sub-cutoff block.
+
+Only the dense suites and :func:`kernel_agreement` import numpy and the
+Fock, kernel and doubled-field modules, inside the functions that use them,
+so :class:`CheckResult`, :data:`SUITES`, :func:`run_suite` and
+:func:`partition_row` load on ``math`` alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-import numpy as np
-
-from . import correlation, fock, partition, realfield
+from . import partition
 from .errors import ConfigError, DomainError, KindError
 from .spectrum import ANTIUNITARY, UNITARY, ModeSpectrum, SymmetrySpec, validate_spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import correlation, fock
 
 SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
 
@@ -44,6 +52,8 @@ class CheckResult:
 
 
 def _max_abs(values: np.ndarray) -> float:
+    import numpy as np
+
     return float(np.abs(values).max()) if np.size(values) else 0.0
 
 
@@ -52,16 +62,24 @@ def _random_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _oracle_space(spectrum: ModeSpectrum) -> fock.FockSpace:
+    from . import fock
+
     return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)))
 
 
 def _unit_states(space: fock.FockSpace, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Two seeded random unit states on the sub-cutoff block, for inner products."""
+    import numpy as np
+
     x, y = space.random_state(rng), space.random_state(rng)
     return x / np.linalg.norm(x), y / np.linalg.norm(y)
 
 
 def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
+    import numpy as np
+
+    from . import fock
+
     results: list[CheckResult] = []
     if len(spectrum) == 0:
         return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
@@ -123,6 +141,10 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0) -> list[CheckResult]:
+    import numpy as np
+
+    from . import fock
+
     results: list[CheckResult] = []
     space = _oracle_space(spectrum)
     rng = np.random.default_rng(seed)
@@ -170,6 +192,10 @@ def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0)
 def suite_symmetry(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
+    import numpy as np
+
+    from . import fock
+
     if sym is None:
         raise ConfigError("symmetry suite requires a symmetry in the config")
     results: list[CheckResult] = []
@@ -225,23 +251,25 @@ def partition_row(
     """One partition table row and the checks on it.
 
     Columns: beta, z_untwisted, z_twisted, lower_bound, oracle_z, rel_err,
-    tail_bound.  Checks: each closed-form Z against its truncated trace at
-    ``cutoff`` (compared as complex numbers, within the tail bound plus a
-    per-kind slack), and for a unitary twist the positivity lower bound.
+    tail_bound (the untwisted one).  Checks: each closed-form Z against its
+    truncated trace at ``cutoff`` (compared as complex numbers, within the
+    route's tail bound plus a per-kind slack), and for a unitary twist the
+    positivity lower bound.
     """
     z_plain = partition.z_untwisted(spectrum, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
-    tail = fock.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
-    trace = fock.partition_trace(spectrum, None, beta, cutoff)
-    # (route, closed form, truncated trace, slack on top of the tail bound)
-    routes = [("untwisted product formula", z_plain, trace, 1e-10)]
+    tail = partition.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
+    trace = partition.partition_trace(spectrum, None, beta, cutoff)
+    # (route, closed form, truncated trace, threshold)
+    routes = [("untwisted product formula", z_plain, trace, tail + 1e-10)]
     if sym is not None:
         name, slack = _TWISTED_ROUTE[sym.kind]
-        trace = fock.partition_trace(spectrum, sym, beta, cutoff)
-        routes.append((name, partition.z_twisted(spectrum, sym, beta), trace, slack))
+        trace = partition.partition_trace(spectrum, sym, beta, cutoff)
+        twisted_tail = partition.twisted_tail_bound(spectrum, beta, cutoff)
+        routes.append((name, partition.z_twisted(spectrum, sym, beta), trace, twisted_tail + slack))
     checks = [
-        CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, tail + slack)
-        for name, value, oracle, slack in routes
+        CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, threshold)
+        for name, value, oracle, threshold in routes
     ]
     _, z, trace, _ = routes[-1]
     rel = checks[-1].deviation
@@ -254,6 +282,10 @@ def partition_row(
 def suite_partition(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
+    import numpy as np
+
+    from . import realfield
+
     beta = 1.0
     columns, results = partition_row(spectrum, sym, beta, cutoff=40)
     z = columns[2]
@@ -292,6 +324,8 @@ def kernel_agreement(
     Also returns the worst disagreement the truncations do not explain:
     the largest Fock deviation or Fourier excess over its tail bound.
     """
+    from . import correlation
+
     beta = kern.beta
     single = validate_spectrum([("k", kern.omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
@@ -303,7 +337,7 @@ def kernel_agreement(
         worst_oracle = max(worst_oracle, abs(closed - oracle))
         four, fourier_tail = correlation.kernel_fourier(kern.omega, kern.theta, beta, t, s, 4000)
         worst_fourier = max(worst_fourier, abs(closed - four))
-    tail = fock.truncation_tail_bound(single, beta, cutoff)
+    tail = partition.truncation_tail_bound(single, beta, cutoff)
     checks = [
         CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8),
         CheckResult("kernel", "closed form vs Fourier partial sum", worst_fourier, fourier_tail),
@@ -314,6 +348,10 @@ def kernel_agreement(
 def suite_kernel(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
+    import numpy as np
+
+    from . import correlation
+
     if len(spectrum) == 0:
         return [CheckResult("kernel", "empty-spectrum (vacuous)", 0.0, 0.0)]
     if sym is not None and sym.kind != UNITARY:
@@ -362,6 +400,10 @@ def suite_kernel(
 def suite_realfield(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
+    import numpy as np
+
+    from . import fock, realfield
+
     if sym is None:
         raise ConfigError("realfield suite requires a symmetry in the config")
     if len(spectrum) == 0:

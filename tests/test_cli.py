@@ -12,7 +12,7 @@ import pytest
 import twistkit
 from twistkit import cli, correlation, fock, partition, realfield, verify
 from twistkit.cli import main
-from twistkit.spectrum import SymmetrySpec, load_config
+from twistkit.spectrum import SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum
 
 LN2 = math.log(2.0)
 
@@ -80,7 +80,24 @@ class TestPartitionCommand:
         assert main(args) == 0
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         spec, _ = load_config(anti_config)
-        assert row[6] == f"{fock.truncation_tail_bound(spec, 1.0, 12):.16e}"
+        assert row[6] == f"{partition.truncation_tail_bound(spec, 1.0, 12):.16e}"
+
+    def test_twisted_row_checked_against_twisted_tail_bound(self, tmp_path, capsys):
+        # rho = i, N = 1: trace / Z = (1 + x^2)^2, which is exactly the twisted
+        # tail bound 0.871 and beyond the untwisted one, 0.600
+        cfg = write_config(
+            tmp_path / "one.json",
+            {
+                "modes": [{"label": "a", "omega": 1.0}],
+                "symmetry": {"kind": "unitary", "phases": [{"re": 0.0, "im": 1.0}]},
+            },
+        )
+        assert main(["partition", "--config", cfg, "--beta", "0.5", "--cutoff", "1"]) == 0
+        out, err = capsys.readouterr()
+        rel, tail = (float(v) for v in out.strip().splitlines()[1].split(",")[5:])
+        x2 = math.exp(-1.0)
+        assert abs(rel - ((1.0 + x2) ** 2 - 1.0)) < 1e-14 and rel > tail
+        assert err == ""
 
 
 def _run_cli(args, **kwargs):
@@ -95,6 +112,62 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, twistkit.cli; print('scipy' in sys.modules)"
     out = _run_cli(["-c", code], check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_numpy_or_dense_modules():
+    heavy = ["numpy", "twistkit.fock", "twistkit.correlation", "twistkit.realfield"]
+    code = f"import sys, twistkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    out = _run_cli(["-c", code], check=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("config", [None, "anti", "circle"])
+def test_partition_runs_without_numpy(config, anti_config, tmp_path):
+    argv = ["partition", "--beta", "0.5", "--beta", "2"]
+    if config == "anti":
+        argv += ["--config", anti_config]
+    elif config == "circle":
+        circle = twisted_circle_spectrum(1.0, 0.0, range(-50, 51))
+        argv += ["--config", write_config(tmp_path / "circle.json", spectrum_to_config(circle))]
+    assert _loads_numpy(argv) is False
+
+
+def test_spectrum_gen_runs_without_numpy(tmp_path):
+    argv = ["spectrum", "gen", "twisted-circle", "--twist", "1", "--n-min", "-50",
+            "--n-max", "50", "--output", str(tmp_path / "circle.json")]
+    assert _loads_numpy(argv) is False
+    assert len(json.loads((tmp_path / "circle.json").read_text())["modes"]) == 101
+
+
+def _loads_numpy(argv):
+    """Run ``cli.main(argv)`` in a fresh interpreter; whether numpy got loaded."""
+    code = ("import sys; from twistkit.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, 'numpy' in sys.modules)")
+    proc = _run_cli(["-c", code, *argv], check=True)
+    rc, loaded = proc.stdout.split()[-2:]
+    assert rc == "0", proc.stderr
+    return loaded == "True"
+
+
+def test_package_exports_load_lazily():
+    code = """
+import sys, twistkit
+names = twistkit.__all__
+assert "numpy" not in sys.modules and not set(names) & set(vars(twistkit))
+assert set(names) <= set(dir(twistkit))
+for name in names:
+    obj = getattr(twistkit, name)
+    assert vars(sys.modules[obj.__module__])[name] is obj, name
+    assert vars(twistkit)[name] is obj, name
+try:
+    twistkit.no_such_name
+except AttributeError:
+    print(len(names))
+"""
+    assert _run_cli(["-c", code], check=True).stdout.strip() == str(len(twistkit.__all__))
+    assert len(set(twistkit.__all__)) == len(twistkit.__all__)
+    # bench/checks.py reads the tail bound through fock
+    assert fock.truncation_tail_bound is partition.truncation_tail_bound
 
 
 @pytest.mark.parametrize(
@@ -113,6 +186,16 @@ def test_out_of_domain_numbers_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_kernel_verify_at_huge_omega_exits_cleanly(tmp_path):
+    # nu^2 + omega^2 overflows a float; the Fourier oracle counts those terms as 0
+    cfg = write_config(tmp_path / "huge.json", {"modes": [{"label": "a", "omega": 1e300}]})
+    proc = _run_cli(["-m", "twistkit.cli", "kernel", "--config", cfg, "--beta", "1",
+                     "--grid", "8", "--verify", "--output", str(tmp_path / "k.csv")])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "max three-way disagreement" in proc.stdout
+
+
 def test_cli_calls_no_oracle():
     # The oracles and their thresholds live in twistkit.verify only.
     assert not hasattr(cli, "fock")
@@ -129,10 +212,10 @@ class TestSharedChecksBite:
             # S_N(rho x)^2 where the trace has S_N(rho x) S_N(conj(rho) x)
             total = 1.0 + 0.0j
             for w, rho in zip(spectrum.omegas, sym.phases if sym else [1.0] * len(spectrum)):
-                total *= fock._truncated_geometric(rho * math.exp(-beta * w), cutoff) ** 2
+                total *= partition._truncated_geometric(rho * math.exp(-beta * w), cutoff) ** 2
             return total
 
-        monkeypatch.setattr(fock, "partition_trace", broken)
+        monkeypatch.setattr(partition, "partition_trace", broken)
         assert main(["partition", "--beta", "1"]) == 1
         assert "[FAIL] partition: unitary product formula" in capsys.readouterr().err
         assert main(["verify", "--suite", "partition"]) == 1
@@ -168,13 +251,12 @@ class TestRangeExitCodes:
         assert "outside the float range" in capsys.readouterr().err
 
     def test_internal_consistency_exits_5(self, anti_config, tmp_path, monkeypatch, capsys):
-        from twistkit import cli
         from twistkit.errors import InternalConsistencyError
 
         def broken(spectrum, sym):
             raise InternalConsistencyError("induced matrix not unitary (1.000e+00)")
 
-        monkeypatch.setattr(cli.realfield, "extend", broken)
+        monkeypatch.setattr(realfield, "extend", broken)
         args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
                 "--output", str(tmp_path / "k.csv"), "--extended"]
         assert main(args) == 5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense
-from twistkit import correlation as co, fock
+from twistkit import correlation as co, partition
 from twistkit.errors import DomainError, PreconditionError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -31,20 +31,6 @@ def dense_kernel_oracle(spec, sym, beta, t, s, cutoff):
     phi, phibar = field(t, False), field(s, True)
     ordered = phibar @ phi if t >= s else phi @ phibar
     return complex(np.trace(ordered @ twist) / np.trace(twist))
-
-
-class TestTwistedFrequencies:
-    def test_periodic_case(self):
-        assert co.twisted_frequencies(0.0, 2.0 * math.pi, [-1, 0, 1]) == [-1.0, 0.0, 1.0]
-
-    def test_antiperiodic_case(self):
-        nus = co.twisted_frequencies(math.pi, 2.0 * math.pi, [-1, 0])
-        assert nus == [-0.5, 0.5]
-
-    def test_defining_property(self):
-        theta, beta = 1.234, 0.8
-        for nu in co.twisted_frequencies(theta, beta, range(-4, 5)):
-            assert abs(cmath.exp(1j * nu * beta) - cmath.exp(1j * theta)) < 1e-12
 
 
 class TestKernelTwistAngle:
@@ -80,6 +66,13 @@ class TestKernelFourier:
         val, _ = co.kernel_fourier(200.0, 0.0, 1.0, 0.2, 0.7, 50)
         assert abs(val) < 1e-3
 
+    @pytest.mark.parametrize("omega", [1e160, 1e300])
+    def test_huge_omega_does_not_overflow(self, omega):
+        # omega^2 overflows a float; each term is below 1/omega^2 < 1e-308
+        val, tail = co.kernel_fourier(omega, 0.5, 1.0, 0.25, 0.0, 100)
+        assert abs(val) <= 1e-300
+        assert abs(val - co.kernel_closed_form(omega, 0.5, 1.0, 0.25, 0.0)) <= tail
+
     def test_hermitian_termwise(self):
         val_ts, _ = co.kernel_fourier(1.3, 0.9, 1.1, 0.2, 0.8, 300)
         val_st, _ = co.kernel_fourier(1.3, 0.9, 1.1, 0.8, 0.2, 300)
@@ -106,7 +99,7 @@ class TestClosedForm:
             spec = validate_spectrum([("m", omega)])
             sym = SymmetrySpec(kind="unitary", phases=(rho,))
             cutoff = 2000
-            tail = fock.truncation_tail_bound(spec, beta, cutoff)
+            tail = partition.truncation_tail_bound(spec, beta, cutoff)
             t, s = rng.uniform(0.0, beta, size=2)
             closed = co.kernel_closed_form(omega, theta, beta, t, s)
             oracle = co.kernel_oracle(spec, sym, beta, t, s, cutoff)
@@ -181,7 +174,7 @@ class TestKernelOracle:
         spec = validate_spectrum([("m", 1.0)])
         val = co.kernel_oracle(spec, None, 1.0, 0.5, 0.5, 400)
         target = 0.5 / math.tanh(0.5)
-        tail = fock.truncation_tail_bound(spec, 1.0, 400)
+        tail = partition.truncation_tail_bound(spec, 1.0, 400)
         assert abs(val - target) <= target * tail + 1e-12
 
     def test_branch_continuity_at_equal_times(self):
@@ -262,7 +255,7 @@ class TestKernelGrid:
         omega, theta, beta = 0.8, 1.1, 1.4
         grid = co.kernel_grid(co.TwistedKernel(omega, theta, beta), 64)
         op_norm = np.linalg.norm(grid.matrix, 2) * (beta / 64)
-        nu_min = min(abs(nu) for nu in co.twisted_frequencies(theta, beta, range(-2, 3)))
+        nu_min = min(abs(theta + 2.0 * math.pi * n) / beta for n in range(-2, 3))
         slack = 5.0 * (beta / 64) ** 2  # discretization error of the kinked kernel
         assert op_norm <= 1.0 / (nu_min**2 + omega**2) + slack
         assert op_norm <= 1.0 / omega**2 + slack
@@ -357,7 +350,7 @@ class TestVerifyResolvent:
     def test_smooth_compliant_function_converges(self):
         theta, beta, omega = 1.1, 1.0, 1.4
         kern = co.TwistedKernel(omega, theta, beta)
-        nus = co.twisted_frequencies(theta, beta, [-1, 0, 1])
+        nus = [(theta + 2.0 * math.pi * n) / beta for n in (-1, 0, 1)]
         coeffs = [0.4, 1.0, 0.2 - 0.5j]
 
         def g(t):
@@ -377,7 +370,7 @@ class TestVerifyResolvent:
     def test_matches_pointwise_quadrature(self):
         theta, beta, omega, m = 1.1, 1.0, 1.4, 64
         kern = co.TwistedKernel(omega, theta, beta)
-        nus = co.twisted_frequencies(theta, beta, [-1, 0, 2])
+        nus = [(theta + 2.0 * math.pi * n) / beta for n in (-1, 0, 2)]
         coeffs = [0.4, 1.0, 0.2 - 0.5j]
 
         def g(t):

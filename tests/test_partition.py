@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistkit import fock, partition
+from twistkit import partition
 from twistkit.errors import DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -113,8 +113,8 @@ class TestOracleAgreement:
             sym = SymmetrySpec(kind="unitary", phases=phases)
             cutoff = 90
             z = partition.z_twisted(s, sym, beta)
-            oracle = fock.partition_trace(s, sym, beta, cutoff)
-            tail = fock.truncation_tail_bound(s, beta, cutoff)
+            oracle = partition.partition_trace(s, sym, beta, cutoff)
+            tail = partition.truncation_tail_bound(s, beta, cutoff)
             assert abs(z - oracle) / z <= tail + 1e-10
 
 
@@ -126,7 +126,7 @@ class TestAntiunitary:
         )
         z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - 4.0 / 3.0) < 1e-14
-        oracle = fock.partition_trace(s, sym, 1.0, 40)
+        oracle = partition.partition_trace(s, sym, 1.0, 40)
         assert abs(z - oracle) < 1e-10
 
     def test_two_mode_swap(self):
@@ -139,8 +139,8 @@ class TestAntiunitary:
         )
         z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - 16.0 / 9.0) < 1e-14
-        oracle = fock.partition_trace(s, sym, 1.0, 20)
-        tail = fock.truncation_tail_bound(s, 1.0, 20)
+        oracle = partition.partition_trace(s, sym, 1.0, 20)
+        tail = partition.truncation_tail_bound(s, 1.0, 20)
         assert abs(z - oracle) / z <= tail + 1e-10
 
     def test_swap_with_phases_vs_oracle(self):
@@ -153,8 +153,8 @@ class TestAntiunitary:
                 kind="antiunitary", phases=etas, labels=("a", "b"), partners=("b", "a")
             )
             z = partition.z_twisted(s, sym, 1.0)
-            oracle = fock.partition_trace(s, sym, 1.0, 25)
-            tail = fock.truncation_tail_bound(s, 1.0, 25)
+            oracle = partition.partition_trace(s, sym, 1.0, 25)
+            tail = partition.truncation_tail_bound(s, 1.0, 25)
             assert abs(z - oracle) / z <= tail + 1e-8
 
     def test_empty_spectrum(self):
@@ -186,7 +186,7 @@ class TestTinyBetaOmega:
             assert abs(z - want) <= 1e-14 * want
 
     def test_tail_bound_is_a_fraction(self):
-        tail = fock.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
+        tail = partition.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
         assert isinstance(tail, float) and 0.0 <= tail <= 1.0
 
 

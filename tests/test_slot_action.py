@@ -91,13 +91,14 @@ def test_every_route_agrees_for_both_kinds(config, small_cutoff):
     spectrum, sym, beta = config
     z = partition.z_twisted(spectrum, sym, beta)
     # trace / z = prod_cycles (1 - (r x^L)^61), so its distance from 1 is at
-    # most prod_k (1 + x_k^61)^2 - 1; truncation_tail_bound's 1 - prod_k
-    # (1 - x_k^61)^2 is that only to first order, and r^61 = -1 exceeds it.
-    tail = math.expm1(2.0 * sum(math.log1p(math.exp(-61 * beta * w)) for w in spectrum.omegas))
-    assert abs(z - fock.partition_trace(spectrum, sym, beta, 60)) / z <= tail + 1e-9
-    enumerated = fock._enumerated_trace(spectrum, sym, beta, small_cutoff)
-    factorized = fock.partition_trace(spectrum, sym, beta, small_cutoff)
-    assert abs(enumerated - factorized) <= 1e-12 * abs(enumerated)
+    # most prod_k (1 + x_k^61)^2 - 1, the twisted tail bound; the untwisted
+    # 1 - prod_k (1 - x_k^61)^2 is that only to first order, and r^61 = -1
+    # exceeds it.
+    tail = partition.twisted_tail_bound(spectrum, beta, 60)
+    assert abs(z - partition.partition_trace(spectrum, sym, beta, 60)) / z <= tail + 1e-9
+    enumerated = dense.enumerated_trace(spectrum, sym, beta, small_cutoff)
+    factorized = partition.partition_trace(spectrum, sym, beta, small_cutoff)
+    assert abs(enumerated - factorized) <= dense.trace_rounding(spectrum, beta, small_cutoff)
     z_rf = realfield.z_via_realfield(realfield.extend(spectrum, sym), beta)
     assert abs(z - z_rf) <= 1e-10 * z
     # twist positivity, for antiunitary twists too: a fixed mode gives
