@@ -53,7 +53,7 @@ _EXPORTS = {
         "z_untwisted",
     ),
     "correlation": (
-        "KernelGrid",
+        "SampledKernel",
         "TwistedKernel",
         "apply_inverse",
         "kernel_closed_form",

@@ -3,7 +3,8 @@
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
 twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`
 (``partition`` and ``kernel --verify`` run the suites' own checks); this
-module only renders them.  Exit codes: 0 success, 1 assertion failure, 2
+module only renders them; ``kernel --verify`` checks the positivity of
+the exported grid on either route.  Exit codes: 0 success, 1 assertion failure, 2
 parse, usage or out-of-domain input, 3 capacity exceeded, 4 a result
 outside the float range (RangeError), 5 an internal consistency check
 failed.  All numeric output uses fixed 17-significant-digit lowercase
@@ -102,36 +103,37 @@ def _cmd_kernel(args) -> int:
 
     spectrum, sym = _load(args.config)
     beta = args.beta
-    if sym is not None and sym.kind == ANTIUNITARY:
-        if not args.extended:
-            print(
-                "error: antiunitary symmetry requires --extended "
-                "(kernel is defined on the doubled space)",
-                file=sys.stderr,
-            )
-            return PARSE_FAILURE
+    checks = []
+    if args.extended:
         ext = realfield.extend(spectrum, sym)
-        realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
+        sampled = realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
         print(f"wrote extended kernel grid to {args.output}")
-        return 0
-    label, omega = _select_mode(spectrum, args.mode)
-    rho = 1.0 + 0.0j
-    if sym is not None:
-        rho = complex(sym.phases[spectrum.labels.index(label)])
-    theta = correlation.kernel_twist_angle(rho)
-    kern = correlation.TwistedKernel(omega, theta, beta)
-    correlation.export_kernel_csv(args.output, kern, args.grid)
-    print(f"wrote {args.grid * args.grid} kernel samples to {args.output}")
+    elif sym is not None and sym.kind == ANTIUNITARY:
+        print(
+            "error: antiunitary symmetry requires --extended "
+            "(kernel is defined on the doubled space)",
+            file=sys.stderr,
+        )
+        return PARSE_FAILURE
+    else:
+        label, omega = _select_mode(spectrum, args.mode)
+        rho = 1.0 + 0.0j
+        if sym is not None:
+            rho = complex(sym.phases[spectrum.labels.index(label)])
+        kern = correlation.TwistedKernel(omega, correlation.kernel_twist_angle(rho), beta)
+        sampled = correlation.export_kernel_csv(args.output, kern, args.grid)
+        print(f"wrote {args.grid * args.grid} kernel samples to {args.output}")
+        if args.verify:
+            # The closed form and both oracles depend on t - s only, so the
+            # 2m - 1 distinct lags of the m x m check grid cover all its cells.
+            m = min(args.grid, 8)
+            lags = [d * beta / m for d in range(m)]
+            points = [(t, 0.0) for t in lags] + [(0.0, s) for s in lags[1:]]
+            worst, checks = verify.kernel_agreement(kern, rho, points)
+            print(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
-        # The closed form and both oracles depend on t - s only, so the
-        # 2m - 1 distinct lags of the m x m check grid cover all its cells.
-        m = min(args.grid, 8)
-        lags = [d * beta / m for d in range(m)]
-        points = [(t, 0.0) for t in lags] + [(0.0, s) for s in lags[1:]]
-        worst, checks = verify.kernel_agreement(kern, rho, points)
-        print(f"max three-way disagreement: {fmt(worst)}")
-        return _report_failures(checks)
-    return 0
+        checks.append(verify.kernel_positivity(sampled))
+    return _report_failures(checks)
 
 
 def _cmd_verify(args) -> int:
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--extended", action="store_true", help="doubled-space kernel (antiunitary twists)"
     )
     p_kern.add_argument(
-        "--verify", action="store_true", help="print max three-way disagreement"
+        "--verify", action="store_true", help="check positivity and oracle agreement"
     )
     p_kern.set_defaults(func=_cmd_kernel)
 

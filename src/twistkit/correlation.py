@@ -12,8 +12,13 @@ On the uniform grid t_j = j*beta/m the sampled kernel depends only on
 the lag: K(t_i, t_j) = v[i - j] for i >= j, with v[d] = K(d*beta/m, 0),
 and K(t_j, t_i) = conj K(t_i, t_j).  It is twisted-circulant, D C D*
 with C circulant and D = diag(e^{i*theta*t/beta}) (R. M. Gray, Toeplitz
-and Circulant Matrices: A Review, 2006), so the grid, the resolvent
-check and the CSV export are all derived from m closed-form values.
+and Circulant Matrices: A Review, 2006).  A :class:`SampledKernel` holds
+these m closed-form values per eigenmode kernel, plus the basis that
+mixes them (a scalar kernel has none), and the grid, the CSV export and
+the spectrum derive from that layout.  One twisted FFT (strip the
+carrier, multiply the FFT coefficients, restore the carrier) gives the
+spectrum and applies the grid in :func:`verify_resolvent` and C_beta in
+:func:`apply_inverse`.
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -27,11 +32,12 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, KindError, PreconditionError, RangeError
+from .partition import geometric_log_derivative
 from .spectrum import (
     UNITARY,
     ModeSpectrum,
@@ -134,15 +140,6 @@ def kernel_fourier(
     return value, tail
 
 
-def _destroy_expectation(y: complex, cutoff: int) -> complex:
-    """<alpha alpha*> = sum_{n<N} (n+1) y^n / sum_{n<=N} y^n of one truncated
-    oscillator with Boltzmann-and-twist weight y; alpha alpha* vanishes on
-    the top level by the truncation convention."""
-    n = np.arange(cutoff + 1)
-    powers = y**n
-    return complex(np.sum((n[:-1] + 1) * powers[:-1])) / complex(np.sum(powers))
-
-
 def kernel_oracle(
     spectrum: ModeSpectrum,
     sym: Optional[SymmetrySpec],
@@ -156,10 +153,10 @@ def kernel_oracle(
     Single mode only.  Time ordering per the frozen convention: t >= s
     places the conjugate field first (phibar(s) phi(t)); t < s gives
     phi(t) phibar(s).  The trace factorizes over the two charge
-    oscillators, so each expectation reduces to exact truncated
-    geometric-type sums; the result is identical to building dense
-    matrices at the same cutoff (asserted in tests), but scales to the
-    large cutoffs the tail bound needs.
+    oscillators, so each expectation is a truncated geometric sum ratio,
+    :func:`twistkit.partition.geometric_log_derivative`; the result is
+    identical to building dense matrices at the same cutoff (asserted in
+    tests), but scales to the large cutoffs the tail bound needs.
 
     The growing factor e^{omega |tau|} multiplies an expectation
     <alpha* alpha> = c x <alpha alpha*>, with x = e^{-beta omega} and c the
@@ -181,7 +178,7 @@ def kernel_oracle(
     omega = spectrum.omegas[0]
     x = math.exp(-beta * omega)
     # + oscillator carries twist eigenvalues rho^n, - oscillator conj(rho)^n.
-    plus, minus = (_destroy_expectation(c * x, cutoff) for c in (rho, rho.conjugate()))
+    plus, minus = (geometric_log_derivative(c * x, cutoff) for c in (rho, rho.conjugate()))
     # t >= s: phibar(s) phi(t), where alpha-* alpha- and alpha+ alpha+* survive;
     # t < s: phi(t) phibar(s), where alpha+* alpha+ and alpha- alpha-* survive.
     twist, grown, decayed = (rho.conjugate(), minus, plus) if t >= s else (rho, plus, minus)
@@ -194,55 +191,73 @@ def kernel_oracle(
 
 
 @dataclass(frozen=True)
-class KernelGrid:
-    """Kernel sampled on the uniform M-point grid t_j = j*beta/M."""
+class SampledKernel:
+    """A Hermitian kernel on the grid t_j = j*beta/m, as the lag values of
+    its eigenmode kernels: lags[d, k] = K_k(d*beta/m, 0), with twist angle
+    thetas[k].  The block K(t_i, t_j) at lag d = i - j >= 0 is
+    basis diag(lags[d]) basis*, its adjoint above the diagonal.  A scalar
+    kernel has one column and the basis [[1]]; the extended kernel has one
+    per doubled eigenmode and the basis ``ext.eigenbasis``."""
 
-    kernel: TwistedKernel
-    times: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
+    beta: float
+    thetas: np.ndarray = field(repr=False)  # (n,)
+    lags: np.ndarray = field(repr=False)  # (m, n)
+    basis: np.ndarray = field(repr=False)  # (n, n) unitary
 
-    @property
-    def m(self) -> int:
-        return self.times.shape[0]
+    def times(self) -> np.ndarray:
+        m = self.lags.shape[0]
+        return np.arange(m) * (self.beta / m)
+
+    def blocks(self) -> np.ndarray:
+        """The (m, n, n) blocks at lags d >= 0."""
+        return np.einsum("aj,dj,bj->dab", self.basis, self.lags, self.basis.conj())
+
+    def grid(self) -> np.ndarray:
+        """The dense (m*n, m*n) matrix, index (time, sector), gathered by one
+        copy from a strided view of the 2m - 1 distinct blocks."""
+        blocks = self.blocks()
+        m, n = blocks.shape[:2]
+        # both[m-1 + d] is the block at lag d = i - j, for -m < d < m
+        both = np.concatenate([blocks[:0:-1].conj().swapaxes(1, 2), blocks])
+        view = np.lib.stride_tricks.sliding_window_view(both, m, axis=0)[..., ::-1]
+        return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
+
+    def spectrum(self) -> np.ndarray:
+        """The grid's eigenvalues, shape (m, n): the grid is unitarily similar
+        to the direct sum of the eigenmode grids D C D*, and column k is the
+        FFT of the k-th one's carrier-stripped lag values."""
+        return _twisted_fft(self.lags, self.thetas).real
 
 
-def _lag_values(kernel: TwistedKernel, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid times t_j = j*h (h = beta/m) and the lag values v[d] = K(d*h, 0).
+def _twisted_fft(
+    values: np.ndarray, thetas: np.ndarray, multiplier: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """fft(values / carrier) down the columns, carrier[j, k] = e^{i*thetas[k]*j/m};
+    given a multiplier, carrier * ifft(multiplier * fft(values / carrier))."""
+    carrier = np.exp(1j * np.outer(np.arange(values.shape[0]) / values.shape[0], thetas))
+    coeffs = np.fft.fft(values / carrier, axis=0)
+    if multiplier is None:
+        return coeffs
+    return carrier * np.fft.ifft(multiplier * coeffs, axis=0)
 
-    These m closed-form values determine the whole sampled kernel:
-    K(t_i, t_j) = v[i - j] for i >= j and conj(v[j - i]) above the
-    diagonal.
-    """
+
+def sample_kernels(
+    kernels: Sequence[TwistedKernel], beta: float, m: int, basis: Optional[np.ndarray] = None
+) -> SampledKernel:
+    """The direct sum of ``kernels`` (all at ``beta``), mixed by ``basis``
+    (default: the identity), from m closed-form lag values per kernel."""
     if m < 1:
         raise DomainError("grid size must be >= 1")
-    times = np.arange(m) * (kernel.beta / m)
-    lags = np.array(
-        [kernel_closed_form(kernel.omega, kernel.theta, kernel.beta, float(t), 0.0) for t in times]
-    )
-    return times, lags
+    lags = [[kernel_closed_form(k.omega, k.theta, beta, d * (beta / m), 0.0) for k in kernels]
+            for d in range(m)]
+    thetas = np.array([k.theta for k in kernels])
+    basis = np.eye(len(kernels)) if basis is None else basis
+    return SampledKernel(beta, thetas, np.array(lags, dtype=complex), basis)
 
 
-def _hermitian_toeplitz(blocks: np.ndarray) -> np.ndarray:
-    """The (m*n, m*n) matrix whose (n x n) block (i, j) is blocks[i - j]
-    for i >= j and blocks[j - i]^H above the diagonal.
-
-    ``blocks`` has shape (m, n, n).  The matrix is gathered by one copy
-    from a strided view of the 2m - 1 distinct blocks.
-    """
-    m, n = blocks.shape[:2]
-    # both[m-1 + d] is the block at lag d = i - j, for -m < d < m
-    both = np.concatenate([blocks[:0:-1].conj().swapaxes(1, 2), blocks])
-    view = np.lib.stride_tricks.sliding_window_view(both, m, axis=0)[..., ::-1]
-    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
-
-
-def kernel_grid(kernel: TwistedKernel, m: int) -> KernelGrid:
+def kernel_grid(kernel: TwistedKernel, m: int) -> np.ndarray:
     """The m x m sampled kernel, gathered from its m lag values."""
-    times, lags = _lag_values(kernel, m)
-    matrix = _hermitian_toeplitz(lags[:, None, None])
-    times.setflags(write=False)
-    matrix.setflags(write=False)
-    return KernelGrid(kernel=kernel, times=times, matrix=matrix)
+    return sample_kernels([kernel], kernel.beta, m).grid()
 
 
 def apply_inverse(
@@ -255,8 +270,8 @@ def apply_inverse(
 
     ``samples`` has shape (M, #modes): mode-coefficient functions sampled
     on the uniform grid t_j = j*beta/M.  Per mode the twist angle is
-    :func:`kernel_twist_angle` of the symmetry phase; the transform
-    factors out e^{i*theta*t/beta}, leaving an ordinary FFT.
+    :func:`kernel_twist_angle` of the symmetry phase, and the twisted FFT
+    multiplies coefficient n by 1/(nu_n^2 + omega^2).
     """
     if sym is not None and sym.kind != UNITARY:
         raise KindError("apply_inverse takes a unitary (or absent) twist")
@@ -265,30 +280,25 @@ def apply_inverse(
         raise ConfigError("samples must have shape (grid, #modes)")
     if sym is not None:
         check_alignment(spectrum, sym)
-        thetas = [kernel_twist_angle(p) for p in sym.phases]
+        thetas = np.array([kernel_twist_angle(p) for p in sym.phases])
     else:
-        thetas = [0.0] * len(spectrum)
+        thetas = np.zeros(len(spectrum))
     m = samples.shape[0]
     if m < 1:
         raise ConfigError("grid must be nonempty")
-    times = np.arange(m) * (beta / m)
-    ns = np.fft.fftfreq(m, d=1.0 / m)  # integer frequencies
-    out = np.empty_like(samples)
-    for k, (omega, theta) in enumerate(zip(spectrum.omegas, thetas)):
-        carrier = np.exp(1j * theta * times / beta)
-        nu = (theta + 2.0 * math.pi * ns) / beta
-        spec_coeffs = np.fft.fft(samples[:, k] / carrier)
-        out[:, k] = carrier * np.fft.ifft(spec_coeffs / (nu**2 + omega**2))
+    nu = (thetas + 2.0 * math.pi * np.fft.fftfreq(m, d=1.0 / m)[:, None]) / beta
+    # a nu^2 + omega^2 beyond the float range makes a multiplier below it:
+    # 0; one that underflows to 0 makes a value beyond it, caught below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        multiplier = 1.0 / (nu**2 + np.asarray(spectrum.omegas, dtype=np.float64) ** 2)
+        out = _twisted_fft(samples, thetas, multiplier)
+    if not np.isfinite(out).all():
+        raise RangeError(f"C_beta applied at beta={beta} is outside the float range")
     return out
 
 
-@dataclass(frozen=True)
-class ResolventReport:
-    """Outcome of the quadrature check of C_beta (-g'' + omega^2 g) = g."""
-
-    m: int
-    max_residual: float
-    boundary_defect: float
+#: Largest relative twisted-boundary defect :func:`verify_resolvent` accepts.
+BOUNDARY_TOL = 1e-6
 
 
 def verify_resolvent(
@@ -296,9 +306,9 @@ def verify_resolvent(
     g: Callable[[float], complex],
     g_second: Callable[[float], complex],
     m: int = 256,
-    boundary_tol: float = 1e-6,
-) -> ResolventReport:
-    """Quadrature check that the kernel inverts (-d^2/ds^2 + omega^2).
+) -> float:
+    """Quadrature check that the kernel inverts (-d^2/ds^2 + omega^2): the
+    largest residual |C_beta(-g'' + omega^2 g) - g| on the m-point grid.
 
     ``g`` must satisfy the twisted boundary condition g(beta) =
     e^{i*theta} g(0) together with the same condition on g'; compliance is
@@ -306,7 +316,8 @@ def verify_resolvent(
     a noncompliant test function raises PreconditionError.  g' is probed
     by one-sided second-order finite differences.  Uses the uniform
     rectangle rule (the trapezoid rule for the twisted-periodic
-    integrand), so eigenmode residuals scale as (beta/m)^2.
+    integrand), so eigenmode residuals scale as (beta/m)^2.  The grid acts
+    as carrier * ifft(lambda * fft(source / carrier)), lambda its spectrum.
     """
     beta, theta, omega = kernel.beta, kernel.theta, kernel.omega
     twist = cmath.exp(1j * theta)
@@ -321,17 +332,17 @@ def verify_resolvent(
 
     d_defect = abs(deriv(beta, -1.0) - twist * deriv(0.0, 1.0)) * h
     defect = max(defect / scale, d_defect / scale)
-    if defect > boundary_tol:
+    if defect > BOUNDARY_TOL:
         raise PreconditionError(
             f"test function violates the twisted boundary condition "
             f"(relative defect {defect:.3e})"
         )
-    grid = kernel_grid(kernel, m)
-    source = np.array([-g_second(s) + omega**2 * g(s) for s in grid.times])
-    target = np.array([g(float(t)) for t in grid.times])
-    values = (beta / m) * (grid.matrix @ source)
-    max_res = float(np.abs(values - target).max())
-    return ResolventReport(m=m, max_residual=max_res, boundary_defect=float(defect))
+    sampled = sample_kernels([kernel], beta, m)
+    times = sampled.times()
+    source = np.array([[-g_second(s) + omega**2 * g(s)] for s in times])
+    target = np.array([g(float(t)) for t in times])
+    values = (beta / m) * _twisted_fft(source, sampled.thetas, sampled.spectrum())[:, 0]
+    return float(np.abs(values - target).max())
 
 
 #: A CSV row with "\0" standing for its t and s columns, then the sector
@@ -339,19 +350,14 @@ def verify_resolvent(
 _ROW = "\0%s,%.16e,%.16e," + f"{0.0:.16e}" + "\n"
 
 
-def write_kernel_csv(path, times: np.ndarray, blocks: np.ndarray, sectors: bool = False) -> None:
-    """Stream a sampled Hermitian kernel as CSV.
-
-    ``blocks[d]`` (shape (m, n, n)) is the block K(t_i, t_j) at lag
-    d = i - j >= 0; above the diagonal K(t_i, t_j) = blocks[j - i]^H, the
-    layout of :func:`_hermitian_toeplitz`.  Each of the 2m - 1 distinct
-    blocks is formatted once, as text with a placeholder for (t, s).  A
-    scalar kernel (n = 1, no sector columns) is written one t-row per
-    write; with ``sectors`` every row carries row_sector and col_sector,
-    and each (t, s) block is one write.  Output is deterministic: fixed
-    row order, 17-significant-digit lowercase scientific floats, LF line
-    endings.
-    """
+def write_kernel_csv(path, sampled: SampledKernel, sectors: bool = False) -> None:
+    """Stream a sampled kernel as CSV, formatting each of its 2m - 1
+    distinct blocks once, as text with a placeholder for (t, s).  A scalar
+    kernel is written one t-row per write; with ``sectors`` every row
+    carries row_sector and col_sector, and each (t, s) block is one write.
+    Output is deterministic: fixed row order, 17-significant-digit
+    lowercase scientific floats, LF line endings."""
+    blocks = sampled.blocks()
     m, n = blocks.shape[:2]
     keys = [f",{a},{b}" if sectors else "" for a in range(n) for b in range(n)]
 
@@ -360,7 +366,7 @@ def write_kernel_csv(path, times: np.ndarray, blocks: np.ndarray, sectors: bool 
 
     lower = [text(b) for b in blocks]
     upper = [text(b.conj().T) for b in blocks]
-    stamps = [f"{t:.16e}" for t in times.tolist()]
+    stamps = [f"{t:.16e}" for t in sampled.times().tolist()]
     columns = "t,s,row_sector,col_sector," if sectors else "t,s,"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(columns + "re_k,im_k,tail_bound\n")
@@ -373,11 +379,10 @@ def write_kernel_csv(path, times: np.ndarray, blocks: np.ndarray, sectors: bool 
                 fh.write(b.replace("\0", f"{t},{s}"))
 
 
-def export_kernel_csv(path, kernel: TwistedKernel, m: int) -> None:
-    """Write the closed-form kernel on the m-point grid as CSV.
-
-    Columns t, s, re_k, im_k, tail_bound (always 0), streamed from the m
-    lag values by :func:`write_kernel_csv`; the m x m grid is never formed.
-    """
-    times, lags = _lag_values(kernel, m)
-    write_kernel_csv(path, times, lags[:, None, None])
+def export_kernel_csv(path, kernel: TwistedKernel, m: int) -> SampledKernel:
+    """Write the closed-form kernel on the m-point grid as CSV and return
+    it: columns t, s, re_k, im_k, tail_bound (always 0), streamed from the m
+    lag values by :func:`write_kernel_csv`; the m x m grid is never formed."""
+    sampled = sample_kernels([kernel], kernel.beta, m)
+    write_kernel_csv(path, sampled)
+    return sampled

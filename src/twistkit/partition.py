@@ -149,6 +149,17 @@ def _truncated_geometric(y: complex, cutoff: int) -> complex:
     return acc
 
 
+def geometric_log_derivative(y: complex, cutoff: int) -> complex:
+    """S_N'(y)/S_N(y), S_N(y) = sum_{n=0}^{N} y^n, by one Horner pass that
+    carries the derivative: <alpha alpha*> of one oscillator truncated at N
+    with Boltzmann-and-twist weight y."""
+    acc = slope = 0.0 + 0.0j
+    for _ in range(cutoff + 1):
+        slope = acc + y * slope
+        acc = 1.0 + y * acc
+    return slope / acc
+
+
 def partition_trace(
     spectrum: ModeSpectrum,
     sym: Optional[SymmetrySpec],

@@ -26,10 +26,10 @@ import numpy as np
 
 from . import fock
 from .correlation import (
+    SampledKernel,
     TwistedKernel,
-    _hermitian_toeplitz,
-    _lag_values,
     kernel_twist_angle,
+    sample_kernels,
     write_kernel_csv,
 )
 from .errors import (
@@ -158,17 +158,16 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     return z.real
 
 
-@dataclass(frozen=True)
-class ExtendedKernelValue:
-    """Extended kernel at one (t, s): diagonal scalars and the block matrix."""
+def _eigenmode_kernels(ext: ExtendedSpectrum, beta: float) -> list[TwistedKernel]:
+    """The scalar twisted kernel of each doubled eigenmode, in the column
+    order of ``ext.eigenbasis``."""
+    return [
+        TwistedKernel(float(w), kernel_twist_angle(p), beta)
+        for w, p in zip(ext.doubled_omegas(), ext.phases)
+    ]
 
-    omegas: np.ndarray
-    phases: np.ndarray
-    diagonal: np.ndarray  # scalar kernel values in the eigenbasis
-    block: np.ndarray  # rotated back to the (conj-sector, sector) presentation
 
-
-def extended_kernel(ext: ExtendedSpectrum, beta: float, t: float, s: float) -> ExtendedKernelValue:
+def extended_kernel(ext: ExtendedSpectrum, beta: float, t: float, s: float) -> np.ndarray:
     """Extended pair-correlation kernel as a 2M x 2M block at (t, s).
 
     In the eigenbasis of the induced unitary the kernel is the direct sum
@@ -176,53 +175,30 @@ def extended_kernel(ext: ExtendedSpectrum, beta: float, t: float, s: float) -> E
     Off-diagonal (sector-mixing) entries are structurally zero for
     unitary inputs.
     """
-    omegas, phases, w_basis = ext.doubled_omegas(), ext.phases, ext.eigenbasis
-    diag = np.array(
-        [
-            TwistedKernel(float(w), kernel_twist_angle(p), beta)(t, s)
-            for w, p in zip(omegas, phases)
-        ]
-    )
-    block = (w_basis * diag) @ w_basis.conj().T
-    return ExtendedKernelValue(omegas=omegas, phases=phases, diagonal=diag, block=block)
+    diag = np.array([kern(t, s) for kern in _eigenmode_kernels(ext, beta)])
+    return (ext.eigenbasis * diag) @ ext.eigenbasis.conj().T
 
 
-def _lag_blocks(ext: ExtendedSpectrum, beta: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid times and the (m, 2M, 2M) extended kernel blocks at lags d >= 0.
-
-    Each doubled eigenmode j contributes a twisted-circulant scalar grid,
-    held as its m lag values V[:, j]; the block at lag d is
-    W diag(V[d]) W*, and K(t_i, t_k) is the block at lag i - k (its
-    adjoint above the diagonal).
-    """
-    if m < 1:
-        raise DomainError("grid size must be >= 1")
-    omegas, phases, w_basis = ext.doubled_omegas(), ext.phases, ext.eigenbasis
-    times = np.arange(m) * (beta / m)
-    lags = np.empty((m, ext.n_doubled), dtype=complex)
-    for j, (w, p) in enumerate(zip(omegas, phases)):
-        _, lags[:, j] = _lag_values(TwistedKernel(float(w), kernel_twist_angle(p), beta), m)
-    return times, np.einsum("aj,dj,bj->dab", w_basis, lags, w_basis.conj())
+def sample_extended_kernel(ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:
+    """The extended kernel on the m-point grid, positive definite for both
+    input kinds (discrete counterpart of the positivity of the extended
+    correlation operator)."""
+    return sample_kernels(_eigenmode_kernels(ext, beta), beta, m, ext.eigenbasis)
 
 
 def extended_kernel_grid(ext: ExtendedSpectrum, beta: float, m: int) -> np.ndarray:
-    """Sampled extended kernel: shape (m*2M, m*2M), index = (time, sector).
-
-    Hermitian; positive definite for both input kinds (discrete
-    counterpart of the positivity of the extended correlation operator).
-    """
-    return _hermitian_toeplitz(_lag_blocks(ext, beta, m)[1])
+    """Sampled extended kernel: shape (m*2M, m*2M), index = (time, sector)."""
+    return sample_extended_kernel(ext, beta, m).grid()
 
 
-def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int) -> None:
-    """Write the extended kernel on the m-point grid as CSV.
-
-    One row per (t, s, row_sector, col_sector), written one (t, s) block
-    at a time by :func:`twistkit.correlation.write_kernel_csv`; the
-    (m*2M)^2 grid is never formed.
-    """
-    times, blocks = _lag_blocks(ext, beta, m)
-    write_kernel_csv(path, times, blocks, sectors=True)
+def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:
+    """Write the extended kernel on the m-point grid as CSV and return it:
+    one row per (t, s, row_sector, col_sector), written one (t, s) block at
+    a time by :func:`twistkit.correlation.write_kernel_csv`; the (m*2M)^2
+    grid is never formed."""
+    sampled = sample_extended_kernel(ext, beta, m)
+    write_kernel_csv(path, sampled, sectors=True)
+    return sampled
 
 
 def field_coefficient_map(ext: ExtendedSpectrum, q: np.ndarray) -> np.ndarray:

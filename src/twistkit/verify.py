@@ -2,8 +2,10 @@
 
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
---verify`` render :func:`partition_row` and :func:`kernel_agreement`, the
-checks the suites of those names run.
+--verify`` render :func:`partition_row`, :func:`kernel_agreement` and
+:func:`kernel_positivity`, the checks the ``partition``, ``kernel`` and
+``realfield`` suites run.  Sampled kernels are checked through their
+twisted-circulant FFT spectra, never a dense grid.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` act with the matrix-free Fock oracle of
@@ -345,6 +347,29 @@ def kernel_agreement(
     return max(worst_oracle, worst_fourier - fourier_tail), checks
 
 
+def kernel_positivity(sampled: correlation.SampledKernel) -> CheckResult:
+    """Positive definiteness of a sampled kernel: max(0, -min lambda) over
+    the FFT spectra of its eigenmode grids, to which it is unitarily similar."""
+    scalar = sampled.lags.shape[1] == 1
+    suite, name = ("kernel", "sampled kernel") if scalar else ("realfield", "sampled extended kernel")
+    lowest = float(sampled.spectrum().min(initial=0.0))
+    return CheckResult(suite, f"{name} positive definite", max(0.0, -lowest), 0.0)
+
+
+def _aliasing_bound(nu: float, omega: float, h: float) -> float:
+    """The residual (nu^2 + omega^2) sum_{k != 0} 1/((nu + 2 pi k/h)^2 + omega^2)
+    of e^{i nu t} on the grid of spacing h, 0 <= nu h < 2 pi, with omega^2
+    dropped from the sum: with x = nu h/2, s = sin x/x and r = (x - sin x)/x^3
+    (a Taylor series where x - sin x cancels), (nu^2 + omega^2) h^2/4 r (1 + s)/s^2."""
+    x = 0.5 * nu * h
+    if x < 1.0:
+        r = sum((-x * x) ** (n - 1) / math.factorial(2 * n + 1) for n in range(1, 12))
+    else:
+        r = (x - math.sin(x)) / x**3
+    s = math.sin(x) / x if x else 1.0
+    return (nu * nu + omega * omega) * h * h / 4.0 * r * (1.0 + s) / (s * s)
+
+
 def suite_kernel(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
@@ -363,36 +388,20 @@ def suite_kernel(
     rng = np.random.default_rng(seed)
     points = [tuple(rng.uniform(0.0, beta, size=2)) for _ in range(20)]
     _, results = kernel_agreement(kern, rho, points)
-    grid = correlation.kernel_grid(kern, 32)
-    results.append(
-        CheckResult(
-            "kernel",
-            "sampled kernel Hermitian",
-            _max_abs(grid.matrix - grid.matrix.conj().T),
-            1e-10,
-        )
-    )
-    eigs = np.linalg.eigvalsh(grid.matrix)
-    results.append(
-        CheckResult("kernel", "sampled kernel positive definite", max(0.0, -float(eigs.min())), 0.0)
-    )
+    sampled = correlation.sample_kernels([kern], beta, 32)
+    # the gathered grid is conjugate-symmetric off the diagonal by construction
+    hermitian = 2.0 * abs(float(sampled.lags[0, 0].imag))
+    results.append(CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10))
+    results.append(kernel_positivity(sampled))
     m = 128
-    nu = (theta + 2.0 * math.pi * 0) / beta
-
-    def g(t_: float) -> complex:
-        return np.exp(1j * nu * t_)
-
-    def g2(t_: float) -> complex:
-        return -(nu**2) * np.exp(1j * nu * t_)
-
-    report = correlation.verify_resolvent(kern, g, g2, m=m)
+    nu = theta / beta
+    residual = correlation.verify_resolvent(
+        kern, lambda t: np.exp(1j * nu * t), lambda t: -(nu**2) * np.exp(1j * nu * t), m=m
+    )
+    # the 1e-12 is rounding, on a unit-modulus eigenmode
+    bound = _aliasing_bound(nu, kern.omega, beta / m) + 1e-12
     results.append(
-        CheckResult(
-            "kernel",
-            "resolvent residual on twisted eigenmode",
-            report.max_residual,
-            5.0 * (beta / m) ** 2,
-        )
+        CheckResult("kernel", "resolvent residual on twisted eigenmode", residual, bound)
     )
     return results
 
@@ -420,23 +429,14 @@ def suite_realfield(
         )
     )
     beta = 1.0
-    value = realfield.extended_kernel(ext, beta, 0.3, 0.1)
+    block = realfield.extended_kernel(ext, beta, 0.3, 0.1)
     m = len(spectrum)
-    off = max(_max_abs(value.block[:m, m:]), _max_abs(value.block[m:, :m])) if m else 0.0
+    off = max(_max_abs(block[:m, m:]), _max_abs(block[m:, :m])) if m else 0.0
     if sym.kind == UNITARY:
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
-    grid = realfield.extended_kernel_grid(ext, beta, 12)
-    eigs = np.linalg.eigvalsh(grid)
-    results.append(
-        CheckResult(
-            "realfield",
-            "sampled extended kernel positive definite",
-            max(0.0, -float(eigs.min())),
-            0.0,
-        )
-    )
+    results.append(kernel_positivity(realfield.sample_extended_kernel(ext, beta, 12)))
     report = realfield.real_field_checks(ext, sym, fock.oracle_cutoff(len(spectrum)), seed=seed)
     for key, dev in report.items():
         results.append(CheckResult("realfield", f"doubled-field oracle: {key}", dev, 1e-8))

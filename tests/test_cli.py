@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import math
@@ -233,6 +234,79 @@ class TestSharedChecksBite:
         assert not all(r.passed for r in verify.suite_kernel(spec, sym))
 
 
+def test_sampled_kernel_checks_read_the_fft_spectrum():
+    # positivity and the resolvent check use the twisted-circulant spectrum
+    # of the lag layout; the dense grids are test references only
+    source = inspect.getsource(verify) + inspect.getsource(correlation.verify_resolvent)
+    for name in ("eigvalsh", "kernel_grid(", "extended_kernel_grid(", ".grid()", " @ "):
+        assert name not in source, name
+    assert not hasattr(correlation, "KernelGrid") and "KernelGrid" not in twistkit.__all__
+    tree = ast.parse(inspect.getsource(realfield))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "correlation"
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
+    # the eigenmode kernels are built in one helper
+    assert inspect.getsource(realfield).count("TwistedKernel(") == 1
+
+
+class TestSampledKernelChecksBite:
+    """A wrong sampled kernel fails the suites and ``kernel --verify`` alike."""
+
+    @staticmethod
+    def failed(results, name):
+        (check,) = [r for r in results if r.name == name]
+        return not check.passed
+
+    @pytest.fixture
+    def indefinite(self, monkeypatch):
+        # Each eigenmode kernel minus its value at zero lag: a Hermitian grid
+        # with zero diagonal and trace 0, so it has eigenvalues of both signs.
+        closed = correlation.kernel_closed_form
+
+        def shifted(omega, theta, beta, t, s):
+            return closed(omega, theta, beta, t, s) - closed(omega, theta, beta, 0.0, 0.0).real
+
+        monkeypatch.setattr(correlation, "kernel_closed_form", shifted)
+
+    def test_indefinite_kernel_fails_the_suites(self, indefinite, minus_one_config, anti_config):
+        spec, sym = load_config(minus_one_config)
+        assert self.failed(verify.suite_kernel(spec, sym), "sampled kernel positive definite")
+        spec, sym = load_config(anti_config)
+        assert self.failed(
+            verify.suite_realfield(spec, sym), "sampled extended kernel positive definite"
+        )
+
+    def test_indefinite_kernel_fails_kernel_verify(self, indefinite, anti_config, tmp_path, capsys):
+        args = ["kernel", "--beta", "1", "--grid", "16", "--output", str(tmp_path / "k.csv")]
+        assert main(args + ["--verify"]) == 1
+        assert "[FAIL] kernel: sampled kernel positive definite" in capsys.readouterr().err
+        args += ["--config", anti_config, "--extended"]
+        assert main(args) == 0
+        assert main(args + ["--verify"]) == 1
+        err = capsys.readouterr().err
+        assert "[FAIL] realfield: sampled extended kernel positive definite" in err
+
+    def test_scaled_kernel_fails_the_resolvent_check(self, minus_one_config, monkeypatch):
+        closed = correlation.kernel_closed_form
+        monkeypatch.setattr(
+            correlation, "kernel_closed_form", lambda *args: (1.0 + 1e-6) * closed(*args)
+        )
+        spec, sym = load_config(minus_one_config)
+        assert self.failed(
+            verify.suite_kernel(spec, sym), "resolvent residual on twisted eigenmode"
+        )
+
+    @pytest.mark.parametrize("omega", [10.0, 1000.0])
+    def test_resolvent_check_passes_correct_kernels_at_large_omega(self, tmp_path, capsys, omega):
+        # the aliasing residual is about (nu^2 + omega^2) h^2/12, at any m
+        cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": omega}]})
+        assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
+
+
 class TestRangeExitCodes:
     """Results beyond the float range exit 4, failed internal checks exit 5."""
 
@@ -326,6 +400,25 @@ class TestKernelCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
         assert len(lines) == 1 + 4 * 4 * 16  # (t, s) pairs x 4x4 sector entries
+
+    def test_extended_verify_keeps_stdout(self, anti_config, tmp_path, capsys):
+        args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "6",
+                "--output", str(tmp_path / "ext.csv"), "--extended"]
+        assert main(args) == 0
+        plain = capsys.readouterr()
+        assert main(args + ["--verify"]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_extended_flag_exports_the_extended_kernel_of_a_unitary_config(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "ext.csv"
+        args = ["kernel", "--beta", "1", "--grid", "3", "--output", str(out), "--extended"]
+        assert main(args + ["--verify"]) == 0
+        assert capsys.readouterr().out == f"wrote extended kernel grid to {out}\n"
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
+        assert len(lines) == 1 + 3 * 3 * 16  # bundled config: 2 modes, 4 doubled sectors
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_empty_grid_exits_2(self, minus_one_config, anti_config, tmp_path, extended):

@@ -209,6 +209,29 @@ class TestKernelOracle:
             closed = co.kernel_closed_form(omega, theta, 1.0, t, s)
             assert abs(oracle - closed) <= 1e-12 * abs(closed)
 
+    def test_matches_high_precision_trace(self):
+        # Phase near -1 at small beta*omega: the truncated sums of 800 terms
+        # oscillate, so powers y**n taken one by one lose about 1e-9 here.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        omega, beta, rho, cutoff = 0.081, 0.244, cmath.exp(-2.48j), 800
+        t = beta / 2
+        w, x = mpmath.mpf(omega), mpmath.exp(-mpmath.mpf(beta) * omega)
+
+        def sums(y):
+            powers = [y**n for n in range(cutoff + 1)]
+            z = mpmath.fsum(powers)
+            create = mpmath.fsum(n * p for n, p in enumerate(powers)) / z
+            return create, mpmath.fsum((n + 1) * p for n, p in enumerate(powers[:-1])) / z
+
+        _, p_destroy = sums(mpmath.mpc(rho.real, rho.imag) * x)
+        m_create, _ = sums(mpmath.mpc(rho.real, -rho.imag) * x)
+        want = complex((mpmath.exp(w * t) * m_create + mpmath.exp(-w * t) * p_destroy) / (2 * w))
+        spec = validate_spectrum([("m", omega)])
+        sym = SymmetrySpec(kind="unitary", phases=(rho,))
+        got = co.kernel_oracle(spec, sym, beta, t, 0.0, cutoff)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
     def test_agrees_with_the_growing_factor_form(self):
         # The form that multiplied e^{omega |tau|} in, wherever it is finite
         # and the truncated geometric sums do not cancel (beta*omega >= 0.5).
@@ -247,14 +270,14 @@ class TestKernelOracle:
 class TestKernelGrid:
     def test_hermitian_and_positive_definite(self):
         grid = co.kernel_grid(co.TwistedKernel(1.1, 2.3, 1.0), 24)
-        assert np.abs(grid.matrix - grid.matrix.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(grid.matrix).min() > 0.0
+        assert np.abs(grid - grid.conj().T).max() < 1e-10
+        assert np.linalg.eigvalsh(grid).min() > 0.0
 
     def test_norm_bound(self):
         # discrete operator norm of C_beta is at most 1/(nu_min^2 + omega^2)
         omega, theta, beta = 0.8, 1.1, 1.4
         grid = co.kernel_grid(co.TwistedKernel(omega, theta, beta), 64)
-        op_norm = np.linalg.norm(grid.matrix, 2) * (beta / 64)
+        op_norm = np.linalg.norm(grid, 2) * (beta / 64)
         nu_min = min(abs(theta + 2.0 * math.pi * n) / beta for n in range(-2, 3))
         slack = 5.0 * (beta / 64) ** 2  # discretization error of the kinked kernel
         assert op_norm <= 1.0 / (nu_min**2 + omega**2) + slack
@@ -265,13 +288,23 @@ class TestKernelGrid:
     def test_twisted_circulant_matches_pointwise(self, m):
         omega, theta, beta = 0.9, 2.1, 1.3
         grid = co.kernel_grid(co.TwistedKernel(omega, theta, beta), m)
-        times = grid.times.tolist()
+        times = (np.arange(m) * (beta / m)).tolist()
         pointwise = np.array(
             [[co.kernel_closed_form(omega, theta, beta, t, s) for s in times] for t in times]
         )
-        assert np.abs(grid.matrix - pointwise).max() <= 1e-15 * np.abs(pointwise).max()
+        assert np.abs(grid - pointwise).max() <= 1e-15 * np.abs(pointwise).max()
         off = ~np.eye(m, dtype=bool)
-        assert np.array_equal(grid.matrix[off], grid.matrix.conj().T[off])
+        assert np.array_equal(grid[off], grid.conj().T[off])
+
+
+    @pytest.mark.parametrize("m", [8, 33, 64])
+    @pytest.mark.parametrize("theta", [0.0, 2.1, 5.9])
+    def test_fft_spectrum_matches_eigvalsh(self, m, theta):
+        kern = co.TwistedKernel(0.9, theta, 1.3)
+        spectrum = co.sample_kernels([kern], kern.beta, m).spectrum()
+        eigs = np.linalg.eigvalsh(co.kernel_grid(kern, m))
+        assert spectrum.shape == (m, 1)
+        assert np.abs(np.sort(spectrum[:, 0]) - eigs).max() <= 1e-13 * np.abs(eigs).max()
 
 
 class TestApplyInverse:
@@ -321,6 +354,16 @@ class TestApplyInverse:
         stencil = -(up - 2.0 * g + down) / h**2 + 1.1**2 * g
         assert np.abs(stencil - samples[:, 0]).max() < 60.0 * h**2
 
+    def test_huge_omega_gives_zero(self):
+        # nu^2 + omega^2 overflows; 1/omega^2 = 1e-600 is 0 in floats
+        out = co.apply_inverse(validate_spectrum([("a", 1e300)]), None, 1.0, np.ones((8, 1)))
+        assert out.shape == (8, 1) and not out.any()
+
+    def test_unrepresentable_value_raises_range_error(self):
+        # omega^2 underflows to 0 on the untwisted zero mode: the value 1e400 is not a float
+        with pytest.raises(RangeError):
+            co.apply_inverse(validate_spectrum([("a", 1e-200)]), None, 1.0, np.ones((8, 1)))
+
     def test_direct_sum_law(self):
         two = validate_spectrum([("a", 0.7), ("b", 1.9)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, -1.0 + 0j))
@@ -339,13 +382,13 @@ class TestVerifyResolvent:
         kern = co.TwistedKernel(1.0, 2.0, 1.0)
         nu = (2.0 + 2.0 * math.pi * 0) / 1.0
 
-        report = co.verify_resolvent(
+        residual = co.verify_resolvent(
             kern,
             lambda t: cmath.exp(1j * nu * t),
             lambda t: -(nu**2) * cmath.exp(1j * nu * t),
             m=128,
         )
-        assert report.max_residual <= 5.0 * (1.0 / 128) ** 2
+        assert residual <= 5.0 * (1.0 / 128) ** 2
 
     def test_smooth_compliant_function_converges(self):
         theta, beta, omega = 1.1, 1.0, 1.4
@@ -361,7 +404,7 @@ class TestVerifyResolvent:
                 -c * nu**2 * cmath.exp(1j * nu * t) for c, nu in zip(coeffs, nus)
             )
 
-        residuals = [co.verify_resolvent(kern, g, g2, m=m).max_residual for m in (32, 64, 128)]
+        residuals = [co.verify_resolvent(kern, g, g2, m=m) for m in (32, 64, 128)]
         orders = [
             math.log(r1 / r2) / math.log(2.0) for r1, r2 in zip(residuals, residuals[1:])
         ]
@@ -384,8 +427,7 @@ class TestVerifyResolvent:
         loop = max(
             abs((beta / m) * np.dot([kern(t, s) for s in times], source) - g(t)) for t in times
         )
-        report = co.verify_resolvent(kern, g, g2, m=m)
-        assert abs(report.max_residual - loop) <= 1e-13
+        assert abs(co.verify_resolvent(kern, g, g2, m=m) - loop) <= 1e-13
 
     def test_noncompliant_function_rejected(self):
         kern = co.TwistedKernel(1.0, 1.5, 1.0)
@@ -415,10 +457,11 @@ class TestCsvExport:
         p = tmp_path / "k.csv"
         co.export_kernel_csv(p, kern, m)
         grid = co.kernel_grid(kern, m)
+        times = np.arange(m) * (kern.beta / m)
         want = [
-            f"{t:.16e},{s:.16e},{grid.matrix[i, j].real:.16e},"
-            f"{grid.matrix[i, j].imag:.16e},{0.0:.16e}"
-            for i, t in enumerate(grid.times)
-            for j, s in enumerate(grid.times)
+            f"{t:.16e},{s:.16e},{grid[i, j].real:.16e},"
+            f"{grid[i, j].imag:.16e},{0.0:.16e}"
+            for i, t in enumerate(times)
+            for j, s in enumerate(times)
         ]
         assert p.read_text().splitlines()[1:] == want

@@ -164,21 +164,21 @@ class TestExtendedKernel:
     def test_unitary_off_diagonal_vanishes(self):
         s = validate_spectrum([("a", 1.0), ("b", 1.5)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, -1.0 + 0j))
-        value = rf.extended_kernel(rf.extend(s, sym), 1.0, 0.4, 0.1)
+        block = rf.extended_kernel(rf.extend(s, sym), 1.0, 0.4, 0.1)
         m = 2
-        assert np.abs(value.block[:m, m:]).max() < 1e-12
-        assert np.abs(value.block[m:, :m]).max() < 1e-12
+        assert np.abs(block[:m, m:]).max() < 1e-12
+        assert np.abs(block[m:, :m]).max() < 1e-12
 
     def test_conjugation_off_diagonal_combination(self):
         # +-1 eigenphases rotate into (K_0 +- K_pi)/2 blocks
         s = validate_spectrum([("k0", 1.1)])
         ext = rf.extend(s, conjugation_sym("k0"))
         beta, t, time_s = 1.0, 0.7, 0.2
-        value = rf.extended_kernel(ext, beta, t, time_s)
+        block = rf.extended_kernel(ext, beta, t, time_s)
         k0 = co.TwistedKernel(1.1, 0.0, beta)(t, time_s)
         kpi = co.TwistedKernel(1.1, math.pi, beta)(t, time_s)
-        assert abs(value.block[0, 1] - (k0 - kpi) / 2.0) < 1e-12
-        assert abs(value.block[0, 0] - (k0 + kpi) / 2.0) < 1e-12
+        assert abs(block[0, 1] - (k0 - kpi) / 2.0) < 1e-12
+        assert abs(block[0, 0] - (k0 + kpi) / 2.0) < 1e-12
 
     def test_sampled_grid_positive_definite_both_kinds(self):
         s = validate_spectrum([("a", 0.8)])
@@ -197,8 +197,17 @@ class TestExtendedKernel:
         grid = rf.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
         for i in range(m):
             for k in range(m):
-                block = rf.extended_kernel(ext, beta, i * beta / m, k * beta / m).block
+                block = rf.extended_kernel(ext, beta, i * beta / m, k * beta / m)
                 assert np.abs(grid[i, :, k, :] - block).max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [7, 12])
+    def test_fft_spectrum_matches_eigvalsh(self, m):
+        spec, sym = random_antiunitary(np.random.default_rng(7), 1, 1)
+        ext = rf.extend(spec, sym)
+        spectrum = rf.sample_extended_kernel(ext, 1.1, m).spectrum()
+        eigs = np.linalg.eigvalsh(rf.extended_kernel_grid(ext, 1.1, m))
+        assert spectrum.shape == (m, ext.n_doubled)
+        assert np.abs(np.sort(spectrum.ravel()) - eigs).max() <= 1e-13 * np.abs(eigs).max()
 
     def test_csv_rows_are_grid_entries(self, tmp_path):
         spec, sym = random_antiunitary(np.random.default_rng(6), 1, 1)
