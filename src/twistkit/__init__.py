@@ -56,6 +56,7 @@ _EXPORTS = {
         "SampledKernel",
         "TwistedKernel",
         "apply_inverse",
+        "grid_spectrum",
         "kernel_closed_form",
         "kernel_fourier",
         "kernel_grid",

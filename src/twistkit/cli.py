@@ -3,16 +3,19 @@
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
 twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`
 (``partition`` and ``kernel --verify`` run the suites' own checks); this
-module only renders them; ``kernel --verify`` checks the positivity of
-the exported grid on either route.  Exit codes: 0 success, 1 assertion failure, 2
+module only renders them; ``kernel --verify`` ties the exported lag
+values to the closed-form grid spectrum and checks its positivity on
+either route.  Exit codes: 0 success, 1 assertion failure, 2
 parse, usage or out-of-domain input, 3 capacity exceeded, 4 a result
 outside the float range (RangeError), 5 an internal consistency check
 failed.  All numeric output uses fixed 17-significant-digit lowercase
 scientific formatting so identical inputs produce byte-identical output.
 
-``partition`` and ``spectrum gen`` import no numpy: ``kernel`` alone loads
-:mod:`twistkit.correlation` and :mod:`twistkit.realfield`, and
-:mod:`twistkit.verify` imports numpy inside its dense suites only.
+``partition``, ``spectrum gen`` and ``kernel`` without ``--extended``
+(with or without ``--verify``) import no numpy: :mod:`twistkit.correlation`
+loads it only where a basis mixes the kernel or an FFT runs,
+``kernel --extended`` loads it through :mod:`twistkit.realfield`, and
+:mod:`twistkit.verify` imports it inside its dense suites only.
 """
 
 from __future__ import annotations
@@ -99,12 +102,14 @@ def _select_mode(spectrum: ModeSpectrum, label: Optional[str]) -> tuple[str, flo
 
 
 def _cmd_kernel(args) -> int:
-    from . import correlation, realfield  # numpy; see the module docstring
+    from . import correlation
 
     spectrum, sym = _load(args.config)
     beta = args.beta
     checks = []
     if args.extended:
+        from . import realfield  # numpy; see the module docstring
+
         ext = realfield.extend(spectrum, sym)
         sampled = realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
         print(f"wrote extended kernel grid to {args.output}")
@@ -132,7 +137,7 @@ def _cmd_kernel(args) -> int:
             worst, checks = verify.kernel_agreement(kern, rho, points)
             print(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
-        checks.append(verify.kernel_positivity(sampled))
+        checks += [verify.sampled_spectrum_check(sampled), verify.kernel_positivity(sampled)]
     return _report_failures(checks)
 
 

@@ -13,12 +13,20 @@ the lag: K(t_i, t_j) = v[i - j] for i >= j, with v[d] = K(d*beta/m, 0),
 and K(t_j, t_i) = conj K(t_i, t_j).  It is twisted-circulant, D C D*
 with C circulant and D = diag(e^{i*theta*t/beta}) (R. M. Gray, Toeplitz
 and Circulant Matrices: A Review, 2006).  A :class:`SampledKernel` holds
-these m closed-form values per eigenmode kernel, plus the basis that
-mixes them (a scalar kernel has none), and the grid, the CSV export and
-the spectrum derive from that layout.  One twisted FFT (strip the
-carrier, multiply the FFT coefficients, restore the carrier) gives the
-spectrum and applies the grid in :func:`verify_resolvent` and C_beta in
+these m closed-form values per eigenmode kernel as Python numbers, with
+each kernel's omega and theta, plus the basis that mixes them (a scalar
+kernel has none), and the grid, the CSV export and the spectrum derive
+from that layout.  The spectrum has a closed form,
+:func:`grid_spectrum`, positive for every twist.  One twisted FFT (strip
+the carrier, multiply the FFT coefficients, restore the carrier) applies
+the sampled grid in :func:`verify_resolvent` and C_beta in
 :func:`apply_inverse`.
+
+numpy is imported lazily, inside the functions that need it: mixing a
+basis, the dense :meth:`SampledKernel.grid`, :func:`apply_inverse` and
+:func:`verify_resolvent`.  The closed form, the Fourier and Fock-trace
+oracles, the sampled layout of a scalar kernel, its spectrum and the CSV
+writer run on ``math`` and ``cmath`` alone.
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -31,10 +39,9 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import ConfigError, DomainError, KindError, PreconditionError, RangeError
 from .partition import geometric_log_derivative
@@ -45,6 +52,9 @@ from .spectrum import (
     check_alignment,
     principal_angle,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Frozen twist-sign convention: the kernel produced by a unitary symmetry
 #: phase rho is K_theta with theta = (-arg rho) mod 2pi.  This is pinned by
@@ -116,6 +126,34 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
     return value
 
 
+#: The last coefficient table of :func:`kernel_fourier`, keyed by (omega,
+#: theta, beta, n_cutoff): a check evaluates one kernel at many points.
+_fourier_memo: list = [None, None]
+
+
+def _fourier_coefficients(
+    omega: float, theta: float, beta: float, n_cutoff: int
+) -> tuple[float, array, array]:
+    """a_n = 1/(nu_n^2 + omega^2): a_0, then a_n and a_-n for n = n_cutoff down to 1."""
+    key = (omega, theta, beta, n_cutoff)
+    if _fourier_memo[0] != key:
+        w2 = omega * omega  # not **: a square beyond the float range is inf, its term 0
+
+        def coeff(n: int) -> float:
+            nu = (theta + 2.0 * math.pi * n) / beta
+            denom = nu * nu + w2
+            if not denom:
+                raise RangeError(
+                    f"Fourier term at omega={omega}, beta={beta} is outside the float range"
+                )
+            return 1.0 / denom
+
+        ns = range(n_cutoff, 0, -1)
+        table = (coeff(0), array("d", map(coeff, ns)), array("d", [coeff(-n) for n in ns]))
+        _fourier_memo[:] = [key, table]
+    return _fourier_memo[1]
+
+
 def kernel_fourier(
     omega: float, theta: float, beta: float, t: float, s: float, n_cutoff: int
 ) -> tuple[complex, float]:
@@ -126,16 +164,28 @@ def kernel_fourier(
     the dropped |n| > n_cutoff terms (valid for n_cutoff >= 2).  This is
     an independent oracle for the closed form (the ``kernel`` verify suite
     and ``twistkit kernel --verify``); no production path evaluates it.
-    A term whose nu_n^2 + omega^2 overflows (omega above about 1e154) is
-    below the float range and counts as 0, not as an OverflowError.
+
+    With z = e^{2 pi i tau/beta}, e^{i*nu_n*tau} = e^{i theta tau/beta} z^n,
+    so the sum is a_0 + z P(z) + conj(z) Q(conj(z)), with P and Q the
+    Horner sums of the real coefficients a_n = 1/(nu_n^2 + omega^2) for
+    n >= 1 and n <= -1; the phase e^{i theta tau/beta} is restored at the
+    end.  The n-th term's phase is rounded by about |n| eps, as when each
+    e^{i nu_n tau} is taken on its own.  A term whose nu_n^2 + omega^2
+    overflows (omega above about 1e154) is below the float range and counts
+    as 0, not as an OverflowError; one whose denominator underflows to 0
+    raises RangeError.
     """
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
-    ns = np.arange(-n_cutoff, n_cutoff + 1)
-    nu = (theta + 2.0 * math.pi * ns) / beta
-    with np.errstate(over="ignore"):
-        denominators = nu**2 + np.float64(omega) ** 2
-    value = complex(np.sum(np.exp(1j * nu * (t - s)) / denominators) / beta)
+    a_0, ups, downs = _fourier_coefficients(omega, theta, beta, n_cutoff)
+    tau = t - s
+    z = cmath.exp(2j * math.pi * tau / beta)
+    zc = z.conjugate()
+    up = down = 0j
+    for a_up, a_down in zip(ups, downs):
+        up = up * z + a_up
+        down = down * zc + a_down
+    value = (a_0 + z * up + zc * down) * cmath.exp(1j * theta * tau / beta) / beta
     tail = beta / (2.0 * math.pi**2 * max(n_cutoff - 1, 1))
     return value, tail
 
@@ -190,43 +240,107 @@ def kernel_oracle(
     return value
 
 
+#: 2*pi - float(2*pi): with it, theta - 2*pi near 0 keeps its relative accuracy.
+_TWO_PI_LO = 2.4492935982947064e-16
+
+
+def grid_spectrum(omega: float, theta: float, beta: float, m: int) -> list[float]:
+    """The m eigenvalues of K_theta sampled on the m-point grid, in closed form.
+
+    The grid is twisted-circulant; its n-th eigenvalue, n = 0..m-1, is the
+    aliasing sum (1/h) sum_{k = n mod m} 1/(nu_k^2 + omega^2), h = beta/m,
+    which the partial-fraction expansion of coth sums to
+
+        lambda_n = sinh(omega h) / (4 omega (sinh^2(omega h/2) + s_n^2)),
+        s_n = sin((theta + 2 pi n)/(2m)),
+
+    positive for every twist.  s_n is taken at the signed index n - m where
+    2n + theta/pi > m, which leaves s_n^2 unchanged and keeps the argument
+    in (-pi/2, pi/2], away from the cancellation near pi; at index -1,
+    theta - 2*pi is formed with the low part of 2*pi.  With a = omega h/2 it
+    is evaluated as (h/4) (sinh(2a)/2a) / (sinh(a)^2 + s_n^2) for a <= 1 and
+    as coth(a) / (2 omega (1 + (s_n/sinh a)^2)) above, where sinh(2a) may
+    overflow; every step adds or multiplies positive terms.  RangeError
+    where an eigenvalue is beyond the float range.
+    """
+    h = beta / m
+    a = 0.5 * omega * h
+    if a <= 1.0:
+        scale = 0.25 * h * (math.sinh(2.0 * a) / (2.0 * a) if a else 1.0)
+        sinh2 = math.sinh(a) * math.sinh(a)
+    else:
+        grow = -math.expm1(-2.0 * a)  # 1 - e^{-2a}
+        coth, inv_sinh = (2.0 - grow) / grow, 2.0 * math.exp(-a) / grow
+    out = []
+    for n in range(m):
+        k = n - m if 2 * n + theta / math.pi > m else n
+        s = math.sin((theta + 2.0 * math.pi * k + _TWO_PI_LO * k) / (2 * m))
+        if a <= 1.0:
+            denom = sinh2 + s * s
+            value = scale / denom if denom else math.inf
+        else:
+            r = s * inv_sinh
+            value = coth / (2.0 * omega * (1.0 + r * r))
+        if not math.isfinite(value):
+            raise RangeError(
+                f"sampled spectrum at omega={omega}, theta={theta}, beta={beta} "
+                "is outside the float range"
+            )
+        out.append(value)
+    return out
+
+
 @dataclass(frozen=True)
 class SampledKernel:
     """A Hermitian kernel on the grid t_j = j*beta/m, as the lag values of
-    its eigenmode kernels: lags[d, k] = K_k(d*beta/m, 0), with twist angle
-    thetas[k].  The block K(t_i, t_j) at lag d = i - j >= 0 is
-    basis diag(lags[d]) basis*, its adjoint above the diagonal.  A scalar
-    kernel has one column and the basis [[1]]; the extended kernel has one
-    per doubled eigenmode and the basis ``ext.eigenbasis``."""
+    its eigenmode kernels: lags[d][k] = K_k(d*beta/m, 0), the kernel of
+    frequency omegas[k] and twist angle thetas[k].  The block K(t_i, t_j)
+    at lag d = i - j >= 0 is basis diag(lags[d]) basis*, its adjoint above
+    the diagonal.  A scalar kernel has one column and no basis (the
+    identity); the extended kernel has one per doubled eigenmode and the
+    basis ``ext.eigenbasis``."""
 
     beta: float
-    thetas: np.ndarray = field(repr=False)  # (n,)
-    lags: np.ndarray = field(repr=False)  # (m, n)
-    basis: np.ndarray = field(repr=False)  # (n, n) unitary
+    omegas: tuple[float, ...]
+    thetas: tuple[float, ...]
+    lags: tuple[tuple[complex, ...], ...] = field(repr=False)  # m rows of n
+    basis: Optional[np.ndarray] = field(default=None, repr=False)  # (n, n) unitary
 
-    def times(self) -> np.ndarray:
-        m = self.lags.shape[0]
-        return np.arange(m) * (self.beta / m)
+    def times(self) -> list[float]:
+        m = len(self.lags)
+        return [j * (self.beta / m) for j in range(m)]
 
-    def blocks(self) -> np.ndarray:
-        """The (m, n, n) blocks at lags d >= 0."""
-        return np.einsum("aj,dj,bj->dab", self.basis, self.lags, self.basis.conj())
+    def blocks(self) -> list[list[complex]]:
+        """The n x n blocks at lags d >= 0, each flattened row by row."""
+        if self.basis is None:
+            n = len(self.thetas)
+            return [[row[a] if a == b else 0j for a in range(n) for b in range(n)]
+                    for row in self.lags]
+        import numpy as np
+
+        basis = self.basis
+        mixed = np.einsum("aj,dj,bj->dab", basis, np.array(self.lags, dtype=complex), basis.conj())
+        return mixed.reshape(len(self.lags), -1).tolist()
 
     def grid(self) -> np.ndarray:
         """The dense (m*n, m*n) matrix, index (time, sector), gathered by one
         copy from a strided view of the 2m - 1 distinct blocks."""
-        blocks = self.blocks()
-        m, n = blocks.shape[:2]
+        import numpy as np
+
+        m, n = len(self.lags), len(self.thetas)
+        blocks = np.array(self.blocks(), dtype=complex).reshape(m, n, n)
         # both[m-1 + d] is the block at lag d = i - j, for -m < d < m
         both = np.concatenate([blocks[:0:-1].conj().swapaxes(1, 2), blocks])
         view = np.lib.stride_tricks.sliding_window_view(both, m, axis=0)[..., ::-1]
         return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
 
-    def spectrum(self) -> np.ndarray:
-        """The grid's eigenvalues, shape (m, n): the grid is unitarily similar
+    def spectrum(self) -> list[list[float]]:
+        """The grid's eigenvalues, m rows of n: the grid is unitarily similar
         to the direct sum of the eigenmode grids D C D*, and column k is the
-        FFT of the k-th one's carrier-stripped lag values."""
-        return _twisted_fft(self.lags, self.thetas).real
+        closed form :func:`grid_spectrum` of the k-th one."""
+        m = len(self.lags)
+        columns = [grid_spectrum(w, th, self.beta, m) for w, th in zip(self.omegas, self.thetas)]
+        return [list(row) for row in zip(*columns)]
 
 
 def _twisted_fft(
@@ -234,6 +348,8 @@ def _twisted_fft(
 ) -> np.ndarray:
     """fft(values / carrier) down the columns, carrier[j, k] = e^{i*thetas[k]*j/m};
     given a multiplier, carrier * ifft(multiplier * fft(values / carrier))."""
+    import numpy as np
+
     carrier = np.exp(1j * np.outer(np.arange(values.shape[0]) / values.shape[0], thetas))
     coeffs = np.fft.fft(values / carrier, axis=0)
     if multiplier is None:
@@ -245,14 +361,15 @@ def sample_kernels(
     kernels: Sequence[TwistedKernel], beta: float, m: int, basis: Optional[np.ndarray] = None
 ) -> SampledKernel:
     """The direct sum of ``kernels`` (all at ``beta``), mixed by ``basis``
-    (default: the identity), from m closed-form lag values per kernel."""
+    (default: none, the identity), from m closed-form lag values per kernel."""
     if m < 1:
         raise DomainError("grid size must be >= 1")
-    lags = [[kernel_closed_form(k.omega, k.theta, beta, d * (beta / m), 0.0) for k in kernels]
-            for d in range(m)]
-    thetas = np.array([k.theta for k in kernels])
-    basis = np.eye(len(kernels)) if basis is None else basis
-    return SampledKernel(beta, thetas, np.array(lags, dtype=complex), basis)
+    lags = tuple(
+        tuple(kernel_closed_form(k.omega, k.theta, beta, d * (beta / m), 0.0) for k in kernels)
+        for d in range(m)
+    )
+    omegas = tuple(k.omega for k in kernels)
+    return SampledKernel(beta, omegas, tuple(k.theta for k in kernels), lags, basis)
 
 
 def kernel_grid(kernel: TwistedKernel, m: int) -> np.ndarray:
@@ -273,6 +390,8 @@ def apply_inverse(
     :func:`kernel_twist_angle` of the symmetry phase, and the twisted FFT
     multiplies coefficient n by 1/(nu_n^2 + omega^2).
     """
+    import numpy as np
+
     if sym is not None and sym.kind != UNITARY:
         raise KindError("apply_inverse takes a unitary (or absent) twist")
     samples = np.asarray(samples, dtype=complex)
@@ -307,8 +426,9 @@ def verify_resolvent(
     g_second: Callable[[float], complex],
     m: int = 256,
 ) -> float:
-    """Quadrature check that the kernel inverts (-d^2/ds^2 + omega^2): the
-    largest residual |C_beta(-g'' + omega^2 g) - g| on the m-point grid.
+    """Quadrature check that the sampled kernel inverts (-d^2/ds^2 +
+    omega^2): the largest residual |C_beta(-g'' + omega^2 g) - g| on the
+    m-point grid.
 
     ``g`` must satisfy the twisted boundary condition g(beta) =
     e^{i*theta} g(0) together with the same condition on g'; compliance is
@@ -316,9 +436,16 @@ def verify_resolvent(
     a noncompliant test function raises PreconditionError.  g' is probed
     by one-sided second-order finite differences.  Uses the uniform
     rectangle rule (the trapezoid rule for the twisted-periodic
-    integrand), so eigenmode residuals scale as (beta/m)^2.  The grid acts
-    as carrier * ifft(lambda * fft(source / carrier)), lambda its spectrum.
+    integrand), so eigenmode residuals scale as (beta/m)^2; on the
+    eigenmode e^{i nu t}, nu = theta/beta, the residual is exactly
+    |h lambda_0 (nu^2 + omega^2) - 1| with lambda_0 = grid_spectrum(...)[0].
+    The grid acts as carrier * ifft(lambda * fft(source / carrier)), lambda
+    the FFT of its carrier-stripped lag values.  RangeError where the
+    source -g'' + omega^2 g is beyond the float range (omega^2 overflows
+    from omega ~ 1e154 on).
     """
+    import numpy as np
+
     beta, theta, omega = kernel.beta, kernel.theta, kernel.omega
     twist = cmath.exp(1j * theta)
     scale = max(abs(g(0.0)), abs(g(0.5 * beta)), 1e-30)
@@ -339,9 +466,15 @@ def verify_resolvent(
         )
     sampled = sample_kernels([kernel], beta, m)
     times = sampled.times()
-    source = np.array([[-g_second(s) + omega**2 * g(s)] for s in times])
-    target = np.array([g(float(t)) for t in times])
-    values = (beta / m) * _twisted_fft(source, sampled.thetas, sampled.spectrum())[:, 0]
+    w2 = omega * omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = np.array([[-g_second(s) + w2 * g(s)] for s in times])
+    if not np.isfinite(source).all():
+        raise RangeError(f"resolvent source at omega={omega} is outside the float range")
+    target = np.array([g(t) for t in times])
+    thetas = np.array(sampled.thetas)
+    lam = _twisted_fft(np.array(sampled.lags, dtype=complex), thetas).real
+    values = (beta / m) * _twisted_fft(source, thetas, lam)[:, 0]
     return float(np.abs(values - target).max())
 
 
@@ -358,15 +491,16 @@ def write_kernel_csv(path, sampled: SampledKernel, sectors: bool = False) -> Non
     Output is deterministic: fixed row order, 17-significant-digit
     lowercase scientific floats, LF line endings."""
     blocks = sampled.blocks()
-    m, n = blocks.shape[:2]
+    m, n = len(blocks), len(sampled.thetas)
     keys = [f",{a},{b}" if sectors else "" for a in range(n) for b in range(n)]
+    transpose = [b * n + a for a in range(n) for b in range(n)]
 
-    def text(block: np.ndarray) -> str:
-        return "".join([_ROW % (k, z.real, z.imag) for k, z in zip(keys, block.ravel().tolist())])
+    def text(block: list[complex]) -> str:
+        return "".join([_ROW % (k, z.real, z.imag) for k, z in zip(keys, block)])
 
     lower = [text(b) for b in blocks]
-    upper = [text(b.conj().T) for b in blocks]
-    stamps = [f"{t:.16e}" for t in sampled.times().tolist()]
+    upper = [text([b[i].conjugate() for i in transpose]) for b in blocks]
+    stamps = [f"{t:.16e}" for t in sampled.times()]
     columns = "t,s,row_sector,col_sector," if sectors else "t,s,"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(columns + "re_k,im_k,tail_bound\n")

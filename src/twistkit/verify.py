@@ -2,10 +2,13 @@
 
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
---verify`` render :func:`partition_row`, :func:`kernel_agreement` and
-:func:`kernel_positivity`, the checks the ``partition``, ``kernel`` and
-``realfield`` suites run.  Sampled kernels are checked through their
-twisted-circulant FFT spectra, never a dense grid.
+--verify`` render :func:`partition_row`, :func:`kernel_agreement`,
+:func:`sampled_spectrum_check` and :func:`kernel_positivity`, the checks
+the ``partition``, ``kernel`` and ``realfield`` suites run.  Sampled
+kernels are checked through the closed-form spectra of their
+twisted-circulant eigenmode grids, never a dense grid: positivity reads
+the closed form, and a pure-Python transform of the exported lag values
+ties them to it.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` act with the matrix-free Fock oracle of
@@ -17,26 +20,31 @@ two exact checks (threshold 0) probe where no rounding enters, a basis
 state and the all-ones state.  The inner-product checks of TC and U use
 seeded unit states on the sub-cutoff block.
 
-Only the dense suites and :func:`kernel_agreement` import numpy and the
-Fock, kernel and doubled-field modules, inside the functions that use them,
-so :class:`CheckResult`, :data:`SUITES`, :func:`run_suite` and
-:func:`partition_row` load on ``math`` alone.
+Only the dense suites import numpy and the Fock and doubled-field
+modules, inside the functions that use them, so :class:`CheckResult`,
+:data:`SUITES`, :func:`run_suite`, :func:`partition_row` and the sampled
+kernel checks of a scalar kernel run on ``math`` alone.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import partition
-from .errors import ConfigError, DomainError, KindError
+from .errors import ConfigError, DomainError, KindError, RangeError
 from .spectrum import ANTIUNITARY, UNITARY, ModeSpectrum, SymmetrySpec, validate_spectrum
 
 if TYPE_CHECKING:
     import numpy as np
 
     from . import correlation, fock
+
+#: Machine epsilon, 2^-52.
+_EPS = sys.float_info.epsilon
 
 SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
 
@@ -347,27 +355,68 @@ def kernel_agreement(
     return max(worst_oracle, worst_fourier - fourier_tail), checks
 
 
+def _sampled_suite(sampled: correlation.SampledKernel) -> tuple[str, str]:
+    """(suite, noun) of a sampled kernel's checks: scalar or extended."""
+    if len(sampled.thetas) == 1:
+        return "kernel", "sampled kernel"
+    return "realfield", "sampled extended kernel"
+
+
+def _lag_transform(lags: list[complex], theta: float) -> list[float]:
+    """Re sum_j v_j e^{-i theta j/m} e^{-2 pi i j n/m} for n = 0..m-1, by
+    Horner's rule in z_n = e^{-2 pi i n/m}, taken at the signed index n - m
+    for 2n > m so that its angle lies in [-pi, pi]."""
+    m = len(lags)
+    stripped = [v * cmath.rect(1.0, -theta * j / m) for j, v in enumerate(lags)]
+    stripped.reverse()
+    out = []
+    for n in range(m):
+        z = cmath.rect(1.0, -2.0 * math.pi * (n - m if 2 * n > m else n) / m)
+        acc = 0j
+        for c in stripped:
+            acc = acc * z + c
+        out.append(acc.real)
+    return out
+
+
+def sampled_spectrum_check(sampled: correlation.SampledKernel) -> CheckResult:
+    """The exported lag values against the closed-form grid spectrum.
+
+    Per eigenmode column with lag values v_0..v_{m-1} and twist theta, the
+    eigenvalues of the twisted-circulant grid those values define, Re sum_j
+    v_j e^{-i theta j/m} e^{-2 pi i j n/m}, against
+    :meth:`~twistkit.correlation.SampledKernel.spectrum` at the same n.
+    The deviation is the largest difference relative to sum_j |v_j|.  The
+    threshold 8 (m + 2) eps is a first-order rounding bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, 3.1 and 5.1):
+    Horner's rule in complex arithmetic, about 3 m eps, on a z_n rounded by
+    up to pi eps in angle, whose powers add up to pi m eps; the carrier
+    product and the lag values themselves, a few eps; the closed form, at
+    most 16 eps of max lambda <= sum_j |v_j|.
+    """
+    suite, _ = _sampled_suite(sampled)
+    m = len(sampled.lags)
+    spectrum = sampled.spectrum()
+    worst = 0.0
+    for k, theta in enumerate(sampled.thetas):
+        lags = [row[k] for row in sampled.lags]
+        total = math.fsum(abs(v) for v in lags)
+        if not math.isfinite(total):
+            raise RangeError("sampled kernel lag values sum beyond the float range")
+        for n, value in enumerate(_lag_transform(lags, theta)):
+            err = abs(value - spectrum[n][k])
+            worst = max(worst, err / total if total else err)
+    return CheckResult(suite, "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS)
+
+
 def kernel_positivity(sampled: correlation.SampledKernel) -> CheckResult:
     """Positive definiteness of a sampled kernel: max(0, -min lambda) over
-    the FFT spectra of its eigenmode grids, to which it is unitarily similar."""
-    scalar = sampled.lags.shape[1] == 1
-    suite, name = ("kernel", "sampled kernel") if scalar else ("realfield", "sampled extended kernel")
-    lowest = float(sampled.spectrum().min(initial=0.0))
-    return CheckResult(suite, f"{name} positive definite", max(0.0, -lowest), 0.0)
-
-
-def _aliasing_bound(nu: float, omega: float, h: float) -> float:
-    """The residual (nu^2 + omega^2) sum_{k != 0} 1/((nu + 2 pi k/h)^2 + omega^2)
-    of e^{i nu t} on the grid of spacing h, 0 <= nu h < 2 pi, with omega^2
-    dropped from the sum: with x = nu h/2, s = sin x/x and r = (x - sin x)/x^3
-    (a Taylor series where x - sin x cancels), (nu^2 + omega^2) h^2/4 r (1 + s)/s^2."""
-    x = 0.5 * nu * h
-    if x < 1.0:
-        r = sum((-x * x) ** (n - 1) / math.factorial(2 * n + 1) for n in range(1, 12))
-    else:
-        r = (x - math.sin(x)) / x**3
-    s = math.sin(x) / x if x else 1.0
-    return (nu * nu + omega * omega) * h * h / 4.0 * r * (1.0 + s) / (s * s)
+    the closed-form spectra of its eigenmode grids, to which it is
+    unitarily similar; :func:`sampled_spectrum_check` ties them to the lag
+    values."""
+    suite, noun = _sampled_suite(sampled)
+    lowest = min(min(row) for row in sampled.spectrum())
+    return CheckResult(suite, f"{noun} positive definite", max(0.0, -lowest), 0.0)
 
 
 def suite_kernel(
@@ -390,16 +439,21 @@ def suite_kernel(
     _, results = kernel_agreement(kern, rho, points)
     sampled = correlation.sample_kernels([kern], beta, 32)
     # the gathered grid is conjugate-symmetric off the diagonal by construction
-    hermitian = 2.0 * abs(float(sampled.lags[0, 0].imag))
+    hermitian = 2.0 * abs(sampled.lags[0][0].imag)
     results.append(CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10))
-    results.append(kernel_positivity(sampled))
+    results += [sampled_spectrum_check(sampled), kernel_positivity(sampled)]
     m = 128
     nu = theta / beta
     residual = correlation.verify_resolvent(
         kern, lambda t: np.exp(1j * nu * t), lambda t: -(nu**2) * np.exp(1j * nu * t), m=m
     )
-    # the 1e-12 is rounding, on a unit-modulus eigenmode
-    bound = _aliasing_bound(nu, kern.omega, beta / m) + 1e-12
+    # The eigenmode residual is exactly |h lambda_0 (nu^2 + omega^2) - 1|.
+    # The source carries a few eps of rounding per sample, which the grid
+    # (norm h max lambda) amplifies: 16 eps R, R = h max lambda (nu^2 + omega^2),
+    # covers it and the closed form's own rounding (measured: 3.5 eps R).
+    h, w2 = beta / m, nu * nu + kern.omega * kern.omega
+    lam = correlation.grid_spectrum(kern.omega, theta, beta, m)
+    bound = abs(h * lam[0] * w2 - 1.0) + 16 * _EPS * h * max(lam) * w2
     results.append(
         CheckResult("kernel", "resolvent residual on twisted eigenmode", residual, bound)
     )
@@ -436,7 +490,8 @@ def suite_realfield(
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
-    results.append(kernel_positivity(realfield.sample_extended_kernel(ext, beta, 12)))
+    sampled = realfield.sample_extended_kernel(ext, beta, 12)
+    results += [sampled_spectrum_check(sampled), kernel_positivity(sampled)]
     report = realfield.real_field_checks(ext, sym, fock.oracle_cutoff(len(spectrum)), seed=seed)
     for key, dev in report.items():
         results.append(CheckResult("realfield", f"doubled-field oracle: {key}", dev, 1e-8))

@@ -136,3 +136,15 @@ def trace_rounding(spectrum, beta, cutoff):
         sum(math.exp(-beta * w * n) for n in range(cutoff + 1)) ** 2 for w in spectrum.omegas
     )
     return 64 * np.finfo(float).eps * untwisted
+
+
+def kernel_fourier(omega, theta, beta, t, s, n_cutoff):
+    """The twisted Fourier partial sum (1/beta) sum_{|n| <= N} e^{i nu_n (t-s)}
+    / (nu_n^2 + omega^2), term by term in numpy, and the sum of the moduli of
+    its terms."""
+    ns = np.arange(-n_cutoff, n_cutoff + 1)
+    nu = (theta + 2.0 * math.pi * ns) / beta
+    with np.errstate(over="ignore"):
+        denominators = nu**2 + np.float64(omega) ** 2
+    value = complex(np.sum(np.exp(1j * nu * (t - s)) / denominators) / beta)
+    return value, float(np.sum(1.0 / denominators) / beta)

@@ -14,6 +14,7 @@ import twistkit
 from twistkit import cli, correlation, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum
+from test_golden import assert_matches
 
 LN2 = math.log(2.0)
 
@@ -140,6 +141,22 @@ def test_spectrum_gen_runs_without_numpy(tmp_path):
     assert len(json.loads((tmp_path / "circle.json").read_text())["modes"]) == 101
 
 
+@pytest.mark.parametrize("verify_flag", [[], ["--verify"]])
+def test_scalar_kernel_runs_without_numpy(tmp_path, verify_flag):
+    argv = ["kernel", "--beta", "1", "--grid", "33", "--output", str(tmp_path / "k.csv")]
+    assert _loads_numpy(argv + verify_flag) is False
+    assert len(Path(tmp_path / "k.csv").read_text().splitlines()) == 1 + 33 * 33
+
+
+def test_extended_kernel_loads_numpy_and_matches_its_golden(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    out = tmp_path / "ext.csv"
+    argv = ["kernel", "--config", str(golden / "anti_pair_fixed.json"), "--extended",
+            "--grid", "4", "--beta", "1", "--output", str(out)]
+    assert _loads_numpy(argv) is True
+    assert_matches(out.read_text(), (golden / "kernel_extended_anti.csv").read_text(), "csv")
+
+
 def _loads_numpy(argv):
     """Run ``cli.main(argv)`` in a fresh interpreter; whether numpy got loaded."""
     code = ("import sys; from twistkit.cli import main; "
@@ -235,8 +252,11 @@ class TestSharedChecksBite:
 
 
 def test_sampled_kernel_checks_read_the_fft_spectrum():
-    # positivity and the resolvent check use the twisted-circulant spectrum
-    # of the lag layout; the dense grids are test references only
+    # positivity reads the closed-form grid spectrum, which the spectrum check
+    # ties to the exported lag values; the dense grids are test references only
+    assert "sampled.spectrum()" in inspect.getsource(verify.kernel_positivity)
+    assert "grid_spectrum(" in inspect.getsource(correlation.SampledKernel.spectrum)
+    assert "_twisted_fft" not in inspect.getsource(correlation.SampledKernel)
     source = inspect.getsource(verify) + inspect.getsource(correlation.verify_resolvent)
     for name in ("eigvalsh", "kernel_grid(", "extended_kernel_grid(", ".grid()", " @ "):
         assert name not in source, name
@@ -256,6 +276,8 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
 class TestSampledKernelChecksBite:
     """A wrong sampled kernel fails the suites and ``kernel --verify`` alike."""
 
+    SPECTRUM = "sampled spectrum vs closed form"
+
     @staticmethod
     def failed(results, name):
         (check,) = [r for r in results if r.name == name]
@@ -264,7 +286,8 @@ class TestSampledKernelChecksBite:
     @pytest.fixture
     def indefinite(self, monkeypatch):
         # Each eigenmode kernel minus its value at zero lag: a Hermitian grid
-        # with zero diagonal and trace 0, so it has eigenvalues of both signs.
+        # with zero diagonal and trace 0, so it has eigenvalues of both signs,
+        # none of them the closed form's.
         closed = correlation.kernel_closed_form
 
         def shifted(omega, theta, beta, t, s):
@@ -274,21 +297,18 @@ class TestSampledKernelChecksBite:
 
     def test_indefinite_kernel_fails_the_suites(self, indefinite, minus_one_config, anti_config):
         spec, sym = load_config(minus_one_config)
-        assert self.failed(verify.suite_kernel(spec, sym), "sampled kernel positive definite")
+        assert self.failed(verify.suite_kernel(spec, sym), self.SPECTRUM)
         spec, sym = load_config(anti_config)
-        assert self.failed(
-            verify.suite_realfield(spec, sym), "sampled extended kernel positive definite"
-        )
+        assert self.failed(verify.suite_realfield(spec, sym), self.SPECTRUM)
 
     def test_indefinite_kernel_fails_kernel_verify(self, indefinite, anti_config, tmp_path, capsys):
         args = ["kernel", "--beta", "1", "--grid", "16", "--output", str(tmp_path / "k.csv")]
         assert main(args + ["--verify"]) == 1
-        assert "[FAIL] kernel: sampled kernel positive definite" in capsys.readouterr().err
+        assert f"[FAIL] kernel: {self.SPECTRUM}" in capsys.readouterr().err
         args += ["--config", anti_config, "--extended"]
         assert main(args) == 0
         assert main(args + ["--verify"]) == 1
-        err = capsys.readouterr().err
-        assert "[FAIL] realfield: sampled extended kernel positive definite" in err
+        assert f"[FAIL] realfield: {self.SPECTRUM}" in capsys.readouterr().err
 
     def test_scaled_kernel_fails_the_resolvent_check(self, minus_one_config, monkeypatch):
         closed = correlation.kernel_closed_form
@@ -302,9 +322,28 @@ class TestSampledKernelChecksBite:
 
     @pytest.mark.parametrize("omega", [10.0, 1000.0])
     def test_resolvent_check_passes_correct_kernels_at_large_omega(self, tmp_path, capsys, omega):
-        # the aliasing residual is about (nu^2 + omega^2) h^2/12, at any m
+        # the residual is |h lambda_0 (nu^2 + omega^2) - 1| up to rounding, at any m
         cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": omega}]})
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
+
+    def test_resolvent_source_beyond_the_float_range_exits_4(self, tmp_path, capsys):
+        # omega^2 = 1e600: the check's source -g'' + omega^2 g is not a float
+        cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e300}]})
+        assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 4
+        assert "outside the float range" in capsys.readouterr().err
+
+    def test_tiny_omega_grid_is_positive_definite(self, tmp_path, capsys, recwarn):
+        # omega = 1e-12: max lambda ~ 1.6e25, and an FFT of the lag values
+        # rounds the smallest eigenvalue (0.0156) to -5e8; the closed form does not
+        cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e-12}]})
+        main(["verify", "--config", cfg, "--suite", "kernel"])
+        out = capsys.readouterr().out
+        assert "[pass] kernel: sampled kernel positive definite" in out
+        assert f"[pass] kernel: {self.SPECTRUM}" in out
+        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "16", "--extended",
+                "--verify", "--output", str(tmp_path / "k.csv")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestRangeExitCodes:

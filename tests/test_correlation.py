@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dense
-from twistkit import correlation as co, partition
+from twistkit import correlation as co, partition, verify
 from twistkit.errors import DomainError, PreconditionError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -31,6 +31,9 @@ def dense_kernel_oracle(spec, sym, beta, t, s, cutoff):
     phi, phibar = field(t, False), field(s, True)
     ordered = phibar @ phi if t >= s else phi @ phibar
     return complex(np.trace(ordered @ twist) / np.trace(twist))
+
+
+EPS = np.finfo(float).eps
 
 
 class TestKernelTwistAngle:
@@ -72,6 +75,21 @@ class TestKernelFourier:
         val, tail = co.kernel_fourier(omega, 0.5, 1.0, 0.25, 0.0, 100)
         assert abs(val) <= 1e-300
         assert abs(val - co.kernel_closed_form(omega, 0.5, 1.0, 0.25, 0.0)) <= tail
+
+    def test_horner_form_matches_the_termwise_sum(self):
+        # Either form rounds the phase of term n by about |n| eps, so the two
+        # differ by at most 2 N eps times the sum of the moduli of the terms
+        # (measured: under 0.01 N eps of it).
+        rng = np.random.default_rng(21)
+        n_cutoff = 4000
+        for _ in range(40):
+            omega = math.exp(rng.uniform(math.log(0.05), math.log(3000.0)))
+            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            t, s = (float(x) for x in rng.uniform(0.0, beta, size=2))
+            got, _ = co.kernel_fourier(omega, theta, beta, t, s, n_cutoff)
+            want, total = dense.kernel_fourier(omega, theta, beta, t, s, n_cutoff)
+            assert abs(got - want) <= 2 * n_cutoff * EPS * total
 
     def test_hermitian_termwise(self):
         val_ts, _ = co.kernel_fourier(1.3, 0.9, 1.1, 0.2, 0.8, 300)
@@ -301,10 +319,79 @@ class TestKernelGrid:
     @pytest.mark.parametrize("theta", [0.0, 2.1, 5.9])
     def test_fft_spectrum_matches_eigvalsh(self, m, theta):
         kern = co.TwistedKernel(0.9, theta, 1.3)
-        spectrum = co.sample_kernels([kern], kern.beta, m).spectrum()
+        spectrum = np.array(co.sample_kernels([kern], kern.beta, m).spectrum())
         eigs = np.linalg.eigvalsh(co.kernel_grid(kern, m))
         assert spectrum.shape == (m, 1)
         assert np.abs(np.sort(spectrum[:, 0]) - eigs).max() <= 1e-13 * np.abs(eigs).max()
+
+
+def unreduced_grid_spectrum(omega, theta, beta, m):
+    """The closed form as first written: sin((theta + 2 pi n)/(2m)) at n itself."""
+    h = beta / m
+    return [
+        math.sinh(omega * h)
+        / (4 * omega * (math.sinh(omega * h / 2) ** 2 + math.sin((theta + 2 * math.pi * n) / (2 * m)) ** 2))
+        for n in range(m)
+    ]
+
+
+class TestGridSpectrum:
+    @staticmethod
+    def worst_relative_error(spectrum_fn, draws):
+        """Largest error per eigenvalue, in eps, against 40-digit arithmetic."""
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for omega, theta, beta, m in draws:
+                w, h = mpmath.mpf(omega), mpmath.mpf(beta) / m
+                for n, got in enumerate(spectrum_fn(omega, theta, beta, m)):
+                    s = mpmath.sin((mpmath.mpf(theta) + 2 * mpmath.pi * n) / (2 * m))
+                    want = mpmath.sinh(w * h) / (4 * w * (mpmath.sinh(w * h / 2) ** 2 + s**2))
+                    worst = max(worst, float(abs(got - want) / want) / EPS)
+        return worst
+
+    def test_accurate_near_a_full_turn(self):
+        # theta near 2 pi puts (theta + 2 pi n)/(2m) near pi at n = m - 1, where
+        # the sine cancels unless it is taken at the signed index n - m
+        rng = np.random.default_rng(31)
+        draws = [
+            (10 ** rng.uniform(-3.0, 0.5), 2 * math.pi - 10 ** rng.uniform(-6.0, -1.0), 1.0, 384)
+            for _ in range(12)
+        ]
+        assert self.worst_relative_error(co.grid_spectrum, draws) <= 16.0
+        assert self.worst_relative_error(unreduced_grid_spectrum, draws) > 16.0
+
+    def test_accurate_over_the_range(self):
+        rng = np.random.default_rng(32)
+        draws = [
+            (10 ** rng.uniform(-3.0, 2.5), rng.uniform(0.0, 2 * math.pi),
+             rng.uniform(0.25, 4.0), int(rng.integers(1, 385)))
+            for _ in range(12)
+        ]
+        draws += [(1e-12, 0.0, 1.0, 16), (1e3, 0.7, 1.0, 8), (1e300, 5.9, 1.0, 4)]
+        assert self.worst_relative_error(co.grid_spectrum, draws) <= 16.0
+
+    def test_tiny_omega_minimum(self):
+        # the FFT of these lag values rounds this eigenvalue to about -5.4e8
+        assert min(co.grid_spectrum(1e-12, 0.0, 1.0, 16)) == pytest.approx(1.0 / 64, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "omega, theta, beta, m",
+        [(1.3, 0.7, 1.0, 33), (0.081, 2.48, 0.244, 64), (10.0, 0.0, 1.0, 128),
+         (3.0, 5.9, 2.0, 384), (1e-3, 0.0, 1.0, 16), (1e-12, 0.0, 1.0, 16),
+         (0.05, 2 * math.pi - 1e-5, 1.0, 200), (1e300, 1.0, 1.0, 8)],
+    )
+    def test_transform_of_the_lag_values_agrees(self, omega, theta, beta, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sampled = co.sample_kernels([co.TwistedKernel(omega, theta, beta)], beta, m)
+        check = verify.sampled_spectrum_check(sampled)
+        assert check.passed, check
+
+    def test_spectrum_out_of_range_raises_range_error(self):
+        # lambda_0 ~ 1/(omega^2 h) = 1e320 at omega = 1e-160
+        with pytest.raises(RangeError):
+            co.grid_spectrum(1e-160, 0.0, 1.0, 1)
 
 
 class TestApplyInverse:

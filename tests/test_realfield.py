@@ -204,7 +204,7 @@ class TestExtendedKernel:
     def test_fft_spectrum_matches_eigvalsh(self, m):
         spec, sym = random_antiunitary(np.random.default_rng(7), 1, 1)
         ext = rf.extend(spec, sym)
-        spectrum = rf.sample_extended_kernel(ext, 1.1, m).spectrum()
+        spectrum = np.array(rf.sample_extended_kernel(ext, 1.1, m).spectrum())
         eigs = np.linalg.eigvalsh(rf.extended_kernel_grid(ext, 1.1, m))
         assert spectrum.shape == (m, ext.n_doubled)
         assert np.abs(np.sort(spectrum.ravel()) - eigs).max() <= 1e-13 * np.abs(eigs).max()
