@@ -29,6 +29,7 @@ CASES = {
     "partition_default": ["partition", *BETAS],
     "partition_anti": ["partition", "--config", ANTI, *BETAS],
     "verify_default": ["verify", "--suite", "all"],
+    "verify_anti": ["verify", "--config", ANTI, "--suite", "all"],
     "kernel_default": ["kernel", "--grid", "8", "--beta", "1", "--output", "{output}"],
     "kernel_extended_anti": [
         "kernel", "--config", ANTI, "--extended", "--grid", "4", "--beta", "1",
