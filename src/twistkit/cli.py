@@ -40,10 +40,10 @@ from .errors import (
     RangeError,
 )
 from .spectrum import (
-    ANTIUNITARY,
     ModeSpectrum,
     load_config,
     parse_config,
+    slot_action,
     spectrum_to_config,
     twisted_circle_spectrum,
 )
@@ -105,6 +105,7 @@ def _cmd_kernel(args) -> int:
     from . import correlation
 
     spectrum, sym = _load(args.config)
+    action = slot_action(spectrum, sym)
     beta = args.beta
     checks = []
     if args.extended:
@@ -113,7 +114,7 @@ def _cmd_kernel(args) -> int:
         ext = realfield.extend(spectrum, sym)
         sampled = realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
         print(f"wrote extended kernel grid to {args.output}")
-    elif sym is not None and sym.kind == ANTIUNITARY:
+    elif not action.diagonal:
         print(
             "error: antiunitary symmetry requires --extended "
             "(kernel is defined on the doubled space)",
@@ -122,9 +123,7 @@ def _cmd_kernel(args) -> int:
         return PARSE_FAILURE
     else:
         label, omega = _select_mode(spectrum, args.mode)
-        rho = 1.0 + 0.0j
-        if sym is not None:
-            rho = complex(sym.phases[spectrum.labels.index(label)])
+        rho = action.phases[2 * spectrum.labels.index(label)]
         kern = correlation.TwistedKernel(omega, correlation.kernel_twist_angle(rho), beta)
         sampled = correlation.export_kernel_csv(args.output, kern, args.grid)
         print(f"wrote {args.grid * args.grid} kernel samples to {args.output}")

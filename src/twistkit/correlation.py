@@ -45,13 +45,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import ConfigError, DomainError, KindError, PreconditionError, RangeError
 from .partition import geometric_log_derivative
-from .spectrum import (
-    UNITARY,
-    ModeSpectrum,
-    SymmetrySpec,
-    check_alignment,
-    principal_angle,
-)
+from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
 
 if TYPE_CHECKING:
     import numpy as np
@@ -216,13 +210,10 @@ def kernel_oracle(
     """
     if len(spectrum) != 1:
         raise ConfigError("kernel_oracle is defined for single-mode spectra")
-    if sym is not None and sym.kind != UNITARY:
+    action = slot_action(spectrum, sym)
+    if not action.diagonal:
         raise KindError("kernel_oracle takes a unitary (or absent) twist")
-    if sym is not None:
-        check_alignment(spectrum, sym)
-        rho = complex(sym.phases[0])
-    else:
-        rho = 1.0 + 0.0j
+    rho = action.phases[0]
     if not (0.0 <= t <= beta and 0.0 <= s <= beta):
         raise DomainError("t and s must lie in [0, beta]")
     omega = spectrum.omegas[0]
@@ -392,16 +383,13 @@ def apply_inverse(
     """
     import numpy as np
 
-    if sym is not None and sym.kind != UNITARY:
+    action = slot_action(spectrum, sym)
+    if not action.diagonal:
         raise KindError("apply_inverse takes a unitary (or absent) twist")
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 2 or samples.shape[1] != len(spectrum):
         raise ConfigError("samples must have shape (grid, #modes)")
-    if sym is not None:
-        check_alignment(spectrum, sym)
-        thetas = np.array([kernel_twist_angle(p) for p in sym.phases])
-    else:
-        thetas = np.zeros(len(spectrum))
+    thetas = np.array([kernel_twist_angle(p) for p in action.phases[::2]])
     m = samples.shape[0]
     if m < 1:
         raise ConfigError("grid must be nonempty")
@@ -483,13 +471,14 @@ def verify_resolvent(
 _ROW = "\0%s,%.16e,%.16e," + f"{0.0:.16e}" + "\n"
 
 
-def write_kernel_csv(path, sampled: SampledKernel, sectors: bool = False) -> None:
+def write_kernel_csv(path, sampled: SampledKernel) -> None:
     """Stream a sampled kernel as CSV, formatting each of its 2m - 1
     distinct blocks once, as text with a placeholder for (t, s).  A scalar
-    kernel is written one t-row per write; with ``sectors`` every row
-    carries row_sector and col_sector, and each (t, s) block is one write.
-    Output is deterministic: fixed row order, 17-significant-digit
-    lowercase scientific floats, LF line endings."""
+    kernel (no basis) is written one t-row per write; a kernel with a basis
+    carries row_sector and col_sector on every row, and each (t, s) block
+    is one write.  Output is deterministic: fixed row order,
+    17-significant-digit lowercase scientific floats, LF line endings."""
+    sectors = sampled.basis is not None
     blocks = sampled.blocks()
     m, n = len(blocks), len(sampled.thetas)
     keys = [f",{a},{b}" if sectors else "" for a in range(n) for b in range(n)]

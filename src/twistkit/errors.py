@@ -14,7 +14,8 @@ class ConfigError(TwistkitError):
 
 
 class KindError(TwistkitError):
-    """A symmetry of the wrong kind (unitary vs antiunitary) was supplied."""
+    """A route that needs one phase per mode (a diagonal slot action) got a
+    symmetry that moves slots, such as an antiunitary pairing."""
 
 
 class CapacityError(TwistkitError):

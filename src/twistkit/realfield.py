@@ -197,7 +197,7 @@ def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int)
     a time by :func:`twistkit.correlation.write_kernel_csv`; the (m*2M)^2
     grid is never formed."""
     sampled = sample_extended_kernel(ext, beta, m)
-    write_kernel_csv(path, sampled, sectors=True)
+    write_kernel_csv(path, sampled)
     return sampled
 
 
@@ -235,16 +235,12 @@ def real_time_field(
 
 
 def real_field_checks(
-    ext: ExtendedSpectrum,
-    sym: SymmetrySpec,
-    cutoff: int,
-    seed: int = 0,
-    t: float = 0.37,
+    ext: ExtendedSpectrum, sym: SymmetrySpec, cutoff: int, seed: int = 0
 ) -> dict[str, float]:
     """Fock-oracle verification of the doubled-field structure.
 
-    Returns the largest sub-cutoff deviation of each identity, checked on
-    seeded states supported on the sub-cutoff block: adjoint covariance
+    Returns the largest sub-cutoff deviation of each identity at t = 0.37,
+    on seeded states supported on the sub-cutoff block: adjoint covariance
     psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>; the
     equal-time commutator [psi, psi] = 0; the canonical pair
     [psi, d/dt psi] = i<Jq, r>; the creation/annihilation commutator
@@ -257,6 +253,7 @@ def real_field_checks(
     q = rng.normal(size=n) + 1j * rng.normal(size=n)
     r = rng.normal(size=n) + 1j * rng.normal(size=n)
     v = space.random_state(rng)
+    t = 0.37
 
     def act(field: np.ndarray, state: np.ndarray, subcutoff: bool = False) -> np.ndarray:
         return fock.apply_field(space, field, state, subcutoff)

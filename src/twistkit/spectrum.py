@@ -11,7 +11,7 @@ operator, either as per-mode unit phases (unitary case) or as an involutive
 mode pairing with unit phases (antiunitary case, acting as
 ``V(sum c_k e_k) = sum conj(c_k) eta_k e_{pi(k)}``).
 Both kinds are normalized once, here, into a :class:`SlotAction`, which is
-the only form the Fock action, the traces, Z and the doubled eigenbasis read.
+the only form every route outside this module reads.
 """
 
 from __future__ import annotations
@@ -132,11 +132,17 @@ class SlotAction:
     state n goes to prod_s phases[s]**n[s] times the state whose slot t holds
     n[source[t]]; an antiunitary twist moves + slots onto - slots.  Only
     states constant on each cycle are fixed, so every trace is a product
-    over the cycles.
+    over the cycles.  A missing symmetry is the identity action.
     """
 
     source: tuple[int, ...]
     phases: tuple[complex, ...]
+
+    @property
+    def diagonal(self) -> bool:
+        """Each slot keeps its own occupation: the twist is one phase per
+        mode, rho_k = phases[2k], as for a unitary symmetry or none."""
+        return all(s == t for t, s in enumerate(self.source))
 
     @cached_property
     def cycles(self) -> list[tuple[int, int, complex]]:

@@ -20,6 +20,11 @@ two exact checks (threshold 0) probe where no rounding enters, a basis
 state and the all-ones state.  The inner-product checks of TC and U use
 seeded unit states on the sub-cutoff block.
 
+Routes and checks choose their path from the symmetry's
+:class:`~twistkit.spectrum.SlotAction`, not its kind (the scalar kernel
+needs a diagonal one), except the ``symmetry`` suite: its rules, read from
+the raw phases and pairing, are what the normal form is checked against.
+
 Only the dense suites import numpy and the Fock and doubled-field
 modules, inside the functions that use them, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row` and the sampled
@@ -36,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import partition
 from .errors import ConfigError, DomainError, KindError, RangeError
-from .spectrum import ANTIUNITARY, UNITARY, ModeSpectrum, SymmetrySpec, validate_spectrum
+from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -233,7 +238,9 @@ def suite_symmetry(
     v = space.random_state(rng)
     uv = u(v)
     for k, lbl in enumerate(spectrum.labels):
-        # U alpha U* = c beta, as U alpha v = c beta U v
+        # U alpha U* = c beta, as U alpha v = c beta U v.  The rule is read
+        # from the raw config, per kind, never from sym.action: this suite
+        # is what catches a broken slot-action normal form.
         if sym.kind == UNITARY:
             expected = fock.creation(space, "+", lbl) * sym.phases[k]
             name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
@@ -247,14 +254,6 @@ def suite_symmetry(
     return results
 
 
-#: Name of the twisted partition check and its slack on top of the tail
-#: bound, by symmetry kind; both kinds share one closed form and one trace.
-_TWISTED_ROUTE = {
-    UNITARY: ("unitary product formula", 1e-10),
-    ANTIUNITARY: ("antiunitary square-root identity", 1e-8),
-}
-
-
 def partition_row(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float, cutoff: int
 ) -> tuple[tuple[float, ...], list[CheckResult]]:
@@ -263,27 +262,30 @@ def partition_row(
     Columns: beta, z_untwisted, z_twisted, lower_bound, oracle_z, rel_err,
     tail_bound (the untwisted one).  Checks: each closed-form Z against its
     truncated trace at ``cutoff`` (compared as complex numbers, within the
-    route's tail bound plus a per-kind slack), and for a unitary twist the
-    positivity lower bound.
+    route's tail bound plus 1e-10), and for every twist the positivity
+    lower bound, which holds cycle by cycle.  The twisted check is named
+    "unitary product formula" for a diagonal slot action, "antiunitary
+    square-root identity" otherwise.
     """
-    z_plain = partition.z_untwisted(spectrum, beta)
+    z = z_plain = partition.z_untwisted(spectrum, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
     tail = partition.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
     trace = partition.partition_trace(spectrum, None, beta, cutoff)
     # (route, closed form, truncated trace, threshold)
-    routes = [("untwisted product formula", z_plain, trace, tail + 1e-10)]
+    routes = [("untwisted product formula", z, trace, tail + 1e-10)]
     if sym is not None:
-        name, slack = _TWISTED_ROUTE[sym.kind]
+        diagonal = slot_action(spectrum, sym).diagonal
+        name = "unitary product formula" if diagonal else "antiunitary square-root identity"
+        z = partition.z_twisted(spectrum, sym, beta)
         trace = partition.partition_trace(spectrum, sym, beta, cutoff)
         twisted_tail = partition.twisted_tail_bound(spectrum, beta, cutoff)
-        routes.append((name, partition.z_twisted(spectrum, sym, beta), trace, twisted_tail + slack))
+        routes.append((name, z, trace, twisted_tail + 1e-10))
     checks = [
         CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, threshold)
         for name, value, oracle, threshold in routes
     ]
-    _, z, trace, _ = routes[-1]
     rel = checks[-1].deviation
-    if sym is not None and sym.kind == UNITARY:
+    if sym is not None:
         positivity = max(0.0, bound - z)
         checks.append(CheckResult("partition", "twist positivity lower bound", positivity, 1e-14 * z))
     return (beta, z_plain, z, bound, trace.real, rel, tail), checks
@@ -299,7 +301,7 @@ def suite_partition(
     beta = 1.0
     columns, results = partition_row(spectrum, sym, beta, cutoff=40)
     z = columns[2]
-    if sym is not None and sym.kind == ANTIUNITARY:
+    if not slot_action(spectrum, sym).diagonal:
         ext = realfield.extend(spectrum, sym)
         z_rf = realfield.z_via_realfield(ext, beta)
         results.append(
@@ -428,9 +430,10 @@ def suite_kernel(
 
     if len(spectrum) == 0:
         return [CheckResult("kernel", "empty-spectrum (vacuous)", 0.0, 0.0)]
-    if sym is not None and sym.kind != UNITARY:
+    action = slot_action(spectrum, sym)
+    if not action.diagonal:
         raise KindError("kernel suite needs a unitary (or absent) symmetry")
-    rho = complex(sym.phases[0]) if sym is not None else 1.0 + 0.0j
+    rho = action.phases[0]
     beta = 1.0
     theta = correlation.kernel_twist_angle(rho)
     kern = correlation.TwistedKernel(spectrum.omegas[0], theta, beta)
@@ -483,10 +486,10 @@ def suite_realfield(
         )
     )
     beta = 1.0
-    block = realfield.extended_kernel(ext, beta, 0.3, 0.1)
-    m = len(spectrum)
-    off = max(_max_abs(block[:m, m:]), _max_abs(block[m:, :m])) if m else 0.0
-    if sym.kind == UNITARY:
+    if slot_action(spectrum, sym).diagonal:
+        block = realfield.extended_kernel(ext, beta, 0.3, 0.1)
+        m = len(spectrum)
+        off = max(_max_abs(block[:m, m:]), _max_abs(block[m:, :m]))
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
@@ -522,7 +525,7 @@ def run_suite(
     for suite_name, func in _SUITE_FUNCS.items():
         if sym is None and suite_name in ("symmetry", "realfield"):
             continue
-        if sym is not None and sym.kind == ANTIUNITARY and suite_name == "kernel":
+        if suite_name == "kernel" and not slot_action(spectrum, sym).diagonal:
             continue
         results.extend(func(spectrum, sym, seed=seed))
     return results

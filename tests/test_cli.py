@@ -559,6 +559,24 @@ def test_symmetry_kinds_are_normalized_in_one_place():
             assert name not in source, (module.__name__, name)
     for name in ("z_twisted_unitary", "z_twisted_antiunitary", "antiunitary_partition_trace"):
         assert not hasattr(twistkit, name) and name not in twistkit.__all__
+    # correlation, cli and verify choose their routes from the slot action
+    # too.  suite_symmetry is left out: its expected rules are written from
+    # the raw phases and pairing, per kind, so that a broken normal form
+    # fails it instead of agreeing with itself (TestNormalFormIsNotCircular).
+    raw_rule = inspect.getsource(verify.suite_symmetry)
+    # the one-mode spec kernel_agreement hands kernel_oracle, whose
+    # (spectrum, sym, ...) signature the benchmark's checks call
+    single = "single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))"
+    assert single in inspect.getsource(verify.kernel_agreement)
+    for module in (correlation, cli, verify):
+        source = inspect.getsource(module).replace(raw_rule, "")
+        for name in (".kind", "ANTIUNITARY"):
+            assert name not in source, (module.__name__, name)
+        uses = [
+            line.strip() for line in source.splitlines()
+            if "UNITARY" in line and not line.lstrip().startswith("from ")
+        ]
+        assert uses == ([single] if module is verify else []), module.__name__
 
 
 class TestVerifyCommand:

@@ -6,17 +6,19 @@ form, so a broken normalization cannot pass by agreeing with itself.
 """
 
 import cmath
+import json
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense
-from twistkit import fock, partition, realfield, verify
-from twistkit.cli import _load
-from twistkit.errors import InternalConsistencyError
-from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
+from twistkit import correlation, fock, partition, realfield, verify
+from twistkit.cli import _load, main
+from twistkit.errors import InternalConsistencyError, KindError
+from twistkit.spectrum import SlotAction, SymmetrySpec, parse_config, slot_action, validate_spectrum
 
 ANTI_GOLDEN = str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
 
@@ -60,6 +62,15 @@ class TestNormalForm:
     def test_computed_once(self):
         sym = SymmetrySpec(kind="unitary", phases=(1j,))
         assert sym.action is sym.action
+
+    def test_diagonal_is_one_phase_per_mode(self):
+        spec = validate_spectrum([("k0", 0.8), ("k1", 0.8)])
+        rho = (1j, cmath.exp(0.4j))
+        assert slot_action(spec, SymmetrySpec(kind="unitary", phases=rho)).diagonal
+        assert slot_action(spec, None).diagonal  # no symmetry: the identity
+        assert not slot_action(spec, anti(rho, [1, 0])).diagonal
+        assert not slot_action(spec, anti(rho, [0, 1])).diagonal  # fixed modes swap charges
+        assert not SlotAction((2, 0, 1, 3), (1j,) * 4).diagonal
 
 
 @st.composite
@@ -171,3 +182,53 @@ class TestNormalFormIsNotCircular:
         assert np.abs(realfield.extend(spec, sym).induced - ref).max() > 0.1
         # a unitary twist has only 1-cycles, where the transpose changes nothing
         assert self.suite_fails(ANTI_GOLDEN)
+
+
+class TestRoutesReadTheAction:
+    """Routes choose their path from the slot action, not from the kind."""
+
+    def test_scalar_kernel_routes_refuse_a_twist_that_moves_slots(self):
+        single = validate_spectrum([("k0", 0.8)])
+        sym = anti((1j,), [0])  # one fixed mode: + and - charges swap
+        with pytest.raises(KindError):
+            correlation.kernel_oracle(single, sym, 1.0, 0.3, 0.1, 40)
+        with pytest.raises(KindError):
+            correlation.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
+        with pytest.raises(KindError):
+            verify.suite_kernel(single, sym)
+        assert main(["verify", "--config", ANTI_GOLDEN, "--suite", "kernel"]) == 2
+
+    def test_antiunitary_positivity_bound_bites(self, monkeypatch, capsys):
+        def below_bound(spectrum, sym, beta):
+            return partition.positivity_lower_bound(spectrum, beta) * (1.0 - 1e-6)
+
+        monkeypatch.setattr(partition, "z_twisted", below_bound)
+        assert main(["partition", "--config", ANTI_GOLDEN, "--beta", "1"]) == 1
+        assert "[FAIL] partition: twist positivity lower bound" in capsys.readouterr().err
+
+    def test_zero_mode_antiunitary_config_reads_as_unitary(self, tmp_path, capsys):
+        # With no modes the pairing moves no slot, so the empty action is
+        # diagonal: the twisted row is the unitary product formula, without
+        # the doubled-theory line, and the kernel suite runs (vacuously).
+        docs = {
+            kind: {"modes": [], "symmetry": {"kind": kind, "phases": [], **extra}}
+            for kind, extra in (("antiunitary", {"pairing": {}}), ("unitary", {}))
+        }
+        outputs = {}
+        for kind, doc in docs.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc))
+            assert slot_action(*parse_config(doc)).diagonal
+            assert main(["verify", "--config", str(path), "--suite", "all"]) == 0
+            outputs[kind] = capsys.readouterr().out
+            args = ["kernel", "--config", str(path), "--beta", "1",
+                    "--output", str(tmp_path / "k.csv")]
+            assert main(args) == 2
+            assert capsys.readouterr().err == "error: kernel export needs at least one mode\n"
+        assert outputs["antiunitary"] == outputs["unitary"]
+        listing = outputs["antiunitary"]
+        assert "partition: unitary product formula vs truncated trace" in listing
+        assert "partition: twist positivity lower bound" in listing
+        assert "kernel: empty-spectrum (vacuous)" in listing
+        assert "doubled-theory" not in listing
+        assert listing.endswith("13/13 checks passed\n")
