@@ -116,8 +116,8 @@ def _cmd_kernel(args) -> int:
         print(f"wrote extended kernel grid to {args.output}")
     elif not action.diagonal:
         print(
-            "error: antiunitary symmetry requires --extended "
-            "(kernel is defined on the doubled space)",
+            "error: a symmetry that moves slots (not one phase per mode) "
+            "requires --extended (kernel is defined on the doubled space)",
             file=sys.stderr,
         )
         return PARSE_FAILURE

@@ -212,7 +212,7 @@ def kernel_oracle(
         raise ConfigError("kernel_oracle is defined for single-mode spectra")
     action = slot_action(spectrum, sym)
     if not action.diagonal:
-        raise KindError("kernel_oracle takes a unitary (or absent) twist")
+        raise KindError("kernel_oracle takes one phase per mode, not a symmetry that moves slots")
     rho = action.phases[0]
     if not (0.0 <= t <= beta and 0.0 <= s <= beta):
         raise DomainError("t and s must lie in [0, beta]")
@@ -385,7 +385,7 @@ def apply_inverse(
 
     action = slot_action(spectrum, sym)
     if not action.diagonal:
-        raise KindError("apply_inverse takes a unitary (or absent) twist")
+        raise KindError("apply_inverse takes one phase per mode, not a symmetry that moves slots")
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 2 or samples.shape[1] != len(spectrum):
         raise ConfigError("samples must have shape (grid, #modes)")

@@ -432,7 +432,7 @@ def suite_kernel(
         return [CheckResult("kernel", "empty-spectrum (vacuous)", 0.0, 0.0)]
     action = slot_action(spectrum, sym)
     if not action.diagonal:
-        raise KindError("kernel suite needs a unitary (or absent) symmetry")
+        raise KindError("kernel suite needs one phase per mode, not a symmetry that moves slots")
     rho = action.phases[0]
     beta = 1.0
     theta = correlation.kernel_twist_angle(rho)

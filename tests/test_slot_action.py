@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import dense
 from twistkit import correlation, fock, partition, realfield, verify
 from twistkit.cli import _load, main
-from twistkit.errors import InternalConsistencyError, KindError
+from twistkit.errors import ConfigError, InternalConsistencyError, KindError
 from twistkit.spectrum import SlotAction, SymmetrySpec, parse_config, slot_action, validate_spectrum
 
 ANTI_GOLDEN = str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
@@ -197,6 +197,19 @@ class TestRoutesReadTheAction:
         with pytest.raises(KindError):
             verify.suite_kernel(single, sym)
         assert main(["verify", "--config", ANTI_GOLDEN, "--suite", "kernel"]) == 2
+
+    def test_misaligned_spec_is_a_config_error_before_the_action_is_read(self):
+        # The action exists only for a spec aligned with the spectrum, so a
+        # misaligned one is rejected as such, whatever its kind; config files
+        # are already rejected at load time.
+        single = validate_spectrum([("a", 0.8)])
+        for sym in (anti((1j,), [0]), SymmetrySpec(kind="unitary", phases=(1j, 1j))):
+            with pytest.raises(ConfigError):
+                correlation.kernel_oracle(single, sym, 1.0, 0.3, 0.1, 40)
+            with pytest.raises(ConfigError):
+                correlation.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
+            with pytest.raises(ConfigError):
+                verify.suite_kernel(single, sym)
 
     def test_antiunitary_positivity_bound_bites(self, monkeypatch, capsys):
         def below_bound(spectrum, sym, beta):
