@@ -15,18 +15,18 @@ with C circulant and D = diag(e^{i*theta*t/beta}) (R. M. Gray, Toeplitz
 and Circulant Matrices: A Review, 2006).  A :class:`SampledKernel` holds
 these m closed-form values per eigenmode kernel as Python numbers, with
 each kernel's omega and theta, plus the basis that mixes them (a scalar
-kernel has none), and the grid, the CSV export and the spectrum derive
-from that layout.  The spectrum has a closed form,
-:func:`grid_spectrum`, positive for every twist.  One twisted FFT (strip
-the carrier, multiply the FFT coefficients, restore the carrier) applies
-the sampled grid in :func:`verify_resolvent` and C_beta in
-:func:`apply_inverse`.
+kernel has none); the blocks, the CSV export and the spectrum derive from
+that layout.  The spectrum has a closed form, :func:`grid_spectrum`,
+positive for every twist.  :func:`verify_resolvent` applies the sampled
+grid by one twisted FFT (strip the carrier, multiply the FFT
+coefficients, restore the carrier).
 
-numpy is imported lazily, inside the functions that need it: mixing a
-basis, the dense :meth:`SampledKernel.grid`, :func:`apply_inverse` and
-:func:`verify_resolvent`.  The closed form, the Fourier and Fock-trace
-oracles, the sampled layout of a scalar kernel, its spectrum and the CSV
-writer run on ``math`` and ``cmath`` alone.
+numpy is imported lazily, inside the two functions that need it: mixing a
+basis (:meth:`SampledKernel.blocks`) and :func:`verify_resolvent`.  The
+closed form, the Fourier and Fock-trace oracles, the sampled layout of a
+scalar kernel, its spectrum and the CSV writer run on ``math`` and
+``cmath`` alone.  No route here forms a dense grid; the dense references
+of the tests are built from the same layout.
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -313,18 +313,6 @@ class SampledKernel:
         mixed = np.einsum("aj,dj,bj->dab", basis, np.array(self.lags, dtype=complex), basis.conj())
         return mixed.reshape(len(self.lags), -1).tolist()
 
-    def grid(self) -> np.ndarray:
-        """The dense (m*n, m*n) matrix, index (time, sector), gathered by one
-        copy from a strided view of the 2m - 1 distinct blocks."""
-        import numpy as np
-
-        m, n = len(self.lags), len(self.thetas)
-        blocks = np.array(self.blocks(), dtype=complex).reshape(m, n, n)
-        # both[m-1 + d] is the block at lag d = i - j, for -m < d < m
-        both = np.concatenate([blocks[:0:-1].conj().swapaxes(1, 2), blocks])
-        view = np.lib.stride_tricks.sliding_window_view(both, m, axis=0)[..., ::-1]
-        return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
-
     def spectrum(self) -> list[list[float]]:
         """The grid's eigenvalues, m rows of n: the grid is unitarily similar
         to the direct sum of the eigenmode grids D C D*, and column k is the
@@ -332,20 +320,6 @@ class SampledKernel:
         m = len(self.lags)
         columns = [grid_spectrum(w, th, self.beta, m) for w, th in zip(self.omegas, self.thetas)]
         return [list(row) for row in zip(*columns)]
-
-
-def _twisted_fft(
-    values: np.ndarray, thetas: np.ndarray, multiplier: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """fft(values / carrier) down the columns, carrier[j, k] = e^{i*thetas[k]*j/m};
-    given a multiplier, carrier * ifft(multiplier * fft(values / carrier))."""
-    import numpy as np
-
-    carrier = np.exp(1j * np.outer(np.arange(values.shape[0]) / values.shape[0], thetas))
-    coeffs = np.fft.fft(values / carrier, axis=0)
-    if multiplier is None:
-        return coeffs
-    return carrier * np.fft.ifft(multiplier * coeffs, axis=0)
 
 
 def sample_kernels(
@@ -363,47 +337,6 @@ def sample_kernels(
     return SampledKernel(beta, omegas, tuple(k.theta for k in kernels), lags, basis)
 
 
-def kernel_grid(kernel: TwistedKernel, m: int) -> np.ndarray:
-    """The m x m sampled kernel, gathered from its m lag values."""
-    return sample_kernels([kernel], kernel.beta, m).grid()
-
-
-def apply_inverse(
-    spectrum: ModeSpectrum,
-    sym: Optional[SymmetrySpec],
-    beta: float,
-    samples: np.ndarray,
-) -> np.ndarray:
-    """Apply C_beta = (-D^2 + Omega^2)^{-1} on the discretized path space.
-
-    ``samples`` has shape (M, #modes): mode-coefficient functions sampled
-    on the uniform grid t_j = j*beta/M.  Per mode the twist angle is
-    :func:`kernel_twist_angle` of the symmetry phase, and the twisted FFT
-    multiplies coefficient n by 1/(nu_n^2 + omega^2).
-    """
-    import numpy as np
-
-    action = slot_action(spectrum, sym)
-    if not action.diagonal:
-        raise KindError("apply_inverse takes one phase per mode, not a symmetry that moves slots")
-    samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 2 or samples.shape[1] != len(spectrum):
-        raise ConfigError("samples must have shape (grid, #modes)")
-    thetas = np.array([kernel_twist_angle(p) for p in action.phases[::2]])
-    m = samples.shape[0]
-    if m < 1:
-        raise ConfigError("grid must be nonempty")
-    nu = (thetas + 2.0 * math.pi * np.fft.fftfreq(m, d=1.0 / m)[:, None]) / beta
-    # a nu^2 + omega^2 beyond the float range makes a multiplier below it:
-    # 0; one that underflows to 0 makes a value beyond it, caught below
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        multiplier = 1.0 / (nu**2 + np.asarray(spectrum.omegas, dtype=np.float64) ** 2)
-        out = _twisted_fft(samples, thetas, multiplier)
-    if not np.isfinite(out).all():
-        raise RangeError(f"C_beta applied at beta={beta} is outside the float range")
-    return out
-
-
 #: Largest relative twisted-boundary defect :func:`verify_resolvent` accepts.
 BOUNDARY_TOL = 1e-6
 
@@ -412,7 +345,7 @@ def verify_resolvent(
     kernel: TwistedKernel,
     g: Callable[[float], complex],
     g_second: Callable[[float], complex],
-    m: int = 256,
+    m: int,
 ) -> float:
     """Quadrature check that the sampled kernel inverts (-d^2/ds^2 +
     omega^2): the largest residual |C_beta(-g'' + omega^2 g) - g| on the
@@ -456,13 +389,13 @@ def verify_resolvent(
     times = sampled.times()
     w2 = omega * omega
     with np.errstate(over="ignore", invalid="ignore"):
-        source = np.array([[-g_second(s) + w2 * g(s)] for s in times])
+        source = np.array([-g_second(s) + w2 * g(s) for s in times])
     if not np.isfinite(source).all():
         raise RangeError(f"resolvent source at omega={omega} is outside the float range")
     target = np.array([g(t) for t in times])
-    thetas = np.array(sampled.thetas)
-    lam = _twisted_fft(np.array(sampled.lags, dtype=complex), thetas).real
-    values = (beta / m) * _twisted_fft(source, thetas, lam)[:, 0]
+    carrier = np.exp(1j * (np.arange(m) / m * theta))
+    lam = np.fft.fft(np.array([row[0] for row in sampled.lags]) / carrier).real
+    values = (beta / m) * (carrier * np.fft.ifft(lam * np.fft.fft(source / carrier)))
     return float(np.abs(values - target).max())
 
 

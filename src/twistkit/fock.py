@@ -24,7 +24,7 @@ Operators are plain functions of a state:
 The truncated traces of the partition-function oracle need no state
 tensors: they are products over the cycles of the slot action, kept with
 their tail bounds in :mod:`twistkit.partition`, which imports no numpy.
-``truncation_tail_bound`` is re-exported here for existing callers.
+``truncation_tail_bound`` is re-exported here for ``bench/checks.py`` only.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .partition import truncation_tail_bound  # re-exported for existing callers
+from .partition import truncation_tail_bound  # re-exported for bench/checks.py
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
 #: Highest occupation cutoff :func:`oracle_cutoff` picks.

@@ -14,6 +14,12 @@ sigma is an involution.  It therefore diagonalizes orbit by orbit, one
 orbit per cycle of the slot action.  A fixed index c has the eigenpair
 (u_c, e_c).  A 2-cycle a <-> b has the eigenvalues lambda = +-sqrt(u_a u_b)
 with unit eigenvectors (e_a + (u_a / lambda) e_b) / sqrt(2).
+
+The extended pair-correlation kernel exists here only in its sampled
+layout, :func:`sample_extended_kernel`: one scalar twisted kernel per
+doubled eigenmode, mixed by the eigenbasis.  The CSV export and the
+``realfield`` verify suite read that layout; for a unitary input the
+eigenbasis is the identity, so no block mixes the two sectors.
 """
 
 from __future__ import annotations
@@ -158,37 +164,17 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     return z.real
 
 
-def _eigenmode_kernels(ext: ExtendedSpectrum, beta: float) -> list[TwistedKernel]:
-    """The scalar twisted kernel of each doubled eigenmode, in the column
-    order of ``ext.eigenbasis``."""
-    return [
-        TwistedKernel(float(w), kernel_twist_angle(p), beta)
-        for w, p in zip(ext.doubled_omegas(), ext.phases)
-    ]
-
-
-def extended_kernel(ext: ExtendedSpectrum, beta: float, t: float, s: float) -> np.ndarray:
-    """Extended pair-correlation kernel as a 2M x 2M block at (t, s).
-
-    In the eigenbasis of the induced unitary the kernel is the direct sum
-    of scalar twisted kernels; the block presentation is W diag(K_j) W*.
-    Off-diagonal (sector-mixing) entries are structurally zero for
-    unitary inputs.
-    """
-    diag = np.array([kern(t, s) for kern in _eigenmode_kernels(ext, beta)])
-    return (ext.eigenbasis * diag) @ ext.eigenbasis.conj().T
-
-
 def sample_extended_kernel(ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:
     """The extended kernel on the m-point grid, positive definite for both
     input kinds (discrete counterpart of the positivity of the extended
-    correlation operator)."""
-    return sample_kernels(_eigenmode_kernels(ext, beta), beta, m, ext.eigenbasis)
-
-
-def extended_kernel_grid(ext: ExtendedSpectrum, beta: float, m: int) -> np.ndarray:
-    """Sampled extended kernel: shape (m*2M, m*2M), index = (time, sector)."""
-    return sample_extended_kernel(ext, beta, m).grid()
+    correlation operator): in the eigenbasis of the induced unitary it is
+    the direct sum of the scalar twisted kernels of the doubled eigenmodes,
+    one column each, mixed by ``ext.eigenbasis``."""
+    kernels = [
+        TwistedKernel(float(w), kernel_twist_angle(p), beta)
+        for w, p in zip(ext.doubled_omegas(), ext.phases)
+    ]
+    return sample_kernels(kernels, beta, m, ext.eigenbasis)
 
 
 def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:

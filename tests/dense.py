@@ -9,11 +9,19 @@ built from their raw phases and pairings, never from the slot action of
 coefficient space.  The basis-sum trace at the end is the exception: it
 reads the slot action's ``source`` and ``phases`` (not its ``cycles``), to
 check the factorization over cycles at sizes no dense matrix reaches.
+
+The sampled-kernel references at the end (the dense grids, the per-cell
+extended kernel and C_beta by a twisted FFT) are what the package's
+closed-form grid spectrum and sampled layout are checked against.
 """
 
 import math
 
 import numpy as np
+
+from twistkit import correlation, realfield
+from twistkit.errors import ConfigError, KindError, RangeError
+from twistkit.spectrum import slot_action
 
 
 def creation_matrix(cutoff):
@@ -148,3 +156,71 @@ def kernel_fourier(omega, theta, beta, t, s, n_cutoff):
         denominators = nu**2 + np.float64(omega) ** 2
     value = complex(np.sum(np.exp(1j * nu * (t - s)) / denominators) / beta)
     return value, float(np.sum(1.0 / denominators) / beta)
+
+
+def grid(sampled):
+    """The dense (m*n, m*n) matrix of a sampled kernel, index (time, sector),
+    gathered by one copy from a strided view of the 2m - 1 distinct blocks."""
+    m, n = len(sampled.lags), len(sampled.thetas)
+    blocks = np.array(sampled.blocks(), dtype=complex).reshape(m, n, n)
+    # both[m-1 + d] is the block at lag d = i - j, for -m < d < m
+    both = np.concatenate([blocks[:0:-1].conj().swapaxes(1, 2), blocks])
+    view = np.lib.stride_tricks.sliding_window_view(both, m, axis=0)[..., ::-1]
+    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
+
+
+def kernel_grid(kernel, m):
+    """The m x m sampled kernel, gathered from its m lag values."""
+    return grid(correlation.sample_kernels([kernel], kernel.beta, m))
+
+
+def extended_kernel_grid(ext, beta, m):
+    """Sampled extended kernel: shape (m*2M, m*2M), index = (time, sector)."""
+    return grid(realfield.sample_extended_kernel(ext, beta, m))
+
+
+def extended_kernel(ext, beta, t, s):
+    """Extended pair-correlation kernel as a 2M x 2M block at (t, s).
+
+    In the eigenbasis of the induced unitary the kernel is the direct sum
+    of scalar twisted kernels; the block presentation is W diag(K_j) W*.
+    Off-diagonal (sector-mixing) entries are structurally zero for
+    unitary inputs.
+    """
+    diag = np.array([
+        correlation.TwistedKernel(float(w), correlation.kernel_twist_angle(p), beta)(t, s)
+        for w, p in zip(ext.doubled_omegas(), ext.phases)
+    ])
+    return (ext.eigenbasis * diag) @ ext.eigenbasis.conj().T
+
+
+def apply_inverse(spectrum, sym, beta, samples):
+    """Apply C_beta = (-D^2 + Omega^2)^{-1} on the discretized path space.
+
+    ``samples`` has shape (M, #modes): mode-coefficient functions sampled
+    on the uniform grid t_j = j*beta/M.  Per mode the twist angle is
+    ``kernel_twist_angle`` of the symmetry phase, and the twisted FFT
+    (strip the carrier e^{i theta j/M}, multiply coefficient n by
+    1/(nu_n^2 + omega^2), restore the carrier) applies C_beta.
+    """
+    action = slot_action(spectrum, sym)
+    if not action.diagonal:
+        raise KindError("apply_inverse takes one phase per mode, not a symmetry that moves slots")
+    samples = np.asarray(samples, dtype=complex)
+    if samples.ndim != 2 or samples.shape[1] != len(spectrum):
+        raise ConfigError("samples must have shape (grid, #modes)")
+    thetas = np.array([correlation.kernel_twist_angle(p) for p in action.phases[::2]])
+    m = samples.shape[0]
+    if m < 1:
+        raise ConfigError("grid must be nonempty")
+    nu = (thetas + 2.0 * math.pi * np.fft.fftfreq(m, d=1.0 / m)[:, None]) / beta
+    carrier = np.exp(1j * np.outer(np.arange(m) / m, thetas))
+    # a nu^2 + omega^2 beyond the float range makes a multiplier below it:
+    # 0; one that underflows to 0 makes a value beyond it, caught below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        multiplier = 1.0 / (nu**2 + np.asarray(spectrum.omegas, dtype=np.float64) ** 2)
+        coeffs = np.fft.fft(samples / carrier, axis=0)
+        out = carrier * np.fft.ifft(multiplier * coeffs, axis=0)
+    if not np.isfinite(out).all():
+        raise RangeError(f"C_beta applied at beta={beta} is outside the float range")
+    return out

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import dense
 from twistkit import correlation as co, partition, realfield as rf
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -267,14 +268,14 @@ def test_criterion_7_doubled_space_consistency(capsys):
     # extended kernel block structure and positivity
     spec_u = validate_spectrum([("a", 0.9), ("b", 1.4)])
     sym_u = SymmetrySpec(kind="unitary", phases=(1j, cmath.exp(2.4j)))
-    block = rf.extended_kernel(rf.extend(spec_u, sym_u), 1.0, 0.6, 0.2)
+    block = dense.extended_kernel(rf.extend(spec_u, sym_u), 1.0, 0.6, 0.2)
     off = max(float(np.abs(block[:2, 2:]).max()), float(np.abs(block[2:, :2]).max()))
     spec_a = validate_spectrum([("a", 0.8)])
     sym_a = SymmetrySpec(
         kind="antiunitary", phases=(1.0 + 0j,), labels=("a",), partners=("a",)
     )
     min_eig = min(
-        float(np.linalg.eigvalsh(rf.extended_kernel_grid(rf.extend(s, y), 1.0, 10)).min())
+        float(np.linalg.eigvalsh(dense.extended_kernel_grid(rf.extend(s, y), 1.0, 10)).min())
         for s, y in ((spec_u, sym_u), (spec_a, sym_a))
     )
     ok = worst_z <= 1e-10 and off < 1e-12 and min_eig > 0.0

@@ -168,24 +168,39 @@ def _loads_numpy(argv):
 
 
 def test_package_exports_load_lazily():
+    # every name has one import path, through the submodule that owns it:
+    # the package defines only its version and loads nothing
     code = """
 import sys, twistkit
-names = twistkit.__all__
-assert "numpy" not in sys.modules and not set(names) & set(vars(twistkit))
-assert set(names) <= set(dir(twistkit))
-for name in names:
-    obj = getattr(twistkit, name)
-    assert vars(sys.modules[obj.__module__])[name] is obj, name
-    assert vars(twistkit)[name] is obj, name
-try:
-    twistkit.no_such_name
-except AttributeError:
-    print(len(names))
+public = [name for name in vars(twistkit) if not name.startswith("_")]
+loaded = [name for name in sys.modules if name.startswith("twistkit.")]
+print(public, loaded, "numpy" in sys.modules, twistkit.__version__)
 """
-    assert _run_cli(["-c", code], check=True).stdout.strip() == str(len(twistkit.__all__))
-    assert len(set(twistkit.__all__)) == len(twistkit.__all__)
+    out = _run_cli(["-c", code], check=True).stdout.strip()
+    assert out == f"[] [] False {twistkit.__version__}"
+    for name in ("__all__", "__getattr__", "__dir__", "_EXPORTS", "_OWNER"):
+        assert name not in vars(twistkit), name
     # bench/checks.py reads the tail bound through fock
     assert fock.truncation_tail_bound is partition.truncation_tail_bound
+
+
+def test_every_public_name_has_a_package_caller():
+    # a public top-level function or class that no package code names (as a
+    # name, an attribute or an import, outside its own definition) is dead
+    # code or a test reference, which belongs in tests/dense.py
+    defined, used = {}, set()
+    for path in Path(twistkit.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined[own] = path.stem
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+                elif isinstance(node, (ast.Name, ast.Attribute)):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    used.update({name} - {own})
+    assert defined and {name: mod for name, mod in defined.items() if name not in used} == {}
 
 
 @pytest.mark.parametrize(
@@ -260,7 +275,14 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     source = inspect.getsource(verify) + inspect.getsource(correlation.verify_resolvent)
     for name in ("eigvalsh", "kernel_grid(", "extended_kernel_grid(", ".grid()", " @ "):
         assert name not in source, name
-    assert not hasattr(correlation, "KernelGrid") and "KernelGrid" not in twistkit.__all__
+    # the dense references live in tests/dense.py
+    for module, names in (
+        (correlation, ("KernelGrid", "kernel_grid", "apply_inverse", "_twisted_fft")),
+        (realfield, ("extended_kernel", "extended_kernel_grid")),
+    ):
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(correlation.SampledKernel, "grid")
     tree = ast.parse(inspect.getsource(realfield))
     imported = [
         alias.name
@@ -310,10 +332,14 @@ class TestSampledKernelChecksBite:
         assert main(args + ["--verify"]) == 1
         assert f"[FAIL] realfield: {self.SPECTRUM}" in capsys.readouterr().err
 
-    def test_scaled_kernel_fails_the_resolvent_check(self, minus_one_config, monkeypatch):
+    @pytest.mark.parametrize(
+        "scale", [1.0 - 1e-5, 1.0 - 1e-4, 1.0 + 1e-6], ids=["minus_1e-5", "minus_1e-4", "plus_1e-6"]
+    )
+    def test_scaled_kernel_fails_the_resolvent_check(self, minus_one_config, monkeypatch, scale):
+        # two-sided: a kernel slightly too small lowers the residual, and fails too
         closed = correlation.kernel_closed_form
         monkeypatch.setattr(
-            correlation, "kernel_closed_form", lambda *args: (1.0 + 1e-6) * closed(*args)
+            correlation, "kernel_closed_form", lambda *args: scale * closed(*args)
         )
         spec, sym = load_config(minus_one_config)
         assert self.failed(
@@ -448,6 +474,26 @@ class TestKernelCommand:
         assert main(args + ["--verify"]) == 0
         assert capsys.readouterr() == plain
 
+    @pytest.mark.parametrize("m", [1, 8])
+    @pytest.mark.parametrize(
+        "symmetry",
+        [{"kind": "unitary", "phases": []},
+         {"kind": "antiunitary", "phases": [], "pairing": {}}],
+        ids=["unitary", "antiunitary"],
+    )
+    def test_extended_verify_without_modes_is_vacuous(self, tmp_path, capsys, symmetry, m):
+        # an empty layout is vacuously positive, like the suites' empty spectra
+        cfg = write_config(tmp_path / "empty.json", {"modes": [], "symmetry": symmetry})
+        out = tmp_path / "ext.csv"
+        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", str(m),
+                "--output", str(out), "--extended"]
+        assert main(args) == 0
+        plain = capsys.readouterr()
+        out.unlink()
+        assert main(args + ["--verify"]) == 0
+        assert capsys.readouterr() == plain
+        assert out.read_text() == "t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"
+
     def test_extended_flag_exports_the_extended_kernel_of_a_unitary_config(
         self, tmp_path, capsys
     ):
@@ -558,7 +604,7 @@ def test_symmetry_kinds_are_normalized_in_one_place():
         for name in ("UNITARY", "ANTIUNITARY", "partner_index", ".kind"):
             assert name not in source, (module.__name__, name)
     for name in ("z_twisted_unitary", "z_twisted_antiunitary", "antiunitary_partition_trace"):
-        assert not hasattr(twistkit, name) and name not in twistkit.__all__
+        assert not hasattr(partition, name), name
     # correlation, cli and verify choose their routes from the slot action
     # too.  suite_symmetry is left out: its expected rules are written from
     # the raw phases and pairing, per kind, so that a broken normal form

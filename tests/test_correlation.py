@@ -287,14 +287,14 @@ class TestKernelOracle:
 
 class TestKernelGrid:
     def test_hermitian_and_positive_definite(self):
-        grid = co.kernel_grid(co.TwistedKernel(1.1, 2.3, 1.0), 24)
+        grid = dense.kernel_grid(co.TwistedKernel(1.1, 2.3, 1.0), 24)
         assert np.abs(grid - grid.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(grid).min() > 0.0
 
     def test_norm_bound(self):
         # discrete operator norm of C_beta is at most 1/(nu_min^2 + omega^2)
         omega, theta, beta = 0.8, 1.1, 1.4
-        grid = co.kernel_grid(co.TwistedKernel(omega, theta, beta), 64)
+        grid = dense.kernel_grid(co.TwistedKernel(omega, theta, beta), 64)
         op_norm = np.linalg.norm(grid, 2) * (beta / 64)
         nu_min = min(abs(theta + 2.0 * math.pi * n) / beta for n in range(-2, 3))
         slack = 5.0 * (beta / 64) ** 2  # discretization error of the kinked kernel
@@ -305,7 +305,7 @@ class TestKernelGrid:
     @pytest.mark.parametrize("m", [33, 64])
     def test_twisted_circulant_matches_pointwise(self, m):
         omega, theta, beta = 0.9, 2.1, 1.3
-        grid = co.kernel_grid(co.TwistedKernel(omega, theta, beta), m)
+        grid = dense.kernel_grid(co.TwistedKernel(omega, theta, beta), m)
         times = (np.arange(m) * (beta / m)).tolist()
         pointwise = np.array(
             [[co.kernel_closed_form(omega, theta, beta, t, s) for s in times] for t in times]
@@ -320,7 +320,7 @@ class TestKernelGrid:
     def test_fft_spectrum_matches_eigvalsh(self, m, theta):
         kern = co.TwistedKernel(0.9, theta, 1.3)
         spectrum = np.array(co.sample_kernels([kern], kern.beta, m).spectrum())
-        eigs = np.linalg.eigvalsh(co.kernel_grid(kern, m))
+        eigs = np.linalg.eigvalsh(dense.kernel_grid(kern, m))
         assert spectrum.shape == (m, 1)
         assert np.abs(np.sort(spectrum[:, 0]) - eigs).max() <= 1e-13 * np.abs(eigs).max()
 
@@ -404,7 +404,7 @@ class TestApplyInverse:
         times = np.arange(m) * beta / m
         nu = (theta + 2.0 * math.pi * 0) / beta
         samples = np.exp(1j * nu * times)[:, None]
-        out = co.apply_inverse(spec, sym, beta, samples)
+        out = dense.apply_inverse(spec, sym, beta, samples)
         assert np.abs(out - samples / (nu**2 + 1.2**2)).max() < 1e-12
 
     def test_linearity(self):
@@ -414,8 +414,8 @@ class TestApplyInverse:
         x = rng.normal(size=(32, 1)) + 1j * rng.normal(size=(32, 1))
         y = rng.normal(size=(32, 1)) + 1j * rng.normal(size=(32, 1))
         a, b = 1.7 - 0.3j, -0.6 + 2.1j
-        lhs = co.apply_inverse(spec, sym, 1.0, a * x + b * y)
-        rhs = a * co.apply_inverse(spec, sym, 1.0, x) + b * co.apply_inverse(
+        lhs = dense.apply_inverse(spec, sym, 1.0, a * x + b * y)
+        rhs = a * dense.apply_inverse(spec, sym, 1.0, x) + b * dense.apply_inverse(
             spec, sym, 1.0, y
         )
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -433,7 +433,7 @@ class TestApplyInverse:
         samples = sum(
             c * np.exp(1j * nu * times) for c, nu in zip([0.5, 1.0, -0.3j], nus)
         )[:, None]
-        out = co.apply_inverse(spec, sym, beta, samples)
+        out = dense.apply_inverse(spec, sym, beta, samples)
         g = out[:, 0]
         twist = cmath.exp(1j * theta)
         up = np.concatenate([g[1:], [twist * g[0]]])
@@ -443,24 +443,24 @@ class TestApplyInverse:
 
     def test_huge_omega_gives_zero(self):
         # nu^2 + omega^2 overflows; 1/omega^2 = 1e-600 is 0 in floats
-        out = co.apply_inverse(validate_spectrum([("a", 1e300)]), None, 1.0, np.ones((8, 1)))
+        out = dense.apply_inverse(validate_spectrum([("a", 1e300)]), None, 1.0, np.ones((8, 1)))
         assert out.shape == (8, 1) and not out.any()
 
     def test_unrepresentable_value_raises_range_error(self):
         # omega^2 underflows to 0 on the untwisted zero mode: the value 1e400 is not a float
         with pytest.raises(RangeError):
-            co.apply_inverse(validate_spectrum([("a", 1e-200)]), None, 1.0, np.ones((8, 1)))
+            dense.apply_inverse(validate_spectrum([("a", 1e-200)]), None, 1.0, np.ones((8, 1)))
 
     def test_direct_sum_law(self):
         two = validate_spectrum([("a", 0.7), ("b", 1.9)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, -1.0 + 0j))
         rng = np.random.default_rng(13)
         samples = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
-        joint = co.apply_inverse(two, sym, 1.0, samples)
+        joint = dense.apply_inverse(two, sym, 1.0, samples)
         for k, lbl in enumerate(two.labels):
             single = validate_spectrum([(lbl, two.omegas[k])])
             single_sym = SymmetrySpec(kind="unitary", phases=(sym.phases[k],))
-            alone = co.apply_inverse(single, single_sym, 1.0, samples[:, [k]])
+            alone = dense.apply_inverse(single, single_sym, 1.0, samples[:, [k]])
             assert np.abs(joint[:, [k]] - alone).max() == 0.0
 
 
@@ -543,7 +543,7 @@ class TestCsvExport:
         kern = co.TwistedKernel(0.7, 4.4, 1.3)
         p = tmp_path / "k.csv"
         co.export_kernel_csv(p, kern, m)
-        grid = co.kernel_grid(kern, m)
+        grid = dense.kernel_grid(kern, m)
         times = np.arange(m) * (kern.beta / m)
         want = [
             f"{t:.16e},{s:.16e},{grid[i, j].real:.16e},"

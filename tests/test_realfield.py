@@ -164,7 +164,7 @@ class TestExtendedKernel:
     def test_unitary_off_diagonal_vanishes(self):
         s = validate_spectrum([("a", 1.0), ("b", 1.5)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, -1.0 + 0j))
-        block = rf.extended_kernel(rf.extend(s, sym), 1.0, 0.4, 0.1)
+        block = dense.extended_kernel(rf.extend(s, sym), 1.0, 0.4, 0.1)
         m = 2
         assert np.abs(block[:m, m:]).max() < 1e-12
         assert np.abs(block[m:, :m]).max() < 1e-12
@@ -174,7 +174,7 @@ class TestExtendedKernel:
         s = validate_spectrum([("k0", 1.1)])
         ext = rf.extend(s, conjugation_sym("k0"))
         beta, t, time_s = 1.0, 0.7, 0.2
-        block = rf.extended_kernel(ext, beta, t, time_s)
+        block = dense.extended_kernel(ext, beta, t, time_s)
         k0 = co.TwistedKernel(1.1, 0.0, beta)(t, time_s)
         kpi = co.TwistedKernel(1.1, math.pi, beta)(t, time_s)
         assert abs(block[0, 1] - (k0 - kpi) / 2.0) < 1e-12
@@ -184,7 +184,7 @@ class TestExtendedKernel:
         s = validate_spectrum([("a", 0.8)])
         unitary = SymmetrySpec(kind="unitary", phases=(cmath.exp(1.3j),))
         for sym in (unitary, conjugation_sym("a")):
-            grid = rf.extended_kernel_grid(rf.extend(s, sym), 1.0, 10)
+            grid = dense.extended_kernel_grid(rf.extend(s, sym), 1.0, 10)
             assert np.abs(grid - grid.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(grid).min() > 0.0
 
@@ -194,10 +194,10 @@ class TestExtendedKernel:
         spec, sym = random_antiunitary(np.random.default_rng(5), n_pairs, n_fixed)
         ext = rf.extend(spec, sym)
         beta, m, n = 1.2, 7, ext.n_doubled
-        grid = rf.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
+        grid = dense.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
         for i in range(m):
             for k in range(m):
-                block = rf.extended_kernel(ext, beta, i * beta / m, k * beta / m)
+                block = dense.extended_kernel(ext, beta, i * beta / m, k * beta / m)
                 assert np.abs(grid[i, :, k, :] - block).max() <= 1e-14
 
     @pytest.mark.parametrize("m", [7, 12])
@@ -205,7 +205,7 @@ class TestExtendedKernel:
         spec, sym = random_antiunitary(np.random.default_rng(7), 1, 1)
         ext = rf.extend(spec, sym)
         spectrum = np.array(rf.sample_extended_kernel(ext, 1.1, m).spectrum())
-        eigs = np.linalg.eigvalsh(rf.extended_kernel_grid(ext, 1.1, m))
+        eigs = np.linalg.eigvalsh(dense.extended_kernel_grid(ext, 1.1, m))
         assert spectrum.shape == (m, ext.n_doubled)
         assert np.abs(np.sort(spectrum.ravel()) - eigs).max() <= 1e-13 * np.abs(eigs).max()
 
@@ -215,7 +215,7 @@ class TestExtendedKernel:
         beta, m, n = 0.8, 5, ext.n_doubled
         p = tmp_path / "ext.csv"
         rf.export_extended_kernel_csv(p, ext, beta, m)
-        grid = rf.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
+        grid = dense.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
         times = np.arange(m) * (beta / m)
         want = [
             f"{times[i]:.16e},{times[k]:.16e},{a},{b},{grid[i, a, k, b].real:.16e},"

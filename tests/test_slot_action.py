@@ -193,7 +193,7 @@ class TestRoutesReadTheAction:
         with pytest.raises(KindError):
             correlation.kernel_oracle(single, sym, 1.0, 0.3, 0.1, 40)
         with pytest.raises(KindError):
-            correlation.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
+            dense.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
         with pytest.raises(KindError):
             verify.suite_kernel(single, sym)
         assert main(["verify", "--config", ANTI_GOLDEN, "--suite", "kernel"]) == 2
@@ -207,7 +207,7 @@ class TestRoutesReadTheAction:
             with pytest.raises(ConfigError):
                 correlation.kernel_oracle(single, sym, 1.0, 0.3, 0.1, 40)
             with pytest.raises(ConfigError):
-                correlation.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
+                dense.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
             with pytest.raises(ConfigError):
                 verify.suite_kernel(single, sym)
 
