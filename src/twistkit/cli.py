@@ -13,9 +13,10 @@ scientific formatting so identical inputs produce byte-identical output.
 
 ``partition``, ``spectrum gen`` and ``kernel`` without ``--extended``
 (with or without ``--verify``) import no numpy: :mod:`twistkit.correlation`
-loads it only where a basis mixes the kernel or an FFT runs,
-``kernel --extended`` loads it through :mod:`twistkit.realfield`, and
-:mod:`twistkit.verify` imports it inside its dense suites only.
+loads it only where a basis mixes the kernel, ``kernel --extended`` loads
+it through :mod:`twistkit.realfield`, and :mod:`twistkit.verify` imports
+it inside its dense suites only, so ``verify --suite partition`` on a
+diagonal action is numpy-free too.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
     DomainError,
     InternalConsistencyError,
     KindError,
-    PreconditionError,
     RangeError,
 )
 from .spectrum import (
@@ -230,14 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL_FAILURE
-    except (
-        AdmissibilityError,
-        ConfigError,
-        DomainError,
-        KindError,
-        PreconditionError,
-        OSError,
-    ) as exc:
+    except (AdmissibilityError, ConfigError, DomainError, KindError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_FAILURE
 

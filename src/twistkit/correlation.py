@@ -17,16 +17,14 @@ these m closed-form values per eigenmode kernel as Python numbers, with
 each kernel's omega and theta, plus the basis that mixes them (a scalar
 kernel has none); the blocks, the CSV export and the spectrum derive from
 that layout.  The spectrum has a closed form, :func:`grid_spectrum`,
-positive for every twist.  :func:`verify_resolvent` applies the sampled
-grid by one twisted FFT (strip the carrier, multiply the FFT
-coefficients, restore the carrier).
+positive for every twist.
 
-numpy is imported lazily, inside the two functions that need it: mixing a
-basis (:meth:`SampledKernel.blocks`) and :func:`verify_resolvent`.  The
-closed form, the Fourier and Fock-trace oracles, the sampled layout of a
-scalar kernel, its spectrum and the CSV writer run on ``math`` and
-``cmath`` alone.  No route here forms a dense grid; the dense references
-of the tests are built from the same layout.
+numpy is imported lazily, inside the one method that needs it: mixing a
+basis (:meth:`SampledKernel.blocks`).  The closed form, the Fourier and
+Fock-trace oracles, the sampled layout of a scalar kernel, its spectrum
+and the CSV writer run on ``math`` and ``cmath`` alone.  No route here
+forms a dense grid or runs an FFT; the dense references of the tests
+(the grids and the resolvent quadrature) are built from the same layout.
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -41,9 +39,9 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import ConfigError, DomainError, KindError, PreconditionError, RangeError
+from .errors import ConfigError, DomainError, KindError, RangeError
 from .partition import geometric_log_derivative
 from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
 
@@ -335,68 +333,6 @@ def sample_kernels(
     )
     omegas = tuple(k.omega for k in kernels)
     return SampledKernel(beta, omegas, tuple(k.theta for k in kernels), lags, basis)
-
-
-#: Largest relative twisted-boundary defect :func:`verify_resolvent` accepts.
-BOUNDARY_TOL = 1e-6
-
-
-def verify_resolvent(
-    kernel: TwistedKernel,
-    g: Callable[[float], complex],
-    g_second: Callable[[float], complex],
-    m: int,
-) -> float:
-    """Quadrature check that the sampled kernel inverts (-d^2/ds^2 +
-    omega^2): the largest residual |C_beta(-g'' + omega^2 g) - g| on the
-    m-point grid.
-
-    ``g`` must satisfy the twisted boundary condition g(beta) =
-    e^{i*theta} g(0) together with the same condition on g'; compliance is
-    what cancels the boundary terms of the double integration by parts, so
-    a noncompliant test function raises PreconditionError.  g' is probed
-    by one-sided second-order finite differences.  Uses the uniform
-    rectangle rule (the trapezoid rule for the twisted-periodic
-    integrand), so eigenmode residuals scale as (beta/m)^2; on the
-    eigenmode e^{i nu t}, nu = theta/beta, the residual is exactly
-    |h lambda_0 (nu^2 + omega^2) - 1| with lambda_0 = grid_spectrum(...)[0].
-    The grid acts as carrier * ifft(lambda * fft(source / carrier)), lambda
-    the FFT of its carrier-stripped lag values.  RangeError where the
-    source -g'' + omega^2 g is beyond the float range (omega^2 overflows
-    from omega ~ 1e154 on).
-    """
-    import numpy as np
-
-    beta, theta, omega = kernel.beta, kernel.theta, kernel.omega
-    twist = cmath.exp(1j * theta)
-    scale = max(abs(g(0.0)), abs(g(0.5 * beta)), 1e-30)
-    defect = abs(g(beta) - twist * g(0.0))
-    h = beta * 1e-6
-
-    def deriv(t0: float, sign: float) -> complex:
-        return (
-            -3.0 * g(t0) + 4.0 * g(t0 + sign * h) - g(t0 + 2.0 * sign * h)
-        ) / (2.0 * sign * h)
-
-    d_defect = abs(deriv(beta, -1.0) - twist * deriv(0.0, 1.0)) * h
-    defect = max(defect / scale, d_defect / scale)
-    if defect > BOUNDARY_TOL:
-        raise PreconditionError(
-            f"test function violates the twisted boundary condition "
-            f"(relative defect {defect:.3e})"
-        )
-    sampled = sample_kernels([kernel], beta, m)
-    times = sampled.times()
-    w2 = omega * omega
-    with np.errstate(over="ignore", invalid="ignore"):
-        source = np.array([-g_second(s) + w2 * g(s) for s in times])
-    if not np.isfinite(source).all():
-        raise RangeError(f"resolvent source at omega={omega} is outside the float range")
-    target = np.array([g(t) for t in times])
-    carrier = np.exp(1j * (np.arange(m) / m * theta))
-    lam = np.fft.fft(np.array([row[0] for row in sampled.lags]) / carrier).real
-    values = (beta / m) * (carrier * np.fft.ifft(lam * np.fft.fft(source / carrier)))
-    return float(np.abs(values - target).max())
 
 
 #: A CSV row with "\0" standing for its t and s columns, then the sector

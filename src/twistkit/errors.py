@@ -33,6 +33,3 @@ class RangeError(TwistkitError):
 class InternalConsistencyError(TwistkitError):
     """A structurally guaranteed property failed numerically."""
 
-
-class PreconditionError(TwistkitError):
-    """A caller-supplied function violates a required boundary condition."""

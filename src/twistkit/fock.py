@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, RangeError
 from .partition import truncation_tail_bound  # re-exported for bench/checks.py
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
@@ -252,11 +252,16 @@ def imaginary_time_field(
     annihilation parts.  The exp(+t*omega) factors grow for large t; at
     desk scale (t <= beta, finite spectra) everything stays finite, but
     magnitudes of order exp(beta*omega_max) appear in intermediate values.
+    RangeError where a weighted coefficient is beyond the float range
+    (exp(t*omega) overflows once t*omega exceeds about 709.8).
     """
     f = _mode_coeffs(space, coeffs)
     w = np.asarray(space.spectrum.omegas, dtype=float)
-    decay = f * np.exp(-t * w) / np.sqrt(w)
-    growth = f * np.exp(t * w) / np.sqrt(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = f * np.exp(-t * w) / np.sqrt(w)
+        growth = f * np.exp(t * w) / np.sqrt(w)
+    if not (np.isfinite(decay).all() and np.isfinite(growth).all()):
+        raise RangeError(f"imaginary-time field at t={t} is outside the float range")
     if not conjugate:
         # phi(t, f-bar) = [A+*(decay-bar) + A-(growth-bar)] / sqrt(2)
         field = creation_functional(space, "+", decay) + annihilation_functional(

@@ -133,7 +133,7 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
     }
     for what, defect in defects.items():
         size = float(np.abs(defect).max()) if n else 0.0
-        if size > UNITARITY_TOL:
+        if not size <= UNITARITY_TOL:  # a NaN defect fails too
             raise InternalConsistencyError(f"{what} ({size:.3e})")
     for arr in (induced, phases, basis):
         arr.setflags(write=False)

@@ -51,7 +51,7 @@ class ModeSpectrum:
         if self.omegas:
             if self.mu is None:
                 raise ConfigError("nonempty spectrum requires mu")
-            if self.mu <= 0:
+            if not self.mu > 0:
                 raise AdmissibilityError("ground-state energy mu must be positive")
             if min(self.omegas) < self.mu:
                 raise AdmissibilityError("every omega must be >= mu")
@@ -88,7 +88,7 @@ class SymmetrySpec:
         if self.kind not in (UNITARY, ANTIUNITARY):
             raise ConfigError(f"unknown symmetry kind {self.kind!r}")
         for p in self.phases:
-            if abs(abs(p) - 1.0) > UNIT_MODULUS_TOL:
+            if not abs(abs(p) - 1.0) <= UNIT_MODULUS_TOL:  # a NaN component fails too
                 raise ConfigError(f"phase {p!r} is not unit modulus")
         if self.kind == ANTIUNITARY:
             if self.labels is None or self.partners is None:
@@ -196,7 +196,7 @@ def validate_spectrum(
             raise ConfigError("mu_hint given for an empty spectrum")
         return ModeSpectrum(labels=(), omegas=(), mu=None)
     mu = min(omegas) if mu_hint is None else float(mu_hint)
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise AdmissibilityError("mu must be positive")
     if mu > min(omegas):
         raise AdmissibilityError("mu exceeds the minimum frequency")

@@ -11,10 +11,12 @@ reads the slot action's ``source`` and ``phases`` (not its ``cycles``), to
 check the factorization over cycles at sizes no dense matrix reaches.
 
 The sampled-kernel references at the end (the dense grids, the per-cell
-extended kernel and C_beta by a twisted FFT) are what the package's
-closed-form grid spectrum and sampled layout are checked against.
+extended kernel, C_beta by a twisted FFT and the resolvent quadrature on
+a test function) are what the package's closed-form grid spectrum and
+sampled layout are checked against.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -224,3 +226,58 @@ def apply_inverse(spectrum, sym, beta, samples):
     if not np.isfinite(out).all():
         raise RangeError(f"C_beta applied at beta={beta} is outside the float range")
     return out
+
+
+#: Largest relative twisted-boundary defect :func:`verify_resolvent` accepts.
+BOUNDARY_TOL = 1e-6
+
+
+def verify_resolvent(kernel, g, g_second, m):
+    """Quadrature check that the sampled kernel inverts (-d^2/ds^2 +
+    omega^2): the largest residual |C_beta(-g'' + omega^2 g) - g| on the
+    m-point grid.
+
+    ``g`` must satisfy the twisted boundary condition g(beta) =
+    e^{i*theta} g(0) together with the same condition on g'; compliance is
+    what cancels the boundary terms of the double integration by parts, so
+    a noncompliant test function raises ValueError.  g' is probed by
+    one-sided second-order finite differences.  Uses the uniform rectangle
+    rule (the trapezoid rule for the twisted-periodic integrand), so
+    eigenmode residuals scale as (beta/m)^2; on the eigenmode e^{i nu t},
+    nu = theta/beta, the residual is exactly |h lambda_0 (nu^2 + omega^2) -
+    1| with lambda_0 = grid_spectrum(...)[0].  The grid acts as carrier *
+    ifft(lambda * fft(source / carrier)), lambda the FFT of its
+    carrier-stripped lag values.  RangeError where the source -g'' +
+    omega^2 g is beyond the float range (omega^2 overflows from omega ~
+    1e154 on).
+    """
+    beta, theta, omega = kernel.beta, kernel.theta, kernel.omega
+    twist = cmath.exp(1j * theta)
+    scale = max(abs(g(0.0)), abs(g(0.5 * beta)), 1e-30)
+    defect = abs(g(beta) - twist * g(0.0))
+    h = beta * 1e-6
+
+    def deriv(t0, sign):
+        return (
+            -3.0 * g(t0) + 4.0 * g(t0 + sign * h) - g(t0 + 2.0 * sign * h)
+        ) / (2.0 * sign * h)
+
+    d_defect = abs(deriv(beta, -1.0) - twist * deriv(0.0, 1.0)) * h
+    defect = max(defect / scale, d_defect / scale)
+    if defect > BOUNDARY_TOL:
+        raise ValueError(
+            f"test function violates the twisted boundary condition "
+            f"(relative defect {defect:.3e})"
+        )
+    sampled = correlation.sample_kernels([kernel], beta, m)
+    times = sampled.times()
+    w2 = omega * omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = np.array([-g_second(s) + w2 * g(s) for s in times])
+    if not np.isfinite(source).all():
+        raise RangeError(f"resolvent source at omega={omega} is outside the float range")
+    target = np.array([g(t) for t in times])
+    carrier = np.exp(1j * (np.arange(m) / m * theta))
+    lam = np.fft.fft(np.array([row[0] for row in sampled.lags]) / carrier).real
+    values = (beta / m) * (carrier * np.fft.ifft(lam * np.fft.fft(source / carrier)))
+    return float(np.abs(values - target).max())

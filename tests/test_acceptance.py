@@ -183,7 +183,7 @@ def test_criterion_5_resolvent_residual(capsys):
         nu = (theta + 2.0 * math.pi * n_mode) / beta
         residuals = []
         for m in (64, 128, 256):
-            residual = co.verify_resolvent(
+            residual = dense.verify_resolvent(
                 kern,
                 lambda t: cmath.exp(1j * nu * t),
                 lambda t: -(nu**2) * cmath.exp(1j * nu * t),

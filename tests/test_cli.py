@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import twistkit
-from twistkit import cli, correlation, fock, partition, realfield, verify
+from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum
 from test_golden import assert_matches
@@ -139,6 +140,10 @@ def test_spectrum_gen_runs_without_numpy(tmp_path):
             "--n-max", "50", "--output", str(tmp_path / "circle.json")]
     assert _loads_numpy(argv) is False
     assert len(json.loads((tmp_path / "circle.json").read_text())["modes"]) == 101
+
+
+def test_partition_suite_on_a_diagonal_action_runs_without_numpy():
+    assert _loads_numpy(["verify", "--suite", "partition"]) is False
 
 
 @pytest.mark.parametrize("verify_flag", [[], ["--verify"]])
@@ -272,17 +277,21 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert "sampled.spectrum()" in inspect.getsource(verify.kernel_positivity)
     assert "grid_spectrum(" in inspect.getsource(correlation.SampledKernel.spectrum)
     assert "_twisted_fft" not in inspect.getsource(correlation.SampledKernel)
-    source = inspect.getsource(verify) + inspect.getsource(correlation.verify_resolvent)
-    for name in ("eigvalsh", "kernel_grid(", "extended_kernel_grid(", ".grid()", " @ "):
+    source = inspect.getsource(verify) + inspect.getsource(correlation)
+    for name in ("eigvalsh", "kernel_grid(", "extended_kernel_grid(", ".grid()", " @ ", "fft"):
         assert name not in source, name
-    # the dense references live in tests/dense.py
+    # the dense references, the resolvent quadrature among them, live in tests/dense.py
     for module, names in (
-        (correlation, ("KernelGrid", "kernel_grid", "apply_inverse", "_twisted_fft")),
+        (correlation, ("KernelGrid", "kernel_grid", "apply_inverse", "_twisted_fft",
+                       "verify_resolvent", "BOUNDARY_TOL")),
         (realfield, ("extended_kernel", "extended_kernel_grid")),
+        (errors, ("PreconditionError",)),
     ):
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(correlation.SampledKernel, "grid")
+    # correlation imports numpy at run time only to mix a basis
+    assert _numpy_importers(correlation) == ["SampledKernel.blocks"]
     tree = ast.parse(inspect.getsource(realfield))
     imported = [
         alias.name
@@ -293,6 +302,27 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert imported and not [name for name in imported if name.startswith("_")]
     # the eigenmode kernels are built in one helper
     assert inspect.getsource(realfield).count("TwistedKernel(") == 1
+
+
+def _numpy_importers(module):
+    """Qualified names of the functions (or "<module>") that import numpy at
+    run time; imports under ``if TYPE_CHECKING:`` never run."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Import) and any(a.name == "numpy" for a in node.names):
+            found.append(scope or "<module>")
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(inspect.getsource(module)), "")
+    return found
 
 
 class TestSampledKernelChecksBite:
@@ -333,11 +363,19 @@ class TestSampledKernelChecksBite:
         assert f"[FAIL] realfield: {self.SPECTRUM}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scale", [1.0 - 1e-5, 1.0 - 1e-4, 1.0 + 1e-6], ids=["minus_1e-5", "minus_1e-4", "plus_1e-6"]
+        "scale", [1.0 - 1e-5, 1.0 - 1e-4, 1.0 + 1e-6, "mirror"],
+        ids=["minus_1e-5", "minus_1e-4", "plus_1e-6", "mirror"],
     )
     def test_scaled_kernel_fails_the_resolvent_check(self, minus_one_config, monkeypatch, scale):
         # two-sided: a kernel slightly too small lowers the residual, and fails too
         closed = correlation.kernel_closed_form
+        if scale == "mirror":
+            # the scale s with s R - 1 = -(R - 1), R = h lambda_0 (nu^2 + omega^2):
+            # its residual |s R - 1| equals the correct one, so a check that
+            # compares residuals passes it (about 0.99989 here)
+            h, w2 = 1.0 / 128, math.pi**2 + LN2**2
+            r = h * correlation.grid_spectrum(LN2, math.pi, 1.0, 128)[0] * w2
+            scale = (2.0 - r) / r
         monkeypatch.setattr(
             correlation, "kernel_closed_form", lambda *args: scale * closed(*args)
         )
@@ -353,7 +391,7 @@ class TestSampledKernelChecksBite:
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
 
     def test_resolvent_source_beyond_the_float_range_exits_4(self, tmp_path, capsys):
-        # omega^2 = 1e600: the check's source -g'' + omega^2 g is not a float
+        # omega^2 = 1e600: the check's nu^2 + omega^2 is not a float
         cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e300}]})
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 4
         assert "outside the float range" in capsys.readouterr().err
@@ -389,6 +427,15 @@ class TestRangeExitCodes:
         assert main(["partition", "--config", cfg, "--beta", "1"]) == 4
         assert "outside the float range" in capsys.readouterr().err
 
+    def test_tc_field_beyond_the_float_range_exits_4(self, tmp_path, capsys, recwarn):
+        # exp(t omega) at t = 0.41, omega = 1e300 is not a float: a range error,
+        # not a failed check with deviation nan
+        cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e300}]})
+        for suite in ("tc", "all"):
+            assert main(["verify", "--config", cfg, "--suite", suite]) == 4
+            assert "outside the float range" in capsys.readouterr().err
+        assert not recwarn.list
+
     def test_internal_consistency_exits_5(self, anti_config, tmp_path, monkeypatch, capsys):
         from twistkit.errors import InternalConsistencyError
 
@@ -400,6 +447,67 @@ class TestRangeExitCodes:
                 "--output", str(tmp_path / "k.csv"), "--extended"]
         assert main(args) == 5
         assert "not unitary" in capsys.readouterr().err
+
+
+class TestNaNIsRefused:
+    """NaN fails every raising guard: it is never within a tolerance."""
+
+    @staticmethod
+    def nan_phase_config(tmp_path):
+        return write_config(tmp_path / "nan.json", {
+            "modes": [{"label": "a", "omega": 1.0}],
+            "symmetry": {"kind": "unitary", "phases": [{"re": math.nan, "im": 0.0}]},
+        })
+
+    @pytest.mark.parametrize("argv", [["partition", "--beta", "1"], ["verify"],
+                                      ["kernel", "--beta", "1", "--output", "k.csv"]])
+    def test_nan_phase_exits_2(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a == "k.csv" else a for a in argv]
+        assert main(argv + ["--config", self.nan_phase_config(tmp_path)]) == 2
+        assert "not unit modulus" in capsys.readouterr().err
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_nan_mu_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "mu.json",
+                           {"modes": [{"label": "a", "omega": 1.0}], "mu": math.nan})
+        assert main(["partition", "--config", cfg, "--beta", "1"]) == 2
+        assert "mu must be positive" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_eigenbasis_fails_the_build_checks(self, anti_config, tmp_path, monkeypatch,
+                                                   capsys):
+        # a NaN square root of the 2-cycle's phase product puts NaN in the eigenbasis
+        monkeypatch.setattr(realfield, "cmath", SimpleNamespace(sqrt=lambda z: complex("nan")))
+        args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
+                "--output", str(tmp_path / "k.csv"), "--extended"]
+        assert main(args) == 5
+        assert "(nan)" in capsys.readouterr().err
+
+
+#: The documented exit code of each error class (see the ``cli`` docstring).
+EXIT_CODES = {
+    "AdmissibilityError": 2, "ConfigError": 2, "DomainError": 2, "KindError": 2,
+    "CapacityError": 3, "RangeError": 4, "InternalConsistencyError": 5,
+}
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.TwistkitError) and c is not errors.TwistkitError),
+    key=lambda c: c.__name__,
+)
+
+
+def test_exit_code_table_names_every_error_class():
+    assert set(EXIT_CODES) == {c.__name__ for c in ERROR_CLASSES}
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
+    def raising(args):
+        raise error("raised by the subcommand")
+
+    monkeypatch.setattr(cli, "_cmd_partition", raising)
+    assert main(["partition", "--beta", "1"]) == EXIT_CODES[error.__name__]
+    assert capsys.readouterr().err == "error: raised by the subcommand\n"
 
 
 class TestKernelCommand:

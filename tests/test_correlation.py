@@ -7,7 +7,7 @@ import pytest
 
 import dense
 from twistkit import correlation as co, partition, verify
-from twistkit.errors import DomainError, PreconditionError, RangeError
+from twistkit.errors import DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 
@@ -371,6 +371,31 @@ class TestGridSpectrum:
         draws += [(1e-12, 0.0, 1.0, 16), (1e3, 0.7, 1.0, 8), (1e300, 5.9, 1.0, 4)]
         assert self.worst_relative_error(co.grid_spectrum, draws) <= 16.0
 
+    def test_equals_the_aliasing_sum(self):
+        # the theorem itself: lambda_n = (1/h) sum_{k = n mod m} 1/(nu_k^2 + omega^2),
+        # summed term by term near its peak and by Euler-Maclaurin in the tails
+        # (Richardson extrapolation, nsum's default, misjudges these tails at
+        # large omega/m), at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        draws = [(1e-3, 2 * math.pi - 1e-9, 1.0, 1), (1e3, 0.7, 1.0, 1),
+                 (1e3, 2 * math.pi - 1e-3, 0.5, 384), (1e-3, 2 * math.pi - 1e-6, 1.0, 128),
+                 (0.9, 2.1, 1.3, 33)]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for omega, theta, beta, m in draws:
+                got = co.grid_spectrum(omega, theta, beta, m)
+                w, th, b = mpmath.mpf(omega), mpmath.mpf(theta), mpmath.mpf(beta)
+                for n in sorted({0, 1 % m, m // 2, m - 1}):
+                    def term(j):
+                        return 1 / (((th + 2 * mpmath.pi * (n + m * j)) / b) ** 2 + w**2)
+
+                    peak = mpmath.fsum(term(j) for j in range(-10, 11))
+                    tails = sum(mpmath.nsum(term, span, method="euler-maclaurin")
+                                for span in ([11, mpmath.inf], [-mpmath.inf, -11]))
+                    want = (peak + tails) * m / b
+                    worst = max(worst, float(abs(got[n] - want) / want) / EPS)
+        assert worst <= 16.0
+
     def test_tiny_omega_minimum(self):
         # the FFT of these lag values rounds this eigenvalue to about -5.4e8
         assert min(co.grid_spectrum(1e-12, 0.0, 1.0, 16)) == pytest.approx(1.0 / 64, rel=1e-12)
@@ -469,7 +494,7 @@ class TestVerifyResolvent:
         kern = co.TwistedKernel(1.0, 2.0, 1.0)
         nu = (2.0 + 2.0 * math.pi * 0) / 1.0
 
-        residual = co.verify_resolvent(
+        residual = dense.verify_resolvent(
             kern,
             lambda t: cmath.exp(1j * nu * t),
             lambda t: -(nu**2) * cmath.exp(1j * nu * t),
@@ -491,7 +516,7 @@ class TestVerifyResolvent:
                 -c * nu**2 * cmath.exp(1j * nu * t) for c, nu in zip(coeffs, nus)
             )
 
-        residuals = [co.verify_resolvent(kern, g, g2, m=m) for m in (32, 64, 128)]
+        residuals = [dense.verify_resolvent(kern, g, g2, m=m) for m in (32, 64, 128)]
         orders = [
             math.log(r1 / r2) / math.log(2.0) for r1, r2 in zip(residuals, residuals[1:])
         ]
@@ -514,12 +539,42 @@ class TestVerifyResolvent:
         loop = max(
             abs((beta / m) * np.dot([kern(t, s) for s in times], source) - g(t)) for t in times
         )
-        assert abs(co.verify_resolvent(kern, g, g2, m=m) - loop) <= 1e-13
+        assert abs(dense.verify_resolvent(kern, g, g2, m=m) - loop) <= 1e-13
+
+    def test_eigenmode_residual_is_one_sum_of_the_lag_values(self):
+        # what the kernel suite's resolvent check reads instead of this quadrature:
+        # |h lambda_hat_0 (nu^2 + omega^2) - 1|, lambda_hat_0 the carrier-stripped
+        # sum of the 128 lag values, within the check's 16 eps R
+        rng = np.random.default_rng(116)
+        beta, m = 1.0, 128
+        h = beta / m
+        worst = 0.0
+        for i in range(500):
+            omega = 10 ** rng.uniform(-3.0, 3.0)
+            if i % 10 == 0:
+                theta = 0.0
+            elif i % 10 == 1:
+                theta = 2 * math.pi - 10 ** rng.uniform(-12.0, -1.0)
+            else:
+                theta = rng.uniform(0.0, 2 * math.pi)
+            kern = co.TwistedKernel(omega, theta, beta)
+            nu, w2 = theta / beta, (theta / beta) ** 2 + omega**2
+            residual = dense.verify_resolvent(
+                kern, lambda t: cmath.exp(1j * nu * t), lambda t: -(nu**2) * cmath.exp(1j * nu * t),
+                m,
+            )
+            lags = co.sample_kernels([kern], beta, m).lags
+            lam_hat = math.fsum(
+                (row[0] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(lags)
+            )
+            r = h * max(co.grid_spectrum(omega, theta, beta, m)) * w2
+            worst = max(worst, abs(residual - abs(h * lam_hat * w2 - 1.0)) / (EPS * r))
+        assert worst <= 16.0
 
     def test_noncompliant_function_rejected(self):
         kern = co.TwistedKernel(1.0, 1.5, 1.0)
-        with pytest.raises(PreconditionError):
-            co.verify_resolvent(kern, lambda t: t, lambda t: 0.0, m=32)
+        with pytest.raises(ValueError):
+            dense.verify_resolvent(kern, lambda t: t, lambda t: 0.0, m=32)
 
 
 class TestCsvExport:

@@ -244,4 +244,4 @@ class TestRoutesReadTheAction:
         assert "partition: twist positivity lower bound" in listing
         assert "kernel: empty-spectrum (vacuous)" in listing
         assert "doubled-theory" not in listing
-        assert listing.endswith("13/13 checks passed\n")
+        assert listing.endswith("12/12 checks passed\n")
