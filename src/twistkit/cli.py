@@ -11,12 +11,12 @@ outside the float range (RangeError), 5 an internal consistency check
 failed.  All numeric output uses fixed 17-significant-digit lowercase
 scientific formatting so identical inputs produce byte-identical output.
 
-``partition``, ``spectrum gen`` and ``kernel`` without ``--extended``
-(with or without ``--verify``) import no numpy: :mod:`twistkit.correlation`
-loads it only where a basis mixes the kernel, ``kernel --extended`` loads
-it through :mod:`twistkit.realfield`, and :mod:`twistkit.verify` imports
-it inside its dense suites only, so ``verify --suite partition`` on a
-diagonal action is numpy-free too.
+``partition``, ``spectrum gen`` and ``kernel`` (with or without
+``--extended``, with or without ``--verify``) import no numpy:
+:mod:`twistkit.correlation` never loads it, :mod:`twistkit.realfield`
+loads it only in its doubled-field oracle, and :mod:`twistkit.verify`
+imports it inside its dense suites only, so ``verify --suite kernel`` and
+``verify --suite partition`` on a diagonal action are numpy-free too.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _cmd_kernel(args) -> int:
     beta = args.beta
     checks = []
     if args.extended:
-        from . import realfield  # numpy; see the module docstring
+        from . import realfield
 
         ext = realfield.extend(spectrum, sym)
         sampled = realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)

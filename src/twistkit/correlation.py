@@ -19,12 +19,12 @@ kernel has none); the blocks, the CSV export and the spectrum derive from
 that layout.  The spectrum has a closed form, :func:`grid_spectrum`,
 positive for every twist.
 
-numpy is imported lazily, inside the one method that needs it: mixing a
-basis (:meth:`SampledKernel.blocks`).  The closed form, the Fourier and
-Fock-trace oracles, the sampled layout of a scalar kernel, its spectrum
-and the CSV writer run on ``math`` and ``cmath`` alone.  No route here
-forms a dense grid or runs an FFT; the dense references of the tests
-(the grids and the resolvent quadrature) are built from the same layout.
+No numpy is imported here.  The closed form, the Fourier and Fock-trace
+oracles, the sampled layout, its spectrum, the mixing of a sparse basis
+(:meth:`SampledKernel.blocks`) and the CSV writer run on ``math`` and
+``cmath`` alone.  No route here forms a dense grid or runs an FFT; the
+dense references of the tests (the grids and the resolvent quadrature)
+are built from the same layout.
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -36,17 +36,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigError, DomainError, KindError, RangeError
 from .partition import geometric_log_derivative
 from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
 
-if TYPE_CHECKING:
-    import numpy as np
+#: A sparse unitary basis: per block, (indices, columns); see :class:`SampledKernel`.
+Basis = tuple[tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]], ...]
 
 #: Frozen twist-sign convention: the kernel produced by a unitary symmetry
 #: phase rho is K_theta with theta = (-arg rho) mod 2pi.  This is pinned by
@@ -287,29 +288,43 @@ class SampledKernel:
     at lag d = i - j >= 0 is basis diag(lags[d]) basis*, its adjoint above
     the diagonal.  A scalar kernel has one column and no basis (the
     identity); the extended kernel has one per doubled eigenmode and the
-    basis ``ext.eigenbasis``."""
+    per-cycle eigenbasis ``ext.basis`` of its induced unitary.  A basis is
+    block-diagonal up to a permutation, and kept sparse: one (indices,
+    columns) pair per block, where column q sits at indices[q] and holds
+    its coefficients on the rows indices[0], indices[1], ..."""
 
     beta: float
     omegas: tuple[float, ...]
     thetas: tuple[float, ...]
     lags: tuple[tuple[complex, ...], ...] = field(repr=False)  # m rows of n
-    basis: Optional[np.ndarray] = field(default=None, repr=False)  # (n, n) unitary
+    basis: Optional[Basis] = field(default=None, repr=False)
 
     def times(self) -> list[float]:
         m = len(self.lags)
         return [j * (self.beta / m) for j in range(m)]
 
     def blocks(self) -> list[list[complex]]:
-        """The n x n blocks at lags d >= 0, each flattened row by row."""
+        """The n x n blocks at lags d >= 0, each flattened row by row.  With
+        a basis W, entry (a, b) is sum_k (W_ak v_k) conj(W_bk) over the
+        columns k of the block that holds a and b, and 0 off the blocks."""
+        n = len(self.thetas)
         if self.basis is None:
-            n = len(self.thetas)
             return [[row[a] if a == b else 0j for a in range(n) for b in range(n)]
                     for row in self.lags]
-        import numpy as np
-
-        basis = self.basis
-        mixed = np.einsum("aj,dj,bj->dab", basis, np.array(self.lags, dtype=complex), basis.conj())
-        return mixed.reshape(len(self.lags), -1).tolist()
+        # (flat index, [(column, W_ak, conj W_bk), ...]) per nonzero entry
+        plan = [
+            (a * n + b, [(k, col[i], col[j].conjugate()) for k, col in zip(indices, columns)])
+            for indices, columns in self.basis
+            for i, a in enumerate(indices)
+            for j, b in enumerate(indices)
+        ]
+        out = []
+        for row in self.lags:
+            block = [0j] * (n * n)
+            for at, terms in plan:
+                block[at] = sum([w_a * row[k] * w_b for k, w_a, w_b in terms], 0j)
+            out.append(block)
+        return out
 
     def spectrum(self) -> list[list[float]]:
         """The grid's eigenvalues, m rows of n: the grid is unitarily similar
@@ -321,7 +336,7 @@ class SampledKernel:
 
 
 def sample_kernels(
-    kernels: Sequence[TwistedKernel], beta: float, m: int, basis: Optional[np.ndarray] = None
+    kernels: Sequence[TwistedKernel], beta: float, m: int, basis: Optional[Basis] = None
 ) -> SampledKernel:
     """The direct sum of ``kernels`` (all at ``beta``), mixed by ``basis``
     (default: none, the identity), from m closed-form lag values per kernel."""
@@ -335,40 +350,48 @@ def sample_kernels(
     return SampledKernel(beta, omegas, tuple(k.theta for k in kernels), lags, basis)
 
 
-#: A CSV row with "\0" standing for its t and s columns, then the sector
-#: columns (if any), re_k, im_k and a zero tail_bound.
-_ROW = "\0%s,%.16e,%.16e," + f"{0.0:.16e}" + "\n"
+#: The tail of a CSV row after its t and s columns (and its sector columns,
+#: if any): re_k, im_k and a zero tail_bound.
+_ROW = "%s,%.16e,%.16e," + f"{0.0:.16e}" + "\n"
 
 
 def write_kernel_csv(path, sampled: SampledKernel) -> None:
     """Stream a sampled kernel as CSV, formatting each of its 2m - 1
-    distinct blocks once, as text with a placeholder for (t, s).  A scalar
-    kernel (no basis) is written one t-row per write; a kernel with a basis
-    carries row_sector and col_sector on every row, and each (t, s) block
-    is one write.  Output is deterministic: fixed row order,
-    17-significant-digit lowercase scientific floats, LF line endings."""
+    distinct blocks once, as the row texts after the t and s columns.  A
+    scalar kernel (no basis) is written one t-row per write, joined as
+    t,s_0 + body_0 + t,s_1 + body_1 ...; a kernel with a basis carries
+    row_sector and col_sector on every row, and each (t, s) block is one
+    write, t,s + row_0 + t,s + row_1 ...  Output is deterministic: fixed
+    row order, 17-significant-digit lowercase scientific floats, LF line
+    endings."""
     sectors = sampled.basis is not None
     blocks = sampled.blocks()
     m, n = len(blocks), len(sampled.thetas)
     keys = [f",{a},{b}" if sectors else "" for a in range(n) for b in range(n)]
     transpose = [b * n + a for a in range(n) for b in range(n)]
 
-    def text(block: list[complex]) -> str:
-        return "".join([_ROW % (k, z.real, z.imag) for k, z in zip(keys, block)])
+    def rows(block: list[complex]) -> list[str]:
+        return [_ROW % (k, z.real, z.imag) for k, z in zip(keys, block)]
 
-    lower = [text(b) for b in blocks]
-    upper = [text([b[i].conjugate() for i in transpose]) for b in blocks]
+    lower = [rows(b) for b in blocks]
+    upper = [rows([b[i].conjugate() for i in transpose]) for b in blocks]
     stamps = [f"{t:.16e}" for t in sampled.times()]
     columns = "t,s,row_sector,col_sector," if sectors else "t,s,"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # an extended (t, s) block is a few kB: a 64 KiB buffer makes one system
+    # call per few blocks, not one per block
+    with open(path, "w", encoding="utf-8", newline="", buffering=1 << 16) as fh:
         fh.write(columns + "re_k,im_k,tail_bound\n")
-        for i, t in enumerate(stamps):
-            row = zip(stamps, lower[i::-1] + upper[1 : m - i])
-            if not sectors:
-                fh.write("".join([b.replace("\0", f"{t},{s}") for s, b in row]))
-                continue
-            for s, b in row:
-                fh.write(b.replace("\0", f"{t},{s}"))
+        if not sectors:
+            lower_rows, upper_rows = [r[0] for r in lower], [r[0] for r in upper]
+            for i, t in enumerate(stamps):
+                pre = t + ","
+                bodies = lower_rows[i::-1] + upper_rows[1 : m - i]
+                fh.write(pre + pre.join(map(operator.add, stamps, bodies)))
+        elif n:  # a layout without modes has no rows
+            for i, t in enumerate(stamps):
+                for s, block in zip(stamps, lower[i::-1] + upper[1 : m - i]):
+                    pre = f"{t},{s}"
+                    fh.write(pre + pre.join(block))
 
 
 def export_kernel_csv(path, kernel: TwistedKernel, m: int) -> SampledKernel:

@@ -7,19 +7,31 @@ coordinates both induced symmetries are honest complex-linear unitary
 matrices, and "real" means commuting with the natural conjugation
 J(c, d) = (conj(d), conj(c)).
 
-The induced matrix is the transpose of the symmetry's slot action
+The induced matrix U is the transpose of the symmetry's slot action
 (:class:`twistkit.spectrum.SlotAction`), a generalized permutation: it maps
-each doubled basis vector e_c to u_c e_sigma(c) with a unit phase u_c, and
-sigma is an involution.  It therefore diagonalizes orbit by orbit, one
-orbit per cycle of the slot action.  A fixed index c has the eigenpair
-(u_c, e_c).  A 2-cycle a <-> b has the eigenvalues lambda = +-sqrt(u_a u_b)
-with unit eigenvectors (e_a + (u_a / lambda) e_b) / sqrt(2).
+each doubled basis vector e_c to u_c e_sigma(c) with a unit phase u_c.  It
+therefore diagonalizes cycle by cycle, by the discrete Fourier transform
+of each cycle.  A cycle c_0 -> c_1 -> ... -> c_{L-1} -> c_0 with phase
+product r has the eigenvalues lambda_q = r^{1/L} e^{2 pi i q/L} and the
+unit eigenvectors v_q = L^{-1/2} sum_j a_j e_{c_j}, with a_0 = 1 and
+a_{j+1} = u_{c_j} a_j / lambda_q.  Eigenmode q sits at column c_q, so each
+column keeps its doubled frequency; a fixed index c has the eigenpair
+(u_c, e_c), and a 2-cycle a < b puts +-sqrt(u_a u_b) in columns a and b.
+The basis is kept sparse, one L x L block per cycle, and :func:`extend`
+checks it cycle by cycle.
 
 The extended pair-correlation kernel exists here only in its sampled
 layout, :func:`sample_extended_kernel`: one scalar twisted kernel per
-doubled eigenmode, mixed by the eigenbasis.  The CSV export and the
-``realfield`` verify suite read that layout; for a unitary input the
-eigenbasis is the identity, so no block mixes the two sectors.
+doubled eigenmode, mixed by the per-cycle basis.  The CSV export and the
+``realfield`` verify suite read that layout; for a unitary input every
+index is fixed, so no block mixes the two sectors.
+
+:func:`extend`, :func:`z_via_realfield` and the kernel export run on
+``math`` and ``cmath`` alone.  numpy and :mod:`twistkit.fock` are imported
+only inside the doubled-field oracle (:func:`field_coefficient_map`,
+:func:`real_time_field`, :func:`real_field_checks` and the conjugation J
+they apply) and by the dense ``ExtendedSpectrum.induced``, which is built
+when it is first read.
 """
 
 from __future__ import annotations
@@ -27,11 +39,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fock
 from .correlation import (
+    Basis,
     SampledKernel,
     TwistedKernel,
     kernel_twist_angle,
@@ -46,32 +58,53 @@ from .errors import (
 )
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import fock
+
 UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class ExtendedSpectrum:
-    """Doubled spectrum with the induced unitary on the coefficient space.
+    """Doubled spectrum with the eigenbasis of the induced unitary.
 
-    ``phases[j]`` and column ``j`` of ``eigenbasis`` are the j-th
-    eigenpair of ``induced``, at the frequency ``doubled_omegas()[j]``.
+    ``phases[c]`` is the eigenvalue of the eigenmode in column c, at the
+    frequency ``doubled_omegas()[c]``.  ``basis`` holds the eigenvectors
+    cycle by cycle, as (indices c_0..c_{L-1}, columns): column q sits at
+    index c_q and holds its coefficients on rows c_0..c_{L-1}; every other
+    entry is zero.
     """
 
     base: ModeSpectrum
-    induced: np.ndarray = field(repr=False)  # (2M, 2M) unitary
-    phases: np.ndarray = field(repr=False)  # (2M,) unit eigenvalues
-    eigenbasis: np.ndarray = field(repr=False)  # (2M, 2M) unitary W
+    action: SlotAction = field(repr=False)
+    phases: tuple[complex, ...] = field(repr=False)
+    basis: Basis = field(repr=False)
 
     @property
     def n_doubled(self) -> int:
         return 2 * len(self.base)
 
-    def doubled_omegas(self) -> np.ndarray:
-        w = np.asarray(self.base.omegas, dtype=float)
-        return np.concatenate([w, w])
+    def doubled_omegas(self) -> tuple[float, ...]:
+        return self.base.omegas * 2
+
+    @cached_property
+    def induced(self) -> np.ndarray:
+        """The dense (2M, 2M) induced unitary, built when first read."""
+        import numpy as np
+
+        n = self.n_doubled
+        induced = np.zeros((n, n), dtype=complex)
+        for c, (target, u) in _images(self.action, n // 2).items():
+            induced[target, c] = u
+        induced.setflags(write=False)
+        return induced
 
     def natural_conjugation(self, vec: np.ndarray) -> np.ndarray:
         """J(c, d) = (conj(d), conj(c))."""
+        import numpy as np
+
         m = len(self.base)
         out = np.empty_like(vec, dtype=complex)
         out[:m] = np.conj(vec[m:])
@@ -84,60 +117,111 @@ def _doubled(slot: int, m: int) -> int:
     return slot // 2 if slot % 2 else m + slot // 2
 
 
-def _induced(action: SlotAction, m: int) -> np.ndarray:
-    """The transpose of the slot action: slot t takes its occupation from
-    s = source[t] with the phase p_s, so e_{d(t)} goes to p_s e_{d(s)}."""
-    induced = np.zeros((2 * m, 2 * m), dtype=complex)
-    # numpy complex128: u_a / lambda in Python complex moves the eigenbasis by an ulp
-    phases = np.asarray(action.phases, dtype=complex)
-    for t, s in enumerate(action.source):
-        induced[_doubled(s, m), _doubled(t, m)] = phases[s]
-    return induced
+def _images(action: SlotAction, m: int) -> dict[int, tuple[int, complex]]:
+    """The induced matrix, the transpose of the slot action, as c -> (sigma(c),
+    u_c): slot t takes its occupation from s = source[t] with the phase p_s,
+    so e_{d(t)} goes to p_s e_{d(s)}."""
+    return {_doubled(t, m): (_doubled(s, m), action.phases[s]) for t, s in enumerate(action.source)}
+
+
+def _cycle_root(r: complex, length: int) -> complex:
+    """The principal root r^{1/L}; ``cmath.sqrt`` for L = 2, on which the
+    exported bytes of every 2-cycle rest."""
+    if length == 1:
+        return r
+    return cmath.sqrt(r) if length == 2 else r ** (1.0 / length)
+
+
+def _turn(root: complex, q: int, length: int) -> complex:
+    """root e^{2 pi i q/L}, exact at the quarter turns."""
+    quarter, rest = divmod(4 * q, length)
+    if rest:
+        return root * cmath.rect(1.0, 2.0 * math.pi * q / length)
+    return (root, complex(-root.imag, root.real), -root, complex(root.imag, -root.real))[quarter]
+
+
+def _cycle_eigenpairs(units: list[complex], r: complex) -> list[tuple[complex, list[complex]]]:
+    """(lambda_q, [w_0..w_{L-1}]) for q = 0..L-1 on a cycle with
+    U e_{c_j} = units[j] e_{c_{j+1}} and phase product r: the DFT of the
+    cycle, w_j = a_j / sqrt(L) with a_0 = 1, a_{j+1} = u_j a_j / lambda_q."""
+    length = len(units)
+    root = _cycle_root(r, length)
+    scale = 1.0 / math.sqrt(length)
+    pairs = []
+    for q in range(length):
+        lam = _turn(root, q, length)
+        a, coeffs = 1.0 + 0.0j, []
+        for u in units:
+            coeffs.append(a * scale)
+            a = u * a / lam
+        pairs.append((lam, coeffs))
+    return pairs
+
+
+def _worst(defects) -> float:
+    """The largest defect, or NaN if any is NaN (``max`` alone may drop it)."""
+    return max(defects, key=lambda d: (d != d, d), default=0.0)
 
 
 def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
-    """Double the spectrum and build the induced unitary with its eigenbasis.
+    """Double the spectrum and diagonalize the induced unitary cycle by cycle.
 
     Unitary input (phases rho) fixes every doubled index: diag(conj(rho); rho).
     Antiunitary input (pairing pi, phases eta) swaps the sectors: each k
     gives the 2-cycle k <-> M + pi(k) with u_k = eta_k and
-    u_{M+pi(k)} = conj(eta_{pi(k)}).  A 2-cycle a < b puts +lambda in slot
-    a and -lambda in slot b, so each slot keeps its doubled frequency.
+    u_{M+pi(k)} = conj(eta_{pi(k)}).  Each cycle is walked from its
+    smallest doubled index.  The structure is checked numerically once,
+    here, without forming a matrix: every u_c has unit modulus, U commutes
+    with J (u_{c+M} = conj(u_c) on the mirrored index), and within each
+    cycle U v_q = lambda_q v_q and the columns are orthonormal; columns of
+    different cycles have disjoint support.
     """
     action = slot_action(spectrum, sym)
     m = len(spectrum)
     n = 2 * m
-    induced = _induced(action, m)
-    phases = np.zeros(n, dtype=complex)
-    basis = np.zeros((n, n), dtype=complex)
-    for first, _, _ in action.cycles:
-        a, b = sorted((_doubled(first, m), _doubled(action.source[first], m)))
-        u_a, u_b = induced[b, a], induced[a, b]
-        if a == b:
-            phases[a], basis[a, a] = u_a, 1.0
-            continue
-        root = cmath.sqrt(u_a * u_b)
-        for slot, lam in ((a, root), (b, -root)):
-            phases[slot] = lam
-            basis[[a, b], slot] = np.array([1.0, u_a / lam]) / math.sqrt(2.0)
-    # structural guarantees, checked numerically once at build time
-    eye = np.eye(n)
+    image = _images(action, m)
+    phases = [0j] * n
+    basis = []
+    eigenpairs, gram = [], []
+    for first, length, r in action.cycles:
+        walk = [_doubled(first, m)]
+        while len(walk) < length:
+            walk.append(image[walk[-1]][0])
+        start = walk.index(min(walk))
+        indices = walk[start:] + walk[:start]
+        pairs = _cycle_eigenpairs([image[c][1] for c in indices], r)
+        columns = [w for _, w in pairs]
+        for c, (lam, w) in zip(indices, pairs):
+            phases[c] = lam
+            v = dict(zip(indices, w))
+            # (U v)_sigma(b) = u_b v_b against lambda v_sigma(b), zero off the cycle
+            eigenpairs += [
+                abs(image[b][1] * v_b - lam * v.get(image[b][0], 0j)) for b, v_b in v.items()
+            ]
+            # <w, x> - delta over the columns x of the cycle
+            gram += [
+                abs(sum([a.conjugate() * b for a, b in zip(w, x)], 0j) - (1.0 if x is w else 0.0))
+                for x in columns
+            ]
+        basis.append((tuple(indices), tuple(map(tuple, columns))))
+    if sorted(c for indices, _ in basis for c in indices) != list(range(n)):
+        gram.append(1.0)  # a column missing or repeated: a diagonal entry of W* W is off by 1
     defects = {
-        "induced matrix not unitary": induced @ induced.conj().T - eye,
-        # J U J = U, with J swapping the two halves and conjugating
-        "induced matrix does not commute with the natural conjugation": (
-            np.roll(induced.conj(), (m, m), axis=(0, 1)) - induced
-        ),
-        "orbit eigenpairs off: U W - W Lambda": induced @ basis - basis * phases,
-        "orbit eigenbasis not orthonormal: W* W - I": basis.conj().T @ basis - eye,
+        "induced matrix not unitary": [abs(abs(u) ** 2 - 1.0) for _, u in image.values()],
+        # J U J = U: the mirrored index c + M goes to the mirror of sigma(c), with conj(u_c)
+        "induced matrix does not commute with the natural conjugation": [
+            abs(image[(c + m) % n][1].conjugate() - u) if image[(c + m) % n][0] == (target + m) % n
+            else abs(u)
+            for c, (target, u) in image.items()
+        ],
+        "orbit eigenpairs off: U W - W Lambda": eigenpairs,
+        "orbit eigenbasis not orthonormal: W* W - I": gram,
     }
-    for what, defect in defects.items():
-        size = float(np.abs(defect).max()) if n else 0.0
+    for what, found in defects.items():
+        size = _worst(found)
         if not size <= UNITARITY_TOL:  # a NaN defect fails too
             raise InternalConsistencyError(f"{what} ({size:.3e})")
-    for arr in (induced, phases, basis):
-        arr.setflags(write=False)
-    return ExtendedSpectrum(base=spectrum, induced=induced, phases=phases, eigenbasis=basis)
+    return ExtendedSpectrum(spectrum, action, tuple(phases), tuple(basis))
 
 
 def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
@@ -152,7 +236,7 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     if not beta > 0.0:
         raise DomainError("beta must be positive")
     z = 1.0 + 0.0j
-    for w, lam in zip(ext.doubled_omegas().tolist(), ext.phases.tolist()):
+    for w, lam in zip(ext.doubled_omegas(), ext.phases):
         z /= 1.0 - lam * math.exp(-beta * w)
     if z == 0.0 or not cmath.isfinite(z):
         raise RangeError(f"real-field partition value {z} is outside the float range")
@@ -169,12 +253,12 @@ def sample_extended_kernel(ext: ExtendedSpectrum, beta: float, m: int) -> Sample
     input kinds (discrete counterpart of the positivity of the extended
     correlation operator): in the eigenbasis of the induced unitary it is
     the direct sum of the scalar twisted kernels of the doubled eigenmodes,
-    one column each, mixed by ``ext.eigenbasis``."""
+    one column each, mixed by the per-cycle basis ``ext.basis``."""
     kernels = [
-        TwistedKernel(float(w), kernel_twist_angle(p), beta)
+        TwistedKernel(w, kernel_twist_angle(p), beta)
         for w, p in zip(ext.doubled_omegas(), ext.phases)
     ]
-    return sample_kernels(kernels, beta, m, ext.eigenbasis)
+    return sample_kernels(kernels, beta, m, ext.basis)
 
 
 def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:
@@ -189,11 +273,15 @@ def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int)
 
 def field_coefficient_map(ext: ExtendedSpectrum, q: np.ndarray) -> np.ndarray:
     """Coordinates of the induced-symmetry adjoint applied to q."""
+    import numpy as np
+
     return ext.induced.conj().T @ np.asarray(q, dtype=complex)
 
 
 def _doubled_creation(ext: ExtendedSpectrum, q: np.ndarray) -> np.ndarray:
     """Field table of A*(q) = sum_k c_k alpha+*(k) + d_k alpha-*(k), q = (c, d)."""
+    import numpy as np
+
     m = len(ext.base)
     field = np.zeros((2, 2 * m), dtype=complex)
     field[0, 0::2], field[0, 1::2] = q[:m], q[m:]
@@ -209,10 +297,14 @@ def real_time_field(
                             + A(omega^{-1/2} e^{-i t omega} q)]
     with A(q) = sum_k c_k alpha-(k) + d_k alpha+(k).
     """
+    import numpy as np
+
+    from . import fock
+
     q = np.asarray(q, dtype=complex)
     if q.shape != (ext.n_doubled,):
         raise ConfigError("coefficient vector must have doubled length")
-    w = ext.doubled_omegas()
+    w = np.array(ext.doubled_omegas())
     up = q * np.exp(1j * t * w) / np.sqrt(w)
     down = q * np.exp(-1j * t * w) / np.sqrt(w)
     # A(v) = sum c_k alpha-(k) + d_k alpha+(k) = (A*(Jv))^*
@@ -233,6 +325,10 @@ def real_field_checks(
     [A(q), A*(r)] = <Jq, r>; and the symmetry covariance
     U psi(t, q) U* = psi(t, induced* q), as U psi(t, q) = psi(t, induced* q) U.
     """
+    import numpy as np
+
+    from . import fock
+
     space = fock.FockSpace(ext.base, cutoff)
     rng = np.random.default_rng(seed)
     n = ext.n_doubled

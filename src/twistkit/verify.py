@@ -32,9 +32,11 @@ the raw phases and pairing, are what the normal form is checked against.
 
 Only the dense suites import numpy and the Fock and doubled-field
 modules, inside the functions that use them, so :class:`CheckResult`,
-:data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``partition``
-suite on a diagonal action and the sampled kernel checks of a scalar kernel
-run on ``math`` alone.
+:data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
+suite, the ``partition`` suite on a diagonal action and the sampled kernel
+checks of any sampled kernel (``kernel --extended --verify``) run on
+``math`` alone.  The ``kernel`` suite draws its 20 oracle points from
+``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -417,7 +419,7 @@ def kernel_positivity(sampled: correlation.SampledKernel) -> CheckResult:
 def suite_kernel(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    import numpy as np
+    import random
 
     from . import correlation
 
@@ -430,8 +432,8 @@ def suite_kernel(
     beta = 1.0
     theta = correlation.kernel_twist_angle(rho)
     kern = correlation.TwistedKernel(spectrum.omegas[0], theta, beta)
-    rng = np.random.default_rng(seed)
-    points = [tuple(rng.uniform(0.0, beta, size=2)) for _ in range(20)]
+    rng = random.Random(seed)
+    points = [(beta * rng.random(), beta * rng.random()) for _ in range(20)]
     _, results = kernel_agreement(kern, rho, points)
     sampled = correlation.sample_kernels([kern], beta, 32)
     # the gathered grid is conjugate-symmetric off the diagonal by construction
@@ -473,8 +475,6 @@ def suite_kernel(
 def suite_realfield(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    import numpy as np
-
     from . import fock, realfield
 
     if sym is None:
@@ -484,9 +484,7 @@ def suite_realfield(
     results: list[CheckResult] = []
     ext = realfield.extend(spectrum, sym)
     phases = ext.phases
-    conj_defect = 0.0
-    for p in phases:
-        conj_defect = max(conj_defect, float(np.abs(phases - np.conj(p)).min()))
+    conj_defect = max(min(abs(q - p.conjugate()) for q in phases) for p in phases)
     results.append(
         CheckResult(
             "realfield", "induced eigenphases closed under conjugation", conj_defect, 1e-10
@@ -495,8 +493,10 @@ def suite_realfield(
     sampled = realfield.sample_extended_kernel(ext, 1.0, 12)
     if slot_action(spectrum, sym).diagonal:
         m, n = len(spectrum), ext.n_doubled
-        blocks = np.array(sampled.blocks()).reshape(-1, n, n)
-        off = max(_max_abs(blocks[:, :m, m:]), _max_abs(blocks[:, m:, :m]))
+        off = max(
+            abs(block[a * n + b]) for block in sampled.blocks()
+            for a in range(n) for b in range(n) if (a < m) != (b < m)
+        )
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )

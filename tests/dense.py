@@ -181,6 +181,28 @@ def extended_kernel_grid(ext, beta, m):
     return grid(realfield.sample_extended_kernel(ext, beta, m))
 
 
+def eigenbasis(ext):
+    """The dense (2M, 2M) eigenbasis W of ``ext.induced``, column c the
+    eigenvector of ``ext.phases[c]``, scattered from the per-cycle basis."""
+    w = np.zeros((ext.n_doubled, ext.n_doubled), dtype=complex)
+    for indices, columns in ext.basis:
+        for c, column in zip(indices, columns):
+            w[list(indices), c] = column
+    return w
+
+
+def extended_image_sum(ext, beta, tau):
+    """The extended kernel block K(tau) for 0 <= tau < beta as the image sum
+    (2W)^-1 [e^{-W tau} (I - XU)^-1 + e^{W tau} X U* (I - XU*)^-1], with W
+    the doubled frequencies, U = ``ext.induced`` and X = e^{-beta W}: no
+    eigenbasis.  W commutes with U, so the diagonal factors act on the rows."""
+    w = np.array(ext.doubled_omegas())
+    u, eye, x = ext.induced, np.eye(len(w)), np.diag(np.exp(-beta * w))
+    fwd = np.linalg.inv(eye - x @ u)
+    back = x @ u.conj().T @ np.linalg.inv(eye - x @ u.conj().T)
+    return (np.exp(-w * tau)[:, None] * fwd + np.exp(w * tau)[:, None] * back) / (2.0 * w)[:, None]
+
+
 def extended_kernel(ext, beta, t, s):
     """Extended pair-correlation kernel as a 2M x 2M block at (t, s).
 
@@ -193,7 +215,8 @@ def extended_kernel(ext, beta, t, s):
         correlation.TwistedKernel(float(w), correlation.kernel_twist_angle(p), beta)(t, s)
         for w, p in zip(ext.doubled_omegas(), ext.phases)
     ])
-    return (ext.eigenbasis * diag) @ ext.eigenbasis.conj().T
+    w = eigenbasis(ext)
+    return (w * diag) @ w.conj().T
 
 
 def apply_inverse(spectrum, sym, beta, samples):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ import twistkit
 from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum
-from test_golden import assert_matches
 
 LN2 = math.log(2.0)
 
@@ -153,23 +151,33 @@ def test_scalar_kernel_runs_without_numpy(tmp_path, verify_flag):
     assert len(Path(tmp_path / "k.csv").read_text().splitlines()) == 1 + 33 * 33
 
 
-def test_extended_kernel_loads_numpy_and_matches_its_golden(tmp_path):
+def test_kernel_suite_runs_without_numpy():
+    assert _loads_numpy(["verify", "--suite", "kernel"]) is False
+
+
+@pytest.mark.parametrize("verify_flag", [[], ["--verify"]])
+def test_extended_kernel_runs_without_numpy_and_matches_its_golden(tmp_path, verify_flag):
     golden = Path(__file__).parent / "golden"
     out = tmp_path / "ext.csv"
     argv = ["kernel", "--config", str(golden / "anti_pair_fixed.json"), "--extended",
             "--grid", "4", "--beta", "1", "--output", str(out)]
-    assert _loads_numpy(argv) is True
-    assert_matches(out.read_text(), (golden / "kernel_extended_anti.csv").read_text(), "csv")
+    assert _loaded(argv + verify_flag, ["numpy", "twistkit.fock"]) == []
+    assert out.read_text() == (golden / "kernel_extended_anti.csv").read_text()
+
+
+def _loaded(argv, modules):
+    """Run ``cli.main(argv)`` in a fresh interpreter; which of ``modules`` got loaded."""
+    code = ("import sys; from twistkit.cli import main; rc = main(sys.argv[2:]); "
+            "print(rc, [m for m in sys.argv[1].split(',') if m in sys.modules])")
+    proc = _run_cli(["-c", code, ",".join(modules), *argv], check=True)
+    rc, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert rc == "0", proc.stderr
+    return ast.literal_eval(loaded)
 
 
 def _loads_numpy(argv):
     """Run ``cli.main(argv)`` in a fresh interpreter; whether numpy got loaded."""
-    code = ("import sys; from twistkit.cli import main; "
-            "rc = main(sys.argv[1:]); print(rc, 'numpy' in sys.modules)")
-    proc = _run_cli(["-c", code, *argv], check=True)
-    rc, loaded = proc.stdout.split()[-2:]
-    assert rc == "0", proc.stderr
-    return loaded == "True"
+    return _loaded(argv, ["numpy"]) == ["numpy"]
 
 
 def test_package_exports_load_lazily():
@@ -290,8 +298,14 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(correlation.SampledKernel, "grid")
-    # correlation imports numpy at run time only to mix a basis
-    assert _numpy_importers(correlation) == ["SampledKernel.blocks"]
+    # correlation imports no numpy at run time; realfield imports numpy and
+    # fock only in the doubled-field oracle and the dense induced matrix
+    assert _numpy_importers(correlation) == []
+    oracle = ["field_coefficient_map", "_doubled_creation", "real_time_field",
+              "real_field_checks"]
+    assert _numpy_importers(realfield) == [
+        "ExtendedSpectrum.induced", "ExtendedSpectrum.natural_conjugation", *oracle]
+    assert _numpy_importers(realfield, "fock") == ["real_time_field", "real_field_checks"]
     tree = ast.parse(inspect.getsource(realfield))
     imported = [
         alias.name
@@ -304,9 +318,10 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert inspect.getsource(realfield).count("TwistedKernel(") == 1
 
 
-def _numpy_importers(module):
-    """Qualified names of the functions (or "<module>") that import numpy at
-    run time; imports under ``if TYPE_CHECKING:`` never run."""
+def _numpy_importers(module, name="numpy"):
+    """Qualified names of the functions (or "<module>") that import numpy (or
+    the twistkit module ``name``) at run time; imports under ``if
+    TYPE_CHECKING:`` never run."""
     found = []
 
     def visit(node, scope):
@@ -314,9 +329,11 @@ def _numpy_importers(module):
             return
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Import) and any(a.name == "numpy" for a in node.names):
+        if isinstance(node, ast.Import) and any(a.name == name for a in node.names):
             found.append(scope or "<module>")
-        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+        if isinstance(node, ast.ImportFrom) and name in (
+            node.module, *(a.name for a in node.names if node.level and not node.module)
+        ):
             found.append(scope or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -473,15 +490,39 @@ class TestNaNIsRefused:
         assert main(["partition", "--config", cfg, "--beta", "1"]) == 2
         assert "mu must be positive" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_eigenbasis_fails_the_build_checks(self, anti_config, tmp_path, monkeypatch,
                                                    capsys):
-        # a NaN square root of the 2-cycle's phase product puts NaN in the eigenbasis
-        monkeypatch.setattr(realfield, "cmath", SimpleNamespace(sqrt=lambda z: complex("nan")))
+        # a NaN root of the 2-cycle's phase product puts NaN in the eigenbasis
+        monkeypatch.setattr(realfield, "_cycle_root", lambda r, length: complex("nan"))
         args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
                 "--output", str(tmp_path / "k.csv"), "--extended"]
         assert main(args) == 5
         assert "(nan)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, math.nan], ids=["scaled", "nan"])
+def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
+    anti_config, tmp_path, monkeypatch, capsys, factor
+):
+    # one coefficient of one eigenvector of the first cycle, off by 1e-6 or NaN
+    eigenpairs = realfield._cycle_eigenpairs
+    seen = []
+
+    def broken(units, r):
+        pairs = eigenpairs(units, r)
+        if not seen:
+            pairs[0][1][-1] *= factor
+        seen.append(units)
+        return pairs
+
+    monkeypatch.setattr(realfield, "_cycle_eigenpairs", broken)
+    with pytest.raises(errors.InternalConsistencyError, match="orbit eigen"):
+        realfield.extend(*load_config(anti_config))
+    seen.clear()
+    args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
+            "--output", str(tmp_path / "k.csv"), "--extended"]
+    assert main(args) == 5
+    assert capsys.readouterr().err.startswith("error: orbit eigen")
 
 
 #: The documented exit code of each error class (see the ``cli`` docstring).

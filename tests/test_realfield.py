@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import dense
 
 from twistkit import correlation as co, partition, realfield as rf
-from twistkit.spectrum import SymmetrySpec, validate_spectrum
+from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
 
 LN2 = math.log(2.0)
 
@@ -124,7 +125,7 @@ class TestDiagonalize:
                     rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(1, 3))
                 )
             ext = rf.extend(spec, sym)
-            w, lam = ext.eigenbasis, ext.phases
+            w, lam = dense.eigenbasis(ext), np.array(ext.phases)
             n = ext.n_doubled
             assert np.abs(ext.induced @ w - w * lam).max() < 1e-14
             assert np.abs(w.conj().T @ w - np.eye(n)).max() < 1e-14
@@ -133,6 +134,78 @@ class TestDiagonalize:
                 assert np.abs(expected - value).min() < 1e-12
             for value in expected:
                 assert np.abs(lam - value).min() < 1e-12
+
+
+def random_slot_action(rng):
+    """A random real generalized permutation of the slots, built directly.
+
+    Each mode k has a partner pi(k) (pi a random permutation), a charge flip
+    f_k and a phase eta_k: slot 2k + e takes its occupation from slot
+    2 pi(k) + (e xor f_k), and the + and - slots carry eta_k and
+    conj(eta_k), so the action commutes with the natural conjugation.  A
+    pi-cycle of length l gives one slot cycle of length 2l if its flips are
+    odd, two of length l if they are even; l <= 3 and l <= 6 respectively,
+    so the slot cycles have length 1-6.  Omega is constant on each
+    pi-cycle, as alignment requires.  Returns (spectrum, stand-in symmetry
+    that carries the action).
+    """
+    cycles = []  # (length, flips, omega) per pi-cycle
+    for _ in range(int(rng.integers(1, 4))):
+        odd = int(rng.integers(2))
+        length = int(rng.integers(1, 4 if odd else 7))
+        flips = [int(f) for f in rng.integers(0, 2, size=length - 1)]
+        cycles.append((length, flips + [(sum(flips) + odd) % 2], float(rng.uniform(0.5, 3.0))))
+    n = sum(length for length, _, _ in cycles)
+    modes = [int(k) for k in rng.permutation(n)]
+    omegas, partner, flip = [0.0] * n, [0] * n, [0] * n
+    for length, cycle_flips, omega in cycles:
+        order, modes = modes[:length], modes[length:]
+        for i, k in enumerate(order):
+            omegas[k], partner[k], flip[k] = omega, order[(i + 1) % length], cycle_flips[i]
+    etas = [cmath.exp(2j * math.pi * float(rng.uniform())) for _ in omegas]
+    source = [2 * partner[k] + (e ^ flip[k]) for k in range(n) for e in (0, 1)]
+    phases = [p for eta in etas for p in (eta, eta.conjugate())]
+    spec = validate_spectrum([(f"m{k}", w) for k, w in enumerate(omegas)])
+    action = SlotAction(tuple(source), tuple(phases))
+    # slot_action reads only the phase count (alignment) and the action
+    return spec, SimpleNamespace(kind="unitary", phases=(1.0 + 0j,) * n, action=action)
+
+
+class TestCycleEigenbasis:
+    """Theorem: the DFT of each cycle diagonalizes the induced unitary.
+
+    A cycle of length L and phase product r has the eigenvalues
+    lambda_q = r^{1/L} e^{2 pi i q/L}, so prod_q (1 - lambda_q x) = 1 - r x^L
+    and the doubled-theory product is the cycle product of the partition
+    function, for any slot permutation, not only the involutions a config
+    can give today; the sampled kernel mixed by the sparse basis is the
+    image sum, which needs no eigenbasis."""
+
+    def test_against_dense_algebra_and_the_partition_routes(self):
+        rng = np.random.default_rng(29)
+        lengths = set()
+        for _ in range(120):
+            spec, sym = random_slot_action(rng)
+            lengths |= {length for _, length, _ in sym.action.cycles}
+            ext = rf.extend(spec, sym)
+            u, w, lam = ext.induced, dense.eigenbasis(ext), np.array(ext.phases)
+            assert np.abs(u @ w - w * lam).max() <= 1e-14
+            assert np.abs(w.conj().T @ w - np.eye(ext.n_doubled)).max() <= 1e-14
+            expected = np.linalg.eigvals(u)
+            assert max(np.abs(expected - value).min() for value in lam) < 1e-12
+            for beta in (0.3, 1.0, 3.0):
+                z = partition.z_twisted(spec, sym, beta)
+                trace = partition.partition_trace(spec, sym, beta, 400)
+                assert abs(rf.z_via_realfield(ext, beta) - z) <= 1e-14 * z
+                assert abs(trace - z) <= 1e-14 * z
+                assert z >= partition.positivity_lower_bound(spec, beta)
+                # the sparse mixing against the eigenbasis-free image sum
+                blocks = rf.sample_extended_kernel(ext, beta, 5).blocks()
+                for d, block in enumerate(blocks):
+                    ref = dense.extended_image_sum(ext, beta, d * beta / 5)
+                    dev = np.abs(np.reshape(block, ref.shape) - ref).max()
+                    assert dev <= 1e-13 * np.abs(ref).max()
+        assert lengths == {1, 2, 3, 4, 5, 6}
 
 
 class TestPartitionRoutes:

@@ -135,13 +135,12 @@ class TestNormalFormIsNotCircular:
 
     @staticmethod
     def untransposed_induced(monkeypatch):
+        # e_{d(s)} goes to p_s e_{d(t)}: the slot action itself, not its transpose
         def broken(action, m):
-            induced = np.zeros((2 * m, 2 * m), dtype=complex)
-            for t, s in enumerate(action.source):
-                induced[realfield._doubled(t, m), realfield._doubled(s, m)] = action.phases[s]
-            return induced
+            return {realfield._doubled(s, m): (realfield._doubled(t, m), action.phases[s])
+                    for t, s in enumerate(action.source)}
 
-        monkeypatch.setattr(realfield, "_induced", broken)
+        monkeypatch.setattr(realfield, "_images", broken)
 
     @staticmethod
     def suite_fails(path, suite="all"):
