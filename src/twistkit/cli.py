@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from typing import Optional
 
 # verify is numpy-free until a dense suite runs, so it loads eagerly; the
@@ -61,6 +60,8 @@ def fmt(x: float) -> str:
 
 def _load(path: Optional[str]):
     if path is None:
+        from importlib import resources  # only the bundled config needs it
+
         with resources.files("twistkit.data").joinpath("default.json").open(
             "r", encoding="utf-8"
         ) as fh:
@@ -131,9 +132,7 @@ def _cmd_kernel(args) -> int:
             # The closed form and both oracles depend on t - s only, so the
             # 2m - 1 distinct lags of the m x m check grid cover all its cells.
             m = min(args.grid, 8)
-            lags = [d * beta / m for d in range(m)]
-            points = [(t, 0.0) for t in lags] + [(0.0, s) for s in lags[1:]]
-            worst, checks = verify.kernel_agreement(kern, rho, points)
+            worst, checks = verify.kernel_agreement(kern, rho, m, range(1 - m, m))
             print(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
         checks += [verify.sampled_spectrum_check(sampled), verify.kernel_positivity(sampled)]

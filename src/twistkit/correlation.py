@@ -6,7 +6,12 @@ g(beta) = e^{i*theta} g(0).  Three independent evaluation routes are
 implemented and cross-checked in the tests: a closed form obtained as a
 geometric image sum, a twisted Fourier partial sum with an explicit tail
 bound, and a normalized twisted Fock trace of the time-ordered two-field
-product.
+product.  The two oracles serve the kernel checks, which compare at the
+lags of a grid: :func:`kernel_fourier` gives the partial sum at every lag
+of the m-point grid at once, folding its coefficients by n mod m, and
+:func:`kernel_oracle` keeps the truncated geometric sums of the last
+kernel it evaluated, so a kernel's oracle work is done once, not once per
+point.
 
 On the uniform grid t_j = j*beta/m the sampled kernel depends only on
 the lag: K(t_i, t_j) = v[i - j] for i >= j, with v[d] = K(d*beta/m, 0),
@@ -38,8 +43,6 @@ import cmath
 import math
 import operator
 import warnings
-from array import array
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DomainError, KindError, RangeError
@@ -62,21 +65,17 @@ def kernel_twist_angle(rho: complex) -> float:
     return principal_angle(cmath.exp(1j * KERNEL_TWIST_SIGN * cmath.phase(rho)))
 
 
-@dataclass(frozen=True)
 class TwistedKernel:
     """Per-mode twisted thermal Green's function on [0, beta)^2."""
 
-    omega: float
-    theta: float
-    beta: float
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
+    def __init__(self, omega: float, theta: float, beta: float):
+        if not omega > 0.0:
             raise DomainError("omega must be positive")
-        if not self.beta > 0.0:
+        if not beta > 0.0:
             raise DomainError("beta must be positive")
-        if not 0.0 <= self.theta < 2.0 * math.pi:
+        if not 0.0 <= theta < 2.0 * math.pi:
             raise DomainError("theta must lie in [0, 2*pi)")
+        self.omega, self.theta, self.beta = omega, theta, beta
 
     def __call__(self, t: float, s: float) -> complex:
         return kernel_closed_form(self.omega, self.theta, self.beta, t, s)
@@ -119,68 +118,65 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
     return value
 
 
-#: The last coefficient table of :func:`kernel_fourier`, keyed by (omega,
-#: theta, beta, n_cutoff): a check evaluates one kernel at many points.
-_fourier_memo: list = [None, None]
-
-
-def _fourier_coefficients(
-    omega: float, theta: float, beta: float, n_cutoff: int
-) -> tuple[float, array, array]:
-    """a_n = 1/(nu_n^2 + omega^2): a_0, then a_n and a_-n for n = n_cutoff down to 1."""
-    key = (omega, theta, beta, n_cutoff)
-    if _fourier_memo[0] != key:
-        w2 = omega * omega  # not **: a square beyond the float range is inf, its term 0
-
-        def coeff(n: int) -> float:
-            nu = (theta + 2.0 * math.pi * n) / beta
-            denom = nu * nu + w2
-            if not denom:
-                raise RangeError(
-                    f"Fourier term at omega={omega}, beta={beta} is outside the float range"
-                )
-            return 1.0 / denom
-
-        ns = range(n_cutoff, 0, -1)
-        table = (coeff(0), array("d", map(coeff, ns)), array("d", [coeff(-n) for n in ns]))
-        _fourier_memo[:] = [key, table]
-    return _fourier_memo[1]
-
-
 def kernel_fourier(
-    omega: float, theta: float, beta: float, t: float, s: float, n_cutoff: int
-) -> tuple[complex, float]:
-    """Partial twisted-Fourier sum and a rigorous tail bound.
+    omega: float, theta: float, beta: float, m: int, n_cutoff: int
+) -> tuple[list[complex], float]:
+    """Partial twisted-Fourier sums at the lags of the m-point grid, and a
+    rigorous tail bound.
 
-    Returns (1/beta) * sum_{|n| <= n_cutoff} e^{i*nu_n*(t-s)}/(nu_n^2 +
-    omega^2) together with beta/(2*pi^2*(n_cutoff - 1)), an upper bound on
-    the dropped |n| > n_cutoff terms (valid for n_cutoff >= 2).  This is
-    an independent oracle for the closed form (the ``kernel`` verify suite
-    and ``twistkit kernel --verify``); no production path evaluates it.
+    Returns the values (1/beta) * sum_{|n| <= n_cutoff} e^{i*nu_n*tau} /
+    (nu_n^2 + omega^2) at tau = d*beta/m for d = -(m-1)..m-1, as a list
+    indexed by d (Python's negative indices give the lags d < 0), together
+    with beta/(2*pi^2*(n_cutoff - 1)), an upper bound on the dropped
+    |n| > n_cutoff terms (valid for n_cutoff >= 2).  This is an
+    independent oracle for the closed form (the ``kernel`` verify suite and
+    ``twistkit kernel --verify``); no production path evaluates it.
 
-    With z = e^{2 pi i tau/beta}, e^{i*nu_n*tau} = e^{i theta tau/beta} z^n,
-    so the sum is a_0 + z P(z) + conj(z) Q(conj(z)), with P and Q the
-    Horner sums of the real coefficients a_n = 1/(nu_n^2 + omega^2) for
-    n >= 1 and n <= -1; the phase e^{i theta tau/beta} is restored at the
-    end.  The n-th term's phase is rounded by about |n| eps, as when each
-    e^{i nu_n tau} is taken on its own.  A term whose nu_n^2 + omega^2
-    overflows (omega above about 1e154) is below the float range and counts
-    as 0, not as an OverflowError; one whose denominator underflows to 0
-    raises RangeError.
+    At these lags e^{i*nu_n*tau} = e^{i theta d/m} e^{2 pi i n d/m} depends
+    on n only through n mod m, so the 2*n_cutoff + 1 real coefficients
+    a_n = 1/(nu_n^2 + omega^2) fold into m residue-class sums A_r of
+    positive terms, each by one ``math.fsum``.  Lag d >= 0 is then
+    e^{i theta d/m}/beta * sum_r e^{2 pi i r d/m} A_r, a direct m-term sum
+    (real and imaginary parts by ``math.fsum``) over a table of m unit
+    roots, each taken at an angle in [-pi, pi]; lag -d is its conjugate,
+    as the coefficients are real.  It is the same finite sum as the
+    term-by-term one, regrouped, and it rounds each term by a few eps,
+    where the term-by-term sum rounds term n's phase by about |n| eps.  A
+    term whose nu_n^2 + omega^2 overflows (omega above about 1e154) is
+    below the float range and counts as 0, not as an OverflowError; one
+    whose denominator underflows to 0 raises RangeError.
     """
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
-    a_0, ups, downs = _fourier_coefficients(omega, theta, beta, n_cutoff)
-    tau = t - s
-    z = cmath.exp(2j * math.pi * tau / beta)
-    zc = z.conjugate()
-    up = down = 0j
-    for a_up, a_down in zip(ups, downs):
-        up = up * z + a_up
-        down = down * zc + a_down
-    value = (a_0 + z * up + zc * down) * cmath.exp(1j * theta * tau / beta) / beta
+    w2 = omega * omega  # not **: a square beyond the float range is inf, its term 0
+    coeffs = []
+    for n in range(-n_cutoff, n_cutoff + 1):
+        nu = (theta + 2.0 * math.pi * n) / beta
+        denom = nu * nu + w2
+        if not denom:
+            raise RangeError(
+                f"Fourier term at omega={omega}, beta={beta} is outside the float range"
+            )
+        coeffs.append(1.0 / denom)
+    # coeffs[i] is a_{i - n_cutoff}, so class r starts at the first i = r + n_cutoff mod m
+    classes = [math.fsum(coeffs[(r + n_cutoff) % m :: m]) for r in range(m)]
+    roots = [cmath.rect(1.0, 2.0 * math.pi * (k - m if 2 * k > m else k) / m) for k in range(m)]
+    values = []
+    for d in range(m):
+        terms = [roots[r * d % m] for r in range(m)]
+        total = complex(
+            math.fsum([w.real * a for w, a in zip(terms, classes)]),
+            math.fsum([w.imag * a for w, a in zip(terms, classes)]),
+        )
+        values.append(total * cmath.rect(1.0, theta * d / m) / beta)
+    values += [v.conjugate() for v in values[:0:-1]]
     tail = beta / (2.0 * math.pi**2 * max(n_cutoff - 1, 1))
-    return value, tail
+    return values, tail
+
+
+#: The last Fock-trace pair of :func:`kernel_oracle`, keyed by (rho, x,
+#: cutoff): a check evaluates one kernel at many points.
+_oracle_memo: list = [None, None]
 
 
 def kernel_oracle(
@@ -199,7 +195,9 @@ def kernel_oracle(
     oscillators, so each expectation is a truncated geometric sum ratio,
     :func:`twistkit.partition.geometric_log_derivative`; the result is
     identical to building dense matrices at the same cutoff (asserted in
-    tests), but scales to the large cutoffs the tail bound needs.
+    tests), but scales to the large cutoffs the tail bound needs.  The two
+    sums depend on (rho, x, cutoff) only, and the last pair is kept, so
+    repeated points of one kernel cost no further sums.
 
     The growing factor e^{omega |tau|} multiplies an expectation
     <alpha* alpha> = c x <alpha alpha*>, with x = e^{-beta omega} and c the
@@ -217,8 +215,12 @@ def kernel_oracle(
         raise DomainError("t and s must lie in [0, beta]")
     omega = spectrum.omegas[0]
     x = math.exp(-beta * omega)
-    # + oscillator carries twist eigenvalues rho^n, - oscillator conj(rho)^n.
-    plus, minus = (geometric_log_derivative(c * x, cutoff) for c in (rho, rho.conjugate()))
+    key = (rho, x, cutoff)
+    if _oracle_memo[0] != key:
+        # + oscillator carries twist eigenvalues rho^n, - oscillator conj(rho)^n.
+        pair = [geometric_log_derivative(c * x, cutoff) for c in (rho, rho.conjugate())]
+        _oracle_memo[:] = [key, pair]
+    plus, minus = _oracle_memo[1]
     # t >= s: phibar(s) phi(t), where alpha-* alpha- and alpha+ alpha+* survive;
     # t < s: phi(t) phibar(s), where alpha+* alpha+ and alpha- alpha-* survive.
     twist, grown, decayed = (rho.conjugate(), minus, plus) if t >= s else (rho, plus, minus)
@@ -280,7 +282,6 @@ def grid_spectrum(omega: float, theta: float, beta: float, m: int) -> list[float
     return out
 
 
-@dataclass(frozen=True)
 class SampledKernel:
     """A Hermitian kernel on the grid t_j = j*beta/m, as the lag values of
     its eigenmode kernels: lags[d][k] = K_k(d*beta/m, 0), the kernel of
@@ -293,11 +294,16 @@ class SampledKernel:
     columns) pair per block, where column q sits at indices[q] and holds
     its coefficients on the rows indices[0], indices[1], ..."""
 
-    beta: float
-    omegas: tuple[float, ...]
-    thetas: tuple[float, ...]
-    lags: tuple[tuple[complex, ...], ...] = field(repr=False)  # m rows of n
-    basis: Optional[Basis] = field(default=None, repr=False)
+    def __init__(
+        self,
+        beta: float,
+        omegas: tuple[float, ...],
+        thetas: tuple[float, ...],
+        lags: tuple[tuple[complex, ...], ...],  # m rows of n
+        basis: Optional[Basis] = None,
+    ):
+        self.beta, self.omegas, self.thetas = beta, omegas, thetas
+        self.lags, self.basis = lags, basis
 
     def times(self) -> list[float]:
         m = len(self.lags)

@@ -30,7 +30,6 @@ their tail bounds in :mod:`twistkit.partition`, which imports no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -77,16 +76,13 @@ def _at(n_slots: int, slot: int, level: int, width: int) -> tuple:
     return tuple(index)
 
 
-@dataclass(frozen=True)
 class FockSpace:
     """Occupation tensors over all modes and both charges at one cutoff."""
 
-    spectrum: ModeSpectrum
-    cutoff: int
-
-    def __post_init__(self):
-        if self.cutoff < 1:
+    def __init__(self, spectrum: ModeSpectrum, cutoff: int):
+        if cutoff < 1:
             raise ConfigError("cutoff must be >= 1")
+        self.spectrum, self.cutoff = spectrum, cutoff
         if self.dim > MAX_STATES:
             raise CapacityError(f"{self.dim} states exceed the cap of {MAX_STATES}")
 

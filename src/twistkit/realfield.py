@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -66,7 +65,6 @@ if TYPE_CHECKING:
 UNITARITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class ExtendedSpectrum:
     """Doubled spectrum with the eigenbasis of the induced unitary.
 
@@ -77,10 +75,9 @@ class ExtendedSpectrum:
     entry is zero.
     """
 
-    base: ModeSpectrum
-    action: SlotAction = field(repr=False)
-    phases: tuple[complex, ...] = field(repr=False)
-    basis: Basis = field(repr=False)
+    def __init__(self, base: ModeSpectrum, action: SlotAction, phases: tuple[complex, ...],
+                 basis: Basis):
+        self.base, self.action, self.phases, self.basis = base, action, phases, basis
 
     @property
     def n_doubled(self) -> int:

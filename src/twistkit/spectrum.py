@@ -12,6 +12,11 @@ mode pairing with unit phases (antiunitary case, acting as
 ``V(sum c_k e_k) = sum conj(c_k) eta_k e_{pi(k)}``).
 Both kinds are normalized once, here, into a :class:`SlotAction`, which is
 the only form every route outside this module reads.
+
+The classes of the package are plain classes whose ``__init__`` validates
+its arguments.  No module imports ``dataclasses``, so that a CLI start
+pays neither for importing it (and ``inspect``) nor for generating each
+class's methods from source.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -31,7 +35,6 @@ UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
 
 
-@dataclass(frozen=True)
 class ModeSpectrum:
     """Finite admissible frequency spectrum.
 
@@ -39,24 +42,29 @@ class ModeSpectrum:
     satisfies ``omega >= mu > 0``.
     """
 
-    labels: tuple[str, ...]
-    omegas: tuple[float, ...]
-    mu: Optional[float]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.omegas):
+    def __init__(self, labels: tuple[str, ...], omegas: tuple[float, ...], mu: Optional[float]):
+        if len(labels) != len(omegas):
             raise ConfigError("labels and omegas must have equal length")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ConfigError("mode labels must be unique")
-        if self.omegas:
-            if self.mu is None:
+        if omegas:
+            if mu is None:
                 raise ConfigError("nonempty spectrum requires mu")
-            if not self.mu > 0:
+            if not mu > 0:
                 raise AdmissibilityError("ground-state energy mu must be positive")
-            if min(self.omegas) < self.mu:
+            if min(omegas) < mu:
                 raise AdmissibilityError("every omega must be >= mu")
-        elif self.mu is not None:
+        elif mu is not None:
             raise ConfigError("empty spectrum must not carry mu")
+        self.labels, self.omegas, self.mu = labels, omegas, mu
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModeSpectrum):
+            return NotImplemented
+        return (self.labels, self.omegas, self.mu) == (other.labels, other.omegas, other.mu)
+
+    def __repr__(self) -> str:
+        return f"ModeSpectrum(labels={self.labels!r}, omegas={self.omegas!r}, mu={self.mu!r})"
 
     def __len__(self) -> int:
         return len(self.omegas)
@@ -68,7 +76,6 @@ class ModeSpectrum:
             raise ConfigError(f"unknown mode label {label!r}") from None
 
 
-@dataclass(frozen=True)
 class SymmetrySpec:
     """Unitary or antiunitary symmetry commuting with the spectrum.
 
@@ -79,30 +86,32 @@ class SymmetrySpec:
     pi(labels[k]) of an involutive permutation, and ``phases[k]`` is eta_k.
     """
 
-    kind: str
-    phases: tuple[complex, ...]
-    labels: Optional[tuple[str, ...]] = None
-    partners: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        if self.kind not in (UNITARY, ANTIUNITARY):
-            raise ConfigError(f"unknown symmetry kind {self.kind!r}")
-        for p in self.phases:
+    def __init__(
+        self,
+        kind: str,
+        phases: tuple[complex, ...],
+        labels: Optional[tuple[str, ...]] = None,
+        partners: Optional[tuple[str, ...]] = None,
+    ):
+        if kind not in (UNITARY, ANTIUNITARY):
+            raise ConfigError(f"unknown symmetry kind {kind!r}")
+        for p in phases:
             if not abs(abs(p) - 1.0) <= UNIT_MODULUS_TOL:  # a NaN component fails too
                 raise ConfigError(f"phase {p!r} is not unit modulus")
-        if self.kind == ANTIUNITARY:
-            if self.labels is None or self.partners is None:
+        if kind == ANTIUNITARY:
+            if labels is None or partners is None:
                 raise ConfigError("antiunitary symmetry requires labels and partners")
-            if not (len(self.labels) == len(self.partners) == len(self.phases)):
+            if not (len(labels) == len(partners) == len(phases)):
                 raise ConfigError("labels, partners and phases must align")
-            perm = dict(zip(self.labels, self.partners))
-            if set(perm.values()) != set(self.labels):
+            perm = dict(zip(labels, partners))
+            if set(perm.values()) != set(labels):
                 raise ConfigError("pairing is not a permutation of the mode labels")
             for a, b in perm.items():
                 if perm[b] != a:
                     raise ConfigError("pairing must be an involution")
-        elif self.labels is not None or self.partners is not None:
+        elif labels is not None or partners is not None:
             raise ConfigError("unitary symmetry takes phases only")
+        self.kind, self.phases, self.labels, self.partners = kind, phases, labels, partners
 
     @cached_property
     def action(self) -> SlotAction:
@@ -124,7 +133,6 @@ class SymmetrySpec:
         return SlotAction(tuple(source), tuple(phases))
 
 
-@dataclass(frozen=True)
 class SlotAction:
     """A symmetry as a generalized permutation of the 2M (mode, charge) slots.
 
@@ -135,8 +143,8 @@ class SlotAction:
     over the cycles.  A missing symmetry is the identity action.
     """
 
-    source: tuple[int, ...]
-    phases: tuple[complex, ...]
+    def __init__(self, source: tuple[int, ...], phases: tuple[complex, ...]):
+        self.source, self.phases = source, phases
 
     @property
     def diagonal(self) -> bool:

@@ -35,8 +35,11 @@ modules, inside the functions that use them, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
 suite, the ``partition`` suite on a diagonal action and the sampled kernel
 checks of any sampled kernel (``kernel --extended --verify``) run on
-``math`` alone.  The ``kernel`` suite draws its 20 oracle points from
-``random.Random(seed)``.
+``math`` alone.  The oracle checks of the closed form,
+:func:`kernel_agreement`, compare at integer lags of a grid, where the
+Fourier partial sum is one fold per kernel: ``kernel --verify`` at all
+2m - 1 lags of its m = min(grid, 8) grid, and the ``kernel`` suite at 20
+lags of its 128-point grid drawn from ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import partition
@@ -62,12 +64,12 @@ _EPS = sys.float_info.epsilon
 SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    suite: str
-    name: str
-    deviation: float
-    threshold: float
+    """One check: its suite, its name, the deviation found and the threshold
+    it must not exceed."""
+
+    def __init__(self, suite: str, name: str, deviation: float, threshold: float):
+        self.suite, self.name, self.deviation, self.threshold = suite, name, deviation, threshold
 
     @property
     def passed(self) -> bool:
@@ -322,14 +324,18 @@ def suite_partition(
 
 
 def kernel_agreement(
-    kern: correlation.TwistedKernel, rho: complex, points: Iterable[tuple[float, float]]
+    kern: correlation.TwistedKernel, rho: complex, m: int, lags: Iterable[int]
 ) -> tuple[float, list[CheckResult]]:
-    """The closed-form kernel of phase ``rho`` against both oracles.
+    """The closed-form kernel of phase ``rho`` against both oracles, at
+    integer lags d in (-m, m) of the m-point grid: the point (d*beta/m, 0)
+    for d >= 0 and (0, -d*beta/m) for d < 0.
 
-    At each (t, s) point: the Fock trace at cutoff 800 (within its tail
-    bound + 1e-8) and the 4000-term Fourier sum (within its tail bound).
-    Also returns the worst disagreement the truncations do not explain:
-    the largest Fock deviation or Fourier excess over its tail bound.
+    At each point: the Fock trace at cutoff 800 (within its tail bound +
+    1e-8) and the 4000-term Fourier sum (within its tail bound), which
+    :func:`~twistkit.correlation.kernel_fourier` gives at every lag of the
+    grid at once.  Also returns the worst disagreement the truncations do
+    not explain: the largest Fock deviation or Fourier excess over its tail
+    bound.
     """
     from . import correlation
 
@@ -337,13 +343,14 @@ def kernel_agreement(
     single = validate_spectrum([("k", kern.omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
-    worst_oracle = worst_fourier = fourier_tail = 0.0
-    for t, s in points:
+    fourier, fourier_tail = correlation.kernel_fourier(kern.omega, kern.theta, beta, m, 4000)
+    worst_oracle = worst_fourier = 0.0
+    for d in lags:
+        t, s = (d * beta / m, 0.0) if d >= 0 else (0.0, -d * beta / m)
         closed = kern(t, s)
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
         worst_oracle = max(worst_oracle, abs(closed - oracle))
-        four, fourier_tail = correlation.kernel_fourier(kern.omega, kern.theta, beta, t, s, 4000)
-        worst_fourier = max(worst_fourier, abs(closed - four))
+        worst_fourier = max(worst_fourier, abs(closed - fourier[d]))
     tail = partition.truncation_tail_bound(single, beta, cutoff)
     checks = [
         CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8),
@@ -432,9 +439,9 @@ def suite_kernel(
     beta = 1.0
     theta = correlation.kernel_twist_angle(rho)
     kern = correlation.TwistedKernel(spectrum.omegas[0], theta, beta)
+    m = 128
     rng = random.Random(seed)
-    points = [(beta * rng.random(), beta * rng.random()) for _ in range(20)]
-    _, results = kernel_agreement(kern, rho, points)
+    _, results = kernel_agreement(kern, rho, m, [rng.randrange(1 - m, m) for _ in range(20)])
     sampled = correlation.sample_kernels([kern], beta, 32)
     # the gathered grid is conjugate-symmetric off the diagonal by construction
     hermitian = 2.0 * abs(sampled.lags[0][0].imag)
@@ -451,7 +458,6 @@ def suite_kernel(
     # (chiefly their sampled times), the sum and the closed form: over 15000
     # correct kernels at this (m, beta), omega in [1e-3, 1e3], it stayed within
     # 3.9 eps sum_j |v_j|, and sum_j |v_j| within 1.24 max lambda.
-    m = 128
     nu = theta / beta
     h, w2 = beta / m, nu * nu + kern.omega * kern.omega
     if not math.isfinite(w2):

@@ -165,6 +165,45 @@ def test_extended_kernel_runs_without_numpy_and_matches_its_golden(tmp_path, ver
     assert out.read_text() == (golden / "kernel_extended_anti.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partition", "--beta", "0.5"],
+        ["spectrum", "gen", "twisted-circle", "--twist", "1", "--n-min", "-3", "--n-max", "3"],
+        ["kernel", "--beta", "1", "--grid", "16", "--verify", "--output", "{out}"],
+        ["kernel", "--config", "{anti}", "--extended", "--grid", "4", "--beta", "1",
+         "--output", "{out}"],
+        ["verify", "--suite", "kernel"],
+    ],
+    ids=["partition", "spectrum-gen", "kernel-verify", "kernel-extended", "verify-kernel"],
+)
+def test_cli_jobs_load_no_dataclasses_or_inspect(argv, anti_config, tmp_path):
+    fill = {"{out}": str(tmp_path / "k.csv"), "{anti}": anti_config}
+    argv = [fill.get(a, a) for a in argv]
+    assert _loaded(argv, ["dataclasses", "inspect"]) == []
+
+
+def test_no_package_module_imports_dataclasses():
+    for path in Path(twistkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+
+
+def test_cli_import_loads_importlib_resources_only_for_the_bundled_config():
+    # -S: no site hooks, which may load importlib.resources on their own
+    code = ("import sys, twistkit.cli; print('importlib.resources' in sys.modules); "
+            "twistkit.cli.main(['partition', '--beta', '1']); "
+            "print('importlib.resources' in sys.modules)")
+    lines = _run_cli(["-S", "-c", code], check=True).stdout.splitlines()
+    assert [lines[0], lines[-1]] == ["False", "True"]
+
+
 def _loaded(argv, modules):
     """Run ``cli.main(argv)`` in a fresh interpreter; which of ``modules`` got loaded."""
     code = ("import sys; from twistkit.cli import main; rc = main(sys.argv[2:]); "
@@ -277,6 +316,28 @@ class TestSharedChecksBite:
         assert "[FAIL] kernel: closed form vs Fock-trace oracle" in capsys.readouterr().err
         spec, sym = load_config(minus_one_config)
         assert not all(r.passed for r in verify.suite_kernel(spec, sym))
+
+    def test_kernel_fourier_off_by_twice_its_tail(
+        self, minus_one_config, tmp_path, monkeypatch, capsys
+    ):
+        # A 1e-7 shift is below this check's resolution: its threshold is the
+        # tail bound beta/(2 pi^2 (N - 1)), 1.27e-5 at beta = 1 and N = 4000,
+        # which the partial sum at lag 0 nearly reaches.  A shift of twice the
+        # tail bound must fail it.
+        fourier = correlation.kernel_fourier
+
+        def shifted(*args):
+            values, tail = fourier(*args)
+            return [v + 2.0 * tail for v in values], tail
+
+        monkeypatch.setattr(correlation, "kernel_fourier", shifted)
+        args = ["kernel", "--config", minus_one_config, "--beta", "1", "--grid", "8",
+                "--output", str(tmp_path / "k.csv"), "--verify"]
+        assert main(args) == 1
+        assert "[FAIL] kernel: closed form vs Fourier partial sum" in capsys.readouterr().err
+        spec, sym = load_config(minus_one_config)
+        failed = [r.name for r in verify.suite_kernel(spec, sym) if not r.passed]
+        assert failed == ["closed form vs Fourier partial sum"]
 
 
 def test_sampled_kernel_checks_read_the_fft_spectrum():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -61,50 +62,86 @@ class TestKernelFourier:
     def test_coth_limit_at_coincident_points(self):
         omega, beta = 1.0, 1.0
         target = (1.0 / (2.0 * omega)) / math.tanh(beta * omega / 2.0)
-        val, tail = co.kernel_fourier(omega, 0.0, beta, 0.3, 0.3, 20000)
+        values, tail = co.kernel_fourier(omega, 0.0, beta, 5, 20000)
+        val = values[0]  # lag 0: t = s
         assert abs(val - target) <= tail
         assert abs(val - target) < 1e-4
 
     def test_large_omega_decay(self):
-        val, _ = co.kernel_fourier(200.0, 0.0, 1.0, 0.2, 0.7, 50)
-        assert abs(val) < 1e-3
+        values, _ = co.kernel_fourier(200.0, 0.0, 1.0, 2, 50)
+        assert abs(values[-1]) < 1e-3  # (t, s) = (0, 0.5)
 
     @pytest.mark.parametrize("omega", [1e160, 1e300])
     def test_huge_omega_does_not_overflow(self, omega):
         # omega^2 overflows a float; each term is below 1/omega^2 < 1e-308
-        val, tail = co.kernel_fourier(omega, 0.5, 1.0, 0.25, 0.0, 100)
-        assert abs(val) <= 1e-300
-        assert abs(val - co.kernel_closed_form(omega, 0.5, 1.0, 0.25, 0.0)) <= tail
+        values, tail = co.kernel_fourier(omega, 0.5, 1.0, 4, 100)
+        assert abs(values[1]) <= 1e-300  # (t, s) = (0.25, 0)
+        assert abs(values[1] - co.kernel_closed_form(omega, 0.5, 1.0, 0.25, 0.0)) <= tail
 
-    def test_horner_form_matches_the_termwise_sum(self):
-        # Either form rounds the phase of term n by about |n| eps, so the two
-        # differ by at most 2 N eps times the sum of the moduli of the terms
-        # (measured: under 0.01 N eps of it).
+    def test_underflowing_denominator_raises_range_error(self):
+        # at theta = 0 the n = 0 denominator is omega^2, which underflows to 0
+        with pytest.raises(RangeError):
+            co.kernel_fourier(1e-170, 0.0, 1.0, 4, 10)
+
+    def test_fold_matches_the_termwise_sum(self):
+        # The fold is the term-by-term sum regrouped by n mod m.  It rounds
+        # each term by a few eps (see test_fold_rounding), while the termwise
+        # reference rounds the phase of term n by about |n| eps, so the two
+        # differ by at most (16 + 2 N) eps times the sum of the moduli of the
+        # terms (measured: under 110 eps of it at N = 4000, under 7 at N <= 2).
         rng = np.random.default_rng(21)
-        n_cutoff = 4000
-        for _ in range(40):
+        for m, n_cutoff, _ in itertools.product([1, 2, 3, 8, 11, 128], [1, 2, 50, 4000], range(3)):
             omega = math.exp(rng.uniform(math.log(0.05), math.log(3000.0)))
             beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            t, s = (float(x) for x in rng.uniform(0.0, beta, size=2))
-            got, _ = co.kernel_fourier(omega, theta, beta, t, s, n_cutoff)
-            want, total = dense.kernel_fourier(omega, theta, beta, t, s, n_cutoff)
-            assert abs(got - want) <= 2 * n_cutoff * EPS * total
+            values, _ = co.kernel_fourier(omega, theta, beta, m, n_cutoff)
+            assert len(values) == 2 * m - 1
+            for d in range(1 - m, m):
+                t, s = (d * beta / m, 0.0) if d >= 0 else (0.0, -d * beta / m)
+                want, total = dense.kernel_fourier(omega, theta, beta, t, s, n_cutoff)
+                assert abs(values[d] - want) <= (16 + 2 * n_cutoff) * EPS * total, (m, n_cutoff, d)
+
+    def test_fold_rounding(self):
+        # Against a 40-digit sum of the same float coefficients at the exact
+        # lags, relative to the sum of the moduli: the unit roots are rounded
+        # by under 3 eps, the carrier e^{i theta d/m} by up to 2 pi eps in
+        # angle, the products and fsums by about 1 eps; 12 eps covers them
+        # (measured: 2.2 eps).
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(31)
+        n_cutoff, worst = 50, 0.0
+        for m in (3, 8, 11):
+            omega = math.exp(rng.uniform(math.log(0.05), math.log(3000.0)))
+            beta = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            values, _ = co.kernel_fourier(omega, theta, beta, m, n_cutoff)
+            nus = {n: (theta + 2.0 * math.pi * n) / beta for n in range(-n_cutoff, n_cutoff + 1)}
+            coeffs = {n: 1.0 / (nu * nu + omega * omega) for n, nu in nus.items()}
+            total = math.fsum(coeffs.values()) / beta
+            for d in range(1 - m, m):
+                exact = mpmath.fsum(
+                    a * mpmath.expj(mpmath.mpf(theta) * d / m + 2 * mpmath.pi * n * d / m)
+                    for n, a in coeffs.items()
+                ) / beta
+                worst = max(worst, abs(values[d] - complex(exact)) / total)
+        assert worst <= 12 * EPS
 
     def test_hermitian_termwise(self):
-        val_ts, _ = co.kernel_fourier(1.3, 0.9, 1.1, 0.2, 0.8, 300)
-        val_st, _ = co.kernel_fourier(1.3, 0.9, 1.1, 0.8, 0.2, 300)
-        assert abs(val_ts - val_st.conjugate()) < 1e-14
+        # lags +-6/11 beta: (t, s) = (0.6, 0) against (0, 0.6) at beta = 1.1
+        values, _ = co.kernel_fourier(1.3, 0.9, 1.1, 11, 300)
+        assert abs(values[6] - values[-6].conjugate()) < 1e-14
 
 
 class TestClosedForm:
     def test_matches_fourier_at_random_points(self):
         rng = np.random.default_rng(2)
         omega, theta, beta = 1.4, 2.2, 0.9
+        _, tail = co.kernel_fourier(omega, theta, beta, 1, 3000)
         for _ in range(100):
             t, s = rng.uniform(0.0, beta, size=2)
             closed = co.kernel_closed_form(omega, theta, beta, t, s)
-            four, tail = co.kernel_fourier(omega, theta, beta, t, s, 3000)
+            four, _ = dense.kernel_fourier(omega, theta, beta, t, s, 3000)
             assert abs(closed - four) <= tail
 
     def test_matches_fock_oracle(self):
@@ -159,11 +196,12 @@ class TestClosedForm:
     @pytest.mark.parametrize("omega, theta", [(1e-20, 0.0), (1e-310, 0.5), (1e-12, 0.5)])
     def test_tiny_beta_omega_matches_fourier(self, omega, theta):
         # 1 - e^{-beta*omega} cancels completely here; the expm1 form does not
-        beta, t, s = 1.0, 0.3, 0.1
+        beta, m, d = 1.0, 5, 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            closed = co.kernel_closed_form(omega, theta, beta, t, s)
-        four, tail = co.kernel_fourier(omega, theta, beta, t, s, 4000)
+            closed = co.kernel_closed_form(omega, theta, beta, d * beta / m, 0.0)
+        values, tail = co.kernel_fourier(omega, theta, beta, m, 4000)
+        four = values[d]
         assert abs(closed - four) <= tail + 1e-15 * abs(four)
 
     @pytest.mark.parametrize("omega", [1e-200, 1e-160])
@@ -283,6 +321,35 @@ class TestKernelOracle:
             want = growing(omega, rho, beta, t, s, 800)
             got = co.kernel_oracle(spec, sym, beta, t, s, 800)
             assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize(
+        "other",
+        [{"rho": cmath.exp(2.1j)}, {"beta": 1.7}, {"cutoff": 5}],
+        ids=["rho", "beta", "cutoff"],
+    )
+    def test_memo_gives_fresh_values(self, other):
+        # Alternating between two kernels that differ in one of the memo's
+        # inputs (beta through x = e^{-beta omega}), every value is bitwise
+        # the one a call with an empty memo gives.
+        spec = validate_spectrum([("m", 0.9)])
+
+        def call(rho=cmath.exp(0.4j), beta=1.2, cutoff=800, t=0.3, s=0.1):
+            sym = SymmetrySpec(kind="unitary", phases=(rho,))
+            return co.kernel_oracle(spec, sym, beta, t, s, cutoff)
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        points = [(0.3, 0.1), (0.1, 0.3), (0.5, 0.5)]
+        fresh = {}
+        for which in ({}, other):
+            for t, s in points:
+                co._oracle_memo[:] = [None, None]
+                fresh[len(which), t, s] = bits(call(t=t, s=s, **which))
+        for _ in range(2):
+            for t, s in points:
+                for which in ({}, other):
+                    assert bits(call(t=t, s=s, **which)) == fresh[len(which), t, s]
 
 
 class TestKernelGrid:
