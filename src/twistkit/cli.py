@@ -16,7 +16,9 @@ scientific formatting so identical inputs produce byte-identical output.
 :mod:`twistkit.correlation` never loads it, :mod:`twistkit.realfield`
 loads it only in its doubled-field oracle, and :mod:`twistkit.verify`
 imports it inside its dense suites only, so ``verify --suite kernel`` and
-``verify --suite partition`` on a diagonal action are numpy-free too.
+``verify --suite partition`` are numpy-free too.  Every refusal is a
+TwistkitError or OSError raised where the input is checked; :func:`main`
+alone prints it and picks its exit code.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ from typing import Optional
 # benchmark's in-process tracer wraps its checks on every workload.
 from . import verify
 from .errors import (
-    AdmissibilityError,
     CapacityError,
     ConfigError,
-    DomainError,
     InternalConsistencyError,
     KindError,
     RangeError,
+    TwistkitError,
 )
 from .spectrum import (
     ModeSpectrum,
@@ -52,6 +53,10 @@ ASSERTION_FAILURE = 1
 CAPACITY_FAILURE = 3
 RANGE_FAILURE = 4
 INTERNAL_FAILURE = 5
+
+#: Exit code of a refusal by the first class it is an instance of; others exit 2.
+_EXIT_CODES = ((CapacityError, CAPACITY_FAILURE), (RangeError, RANGE_FAILURE),
+               (InternalConsistencyError, INTERNAL_FAILURE))
 
 
 def fmt(x: float) -> str:
@@ -116,12 +121,10 @@ def _cmd_kernel(args) -> int:
         sampled = realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
         print(f"wrote extended kernel grid to {args.output}")
     elif not action.diagonal:
-        print(
-            "error: a symmetry that moves slots (not one phase per mode) "
-            "requires --extended (kernel is defined on the doubled space)",
-            file=sys.stderr,
+        raise KindError(
+            "a symmetry that moves slots (not one phase per mode) "
+            "requires --extended (kernel is defined on the doubled space)"
         )
-        return PARSE_FAILURE
     else:
         label, omega = _select_mode(spectrum, args.mode)
         rho = action.phases[2 * spectrum.labels.index(label)]
@@ -135,7 +138,7 @@ def _cmd_kernel(args) -> int:
             worst, checks = verify.kernel_agreement(kern, rho, m, range(1 - m, m))
             print(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
-        checks += [verify.sampled_spectrum_check(sampled), verify.kernel_positivity(sampled)]
+        checks += verify.sampled_kernel_checks(sampled)
     return _report_failures(checks)
 
 
@@ -220,18 +223,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (TwistkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CAPACITY_FAILURE
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RANGE_FAILURE
-    except InternalConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INTERNAL_FAILURE
-    except (AdmissibilityError, ConfigError, DomainError, KindError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), PARSE_FAILURE)
 
 
 if __name__ == "__main__":

@@ -65,16 +65,24 @@ def kernel_twist_angle(rho: complex) -> float:
     return principal_angle(cmath.exp(1j * KERNEL_TWIST_SIGN * cmath.phase(rho)))
 
 
+def _require_kernel(beta: float, m: int = 1, omega: float = 1.0, theta: float = 0.0) -> None:
+    """DomainError unless omega > 0, beta > 0, 0 <= theta < 2*pi and the
+    grid has m >= 1 points; NaN fails each comparison."""
+    if not omega > 0.0:
+        raise DomainError("omega must be positive")
+    if not beta > 0.0:
+        raise DomainError("beta must be positive")
+    if not 0.0 <= theta < 2.0 * math.pi:
+        raise DomainError("theta must lie in [0, 2*pi)")
+    if m < 1:
+        raise DomainError("grid size must be >= 1")
+
+
 class TwistedKernel:
     """Per-mode twisted thermal Green's function on [0, beta)^2."""
 
     def __init__(self, omega: float, theta: float, beta: float):
-        if not omega > 0.0:
-            raise DomainError("omega must be positive")
-        if not beta > 0.0:
-            raise DomainError("beta must be positive")
-        if not 0.0 <= theta < 2.0 * math.pi:
-            raise DomainError("theta must lie in [0, 2*pi)")
+        _require_kernel(beta, omega=omega, theta=theta)
         self.omega, self.theta, self.beta = omega, theta, beta
 
     def __call__(self, t: float, s: float) -> complex:
@@ -146,6 +154,7 @@ def kernel_fourier(
     below the float range and counts as 0, not as an OverflowError; one
     whose denominator underflows to 0 raises RangeError.
     """
+    _require_kernel(beta, m, omega, theta)
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
     w2 = omega * omega  # not **: a square beyond the float range is inf, its term 0
@@ -255,6 +264,7 @@ def grid_spectrum(omega: float, theta: float, beta: float, m: int) -> list[float
     overflow; every step adds or multiplies positive terms.  RangeError
     where an eigenvalue is beyond the float range.
     """
+    _require_kernel(beta, m, omega, theta)
     h = beta / m
     a = 0.5 * omega * h
     if a <= 1.0:
@@ -346,8 +356,7 @@ def sample_kernels(
 ) -> SampledKernel:
     """The direct sum of ``kernels`` (all at ``beta``), mixed by ``basis``
     (default: none, the identity), from m closed-form lag values per kernel."""
-    if m < 1:
-        raise DomainError("grid size must be >= 1")
+    _require_kernel(beta, m)
     lags = tuple(
         tuple(kernel_closed_form(k.omega, k.theta, beta, d * (beta / m), 0.0) for k in kernels)
         for d in range(m)

@@ -19,7 +19,7 @@ import cmath
 import math
 from typing import Optional
 
-from .errors import ConfigError, DomainError, RangeError
+from .errors import DomainError, RangeError
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
 #: Below this value a twisted partition function is reported as
@@ -120,8 +120,7 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     its relative error is 1 minus that product.  Twisted traces need
     :func:`twisted_tail_bound`.
     """
-    if beta <= 0.0:
-        raise ConfigError("beta must be positive")
+    _require_beta(beta)
     _require_cutoff(cutoff)
     log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
     return -math.expm1(log_keep)
@@ -135,8 +134,7 @@ def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> floa
     the trace lies within prod_k (1 + exp(-beta*omega_k*(N+1)))**2 - 1 of
     Z, relative.  A phase r^{N+1} = -1 reaches it.
     """
-    if beta <= 0.0:
-        raise ConfigError("beta must be positive")
+    _require_beta(beta)
     _require_cutoff(cutoff)
     return math.expm1(2.0 * sum(math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas))
 
@@ -153,6 +151,7 @@ def geometric_log_derivative(y: complex, cutoff: int) -> complex:
     """S_N'(y)/S_N(y), S_N(y) = sum_{n=0}^{N} y^n, by one Horner pass that
     carries the derivative: <alpha alpha*> of one oscillator truncated at N
     with Boltzmann-and-twist weight y."""
+    _require_cutoff(cutoff)
     acc = slope = 0.0 + 0.0j
     for _ in range(cutoff + 1):
         slope = acc + y * slope
@@ -175,6 +174,7 @@ def partition_trace(
     by term.  Equality with the basis sum and a dense trace is asserted in
     the tests.
     """
+    _require_beta(beta)
     _require_cutoff(cutoff)
     total = 1.0 + 0.0j
     for first, length, r in slot_action(spectrum, sym).cycles:

@@ -47,6 +47,9 @@ class ModeSpectrum:
             raise ConfigError("labels and omegas must have equal length")
         if len(set(labels)) != len(labels):
             raise ConfigError("mode labels must be unique")
+        for lbl, w in zip(labels, omegas):
+            if not w > 0.0:
+                raise AdmissibilityError(f"mode {lbl!r} has nonpositive frequency {w}")
         if omegas:
             if mu is None:
                 raise ConfigError("nonempty spectrum requires mu")
@@ -186,7 +189,7 @@ def principal_angle(phase: complex) -> float:
 def validate_spectrum(
     raw: Sequence[tuple[str, float]], mu_hint: Optional[float] = None
 ) -> ModeSpectrum:
-    """Validate raw (label, omega) pairs into a ModeSpectrum.
+    """Build a ModeSpectrum from raw (label, omega) pairs, which checks them.
 
     The empty sequence is accepted and produces the trivial theory whose
     partition functions are empty products.  ``mu`` defaults to the minimum
@@ -194,20 +197,7 @@ def validate_spectrum(
     """
     labels = tuple(str(lbl) for lbl, _ in raw)
     omegas = tuple(float(w) for _, w in raw)
-    if len(set(labels)) != len(labels):
-        raise ConfigError("duplicate mode labels")
-    for lbl, w in zip(labels, omegas):
-        if not w > 0.0:
-            raise AdmissibilityError(f"mode {lbl!r} has nonpositive frequency {w}")
-    if not omegas:
-        if mu_hint is not None:
-            raise ConfigError("mu_hint given for an empty spectrum")
-        return ModeSpectrum(labels=(), omegas=(), mu=None)
-    mu = min(omegas) if mu_hint is None else float(mu_hint)
-    if not mu > 0.0:
-        raise AdmissibilityError("mu must be positive")
-    if mu > min(omegas):
-        raise AdmissibilityError("mu exceeds the minimum frequency")
+    mu = min(omegas, default=None) if mu_hint is None else float(mu_hint)
     return ModeSpectrum(labels=labels, omegas=omegas, mu=mu)
 
 
@@ -261,13 +251,17 @@ def check_alignment(spectrum: ModeSpectrum, sym: SymmetrySpec) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _parse_float(obj, where: str) -> float:
+    try:
+        return float(obj)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: not a number") from None
+
+
 def _parse_complex(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ConfigError(f"{where}: complex numbers must be {{re, im}} objects")
-    try:
-        return complex(float(obj["re"]), float(obj["im"]))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: non-numeric complex component") from None
+    return complex(_parse_float(obj["re"], f"{where}.re"), _parse_float(obj["im"], f"{where}.im"))
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -290,8 +284,9 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
         _reject_unknown(m, {"label", "omega"}, f"modes[{i}]")
         if "label" not in m or "omega" not in m:
             raise ConfigError(f"modes[{i}]: requires label and omega")
-        raw.append((m["label"], m["omega"]))
-    spectrum = validate_spectrum(raw, mu_hint=doc.get("mu"))
+        raw.append((m["label"], _parse_float(m["omega"], f"modes[{i}].omega")))
+    mu = doc.get("mu")
+    spectrum = validate_spectrum(raw, mu_hint=None if mu is None else _parse_float(mu, "mu"))
 
     sym = None
     if "symmetry" in doc:

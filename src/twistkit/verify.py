@@ -2,13 +2,12 @@
 
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
---verify`` render :func:`partition_row`, :func:`kernel_agreement`,
-:func:`sampled_spectrum_check` and :func:`kernel_positivity`, the checks
-the ``partition``, ``kernel`` and ``realfield`` suites run.  Sampled
-kernels are checked through the closed-form spectra of their
-twisted-circulant eigenmode grids, never a dense grid: positivity reads
-the closed form (an empty layout is vacuously positive), and a
-pure-Python transform of the exported lag values ties them to it.  The
+--verify`` render :func:`partition_row`, :func:`kernel_agreement` and
+:func:`sampled_kernel_checks`, the checks the ``partition``, ``kernel``
+and ``realfield`` suites run.  Sampled kernels are checked through the
+closed-form spectra of their twisted-circulant eigenmode grids, never a
+dense grid: positivity reads the closed form (an empty layout is
+vacuously positive), and a pure-Python transform of the exported lag values ties them to it.  The
 ``realfield`` suite reads its sector-mixing blocks from the same sampled
 layout.  The ``kernel`` suite's resolvent check reads the eigenmode
 residual of the 128-point grid from one sum of its lag values, and it is
@@ -33,13 +32,14 @@ the raw phases and pairing, are what the normal form is checked against.
 Only the dense suites import numpy and the Fock and doubled-field
 modules, inside the functions that use them, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
-suite, the ``partition`` suite on a diagonal action and the sampled kernel
-checks of any sampled kernel (``kernel --extended --verify``) run on
-``math`` alone.  The oracle checks of the closed form,
-:func:`kernel_agreement`, compare at integer lags of a grid, where the
-Fourier partial sum is one fold per kernel: ``kernel --verify`` at all
-2m - 1 lags of its m = min(grid, 8) grid, and the ``kernel`` suite at 20
-lags of its 128-point grid drawn from ``random.Random(seed)``.
+and ``partition`` suites (the latter's doubled-theory route on a
+non-diagonal action included) and the sampled kernel checks of any
+sampled kernel (``kernel --extended --verify``) run on ``math`` alone.
+The oracle checks of the closed form, :func:`kernel_agreement`, compare
+at integer lags of a grid, where the Fourier partial sum is one fold per
+kernel: ``kernel --verify`` at all 2m - 1 lags of its m = min(grid, 8)
+grid, and the ``kernel`` suite at 20 lags of its 128-point grid drawn
+from ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def suite_partition(
     columns, results = partition_row(spectrum, sym, beta, cutoff=40)
     z = columns[2]
     if not slot_action(spectrum, sym).diagonal:
-        from . import realfield  # numpy
+        from . import realfield
 
         ext = realfield.extend(spectrum, sym)
         z_rf = realfield.z_via_realfield(ext, beta)
@@ -359,13 +359,6 @@ def kernel_agreement(
     return max(worst_oracle, worst_fourier - fourier_tail), checks
 
 
-def _sampled_suite(sampled: correlation.SampledKernel) -> tuple[str, str]:
-    """(suite, noun) of a sampled kernel's checks: scalar or extended."""
-    if len(sampled.thetas) == 1:
-        return "kernel", "sampled kernel"
-    return "realfield", "sampled extended kernel"
-
-
 def _lag_transform(lags: list[complex], theta: float) -> list[float]:
     """Re sum_j v_j e^{-i theta j/m} e^{-2 pi i j n/m} for n = 0..m-1, by
     Horner's rule in z_n = e^{-2 pi i n/m}, taken at the signed index n - m
@@ -383,8 +376,10 @@ def _lag_transform(lags: list[complex], theta: float) -> list[float]:
     return out
 
 
-def sampled_spectrum_check(sampled: correlation.SampledKernel) -> CheckResult:
-    """The exported lag values against the closed-form grid spectrum.
+def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResult]:
+    """The exported lag values against the closed-form grid spectrum, and
+    the positivity of that spectrum, in the ``kernel`` suite for a scalar
+    kernel and the ``realfield`` suite otherwise.
 
     Per eigenmode column with lag values v_0..v_{m-1} and twist theta, the
     eigenvalues of the twisted-circulant grid those values define, Re sum_j
@@ -397,8 +392,15 @@ def sampled_spectrum_check(sampled: correlation.SampledKernel) -> CheckResult:
     up to pi eps in angle, whose powers add up to pi m eps; the carrier
     product and the lag values themselves, a few eps; the closed form, at
     most 16 eps of max lambda <= sum_j |v_j|.
+
+    Positive definiteness is max(0, -min lambda) over the same closed-form
+    spectra, to which the sampled kernel is unitarily similar; a kernel
+    with no modes is vacuously positive (deviation 0).
     """
-    suite, _ = _sampled_suite(sampled)
+    if len(sampled.thetas) == 1:
+        suite, noun = "kernel", "sampled kernel"
+    else:
+        suite, noun = "realfield", "sampled extended kernel"
     m = len(sampled.lags)
     spectrum = sampled.spectrum()
     worst = 0.0
@@ -410,17 +412,11 @@ def sampled_spectrum_check(sampled: correlation.SampledKernel) -> CheckResult:
         for n, value in enumerate(_lag_transform(lags, theta)):
             err = abs(value - spectrum[n][k])
             worst = max(worst, err / total if total else err)
-    return CheckResult(suite, "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS)
-
-
-def kernel_positivity(sampled: correlation.SampledKernel) -> CheckResult:
-    """Positive definiteness of a sampled kernel: max(0, -min lambda) over
-    the closed-form spectra of its eigenmode grids, to which it is
-    unitarily similar; :func:`sampled_spectrum_check` ties them to the lag
-    values.  A kernel with no modes is vacuously positive (deviation 0)."""
-    suite, noun = _sampled_suite(sampled)
-    lowest = min((value for row in sampled.spectrum() for value in row), default=0.0)
-    return CheckResult(suite, f"{noun} positive definite", max(0.0, -lowest), 0.0)
+    lowest = min((value for row in spectrum for value in row), default=0.0)
+    return [
+        CheckResult(suite, "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
+        CheckResult(suite, f"{noun} positive definite", max(0.0, -lowest), 0.0),
+    ]
 
 
 def suite_kernel(
@@ -446,7 +442,7 @@ def suite_kernel(
     # the gathered grid is conjugate-symmetric off the diagonal by construction
     hermitian = 2.0 * abs(sampled.lags[0][0].imag)
     results.append(CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10))
-    results += [sampled_spectrum_check(sampled), kernel_positivity(sampled)]
+    results += sampled_kernel_checks(sampled)
     # On the eigenmode e^{i nu t}, nu = theta/beta, the quadrature residual of
     # the resolvent is exactly |h lambda_hat_0 (nu^2 + omega^2) - 1|, with
     # lambda_hat_0 = Re sum_j v_j e^{-i theta j/m} over the lag values.  Aliasing
@@ -506,7 +502,7 @@ def suite_realfield(
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
-    results += [sampled_spectrum_check(sampled), kernel_positivity(sampled)]
+    results += sampled_kernel_checks(sampled)
     report = realfield.real_field_checks(ext, sym, fock.oracle_cutoff(len(spectrum)), seed=seed)
     for key, dev in report.items():
         results.append(CheckResult("realfield", f"doubled-field oracle: {key}", dev, 1e-8))

@@ -13,7 +13,9 @@ import pytest
 import twistkit
 from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
-from twistkit.spectrum import SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum
+from twistkit.spectrum import (
+    ModeSpectrum, SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum,
+)
 
 LN2 = math.log(2.0)
 
@@ -140,8 +142,13 @@ def test_spectrum_gen_runs_without_numpy(tmp_path):
     assert len(json.loads((tmp_path / "circle.json").read_text())["modes"]) == 101
 
 
-def test_partition_suite_on_a_diagonal_action_runs_without_numpy():
-    assert _loads_numpy(["verify", "--suite", "partition"]) is False
+@pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
+def test_partition_suite_runs_without_numpy(config):
+    # on a non-diagonal action the suite adds the doubled-theory route, which is numpy-free
+    argv = ["verify", "--suite", "partition"]
+    if config is not None:
+        argv += ["--config", str(Path(__file__).parent / "golden" / config)]
+    assert _loads_numpy(argv) is False
 
 
 @pytest.mark.parametrize("verify_flag", [[], ["--verify"]])
@@ -343,7 +350,9 @@ class TestSharedChecksBite:
 def test_sampled_kernel_checks_read_the_fft_spectrum():
     # positivity reads the closed-form grid spectrum, which the spectrum check
     # ties to the exported lag values; the dense grids are test references only
-    assert "sampled.spectrum()" in inspect.getsource(verify.kernel_positivity)
+    checks = inspect.getsource(verify.sampled_kernel_checks)
+    assert "sampled.spectrum()" in checks
+    assert checks.count(".spectrum()") == 1  # one spectrum serves both checks
     assert "grid_spectrum(" in inspect.getsource(correlation.SampledKernel.spectrum)
     assert "_twisted_fft" not in inspect.getsource(correlation.SampledKernel)
     source = inspect.getsource(verify) + inspect.getsource(correlation)
@@ -610,6 +619,62 @@ def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_partition", raising)
     assert main(["partition", "--beta", "1"]) == EXIT_CODES[error.__name__]
     assert capsys.readouterr().err == "error: raised by the subcommand\n"
+
+
+ONE_MODE = ModeSpectrum(("a",), (1.0,), 1.0)
+
+#: Inputs each public function used to take unchecked (a nan, a wrong value
+#: or a bare ZeroDivisionError), and the TwistkitError each now raises.
+REFUSALS = {
+    "truncation_tail_bound-nan": (
+        lambda: partition.truncation_tail_bound(ONE_MODE, math.nan, 40), errors.DomainError),
+    "twisted_tail_bound-nan": (
+        lambda: partition.twisted_tail_bound(ONE_MODE, math.nan, 40), errors.DomainError),
+    "partition_trace-nan": (
+        lambda: partition.partition_trace(ONE_MODE, None, math.nan, 40), errors.DomainError),
+    "partition_trace-negative": (
+        lambda: partition.partition_trace(ONE_MODE, None, -1.0, 40), errors.DomainError),
+    "partition_trace-zero": (
+        lambda: partition.partition_trace(ONE_MODE, None, 0.0, 40), errors.DomainError),
+    "geometric_log_derivative-cutoff": (
+        lambda: partition.geometric_log_derivative(0.5 + 0j, -1), errors.DomainError),
+    "kernel_oracle-cutoff": (
+        lambda: correlation.kernel_oracle(ONE_MODE, None, 1.0, 0.5, 0.0, -1), errors.DomainError),
+    "ModeSpectrum-nan": (
+        lambda: ModeSpectrum(("a",), (math.nan,), 1.0), errors.AdmissibilityError),
+    "grid_spectrum-negative-beta": (
+        lambda: correlation.grid_spectrum(1.0, 0.3, -1.0, 4), errors.DomainError),
+    "grid_spectrum-empty-grid": (
+        lambda: correlation.grid_spectrum(1.0, 0.3, 1.0, 0), errors.DomainError),
+    "kernel_fourier-nan": (
+        lambda: correlation.kernel_fourier(math.nan, 0.3, 1.0, 4, 100), errors.DomainError),
+    "kernel_fourier-zero-beta": (
+        lambda: correlation.kernel_fourier(1.0, 0.3, 0.0, 4, 100), errors.DomainError),
+    "kernel_fourier-negative-grid": (
+        lambda: correlation.kernel_fourier(1.0, 0.3, 1.0, -1, 100), errors.DomainError),
+    "kernel_agreement-empty-grid": (
+        lambda: verify.kernel_agreement(correlation.TwistedKernel(1.0, 0.3, 1.0), 1 + 0j, 0, [0]),
+        errors.DomainError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
+def test_unchecked_inputs_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [({"modes": [{"label": "a", "omega": "x"}]}, "error: modes[0].omega: not a number"),
+     ({"modes": [{"label": "a", "omega": [1]}]}, "error: modes[0].omega: not a number"),
+     ({"modes": [{"label": "a", "omega": 1.0}], "mu": "abc"}, "error: mu: not a number")],
+    ids=["omega-string", "omega-list", "mu-string"],
+)
+def test_non_numeric_config_field_exits_2(doc, message, tmp_path):
+    cfg = write_config(tmp_path / "bad.json", doc)
+    proc = _run_cli(["-m", "twistkit.cli", "partition", "--config", cfg, "--beta", "1"])
+    assert (proc.returncode, proc.stderr) == (2, message + "\n")
 
 
 class TestKernelCommand:

@@ -477,7 +477,7 @@ class TestGridSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             sampled = co.sample_kernels([co.TwistedKernel(omega, theta, beta)], beta, m)
-        check = verify.sampled_spectrum_check(sampled)
+        check, _ = verify.sampled_kernel_checks(sampled)
         assert check.passed, check
 
     def test_spectrum_out_of_range_raises_range_error(self):
