@@ -30,6 +30,7 @@ CASES = {
     "partition_anti": ["partition", "--config", ANTI, *BETAS],
     "verify_default": ["verify", "--suite", "all"],
     "verify_anti": ["verify", "--config", ANTI, "--suite", "all"],
+    "verify_two_pairs": ["verify", "--config", ANTI2, "--suite", "all"],
     "kernel_default": ["kernel", "--grid", "8", "--beta", "1", "--output", "{output}"],
     "kernel_extended_anti": [
         "kernel", "--config", ANTI, "--extended", "--grid", "4", "--beta", "1",
