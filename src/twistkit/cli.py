@@ -14,8 +14,9 @@ scientific formatting so identical inputs produce byte-identical output.
 ``partition``, ``spectrum gen`` and ``kernel`` (with or without
 ``--extended``, with or without ``--verify``) import no numpy:
 :mod:`twistkit.correlation` never loads it, :mod:`twistkit.realfield`
-loads it only in its doubled-field oracle, and :mod:`twistkit.verify`
-imports it inside its dense suites only, so ``verify --suite kernel`` and
+loads it only for the dense induced matrix, which no subcommand reads, and
+:mod:`twistkit.verify` imports it inside its dense suites only (the
+doubled-field oracle among them), so ``verify --suite kernel`` and
 ``verify --suite partition`` are numpy-free too.  Every refusal is a
 TwistkitError or OSError raised where the input is checked; :func:`main`
 alone prints it and picks its exit code.

@@ -103,7 +103,9 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
     + 4x*sin^2(theta/2), p = -e^{-w*tau}*expm1(-2w(beta-tau)) and
     q = -e^{-w(beta-tau)}*expm1(-2w*tau).  RangeError where D underflows or
     K overflows; the tau < 0 value follows from K(t,s) = conj(K(s,t)).
+    DomainError outside omega > 0, beta > 0, 0 <= theta < 2*pi.
     """
+    _require_kernel(beta, omega=omega, theta=theta)
     if not (0.0 <= t < beta and 0.0 <= s < beta):
         raise DomainError("t and s must lie in [0, beta)")
     tau = t - s

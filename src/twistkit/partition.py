@@ -109,8 +109,10 @@ def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
 
 
 def _require_cutoff(cutoff: int) -> None:
-    if cutoff < 0:
-        raise DomainError(f"occupation cutoff must be nonnegative, got {cutoff}")
+    """DomainError unless the cutoff is a nonnegative integer (one with
+    ``__index__``, so numpy integers pass and 2.0 does not)."""
+    if not hasattr(cutoff, "__index__") or cutoff < 0:
+        raise DomainError(f"occupation cutoff must be a nonnegative integer, got {cutoff}")
 
 
 def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:

@@ -26,12 +26,12 @@ doubled eigenmode, mixed by the per-cycle basis.  The CSV export and the
 ``realfield`` verify suite read that layout; for a unitary input every
 index is fixed, so no block mixes the two sectors.
 
-:func:`extend`, :func:`z_via_realfield` and the kernel export run on
-``math`` and ``cmath`` alone.  numpy and :mod:`twistkit.fock` are imported
-only inside the doubled-field oracle (:func:`field_coefficient_map`,
-:func:`real_time_field`, :func:`real_field_checks` and the conjugation J
-they apply) and by the dense ``ExtendedSpectrum.induced``, which is built
-when it is first read.
+The module holds closed forms only and runs on ``math`` and ``cmath``.
+The one numpy import is in the dense ``ExtendedSpectrum.induced``, built
+from the sparse image table when first read, by tests and the benchmark.
+The doubled-field oracle, which checks the real-time field of the doubled
+theory in the truncated Fock space, is
+:func:`twistkit.verify.doubled_field_checks`.
 """
 
 from __future__ import annotations
@@ -49,18 +49,11 @@ from .correlation import (
     sample_kernels,
     write_kernel_csv,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    InternalConsistencyError,
-    RangeError,
-)
+from .errors import DomainError, InternalConsistencyError, RangeError
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from . import fock
 
 UNITARITY_TOL = 1e-12
 
@@ -72,12 +65,14 @@ class ExtendedSpectrum:
     frequency ``doubled_omegas()[c]``.  ``basis`` holds the eigenvectors
     cycle by cycle, as (indices c_0..c_{L-1}, columns): column q sits at
     index c_q and holds its coefficients on rows c_0..c_{L-1}; every other
-    entry is zero.
+    entry is zero.  ``images`` is the induced matrix as the table
+    c -> (sigma(c), u_c): it maps e_c to u_c e_sigma(c).
     """
 
     def __init__(self, base: ModeSpectrum, action: SlotAction, phases: tuple[complex, ...],
-                 basis: Basis):
+                 basis: Basis, images: dict[int, tuple[int, complex]]):
         self.base, self.action, self.phases, self.basis = base, action, phases, basis
+        self.images = images
 
     @property
     def n_doubled(self) -> int:
@@ -93,20 +88,10 @@ class ExtendedSpectrum:
 
         n = self.n_doubled
         induced = np.zeros((n, n), dtype=complex)
-        for c, (target, u) in _images(self.action, n // 2).items():
+        for c, (target, u) in self.images.items():
             induced[target, c] = u
         induced.setflags(write=False)
         return induced
-
-    def natural_conjugation(self, vec: np.ndarray) -> np.ndarray:
-        """J(c, d) = (conj(d), conj(c))."""
-        import numpy as np
-
-        m = len(self.base)
-        out = np.empty_like(vec, dtype=complex)
-        out[:m] = np.conj(vec[m:])
-        out[m:] = np.conj(vec[:m])
-        return out
 
 
 def _doubled(slot: int, m: int) -> int:
@@ -218,7 +203,7 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
         size = _worst(found)
         if not size <= UNITARITY_TOL:  # a NaN defect fails too
             raise InternalConsistencyError(f"{what} ({size:.3e})")
-    return ExtendedSpectrum(spectrum, action, tuple(phases), tuple(basis))
+    return ExtendedSpectrum(spectrum, action, tuple(phases), tuple(basis), image)
 
 
 def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
@@ -267,108 +252,3 @@ def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int)
     write_kernel_csv(path, sampled)
     return sampled
 
-
-def field_coefficient_map(ext: ExtendedSpectrum, q: np.ndarray) -> np.ndarray:
-    """Coordinates of the induced-symmetry adjoint applied to q."""
-    import numpy as np
-
-    return ext.induced.conj().T @ np.asarray(q, dtype=complex)
-
-
-def _doubled_creation(ext: ExtendedSpectrum, q: np.ndarray) -> np.ndarray:
-    """Field table of A*(q) = sum_k c_k alpha+*(k) + d_k alpha-*(k), q = (c, d)."""
-    import numpy as np
-
-    m = len(ext.base)
-    field = np.zeros((2, 2 * m), dtype=complex)
-    field[0, 0::2], field[0, 1::2] = q[:m], q[m:]
-    return field
-
-
-def real_time_field(
-    space: fock.FockSpace, ext: ExtendedSpectrum, t: float, q: np.ndarray
-) -> np.ndarray:
-    """Real-time doubled field psi(t, q), as a Fock field table.
-
-    psi(t, q) = (1/sqrt 2) [A*(omega^{-1/2} e^{i t omega} q)
-                            + A(omega^{-1/2} e^{-i t omega} q)]
-    with A(q) = sum_k c_k alpha-(k) + d_k alpha+(k).
-    """
-    import numpy as np
-
-    from . import fock
-
-    q = np.asarray(q, dtype=complex)
-    if q.shape != (ext.n_doubled,):
-        raise ConfigError("coefficient vector must have doubled length")
-    w = np.array(ext.doubled_omegas())
-    up = q * np.exp(1j * t * w) / np.sqrt(w)
-    down = q * np.exp(-1j * t * w) / np.sqrt(w)
-    # A(v) = sum c_k alpha-(k) + d_k alpha+(k) = (A*(Jv))^*
-    destroy = fock.adjoint(_doubled_creation(ext, ext.natural_conjugation(down)))
-    return (_doubled_creation(ext, up) + destroy) / math.sqrt(2.0)
-
-
-def real_field_checks(
-    ext: ExtendedSpectrum, sym: SymmetrySpec, cutoff: int, seed: int = 0
-) -> dict[str, float]:
-    """Fock-oracle verification of the doubled-field structure.
-
-    Returns the largest sub-cutoff deviation of each identity at t = 0.37,
-    on seeded states supported on the sub-cutoff block: adjoint covariance
-    psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>; the
-    equal-time commutator [psi, psi] = 0; the canonical pair
-    [psi, d/dt psi] = i<Jq, r>; the creation/annihilation commutator
-    [A(q), A*(r)] = <Jq, r>; and the symmetry covariance
-    U psi(t, q) U* = psi(t, induced* q), as U psi(t, q) = psi(t, induced* q) U.
-    """
-    import numpy as np
-
-    from . import fock
-
-    space = fock.FockSpace(ext.base, cutoff)
-    rng = np.random.default_rng(seed)
-    n = ext.n_doubled
-    q = rng.normal(size=n) + 1j * rng.normal(size=n)
-    r = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v = space.random_state(rng)
-    t = 0.37
-
-    def act(field: np.ndarray, state: np.ndarray, subcutoff: bool = False) -> np.ndarray:
-        return fock.apply_field(space, field, state, subcutoff)
-
-    def dev(residual: np.ndarray) -> float:
-        return float(np.abs(residual).max())
-
-    psi_q = real_time_field(space, ext, t, q)
-    psi_r = real_time_field(space, ext, t, r)
-
-    report: dict[str, float] = {}
-    x = space.random_state(rng)
-    psi_jq = real_time_field(space, ext, t, ext.natural_conjugation(q))
-    report["adjoint_covariance"] = float(
-        abs(np.vdot(x, act(psi_q, v, subcutoff=True)) - np.vdot(act(psi_jq, x, subcutoff=True), v))
-    )
-    report["equal_time_commutator"] = dev(fock.sub_commutator(space, psi_q, psi_r, v))
-
-    # d/dt psi by centered differences with one Richardson step
-    def ddt(h: float) -> np.ndarray:
-        return (real_time_field(space, ext, t + h, r) - real_time_field(space, ext, t - h, r)) / (
-            2.0 * h
-        )
-
-    h0 = 1e-3
-    dpsi = (4.0 * ddt(h0 / 2.0) - ddt(h0)) / 3.0
-    pairing = complex(np.dot(ext.natural_conjugation(q).conjugate(), r))
-    report["canonical_pair"] = dev(fock.sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v)
-
-    a_star_r = _doubled_creation(ext, r)
-    a_q = fock.adjoint(_doubled_creation(ext, ext.natural_conjugation(q)))
-    report["ccr_doubled"] = dev(fock.sub_commutator(space, a_q, a_star_r, v) - pairing * v)
-
-    psi_conj_q = real_time_field(space, ext, t, field_coefficient_map(ext, q))
-    u_psi_q = fock.apply_symmetry(space, sym, act(psi_q, v, subcutoff=True))
-    report["symmetry_covariance"] = dev(
-        u_psi_q - act(psi_conj_q, fock.apply_symmetry(space, sym, v), subcutoff=True)
-    )
-    return report

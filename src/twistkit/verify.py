@@ -15,7 +15,8 @@ two-sided: the residual must match its closed form, not merely stay below
 it.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
-of ``realfield`` act with the matrix-free Fock oracle of
+of ``realfield`` (:func:`doubled_field_checks`, the real-time field of the
+doubled theory) act with the matrix-free Fock oracle of
 :mod:`twistkit.fock` at :func:`twistkit.fock.oracle_cutoff` (8, 8, 5, 2, 2
 for 1-5 modes; CapacityError, exit 3, from six modes on).  An operator
 identity A B = C is checked as A(Bv) - Cv on seeded standard-normal states
@@ -29,8 +30,8 @@ Routes and checks choose their path from the symmetry's
 needs a diagonal one), except the ``symmetry`` suite: its rules, read from
 the raw phases and pairing, are what the normal form is checked against.
 
-Only the dense suites import numpy and the Fock and doubled-field
-modules, inside the functions that use them, so :class:`CheckResult`,
+Only the dense suites import numpy and :mod:`twistkit.fock`, inside the
+functions that use them, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
 and ``partition`` suites (the latter's doubled-theory route on a
 non-diagonal action included) and the sampled kernel checks of any
@@ -56,7 +57,7 @@ from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import correlation, fock
+    from . import correlation, fock, realfield
 
 #: Machine epsilon, 2^-52.
 _EPS = sys.float_info.epsilon
@@ -86,10 +87,10 @@ def _random_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
-def _oracle_space(spectrum: ModeSpectrum) -> fock.FockSpace:
+def _oracle_space(spectrum: ModeSpectrum, cutoff: Optional[int] = None) -> fock.FockSpace:
     from . import fock
 
-    return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)))
+    return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)) if cutoff is None else cutoff)
 
 
 def _unit_states(space: fock.FockSpace, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -474,10 +475,82 @@ def suite_kernel(
     return results
 
 
+def doubled_field_checks(
+    ext: realfield.ExtendedSpectrum, sym: SymmetrySpec, cutoff: Optional[int] = None, seed: int = 0
+) -> list[CheckResult]:
+    """Fock-oracle checks of the real-time doubled field at t = 0.37.
+
+    With A*(c, d) = sum_k c_k alpha+*(k) + d_k alpha-*(k), the natural
+    conjugation J(c, d) = (conj(d), conj(c)) and A(q) = A*(Jq)*, the field is
+    psi(t, q) = (1/sqrt 2) [A*(omega^{-1/2} e^{i t omega} q)
+    + A(omega^{-1/2} e^{-i t omega} q)].  On seeded states supported on the
+    sub-cutoff block (``cutoff`` defaults to the oracle's): adjoint
+    covariance psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>;
+    the equal-time commutator [psi(t,q), psi(t,r)] = 0; the canonical pair
+    [psi, d/dt psi] = i<Jq, r>, d/dt by centered differences with one
+    Richardson step; [A(q), A*(r)] = <Jq, r>; and the symmetry covariance
+    U psi(t, q) U* = psi(t, U* q), as U psi(t, q) v = psi(t, U* q) U v, with
+    (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.
+    """
+    import numpy as np
+
+    from . import fock
+
+    space = _oracle_space(ext.base, cutoff)
+    rng = np.random.default_rng(seed)
+    n = ext.n_doubled
+    q, r = _random_coeffs(rng, n), _random_coeffs(rng, n)
+    v, x = space.random_state(rng), space.random_state(rng)
+    w = np.array(ext.doubled_omegas())
+    t = 0.37
+
+    def conj(vec: np.ndarray) -> np.ndarray:  # J: the conjugate of the half-swap
+        return np.conj(np.roll(vec, n // 2))
+
+    def create(vec: np.ndarray) -> np.ndarray:  # A*(c, d)
+        plus = fock.creation_functional(space, "+", np.conj(vec[: n // 2]))
+        return plus + fock.creation_functional(space, "-", vec[n // 2 :])
+
+    def psi(time: float, vec: np.ndarray) -> np.ndarray:
+        up = vec * np.exp(1j * time * w) / np.sqrt(w)
+        down = vec * np.exp(-1j * time * w) / np.sqrt(w)
+        return (create(up) + fock.adjoint(create(conj(down)))) / math.sqrt(2.0)
+
+    def act(field: np.ndarray, state: np.ndarray) -> np.ndarray:
+        return fock.apply_field(space, field, state, subcutoff=True)
+
+    def ddt(h: float) -> np.ndarray:
+        return (psi(t + h, r) - psi(t - h, r)) / (2.0 * h)
+
+    psi_q = psi(t, q)
+    psi_q_v = act(psi_q, v)
+    pairing = complex(np.dot(conj(q).conjugate(), r))
+    dpsi = (4.0 * ddt(0.5e-3) - ddt(1e-3)) / 3.0
+    u_star_q = np.array([u.conjugate() * q[target] for target, u in (ext.images[c] for c in range(n))])
+    deviations = {
+        "adjoint_covariance": abs(np.vdot(x, psi_q_v) - np.vdot(act(psi(t, conj(q)), x), v)),
+        "equal_time_commutator": _max_abs(fock.sub_commutator(space, psi_q, psi(t, r), v)),
+        "canonical_pair": _max_abs(
+            fock.sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v
+        ),
+        "ccr_doubled": _max_abs(
+            fock.sub_commutator(space, fock.adjoint(create(conj(q))), create(r), v) - pairing * v
+        ),
+        "symmetry_covariance": _max_abs(
+            fock.apply_symmetry(space, sym, psi_q_v)
+            - act(psi(t, u_star_q), fock.apply_symmetry(space, sym, v))
+        ),
+    }
+    return [
+        CheckResult("realfield", f"doubled-field oracle: {key}", float(dev), 1e-8)
+        for key, dev in deviations.items()
+    ]
+
+
 def suite_realfield(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    from . import fock, realfield
+    from . import realfield
 
     if sym is None:
         raise ConfigError("realfield suite requires a symmetry in the config")
@@ -502,11 +575,7 @@ def suite_realfield(
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
-    results += sampled_kernel_checks(sampled)
-    report = realfield.real_field_checks(ext, sym, fock.oracle_cutoff(len(spectrum)), seed=seed)
-    for key, dev in report.items():
-        results.append(CheckResult("realfield", f"doubled-field oracle: {key}", dev, 1e-8))
-    return results
+    return results + sampled_kernel_checks(sampled) + doubled_field_checks(ext, sym, seed=seed)
 
 
 _SUITE_FUNCS: dict[str, Callable] = {

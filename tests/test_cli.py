@@ -15,6 +15,7 @@ from twistkit import cli, correlation, errors, fock, partition, realfield, verif
 from twistkit.cli import main
 from twistkit.spectrum import (
     ModeSpectrum, SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum,
+    validate_spectrum,
 )
 
 LN2 = math.log(2.0)
@@ -368,14 +369,16 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(correlation.SampledKernel, "grid")
-    # correlation imports no numpy at run time; realfield imports numpy and
-    # fock only in the doubled-field oracle and the dense induced matrix
+    # correlation imports no numpy at run time; realfield imports numpy only
+    # in the dense induced matrix and never imports fock: the doubled-field
+    # oracle lives in verify
     assert _numpy_importers(correlation) == []
-    oracle = ["field_coefficient_map", "_doubled_creation", "real_time_field",
-              "real_field_checks"]
-    assert _numpy_importers(realfield) == [
-        "ExtendedSpectrum.induced", "ExtendedSpectrum.natural_conjugation", *oracle]
-    assert _numpy_importers(realfield, "fock") == ["real_time_field", "real_field_checks"]
+    assert _numpy_importers(realfield) == ["ExtendedSpectrum.induced"]
+    assert _numpy_importers(realfield, "fock") == []
+    for name in ("field_coefficient_map", "_doubled_creation", "real_time_field",
+                 "real_field_checks"):
+        assert not hasattr(realfield, name), name
+    assert not hasattr(realfield.ExtendedSpectrum, "natural_conjugation")
     tree = ast.parse(inspect.getsource(realfield))
     imported = [
         alias.name
@@ -655,7 +658,27 @@ REFUSALS = {
     "kernel_agreement-empty-grid": (
         lambda: verify.kernel_agreement(correlation.TwistedKernel(1.0, 0.3, 1.0), 1 + 0j, 0, [0]),
         errors.DomainError),
+    "kernel_closed_form-negative-omega": (
+        lambda: correlation.kernel_closed_form(-1.0, 0.3, 1.0, 0.5, 0.0), errors.DomainError),
+    "kernel_closed_form-theta-7": (
+        lambda: correlation.kernel_closed_form(1.0, 7.0, 1.0, 0.5, 0.0), errors.DomainError),
+    "kernel_closed_form-nan-omega": (
+        lambda: correlation.kernel_closed_form(math.nan, 0.3, 1.0, 0.5, 0.0), errors.DomainError),
+    "partition_trace-fractional-cutoff": (
+        lambda: partition.partition_trace(ONE_MODE, None, 1.0, 2.5), errors.DomainError),
+    "geometric_log_derivative-fractional-cutoff": (
+        lambda: partition.geometric_log_derivative(0.5 + 0j, 2.5), errors.DomainError),
+    "truncation_tail_bound-fractional-cutoff": (
+        lambda: partition.truncation_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
+    "twisted_tail_bound-fractional-cutoff": (
+        lambda: partition.twisted_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
 }
+
+
+def test_integer_cutoffs_are_accepted():
+    # numpy integers carry __index__ and pass the cutoff guard like ints do
+    assert partition.partition_trace(ONE_MODE, None, 1.0, np.int64(3)) == (
+        partition.partition_trace(ONE_MODE, None, 1.0, 3))
 
 
 @pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
@@ -861,6 +884,48 @@ class TestVerifyPower:
         apply_tc = fock.apply_tc
         monkeypatch.setattr(fock, "apply_tc", lambda space, state: np.conj(apply_tc(space, state)))
         assert self.bundled_fails()
+
+
+class TestDoubledFieldChecks:
+    """The doubled-field oracle of the ``realfield`` suite."""
+
+    @pytest.mark.parametrize(
+        "sym",
+        [
+            SymmetrySpec(kind="unitary", phases=(np.exp(0.9j),)),
+            SymmetrySpec(kind="antiunitary", phases=(1.0 + 0j,), labels=("k0",), partners=("k0",)),
+        ],
+        ids=["unitary", "antiunitary"],
+    )
+    def test_deviations_small(self, sym):
+        ext = realfield.extend(validate_spectrum([("k0", 1.0)]), sym)
+        for check in verify.doubled_field_checks(ext, sym, cutoff=12):
+            assert check.deviation < 1e-8, f"{check.name}: {check.deviation}"
+
+    def test_equal_time_commutator_two_modes(self):
+        spec = validate_spectrum([("a", 0.7), ("b", 0.7)])
+        sym = SymmetrySpec(
+            kind="antiunitary", phases=(1j, np.exp(0.4j)), labels=("a", "b"), partners=("b", "a")
+        )
+        ext = realfield.extend(spec, sym)
+        report = {c.name: c.deviation for c in verify.doubled_field_checks(ext, sym, cutoff=3)}
+        assert report["doubled-field oracle: equal_time_commutator"] < 1e-12
+        assert report["doubled-field oracle: symmetry_covariance"] < 1e-8
+
+    def test_u_in_place_of_u_star_fails_symmetry_covariance(self, monkeypatch):
+        # conjugated phases in the image table turn the U* q map into one by U
+        extend = realfield.extend
+
+        def conjugated(spectrum, sym):
+            ext = extend(spectrum, sym)
+            ext.images = {c: (target, u.conjugate()) for c, (target, u) in ext.images.items()}
+            return ext
+
+        monkeypatch.setattr(realfield, "extend", conjugated)
+        spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
+        failed = [r for r in verify.run_suite("realfield", spectrum, sym) if not r.passed]
+        assert [r.name for r in failed] == ["doubled-field oracle: symmetry_covariance"]
+        assert failed[0].deviation > 1.0
 
 
 def test_no_environment_knobs():
