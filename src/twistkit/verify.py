@@ -526,13 +526,12 @@ def doubled_field_checks(
     psi_q_v = act(psi_q, v)
     pairing = complex(np.dot(conj(q).conjugate(), r))
     dpsi = (4.0 * ddt(0.5e-3) - ddt(1e-3)) / 3.0
-    u_star_q = np.array([u.conjugate() * q[target] for target, u in (ext.images[c] for c in range(n))])
+    images = (ext.images[c] for c in range(n))
+    u_star_q = np.array([u.conjugate() * q[target] for target, u in images])
     deviations = {
         "adjoint_covariance": abs(np.vdot(x, psi_q_v) - np.vdot(act(psi(t, conj(q)), x), v)),
         "equal_time_commutator": _max_abs(fock.sub_commutator(space, psi_q, psi(t, r), v)),
-        "canonical_pair": _max_abs(
-            fock.sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v
-        ),
+        "canonical_pair": _max_abs(fock.sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v),
         "ccr_doubled": _max_abs(
             fock.sub_commutator(space, fock.adjoint(create(conj(q))), create(r), v) - pairing * v
         ),
