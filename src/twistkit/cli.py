@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 # verify is numpy-free until a dense suite runs, so it loads eagerly; the
 # benchmark's in-process tracer wraps its checks on every workload.
@@ -48,6 +47,10 @@ from .spectrum import (
     spectrum_to_config,
     twisted_circle_spectrum,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 PARSE_FAILURE = 2
 ASSERTION_FAILURE = 1

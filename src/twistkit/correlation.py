@@ -43,11 +43,14 @@ import cmath
 import math
 import operator
 import warnings
-from typing import Optional, Sequence
 
 from .errors import ConfigError, DomainError, KindError, RangeError
 from .partition import geometric_log_derivative
 from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 #: A sparse unitary basis: per block, (indices, columns); see :class:`SampledKernel`.
 Basis = tuple[tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]], ...]

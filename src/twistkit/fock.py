@@ -21,6 +21,11 @@ Operators are plain functions of a state:
   permutation of the axes, read from a :class:`twistkit.spectrum.SlotAction`
   for U_S and U_V alike; TC also conjugates.
 
+Seeded states and coefficient vectors come from a ``random.Random``
+(MT19937): :func:`standard_normals` reads 53-bit uniforms from its bytes
+and turns them into standard complex normals by Box-Muller, so no caller
+needs ``numpy.random``.
+
 The truncated traces of the partition-function oracle need no state
 tensors: they are products over the cycles of the slot action, kept with
 their tail bounds in :mod:`twistkit.partition`, which imports no numpy.
@@ -31,13 +36,17 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, ConfigError, RangeError
 from .partition import truncation_tail_bound  # re-exported for bench/checks.py
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+    from typing import Optional, Sequence
 
 #: Highest occupation cutoff :func:`oracle_cutoff` picks.
 MAX_CUTOFF = 8
@@ -135,13 +144,24 @@ class FockSpace:
         """The sub-cutoff rows of a full state: every occupation below the cutoff."""
         return state[(slice(0, self.cutoff),) * self.n_slots]
 
-    def random_state(self, rng: np.random.Generator) -> np.ndarray:
-        """Seeded standard-normal complex state supported on the sub-cutoff
+    def random_state(self, rng: random.Random) -> np.ndarray:
+        """Seeded standard complex normal state supported on the sub-cutoff
         block, held as that block: shape (cutoff,) * 2M."""
         size = (self.cutoff,) * self.n_slots
-        state = np.empty(size, dtype=complex)
-        state.real, state.imag = rng.normal(size=size), rng.normal(size=size)
-        return state
+        return standard_normals(rng, self.cutoff**self.n_slots).reshape(size)
+
+
+def standard_normals(rng: random.Random, n: int) -> np.ndarray:
+    """n standard complex normals z = x + iy, x and y independent N(0, 1).
+
+    One draw of 16 n bytes from ``rng`` gives 2n uniforms u in [0, 1), the
+    top 53 bits of each little-endian 64-bit word; Box-Muller maps each pair
+    (u1, u2) to the radius sqrt(-2 log(1 - u1)), finite at u1 = 0, and the
+    angle 2 pi u2.
+    """
+    u = (np.frombuffer(rng.randbytes(16 * n), dtype="<u8") >> 11) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log1p(-u[:n]))
+    return radius * np.exp(2j * math.pi * u[n:])
 
 
 def _charge_offset(charge: str) -> int:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional
 
 from .errors import DomainError, RangeError
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 #: Below this value a twisted partition function is reported as
 #: suspiciously small (flagged, not failed): positivity holds for all

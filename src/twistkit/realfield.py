@@ -39,7 +39,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .correlation import (
     Basis,
@@ -52,6 +51,7 @@ from .correlation import (
 from .errors import DomainError, InternalConsistencyError, RangeError
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

@@ -25,9 +25,12 @@ import cmath
 import json
 import math
 from functools import cached_property
-from typing import Optional, Sequence
 
 from .errors import AdmissibilityError, ConfigError, DomainError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional, Sequence
 
 UNIT_MODULUS_TOL = 1e-12
 

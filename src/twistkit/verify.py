@@ -23,7 +23,11 @@ identity A B = C is checked as A(Bv) - Cv on seeded standard-normal states
 v supported on the sub-cutoff block, compared on the sub-cutoff rows; the
 two exact checks (threshold 0) probe where no rounding enters, a basis
 state and the all-ones state.  The inner-product checks of TC and U use
-seeded unit states on the sub-cutoff block.
+seeded unit states on the sub-cutoff block.  Each suite seeds one
+``random.Random(seed)`` (MT19937) and draws from it, in a fixed order,
+every coefficient vector and state as standard complex normals (Box-Muller,
+:func:`twistkit.fock.standard_normals`) and the basis state's occupations
+by ``randrange``, so no suite loads ``numpy.random``.
 
 Routes and checks choose their path from the symmetry's
 :class:`~twistkit.spectrum.SlotAction`, not its kind (the scalar kernel
@@ -48,13 +52,16 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import partition
 from .errors import ConfigError, DomainError, KindError, RangeError
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import random
+    from typing import Callable, Iterable, Optional
+
     import numpy as np
 
     from . import correlation, fock, realfield
@@ -83,17 +90,13 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max()) if np.size(values) else 0.0
 
 
-def _random_coeffs(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-
 def _oracle_space(spectrum: ModeSpectrum, cutoff: Optional[int] = None) -> fock.FockSpace:
     from . import fock
 
     return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)) if cutoff is None else cutoff)
 
 
-def _unit_states(space: fock.FockSpace, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _unit_states(space: fock.FockSpace, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """Two seeded random unit states on the sub-cutoff block, for inner products."""
     import numpy as np
 
@@ -102,6 +105,8 @@ def _unit_states(space: fock.FockSpace, rng: np.random.Generator) -> tuple[np.nd
 
 
 def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
+    import random
+
     import numpy as np
 
     from . import fock
@@ -110,9 +115,9 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     if len(spectrum) == 0:
         return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
     space = _oracle_space(spectrum)
-    rng = np.random.default_rng(seed)
-    f = _random_coeffs(rng, len(spectrum))
-    g = _random_coeffs(rng, len(spectrum))
+    rng = random.Random(seed)
+    f = fock.standard_normals(rng, len(spectrum))
+    g = fock.standard_normals(rng, len(spectrum))
     v = space.random_state(rng)
 
     inner_gf = complex(np.vdot(g, f))  # <g, f>
@@ -140,7 +145,7 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     # product of two coefficients.  Splitting g-bar = Re g - i Im g keeps one
     # of the two real, so both orders round alike.
     e = np.zeros((space.cutoff,) * space.n_slots, dtype=complex)
-    e[tuple(rng.integers(0, space.cutoff, size=space.n_slots))] = 1.0
+    e[tuple(rng.randrange(space.cutoff) for _ in range(space.n_slots))] = 1.0
 
     def cross_commutator(part: np.ndarray) -> float:
         plus = fock.creation_functional(space, "+", part)
@@ -167,13 +172,15 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0) -> list[CheckResult]:
+    import random
+
     import numpy as np
 
     from . import fock
 
     results: list[CheckResult] = []
     space = _oracle_space(spectrum)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     def tc(state: np.ndarray) -> np.ndarray:
         return fock.apply_tc(space, state)
@@ -185,7 +192,7 @@ def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0)
     results.append(CheckResult("tc", "TC is antiunitary on random vectors", abs(lhs - rhs), 1e-12))
     v = space.random_state(rng)
     if len(spectrum) > 0:
-        f = _random_coeffs(rng, len(spectrum))
+        f = fock.standard_normals(rng, len(spectrum))
         # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) v = A-*(f) TC v
         plus = fock.creation_functional(space, "+", f)
         minus = fock.creation_functional(space, "-", f)
@@ -218,6 +225,8 @@ def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0)
 def suite_symmetry(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
+    import random
+
     import numpy as np
 
     from . import fock
@@ -226,7 +235,7 @@ def suite_symmetry(
         raise ConfigError("symmetry suite requires a symmetry in the config")
     results: list[CheckResult] = []
     space = _oracle_space(spectrum)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     def u(state: np.ndarray) -> np.ndarray:
         return fock.apply_symmetry(space, sym, state)
@@ -475,6 +484,13 @@ def suite_kernel(
     return results
 
 
+def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
+    """J(c, d) = (conj(d), conj(c)): the conjugate of the half-swap."""
+    import numpy as np
+
+    return np.conj(np.roll(vec, len(vec) // 2))
+
+
 def doubled_field_checks(
     ext: realfield.ExtendedSpectrum, sym: SymmetrySpec, cutoff: Optional[int] = None, seed: int = 0
 ) -> list[CheckResult]:
@@ -490,22 +506,26 @@ def doubled_field_checks(
     [psi, d/dt psi] = i<Jq, r>, d/dt by centered differences with one
     Richardson step; [A(q), A*(r)] = <Jq, r>; and the symmetry covariance
     U psi(t, q) U* = psi(t, U* q), as U psi(t, q) v = psi(t, U* q) U v, with
-    (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.
+    (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.  The identities
+    hold for any J used throughout, so one more check ties A(q) to its
+    definition A(c, d) = sum_k d_k alpha+(k) + c_k alpha-(k), a table of
+    annihilation coefficients read off q: it must equal A*(Jq)* exactly on v.
     """
+    import random
+
     import numpy as np
 
     from . import fock
 
     space = _oracle_space(ext.base, cutoff)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     n = ext.n_doubled
-    q, r = _random_coeffs(rng, n), _random_coeffs(rng, n)
+    q, r = fock.standard_normals(rng, n), fock.standard_normals(rng, n)
     v, x = space.random_state(rng), space.random_state(rng)
     w = np.array(ext.doubled_omegas())
     t = 0.37
 
-    def conj(vec: np.ndarray) -> np.ndarray:  # J: the conjugate of the half-swap
-        return np.conj(np.roll(vec, n // 2))
+    conj = _natural_conjugation
 
     def create(vec: np.ndarray) -> np.ndarray:  # A*(c, d)
         plus = fock.creation_functional(space, "+", np.conj(vec[: n // 2]))
@@ -528,22 +548,27 @@ def doubled_field_checks(
     dpsi = (4.0 * ddt(0.5e-3) - ddt(1e-3)) / 3.0
     images = (ext.images[c] for c in range(n))
     u_star_q = np.array([u.conjugate() * q[target] for target, u in images])
+    a_q = fock.adjoint(create(conj(q)))  # A(q) = A*(Jq)*
+    # A(c, d) = sum_k d_k alpha+(k) + c_k alpha-(k), read off q = (c, d)
+    a_q_defined = np.zeros((2, space.n_slots), dtype=complex)
+    a_q_defined[1, 0::2], a_q_defined[1, 1::2] = q[n // 2 :], q[: n // 2]
     deviations = {
         "adjoint_covariance": abs(np.vdot(x, psi_q_v) - np.vdot(act(psi(t, conj(q)), x), v)),
         "equal_time_commutator": _max_abs(fock.sub_commutator(space, psi_q, psi(t, r), v)),
         "canonical_pair": _max_abs(fock.sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v),
-        "ccr_doubled": _max_abs(
-            fock.sub_commutator(space, fock.adjoint(create(conj(q))), create(r), v) - pairing * v
-        ),
+        "ccr_doubled": _max_abs(fock.sub_commutator(space, a_q, create(r), v) - pairing * v),
         "symmetry_covariance": _max_abs(
             fock.apply_symmetry(space, sym, psi_q_v)
             - act(psi(t, u_star_q), fock.apply_symmetry(space, sym, v))
         ),
     }
-    return [
+    results = [
         CheckResult("realfield", f"doubled-field oracle: {key}", float(dev), 1e-8)
         for key, dev in deviations.items()
     ]
+    defined = _max_abs(act(a_q_defined, v) - act(a_q, v))
+    results.append(CheckResult("realfield", "doubled-field oracle: annihilation_definition", defined, 0.0))
+    return results
 
 
 def suite_realfield(

@@ -191,6 +191,51 @@ def test_cli_jobs_load_no_dataclasses_or_inspect(argv, anti_config, tmp_path):
     assert _loaded(argv, ["dataclasses", "inspect"]) == []
 
 
+@pytest.mark.parametrize(
+    "argv, dense",
+    [
+        (["verify", "--suite", "all"], True),
+        (["verify", "--config", "{anti}", "--suite", "all"], True),
+        (["partition", "--beta", "0.5"], False),
+        (["spectrum", "gen", "twisted-circle", "--twist", "1", "--n-min", "-3", "--n-max", "3"],
+         False),
+        (["kernel", "--beta", "1", "--grid", "16", "--verify", "--output", "{out}"], False),
+        (["kernel", "--config", "{anti}", "--extended", "--grid", "4", "--beta", "1", "--verify",
+          "--output", "{out}"], False),
+    ],
+    ids=["verify-default", "verify-anti", "partition", "spectrum-gen", "kernel-verify",
+         "kernel-extended-verify"],
+)
+def test_cli_jobs_never_load_numpy_random(argv, dense, tmp_path):
+    # the Fock-oracle states are drawn from random.Random; only the dense
+    # suites load numpy at all
+    fill = {"{out}": str(tmp_path / "k.csv"),
+            "{anti}": str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")}
+    argv = [fill.get(a, a) for a in argv]
+    assert _loaded(argv, ["numpy", "numpy.random"]) == (["numpy"] if dense else [])
+
+
+def test_no_package_module_names_numpy_random():
+    for path in Path(twistkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert not name.startswith(("np.random", "numpy.random")), (path.name, name)
+
+
+def test_cli_import_loads_no_typing():
+    # -S: no site hooks, which preload typing on their own
+    code = "import sys, twistkit.cli; print('typing' in sys.modules)"
+    assert _run_cli(["-S", "-c", code], check=True).stdout.strip() == "False"
+
+
 def test_no_package_module_imports_dataclasses():
     for path in Path(twistkit.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -852,6 +897,18 @@ class TestVerifyReach:
         assert main(["verify", "--config", cfg, "--suite", "all"]) == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
+    def test_a_seed_fixes_every_deviation(self, config):
+        path = None if config is None else str(Path(__file__).parent / "golden" / config)
+        spectrum, sym = cli._load(path)
+
+        def run(seed):
+            return [(r.name, r.deviation) for r in verify.run_suite("all", spectrum, sym, seed)]
+
+        first = run(5)
+        assert run(5) == first  # bit-identical
+        assert run(6) != first
+
 
 class TestVerifyPower:
     """Deliberately broken Fock oracles fail ``verify --suite all``."""
@@ -911,6 +968,19 @@ class TestDoubledFieldChecks:
         report = {c.name: c.deviation for c in verify.doubled_field_checks(ext, sym, cutoff=3)}
         assert report["doubled-field oracle: equal_time_commutator"] < 1e-12
         assert report["doubled-field oracle: symmetry_covariance"] < 1e-8
+
+    def test_natural_conjugation_without_half_swap_fails_the_definition_check(self, monkeypatch):
+        # J = conj, used throughout, leaves four identities intact; A(q) read
+        # off q by its definition no longer equals A*(Jq)*
+        monkeypatch.setattr(verify, "_natural_conjugation", np.conj)
+        spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
+        failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
+                  if not r.passed}
+        assert sorted(failed) == [
+            "doubled-field oracle: annihilation_definition",
+            "doubled-field oracle: symmetry_covariance",
+        ]
+        assert failed["doubled-field oracle: annihilation_definition"] > 1.0
 
     def test_u_in_place_of_u_star_fails_symmetry_covariance(self, monkeypatch):
         # conjugated phases in the image table turn the U* q map into one by U

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -72,6 +73,41 @@ class TestOracleCutoff:
             fock.oracle_cutoff(6)
 
 
+class TestStandardNormals:
+    """The seeded draw behind every oracle state and coefficient vector."""
+
+    def test_same_seed_same_state(self):
+        space = fock.FockSpace(validate_spectrum([("a", 1.0), ("b", 2.0)]), 4)
+        x, y = space.random_state(random.Random(3)), space.random_state(random.Random(3))
+        assert x.shape == (4,) * 4 and np.array_equal(x, y)
+
+    def test_different_seeds_differ_everywhere(self):
+        space = fock.FockSpace(validate_spectrum([("a", 1.0), ("b", 2.0)]), 4)
+        x, y = space.random_state(random.Random(3)), space.random_state(random.Random(4))
+        assert not np.any(x == y)
+
+    def test_moments_of_a_sub_cutoff_state(self):
+        # 3 modes at cutoff 5: 5**6 = 15625 entries.  E z = 0, E|z|^2 = 2 and
+        # E z^2 = 0; the last fails a draw whose angle reuses the radius's uniform
+        spec = validate_spectrum([("a", 1.0), ("b", 1.5), ("c", 2.0)])
+        z = fock.FockSpace(spec, 5).random_state(random.Random(0))
+        assert z.size == 15625
+        assert abs(z.mean()) < 0.05
+        assert abs(np.mean(np.abs(z) ** 2) - 2.0) < 0.05
+        assert abs(np.mean(z**2)) < 0.05
+
+    @pytest.mark.parametrize("byte, radius", [(0x00, 0.0), (0xFF, math.sqrt(106 * LN2))])
+    def test_extreme_uniforms_stay_finite(self, byte, radius):
+        # all-zero words give u = 0, all-one words u = 1 - 2**-53: radius
+        # sqrt(-2 log(1 - u)) is 0 and sqrt(2 * 53 log 2)
+        class Constant:
+            def randbytes(self, n):
+                return bytes([byte]) * n
+
+        z = fock.standard_normals(Constant(), 3)
+        assert np.allclose(np.abs(z), radius, rtol=1e-15, atol=0.0)
+
+
 class TestCreation:
     def test_matrix_elements(self):
         space = fock.FockSpace(single_mode(), 3)
@@ -113,8 +149,8 @@ class TestCreation:
     def test_subcutoff_rows_of_the_full_result(self):
         spec = validate_spectrum([("a", 1.0), ("b", 2.0)])
         space = fock.FockSpace(spec, 3)
-        rng = np.random.default_rng(5)
-        field = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        rng = random.Random(5)
+        field = fock.standard_normals(rng, 8).reshape(2, 4)
         v = space.random_state(rng)
         full = np.zeros(space.shape, dtype=complex)
         full[(slice(0, 3),) * 4] = v
@@ -128,9 +164,8 @@ class TestCCR:
     def test_ccr_subcutoff(self, charge):
         spec = validate_spectrum([("a", 1.0), ("b", 2.0)])
         space = fock.FockSpace(spec, 4)
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=2) + 1j * rng.normal(size=2)
-        g = rng.normal(size=2) + 1j * rng.normal(size=2)
+        rng = random.Random(7)
+        f, g = fock.standard_normals(rng, 2), fock.standard_normals(rng, 2)
         a = fock.annihilation_functional(space, charge, f)
         a_star = fock.creation_functional(space, charge, g)
         v = space.random_state(rng)
@@ -197,7 +232,7 @@ class TestImaginaryTimeField:
         space = fock.FockSpace(spec, 6)
         t = 0.4
         f = [0.8 - 0.3j]
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         x, y = space.random_state(rng), space.random_state(rng)
         phi = fock.imaginary_time_field(space, t, f)
         phibar = fock.imaginary_time_field(space, -t, f, conjugate=True)
@@ -212,7 +247,7 @@ class TestImaginaryTimeField:
         t = 0.37
         f = np.array([0.3 + 1j, -0.8 + 0.2j])
         u = np.exp(1j * t * space.sub_block(space.energies()))
-        v = space.random_state(np.random.default_rng(4))
+        v = space.random_state(random.Random(4))
         evolved = u * fock.apply_field(
             space, fock.creation_functional(space, "+", f), np.conj(u) * v, subcutoff=True
         )
@@ -334,7 +369,7 @@ class TestTC:
     def test_charge_swap_on_creation_functionals(self):
         space = fock.FockSpace(single_mode(), 4)
         f = [0.7 - 0.4j]
-        v = space.random_state(np.random.default_rng(10))
+        v = space.random_state(random.Random(10))
         plus = fock.creation_functional(space, "+", f)
         minus = fock.creation_functional(space, "-", f)
         # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) = A-*(f) TC
@@ -346,7 +381,7 @@ class TestTC:
         space = fock.FockSpace(single_mode(1.1), 5)
         f = [0.9 + 0.5j]
         t = 0.3
-        v = space.random_state(np.random.default_rng(11))
+        v = space.random_state(random.Random(11))
         phi = fock.imaginary_time_field(space, t, f)
         phibar = fock.imaginary_time_field(space, t, f, conjugate=True)
         lhs = fock.apply_tc(space, fock.apply_field(space, phi, v, subcutoff=True))
