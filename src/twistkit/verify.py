@@ -567,7 +567,9 @@ def doubled_field_checks(
         for key, dev in deviations.items()
     ]
     defined = _max_abs(act(a_q_defined, v) - act(a_q, v))
-    results.append(CheckResult("realfield", "doubled-field oracle: annihilation_definition", defined, 0.0))
+    results.append(
+        CheckResult("realfield", "doubled-field oracle: annihilation_definition", defined, 0.0)
+    )
     return results
 
 

@@ -223,7 +223,7 @@ def test_no_package_module_names_numpy_random():
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
             for name in names:
