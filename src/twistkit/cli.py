@@ -119,6 +119,8 @@ def _cmd_kernel(args) -> int:
     beta = args.beta
     checks = []
     if args.extended:
+        if args.mode is not None:
+            raise ConfigError("--mode picks one scalar kernel; --extended exports every mode")
         from . import realfield
 
         ext = realfield.extend(spectrum, sym)
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kern.add_argument("--beta", type=float, required=True)
     p_kern.add_argument("--grid", type=int, default=64, help="grid points per axis")
     p_kern.add_argument("--output", required=True, help="CSV output path")
-    p_kern.add_argument("--mode", help="mode label (default: first mode)")
+    p_kern.add_argument("--mode", help="mode label of the scalar kernel (default: first mode)")
     p_kern.add_argument(
         "--extended", action="store_true", help="doubled-space kernel (antiunitary twists)"
     )

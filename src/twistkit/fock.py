@@ -21,6 +21,15 @@ Operators are plain functions of a state:
   permutation of the axes, read from a :class:`twistkit.spectrum.SlotAction`
   for U_S and U_V alike; TC also conjugates.
 
+Field tables are built from the doubled coordinates q = (c, d) of the
+doubled (real) theory, two M-vectors, and only this module knows how q
+lands on the slots: :func:`creation` is A*(c, d) = sum_k c_k alpha+*(k) +
+d_k alpha-*(k), :func:`annihilation` is A(c, d) = sum_k d_k alpha+(k) +
+c_k alpha-(k), and :func:`field` is the free field psi(tau, q), real-time
+at real tau, with phi(t, f-bar) = psi(it, (f-bar, 0)) and phi-bar(t, f) =
+psi(it, (0, f)).  So A+*(f-bar) = A*(f-bar, 0), A-*(f) = A*(0, f),
+A+(f) = A(0, f) and A-(f-bar) = A(f-bar, 0).
+
 Seeded states and coefficient vectors come from a ``random.Random``
 (MT19937): :func:`standard_normals` reads 53-bit uniforms from its bytes
 and turns them into standard complex normals by Box-Muller, so no caller
@@ -111,14 +120,6 @@ class FockSpace:
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.n_slots
 
-    def slot(self, charge: str, label: str) -> int:
-        """Axis of the (mode, charge) slot."""
-        try:
-            k = self.spectrum.labels.index(label)
-        except ValueError:
-            raise ConfigError(f"unknown mode label {label!r}") from None
-        return 2 * k + _charge_offset(charge)
-
     def vacuum(self) -> np.ndarray:
         state = np.zeros(self.shape, dtype=complex)
         state[(0,) * self.n_slots] = 1.0
@@ -162,12 +163,6 @@ def standard_normals(rng: random.Random, n: int) -> np.ndarray:
     u = (np.frombuffer(rng.randbytes(16 * n), dtype="<u8") >> 11) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log1p(-u[:n]))
     return radius * np.exp(2j * math.pi * u[n:])
-
-
-def _charge_offset(charge: str) -> int:
-    if charge not in ("+", "-"):
-        raise ConfigError(f"charge must be '+' or '-', got {charge!r}")
-    return 0 if charge == "+" else 1
 
 
 def _creation_amplitudes(cutoff: int) -> np.ndarray:
@@ -216,79 +211,48 @@ def adjoint(field: np.ndarray) -> np.ndarray:
     return np.conj(field[::-1])
 
 
-def _mode_coeffs(space: FockSpace, coeffs: Sequence[complex]) -> np.ndarray:
-    f = np.asarray(coeffs, dtype=complex)
-    if f.shape != (space.n_modes,):
-        raise ConfigError("coefficient vector length must equal the mode count")
-    return f
-
-
-def creation(space: FockSpace, charge: str, label: str) -> np.ndarray:
-    """Field table of the creation operator alpha*_charge(mode)."""
+def _table(space: FockSpace, row: int, q: Sequence[complex]) -> np.ndarray:
+    """Field table with q = (c, d) in one row: c on the + slots, d on the - slots.
+    ConfigError unless q has 2M entries."""
+    q = np.asarray(q, dtype=complex)
+    if q.shape != (space.n_slots,):
+        raise ConfigError(f"q = (c, d) needs {space.n_slots} coefficients, got shape {q.shape}")
     field = np.zeros((2, space.n_slots), dtype=complex)
-    field[0, space.slot(charge, label)] = 1.0
+    field[row, 0::2], field[row, 1::2] = np.split(q, 2)
     return field
 
 
-def creation_functional(
-    space: FockSpace, charge: str, coeffs: Sequence[complex]
-) -> np.ndarray:
-    """Field table of the creation functional smeared over the modes.
+def creation(space: FockSpace, q: Sequence[complex]) -> np.ndarray:
+    """Field table of A*(c, d) = sum_k c_k alpha+*(k) + d_k alpha-*(k)."""
+    return _table(space, 0, q)
 
-    ``coeffs`` are the components of f in the mode basis.  For charge '+'
-    this is A+*(f-bar) = sum_k conj(f_k) alpha+*(k); for charge '-' it is
-    A-*(f) = sum_k f_k alpha-*(k).
+
+def annihilation(space: FockSpace, q: Sequence[complex]) -> np.ndarray:
+    """Field table of A(c, d) = sum_k d_k alpha+(k) + c_k alpha-(k): (d, c) in
+    the annihilation row."""
+    return _table(space, 1, np.roll(q, space.n_modes))
+
+
+def field(space: FockSpace, q: Sequence[complex], tau: complex) -> np.ndarray:
+    """Field table of psi(tau, q) = (1/sqrt 2) [A*(omega^{-1/2} e^{i tau omega} q)
+    + A(omega^{-1/2} e^{-i tau omega} q)] at complex tau, with e^{i tau omega}
+    = e^{-omega Im tau} e^{i omega Re tau}.  Both coordinates of a mode sit
+    at its frequency, so the weights scale the tables slot by slot.
+
+    At tau = it the real weights exp(-+t omega) grow with t, to magnitudes
+    of order exp(beta*omega_max) at t <= beta.  RangeError where a weighted
+    coefficient is beyond the float range (once t*omega exceeds about 709.8).
     """
-    f = _mode_coeffs(space, coeffs)
-    field = np.zeros((2, space.n_slots), dtype=complex)
-    field[0, _charge_offset(charge)::2] = np.conj(f) if charge == "+" else f
-    return field
-
-
-def annihilation_functional(
-    space: FockSpace, charge: str, coeffs: Sequence[complex]
-) -> np.ndarray:
-    """Adjoint partner of :func:`creation_functional` at the same coefficients.
-
-    Charge '+': A+(f) = sum_k f_k alpha+(k); charge '-': A-(f-bar) =
-    sum_k conj(f_k) alpha-(k).
-    """
-    return adjoint(creation_functional(space, charge, coeffs))
-
-
-def imaginary_time_field(
-    space: FockSpace,
-    t: float,
-    coeffs: Sequence[complex],
-    conjugate: bool = False,
-) -> np.ndarray:
-    """Imaginary-time field phi(t, f-bar), or its conjugate partner.
-
-    Per-mode scalars omega^{-1/2} exp(-/+ t*omega) weight the creation and
-    annihilation parts.  The exp(+t*omega) factors grow for large t; at
-    desk scale (t <= beta, finite spectra) everything stays finite, but
-    magnitudes of order exp(beta*omega_max) appear in intermediate values.
-    RangeError where a weighted coefficient is beyond the float range
-    (exp(t*omega) overflows once t*omega exceeds about 709.8).
-    """
-    f = _mode_coeffs(space, coeffs)
-    w = np.asarray(space.spectrum.omegas, dtype=float)
+    tau = complex(tau)
+    w = np.repeat(space.spectrum.omegas, 2)  # the frequency of each slot
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = f * np.exp(-t * w) / np.sqrt(w)
-        growth = f * np.exp(t * w) / np.sqrt(w)
-    if not (np.isfinite(decay).all() and np.isfinite(growth).all()):
-        raise RangeError(f"imaginary-time field at t={t} is outside the float range")
-    if not conjugate:
-        # phi(t, f-bar) = [A+*(decay-bar) + A-(growth-bar)] / sqrt(2)
-        field = creation_functional(space, "+", decay) + annihilation_functional(
-            space, "-", growth
-        )
-    else:
-        # phi-bar(t, f) = [A-*(decay) + A+(growth)] / sqrt(2)
-        field = creation_functional(space, "-", decay) + annihilation_functional(
-            space, "+", growth
-        )
-    return field / math.sqrt(2.0)
+        table = creation(space, q) * np.exp(-tau.imag * w) * np.exp(1j * tau.real * w)
+        table /= np.sqrt(w)
+        down = annihilation(space, q) * np.exp(tau.imag * w) * np.exp(-1j * tau.real * w)
+        table += down / np.sqrt(w)
+    if not np.isfinite(table).all():
+        raise RangeError(f"field at tau={tau} is outside the float range")
+    return table / math.sqrt(2.0)
 
 
 def _generalized_permutation(

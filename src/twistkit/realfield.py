@@ -69,10 +69,9 @@ class ExtendedSpectrum:
     c -> (sigma(c), u_c): it maps e_c to u_c e_sigma(c).
     """
 
-    def __init__(self, base: ModeSpectrum, action: SlotAction, phases: tuple[complex, ...],
-                 basis: Basis, images: dict[int, tuple[int, complex]]):
-        self.base, self.action, self.phases, self.basis = base, action, phases, basis
-        self.images = images
+    def __init__(self, base: ModeSpectrum, phases: tuple[complex, ...], basis: Basis,
+                 images: dict[int, tuple[int, complex]]):
+        self.base, self.phases, self.basis, self.images = base, phases, basis, images
 
     @property
     def n_doubled(self) -> int:
@@ -203,7 +202,7 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
         size = _worst(found)
         if not size <= UNITARITY_TOL:  # a NaN defect fails too
             raise InternalConsistencyError(f"{what} ({size:.3e})")
-    return ExtendedSpectrum(spectrum, action, tuple(phases), tuple(basis), image)
+    return ExtendedSpectrum(spectrum, tuple(phases), tuple(basis), image)
 
 
 def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:

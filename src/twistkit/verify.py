@@ -7,12 +7,12 @@ the CLI renders them and sets the exit code; ``partition`` and ``kernel
 and ``realfield`` suites run.  Sampled kernels are checked through the
 closed-form spectra of their twisted-circulant eigenmode grids, never a
 dense grid: positivity reads the closed form (an empty layout is
-vacuously positive), and a pure-Python transform of the exported lag values ties them to it.  The
-``realfield`` suite reads its sector-mixing blocks from the same sampled
-layout.  The ``kernel`` suite's resolvent check reads the eigenmode
-residual of the 128-point grid from one sum of its lag values, and it is
-two-sided: the residual must match its closed form, not merely stay below
-it.
+vacuously positive), and a pure-Python transform of the exported lag
+values ties them to it.  The ``realfield`` suite reads its sector-mixing
+blocks from the same sampled layout.  The ``kernel`` suite's resolvent
+check reads the eigenmode residual of the 128-point grid from one sum of
+its lag values, and it is two-sided: the residual must match its closed
+form, not merely stay below it.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` (:func:`doubled_field_checks`, the real-time field of the
@@ -120,9 +120,10 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     g = fock.standard_normals(rng, len(spectrum))
     v = space.random_state(rng)
 
+    zero = np.zeros(len(spectrum), dtype=complex)
     inner_gf = complex(np.vdot(g, f))  # <g, f>
-    a_plus = fock.annihilation_functional(space, "+", f)
-    a_plus_star = fock.creation_functional(space, "+", g)
+    a_plus = fock.annihilation(space, np.concatenate([zero, f]))  # A+(f) = A(0, f)
+    a_plus_star = fock.creation(space, np.concatenate([g.conj(), zero]))  # A+*(g-bar)
     results.append(
         CheckResult(
             "ccr",
@@ -131,8 +132,8 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
             1e-12,
         )
     )
-    a_minus = fock.annihilation_functional(space, "-", g)
-    a_minus_star = fock.creation_functional(space, "-", f)
+    a_minus = fock.annihilation(space, np.concatenate([g.conj(), zero]))  # A-(g-bar)
+    a_minus_star = fock.creation(space, np.concatenate([zero, f]))  # A-*(f) = A*(0, f)
     results.append(
         CheckResult(
             "ccr",
@@ -148,7 +149,7 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     e[tuple(rng.randrange(space.cutoff) for _ in range(space.n_slots))] = 1.0
 
     def cross_commutator(part: np.ndarray) -> float:
-        plus = fock.creation_functional(space, "+", part)
+        plus = fock.creation(space, np.concatenate([part, zero]))
         lhs = fock.apply_field(space, plus, fock.apply_field(space, a_minus_star, e))
         lhs -= fock.apply_field(space, a_minus_star, fock.apply_field(space, plus, e))
         return _max_abs(lhs)
@@ -158,12 +159,10 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     # dynamics: e^{itH} A+*(f-bar) e^{-itH} = A+*((e^{-it omega} f)-bar)
     t = 0.83
     u_t = np.exp(1j * t * space.sub_block(space.energies()))
-    evolved = u_t * fock.apply_field(
-        space, fock.creation_functional(space, "+", f), np.conj(u_t) * v, subcutoff=True
-    )
-    shifted = fock.creation_functional(
-        space, "+", f * np.exp(-1j * t * np.asarray(spectrum.omegas))
-    )
+    plus = fock.creation(space, np.concatenate([f.conj(), zero]))  # A+*(f-bar)
+    evolved = u_t * fock.apply_field(space, plus, np.conj(u_t) * v, subcutoff=True)
+    f_t = np.conj(f * np.exp(-1j * t * np.asarray(spectrum.omegas)))
+    shifted = fock.creation(space, np.concatenate([f_t, zero]))
     evolved -= fock.apply_field(space, shifted, v, subcutoff=True)
     results.append(
         CheckResult("ccr", "Heisenberg dynamics of A+* on sub-cutoff block", _max_abs(evolved), 1e-10)
@@ -193,9 +192,10 @@ def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0)
     v = space.random_state(rng)
     if len(spectrum) > 0:
         f = fock.standard_normals(rng, len(spectrum))
+        zero = np.zeros(len(spectrum), dtype=complex)
+        q_plus, q_minus = np.concatenate([f.conj(), zero]), np.concatenate([zero, f])
         # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) v = A-*(f) TC v
-        plus = fock.creation_functional(space, "+", f)
-        minus = fock.creation_functional(space, "-", f)
+        plus, minus = fock.creation(space, q_plus), fock.creation(space, q_minus)
         residual = tc(fock.apply_field(space, plus, v, subcutoff=True))
         residual -= fock.apply_field(space, minus, tc(v), subcutoff=True)
         results.append(
@@ -203,9 +203,9 @@ def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0)
                 "tc", "TC A+*(f-bar) TC = A-*(f) on sub-cutoff block", _max_abs(residual), 1e-12
             )
         )
+        # phi(t, f-bar) = psi(it, (f-bar, 0)) and phibar(t, f) = psi(it, (0, f))
         t = 0.41
-        phi = fock.imaginary_time_field(space, t, f, conjugate=False)
-        phibar = fock.imaginary_time_field(space, t, f, conjugate=True)
+        phi, phibar = fock.field(space, q_plus, 1j * t), fock.field(space, q_minus, 1j * t)
         residual = tc(fock.apply_field(space, phi, v, subcutoff=True))
         residual -= fock.apply_field(space, phibar, tc(v), subcutoff=True)
         results.append(
@@ -257,18 +257,20 @@ def suite_symmetry(
     results.append(CheckResult("symmetry", "U fixes the vacuum", _max_abs(u(vac) - vac), 0.0))
     v = space.random_state(rng)
     uv = u(v)
+    # unit doubled coordinates: A+*(k) = A*(e_k, 0) is row k, A-*(k) = A*(0, e_k) row M + k
+    unit = np.eye(space.n_slots)
     for k, lbl in enumerate(spectrum.labels):
         # U alpha U* = c beta, as U alpha v = c beta U v.  The rule is read
         # from the raw config, per kind, never from sym.action: this suite
         # is what catches a broken slot-action normal form.
         if sym.kind == UNITARY:
-            expected = fock.creation(space, "+", lbl) * sym.phases[k]
+            expected = fock.creation(space, sym.phases[k] * unit[k])
             name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
         else:
-            partner = sym.partners[k]
-            expected = fock.creation(space, "-", partner) * sym.phases[spectrum.labels.index(partner)]
+            j = spectrum.labels.index(sym.partners[k])
+            expected = fock.creation(space, sym.phases[j] * unit[len(spectrum) + j])
             name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
-        residual = u(fock.apply_field(space, fock.creation(space, "+", lbl), v, subcutoff=True))
+        residual = u(fock.apply_field(space, fock.creation(space, unit[k]), v, subcutoff=True))
         residual -= fock.apply_field(space, expected, uv, subcutoff=True)
         results.append(CheckResult("symmetry", name, _max_abs(residual), 1e-12))
     return results
@@ -494,22 +496,21 @@ def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
 def doubled_field_checks(
     ext: realfield.ExtendedSpectrum, sym: SymmetrySpec, cutoff: Optional[int] = None, seed: int = 0
 ) -> list[CheckResult]:
-    """Fock-oracle checks of the real-time doubled field at t = 0.37.
+    """Fock-oracle checks of the real-time doubled field psi(t, q) =
+    :func:`twistkit.fock.field` at t = 0.37.
 
-    With A*(c, d) = sum_k c_k alpha+*(k) + d_k alpha-*(k), the natural
-    conjugation J(c, d) = (conj(d), conj(c)) and A(q) = A*(Jq)*, the field is
-    psi(t, q) = (1/sqrt 2) [A*(omega^{-1/2} e^{i t omega} q)
-    + A(omega^{-1/2} e^{-i t omega} q)].  On seeded states supported on the
+    With A*(q) = :func:`twistkit.fock.creation` and the natural conjugation
+    J(c, d) = (conj(d), conj(c)), on seeded states supported on the
     sub-cutoff block (``cutoff`` defaults to the oracle's): adjoint
     covariance psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>;
     the equal-time commutator [psi(t,q), psi(t,r)] = 0; the canonical pair
     [psi, d/dt psi] = i<Jq, r>, d/dt by centered differences with one
-    Richardson step; [A(q), A*(r)] = <Jq, r>; and the symmetry covariance
+    Richardson step; [A*(Jq)*, A*(r)] = <Jq, r>; and the symmetry covariance
     U psi(t, q) U* = psi(t, U* q), as U psi(t, q) v = psi(t, U* q) U v, with
-    (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.  The identities
-    hold for any J used throughout, so one more check ties A(q) to its
-    definition A(c, d) = sum_k d_k alpha+(k) + c_k alpha-(k), a table of
-    annihilation coefficients read off q: it must equal A*(Jq)* exactly on v.
+    (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.  The fourth
+    holds for any J, so one more check ties A*(Jq)* to the annihilation
+    table :func:`twistkit.fock.annihilation` reads off q: they must agree
+    exactly on v.
     """
     import random
 
@@ -522,51 +523,42 @@ def doubled_field_checks(
     n = ext.n_doubled
     q, r = fock.standard_normals(rng, n), fock.standard_normals(rng, n)
     v, x = space.random_state(rng), space.random_state(rng)
-    w = np.array(ext.doubled_omegas())
     t = 0.37
 
     conj = _natural_conjugation
-
-    def create(vec: np.ndarray) -> np.ndarray:  # A*(c, d)
-        plus = fock.creation_functional(space, "+", np.conj(vec[: n // 2]))
-        return plus + fock.creation_functional(space, "-", vec[n // 2 :])
-
-    def psi(time: float, vec: np.ndarray) -> np.ndarray:
-        up = vec * np.exp(1j * time * w) / np.sqrt(w)
-        down = vec * np.exp(-1j * time * w) / np.sqrt(w)
-        return (create(up) + fock.adjoint(create(conj(down)))) / math.sqrt(2.0)
 
     def act(field: np.ndarray, state: np.ndarray) -> np.ndarray:
         return fock.apply_field(space, field, state, subcutoff=True)
 
     def ddt(h: float) -> np.ndarray:
-        return (psi(t + h, r) - psi(t - h, r)) / (2.0 * h)
+        return (fock.field(space, r, t + h) - fock.field(space, r, t - h)) / (2.0 * h)
 
-    psi_q = psi(t, q)
+    psi_q, psi_r = fock.field(space, q, t), fock.field(space, r, t)
     psi_q_v = act(psi_q, v)
     pairing = complex(np.dot(conj(q).conjugate(), r))
     dpsi = (4.0 * ddt(0.5e-3) - ddt(1e-3)) / 3.0
     images = (ext.images[c] for c in range(n))
     u_star_q = np.array([u.conjugate() * q[target] for target, u in images])
-    a_q = fock.adjoint(create(conj(q)))  # A(q) = A*(Jq)*
-    # A(c, d) = sum_k d_k alpha+(k) + c_k alpha-(k), read off q = (c, d)
-    a_q_defined = np.zeros((2, space.n_slots), dtype=complex)
-    a_q_defined[1, 0::2], a_q_defined[1, 1::2] = q[n // 2 :], q[: n // 2]
+    a_q = fock.adjoint(fock.creation(space, conj(q)))  # A*(Jq)*
     deviations = {
-        "adjoint_covariance": abs(np.vdot(x, psi_q_v) - np.vdot(act(psi(t, conj(q)), x), v)),
-        "equal_time_commutator": _max_abs(fock.sub_commutator(space, psi_q, psi(t, r), v)),
+        "adjoint_covariance": abs(
+            np.vdot(x, psi_q_v) - np.vdot(act(fock.field(space, conj(q), t), x), v)
+        ),
+        "equal_time_commutator": _max_abs(fock.sub_commutator(space, psi_q, psi_r, v)),
         "canonical_pair": _max_abs(fock.sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v),
-        "ccr_doubled": _max_abs(fock.sub_commutator(space, a_q, create(r), v) - pairing * v),
+        "ccr_doubled": _max_abs(
+            fock.sub_commutator(space, a_q, fock.creation(space, r), v) - pairing * v
+        ),
         "symmetry_covariance": _max_abs(
             fock.apply_symmetry(space, sym, psi_q_v)
-            - act(psi(t, u_star_q), fock.apply_symmetry(space, sym, v))
+            - act(fock.field(space, u_star_q, t), fock.apply_symmetry(space, sym, v))
         ),
     }
     results = [
         CheckResult("realfield", f"doubled-field oracle: {key}", float(dev), 1e-8)
         for key, dev in deviations.items()
     ]
-    defined = _max_abs(act(a_q_defined, v) - act(a_q, v))
+    defined = _max_abs(act(fock.annihilation(space, q), v) - act(a_q, v))
     results.append(
         CheckResult("realfield", "doubled-field oracle: annihilation_definition", defined, 0.0)
     )

@@ -848,6 +848,17 @@ class TestKernelCommand:
         assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
         assert len(lines) == 1 + 3 * 3 * 16  # bundled config: 2 modes, 4 doubled sectors
 
+    @pytest.mark.parametrize("label", ["nope", "a"])
+    def test_extended_refuses_mode(self, anti_config, tmp_path, capsys, label):
+        # the extended export covers every mode, so any --mode is refused
+        # before a file is written
+        out = tmp_path / "ext.csv"
+        args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
+                "--output", str(out), "--extended", "--mode", label]
+        assert main(args) == 2
+        assert "--mode" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("extended", [False, True])
     def test_empty_grid_exits_2(self, minus_one_config, anti_config, tmp_path, extended):
         cfg = anti_config if extended else minus_one_config
@@ -970,15 +981,17 @@ class TestDoubledFieldChecks:
         assert report["doubled-field oracle: symmetry_covariance"] < 1e-8
 
     def test_natural_conjugation_without_half_swap_fails_the_definition_check(self, monkeypatch):
-        # J = conj, used throughout, leaves four identities intact; A(q) read
-        # off q by its definition no longer equals A*(Jq)*
+        # psi is built from fock's tables, not through J, so J = conj breaks
+        # every identity that reads J except [A*(Jq)*, A*(r)] = <Jq, r>, which
+        # holds for any J; A(q) read off q no longer equals A*(Jq)*
         monkeypatch.setattr(verify, "_natural_conjugation", np.conj)
         spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
         failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
                   if not r.passed}
         assert sorted(failed) == [
+            "doubled-field oracle: adjoint_covariance",
             "doubled-field oracle: annihilation_definition",
-            "doubled-field oracle: symmetry_covariance",
+            "doubled-field oracle: canonical_pair",
         ]
         assert failed["doubled-field oracle: annihilation_definition"] > 1.0
 

@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,12 @@ def state_at(space, *occupation):
     e = np.zeros(space.shape, dtype=complex)
     e[occupation] = 1.0
     return e
+
+
+def doubled(c=None, d=None, n_modes=1):
+    """Doubled coordinates q = (c, d); a missing half is zero."""
+    zero = np.zeros(n_modes, dtype=complex)
+    return np.concatenate([zero if c is None else c, zero if d is None else d])
 
 
 def full_random(space, rng):
@@ -111,7 +119,7 @@ class TestStandardNormals:
 class TestCreation:
     def test_matrix_elements(self):
         space = fock.FockSpace(single_mode(), 3)
-        a_star = fock.creation(space, "+", "k0")
+        a_star = fock.creation(space, [1.0, 0.0])
         # |n+, n-> basis; alpha+* raises the + slot
         assert np.array_equal(fock.apply_field(space, a_star, state_at(space, 0, 0)), state_at(space, 1, 0))
         out = fock.apply_field(space, a_star, state_at(space, 1, 0))
@@ -120,31 +128,43 @@ class TestCreation:
 
     def test_truncation_annihilates_top_level(self):
         space = fock.FockSpace(single_mode(), 2)
-        a_star = fock.creation(space, "+", "k0")
+        a_star = fock.creation(space, [1.0, 0.0])
         assert not fock.apply_field(space, a_star, state_at(space, 2, 0)).any()
 
-    def test_unknown_mode(self):
-        space = fock.FockSpace(single_mode(), 2)
-        with pytest.raises(ConfigError):
-            fock.creation(space, "+", "nope")
-
     def test_functional_reduces_to_single_mode(self):
+        # A*(1, 0) = alpha+*(k0) and A*(0, 1) = alpha-*(k0): one unit entry each
         space = fock.FockSpace(single_mode(), 3)
-        via_functional = fock.creation_functional(space, "+", [1.0])
-        direct = fock.creation(space, "+", "k0")
-        assert np.array_equal(via_functional, direct)
+        for q, slot in (([1.0, 0.0], 0), ([0.0, 1.0], 1)):
+            direct = np.zeros((2, 2), dtype=complex)
+            direct[0, slot] = 1.0
+            assert np.array_equal(fock.creation(space, q), direct)
 
     @pytest.mark.parametrize("slot", range(4))
     def test_matches_kron_reference(self, slot):
-        # tensor action on every basis state against the np.kron matrices
+        # tensor action on every basis state against the np.kron matrices;
+        # slot 2k is c_k and slot 2k + 1 is d_k of q = (c, d)
         space = fock.FockSpace(validate_spectrum([("a", 1.0), ("b", 2.0)]), 3)
-        label, charge = "ab"[slot // 2], "+-"[slot % 2]
-        create = fock.creation(space, charge, label)
+        q = np.zeros(4)
+        q[2 * (slot % 2) + slot // 2] = 1.0
+        create = fock.creation(space, q)
         ref = dense.slot_creation(4, 3, slot)
         got = dense.matrix_of(space.shape, lambda e: fock.apply_field(space, create, e))
         assert np.abs(got - ref).max() < 1e-15
         got = dense.matrix_of(space.shape, lambda e: fock.apply_field(space, fock.adjoint(create), e))
         assert np.abs(got - ref.T).max() < 1e-15
+        destroy = fock.annihilation(space, np.roll(q, 2))  # A(c, d) = sum_k d_k alpha+ + c_k alpha-
+        got = dense.matrix_of(space.shape, lambda e: fock.apply_field(space, destroy, e))
+        assert np.abs(got - ref.T).max() < 1e-15
+
+    @pytest.mark.parametrize("builder", ["creation", "annihilation", "field"])
+    def test_wrong_length_refused(self, builder):
+        # q = (c, d) has 2M entries; an M-vector, 2M + 1 entries or a (2, M) array are refused
+        space = fock.FockSpace(validate_spectrum([("a", 1.0), ("b", 2.0)]), 2)
+        build = getattr(fock, builder)
+        args = (0.3,) if builder == "field" else ()
+        for q in ([1.0, 2.0], np.ones(5), np.ones((2, 2))):
+            with pytest.raises(ConfigError):
+                build(space, q, *args)
 
     def test_subcutoff_rows_of_the_full_result(self):
         spec = validate_spectrum([("a", 1.0), ("b", 2.0)])
@@ -166,8 +186,12 @@ class TestCCR:
         space = fock.FockSpace(spec, 4)
         rng = random.Random(7)
         f, g = fock.standard_normals(rng, 2), fock.standard_normals(rng, 2)
-        a = fock.annihilation_functional(space, charge, f)
-        a_star = fock.creation_functional(space, charge, g)
+        if charge == "+":  # A+(f) = A(0, f), A+*(g-bar) = A*(g-bar, 0)
+            a = fock.annihilation(space, doubled(d=f, n_modes=2))
+            a_star = fock.creation(space, doubled(c=g.conj(), n_modes=2))
+        else:  # A-(f-bar) = A(f-bar, 0), A-*(g) = A*(0, g)
+            a = fock.annihilation(space, doubled(c=f.conj(), n_modes=2))
+            a_star = fock.creation(space, doubled(d=g, n_modes=2))
         v = space.random_state(rng)
         # [A+(f), A+*(g-bar)] = <g,f>; [A-(f-bar), A-*(g)] = <f,g>
         inner = complex(np.vdot(g, f)) if charge == "+" else complex(np.vdot(f, g))
@@ -178,9 +202,9 @@ class TestCCR:
         # coefficients; with one of them real, both orders round alike
         spec = validate_spectrum([("a", 1.0)])
         space = fock.FockSpace(spec, 4)
-        am = fock.creation_functional(space, "-", [0.4 - 1.1j])
+        am = fock.creation(space, [0.0, 0.4 - 1.1j])
         for part in (1.3, 0.2):
-            ap = fock.creation_functional(space, "+", [part])
+            ap = fock.creation(space, [part, 0.0])
             for occ in np.ndindex(*space.shape):
                 e = state_at(space, *occ)
                 lhs = fock.apply_field(space, ap, fock.apply_field(space, am, e))
@@ -213,12 +237,33 @@ class TestHamiltonian:
 
 
 class TestImaginaryTimeField:
+    def test_field_at_imaginary_time_matches_dense_phi(self):
+        # phi(t, f-bar) = [sum_k f-bar_k w_k^{-1/2} (e^{-t w_k} alpha+*(k)
+        # + e^{t w_k} alpha-(k))] / sqrt 2 and phibar(t, f) the same with f,
+        # the charges swapped; psi(it, (f-bar, 0)) and psi(it, (0, f))
+        spec = validate_spectrum([("a", 0.9), ("b", 1.7)])
+        space = fock.FockSpace(spec, 3)
+        t = 0.45
+        f = np.array([0.3 + 1j, -0.8 + 0.2j])
+        w = np.array(spec.omegas)
+        decay, growth = np.exp(-t * w) / np.sqrt(w), np.exp(t * w) / np.sqrt(w)
+        up = [dense.slot_creation(4, 3, 2 * k) for k in range(2)]
+        down = [dense.slot_creation(4, 3, 2 * k + 1) for k in range(2)]
+        phi = sum(np.conj(f[k]) * (decay[k] * up[k] + growth[k] * down[k].T) for k in range(2))
+        phibar = sum(f[k] * (decay[k] * down[k] + growth[k] * up[k].T) for k in range(2))
+        cases = ((doubled(c=f.conj(), n_modes=2), phi), (doubled(d=f, n_modes=2), phibar))
+        for q, ref in cases:
+            table = fock.field(space, q, 1j * t)
+            got = dense.matrix_of(space.shape, lambda e: fock.apply_field(space, table, e))
+            assert np.abs(got - ref / math.sqrt(2)).max() < 1e-14
+
+
     def test_t0_single_mode_unit_omega(self):
         spec = single_mode(1.0)
         space = fock.FockSpace(spec, 3)
-        phi = fock.imaginary_time_field(space, 0.0, [1.0])
+        phi = fock.field(space, [1.0, 0.0], 0.0)
         expected = (
-            fock.creation(space, "+", "k0") + fock.adjoint(fock.creation(space, "-", "k0"))
+            fock.creation(space, [1.0, 0.0]) + fock.adjoint(fock.creation(space, [0.0, 1.0]))
         ) / math.sqrt(2)
         assert np.abs(phi - expected).max() < 1e-15
         ref = (dense.slot_creation(2, 3, 0) + dense.slot_creation(2, 3, 1).T) / math.sqrt(2)
@@ -231,11 +276,11 @@ class TestImaginaryTimeField:
         spec = single_mode(1.3)
         space = fock.FockSpace(spec, 6)
         t = 0.4
-        f = [0.8 - 0.3j]
+        f = np.array([0.8 - 0.3j])
         rng = random.Random(2)
         x, y = space.random_state(rng), space.random_state(rng)
-        phi = fock.imaginary_time_field(space, t, f)
-        phibar = fock.imaginary_time_field(space, -t, f, conjugate=True)
+        phi = fock.field(space, doubled(c=f.conj()), 1j * t)
+        phibar = fock.field(space, doubled(d=f), -1j * t)
         # <x, phi y> = <phibar x, y> on the sub-cutoff block
         lhs = np.vdot(x, fock.apply_field(space, phi, y, subcutoff=True))
         rhs = np.vdot(fock.apply_field(space, phibar, x, subcutoff=True), y)
@@ -249,11 +294,11 @@ class TestImaginaryTimeField:
         u = np.exp(1j * t * space.sub_block(space.energies()))
         v = space.random_state(random.Random(4))
         evolved = u * fock.apply_field(
-            space, fock.creation_functional(space, "+", f), np.conj(u) * v, subcutoff=True
+            space, fock.creation(space, doubled(c=f.conj(), n_modes=2)), np.conj(u) * v,
+            subcutoff=True,
         )
-        shifted = fock.creation_functional(
-            space, "+", f * np.exp(-1j * t * np.array(spec.omegas))
-        )
+        f_t = f * np.exp(-1j * t * np.array(spec.omegas))
+        shifted = fock.creation(space, doubled(c=f_t.conj(), n_modes=2))
         assert np.abs(evolved - fock.apply_field(space, shifted, v, subcutoff=True)).max() < 1e-10
 
 
@@ -275,7 +320,7 @@ class TestSymmetryImplementation:
         space = fock.FockSpace(single_mode(), 3)
         rho = 0.6 + 0.8j
         sym = SymmetrySpec(kind="unitary", phases=(rho,))
-        a_star = fock.creation(space, "+", "k0")
+        a_star = fock.creation(space, [1.0, 0.0])
         v = full_random(space, np.random.default_rng(1))
         lhs = fock.apply_symmetry(space, sym, fock.apply_field(space, a_star, v))
         rhs = rho * fock.apply_field(space, a_star, fock.apply_symmetry(space, sym, v))
@@ -337,8 +382,8 @@ class TestSymmetryImplementation:
         space = fock.FockSpace(spec, 2)
         v = full_random(space, np.random.default_rng(6))
         # U alpha+*(a) U* = eta_b alpha-*(b) since pi(a) = b
-        lhs = fock.apply_symmetry(space, sym, fock.apply_field(space, fock.creation(space, "+", "a"), v))
-        expected = eta[1] * fock.creation(space, "-", "b")
+        lhs = fock.apply_symmetry(space, sym, fock.apply_field(space, fock.creation(space, [1, 0, 0, 0]), v))
+        expected = eta[1] * fock.creation(space, [0, 0, 0, 1])
         rhs = fock.apply_field(space, expected, fock.apply_symmetry(space, sym, v))
         assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -368,10 +413,10 @@ class TestTC:
 
     def test_charge_swap_on_creation_functionals(self):
         space = fock.FockSpace(single_mode(), 4)
-        f = [0.7 - 0.4j]
+        f = np.array([0.7 - 0.4j])
         v = space.random_state(random.Random(10))
-        plus = fock.creation_functional(space, "+", f)
-        minus = fock.creation_functional(space, "-", f)
+        plus = fock.creation(space, doubled(c=f.conj()))
+        minus = fock.creation(space, doubled(d=f))
         # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) = A-*(f) TC
         lhs = fock.apply_tc(space, fock.apply_field(space, plus, v, subcutoff=True))
         rhs = fock.apply_field(space, minus, fock.apply_tc(space, v), subcutoff=True)
@@ -379,11 +424,11 @@ class TestTC:
 
     def test_conjugates_fields(self):
         space = fock.FockSpace(single_mode(1.1), 5)
-        f = [0.9 + 0.5j]
+        f = np.array([0.9 + 0.5j])
         t = 0.3
         v = space.random_state(random.Random(11))
-        phi = fock.imaginary_time_field(space, t, f)
-        phibar = fock.imaginary_time_field(space, t, f, conjugate=True)
+        phi = fock.field(space, doubled(c=f.conj()), 1j * t)
+        phibar = fock.field(space, doubled(d=f), 1j * t)
         lhs = fock.apply_tc(space, fock.apply_field(space, phi, v, subcutoff=True))
         rhs = fock.apply_field(space, phibar, fock.apply_tc(space, v), subcutoff=True)
         assert np.abs(lhs - rhs).max() < 1e-10
@@ -517,3 +562,13 @@ def test_trace_class_bound(omegas, beta):
     lhs = float(np.sum(np.exp(-beta * w) / (1.0 - np.exp(-beta * w))))
     rhs = float(np.sum(np.exp(-beta * w)) / (1.0 - math.exp(-beta * mu)))
     assert lhs <= rhs + 1e-12
+
+
+def test_only_fock_slices_with_step_two():
+    # the doubled-to-slot layout of a field table is known to fock alone
+    for path in Path(fock.__file__).parent.glob("*.py"):
+        if path.name == "fock.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            step = node.step if isinstance(node, ast.Slice) else None
+            assert not (isinstance(step, ast.Constant) and step.value == 2), (path.name, node.lineno)
