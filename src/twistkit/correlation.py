@@ -29,7 +29,9 @@ oracles, the sampled layout, its spectrum, the mixing of a sparse basis
 (:meth:`SampledKernel.blocks`) and the CSV writer run on ``math`` and
 ``cmath`` alone.  No route here forms a dense grid or runs an FFT; the
 dense references of the tests (the grids and the resolvent quadrature)
-are built from the same layout.
+are built from the same layout.  The CSV writer formats rows as ASCII
+``bytes`` and writes them in binary mode, holding at most m of the 2m - 1
+distinct formatted blocks at a time (:func:`write_kernel_csv`).
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import warnings
 
 from .errors import ConfigError, DomainError, KindError, RangeError
@@ -69,12 +70,14 @@ def kernel_twist_angle(rho: complex) -> float:
 
 
 def _require_kernel(beta: float, m: int = 1, omega: float = 1.0, theta: float = 0.0) -> None:
-    """DomainError unless omega > 0, beta > 0, 0 <= theta < 2*pi and the
-    grid has m >= 1 points; NaN fails each comparison."""
+    """DomainError unless omega > 0, 0 < beta < inf, 0 <= theta < 2*pi and
+    the grid has m >= 1 points; NaN fails each comparison."""
     if not omega > 0.0:
         raise DomainError("omega must be positive")
     if not beta > 0.0:
         raise DomainError("beta must be positive")
+    if beta == math.inf:
+        raise DomainError("beta must be finite")
     if not 0.0 <= theta < 2.0 * math.pi:
         raise DomainError("theta must lie in [0, 2*pi)")
     if m < 1:
@@ -106,7 +109,7 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
     + 4x*sin^2(theta/2), p = -e^{-w*tau}*expm1(-2w(beta-tau)) and
     q = -e^{-w(beta-tau)}*expm1(-2w*tau).  RangeError where D underflows or
     K overflows; the tau < 0 value follows from K(t,s) = conj(K(s,t)).
-    DomainError outside omega > 0, beta > 0, 0 <= theta < 2*pi.
+    DomainError outside omega > 0, 0 < beta < inf, 0 <= theta < 2*pi.
     """
     _require_kernel(beta, omega=omega, theta=theta)
     if not (0.0 <= t < beta and 0.0 <= s < beta):
@@ -147,33 +150,38 @@ def kernel_fourier(
 
     At these lags e^{i*nu_n*tau} = e^{i theta d/m} e^{2 pi i n d/m} depends
     on n only through n mod m, so the 2*n_cutoff + 1 real coefficients
-    a_n = 1/(nu_n^2 + omega^2) fold into m residue-class sums A_r of
-    positive terms, each by one ``math.fsum``.  Lag d >= 0 is then
-    e^{i theta d/m}/beta * sum_r e^{2 pi i r d/m} A_r, a direct m-term sum
+    a_n = 1/(beta (nu_n^2 + omega^2)) = beta/(k_n^2 + (beta omega)^2), with
+    k_n = theta + 2 pi n, fold into m residue-class sums A_r of positive
+    terms, each by one ``math.fsum``.  Lag d >= 0 is then
+    e^{i theta d/m} * sum_r e^{2 pi i r d/m} A_r, a direct m-term sum
     (real and imaginary parts by ``math.fsum``) over a table of m unit
     roots, each taken at an angle in [-pi, pi]; lag -d is its conjugate,
     as the coefficients are real.  It is the same finite sum as the
     term-by-term one, regrouped, and it rounds each term by a few eps,
-    where the term-by-term sum rounds term n's phase by about |n| eps.  A
-    term whose nu_n^2 + omega^2 overflows (omega above about 1e154) is
-    below the float range and counts as 0, not as an OverflowError; one
-    whose denominator underflows to 0 raises RangeError.
+    where the term-by-term sum rounds term n's phase by about |n| eps.
+    Each a_n is formed as beta/h/h with h = hypot(k_n, beta omega), so no
+    square leaves the float range, at any beta: a term is 0 only where its
+    own value is below the float range (omega above about 1e154 at
+    beta = 1), and RangeError is raised only where a term itself is beyond
+    the float range (beta omega^2 below about 1e-308 at theta = 0).
     """
     _require_kernel(beta, m, omega, theta)
     if n_cutoff < 1:
         raise DomainError("n_cutoff must be >= 1")
-    w2 = omega * omega  # not **: a square beyond the float range is inf, its term 0
-    coeffs = []
-    for n in range(-n_cutoff, n_cutoff + 1):
-        nu = (theta + 2.0 * math.pi * n) / beta
-        denom = nu * nu + w2
-        if not denom:
-            raise RangeError(
-                f"Fourier term at omega={omega}, beta={beta} is outside the float range"
-            )
-        coeffs.append(1.0 / denom)
-    # coeffs[i] is a_{i - n_cutoff}, so class r starts at the first i = r + n_cutoff mod m
-    classes = [math.fsum(coeffs[(r + n_cutoff) % m :: m]) for r in range(m)]
+    bw = beta * omega
+    classes = [math.inf]  # h_0 = 0: k_0 = 0 and beta*omega underflows to 0
+    if theta or bw:
+        # class r holds the n = r - n_cutoff mod m, from the first one above -n_cutoff;
+        # no term list is kept, so the memory is O(n_cutoff/m), not O(n_cutoff)
+        classes = [
+            math.fsum([beta / h / h for h in [
+                math.hypot(theta + 2.0 * math.pi * n, bw)
+                for n in range((r + n_cutoff) % m - n_cutoff, n_cutoff + 1, m)
+            ]])
+            for r in range(m)
+        ]
+    if math.inf in classes:
+        raise RangeError(f"Fourier term at omega={omega}, beta={beta} is outside the float range")
     roots = [cmath.rect(1.0, 2.0 * math.pi * (k - m if 2 * k > m else k) / m) for k in range(m)]
     values = []
     for d in range(m):
@@ -182,7 +190,7 @@ def kernel_fourier(
             math.fsum([w.real * a for w, a in zip(terms, classes)]),
             math.fsum([w.imag * a for w, a in zip(terms, classes)]),
         )
-        values.append(total * cmath.rect(1.0, theta * d / m) / beta)
+        values.append(total * cmath.rect(1.0, theta * d / m))
     values += [v.conjugate() for v in values[:0:-1]]
     tail = beta / (2.0 * math.pi**2 * max(n_cutoff - 1, 1))
     return values, tail
@@ -371,47 +379,60 @@ def sample_kernels(
 
 
 #: The tail of a CSV row after its t and s columns (and its sector columns,
-#: if any): re_k, im_k and a zero tail_bound.
-_ROW = "%s,%.16e,%.16e," + f"{0.0:.16e}" + "\n"
+#: if any): re_k, im_k and a zero tail_bound, as ASCII bytes.
+_ROW = b"%s,%.16e,%.16e," + f"{0.0:.16e}\n".encode()
 
 
 def write_kernel_csv(path, sampled: SampledKernel) -> None:
-    """Stream a sampled kernel as CSV, formatting each of its 2m - 1
-    distinct blocks once, as the row texts after the t and s columns.  A
-    scalar kernel (no basis) is written one t-row per write, joined as
-    t,s_0 + body_0 + t,s_1 + body_1 ...; a kernel with a basis carries
-    row_sector and col_sector on every row, and each (t, s) block is one
-    write, t,s + row_0 + t,s + row_1 ...  Output is deterministic: fixed
-    row order, 17-significant-digit lowercase scientific floats, LF line
-    endings."""
+    """Stream a sampled kernel as CSV, formatting each block it writes once,
+    as the row texts after the t and s columns.  Row i of the grid reads the
+    lower blocks K(t_d, 0) for d = i..0 and the adjoint (upper) blocks
+    K(0, t_d) for d = 1..m-1-i, so at most m formatted blocks are held:
+    upper blocks 1..m-1 are formatted first (no row reads upper block 0),
+    lower block d when row d first reads it, and upper block d is dropped
+    after row m-1-d, its last reader.  Each complex block is released when
+    it is formatted as a lower block, its last use.
+
+    A scalar kernel (no basis) is written one t-row per write, one join
+    over the slots t, s_0, body_0, t, s_1, body_1 ...; a kernel with a
+    basis carries row_sector and col_sector on every row, and each (t, s)
+    block is one write, t,s + row_0 + t,s + row_1 ...  Output is
+    deterministic ASCII: fixed row order, 17-significant-digit lowercase
+    scientific floats, LF line endings."""
     sectors = sampled.basis is not None
     blocks = sampled.blocks()
     m, n = len(blocks), len(sampled.thetas)
-    keys = [f",{a},{b}" if sectors else "" for a in range(n) for b in range(n)]
+    keys = [f",{a},{b}".encode() if sectors else b"" for a in range(n) for b in range(n)]
     transpose = [b * n + a for a in range(n) for b in range(n)]
 
-    def rows(block: list[complex]) -> list[str]:
-        return [_ROW % (k, z.real, z.imag) for k, z in zip(keys, block)]
+    def rows(block: list[complex]):
+        texts = [_ROW % (k, z.real, z.imag) for k, z in zip(keys, block)]
+        return texts if sectors else texts[0]  # a scalar body is one row
 
-    lower = [rows(b) for b in blocks]
-    upper = [rows([b[i].conjugate() for i in transpose]) for b in blocks]
-    stamps = [f"{t:.16e}" for t in sampled.times()]
-    columns = "t,s,row_sector,col_sector," if sectors else "t,s,"
+    upper = [rows([blocks[d][i].conjugate() for i in transpose]) for d in range(1, m)]
+    lower = []
+    stamps = [f"{t:.16e}".encode() for t in sampled.times()]
+    columns = b"t,s,row_sector,col_sector," if sectors else b"t,s,"
+    slots = [b""] * (3 * m)  # a scalar t-row: t, s_0, body_0, t, s_1, body_1 ...
+    slots[1::3] = stamps
     # an extended (t, s) block is a few kB: a 64 KiB buffer makes one system
     # call per few blocks, not one per block
-    with open(path, "w", encoding="utf-8", newline="", buffering=1 << 16) as fh:
-        fh.write(columns + "re_k,im_k,tail_bound\n")
-        if not sectors:
-            lower_rows, upper_rows = [r[0] for r in lower], [r[0] for r in upper]
-            for i, t in enumerate(stamps):
-                pre = t + ","
-                bodies = lower_rows[i::-1] + upper_rows[1 : m - i]
-                fh.write(pre + pre.join(map(operator.add, stamps, bodies)))
-        elif n:  # a layout without modes has no rows
-            for i, t in enumerate(stamps):
-                for s, block in zip(stamps, lower[i::-1] + upper[1 : m - i]):
-                    pre = f"{t},{s}"
+    with open(path, "wb", buffering=1 << 16) as fh:
+        fh.write(columns + b"re_k,im_k,tail_bound\n")
+        if sectors and not n:  # a layout without modes has no rows
+            return
+        for i, t in enumerate(stamps):
+            lower.append(rows(blocks[i]))
+            blocks[i] = None
+            if sectors:
+                for s, block in zip(stamps, lower[::-1] + upper):
+                    pre = t + b"," + s
                     fh.write(pre + pre.join(block))
+            else:
+                slots[::3] = [t + b","] * m
+                slots[2::3] = lower[::-1] + upper
+                fh.write(b"".join(slots))
+            del upper[-1:]  # upper block m-1-i: no later row reads it
 
 
 def export_kernel_csv(path, kernel: TwistedKernel, m: int) -> SampledKernel:

@@ -339,8 +339,8 @@ def kernel_agreement(
     kern: correlation.TwistedKernel, rho: complex, m: int, lags: Iterable[int]
 ) -> tuple[float, list[CheckResult]]:
     """The closed-form kernel of phase ``rho`` against both oracles, at
-    integer lags d in (-m, m) of the m-point grid: the point (d*beta/m, 0)
-    for d >= 0 and (0, -d*beta/m) for d < 0.
+    integer lags d in (-m, m) of the m-point grid: the point (d*(beta/m), 0)
+    for d >= 0 and (0, -d*(beta/m)) for d < 0, the times the export samples.
 
     At each point: the Fock trace at cutoff 800 (within its tail bound +
     1e-8) and the 4000-term Fourier sum (within its tail bound), which
@@ -358,7 +358,7 @@ def kernel_agreement(
     fourier, fourier_tail = correlation.kernel_fourier(kern.omega, kern.theta, beta, m, 4000)
     worst_oracle = worst_fourier = 0.0
     for d in lags:
-        t, s = (d * beta / m, 0.0) if d >= 0 else (0.0, -d * beta / m)
+        t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         closed = kern(t, s)
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
         worst_oracle = max(worst_oracle, abs(closed - oracle))

@@ -325,7 +325,7 @@ def test_out_of_domain_numbers_exit_2(argv):
 
 
 def test_kernel_verify_at_huge_omega_exits_cleanly(tmp_path):
-    # nu^2 + omega^2 overflows a float; the Fourier oracle counts those terms as 0
+    # omega^2 overflows a float; the Fourier terms, below the float range, are 0
     cfg = write_config(tmp_path / "huge.json", {"modes": [{"label": "a", "omega": 1e300}]})
     proc = _run_cli(["-m", "twistkit.cli", "kernel", "--config", cfg, "--beta", "1",
                      "--grid", "8", "--verify", "--output", str(tmp_path / "k.csv")])
@@ -753,6 +753,29 @@ class TestKernelCommand:
         assert main(args) == 4
         assert capsys.readouterr().err.startswith("error:")
         assert not recwarn.list  # the range error replaces the ill-conditioning warning
+
+    @pytest.mark.parametrize("beta", ["1e-300", "1e-150"])
+    def test_verify_at_tiny_beta_exits_0(self, beta, tmp_path, capsys):
+        # the first bundled mode (omega = 1, rho = i): the Fourier oracle
+        # squared nu_n = (theta + 2 pi n)/beta, which overflowed for the
+        # largest |n| and dropped representable terms
+        args = ["kernel", "--beta", beta, "--grid", "3", "--verify",
+                "--output", str(tmp_path / "k.csv")]
+        assert main(args) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_verify_at_huge_beta_exits_0(self, tmp_path, capsys):
+        # the check points are the exported times d*(beta/m); d*beta overflowed
+        args = ["kernel", "--beta", "1e308", "--grid", "3", "--verify",
+                "--output", str(tmp_path / "k.csv")]
+        assert main(args) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_infinite_beta_is_refused_by_name(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--beta", "inf", "--grid", "3", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: beta must be finite\n"
+        assert not out.exists()
 
     def test_verify_at_large_omega_exits_0(self, tmp_path, capsys):
         # beta*omega = 1000: the Fock-trace oracle's e^{omega tau} used to overflow

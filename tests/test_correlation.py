@@ -83,6 +83,17 @@ class TestKernelFourier:
         with pytest.raises(RangeError):
             co.kernel_fourier(1e-170, 0.0, 1.0, 4, 10)
 
+    @pytest.mark.parametrize("beta", [1e-300, 1e-150])
+    def test_tiny_beta_keeps_every_term(self, beta):
+        # nu_n = (theta + 2 pi n)/beta squares beyond the float range for the
+        # largest |n|, but the term beta/((theta + 2 pi n)^2 + (beta omega)^2)
+        # is representable and must not count as 0
+        theta = co.kernel_twist_angle(1j)
+        values, tail = co.kernel_fourier(1.0, theta, beta, 3, 4000)
+        for d in range(1 - 3, 3):
+            t, s = (d * (beta / 3), 0.0) if d >= 0 else (0.0, -d * (beta / 3))
+            assert abs(values[d] - co.kernel_closed_form(1.0, theta, beta, t, s)) <= tail
+
     def test_fold_matches_the_termwise_sum(self):
         # The fold is the term-by-term sum regrouped by n mod m.  It rounds
         # each term by a few eps (see test_fold_rounding), while the termwise
@@ -660,7 +671,7 @@ class TestCsvExport:
         assert lines[0] == "t,s,re_k,im_k,tail_bound"
         assert len(lines) == 1 + 36
 
-    @pytest.mark.parametrize("m", [7, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
     def test_rows_are_grid_entries(self, tmp_path, m):
         kern = co.TwistedKernel(0.7, 4.4, 1.3)
         p = tmp_path / "k.csv"
@@ -674,3 +685,9 @@ class TestCsvExport:
             for j, s in enumerate(times)
         ]
         assert p.read_text().splitlines()[1:] == want
+
+    def test_layout_without_modes_is_header_only(self, tmp_path):
+        sampled = co.SampledKernel(1.0, (), (), ((),) * 3, basis=())
+        p = tmp_path / "k.csv"
+        co.write_kernel_csv(p, sampled)
+        assert p.read_bytes() == b"t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -295,10 +296,11 @@ class TestExtendedKernel:
         assert spectrum.shape == (m, ext.n_doubled)
         assert np.abs(np.sort(spectrum.ravel()) - eigs).max() <= 1e-13 * np.abs(eigs).max()
 
-    def test_csv_rows_are_grid_entries(self, tmp_path):
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_csv_rows_are_grid_entries(self, tmp_path, m):
         spec, sym = random_antiunitary(np.random.default_rng(6), 1, 1)
         ext = rf.extend(spec, sym)
-        beta, m, n = 0.8, 5, ext.n_doubled
+        beta, n = 0.8, ext.n_doubled
         p = tmp_path / "ext.csv"
         rf.export_extended_kernel_csv(p, ext, beta, m)
         grid = dense.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
@@ -311,4 +313,18 @@ class TestExtendedKernel:
         lines = p.read_text().splitlines()
         assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
         assert lines[1:] == want
+
+    def test_csv_writer_holds_a_window_of_m_blocks(self, tmp_path):
+        # 10 doubled columns at m = 64: the writer holds at most m formatted
+        # blocks of n^2 rows (0.90 MiB measured); all 2m of them take 1.81 MiB
+        spec, sym = random_antiunitary(np.random.default_rng(8), 2, 1)
+        sampled = rf.sample_extended_kernel(rf.extend(spec, sym), 0.9, 64)
+        assert len(sampled.thetas) == 10
+        tracemalloc.start()
+        try:
+            co.write_kernel_csv(tmp_path / "ext.csv", sampled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
 
