@@ -3,9 +3,13 @@
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
 twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`
 (``partition`` and ``kernel --verify`` run the suites' own checks); this
-module only renders them; ``kernel --verify`` ties the exported lag
-values to the closed-form grid spectrum and checks its positivity on
-either route.  Exit codes: 0 success, 1 assertion failure, 2
+module only renders them.  Both ``kernel`` routes sample their kernel
+from its (omega, theta) columns, :func:`twistkit.correlation.sample_kernels`
+(the extended one through :func:`twistkit.realfield.sample_extended_kernel`),
+and write it with the one exporter,
+:func:`twistkit.correlation.export_kernel_csv`; ``kernel --verify`` ties
+the exported lag values to the closed-form grid spectrum and checks its
+positivity on either route.  Exit codes: 0 success, 1 assertion failure, 2
 parse, usage or out-of-domain input, 3 capacity exceeded, 4 a result
 outside the float range (RangeError), 5 an internal consistency check
 failed.  All numeric output uses fixed 17-significant-digit lowercase
@@ -123,8 +127,8 @@ def _cmd_kernel(args) -> int:
             raise ConfigError("--mode picks one scalar kernel; --extended exports every mode")
         from . import realfield
 
-        ext = realfield.extend(spectrum, sym)
-        sampled = realfield.export_extended_kernel_csv(args.output, ext, beta, args.grid)
+        sampled = realfield.sample_extended_kernel(realfield.extend(spectrum, sym), beta, args.grid)
+        correlation.export_kernel_csv(args.output, sampled)
         print(f"wrote extended kernel grid to {args.output}")
     elif not action.diagonal:
         raise KindError(
@@ -134,14 +138,15 @@ def _cmd_kernel(args) -> int:
     else:
         label, omega = _select_mode(spectrum, args.mode)
         rho = action.phases[2 * spectrum.labels.index(label)]
-        kern = correlation.TwistedKernel(omega, correlation.kernel_twist_angle(rho), beta)
-        sampled = correlation.export_kernel_csv(args.output, kern, args.grid)
+        theta = correlation.kernel_twist_angle(rho)
+        sampled = correlation.sample_kernels(beta, [omega], [theta], args.grid)
+        correlation.export_kernel_csv(args.output, sampled)
         print(f"wrote {args.grid * args.grid} kernel samples to {args.output}")
         if args.verify:
             # The closed form and both oracles depend on t - s only, so the
             # 2m - 1 distinct lags of the m x m check grid cover all its cells.
             m = min(args.grid, 8)
-            worst, checks = verify.kernel_agreement(kern, rho, m, range(1 - m, m))
+            worst, checks = verify.kernel_agreement(omega, rho, beta, m, range(1 - m, m))
             print(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
         checks += verify.sampled_kernel_checks(sampled)

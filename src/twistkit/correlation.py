@@ -20,9 +20,11 @@ with C circulant and D = diag(e^{i*theta*t/beta}) (R. M. Gray, Toeplitz
 and Circulant Matrices: A Review, 2006).  A :class:`SampledKernel` holds
 these m closed-form values per eigenmode kernel as Python numbers, with
 each kernel's omega and theta, plus the basis that mixes them (a scalar
-kernel has none); the blocks, the CSV export and the spectrum derive from
-that layout.  The spectrum has a closed form, :func:`grid_spectrum`,
-positive for every twist.
+kernel has none).  :func:`sample_kernels` builds it from its (omega,
+theta) columns, for the scalar kernel and the extended one alike; the
+blocks, the spectrum and the one CSV exporter, :func:`export_kernel_csv`,
+derive from that layout.  The spectrum has a closed form,
+:func:`grid_spectrum`, positive for every twist.
 
 No numpy is imported here.  The closed form, the Fourier and Fock-trace
 oracles, the sampled layout, its spectrum, the mixing of a sparse basis
@@ -31,7 +33,7 @@ oracles, the sampled layout, its spectrum, the mixing of a sparse basis
 dense references of the tests (the grids and the resolvent quadrature)
 are built from the same layout.  The CSV writer formats rows as ASCII
 ``bytes`` and writes them in binary mode, holding at most m of the 2m - 1
-distinct formatted blocks at a time (:func:`write_kernel_csv`).
+distinct formatted blocks at a time (:func:`export_kernel_csv`).
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -82,17 +84,6 @@ def _require_kernel(beta: float, m: int = 1, omega: float = 1.0, theta: float = 
         raise DomainError("theta must lie in [0, 2*pi)")
     if m < 1:
         raise DomainError("grid size must be >= 1")
-
-
-class TwistedKernel:
-    """Per-mode twisted thermal Green's function on [0, beta)^2."""
-
-    def __init__(self, omega: float, theta: float, beta: float):
-        _require_kernel(beta, omega=omega, theta=theta)
-        self.omega, self.theta, self.beta = omega, theta, beta
-
-    def __call__(self, t: float, s: float) -> complex:
-        return kernel_closed_form(self.omega, self.theta, self.beta, t, s)
 
 
 def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: float) -> complex:
@@ -365,17 +356,24 @@ class SampledKernel:
 
 
 def sample_kernels(
-    kernels: Sequence[TwistedKernel], beta: float, m: int, basis: Optional[Basis] = None
+    beta: float,
+    omegas: Sequence[float],
+    thetas: Sequence[float],
+    m: int,
+    basis: Optional[Basis] = None,
 ) -> SampledKernel:
-    """The direct sum of ``kernels`` (all at ``beta``), mixed by ``basis``
-    (default: none, the identity), from m closed-form lag values per kernel."""
+    """The direct sum of the kernels of frequencies ``omegas`` and twist
+    angles ``thetas`` (one column each, all at ``beta``), mixed by ``basis``
+    (default: none, the identity), from m closed-form lag values per column."""
     _require_kernel(beta, m)
+    omegas, thetas = tuple(omegas), tuple(thetas)
+    if len(omegas) != len(thetas):
+        raise ConfigError("sample_kernels needs one twist angle per frequency")
     lags = tuple(
-        tuple(kernel_closed_form(k.omega, k.theta, beta, d * (beta / m), 0.0) for k in kernels)
+        tuple(kernel_closed_form(w, th, beta, d * (beta / m), 0.0) for w, th in zip(omegas, thetas))
         for d in range(m)
     )
-    omegas = tuple(k.omega for k in kernels)
-    return SampledKernel(beta, omegas, tuple(k.theta for k in kernels), lags, basis)
+    return SampledKernel(beta, omegas, thetas, lags, basis)
 
 
 #: The tail of a CSV row after its t and s columns (and its sector columns,
@@ -383,23 +381,27 @@ def sample_kernels(
 _ROW = b"%s,%.16e,%.16e," + f"{0.0:.16e}\n".encode()
 
 
-def write_kernel_csv(path, sampled: SampledKernel) -> None:
-    """Stream a sampled kernel as CSV, formatting each block it writes once,
-    as the row texts after the t and s columns.  Row i of the grid reads the
-    lower blocks K(t_d, 0) for d = i..0 and the adjoint (upper) blocks
-    K(0, t_d) for d = 1..m-1-i, so at most m formatted blocks are held:
-    upper blocks 1..m-1 are formatted first (no row reads upper block 0),
-    lower block d when row d first reads it, and upper block d is dropped
-    after row m-1-d, its last reader.  Each complex block is released when
-    it is formatted as a lower block, its last use.
+def export_kernel_csv(path, sampled: SampledKernel) -> None:
+    """Write a sampled kernel as CSV: the one kernel exporter, for the
+    scalar and the extended kernel alike.  Each block it writes is
+    formatted once, as the row texts after the t and s columns.  Row i of
+    the grid reads the lower blocks K(t_d, 0) for d = i..0 and the adjoint
+    (upper) blocks K(0, t_d) for d = 1..m-1-i, so at most m formatted
+    blocks are held: upper blocks 1..m-1 are formatted first (no row reads
+    upper block 0), lower block d when row d first reads it, and upper
+    block d is dropped after row m-1-d, its last reader.  Each complex
+    block is released when it is formatted as a lower block, its last use;
+    the m x m grid is never formed.
 
-    A scalar kernel (no basis) is written one t-row per write, one join
-    over the slots t, s_0, body_0, t, s_1, body_1 ...; a kernel with a
-    basis carries row_sector and col_sector on every row, and each (t, s)
-    block is one write, t,s + row_0 + t,s + row_1 ...  Output is
-    deterministic ASCII: fixed row order, 17-significant-digit lowercase
+    A scalar kernel (one column, no basis) has the columns t, s, re_k,
+    im_k, tail_bound (always 0) and is written one t-row per write, one
+    join over the slots t, s_0, body_0, t, s_1, body_1 ...; any other
+    layout (a basis, or not exactly one column) carries row_sector and
+    col_sector on every row, and each (t, s) block is one write, t,s +
+    row_0 + t,s + row_1 ...; a layout without columns has no rows.  Output
+    is deterministic ASCII: fixed row order, 17-significant-digit lowercase
     scientific floats, LF line endings."""
-    sectors = sampled.basis is not None
+    sectors = sampled.basis is not None or len(sampled.thetas) != 1
     blocks = sampled.blocks()
     m, n = len(blocks), len(sampled.thetas)
     keys = [f",{a},{b}".encode() if sectors else b"" for a in range(n) for b in range(n)]
@@ -419,7 +421,7 @@ def write_kernel_csv(path, sampled: SampledKernel) -> None:
     # call per few blocks, not one per block
     with open(path, "wb", buffering=1 << 16) as fh:
         fh.write(columns + b"re_k,im_k,tail_bound\n")
-        if sectors and not n:  # a layout without modes has no rows
+        if not n:  # a layout without modes has no rows
             return
         for i, t in enumerate(stamps):
             lower.append(rows(blocks[i]))
@@ -433,12 +435,3 @@ def write_kernel_csv(path, sampled: SampledKernel) -> None:
                 slots[2::3] = lower[::-1] + upper
                 fh.write(b"".join(slots))
             del upper[-1:]  # upper block m-1-i: no later row reads it
-
-
-def export_kernel_csv(path, kernel: TwistedKernel, m: int) -> SampledKernel:
-    """Write the closed-form kernel on the m-point grid as CSV and return
-    it: columns t, s, re_k, im_k, tail_bound (always 0), streamed from the m
-    lag values by :func:`write_kernel_csv`; the m x m grid is never formed."""
-    sampled = sample_kernels([kernel], kernel.beta, m)
-    write_kernel_csv(path, sampled)
-    return sampled

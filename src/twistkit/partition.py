@@ -32,8 +32,11 @@ TINY_Z_FLAG = 1e-300
 
 
 def _require_beta(beta: float) -> None:
+    """DomainError unless 0 < beta < inf; NaN fails the comparison."""
     if not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
+    if beta == math.inf:
+        raise DomainError("beta must be finite")
 
 
 def _exp_in_range(log_z: float, what: str) -> float:
@@ -122,13 +125,13 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     """Relative error of the occupation-truncated untwisted trace.
 
     The truncated trace is Z prod_k (1 - exp(-beta*omega_k*(N+1)))**2, so
-    its relative error is 1 minus that product.  Twisted traces need
-    :func:`twisted_tail_bound`.
+    its relative error is 1 minus that product, +0.0 (never -0.0) where
+    nothing is dropped.  Twisted traces need :func:`twisted_tail_bound`.
     """
     _require_beta(beta)
     _require_cutoff(cutoff)
     log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
-    return -math.expm1(log_keep)
+    return 0.0 - math.expm1(log_keep)
 
 
 def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:

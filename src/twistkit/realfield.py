@@ -21,10 +21,13 @@ The basis is kept sparse, one L x L block per cycle, and :func:`extend`
 checks it cycle by cycle.
 
 The extended pair-correlation kernel exists here only in its sampled
-layout, :func:`sample_extended_kernel`: one scalar twisted kernel per
-doubled eigenmode, mixed by the per-cycle basis.  The CSV export and the
-``realfield`` verify suite read that layout; for a unitary input every
-index is fixed, so no block mixes the two sectors.
+layout, :func:`sample_extended_kernel`: the (omega, theta) columns of the
+doubled eigenmodes, handed to :func:`twistkit.correlation.sample_kernels`
+with the per-cycle basis.  The CSV export
+(:func:`twistkit.correlation.export_kernel_csv`, the exporter of the
+scalar kernel too) and the ``realfield`` verify suite read that layout;
+for a unitary input every index is fixed, so no block mixes the two
+sectors.
 
 The module holds closed forms only and runs on ``math`` and ``cmath``.
 The one numpy import is in the dense ``ExtendedSpectrum.induced``, built
@@ -40,14 +43,7 @@ import cmath
 import math
 from functools import cached_property
 
-from .correlation import (
-    Basis,
-    SampledKernel,
-    TwistedKernel,
-    kernel_twist_angle,
-    sample_kernels,
-    write_kernel_csv,
-)
+from .correlation import Basis, SampledKernel, kernel_twist_angle, sample_kernels
 from .errors import DomainError, InternalConsistencyError, RangeError
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
@@ -235,19 +231,6 @@ def sample_extended_kernel(ext: ExtendedSpectrum, beta: float, m: int) -> Sample
     correlation operator): in the eigenbasis of the induced unitary it is
     the direct sum of the scalar twisted kernels of the doubled eigenmodes,
     one column each, mixed by the per-cycle basis ``ext.basis``."""
-    kernels = [
-        TwistedKernel(w, kernel_twist_angle(p), beta)
-        for w, p in zip(ext.doubled_omegas(), ext.phases)
-    ]
-    return sample_kernels(kernels, beta, m, ext.basis)
-
-
-def export_extended_kernel_csv(path, ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:
-    """Write the extended kernel on the m-point grid as CSV and return it:
-    one row per (t, s, row_sector, col_sector), written one (t, s) block at
-    a time by :func:`twistkit.correlation.write_kernel_csv`; the (m*2M)^2
-    grid is never formed."""
-    sampled = sample_extended_kernel(ext, beta, m)
-    write_kernel_csv(path, sampled)
-    return sampled
+    thetas = [kernel_twist_angle(p) for p in ext.phases]
+    return sample_kernels(beta, ext.doubled_omegas(), thetas, m, ext.basis)
 

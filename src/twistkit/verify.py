@@ -40,11 +40,14 @@ functions that use them, so :class:`CheckResult`,
 and ``partition`` suites (the latter's doubled-theory route on a
 non-diagonal action included) and the sampled kernel checks of any
 sampled kernel (``kernel --extended --verify``) run on ``math`` alone.
-The oracle checks of the closed form, :func:`kernel_agreement`, compare
-at integer lags of a grid, where the Fourier partial sum is one fold per
-kernel: ``kernel --verify`` at all 2m - 1 lags of its m = min(grid, 8)
-grid, and the ``kernel`` suite at 20 lags of its 128-point grid drawn
-from ``random.Random(seed)``.
+The oracle checks of the closed form, :func:`kernel_agreement`, take a
+frequency and the symmetry phase rho, derive the twist angle from rho, and
+compare at integer lags of a grid, where the Fourier partial sum is one
+fold per kernel: ``kernel --verify`` at all 2m - 1 lags of its
+m = min(grid, 8) grid, and the ``kernel`` suite at 20 lags of its
+128-point grid drawn from ``random.Random(seed)``.  The suites build
+their sampled kernels with :func:`twistkit.correlation.sample_kernels`,
+the route the CLI exports.
 """
 
 from __future__ import annotations
@@ -291,7 +294,7 @@ def partition_row(
     """
     z = z_plain = partition.z_untwisted(spectrum, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
-    tail = partition.truncation_tail_bound(spectrum, beta, cutoff) if len(spectrum) else 0.0
+    tail = partition.truncation_tail_bound(spectrum, beta, cutoff)
     trace = partition.partition_trace(spectrum, None, beta, cutoff)
     # (route, closed form, truncated trace, threshold)
     routes = [("untwisted product formula", z, trace, tail + 1e-10)]
@@ -336,11 +339,14 @@ def suite_partition(
 
 
 def kernel_agreement(
-    kern: correlation.TwistedKernel, rho: complex, m: int, lags: Iterable[int]
+    omega: float, rho: complex, beta: float, m: int, lags: Iterable[int]
 ) -> tuple[float, list[CheckResult]]:
-    """The closed-form kernel of phase ``rho`` against both oracles, at
-    integer lags d in (-m, m) of the m-point grid: the point (d*(beta/m), 0)
-    for d >= 0 and (0, -d*(beta/m)) for d < 0, the times the export samples.
+    """The closed-form kernel of frequency ``omega`` and phase ``rho``
+    against both oracles, at integer lags d in (-m, m) of the m-point grid:
+    the point (d*(beta/m), 0) for d >= 0 and (0, -d*(beta/m)) for d < 0,
+    the times the export samples.  Its twist angle is read from ``rho``
+    (:func:`~twistkit.correlation.kernel_twist_angle`), the phase the Fock
+    trace is taken with, so the two cannot disagree.
 
     At each point: the Fock trace at cutoff 800 (within its tail bound +
     1e-8) and the 4000-term Fourier sum (within its tail bound), which
@@ -351,15 +357,15 @@ def kernel_agreement(
     """
     from . import correlation
 
-    beta = kern.beta
-    single = validate_spectrum([("k", kern.omega)])
+    theta = correlation.kernel_twist_angle(rho)
+    single = validate_spectrum([("k", omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
-    fourier, fourier_tail = correlation.kernel_fourier(kern.omega, kern.theta, beta, m, 4000)
+    fourier, fourier_tail = correlation.kernel_fourier(omega, theta, beta, m, 4000)
     worst_oracle = worst_fourier = 0.0
     for d in lags:
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
-        closed = kern(t, s)
+        closed = correlation.kernel_closed_form(omega, theta, beta, t, s)
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
         worst_oracle = max(worst_oracle, abs(closed - oracle))
         worst_fourier = max(worst_fourier, abs(closed - fourier[d]))
@@ -445,12 +451,11 @@ def suite_kernel(
         raise KindError("kernel suite needs one phase per mode, not a symmetry that moves slots")
     rho = action.phases[0]
     beta = 1.0
-    theta = correlation.kernel_twist_angle(rho)
-    kern = correlation.TwistedKernel(spectrum.omegas[0], theta, beta)
+    omega, theta = spectrum.omegas[0], correlation.kernel_twist_angle(rho)
     m = 128
     rng = random.Random(seed)
-    _, results = kernel_agreement(kern, rho, m, [rng.randrange(1 - m, m) for _ in range(20)])
-    sampled = correlation.sample_kernels([kern], beta, 32)
+    _, results = kernel_agreement(omega, rho, beta, m, [rng.randrange(1 - m, m) for _ in range(20)])
+    sampled = correlation.sample_kernels(beta, [omega], [theta], 32)
     # the gathered grid is conjugate-symmetric off the diagonal by construction
     hermitian = 2.0 * abs(sampled.lags[0][0].imag)
     results.append(CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10))
@@ -467,14 +472,14 @@ def suite_kernel(
     # correct kernels at this (m, beta), omega in [1e-3, 1e3], it stayed within
     # 3.9 eps sum_j |v_j|, and sum_j |v_j| within 1.24 max lambda.
     nu = theta / beta
-    h, w2 = beta / m, nu * nu + kern.omega * kern.omega
+    h, w2 = beta / m, nu * nu + omega * omega
     if not math.isfinite(w2):
-        raise RangeError(f"resolvent residual at omega={kern.omega} is outside the float range")
-    lags = correlation.sample_kernels([kern], beta, m).lags
+        raise RangeError(f"resolvent residual at omega={omega} is outside the float range")
+    lags = correlation.sample_kernels(beta, [omega], [theta], m).lags
     lam_hat = math.fsum(
         (row[0] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(lags)
     )
-    lam = correlation.grid_spectrum(kern.omega, theta, beta, m)
+    lam = correlation.grid_spectrum(omega, theta, beta, m)
     results.append(
         CheckResult(
             "kernel",

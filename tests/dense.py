@@ -171,9 +171,9 @@ def grid(sampled):
     return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(m * n, m * n)
 
 
-def kernel_grid(kernel, m):
+def kernel_grid(omega, theta, beta, m):
     """The m x m sampled kernel, gathered from its m lag values."""
-    return grid(correlation.sample_kernels([kernel], kernel.beta, m))
+    return grid(correlation.sample_kernels(beta, [omega], [theta], m))
 
 
 def extended_kernel_grid(ext, beta, m):
@@ -212,7 +212,7 @@ def extended_kernel(ext, beta, t, s):
     unitary inputs.
     """
     diag = np.array([
-        correlation.TwistedKernel(float(w), correlation.kernel_twist_angle(p), beta)(t, s)
+        correlation.kernel_closed_form(float(w), correlation.kernel_twist_angle(p), beta, t, s)
         for w, p in zip(ext.doubled_omegas(), ext.phases)
     ])
     w = eigenbasis(ext)
@@ -255,10 +255,10 @@ def apply_inverse(spectrum, sym, beta, samples):
 BOUNDARY_TOL = 1e-6
 
 
-def verify_resolvent(kernel, g, g_second, m):
-    """Quadrature check that the sampled kernel inverts (-d^2/ds^2 +
-    omega^2): the largest residual |C_beta(-g'' + omega^2 g) - g| on the
-    m-point grid.
+def verify_resolvent(omega, theta, beta, g, g_second, m):
+    """Quadrature check that the sampled kernel of frequency ``omega`` and
+    twist angle ``theta`` at ``beta`` inverts (-d^2/ds^2 + omega^2): the
+    largest residual |C_beta(-g'' + omega^2 g) - g| on the m-point grid.
 
     ``g`` must satisfy the twisted boundary condition g(beta) =
     e^{i*theta} g(0) together with the same condition on g'; compliance is
@@ -274,7 +274,6 @@ def verify_resolvent(kernel, g, g_second, m):
     omega^2 g is beyond the float range (omega^2 overflows from omega ~
     1e154 on).
     """
-    beta, theta, omega = kernel.beta, kernel.theta, kernel.omega
     twist = cmath.exp(1j * theta)
     scale = max(abs(g(0.0)), abs(g(0.5 * beta)), 1e-30)
     defect = abs(g(beta) - twist * g(0.0))
@@ -292,7 +291,7 @@ def verify_resolvent(kernel, g, g_second, m):
             f"test function violates the twisted boundary condition "
             f"(relative defect {defect:.3e})"
         )
-    sampled = correlation.sample_kernels([kernel], beta, m)
+    sampled = correlation.sample_kernels(beta, [omega], [theta], m)
     times = sampled.times()
     w2 = omega * omega
     with np.errstate(over="ignore", invalid="ignore"):

@@ -177,13 +177,14 @@ def test_criterion_5_resolvent_residual(capsys):
         omega = float(rng.uniform(0.5, 3.0))
         beta = float(rng.uniform(1.0, 2.0))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        kern = co.TwistedKernel(omega, theta, beta)
         n_mode = int(rng.integers(-1, 1))  # n in {-1, 0}
         nu = (theta + 2.0 * math.pi * n_mode) / beta
         residuals = []
         for m in (64, 128, 256):
             residual = dense.verify_resolvent(
-                kern,
+                omega,
+                theta,
+                beta,
                 lambda t: cmath.exp(1j * nu * t),
                 lambda t: -(nu**2) * cmath.exp(1j * nu * t),
                 m=m,

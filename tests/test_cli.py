@@ -67,6 +67,19 @@ class TestPartitionCommand:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[2]) == 1.0
 
+    def test_infinite_beta_is_refused_by_name(self, capsys):
+        # Z = 1 at beta = inf is a limit, not a value: refused as the kernel is
+        assert main(["partition", "--beta", "inf"]) == 2
+        assert capsys.readouterr().err == "error: beta must be finite\n"
+
+    @pytest.mark.parametrize("beta", ["1e308", "1e3"])
+    def test_tail_bound_with_nothing_dropped_is_positive_zero(self, beta, capsys):
+        # at beta*omega*(N + 1) beyond the float range no mass is dropped, and
+        # the tail_bound column reads +0, not -0
+        assert main(["partition", "--beta", beta]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert row[6] == "0.0000000000000000e+00"
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -407,8 +420,8 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     # the dense references, the resolvent quadrature among them, live in tests/dense.py
     for module, names in (
         (correlation, ("KernelGrid", "kernel_grid", "apply_inverse", "_twisted_fft",
-                       "verify_resolvent", "BOUNDARY_TOL")),
-        (realfield, ("extended_kernel", "extended_kernel_grid")),
+                       "verify_resolvent", "BOUNDARY_TOL", "TwistedKernel", "write_kernel_csv")),
+        (realfield, ("extended_kernel", "extended_kernel_grid", "export_extended_kernel_csv")),
         (errors, ("PreconditionError",)),
     ):
         for name in names:
@@ -432,8 +445,8 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
         for alias in node.names
     ]
     assert imported and not [name for name in imported if name.startswith("_")]
-    # the eigenmode kernels are built in one helper
-    assert inspect.getsource(realfield).count("TwistedKernel(") == 1
+    # the eigenmode columns are built in one helper, which samples them
+    assert inspect.getsource(realfield).count("sample_kernels(") == 1
 
 
 def _numpy_importers(module, name="numpy"):
@@ -684,6 +697,10 @@ REFUSALS = {
         lambda: partition.partition_trace(ONE_MODE, None, -1.0, 40), errors.DomainError),
     "partition_trace-zero": (
         lambda: partition.partition_trace(ONE_MODE, None, 0.0, 40), errors.DomainError),
+    "z_untwisted-inf": (
+        lambda: partition.z_untwisted(ONE_MODE, math.inf), errors.DomainError),
+    "truncation_tail_bound-inf": (
+        lambda: partition.truncation_tail_bound(ONE_MODE, math.inf, 40), errors.DomainError),
     "geometric_log_derivative-cutoff": (
         lambda: partition.geometric_log_derivative(0.5 + 0j, -1), errors.DomainError),
     "kernel_oracle-cutoff": (
@@ -700,8 +717,10 @@ REFUSALS = {
         lambda: correlation.kernel_fourier(1.0, 0.3, 0.0, 4, 100), errors.DomainError),
     "kernel_fourier-negative-grid": (
         lambda: correlation.kernel_fourier(1.0, 0.3, 1.0, -1, 100), errors.DomainError),
+    "sample_kernels-one-theta-per-omega": (
+        lambda: correlation.sample_kernels(1.0, [1.0, 2.0], [0.3], 4), errors.ConfigError),
     "kernel_agreement-empty-grid": (
-        lambda: verify.kernel_agreement(correlation.TwistedKernel(1.0, 0.3, 1.0), 1 + 0j, 0, [0]),
+        lambda: verify.kernel_agreement(1.0, 1 + 0j, 1.0, 0, [0]),
         errors.DomainError),
     "kernel_closed_form-negative-omega": (
         lambda: correlation.kernel_closed_form(-1.0, 0.3, 1.0, 0.5, 0.0), errors.DomainError),

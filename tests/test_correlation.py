@@ -365,14 +365,14 @@ class TestKernelOracle:
 
 class TestKernelGrid:
     def test_hermitian_and_positive_definite(self):
-        grid = dense.kernel_grid(co.TwistedKernel(1.1, 2.3, 1.0), 24)
+        grid = dense.kernel_grid(1.1, 2.3, 1.0, 24)
         assert np.abs(grid - grid.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(grid).min() > 0.0
 
     def test_norm_bound(self):
         # discrete operator norm of C_beta is at most 1/(nu_min^2 + omega^2)
         omega, theta, beta = 0.8, 1.1, 1.4
-        grid = dense.kernel_grid(co.TwistedKernel(omega, theta, beta), 64)
+        grid = dense.kernel_grid(omega, theta, beta, 64)
         op_norm = np.linalg.norm(grid, 2) * (beta / 64)
         nu_min = min(abs(theta + 2.0 * math.pi * n) / beta for n in range(-2, 3))
         slack = 5.0 * (beta / 64) ** 2  # discretization error of the kinked kernel
@@ -383,7 +383,7 @@ class TestKernelGrid:
     @pytest.mark.parametrize("m", [33, 64])
     def test_twisted_circulant_matches_pointwise(self, m):
         omega, theta, beta = 0.9, 2.1, 1.3
-        grid = dense.kernel_grid(co.TwistedKernel(omega, theta, beta), m)
+        grid = dense.kernel_grid(omega, theta, beta, m)
         times = (np.arange(m) * (beta / m)).tolist()
         pointwise = np.array(
             [[co.kernel_closed_form(omega, theta, beta, t, s) for s in times] for t in times]
@@ -396,9 +396,8 @@ class TestKernelGrid:
     @pytest.mark.parametrize("m", [8, 33, 64])
     @pytest.mark.parametrize("theta", [0.0, 2.1, 5.9])
     def test_fft_spectrum_matches_eigvalsh(self, m, theta):
-        kern = co.TwistedKernel(0.9, theta, 1.3)
-        spectrum = np.array(co.sample_kernels([kern], kern.beta, m).spectrum())
-        eigs = np.linalg.eigvalsh(dense.kernel_grid(kern, m))
+        spectrum = np.array(co.sample_kernels(1.3, [0.9], [theta], m).spectrum())
+        eigs = np.linalg.eigvalsh(dense.kernel_grid(0.9, theta, 1.3, m))
         assert spectrum.shape == (m, 1)
         assert np.abs(np.sort(spectrum[:, 0]) - eigs).max() <= 1e-13 * np.abs(eigs).max()
 
@@ -487,7 +486,7 @@ class TestGridSpectrum:
     def test_transform_of_the_lag_values_agrees(self, omega, theta, beta, m):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sampled = co.sample_kernels([co.TwistedKernel(omega, theta, beta)], beta, m)
+            sampled = co.sample_kernels(beta, [omega], [theta], m)
         check, _ = verify.sampled_kernel_checks(sampled)
         assert check.passed, check
 
@@ -569,11 +568,10 @@ class TestApplyInverse:
 
 class TestVerifyResolvent:
     def test_eigenmode_residual(self):
-        kern = co.TwistedKernel(1.0, 2.0, 1.0)
         nu = (2.0 + 2.0 * math.pi * 0) / 1.0
 
         residual = dense.verify_resolvent(
-            kern,
+            1.0, 2.0, 1.0,
             lambda t: cmath.exp(1j * nu * t),
             lambda t: -(nu**2) * cmath.exp(1j * nu * t),
             m=128,
@@ -582,7 +580,6 @@ class TestVerifyResolvent:
 
     def test_smooth_compliant_function_converges(self):
         theta, beta, omega = 1.1, 1.0, 1.4
-        kern = co.TwistedKernel(omega, theta, beta)
         nus = [(theta + 2.0 * math.pi * n) / beta for n in (-1, 0, 1)]
         coeffs = [0.4, 1.0, 0.2 - 0.5j]
 
@@ -594,7 +591,7 @@ class TestVerifyResolvent:
                 -c * nu**2 * cmath.exp(1j * nu * t) for c, nu in zip(coeffs, nus)
             )
 
-        residuals = [dense.verify_resolvent(kern, g, g2, m=m) for m in (32, 64, 128)]
+        residuals = [dense.verify_resolvent(omega, theta, beta, g, g2, m=m) for m in (32, 64, 128)]
         orders = [
             math.log(r1 / r2) / math.log(2.0) for r1, r2 in zip(residuals, residuals[1:])
         ]
@@ -602,7 +599,6 @@ class TestVerifyResolvent:
 
     def test_matches_pointwise_quadrature(self):
         theta, beta, omega, m = 1.1, 1.0, 1.4, 64
-        kern = co.TwistedKernel(omega, theta, beta)
         nus = [(theta + 2.0 * math.pi * n) / beta for n in (-1, 0, 2)]
         coeffs = [0.4, 1.0, 0.2 - 0.5j]
 
@@ -615,9 +611,11 @@ class TestVerifyResolvent:
         times = [j * (beta / m) for j in range(m)]
         source = np.array([-g2(s) + omega**2 * g(s) for s in times])
         loop = max(
-            abs((beta / m) * np.dot([kern(t, s) for s in times], source) - g(t)) for t in times
+            abs((beta / m) * np.dot([co.kernel_closed_form(omega, theta, beta, t, s)
+                                     for s in times], source) - g(t))
+            for t in times
         )
-        assert abs(dense.verify_resolvent(kern, g, g2, m=m) - loop) <= 1e-13
+        assert abs(dense.verify_resolvent(omega, theta, beta, g, g2, m=m) - loop) <= 1e-13
 
     def test_eigenmode_residual_is_one_sum_of_the_lag_values(self):
         # what the kernel suite's resolvent check reads instead of this quadrature:
@@ -635,13 +633,12 @@ class TestVerifyResolvent:
                 theta = 2 * math.pi - 10 ** rng.uniform(-12.0, -1.0)
             else:
                 theta = rng.uniform(0.0, 2 * math.pi)
-            kern = co.TwistedKernel(omega, theta, beta)
             nu, w2 = theta / beta, (theta / beta) ** 2 + omega**2
             residual = dense.verify_resolvent(
-                kern, lambda t: cmath.exp(1j * nu * t), lambda t: -(nu**2) * cmath.exp(1j * nu * t),
-                m,
+                omega, theta, beta,
+                lambda t: cmath.exp(1j * nu * t), lambda t: -(nu**2) * cmath.exp(1j * nu * t), m,
             )
-            lags = co.sample_kernels([kern], beta, m).lags
+            lags = co.sample_kernels(beta, [omega], [theta], m).lags
             lam_hat = math.fsum(
                 (row[0] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(lags)
             )
@@ -650,34 +647,30 @@ class TestVerifyResolvent:
         assert worst <= 16.0
 
     def test_noncompliant_function_rejected(self):
-        kern = co.TwistedKernel(1.0, 1.5, 1.0)
         with pytest.raises(ValueError):
-            dense.verify_resolvent(kern, lambda t: t, lambda t: 0.0, m=32)
+            dense.verify_resolvent(1.0, 1.5, 1.0, lambda t: t, lambda t: 0.0, m=32)
 
 
 class TestCsvExport:
     def test_deterministic_bytes(self, tmp_path):
-        kern = co.TwistedKernel(1.0, 0.5, 1.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        co.export_kernel_csv(p1, kern, 8)
-        co.export_kernel_csv(p2, kern, 8)
+        co.export_kernel_csv(p1, co.sample_kernels(1.0, [1.0], [0.5], 8))
+        co.export_kernel_csv(p2, co.sample_kernels(1.0, [1.0], [0.5], 8))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_and_row_count(self, tmp_path):
-        kern = co.TwistedKernel(1.0, 0.5, 1.0)
         p = tmp_path / "k.csv"
-        co.export_kernel_csv(p, kern, 6)
+        co.export_kernel_csv(p, co.sample_kernels(1.0, [1.0], [0.5], 6))
         lines = p.read_text().splitlines()
         assert lines[0] == "t,s,re_k,im_k,tail_bound"
         assert len(lines) == 1 + 36
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
     def test_rows_are_grid_entries(self, tmp_path, m):
-        kern = co.TwistedKernel(0.7, 4.4, 1.3)
         p = tmp_path / "k.csv"
-        co.export_kernel_csv(p, kern, m)
-        grid = dense.kernel_grid(kern, m)
-        times = np.arange(m) * (kern.beta / m)
+        co.export_kernel_csv(p, co.sample_kernels(1.3, [0.7], [4.4], m))
+        grid = dense.kernel_grid(0.7, 4.4, 1.3, m)
+        times = np.arange(m) * (1.3 / m)
         want = [
             f"{t:.16e},{s:.16e},{grid[i, j].real:.16e},"
             f"{grid[i, j].imag:.16e},{0.0:.16e}"
@@ -686,8 +679,33 @@ class TestCsvExport:
         ]
         assert p.read_text().splitlines()[1:] == want
 
+    def test_basis_free_layout_without_columns_is_header_only(self, tmp_path):
+        # no column and no basis: the sector header and no rows (an
+        # IndexError when the writer read column 0 of every layout without a basis)
+        p = tmp_path / "k.csv"
+        co.export_kernel_csv(p, co.sample_kernels(1.0, [], [], 3))
+        assert p.read_bytes() == b"t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_basis_free_layout_with_two_columns_writes_both(self, tmp_path, m):
+        # two columns and no basis: every (t, s, row, col) entry, not column 0
+        # alone under the scalar header
+        sampled = co.sample_kernels(1.3, [0.7, 1.9], [4.4, 0.3], m)
+        p = tmp_path / "k.csv"
+        co.export_kernel_csv(p, sampled)
+        grid = dense.grid(sampled).reshape(m, 2, m, 2)
+        times = np.arange(m) * (1.3 / m)
+        want = [
+            f"{times[i]:.16e},{times[k]:.16e},{a},{b},{grid[i, a, k, b].real:.16e},"
+            f"{grid[i, a, k, b].imag:.16e},{0.0:.16e}"
+            for i in range(m) for k in range(m) for a in range(2) for b in range(2)
+        ]
+        lines = p.read_text().splitlines()
+        assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
+        assert lines[1:] == want
+
     def test_layout_without_modes_is_header_only(self, tmp_path):
         sampled = co.SampledKernel(1.0, (), (), ((),) * 3, basis=())
         p = tmp_path / "k.csv"
-        co.write_kernel_csv(p, sampled)
+        co.export_kernel_csv(p, sampled)
         assert p.read_bytes() == b"t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"

@@ -189,6 +189,13 @@ class TestTinyBetaOmega:
         tail = partition.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
         assert isinstance(tail, float) and 0.0 <= tail <= 1.0
 
+    @pytest.mark.parametrize("modes, beta", [([], 1.0), ([("a", 1.0)], 1e308)])
+    def test_tail_bound_with_nothing_dropped_is_positive_zero(self, modes, beta):
+        # the empty spectrum and a tail beyond the float range drop no mass:
+        # the bound is +0.0, which formats without a minus sign
+        tail = partition.truncation_tail_bound(validate_spectrum(modes), beta, 40)
+        assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
+
 
 class TestRangeErrors:
     """400 modes at omega=0.01, beta=1: Z is about e^3688, beyond a float."""

@@ -262,8 +262,8 @@ class TestExtendedKernel:
         ext = rf.extend(s, conjugation_sym("k0"))
         beta, t, time_s = 1.0, 0.7, 0.2
         block = dense.extended_kernel(ext, beta, t, time_s)
-        k0 = co.TwistedKernel(1.1, 0.0, beta)(t, time_s)
-        kpi = co.TwistedKernel(1.1, math.pi, beta)(t, time_s)
+        k0 = co.kernel_closed_form(1.1, 0.0, beta, t, time_s)
+        kpi = co.kernel_closed_form(1.1, math.pi, beta, t, time_s)
         assert abs(block[0, 1] - (k0 - kpi) / 2.0) < 1e-12
         assert abs(block[0, 0] - (k0 + kpi) / 2.0) < 1e-12
 
@@ -302,7 +302,7 @@ class TestExtendedKernel:
         ext = rf.extend(spec, sym)
         beta, n = 0.8, ext.n_doubled
         p = tmp_path / "ext.csv"
-        rf.export_extended_kernel_csv(p, ext, beta, m)
+        co.export_kernel_csv(p, rf.sample_extended_kernel(ext, beta, m))
         grid = dense.extended_kernel_grid(ext, beta, m).reshape(m, n, m, n)
         times = np.arange(m) * (beta / m)
         want = [
@@ -322,7 +322,7 @@ class TestExtendedKernel:
         assert len(sampled.thetas) == 10
         tracemalloc.start()
         try:
-            co.write_kernel_csv(tmp_path / "ext.csv", sampled)
+            co.export_kernel_csv(tmp_path / "ext.csv", sampled)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
