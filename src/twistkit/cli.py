@@ -107,12 +107,16 @@ def _cmd_partition(args) -> int:
     return _report_failures(checks)
 
 
-def _select_mode(spectrum: ModeSpectrum, label: Optional[str]) -> tuple[str, float]:
+def _select_mode(spectrum: ModeSpectrum, label: Optional[str]) -> int:
+    """The index of the mode ``kernel --mode`` names (default: the first)."""
     if len(spectrum) == 0:
         raise ConfigError("kernel export needs at least one mode")
     if label is None:
-        return spectrum.labels[0], spectrum.omegas[0]
-    return label, spectrum.omega_of(label)
+        return 0
+    try:
+        return spectrum.labels.index(label)
+    except ValueError:
+        raise ConfigError(f"unknown mode label {label!r}") from None
 
 
 def _cmd_kernel(args) -> int:
@@ -136,8 +140,8 @@ def _cmd_kernel(args) -> int:
             "requires --extended (kernel is defined on the doubled space)"
         )
     else:
-        label, omega = _select_mode(spectrum, args.mode)
-        rho = action.phases[2 * spectrum.labels.index(label)]
+        k = _select_mode(spectrum, args.mode)
+        omega, rho = spectrum.omegas[k], action.phases[2 * k]
         theta = correlation.kernel_twist_angle(rho)
         sampled = correlation.sample_kernels(beta, [omega], [theta], args.grid)
         correlation.export_kernel_csv(args.output, sampled)

@@ -48,7 +48,7 @@ import math
 import warnings
 
 from .errors import ConfigError, DomainError, KindError, RangeError
-from .partition import geometric_log_derivative
+from .partition import _require_beta, _require_count, geometric_log_derivative
 from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
 
 TYPE_CHECKING = False
@@ -73,17 +73,13 @@ def kernel_twist_angle(rho: complex) -> float:
 
 def _require_kernel(beta: float, m: int = 1, omega: float = 1.0, theta: float = 0.0) -> None:
     """DomainError unless omega > 0, 0 < beta < inf, 0 <= theta < 2*pi and
-    the grid has m >= 1 points; NaN fails each comparison."""
+    the grid size m is an integer >= 1; NaN fails each comparison."""
     if not omega > 0.0:
         raise DomainError("omega must be positive")
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
-    if beta == math.inf:
-        raise DomainError("beta must be finite")
+    _require_beta(beta)
     if not 0.0 <= theta < 2.0 * math.pi:
         raise DomainError("theta must lie in [0, 2*pi)")
-    if m < 1:
-        raise DomainError("grid size must be >= 1")
+    _require_count(m, 1, "grid size")
 
 
 def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: float) -> complex:
@@ -157,8 +153,7 @@ def kernel_fourier(
     the float range (beta omega^2 below about 1e-308 at theta = 0).
     """
     _require_kernel(beta, m, omega, theta)
-    if n_cutoff < 1:
-        raise DomainError("n_cutoff must be >= 1")
+    _require_count(n_cutoff, 1, "n_cutoff")
     bw = beta * omega
     classes = [math.inf]  # h_0 = 0: k_0 = 0 and beta*omega underflows to 0
     if theta or bw:
@@ -220,6 +215,7 @@ def kernel_oracle(
     """
     if len(spectrum) != 1:
         raise ConfigError("kernel_oracle is defined for single-mode spectra")
+    _require_beta(beta)
     action = slot_action(spectrum, sym)
     if not action.diagonal:
         raise KindError("kernel_oracle takes one phase per mode, not a symmetry that moves slots")

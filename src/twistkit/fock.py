@@ -49,6 +49,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import CapacityError, ConfigError, RangeError
+from .partition import _require_count
 from .partition import truncation_tail_bound  # re-exported for bench/checks.py
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
 
@@ -98,8 +99,7 @@ class FockSpace:
     """Occupation tensors over all modes and both charges at one cutoff."""
 
     def __init__(self, spectrum: ModeSpectrum, cutoff: int):
-        if cutoff < 1:
-            raise ConfigError("cutoff must be >= 1")
+        _require_count(cutoff, 1, "cutoff", ConfigError)
         self.spectrum, self.cutoff = spectrum, cutoff
         if self.dim > MAX_STATES:
             raise CapacityError(f"{self.dim} states exceed the cap of {MAX_STATES}")

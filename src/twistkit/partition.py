@@ -114,11 +114,11 @@ def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
     return math.exp(-2.0 * s)
 
 
-def _require_cutoff(cutoff: int) -> None:
-    """DomainError unless the cutoff is a nonnegative integer (one with
-    ``__index__``, so numpy integers pass and 2.0 does not)."""
-    if not hasattr(cutoff, "__index__") or cutoff < 0:
-        raise DomainError(f"occupation cutoff must be a nonnegative integer, got {cutoff}")
+def _require_count(n: int, least: int, what: str, error: type = DomainError) -> None:
+    """``error`` unless n is an integer >= least: one with ``__index__``, so
+    numpy integers pass and 2.0 does not."""
+    if not hasattr(n, "__index__") or n < least:
+        raise error(f"{what} must be an integer >= {least}, got {n}")
 
 
 def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
@@ -129,7 +129,7 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     nothing is dropped.  Twisted traces need :func:`twisted_tail_bound`.
     """
     _require_beta(beta)
-    _require_cutoff(cutoff)
+    _require_count(cutoff, 0, "occupation cutoff")
     log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
     return 0.0 - math.expm1(log_keep)
 
@@ -143,7 +143,7 @@ def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> floa
     Z, relative.  A phase r^{N+1} = -1 reaches it.
     """
     _require_beta(beta)
-    _require_cutoff(cutoff)
+    _require_count(cutoff, 0, "occupation cutoff")
     return math.expm1(2.0 * sum(math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas))
 
 
@@ -159,7 +159,7 @@ def geometric_log_derivative(y: complex, cutoff: int) -> complex:
     """S_N'(y)/S_N(y), S_N(y) = sum_{n=0}^{N} y^n, by one Horner pass that
     carries the derivative: <alpha alpha*> of one oscillator truncated at N
     with Boltzmann-and-twist weight y."""
-    _require_cutoff(cutoff)
+    _require_count(cutoff, 0, "occupation cutoff")
     acc = slope = 0.0 + 0.0j
     for _ in range(cutoff + 1):
         slope = acc + y * slope
@@ -183,7 +183,7 @@ def partition_trace(
     the tests.
     """
     _require_beta(beta)
-    _require_cutoff(cutoff)
+    _require_count(cutoff, 0, "occupation cutoff")
     total = 1.0 + 0.0j
     for first, length, r in slot_action(spectrum, sym).cycles:
         x = math.exp(-length * beta * spectrum.omegas[first // 2])

@@ -44,7 +44,8 @@ import math
 from functools import cached_property
 
 from .correlation import Basis, SampledKernel, kernel_twist_angle, sample_kernels
-from .errors import DomainError, InternalConsistencyError, RangeError
+from .errors import InternalConsistencyError, RangeError
+from .partition import _require_beta
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
 TYPE_CHECKING = False
@@ -210,8 +211,7 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     antiunitary input it is an independent route to the square-root
     formula.
     """
-    if not beta > 0.0:
-        raise DomainError("beta must be positive")
+    _require_beta(beta)
     z = 1.0 + 0.0j
     for w, lam in zip(ext.doubled_omegas(), ext.phases):
         z /= 1.0 - lam * math.exp(-beta * w)

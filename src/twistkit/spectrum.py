@@ -9,9 +9,11 @@ package hold without regularization.
 A :class:`SymmetrySpec` describes a symmetry commuting with the frequency
 operator, either as per-mode unit phases (unitary case) or as an involutive
 mode pairing with unit phases (antiunitary case, acting as
-``V(sum c_k e_k) = sum conj(c_k) eta_k e_{pi(k)}``).
-Both kinds are normalized once, here, into a :class:`SlotAction`, which is
-the only form every route outside this module reads.
+``V(sum c_k e_k) = sum conj(c_k) eta_k e_{pi(k)}``).  The pairing is held
+as mode indices, ``pairing[k]`` = pi(k): a config names modes by label,
+and :func:`parse_config` maps each label to its index once.  Both kinds
+are normalized once, here, into a :class:`SlotAction`, which is the only
+form every route outside this module reads.
 
 The classes of the package are plain classes whose ``__init__`` validates
 its arguments.  No module imports ``dataclasses``, so that a CLI start
@@ -75,29 +77,22 @@ class ModeSpectrum:
     def __len__(self) -> int:
         return len(self.omegas)
 
-    def omega_of(self, label: str) -> float:
-        try:
-            return self.omegas[self.labels.index(label)]
-        except ValueError:
-            raise ConfigError(f"unknown mode label {label!r}") from None
-
 
 class SymmetrySpec:
     """Unitary or antiunitary symmetry commuting with the spectrum.
 
-    Unitary: ``phases[k]`` is the eigenvalue rho_k on mode k (positional
-    alignment with the spectrum's mode order).
-
-    Antiunitary: ``labels`` names the modes, ``partners[k]`` is the label
-    pi(labels[k]) of an involutive permutation, and ``phases[k]`` is eta_k.
+    ``phases[k]`` is the phase on mode k, in the spectrum's mode order:
+    the eigenvalue rho_k of a unitary symmetry, eta_k of an antiunitary
+    one.  An antiunitary symmetry also has a ``pairing``, an involutive
+    permutation of the mode indices: ``pairing[k]`` is pi(k).  A unitary
+    symmetry has none.
     """
 
     def __init__(
         self,
         kind: str,
         phases: tuple[complex, ...],
-        labels: Optional[tuple[str, ...]] = None,
-        partners: Optional[tuple[str, ...]] = None,
+        pairing: Optional[tuple[int, ...]] = None,
     ):
         if kind not in (UNITARY, ANTIUNITARY):
             raise ConfigError(f"unknown symmetry kind {kind!r}")
@@ -105,37 +100,34 @@ class SymmetrySpec:
             if not abs(abs(p) - 1.0) <= UNIT_MODULUS_TOL:  # a NaN component fails too
                 raise ConfigError(f"phase {p!r} is not unit modulus")
         if kind == ANTIUNITARY:
-            if labels is None or partners is None:
-                raise ConfigError("antiunitary symmetry requires labels and partners")
-            if not (len(labels) == len(partners) == len(phases)):
-                raise ConfigError("labels, partners and phases must align")
-            perm = dict(zip(labels, partners))
-            if set(perm.values()) != set(labels):
+            if pairing is None:
+                raise ConfigError("antiunitary symmetry requires a pairing")
+            if len(pairing) != len(phases):
+                raise ConfigError("pairing and phases must align")
+            if not all(hasattr(j, "__index__") for j in pairing):
+                raise ConfigError("pairing entries must be mode indices")
+            if sorted(pairing) != list(range(len(pairing))):
                 raise ConfigError("pairing is not a permutation of the mode labels")
-            for a, b in perm.items():
-                if perm[b] != a:
-                    raise ConfigError("pairing must be an involution")
-        elif labels is not None or partners is not None:
+            if any(pairing[j] != k for k, j in enumerate(pairing)):
+                raise ConfigError("pairing must be an involution")
+        elif pairing is not None:
             raise ConfigError("unitary symmetry takes phases only")
-        self.kind, self.phases, self.labels, self.partners = kind, phases, labels, partners
+        self.kind, self.phases, self.pairing = kind, phases, pairing
 
     @cached_property
     def action(self) -> SlotAction:
         """The slot action of U_S or U_V.  U_S alpha+*(k) U_S* = rho_k alpha+*(k)
         fixes every slot; U_V alpha+*(k) U_V* = eta_{pi(k)} alpha-*(pi(k)) moves
         the + slot of mode k onto the - slot of pi(k) and its - slot, with the
-        conjugate phase, onto the + slot."""
+        conjugate phase, onto the + slot.  A unitary twist is the identity
+        pairing without that charge swap."""
         m = len(self.phases)
-        if self.kind == UNITARY:
-            source = range(2 * m)
-            phases = [p for rho in self.phases for p in (complex(rho), complex(rho).conjugate())]
-        else:
-            source, phases = [0] * (2 * m), [1.0 + 0.0j] * (2 * m)
-            for k, partner in enumerate(self.partners):
-                j = self.labels.index(partner)
-                source[2 * j], source[2 * j + 1] = 2 * k + 1, 2 * k
-                eta = complex(self.phases[j])
-                phases[2 * k], phases[2 * k + 1] = eta, eta.conjugate()
+        swap = int(self.kind == ANTIUNITARY)
+        source, phases = [0] * (2 * m), [1.0 + 0.0j] * (2 * m)
+        for k, j in enumerate(range(m) if self.pairing is None else self.pairing):
+            source[2 * j], source[2 * j + 1] = 2 * k + swap, 2 * k + 1 - swap
+            eta = complex(self.phases[j])
+            phases[2 * k], phases[2 * k + 1] = eta, eta.conjugate()
         return SlotAction(tuple(source), tuple(phases))
 
 
@@ -232,20 +224,15 @@ def twisted_circle_spectrum(
 def check_alignment(spectrum: ModeSpectrum, sym: SymmetrySpec) -> None:
     """Raise ConfigError unless ``sym`` is consistent with ``spectrum``.
 
-    For antiunitary symmetries the pairing must preserve omega exactly as
-    stored, since the symmetry commutes with the frequency operator.
+    A pairing must preserve omega exactly as stored, since the symmetry
+    commutes with the frequency operator.
     """
     if len(sym.phases) != len(spectrum):
         raise ConfigError("symmetry phase count does not match mode count")
-    if sym.kind == ANTIUNITARY:
-        if sym.labels != spectrum.labels:
-            raise ConfigError("antiunitary symmetry labels must match the spectrum")
-        for k, partner in enumerate(sym.partners):
-            if spectrum.omega_of(partner) != spectrum.omegas[k]:
-                raise ConfigError(
-                    f"pairing {spectrum.labels[k]!r} <-> {partner!r} "
-                    "does not preserve omega"
-                )
+    for k, j in enumerate(sym.pairing or ()):
+        if spectrum.omegas[j] != spectrum.omegas[k]:
+            labels = spectrum.labels
+            raise ConfigError(f"pairing {labels[k]!r} <-> {labels[j]!r} does not preserve omega")
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +288,24 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
             raise ConfigError(f"symmetry.kind must be '{UNITARY}' or '{ANTIUNITARY}'")
         allowed = {"kind", "pairing", "phases"} if kind == ANTIUNITARY else {"kind", "phases"}
         _reject_unknown(s, allowed, "symmetry")
-        labels = partners = None
+        pairing = None
         if kind == ANTIUNITARY:
-            pairing = s.get("pairing")
-            if not isinstance(pairing, dict):
+            raw_pairing = s.get("pairing")
+            if not isinstance(raw_pairing, dict):
                 raise ConfigError("symmetry.pairing must be a label -> label object")
             for lbl in spectrum.labels:
-                if lbl not in pairing:
+                if lbl not in raw_pairing:
                     raise ConfigError(f"symmetry.pairing: missing mode {lbl!r}")
-            if set(pairing) != set(spectrum.labels):
+            if set(raw_pairing) != set(spectrum.labels):
                 raise ConfigError("symmetry.pairing mentions unknown modes")
-            labels, partners = spectrum.labels, tuple(str(pairing[lbl]) for lbl in spectrum.labels)
+            # the one place a pairing's labels become mode indices; an
+            # unknown label becomes -1, which no permutation of them holds
+            index = {lbl: k for k, lbl in enumerate(spectrum.labels)}
+            pairing = tuple(index.get(str(raw_pairing[lbl]), -1) for lbl in spectrum.labels)
         phases = tuple(
             _parse_complex(p, f"symmetry.phases[{i}]") for i, p in enumerate(s.get("phases", []))
         )
-        sym = SymmetrySpec(kind=kind, phases=phases, labels=labels, partners=partners)
+        sym = SymmetrySpec(kind=kind, phases=phases, pairing=pairing)
         check_alignment(spectrum, sym)
     return spectrum, sym
 

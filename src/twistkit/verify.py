@@ -270,7 +270,7 @@ def suite_symmetry(
             expected = fock.creation(space, sym.phases[k] * unit[k])
             name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
         else:
-            j = spectrum.labels.index(sym.partners[k])
+            j = sym.pairing[k]
             expected = fock.creation(space, sym.phases[j] * unit[len(spectrum) + j])
             name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
         residual = u(fock.apply_field(space, fock.creation(space, unit[k]), v, subcutoff=True))

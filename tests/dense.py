@@ -64,7 +64,7 @@ def unitary_symmetry(phases, cutoff):
     return out
 
 
-def antiunitary_symmetry(partners, phases, cutoff):
+def antiunitary_symmetry(pairing, phases, cutoff):
     """U_V from its rule on basis states: (n+_k, n-_k) move to the slots
     (n-, n+) of mode pi(k), with phase eta_{pi(k)}**n+_k conj(eta_{pi(k)})**n-_k."""
     m = len(phases)
@@ -73,7 +73,7 @@ def antiunitary_symmetry(partners, phases, cutoff):
     for occ in np.ndindex(*shape):
         target, phase = [0] * (2 * m), 1.0 + 0.0j
         for k in range(m):
-            j = partners[k]
+            j = pairing[k]
             target[2 * j], target[2 * j + 1] = occ[2 * k + 1], occ[2 * k]
             phase *= phases[j] ** occ[2 * k] * np.conj(phases[j]) ** occ[2 * k + 1]
         out[np.ravel_multi_index(target, shape), np.ravel_multi_index(occ, shape)] = phase
@@ -85,13 +85,13 @@ def induced_unitary(phases):
     return np.diag(np.concatenate([np.conj(phases), phases]))
 
 
-def induced_antiunitary(partners, phases):
+def induced_antiunitary(pairing, phases):
     """Induced matrix of U_V on the doubled space: e_k goes to
     eta_k e_{M+pi(k)}, and e_{M+pi(k)} to conj(eta_{pi(k)}) e_k."""
     m = len(phases)
     out = np.zeros((2 * m, 2 * m), dtype=complex)
     for k in range(m):
-        j = partners[k]
+        j = pairing[k]
         out[m + j, k] = phases[k]
         out[k, m + j] = np.conj(phases[j])
     return out

@@ -88,7 +88,7 @@ def test_criterion_3_antiunitary_identity(capsys):
     # worked example: single-mode conjugation, value 4/3
     spec1 = validate_spectrum([("k0", LN2)])
     sym1 = SymmetrySpec(
-        kind="antiunitary", phases=(1.0 + 0j,), labels=("k0",), partners=("k0",)
+        kind="antiunitary", phases=(1.0 + 0j,), pairing=(0,)
     )
     z1 = partition.z_twisted(spec1, sym1, 1.0)
     oracle1 = partition.partition_trace(spec1, sym1, 1.0, 40)
@@ -98,8 +98,7 @@ def test_criterion_3_antiunitary_identity(capsys):
     sym2 = SymmetrySpec(
         kind="antiunitary",
         phases=(1.0 + 0j, 1.0 + 0j),
-        labels=("a", "b"),
-        partners=("b", "a"),
+        pairing=(1, 0),
     )
     z2 = partition.z_twisted(spec2, sym2, 1.0)
     n2 = 30
@@ -113,17 +112,16 @@ def test_criterion_3_antiunitary_identity(capsys):
         if i % 2 == 0:
             w = float(rng.uniform(0.5, 3.0))
             spec = validate_spectrum([("a", w), ("b", w)])
-            partners = ("b", "a")
+            pairing = (1, 0)
         else:
             spec = validate_spectrum(
                 [("a", float(rng.uniform(0.5, 3.0))), ("b", float(rng.uniform(0.5, 3.0)))]
             )
-            partners = ("a", "b")
+            pairing = (0, 1)
         sym = SymmetrySpec(
             kind="antiunitary",
             phases=(random_unit(rng), random_unit(rng)),
-            labels=("a", "b"),
-            partners=partners,
+            pairing=pairing,
         )
         n = 30
         z = partition.z_twisted(spec, sym, 1.0)
@@ -220,8 +218,7 @@ def test_criterion_6_algebraic_suite(capsys):
             SymmetrySpec(
                 kind="antiunitary",
                 phases=(random_unit(rng), random_unit(rng)),
-                labels=("a", "b"),
-                partners=("b", "a"),
+                pairing=(1, 0),
             ),
         )
     )
@@ -242,24 +239,23 @@ def test_criterion_7_doubled_space_consistency(capsys):
     for _ in range(50):
         n_pairs = int(rng.integers(0, 3))
         n_fixed = int(rng.integers(1, 3))
-        labels, omegas, partners, phases = [], [], [], []
+        labels, omegas, pairing, phases = [], [], [], []
         for i in range(n_pairs):
             w = float(rng.uniform(0.5, 3.0))
+            pairing += [len(labels) + 1, len(labels)]
             labels += [f"p{i}a", f"p{i}b"]
             omegas += [w, w]
-            partners += [f"p{i}b", f"p{i}a"]
             phases += [random_unit(rng), random_unit(rng)]
         for i in range(n_fixed):
+            pairing.append(len(labels))
             labels.append(f"f{i}")
             omegas.append(float(rng.uniform(0.5, 3.0)))
-            partners.append(f"f{i}")
             phases.append(random_unit(rng))
         spec = validate_spectrum(list(zip(labels, omegas)))
         sym = SymmetrySpec(
             kind="antiunitary",
             phases=tuple(phases),
-            labels=tuple(labels),
-            partners=tuple(partners),
+            pairing=tuple(pairing),
         )
         beta = float(rng.uniform(0.4, 2.0))
         z_sqrt = partition.z_twisted(spec, sym, beta)
@@ -272,7 +268,7 @@ def test_criterion_7_doubled_space_consistency(capsys):
     off = max(float(np.abs(block[:2, 2:]).max()), float(np.abs(block[2:, :2]).max()))
     spec_a = validate_spectrum([("a", 0.8)])
     sym_a = SymmetrySpec(
-        kind="antiunitary", phases=(1.0 + 0j,), labels=("a",), partners=("a",)
+        kind="antiunitary", phases=(1.0 + 0j,), pairing=(0,)
     )
     min_eig = min(
         float(np.linalg.eigvalsh(dense.extended_kernel_grid(rf.extend(s, y), 1.0, 10)).min())

@@ -14,8 +14,8 @@ import twistkit
 from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import (
-    ModeSpectrum, SymmetrySpec, load_config, spectrum_to_config, twisted_circle_spectrum,
-    validate_spectrum,
+    ModeSpectrum, SymmetrySpec, load_config, parse_config, spectrum_to_config,
+    twisted_circle_spectrum, validate_spectrum,
 )
 
 LN2 = math.log(2.0)
@@ -427,6 +427,13 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(correlation.SampledKernel, "grid")
+    # a symmetry's pairing is held as mode indices: no label is looked up
+    # after parsing, except the one mode ``kernel --mode`` names
+    assert not hasattr(ModeSpectrum, "omega_of")
+    spec = SymmetrySpec(kind="antiunitary", phases=(1j, 1j), pairing=(1, 0))
+    for name in ("labels", "partners"):
+        assert not hasattr(spec, name), name
+    assert _label_index_callers() - {"spectrum.parse_config"} == {"cli._select_mode"}
     # correlation imports no numpy at run time; realfield imports numpy only
     # in the dense induced matrix and never imports fock: the doubled-field
     # oracle lives in verify
@@ -447,6 +454,25 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert imported and not [name for name in imported if name.startswith("_")]
     # the eigenmode columns are built in one helper, which samples them
     assert inspect.getsource(realfield).count("sample_kernels(") == 1
+
+
+def _label_index_callers():
+    """Qualified names of the package functions (or "<module>") that call
+    ``<x>.labels.index(...)``."""
+    found = set()
+    for path in Path(twistkit.__file__).parent.glob("*.py"):
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else f"{path.stem}.{node.name}"
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr == "index" and getattr(func.value, "attr", None) == "labels"):
+                found.add(scope or "<module>")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
 
 
 def _numpy_importers(module, name="numpy"):
@@ -683,6 +709,7 @@ def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
 
 
 ONE_MODE = ModeSpectrum(("a",), (1.0,), 1.0)
+ANTI_PAIR = Path(__file__).parent / "golden" / "anti_pair_fixed.json"
 
 #: Inputs each public function used to take unchecked (a nan, a wrong value
 #: or a bare ZeroDivisionError), and the TwistkitError each now raises.
@@ -736,13 +763,43 @@ REFUSALS = {
         lambda: partition.truncation_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
     "twisted_tail_bound-fractional-cutoff": (
         lambda: partition.twisted_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
+    "kernel_oracle-zero-beta": (
+        lambda: correlation.kernel_oracle(ONE_MODE, None, 0.0, 0.0, 0.0, 8), errors.DomainError),
+    "kernel_oracle-inf-beta": (
+        lambda: correlation.kernel_oracle(ONE_MODE, None, math.inf, 0.2, 0.1, 8),
+        errors.DomainError),
+    "z_via_realfield-inf-beta": (
+        lambda: realfield.z_via_realfield(realfield.extend(*load_config(ANTI_PAIR)), math.inf),
+        errors.DomainError),
+    "sample_kernels-fractional-grid": (
+        lambda: correlation.sample_kernels(1.0, [0.7], [0.3], 2.5), errors.DomainError),
+    "grid_spectrum-fractional-grid": (
+        lambda: correlation.grid_spectrum(0.7, 0.3, 1.0, 2.5), errors.DomainError),
+    "kernel_fourier-fractional-n-cutoff": (
+        lambda: correlation.kernel_fourier(0.7, 0.3, 1.0, 8, 4000.0), errors.DomainError),
+    "kernel_fourier-fractional-grid": (
+        lambda: correlation.kernel_fourier(0.7, 0.3, 1.0, 2.5, 4000), errors.DomainError),
+    "sample_extended_kernel-fractional-grid": (
+        lambda: realfield.sample_extended_kernel(
+            realfield.extend(*load_config(ANTI_PAIR)), 1.0, 2.5), errors.DomainError),
+    "FockSpace-fractional-cutoff": (lambda: fock.FockSpace(ONE_MODE, 2.5), errors.ConfigError),
+    "SymmetrySpec-fractional-pairing": (
+        lambda: SymmetrySpec(kind="antiunitary", phases=(1j,), pairing=(0.0,)), errors.ConfigError),
 }
 
 
 def test_integer_cutoffs_are_accepted():
-    # numpy integers carry __index__ and pass the cutoff guard like ints do
+    # numpy integers carry __index__ and pass the cutoff and size guards like ints do
     assert partition.partition_trace(ONE_MODE, None, 1.0, np.int64(3)) == (
         partition.partition_trace(ONE_MODE, None, 1.0, 3))
+    assert correlation.grid_spectrum(0.7, 0.3, 1.0, np.int64(3)) == (
+        correlation.grid_spectrum(0.7, 0.3, 1.0, 3))
+    assert correlation.kernel_fourier(0.7, 0.3, 1.0, np.int64(4), np.int64(50)) == (
+        correlation.kernel_fourier(0.7, 0.3, 1.0, 4, 50))
+    assert fock.FockSpace(ONE_MODE, np.int64(2)).dim == fock.FockSpace(ONE_MODE, 2).dim
+    sym = SymmetrySpec(kind="antiunitary", phases=(1j, 1j), pairing=(np.int64(1), np.int64(0)))
+    assert sym.action.source == SymmetrySpec(kind="antiunitary", phases=(1j, 1j),
+                                             pairing=(1, 0)).action.source
 
 
 @pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
@@ -1003,7 +1060,7 @@ class TestDoubledFieldChecks:
         "sym",
         [
             SymmetrySpec(kind="unitary", phases=(np.exp(0.9j),)),
-            SymmetrySpec(kind="antiunitary", phases=(1.0 + 0j,), labels=("k0",), partners=("k0",)),
+            SymmetrySpec(kind="antiunitary", phases=(1.0 + 0j,), pairing=(0,)),
         ],
         ids=["unitary", "antiunitary"],
     )
@@ -1015,7 +1072,7 @@ class TestDoubledFieldChecks:
     def test_equal_time_commutator_two_modes(self):
         spec = validate_spectrum([("a", 0.7), ("b", 0.7)])
         sym = SymmetrySpec(
-            kind="antiunitary", phases=(1j, np.exp(0.4j)), labels=("a", "b"), partners=("b", "a")
+            kind="antiunitary", phases=(1j, np.exp(0.4j)), pairing=(1, 0)
         )
         ext = realfield.extend(spec, sym)
         report = {c.name: c.deviation for c in verify.doubled_field_checks(ext, sym, cutoff=3)}
@@ -1106,6 +1163,42 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
         assert err.value.code == 2
+
+
+def three_mode_anti_doc(pairing):
+    one = {"re": 1.0, "im": 0.0}
+    return {
+        "modes": [{"label": lbl, "omega": 0.7} for lbl in ("a", "b", "c")],
+        "symmetry": {"kind": "antiunitary", "pairing": pairing,
+                     "phases": [{"re": 0.6, "im": 0.8}, one, one]},
+    }
+
+
+class TestPairingConfig:
+    """A config's pairing names modes by label; it is read into mode indices once."""
+
+    def test_key_order_does_not_matter(self, tmp_path, capsys):
+        outs = []
+        for i, pairing in enumerate(({"a": "b", "b": "a", "c": "c"},
+                                     {"c": "c", "b": "a", "a": "b"})):
+            doc = three_mode_anti_doc(pairing)
+            assert parse_config(doc)[1].pairing == (1, 0, 2)
+            cfg = write_config(tmp_path / f"order{i}.json", doc)
+            assert main(["verify", "--config", cfg, "--suite", "symmetry"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "U alpha+*(a) U* = eta alpha-*(pi(a))" in outs[0]
+
+    @pytest.mark.parametrize(
+        "pairing, message",
+        [({"a": "b", "b": "zz", "c": "c"}, "pairing is not a permutation of the mode labels"),
+         ({"a": "b", "b": "c", "c": "a"}, "pairing must be an involution")],
+        ids=["unknown-label", "three-cycle"],
+    )
+    def test_bad_pairing_exits_2(self, pairing, message, tmp_path, capsys):
+        cfg = write_config(tmp_path / "bad.json", three_mode_anti_doc(pairing))
+        assert main(["partition", "--config", cfg, "--beta", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSpectrumGen:

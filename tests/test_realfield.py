@@ -14,35 +14,32 @@ from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
 LN2 = math.log(2.0)
 
 
-def conjugation_sym(label="k0"):
-    return SymmetrySpec(
-        kind="antiunitary", phases=(1.0 + 0j,), labels=(label,), partners=(label,)
-    )
+def conjugation_sym():
+    return SymmetrySpec(kind="antiunitary", phases=(1.0 + 0j,), pairing=(0,))
 
 
 def random_antiunitary(rng, n_pairs=1, n_fixed=0):
     """Random valid antiunitary spec: swapped pairs then fixed points."""
-    labels, omegas, partners, phases = [], [], [], []
+    labels, omegas, pairing, phases = [], [], [], []
     for i in range(n_pairs):
         w = float(rng.uniform(0.5, 3.0))
+        pairing += [len(labels) + 1, len(labels)]
         labels += [f"p{i}a", f"p{i}b"]
         omegas += [w, w]
-        partners += [f"p{i}b", f"p{i}a"]
         phases += [
             cmath.exp(2j * math.pi * float(rng.uniform())),
             cmath.exp(2j * math.pi * float(rng.uniform())),
         ]
     for i in range(n_fixed):
+        pairing.append(len(labels))
         labels.append(f"f{i}")
         omegas.append(float(rng.uniform(0.5, 3.0)))
-        partners.append(f"f{i}")
         phases.append(cmath.exp(2j * math.pi * float(rng.uniform())))
     spec = validate_spectrum(list(zip(labels, omegas)))
     sym = SymmetrySpec(
         kind="antiunitary",
         phases=tuple(phases),
-        labels=tuple(labels),
-        partners=tuple(partners),
+        pairing=tuple(pairing),
     )
     return spec, sym
 
@@ -67,8 +64,7 @@ class TestExtend:
             spec, sym = random_antiunitary(
                 rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(0, 3))
             )
-            partners = [sym.labels.index(p) for p in sym.partners]
-            ref = dense.induced_antiunitary(partners, sym.phases)
+            ref = dense.induced_antiunitary(sym.pairing, sym.phases)
             assert np.array_equal(rf.extend(spec, sym).induced, ref)
             unitary = SymmetrySpec(kind="unitary", phases=sym.phases)
             assert np.array_equal(rf.extend(spec, unitary).induced, dense.induced_unitary(sym.phases))
@@ -181,8 +177,9 @@ def random_slot_action(rng):
     phases = [p for eta in etas for p in (eta, eta.conjugate())]
     spec = validate_spectrum([(f"m{k}", w) for k, w in enumerate(omegas)])
     action = SlotAction(tuple(source), tuple(phases))
-    # slot_action reads only the phase count (alignment) and the action
-    return spec, SimpleNamespace(kind="unitary", phases=(1.0 + 0j,) * n, action=action)
+    # slot_action reads only the phase count and pairing (alignment) and the action
+    fake = SimpleNamespace(kind="unitary", phases=(1.0 + 0j,) * n, pairing=None, action=action)
+    return spec, fake
 
 
 class TestCycleEigenbasis:
@@ -259,7 +256,7 @@ class TestExtendedKernel:
     def test_conjugation_off_diagonal_combination(self):
         # +-1 eigenphases rotate into (K_0 +- K_pi)/2 blocks
         s = validate_spectrum([("k0", 1.1)])
-        ext = rf.extend(s, conjugation_sym("k0"))
+        ext = rf.extend(s, conjugation_sym())
         beta, t, time_s = 1.0, 0.7, 0.2
         block = dense.extended_kernel(ext, beta, t, time_s)
         k0 = co.kernel_closed_form(1.1, 0.0, beta, t, time_s)
@@ -270,7 +267,7 @@ class TestExtendedKernel:
     def test_sampled_grid_positive_definite_both_kinds(self):
         s = validate_spectrum([("a", 0.8)])
         unitary = SymmetrySpec(kind="unitary", phases=(cmath.exp(1.3j),))
-        for sym in (unitary, conjugation_sym("a")):
+        for sym in (unitary, conjugation_sym()):
             grid = dense.extended_kernel_grid(rf.extend(s, sym), 1.0, 10)
             assert np.abs(grid - grid.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(grid).min() > 0.0

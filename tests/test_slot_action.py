@@ -1,7 +1,7 @@
 """The one slot-action normal form that every route reads, for both kinds.
 
 The expected rules here, in ``tests/dense.py`` and in the symmetry suite
-are written from the raw ``phases``/``partners``, never from the normal
+are written from the raw ``phases``/``pairing``, never from the normal
 form, so a broken normalization cannot pass by agreeing with itself.
 """
 
@@ -23,14 +23,8 @@ from twistkit.spectrum import SlotAction, SymmetrySpec, parse_config, slot_actio
 ANTI_GOLDEN = str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
 
 
-def anti(phases, partners):
-    labels = tuple(f"k{i}" for i in range(len(phases)))
-    return SymmetrySpec(
-        kind="antiunitary",
-        phases=tuple(phases),
-        labels=labels,
-        partners=tuple(labels[j] for j in partners),
-    )
+def anti(phases, pairing):
+    return SymmetrySpec(kind="antiunitary", phases=tuple(phases), pairing=tuple(pairing))
 
 
 class TestNormalForm:
@@ -85,13 +79,13 @@ def twisted_configs(draw):
         sym = SymmetrySpec(kind="unitary", phases=tuple(phases))
     else:
         order = draw(st.permutations(range(m)))
-        partners = list(range(m))
+        pairing = list(range(m))
         for i in range(draw(st.integers(min_value=0, max_value=m // 2))):
             a, b = order[2 * i], order[2 * i + 1]
-            partners[a], partners[b] = b, a
+            pairing[a], pairing[b] = b, a
             omegas[b] = omegas[a]
-        sym = anti(phases, partners)
-    spectrum = validate_spectrum(list(zip(sym.labels or [f"k{i}" for i in range(m)], omegas)))
+        sym = anti(phases, pairing)
+    spectrum = validate_spectrum([(f"k{i}", w) for i, w in enumerate(omegas)])
     beta = math.exp(draw(st.floats(min_value=math.log(0.05), max_value=math.log(5.0))))
     return spectrum, sym, beta
 
@@ -199,10 +193,10 @@ class TestRoutesReadTheAction:
 
     def test_misaligned_spec_is_a_config_error_before_the_action_is_read(self):
         # The action exists only for a spec aligned with the spectrum, so a
-        # misaligned one is rejected as such, whatever its kind; config files
-        # are already rejected at load time.
+        # misaligned one (two phases for one mode) is rejected as such,
+        # whatever its kind; config files are already rejected at load time.
         single = validate_spectrum([("a", 0.8)])
-        for sym in (anti((1j,), [0]), SymmetrySpec(kind="unitary", phases=(1j, 1j))):
+        for sym in (anti((1j, 1j), [1, 0]), SymmetrySpec(kind="unitary", phases=(1j, 1j))):
             with pytest.raises(ConfigError):
                 correlation.kernel_oracle(single, sym, 1.0, 0.3, 0.1, 40)
             with pytest.raises(ConfigError):

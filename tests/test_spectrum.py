@@ -85,8 +85,7 @@ class TestSymmetrySpec:
             SymmetrySpec(
                 kind="antiunitary",
                 phases=(1.0 + 0j,) * 3,
-                labels=("a", "b", "c"),
-                partners=("b", "c", "a"),
+                pairing=(1, 2, 0),
             )
 
     def test_angles_of_real_phases(self):
@@ -139,7 +138,7 @@ class TestConfig:
             },
         }
         _, sym = parse_config(doc)
-        assert sym.partners == ("b", "a")
+        assert sym.pairing == (1, 0)
 
     def test_pairing_must_preserve_omega(self):
         doc = {
