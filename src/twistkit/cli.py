@@ -9,11 +9,12 @@ from its (omega, theta) columns, :func:`twistkit.correlation.sample_kernels`
 and write it with the one exporter,
 :func:`twistkit.correlation.export_kernel_csv`; ``kernel --verify`` ties
 the exported lag values to the closed-form grid spectrum and checks its
-positivity on either route.  Exit codes: 0 success, 1 assertion failure, 2
-parse, usage or out-of-domain input, 3 capacity exceeded, 4 a result
-outside the float range (RangeError), 5 an internal consistency check
-failed.  All numeric output uses fixed 17-significant-digit lowercase
-scientific formatting so identical inputs produce byte-identical output.
+positivity on either route (and the exported eigenbasis on the extended
+one).  Exit codes: 0 success, 1 assertion failure, 2 parse, usage or
+out-of-domain input, 3 capacity exceeded, 4 a result outside the float
+range (RangeError), 5 an internal consistency check failed.  All numeric
+output uses fixed 17-significant-digit lowercase scientific formatting so
+identical inputs produce byte-identical output.
 
 ``partition``, ``spectrum gen`` and ``kernel`` (with or without
 ``--extended``, with or without ``--verify``) import no numpy:
@@ -131,9 +132,12 @@ def _cmd_kernel(args) -> int:
             raise ConfigError("--mode picks one scalar kernel; --extended exports every mode")
         from . import realfield
 
-        sampled = realfield.sample_extended_kernel(realfield.extend(spectrum, sym), beta, args.grid)
+        ext = realfield.extend(spectrum, sym)
+        sampled = realfield.sample_extended_kernel(ext, beta, args.grid)
         correlation.export_kernel_csv(args.output, sampled)
         print(f"wrote extended kernel grid to {args.output}")
+        if args.verify:
+            checks = verify.eigenbasis_checks(ext, sampled)
     elif not action.diagonal:
         raise KindError(
             "a symmetry that moves slots (not one phase per mode) "

@@ -34,7 +34,10 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Optional, Sequence
 
-UNIT_MODULUS_TOL = 1e-12
+#: Largest ||p| - 1| of a phase: U moves an inner product of states of occupation
+#: sum n by up to (1 + tol)^{2n} - 1 ~ 2 n tol, and the Fock oracle reaches n = 28
+#: (M = 2, cutoff 8), so 2 * 28 * 1e-14 stays below the 1e-12 of the checks on U.
+UNIT_MODULUS_TOL = 1e-14
 
 UNITARY = "unitary"
 ANTIUNITARY = "antiunitary"
@@ -96,8 +99,8 @@ class SymmetrySpec:
     ):
         if kind not in (UNITARY, ANTIUNITARY):
             raise ConfigError(f"unknown symmetry kind {kind!r}")
-        for p in phases:
-            if not abs(abs(p) - 1.0) <= UNIT_MODULUS_TOL:  # a NaN component fails too
+        for p in phases:  # a non-number has no __abs__; a NaN component fails too
+            if not (hasattr(p, "__abs__") and abs(abs(p) - 1.0) <= UNIT_MODULUS_TOL):
                 raise ConfigError(f"phase {p!r} is not unit modulus")
         if kind == ANTIUNITARY:
             if pairing is None:

@@ -9,7 +9,7 @@ closed-form spectra of their twisted-circulant eigenmode grids, never a
 dense grid: positivity reads the closed form (an empty layout is
 vacuously positive), and a pure-Python transform of the exported lag
 values ties them to it.  The ``realfield`` suite reads its sector-mixing
-blocks from the same sampled layout.  The ``kernel`` suite's resolvent
+blocks and its eigenbasis (:func:`eigenbasis_checks`) from the same layout.  The ``kernel`` suite's resolvent
 check reads the eigenmode residual of the 128-point grid from one sum of
 its lag values, and it is two-sided: the residual must match its closed
 form, not merely stay below it.
@@ -364,6 +364,7 @@ def kernel_agreement(
     fourier, fourier_tail = correlation.kernel_fourier(omega, theta, beta, m, 4000)
     worst_oracle = worst_fourier = 0.0
     for d in lags:
+        partition._require_count(d, 1 - m, "lag")
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         closed = correlation.kernel_closed_form(omega, theta, beta, t, s)
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
@@ -491,6 +492,34 @@ def suite_kernel(
     return results
 
 
+def _worst(defects: Iterable[float]) -> float:
+    """The largest defect, or NaN if any is NaN (``max`` alone may drop it)."""
+    return max(defects, key=lambda d: (d != d, d), default=0.0)
+
+
+def eigenbasis_checks(
+    ext: realfield.ExtendedSpectrum, sampled: correlation.SampledKernel
+) -> list[CheckResult]:
+    """U W = W Lambda and W* W = I on each block (indices, columns) of the
+    exported basis ``sampled.basis``, with lambda_c = e^{-i theta_c} from
+    ``sampled.thetas`` and U e_b = u_b e_sigma(b) from ``ext.images``: the
+    largest |U w - lambda w| entry per column and |W* W - I| entry per block,
+    at 1e-12, far above an L-term rounding and far below a wrong coefficient."""
+    eigenpairs, gram = [], []
+    for indices, columns in sampled.basis:
+        for c, w in zip(indices, columns):
+            lam = cmath.rect(1.0, -sampled.thetas[c])
+            residual = {b: -lam * w_b for b, w_b in zip(indices, w)}  # U w may leave the block
+            for b, w_b in zip(indices, w):
+                target, u = ext.images[b]
+                residual[target] = residual.get(target, 0j) + u * w_b
+            eigenpairs += map(abs, residual.values())
+            gram += [abs(sum([a.conjugate() * b for a, b in zip(w, x)], 0j) - (x is w))
+                     for x in columns]  # <w, x> - delta
+    return [CheckResult("realfield", "U W = W Lambda", _worst(eigenpairs), 1e-12),
+            CheckResult("realfield", "W* W = I", _worst(gram), 1e-12)]
+
+
 def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
     """J(c, d) = (conj(d), conj(c)): the conjugate of the half-swap."""
     import numpy as np
@@ -598,7 +627,8 @@ def suite_realfield(
         results.append(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
-    return results + sampled_kernel_checks(sampled) + doubled_field_checks(ext, sym, seed=seed)
+    results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
+    return results + doubled_field_checks(ext, sym, seed=seed)
 
 
 _SUITE_FUNCS: dict[str, Callable] = {

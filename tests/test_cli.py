@@ -14,7 +14,7 @@ import twistkit
 from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import (
-    ModeSpectrum, SymmetrySpec, load_config, parse_config, spectrum_to_config,
+    UNIT_MODULUS_TOL, ModeSpectrum, SymmetrySpec, load_config, parse_config, spectrum_to_config,
     twisted_circle_spectrum, validate_spectrum,
 )
 
@@ -421,7 +421,8 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     for module, names in (
         (correlation, ("KernelGrid", "kernel_grid", "apply_inverse", "_twisted_fft",
                        "verify_resolvent", "BOUNDARY_TOL", "TwistedKernel", "write_kernel_csv")),
-        (realfield, ("extended_kernel", "extended_kernel_grid", "export_extended_kernel_csv")),
+        (realfield, ("extended_kernel", "extended_kernel_grid", "export_extended_kernel_csv",
+                     "UNITARITY_TOL", "_worst")),
         (errors, ("PreconditionError",)),
     ):
         for name in names:
@@ -454,6 +455,23 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert imported and not [name for name in imported if name.startswith("_")]
     # the eigenmode columns are built in one helper, which samples them
     assert inspect.getsource(realfield).count("sample_kernels(") == 1
+    # extend only builds: the eigenbasis it exports is checked in verify, and
+    # the one InternalConsistencyError left is z_via_realfield's realness guard
+    extend = ast.parse(inspect.getsource(realfield.extend))
+    assert not [node for node in ast.walk(extend) if isinstance(node, ast.Raise)]
+    assert _raisers("InternalConsistencyError") == {"realfield.z_via_realfield"}
+
+
+def _raisers(error):
+    """Qualified names of the package functions whose body raises ``error``."""
+    return {
+        f"{path.stem}.{func.name}"
+        for path in Path(twistkit.__file__).parent.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and error in ast.unparse(node)
+    }
 
 
 def _label_index_callers():
@@ -610,17 +628,50 @@ class TestRangeExitCodes:
             assert "outside the float range" in capsys.readouterr().err
         assert not recwarn.list
 
-    def test_internal_consistency_exits_5(self, anti_config, tmp_path, monkeypatch, capsys):
-        from twistkit.errors import InternalConsistencyError
+    def test_internal_consistency_exits_5(self, anti_config, monkeypatch, capsys):
+        # eigenphases not closed under conjugation give the doubled-theory
+        # route a complex Z: the realness guard of z_via_realfield, the one
+        # place InternalConsistencyError is raised
+        extend = realfield.extend
 
-        def broken(spectrum, sym):
-            raise InternalConsistencyError("induced matrix not unitary (1.000e+00)")
+        def turned(spectrum, sym):
+            ext = extend(spectrum, sym)
+            ext.phases = (1j * ext.phases[0], *ext.phases[1:])
+            return ext
 
-        monkeypatch.setattr(realfield, "extend", broken)
-        args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
-                "--output", str(tmp_path / "k.csv"), "--extended"]
-        assert main(args) == 5
-        assert "not unitary" in capsys.readouterr().err
+        monkeypatch.setattr(realfield, "extend", turned)
+        assert main(["verify", "--config", anti_config, "--suite", "partition"]) == 5
+        assert "is not real" in capsys.readouterr().err
+
+
+class TestUnitModulusRule:
+    """A phase the spec accepts passes every check on U; one it refuses is
+    refused by every subcommand."""
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--beta", "1"], ["verify"], ["kernel", "--beta", "1", "--output", "k.csv"],
+        ["kernel", "--beta", "1", "--output", "k.csv", "--extended"],
+    ])
+    def test_phase_off_by_9e_13_exits_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path / "off.json", {
+            "modes": [{"label": "a", "omega": 1.0}],
+            "symmetry": {"kind": "unitary", "phases": [{"re": 1.0 + 9e-13, "im": 0.0}]},
+        })
+        argv = [str(tmp_path / a) if a == "k.csv" else a for a in argv]
+        assert main(argv + ["--config", cfg]) == 2
+        assert "not unit modulus" in capsys.readouterr().err
+        assert not (tmp_path / "k.csv").exists()
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
+    def test_phase_just_inside_passes_every_suite(self, tmp_path, capsys, n_modes, kind):
+        doc = bench_shaped_config(n_modes, kind, n_modes)
+        scale = 1.0 + 0.9 * UNIT_MODULUS_TOL
+        doc["symmetry"]["phases"] = [{"re": scale * p["re"], "im": scale * p["im"]}
+                                     for p in doc["symmetry"]["phases"]]
+        cfg = write_config(tmp_path / "cfg.json", doc)
+        assert main(["verify", "--config", cfg, "--suite", "all"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestNaNIsRefused:
@@ -650,18 +701,26 @@ class TestNaNIsRefused:
     def test_nan_eigenbasis_fails_the_build_checks(self, anti_config, tmp_path, monkeypatch,
                                                    capsys):
         # a NaN root of the 2-cycle's phase product puts NaN in the eigenbasis
+        # and in its eigenphases, whose twist angles the sampled kernel refuses
+        # before a CSV is written
         monkeypatch.setattr(realfield, "_cycle_root", lambda r, length: complex("nan"))
+        output = tmp_path / "k.csv"
         args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
-                "--output", str(tmp_path / "k.csv"), "--extended"]
-        assert main(args) == 5
-        assert "(nan)" in capsys.readouterr().err
+                "--output", str(output), "--extended"]
+        for verify_flag in ([], ["--verify"]):
+            assert main(args + verify_flag) == 2
+            assert "theta must lie in [0, 2*pi)" in capsys.readouterr().err
+            assert not output.exists()
+        with pytest.raises(errors.DomainError):
+            verify.run_suite("realfield", *load_config(anti_config))
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-6, math.nan], ids=["scaled", "nan"])
 def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
     anti_config, tmp_path, monkeypatch, capsys, factor
 ):
-    # one coefficient of one eigenvector of the first cycle, off by 1e-6 or NaN
+    # one coefficient of one eigenvector of the first cycle, off by 1e-6 or NaN:
+    # extend builds it as it is, and the checks of the exported basis fail
     eigenpairs = realfield._cycle_eigenpairs
     seen = []
 
@@ -673,13 +732,15 @@ def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
         return pairs
 
     monkeypatch.setattr(realfield, "_cycle_eigenpairs", broken)
-    with pytest.raises(errors.InternalConsistencyError, match="orbit eigen"):
-        realfield.extend(*load_config(anti_config))
-    seen.clear()
     args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
-            "--output", str(tmp_path / "k.csv"), "--extended"]
-    assert main(args) == 5
-    assert capsys.readouterr().err.startswith("error: orbit eigen")
+            "--output", str(tmp_path / "k.csv"), "--extended", "--verify"]
+    assert main(args) == 1
+    failed = ("U W = W Lambda", "W* W = I")
+    assert [line.split(" (")[0] for line in capsys.readouterr().err.splitlines()] == [
+        f"[FAIL] realfield: {name}" for name in failed]
+    seen.clear()
+    results = verify.run_suite("realfield", *load_config(anti_config))
+    assert tuple(r.name for r in results if not r.passed) == failed
 
 
 #: The documented exit code of each error class (see the ``cli`` docstring).
@@ -785,6 +846,16 @@ REFUSALS = {
     "FockSpace-fractional-cutoff": (lambda: fock.FockSpace(ONE_MODE, 2.5), errors.ConfigError),
     "SymmetrySpec-fractional-pairing": (
         lambda: SymmetrySpec(kind="antiunitary", phases=(1j,), pairing=(0.0,)), errors.ConfigError),
+    "SymmetrySpec-string-phase": (
+        lambda: SymmetrySpec(kind="unitary", phases=("a",)), errors.ConfigError),
+    "kernel_agreement-fractional-lag": (
+        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [0.5]), errors.DomainError),
+    "kernel_agreement-string-lag": (
+        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, ["1"]), errors.DomainError),
+    "kernel_agreement-lag-m": (
+        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [4]), errors.DomainError),
+    "kernel_agreement-lag-minus-m": (
+        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [-4]), errors.DomainError),
 }
 
 
@@ -800,6 +871,12 @@ def test_integer_cutoffs_are_accepted():
     sym = SymmetrySpec(kind="antiunitary", phases=(1j, 1j), pairing=(np.int64(1), np.int64(0)))
     assert sym.action.source == SymmetrySpec(kind="antiunitary", phases=(1j, 1j),
                                              pairing=(1, 0)).action.source
+
+    def agreement(lags):
+        worst, checks = verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, lags)
+        return worst, [c.deviation for c in checks]
+
+    assert agreement([np.int64(-3), True]) == agreement([-3, 1])
 
 
 @pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
@@ -1105,9 +1182,10 @@ class TestDoubledFieldChecks:
 
         monkeypatch.setattr(realfield, "extend", conjugated)
         spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
-        failed = [r for r in verify.run_suite("realfield", spectrum, sym) if not r.passed]
-        assert [r.name for r in failed] == ["doubled-field oracle: symmetry_covariance"]
-        assert failed[0].deviation > 1.0
+        failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
+                  if not r.passed}
+        assert list(failed) == ["U W = W Lambda", "doubled-field oracle: symmetry_covariance"]
+        assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
 
 
 def test_no_environment_knobs():

@@ -142,7 +142,7 @@ class TestNormalFormIsNotCircular:
         try:
             return not all(r.passed for r in verify.run_suite(suite, spectrum, sym))
         except InternalConsistencyError:
-            return True  # extend's build-time check; the CLI exits 5
+            return True  # z_via_realfield's realness guard; the CLI exits 5
 
     def test_conjugated_slot_phase_fails_dense_and_suites(self, monkeypatch):
         spec = validate_spectrum([("k0", 0.8), ("k1", 0.8), ("k2", 1.3)])
