@@ -9,10 +9,11 @@ closed-form spectra of their twisted-circulant eigenmode grids, never a
 dense grid: positivity reads the closed form (an empty layout is
 vacuously positive), and a pure-Python transform of the exported lag
 values ties them to it.  The ``realfield`` suite reads its sector-mixing
-blocks and its eigenbasis (:func:`eigenbasis_checks`) from the same layout.  The ``kernel`` suite's resolvent
-check reads the eigenmode residual of the 128-point grid from one sum of
-its lag values, and it is two-sided: the residual must match its closed
-form, not merely stay below it.
+blocks and its eigenbasis (:func:`eigenbasis_checks`) from the same
+layout.  The ``kernel`` suite's resolvent check reads the eigenmode
+residual of the 128-point grid from one sum of its lag values, and it is
+two-sided: the residual must match its closed form, not merely stay below
+it.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` (:func:`doubled_field_checks`, the real-time field of the
