@@ -197,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument(
         "--beta", type=float, action="append", required=True, help="inverse temperature"
     )
-    p_part.add_argument("--cutoff", type=int, default=40, help="oracle occupation cutoff")
+    p_part.add_argument(
+        "--cutoff", type=int, default=verify.PARTITION_CUTOFF, help="oracle occupation cutoff"
+    )
     p_part.set_defaults(func=_cmd_partition)
 
     p_kern = sub.add_parser("kernel", help="export sampled twisted kernels as CSV")

@@ -11,7 +11,9 @@ lags of a grid: :func:`kernel_fourier` gives the partial sum at every lag
 of the m-point grid at once, folding its coefficients by n mod m, and
 :func:`kernel_oracle` keeps the truncated geometric sums of the last
 kernel it evaluated, so a kernel's oracle work is done once, not once per
-point.
+point.  Only :mod:`twistkit.verify` and the benchmark's checks call them.
+The Fock trace's one-oscillator sum, :func:`geometric_log_derivative`,
+sits beside :func:`kernel_oracle`, its one caller.
 
 On the uniform grid t_j = j*beta/m the sampled kernel depends only on
 the lag: K(t_i, t_j) = v[i - j] for i >= j, with v[d] = K(d*beta/m, 0),
@@ -38,7 +40,9 @@ distinct formatted blocks at a time (:func:`export_kernel_csv`).
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
 at theta = 0 once beta*omega^2 < ~1e-308); a representable near-degenerate
-kernel (|1 - e^{-beta*omega} e^{+-i*theta}| < 1e-8) warns instead.
+kernel (|1 - e^{-beta*omega} e^{+-i*theta}| < 1e-8) warns instead.  A
+sampled block with a non-finite entry, which only a broken basis gives, is
+refused by the exporter with InternalConsistencyError (exit 5).
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ import cmath
 import math
 import warnings
 
-from .errors import ConfigError, DomainError, KindError, RangeError
-from .partition import _require_beta, _require_count, geometric_log_derivative
+from .errors import ConfigError, DomainError, InternalConsistencyError, KindError, RangeError
+from .partition import _require_beta, _require_count
 from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
 
 TYPE_CHECKING = False
@@ -182,6 +186,18 @@ def kernel_fourier(
     return values, tail
 
 
+def geometric_log_derivative(y: complex, cutoff: int) -> complex:
+    """S_N'(y)/S_N(y), S_N(y) = sum_{n=0}^{N} y^n, by one Horner pass that
+    carries the derivative: <alpha alpha*> of one oscillator truncated at N
+    with Boltzmann-and-twist weight y."""
+    _require_count(cutoff, 0, "occupation cutoff")
+    acc = slope = 0.0 + 0.0j
+    for _ in range(cutoff + 1):
+        slope = acc + y * slope
+        acc = 1.0 + y * acc
+    return slope / acc
+
+
 #: The last Fock-trace pair of :func:`kernel_oracle`, keyed by (rho, x,
 #: cutoff): a check evaluates one kernel at many points.
 _oracle_memo: list = [None, None]
@@ -201,11 +217,11 @@ def kernel_oracle(
     places the conjugate field first (phibar(s) phi(t)); t < s gives
     phi(t) phibar(s).  The trace factorizes over the two charge
     oscillators, so each expectation is a truncated geometric sum ratio,
-    :func:`twistkit.partition.geometric_log_derivative`; the result is
-    identical to building dense matrices at the same cutoff (asserted in
-    tests), but scales to the large cutoffs the tail bound needs.  The two
-    sums depend on (rho, x, cutoff) only, and the last pair is kept, so
-    repeated points of one kernel cost no further sums.
+    :func:`geometric_log_derivative`; the result is identical to building
+    dense matrices at the same cutoff (asserted in tests), but scales to
+    the large cutoffs the tail bound needs.  The two sums depend on (rho,
+    x, cutoff) only, and the last pair is kept, so repeated points of one
+    kernel cost no further sums.
 
     The growing factor e^{omega |tau|} multiplies an expectation
     <alpha* alpha> = c x <alpha alpha*>, with x = e^{-beta omega} and c the
@@ -396,9 +412,13 @@ def export_kernel_csv(path, sampled: SampledKernel) -> None:
     col_sector on every row, and each (t, s) block is one write, t,s +
     row_0 + t,s + row_1 ...; a layout without columns has no rows.  Output
     is deterministic ASCII: fixed row order, 17-significant-digit lowercase
-    scientific floats, LF line endings."""
+    scientific floats, LF line endings.  A block entry that is not finite
+    (the lag values are, so only a broken basis gives one) is refused with
+    InternalConsistencyError before the file is opened."""
     sectors = sampled.basis is not None or len(sampled.thetas) != 1
     blocks = sampled.blocks()
+    if not all(cmath.isfinite(z) for block in blocks for z in block):
+        raise InternalConsistencyError("sampled kernel block has a non-finite entry")
     m, n = len(blocks), len(sampled.thetas)
     keys = [f",{a},{b}".encode() if sectors else b"" for a in range(n) for b in range(n)]
     transpose = [b * n + a for a in range(n) for b in range(n)]

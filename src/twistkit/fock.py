@@ -37,8 +37,9 @@ needs ``numpy.random``.
 
 The truncated traces of the partition-function oracle need no state
 tensors: they are products over the cycles of the slot action, kept with
-their tail bounds in :mod:`twistkit.partition`, which imports no numpy.
-``truncation_tail_bound`` is re-exported here for ``bench/checks.py`` only.
+their tail bounds beside their one caller in :mod:`twistkit.verify`,
+which imports no numpy at module level.  ``truncation_tail_bound`` is
+re-exported here for ``bench/checks.py`` only.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, RangeError
 from .partition import _require_count
-from .partition import truncation_tail_bound  # re-exported for bench/checks.py
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
+from .verify import truncation_tail_bound  # re-exported for bench/checks.py
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

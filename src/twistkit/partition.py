@@ -7,10 +7,10 @@ positive but overflows or underflows a float raises RangeError instead of
 returning inf, 0 or nan.  The twisted product runs over the cycles of the
 symmetry's :class:`twistkit.spectrum.SlotAction`, for either kind.
 
-The truncated traces, the oracle the closed forms are checked against, and
-their truncation tail bounds are here too: they are scalar products over
-the same cycles, so this module needs nothing beyond ``math`` and
-``cmath``.
+The module holds closed forms and input guards only, on ``math`` and
+``cmath``.  The oracles the closed forms are checked against, the
+truncated traces and their tail bounds, live beside their one caller,
+:func:`twistkit.verify.partition_row`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import math
 
 from .errors import DomainError, RangeError
 from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Optional
 
 #: Below this value a twisted partition function is reported as
 #: suspiciously small (flagged, not failed): positivity holds for all
@@ -119,73 +115,3 @@ def _require_count(n: int, least: int, what: str, error: type = DomainError) -> 
     numpy integers pass and 2.0 does not."""
     if not hasattr(n, "__index__") or n < least:
         raise error(f"{what} must be an integer >= {least}, got {n}")
-
-
-def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
-    """Relative error of the occupation-truncated untwisted trace.
-
-    The truncated trace is Z prod_k (1 - exp(-beta*omega_k*(N+1)))**2, so
-    its relative error is 1 minus that product, +0.0 (never -0.0) where
-    nothing is dropped.  Twisted traces need :func:`twisted_tail_bound`.
-    """
-    _require_beta(beta)
-    _require_count(cutoff, 0, "occupation cutoff")
-    log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
-    return 0.0 - math.expm1(log_keep)
-
-
-def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
-    """Relative-error bound for the occupation-truncated trace of any twist.
-
-    The truncated trace is Z prod_cycles (1 - (r x^L)^{N+1}), and a cycle
-    of length L has |r x^L|^{N+1} <= x^{N+1} for each of its L slots, so
-    the trace lies within prod_k (1 + exp(-beta*omega_k*(N+1)))**2 - 1 of
-    Z, relative.  A phase r^{N+1} = -1 reaches it.
-    """
-    _require_beta(beta)
-    _require_count(cutoff, 0, "occupation cutoff")
-    return math.expm1(2.0 * sum(math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas))
-
-
-def _truncated_geometric(y: complex, cutoff: int) -> complex:
-    """sum_{n=0}^{N} y^n by literal accumulation (Horner)."""
-    acc = 0.0 + 0.0j
-    for _ in range(cutoff + 1):
-        acc = 1.0 + y * acc
-    return acc
-
-
-def geometric_log_derivative(y: complex, cutoff: int) -> complex:
-    """S_N'(y)/S_N(y), S_N(y) = sum_{n=0}^{N} y^n, by one Horner pass that
-    carries the derivative: <alpha alpha*> of one oscillator truncated at N
-    with Boltzmann-and-twist weight y."""
-    _require_count(cutoff, 0, "occupation cutoff")
-    acc = slope = 0.0 + 0.0j
-    for _ in range(cutoff + 1):
-        slope = acc + y * slope
-        acc = 1.0 + y * acc
-    return slope / acc
-
-
-def partition_trace(
-    spectrum: ModeSpectrum,
-    sym: Optional[SymmetrySpec],
-    beta: float,
-    cutoff: int,
-) -> complex:
-    """Truncated Tr(U exp(-beta H)) for either symmetry kind (or none),
-    factorized over the cycles of the slot action.
-
-    Only basis states constant on each cycle are fixed, so with
-    x = e^{-beta omega} and S_N the truncated geometric sum, a cycle of
-    length L and phase product r contributes S_N(r x^L), accumulated term
-    by term.  Equality with the basis sum and a dense trace is asserted in
-    the tests.
-    """
-    _require_beta(beta)
-    _require_count(cutoff, 0, "occupation cutoff")
-    total = 1.0 + 0.0j
-    for first, length, r in slot_action(spectrum, sym).cycles:
-        x = math.exp(-length * beta * spectrum.omegas[first // 2])
-        total *= _truncated_geometric(r * x, cutoff)
-    return complex(total)

@@ -32,9 +32,11 @@ sectors.
 The module holds closed forms only and runs on ``math`` and ``cmath``.
 The one numpy import is in the dense ``ExtendedSpectrum.induced``, built
 from the sparse image table when first read, by tests and the benchmark.
-The doubled-field oracle, which checks the real-time field of the doubled
-theory in the truncated Fock space, is
-:func:`twistkit.verify.doubled_field_checks`.
+The oracles that read this doubling live in :mod:`twistkit.verify`: the
+doubled-theory route to the partition function,
+:func:`twistkit.verify.z_via_realfield`, and the doubled-field oracle,
+which checks the real-time field of the doubled theory in the truncated
+Fock space, :func:`twistkit.verify.doubled_field_checks`.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ import math
 from functools import cached_property
 
 from .correlation import Basis, SampledKernel, kernel_twist_angle, sample_kernels
-from .errors import InternalConsistencyError, RangeError
-from .partition import _require_beta
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
 TYPE_CHECKING = False
@@ -161,29 +161,6 @@ def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
             phases[c] = lam
         basis.append((tuple(indices), tuple(tuple(w) for _, w in pairs)))
     return ExtendedSpectrum(spectrum, tuple(phases), tuple(basis), image)
-
-
-def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
-    """Partition function through the doubled-theory product formula.
-
-    One factor (1 - lambda_j e^{-beta omega_j})^{-1} per doubled mode.
-    For a unitary input the eigenphases are {conj(rho_k), rho_k} and this
-    reproduces the |1 - rho e^{-beta omega}|^{-2} product; for an
-    antiunitary input it is an independent route to the square-root
-    formula.
-    """
-    _require_beta(beta)
-    z = 1.0 + 0.0j
-    for w, lam in zip(ext.doubled_omegas(), ext.phases):
-        z /= 1.0 - lam * math.exp(-beta * w)
-    if z == 0.0 or not cmath.isfinite(z):
-        raise RangeError(f"real-field partition value {z} is outside the float range")
-    if abs(z) > 0.0 and abs(z.imag) > 1e-10 * abs(z):
-        raise InternalConsistencyError(
-            f"real-field partition value {z} is not real; "
-            "eigenphases are not conjugation-closed"
-        )
-    return z.real
 
 
 def sample_extended_kernel(ext: ExtendedSpectrum, beta: float, m: int) -> SampledKernel:

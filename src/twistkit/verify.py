@@ -15,6 +15,15 @@ residual of the 128-point grid from one sum of its lag values, and it is
 two-sided: the residual must match its closed form, not merely stay below
 it.
 
+The oracles of the partition function live here, beside their one caller,
+so no closed-form module reaches them: the truncated trace
+:func:`partition_trace` with its tail bounds :func:`truncation_tail_bound`
+and :func:`twisted_tail_bound`, read by :func:`partition_row` (at
+:data:`PARTITION_CUTOFF` in the ``partition`` suite and by default in the
+``partition`` subcommand), and the doubled-theory route
+:func:`z_via_realfield` of the ``partition`` suite, whose realness guard
+raises InternalConsistencyError (exit 5).
+
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` (:func:`doubled_field_checks`, the real-time field of the
 doubled theory) act with the matrix-free Fock oracle of
@@ -58,7 +67,8 @@ import math
 import sys
 
 from . import partition
-from .errors import ConfigError, DomainError, KindError, RangeError
+from .errors import ConfigError, DomainError, InternalConsistencyError, KindError, RangeError
+from .partition import _log_abs2_one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
 TYPE_CHECKING = False
@@ -69,6 +79,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from . import correlation, fock, realfield
+    from .realfield import ExtendedSpectrum
 
 #: Machine epsilon, 2^-52.
 _EPS = sys.float_info.epsilon
@@ -280,6 +291,69 @@ def suite_symmetry(
     return results
 
 
+#: Occupation cutoff of the truncated partition traces: the ``partition``
+#: subcommand's default and the ``partition`` suite's.
+PARTITION_CUTOFF = 40
+
+
+def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
+    """Relative error of the occupation-truncated untwisted trace.
+
+    The truncated trace is Z prod_k (1 - exp(-beta*omega_k*(N+1)))**2, so
+    its relative error is 1 minus that product, +0.0 (never -0.0) where
+    nothing is dropped.  Twisted traces need :func:`twisted_tail_bound`.
+    """
+    _require_beta(beta)
+    _require_count(cutoff, 0, "occupation cutoff")
+    log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
+    return 0.0 - math.expm1(log_keep)
+
+
+def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
+    """Relative-error bound for the occupation-truncated trace of any twist.
+
+    The truncated trace is Z prod_cycles (1 - (r x^L)^{N+1}), and a cycle
+    of length L has |r x^L|^{N+1} <= x^{N+1} for each of its L slots, so
+    the trace lies within prod_k (1 + exp(-beta*omega_k*(N+1)))**2 - 1 of
+    Z, relative.  A phase r^{N+1} = -1 reaches it.
+    """
+    _require_beta(beta)
+    _require_count(cutoff, 0, "occupation cutoff")
+    return math.expm1(2.0 * sum(math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas))
+
+
+def _truncated_geometric(y: complex, cutoff: int) -> complex:
+    """sum_{n=0}^{N} y^n by literal accumulation (Horner)."""
+    acc = 0.0 + 0.0j
+    for _ in range(cutoff + 1):
+        acc = 1.0 + y * acc
+    return acc
+
+
+def partition_trace(
+    spectrum: ModeSpectrum,
+    sym: Optional[SymmetrySpec],
+    beta: float,
+    cutoff: int,
+) -> complex:
+    """Truncated Tr(U exp(-beta H)) for either symmetry kind (or none),
+    factorized over the cycles of the slot action.
+
+    Only basis states constant on each cycle are fixed, so with
+    x = e^{-beta omega} and S_N the truncated geometric sum, a cycle of
+    length L and phase product r contributes S_N(r x^L), accumulated term
+    by term.  Equality with the basis sum and a dense trace is asserted in
+    the tests.
+    """
+    _require_beta(beta)
+    _require_count(cutoff, 0, "occupation cutoff")
+    total = 1.0 + 0.0j
+    for first, length, r in slot_action(spectrum, sym).cycles:
+        x = math.exp(-length * beta * spectrum.omegas[first // 2])
+        total *= _truncated_geometric(r * x, cutoff)
+    return complex(total)
+
+
 def partition_row(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float, cutoff: int
 ) -> tuple[tuple[float, ...], list[CheckResult]]:
@@ -295,16 +369,16 @@ def partition_row(
     """
     z = z_plain = partition.z_untwisted(spectrum, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
-    tail = partition.truncation_tail_bound(spectrum, beta, cutoff)
-    trace = partition.partition_trace(spectrum, None, beta, cutoff)
+    tail = truncation_tail_bound(spectrum, beta, cutoff)
+    trace = partition_trace(spectrum, None, beta, cutoff)
     # (route, closed form, truncated trace, threshold)
     routes = [("untwisted product formula", z, trace, tail + 1e-10)]
     if sym is not None:
         diagonal = slot_action(spectrum, sym).diagonal
         name = "unitary product formula" if diagonal else "antiunitary square-root identity"
         z = partition.z_twisted(spectrum, sym, beta)
-        trace = partition.partition_trace(spectrum, sym, beta, cutoff)
-        twisted_tail = partition.twisted_tail_bound(spectrum, beta, cutoff)
+        trace = partition_trace(spectrum, sym, beta, cutoff)
+        twisted_tail = twisted_tail_bound(spectrum, beta, cutoff)
         routes.append((name, z, trace, twisted_tail + 1e-10))
     checks = [
         CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, threshold)
@@ -317,17 +391,40 @@ def partition_row(
     return (beta, z_plain, z, bound, trace.real, rel, tail), checks
 
 
+def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
+    """Partition function through the doubled-theory product formula.
+
+    One factor (1 - lambda_j e^{-beta omega_j})^{-1} per doubled mode.
+    For a unitary input the eigenphases are {conj(rho_k), rho_k} and this
+    reproduces the |1 - rho e^{-beta omega}|^{-2} product; for an
+    antiunitary input it is an independent route to the square-root
+    formula.
+    """
+    _require_beta(beta)
+    z = 1.0 + 0.0j
+    for w, lam in zip(ext.doubled_omegas(), ext.phases):
+        z /= 1.0 - lam * math.exp(-beta * w)
+    if z == 0.0 or not cmath.isfinite(z):
+        raise RangeError(f"real-field partition value {z} is outside the float range")
+    if abs(z) > 0.0 and abs(z.imag) > 1e-10 * abs(z):
+        raise InternalConsistencyError(
+            f"real-field partition value {z} is not real; "
+            "eigenphases are not conjugation-closed"
+        )
+    return z.real
+
+
 def suite_partition(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
     beta = 1.0
-    columns, results = partition_row(spectrum, sym, beta, cutoff=40)
+    columns, results = partition_row(spectrum, sym, beta, cutoff=PARTITION_CUTOFF)
     z = columns[2]
     if not slot_action(spectrum, sym).diagonal:
         from . import realfield
 
         ext = realfield.extend(spectrum, sym)
-        z_rf = realfield.z_via_realfield(ext, beta)
+        z_rf = z_via_realfield(ext, beta)
         results.append(
             CheckResult(
                 "partition",
@@ -365,13 +462,13 @@ def kernel_agreement(
     fourier, fourier_tail = correlation.kernel_fourier(omega, theta, beta, m, 4000)
     worst_oracle = worst_fourier = 0.0
     for d in lags:
-        partition._require_count(d, 1 - m, "lag")
+        _require_count(d, 1 - m, "lag")
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         closed = correlation.kernel_closed_form(omega, theta, beta, t, s)
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
         worst_oracle = max(worst_oracle, abs(closed - oracle))
         worst_fourier = max(worst_fourier, abs(closed - fourier[d]))
-    tail = partition.truncation_tail_bound(single, beta, cutoff)
+    tail = truncation_tail_bound(single, beta, cutoff)
     checks = [
         CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8),
         CheckResult("kernel", "closed form vs Fourier partial sum", worst_fourier, fourier_tail),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dense
-from twistkit import correlation as co, partition, realfield as rf
+from twistkit import correlation as co, partition, realfield as rf, verify
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -27,7 +27,7 @@ def announce(capsys, number, label, ok, detail=""):
 
 def cutoff_for_tail(spectrum, beta, target=1e-10):
     n = 2
-    while partition.truncation_tail_bound(spectrum, beta, n) >= target:
+    while verify.truncation_tail_bound(spectrum, beta, n) >= target:
         n += 5
     return n
 
@@ -49,9 +49,9 @@ def test_criterion_1_product_formula_equivalence(capsys):
         )
         for beta in (0.5, 1.0, 2.0):
             n = cutoff_for_tail(spec, beta)
-            tail = partition.truncation_tail_bound(spec, beta, n)
+            tail = verify.truncation_tail_bound(spec, beta, n)
             z = partition.z_twisted(spec, sym, beta)
-            oracle = partition.partition_trace(spec, sym, beta, n)
+            oracle = verify.partition_trace(spec, sym, beta, n)
             rel = abs(z - oracle) / z
             worst = max(worst, rel - tail)
     elapsed = time.monotonic() - start
@@ -91,7 +91,7 @@ def test_criterion_3_antiunitary_identity(capsys):
         kind="antiunitary", phases=(1.0 + 0j,), pairing=(0,)
     )
     z1 = partition.z_twisted(spec1, sym1, 1.0)
-    oracle1 = partition.partition_trace(spec1, sym1, 1.0, 40)
+    oracle1 = verify.partition_trace(spec1, sym1, 1.0, 40)
     worst = max(worst, abs(z1 - 4.0 / 3.0), abs(z1 - oracle1) / z1)
     # worked example: two-mode swap, value 16/9
     spec2 = validate_spectrum([("a", LN2), ("b", LN2)])
@@ -102,8 +102,8 @@ def test_criterion_3_antiunitary_identity(capsys):
     )
     z2 = partition.z_twisted(spec2, sym2, 1.0)
     n2 = 30
-    oracle2 = partition.partition_trace(spec2, sym2, 1.0, n2)
-    tail2 = partition.truncation_tail_bound(spec2, 1.0, n2)
+    oracle2 = verify.partition_trace(spec2, sym2, 1.0, n2)
+    tail2 = verify.truncation_tail_bound(spec2, 1.0, n2)
     worst = max(worst, abs(z2 - 16.0 / 9.0), abs(z2 - oracle2) / z2 - tail2)
     # 50 random 2-mode pairings (both swap and fixed-point shapes)
     rng = np.random.default_rng(103)
@@ -125,8 +125,8 @@ def test_criterion_3_antiunitary_identity(capsys):
         )
         n = 30
         z = partition.z_twisted(spec, sym, 1.0)
-        oracle = partition.partition_trace(spec, sym, 1.0, n)
-        tail = partition.truncation_tail_bound(spec, 1.0, n)
+        oracle = verify.partition_trace(spec, sym, 1.0, n)
+        tail = verify.truncation_tail_bound(spec, 1.0, n)
         excess = max(excess, abs(z - oracle) / abs(z) - tail)
     ok = worst <= 1e-8 and excess <= 1e-8
     announce(capsys, 3, "antiunitary square-root identity", ok,
@@ -147,7 +147,7 @@ def test_criterion_4_kernel_three_way(capsys):
         spec = validate_spectrum([("m", omega)])
         sym = SymmetrySpec(kind="unitary", phases=(rho,))
         cutoff = 2500
-        tail = partition.truncation_tail_bound(spec, beta, cutoff)
+        tail = verify.truncation_tail_bound(spec, beta, cutoff)
         times = np.arange(8) * beta / 8
         # the Fourier sums at every lag (i - j) beta/8 of the grid
         four, ftail = co.kernel_fourier(omega, theta, beta, 8, 3000)
@@ -259,7 +259,7 @@ def test_criterion_7_doubled_space_consistency(capsys):
         )
         beta = float(rng.uniform(0.4, 2.0))
         z_sqrt = partition.z_twisted(spec, sym, beta)
-        z_rf = rf.z_via_realfield(rf.extend(spec, sym), beta)
+        z_rf = verify.z_via_realfield(rf.extend(spec, sym), beta)
         worst_z = max(worst_z, abs(z_sqrt - z_rf) / abs(z_sqrt))
     # extended kernel block structure and positivity
     spec_u = validate_spectrum([("a", 0.9), ("b", 1.4)])

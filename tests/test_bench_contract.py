@@ -15,7 +15,7 @@ import inspect
 import numpy as np
 import pytest
 
-from twistkit import cli, correlation, fock, partition, realfield
+from twistkit import cli, correlation, fock, realfield, verify
 from twistkit.spectrum import UNITARY, SymmetrySpec, parse_config, validate_spectrum
 
 SINGLE = validate_spectrum([("k", 0.7)])
@@ -39,7 +39,7 @@ def test_kernel_oracle_takes_single_sym_beta_t_s_cutoff():
     assert list(_bound(oracle, *args)) == ["spectrum", "sym", "beta", "t", "s", "cutoff"]
     theta = correlation.kernel_twist_angle(SINGLE_SYM.phases[0])
     closed = correlation.kernel_closed_form(0.7, theta, 1.3, 0.5, 0.2)
-    assert abs(oracle(*args) - closed) <= partition.truncation_tail_bound(SINGLE, 1.3, 800) + 1e-12
+    assert abs(oracle(*args) - closed) <= verify.truncation_tail_bound(SINGLE, 1.3, 800) + 1e-12
 
 
 def test_kernel_fourier_names_its_cutoff_n_cutoff():
@@ -56,7 +56,7 @@ def test_export_kernel_csv_names_its_first_parameter_path(tmp_path):
 
 def test_fock_reexports_the_truncation_tail_bound():
     bound = fock.truncation_tail_bound
-    assert bound is partition.truncation_tail_bound
+    assert bound is verify.truncation_tail_bound
     assert list(_bound(bound, SINGLE, 1.3, 800)) == ["spectrum", "beta", "cutoff"]
 
 

@@ -97,7 +97,7 @@ class TestPartitionCommand:
         assert main(args) == 0
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         spec, _ = load_config(anti_config)
-        assert row[6] == f"{partition.truncation_tail_bound(spec, 1.0, 12):.16e}"
+        assert row[6] == f"{verify.truncation_tail_bound(spec, 1.0, 12):.16e}"
 
     def test_twisted_row_checked_against_twisted_tail_bound(self, tmp_path, capsys):
         # rho = i, N = 1: trace / Z = (1 + x^2)^2, which is exactly the twisted
@@ -299,7 +299,7 @@ print(public, loaded, "numpy" in sys.modules, twistkit.__version__)
     for name in ("__all__", "__getattr__", "__dir__", "_EXPORTS", "_OWNER"):
         assert name not in vars(twistkit), name
     # bench/checks.py reads the tail bound through fock
-    assert fock.truncation_tail_bound is partition.truncation_tail_bound
+    assert fock.truncation_tail_bound is verify.truncation_tail_bound
 
 
 def test_every_public_name_has_a_package_caller():
@@ -363,10 +363,10 @@ class TestSharedChecksBite:
             # S_N(rho x)^2 where the trace has S_N(rho x) S_N(conj(rho) x)
             total = 1.0 + 0.0j
             for w, rho in zip(spectrum.omegas, sym.phases if sym else [1.0] * len(spectrum)):
-                total *= partition._truncated_geometric(rho * math.exp(-beta * w), cutoff) ** 2
+                total *= verify._truncated_geometric(rho * math.exp(-beta * w), cutoff) ** 2
             return total
 
-        monkeypatch.setattr(partition, "partition_trace", broken)
+        monkeypatch.setattr(verify, "partition_trace", broken)
         assert main(["partition", "--beta", "1"]) == 1
         assert "[FAIL] partition: unitary product formula" in capsys.readouterr().err
         assert main(["verify", "--suite", "partition"]) == 1
@@ -455,11 +455,46 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert imported and not [name for name in imported if name.startswith("_")]
     # the eigenmode columns are built in one helper, which samples them
     assert inspect.getsource(realfield).count("sample_kernels(") == 1
-    # extend only builds: the eigenbasis it exports is checked in verify, and
-    # the one InternalConsistencyError left is z_via_realfield's realness guard
+    # extend only builds: the eigenbasis it exports is checked in verify; an
+    # InternalConsistencyError is raised by z_via_realfield's realness guard
+    # and by the exporter's refusal of a non-finite block entry
     extend = ast.parse(inspect.getsource(realfield.extend))
     assert not [node for node in ast.walk(extend) if isinstance(node, ast.Raise)]
-    assert _raisers("InternalConsistencyError") == {"realfield.z_via_realfield"}
+    assert _raisers("InternalConsistencyError") == {
+        "verify.z_via_realfield", "correlation.export_kernel_csv"}
+
+
+#: The oracles of Z, moved out of the closed-form modules beside their one
+#: caller in verify (the Fock-trace kernel oracle's helper beside it in
+#: correlation).
+PARTITION_ORACLES = ("partition_trace", "_truncated_geometric", "truncation_tail_bound",
+                     "twisted_tail_bound", "geometric_log_derivative")
+
+
+def test_closed_form_modules_reach_no_oracle():
+    # spectrum, partition, correlation and realfield import neither verify
+    # nor fock, at any level (inside functions and under TYPE_CHECKING too),
+    # so no closed form can reach an oracle
+    package = Path(twistkit.__file__).parent
+    for stem in ("spectrum", "partition", "correlation", "realfield"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.update([node.module or "", *(a.name for a in node.names)])
+        assert not {n.rsplit(".", 1)[-1] for n in imported} & {"verify", "fock"}, stem
+    # the Z oracles are defined in verify, the kernel oracle's helper in
+    # correlation
+    defined = {
+        path.stem: {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(node, ast.FunctionDef)}
+        for path in package.glob("*.py")
+    }
+    assert not defined["partition"] & set(PARTITION_ORACLES)
+    assert "z_via_realfield" not in defined["realfield"]
+    assert {"z_via_realfield", *PARTITION_ORACLES[:4]} <= defined["verify"]
+    assert "geometric_log_derivative" in defined["correlation"]
 
 
 def _raisers(error):
@@ -720,7 +755,8 @@ def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
     anti_config, tmp_path, monkeypatch, capsys, factor
 ):
     # one coefficient of one eigenvector of the first cycle, off by 1e-6 or NaN:
-    # extend builds it as it is, and the checks of the exported basis fail
+    # extend builds it as it is, and the checks of the exported basis fail; a
+    # NaN reaches the blocks, so the export refuses it before a CSV is written
     eigenpairs = realfield._cycle_eigenpairs
     seen = []
 
@@ -732,12 +768,21 @@ def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
         return pairs
 
     monkeypatch.setattr(realfield, "_cycle_eigenpairs", broken)
+    output = tmp_path / "k.csv"
     args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
-            "--output", str(tmp_path / "k.csv"), "--extended", "--verify"]
-    assert main(args) == 1
+            "--output", str(output), "--extended"]
     failed = ("U W = W Lambda", "W* W = I")
-    assert [line.split(" (")[0] for line in capsys.readouterr().err.splitlines()] == [
-        f"[FAIL] realfield: {name}" for name in failed]
+    if math.isnan(factor):
+        for verify_flag in ([], ["--verify"]):
+            seen.clear()
+            assert main(args + verify_flag) == 5
+            assert capsys.readouterr().err == (
+                "error: sampled kernel block has a non-finite entry\n")
+            assert not output.exists()
+    else:
+        assert main(args + ["--verify"]) == 1
+        assert [line.split(" (")[0] for line in capsys.readouterr().err.splitlines()] == [
+            f"[FAIL] realfield: {name}" for name in failed]
     seen.clear()
     results = verify.run_suite("realfield", *load_config(anti_config))
     assert tuple(r.name for r in results if not r.passed) == failed
@@ -776,21 +821,21 @@ ANTI_PAIR = Path(__file__).parent / "golden" / "anti_pair_fixed.json"
 #: or a bare ZeroDivisionError), and the TwistkitError each now raises.
 REFUSALS = {
     "truncation_tail_bound-nan": (
-        lambda: partition.truncation_tail_bound(ONE_MODE, math.nan, 40), errors.DomainError),
+        lambda: verify.truncation_tail_bound(ONE_MODE, math.nan, 40), errors.DomainError),
     "twisted_tail_bound-nan": (
-        lambda: partition.twisted_tail_bound(ONE_MODE, math.nan, 40), errors.DomainError),
+        lambda: verify.twisted_tail_bound(ONE_MODE, math.nan, 40), errors.DomainError),
     "partition_trace-nan": (
-        lambda: partition.partition_trace(ONE_MODE, None, math.nan, 40), errors.DomainError),
+        lambda: verify.partition_trace(ONE_MODE, None, math.nan, 40), errors.DomainError),
     "partition_trace-negative": (
-        lambda: partition.partition_trace(ONE_MODE, None, -1.0, 40), errors.DomainError),
+        lambda: verify.partition_trace(ONE_MODE, None, -1.0, 40), errors.DomainError),
     "partition_trace-zero": (
-        lambda: partition.partition_trace(ONE_MODE, None, 0.0, 40), errors.DomainError),
+        lambda: verify.partition_trace(ONE_MODE, None, 0.0, 40), errors.DomainError),
     "z_untwisted-inf": (
         lambda: partition.z_untwisted(ONE_MODE, math.inf), errors.DomainError),
     "truncation_tail_bound-inf": (
-        lambda: partition.truncation_tail_bound(ONE_MODE, math.inf, 40), errors.DomainError),
+        lambda: verify.truncation_tail_bound(ONE_MODE, math.inf, 40), errors.DomainError),
     "geometric_log_derivative-cutoff": (
-        lambda: partition.geometric_log_derivative(0.5 + 0j, -1), errors.DomainError),
+        lambda: correlation.geometric_log_derivative(0.5 + 0j, -1), errors.DomainError),
     "kernel_oracle-cutoff": (
         lambda: correlation.kernel_oracle(ONE_MODE, None, 1.0, 0.5, 0.0, -1), errors.DomainError),
     "ModeSpectrum-nan": (
@@ -817,20 +862,20 @@ REFUSALS = {
     "kernel_closed_form-nan-omega": (
         lambda: correlation.kernel_closed_form(math.nan, 0.3, 1.0, 0.5, 0.0), errors.DomainError),
     "partition_trace-fractional-cutoff": (
-        lambda: partition.partition_trace(ONE_MODE, None, 1.0, 2.5), errors.DomainError),
+        lambda: verify.partition_trace(ONE_MODE, None, 1.0, 2.5), errors.DomainError),
     "geometric_log_derivative-fractional-cutoff": (
-        lambda: partition.geometric_log_derivative(0.5 + 0j, 2.5), errors.DomainError),
+        lambda: correlation.geometric_log_derivative(0.5 + 0j, 2.5), errors.DomainError),
     "truncation_tail_bound-fractional-cutoff": (
-        lambda: partition.truncation_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
+        lambda: verify.truncation_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
     "twisted_tail_bound-fractional-cutoff": (
-        lambda: partition.twisted_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
+        lambda: verify.twisted_tail_bound(ONE_MODE, 1.0, 2.5), errors.DomainError),
     "kernel_oracle-zero-beta": (
         lambda: correlation.kernel_oracle(ONE_MODE, None, 0.0, 0.0, 0.0, 8), errors.DomainError),
     "kernel_oracle-inf-beta": (
         lambda: correlation.kernel_oracle(ONE_MODE, None, math.inf, 0.2, 0.1, 8),
         errors.DomainError),
     "z_via_realfield-inf-beta": (
-        lambda: realfield.z_via_realfield(realfield.extend(*load_config(ANTI_PAIR)), math.inf),
+        lambda: verify.z_via_realfield(realfield.extend(*load_config(ANTI_PAIR)), math.inf),
         errors.DomainError),
     "sample_kernels-fractional-grid": (
         lambda: correlation.sample_kernels(1.0, [0.7], [0.3], 2.5), errors.DomainError),
@@ -861,8 +906,8 @@ REFUSALS = {
 
 def test_integer_cutoffs_are_accepted():
     # numpy integers carry __index__ and pass the cutoff and size guards like ints do
-    assert partition.partition_trace(ONE_MODE, None, 1.0, np.int64(3)) == (
-        partition.partition_trace(ONE_MODE, None, 1.0, 3))
+    assert verify.partition_trace(ONE_MODE, None, 1.0, np.int64(3)) == (
+        verify.partition_trace(ONE_MODE, None, 1.0, 3))
     assert correlation.grid_spectrum(0.7, 0.3, 1.0, np.int64(3)) == (
         correlation.grid_spectrum(0.7, 0.3, 1.0, 3))
     assert correlation.kernel_fourier(0.7, 0.3, 1.0, np.int64(4), np.int64(50)) == (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense
-from twistkit import correlation as co, partition, verify
+from twistkit import correlation as co, verify
 from twistkit.errors import DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -165,7 +165,7 @@ class TestClosedForm:
             spec = validate_spectrum([("m", omega)])
             sym = SymmetrySpec(kind="unitary", phases=(rho,))
             cutoff = 2000
-            tail = partition.truncation_tail_bound(spec, beta, cutoff)
+            tail = verify.truncation_tail_bound(spec, beta, cutoff)
             t, s = rng.uniform(0.0, beta, size=2)
             closed = co.kernel_closed_form(omega, theta, beta, t, s)
             oracle = co.kernel_oracle(spec, sym, beta, t, s, cutoff)
@@ -241,7 +241,7 @@ class TestKernelOracle:
         spec = validate_spectrum([("m", 1.0)])
         val = co.kernel_oracle(spec, None, 1.0, 0.5, 0.5, 400)
         target = 0.5 / math.tanh(0.5)
-        tail = partition.truncation_tail_bound(spec, 1.0, 400)
+        tail = verify.truncation_tail_bound(spec, 1.0, 400)
         assert abs(val - target) <= target * tail + 1e-12
 
     def test_branch_continuity_at_equal_times(self):

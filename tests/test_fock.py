@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense
-from twistkit import fock, partition
+from twistkit import fock, verify
 from twistkit.errors import CapacityError, ConfigError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -460,7 +460,7 @@ class TestTwistedTrace:
         spec = single_mode()
         space = fock.FockSpace(spec, 40)
         z = dense_trace(space, 1.0, SymmetrySpec(kind="unitary", phases=(-1 + 0j,)))
-        tail = partition.twisted_tail_bound(spec, 1.0, 40)
+        tail = verify.twisted_tail_bound(spec, 1.0, 40)
         assert abs(z - 4.0 / 9.0) <= (4.0 / 9.0) * tail + 1e-12
 
     def test_zero_modes(self):
@@ -470,16 +470,16 @@ class TestTwistedTrace:
 
 class TestTailBound:
     def test_reference_value(self):
-        assert partition.truncation_tail_bound(single_mode(), 1.0, 40) < 1e-11
+        assert verify.truncation_tail_bound(single_mode(), 1.0, 40) < 1e-11
 
     def test_monotone_in_cutoff(self):
         spec = validate_spectrum([("a", 0.6), ("b", 1.2)])
-        bounds = [partition.truncation_tail_bound(spec, 1.0, n) for n in range(2, 30)]
+        bounds = [verify.truncation_tail_bound(spec, 1.0, n) for n in range(2, 30)]
         assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_monotone_in_beta(self):
         spec = single_mode()
-        assert partition.truncation_tail_bound(spec, 2.0, 10) < partition.truncation_tail_bound(
+        assert verify.truncation_tail_bound(spec, 2.0, 10) < verify.truncation_tail_bound(
             spec, 1.0, 10
         )
 
@@ -492,7 +492,7 @@ class TestScalableTraces:
         boltz = np.diag(np.exp(-0.9 * np.diag(dense.hamiltonian([0.8, 1.4], 4))))
         kron = complex(np.trace(dense.unitary_symmetry(sym.phases, 4) @ boltz))
         tensor = dense_trace(space, 0.9, sym)
-        fast = partition.partition_trace(spec, sym, 0.9, 4)
+        fast = verify.partition_trace(spec, sym, 0.9, 4)
         assert abs(kron - fast) < 1e-12 * abs(kron)
         assert abs(tensor - fast) < 1e-12 * abs(kron)
 
@@ -505,7 +505,7 @@ class TestScalableTraces:
         )
         space = fock.FockSpace(spec, 3)
         trace = dense_trace(space, 1.1, sym)
-        fast = partition.partition_trace(spec, sym, 1.1, 3)
+        fast = verify.partition_trace(spec, sym, 1.1, 3)
         assert abs(trace - fast) < 1e-12 * max(1.0, abs(trace))
 
     def test_antiunitary_trace_fixed_modes_match_dense(self):
@@ -517,7 +517,7 @@ class TestScalableTraces:
         )
         space = fock.FockSpace(spec, 3)
         trace = dense_trace(space, 0.8, sym)
-        fast = partition.partition_trace(spec, sym, 0.8, 3)
+        fast = verify.partition_trace(spec, sym, 0.8, 3)
         assert abs(trace - fast) < 1e-12 * max(1.0, abs(trace))
 
     @pytest.mark.parametrize("cutoff", [3, 5, 7])
@@ -531,7 +531,7 @@ class TestScalableTraces:
         )
         for beta in (0.5, 1.3):
             enum = dense.enumerated_trace(spec, sym, beta, cutoff)
-            fast = partition.partition_trace(spec, sym, beta, cutoff)
+            fast = verify.partition_trace(spec, sym, beta, cutoff)
             assert abs(enum - fast) <= dense.trace_rounding(spec, beta, cutoff)
 
     @pytest.mark.parametrize("cutoff", [3, 5, 7])
@@ -541,7 +541,7 @@ class TestScalableTraces:
         sym = SymmetrySpec(kind="unitary", phases=(0.6 + 0.8j, 1j, -0.8 + 0.6j))
         for beta in (0.5, 1.3):
             enum = dense.enumerated_trace(spec, sym, beta, cutoff)
-            fast = partition.partition_trace(spec, sym, beta, cutoff)
+            fast = verify.partition_trace(spec, sym, beta, cutoff)
             assert abs(enum - fast) <= dense.trace_rounding(spec, beta, cutoff)
 
 

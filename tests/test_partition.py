@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistkit import partition
+from twistkit import partition, verify
 from twistkit.errors import DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
@@ -113,8 +113,8 @@ class TestOracleAgreement:
             sym = SymmetrySpec(kind="unitary", phases=phases)
             cutoff = 90
             z = partition.z_twisted(s, sym, beta)
-            oracle = partition.partition_trace(s, sym, beta, cutoff)
-            tail = partition.truncation_tail_bound(s, beta, cutoff)
+            oracle = verify.partition_trace(s, sym, beta, cutoff)
+            tail = verify.truncation_tail_bound(s, beta, cutoff)
             assert abs(z - oracle) / z <= tail + 1e-10
 
 
@@ -126,7 +126,7 @@ class TestAntiunitary:
         )
         z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - 4.0 / 3.0) < 1e-14
-        oracle = partition.partition_trace(s, sym, 1.0, 40)
+        oracle = verify.partition_trace(s, sym, 1.0, 40)
         assert abs(z - oracle) < 1e-10
 
     def test_two_mode_swap(self):
@@ -138,8 +138,8 @@ class TestAntiunitary:
         )
         z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - 16.0 / 9.0) < 1e-14
-        oracle = partition.partition_trace(s, sym, 1.0, 20)
-        tail = partition.truncation_tail_bound(s, 1.0, 20)
+        oracle = verify.partition_trace(s, sym, 1.0, 20)
+        tail = verify.truncation_tail_bound(s, 1.0, 20)
         assert abs(z - oracle) / z <= tail + 1e-10
 
     def test_swap_with_phases_vs_oracle(self):
@@ -152,8 +152,8 @@ class TestAntiunitary:
                 kind="antiunitary", phases=etas, pairing=(1, 0)
             )
             z = partition.z_twisted(s, sym, 1.0)
-            oracle = partition.partition_trace(s, sym, 1.0, 25)
-            tail = partition.truncation_tail_bound(s, 1.0, 25)
+            oracle = verify.partition_trace(s, sym, 1.0, 25)
+            tail = verify.truncation_tail_bound(s, 1.0, 25)
             assert abs(z - oracle) / z <= tail + 1e-8
 
     def test_empty_spectrum(self):
@@ -185,14 +185,14 @@ class TestTinyBetaOmega:
             assert abs(z - want) <= 1e-14 * want
 
     def test_tail_bound_is_a_fraction(self):
-        tail = partition.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
+        tail = verify.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
         assert isinstance(tail, float) and 0.0 <= tail <= 1.0
 
     @pytest.mark.parametrize("modes, beta", [([], 1.0), ([("a", 1.0)], 1e308)])
     def test_tail_bound_with_nothing_dropped_is_positive_zero(self, modes, beta):
         # the empty spectrum and a tail beyond the float range drop no mass:
         # the bound is +0.0, which formats without a minus sign
-        tail = partition.truncation_tail_bound(validate_spectrum(modes), beta, 40)
+        tail = verify.truncation_tail_bound(validate_spectrum(modes), beta, 40)
         assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
 
 
@@ -224,7 +224,7 @@ class TestRangeErrors:
             kind="antiunitary", phases=(1.0 + 0j,) * 400, pairing=tuple(range(400))
         )
         with pytest.raises(RangeError):
-            realfield.z_via_realfield(realfield.extend(self.SPEC, sym), 1.0)
+            verify.z_via_realfield(realfield.extend(self.SPEC, sym), 1.0)
 
     def test_large_but_representable_values_are_unchanged(self):
         # 100 of the modes give Z near e^392 (its square, the inner trace, e^784)

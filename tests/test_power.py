@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistkit import cli, correlation, partition, realfield, verify
+from twistkit import cli, correlation, fock, partition, realfield, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 ANTI = str(GOLDEN / "anti_pair_fixed.json")
@@ -84,6 +84,24 @@ def z_scaled_by_5e_11(monkeypatch):
     monkeypatch.setattr(partition, "z_twisted", lambda *args: z_twisted(*args) * (1.0 + 5e-11))
 
 
+def fock_oracle_plus_1e_7(monkeypatch):
+    oracle = correlation.kernel_oracle
+    monkeypatch.setattr(correlation, "kernel_oracle", lambda *args: oracle(*args) + 1e-7)
+
+
+def wrong_slot_apply_field(monkeypatch):
+    """Each creation coefficient of a field table moved to the other
+    charge's slot of its mode: alpha+* and alpha-* trade places."""
+    apply_field = fock.apply_field
+
+    def swapped(space, field, state, subcutoff=False):
+        field = field.copy()
+        field[0] = field[0, [s ^ 1 for s in range(field.shape[1])]]
+        return apply_field(space, field, state, subcutoff)
+
+    monkeypatch.setattr(fock, "apply_field", swapped)
+
+
 def zero_fock_oracle(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_oracle", lambda *args: 0j)
 
@@ -118,6 +136,21 @@ MUST_FAIL = {
         flipped_twist_sign, ["kernel", *GRID_8_VERIFY], ["kernel: closed form vs Fock-trace oracle"]),
     "flipped-twist-sign-realfield": (
         flipped_twist_sign, ["verify", "--suite", "realfield"], ["realfield: U W = W Lambda"]),
+    "fock-oracle-plus-1e-7-kernel": (
+        fock_oracle_plus_1e_7, ["kernel", "--config", "{minus_one}", *GRID_8_VERIFY],
+        ["kernel: closed form vs Fock-trace oracle"]),
+    "fock-oracle-plus-1e-7-verify": (
+        fock_oracle_plus_1e_7, ["verify", "--config", "{minus_one}", "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle"]),
+    "wrong-slot-apply-field": (
+        wrong_slot_apply_field, ["verify", "--suite", "all"],
+        ["ccr: [A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block",
+         "ccr: [A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block",
+         "symmetry: U alpha+*(a) U* = rho alpha+*(a)",
+         "realfield: doubled-field oracle: adjoint_covariance",
+         "realfield: doubled-field oracle: canonical_pair",
+         "realfield: doubled-field oracle: ccr_doubled",
+         "realfield: doubled-field oracle: symmetry_covariance"]),
 }
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)

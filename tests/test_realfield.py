@@ -8,7 +8,7 @@ import pytest
 
 import dense
 
-from twistkit import correlation as co, partition, realfield as rf
+from twistkit import correlation as co, partition, realfield as rf, verify
 from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -206,8 +206,8 @@ class TestCycleEigenbasis:
             assert max(np.abs(expected - value).min() for value in lam) < 1e-12
             for beta in (0.3, 1.0, 3.0):
                 z = partition.z_twisted(spec, sym, beta)
-                trace = partition.partition_trace(spec, sym, beta, 400)
-                assert abs(rf.z_via_realfield(ext, beta) - z) <= 1e-14 * z
+                trace = verify.partition_trace(spec, sym, beta, 400)
+                assert abs(verify.z_via_realfield(ext, beta) - z) <= 1e-14 * z
                 assert abs(trace - z) <= 1e-14 * z
                 assert z >= partition.positivity_lower_bound(spec, beta)
                 # the sparse mixing against the eigenbasis-free image sum
@@ -223,7 +223,7 @@ class TestPartitionRoutes:
     def test_conjugation_value(self):
         s = validate_spectrum([("k0", LN2)])
         ext = rf.extend(s, conjugation_sym())
-        assert abs(rf.z_via_realfield(ext, 1.0) - 4.0 / 3.0) < 1e-12
+        assert abs(verify.z_via_realfield(ext, 1.0) - 4.0 / 3.0) < 1e-12
 
     def test_routes_agree_randomized(self):
         rng = np.random.default_rng(17)
@@ -233,14 +233,14 @@ class TestPartitionRoutes:
             )
             beta = float(rng.uniform(0.4, 2.0))
             z_sqrt = partition.z_twisted(spec, sym, beta)
-            z_rf = rf.z_via_realfield(rf.extend(spec, sym), beta)
+            z_rf = verify.z_via_realfield(rf.extend(spec, sym), beta)
             assert abs(z_sqrt - z_rf) <= 1e-10 * abs(z_sqrt)
 
     def test_unitary_route_matches_product_formula(self):
         s = validate_spectrum([("a", 0.9), ("b", 1.7)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, cmath.exp(2.2j)))
         z = partition.z_twisted(s, sym, 1.3)
-        z_rf = rf.z_via_realfield(rf.extend(s, sym), 1.3)
+        z_rf = verify.z_via_realfield(rf.extend(s, sym), 1.3)
         assert abs(z - z_rf) < 1e-12 * z
 
 

@@ -99,12 +99,12 @@ def test_every_route_agrees_for_both_kinds(config, small_cutoff):
     # most prod_k (1 + x_k^61)^2 - 1, the twisted tail bound; the untwisted
     # 1 - prod_k (1 - x_k^61)^2 is that only to first order, and r^61 = -1
     # exceeds it.
-    tail = partition.twisted_tail_bound(spectrum, beta, 60)
-    assert abs(z - partition.partition_trace(spectrum, sym, beta, 60)) / z <= tail + 1e-9
+    tail = verify.twisted_tail_bound(spectrum, beta, 60)
+    assert abs(z - verify.partition_trace(spectrum, sym, beta, 60)) / z <= tail + 1e-9
     enumerated = dense.enumerated_trace(spectrum, sym, beta, small_cutoff)
-    factorized = partition.partition_trace(spectrum, sym, beta, small_cutoff)
+    factorized = verify.partition_trace(spectrum, sym, beta, small_cutoff)
     assert abs(enumerated - factorized) <= dense.trace_rounding(spectrum, beta, small_cutoff)
-    z_rf = realfield.z_via_realfield(realfield.extend(spectrum, sym), beta)
+    z_rf = verify.z_via_realfield(realfield.extend(spectrum, sym), beta)
     assert abs(z - z_rf) <= 1e-10 * z
     # twist positivity, for antiunitary twists too: a fixed mode gives
     # 1/(1 - x^2) >= (1 + x)^-2 and a pair |1 - r x^2|^-2 >= (1 + x)^-4
