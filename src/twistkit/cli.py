@@ -10,9 +10,13 @@ and write it with the one exporter,
 :func:`twistkit.correlation.export_kernel_csv`; ``kernel --verify`` ties
 the exported lag values to the closed-form grid spectrum and checks its
 positivity on either route (and the exported eigenbasis on the extended
-one).  Exit codes: 0 success, 1 assertion failure, 2 parse, usage or
-out-of-domain input, 3 capacity exceeded, 4 a result outside the float
-range (RangeError), 5 an internal consistency check failed.  All numeric
+one).  ``verify`` checks the Fock-space identities once per factor of the
+symmetry (:func:`twistkit.fock.factors`), so it runs at any mode count.
+Exit codes: 0 success, 1 assertion failure, 2 parse, usage or
+out-of-domain input (a config that is not UTF-8 JSON, or a config value
+that is not a JSON number or is not finite), 3 capacity exceeded (a Fock
+factor of six or more modes), 4 a result outside the float range
+(RangeError), 5 an internal consistency check failed.  All numeric
 output uses fixed 17-significant-digit lowercase scientific formatting so
 identical inputs produce byte-identical output.
 

@@ -21,6 +21,15 @@ Operators are plain functions of a state:
   permutation of the axes, read from a :class:`twistkit.spectrum.SlotAction`
   for U_S and U_V alike; TC also conjugates.
 
+The space is a tensor product over *factors* (:func:`factors`): the
+smallest sets of modes closed under the cycles of the slot action, one
+mode each for a diagonal action, a pair or a fixed mode each for an
+involutive pairing.  H, every linear field, U_S, U_V and TC are products
+of factor-local terms, so the ``verify`` suites build one space per factor
+(:func:`restrict`), at the factor's :func:`oracle_cutoff`: 8 for the one-
+and two-mode factors of every involutive pairing, 81 and 6561 states.  Only
+a factor of six or more modes is refused (CapacityError).
+
 Field tables are built from the doubled coordinates q = (c, d) of the
 doubled (real) theory, two M-vectors, and only this module knows how q
 lands on the slots: :func:`creation` is A*(c, d) = sum_k c_k alpha+*(k) +
@@ -61,16 +70,17 @@ if TYPE_CHECKING:
 
 #: Highest occupation cutoff :func:`oracle_cutoff` picks.
 MAX_CUTOFF = 8
-#: Most states one state tensor may hold: 3**10, five modes at cutoff 2.
+#: Most states one state tensor may hold: 3**10, a five-mode factor at cutoff 2.
 MAX_STATES = 3**10
 
 
 def oracle_cutoff(n_modes: int) -> int:
-    """The verify oracle's cutoff: the largest N <= MAX_CUTOFF with
-    (N + 1)**(2M) <= MAX_STATES, that is 8, 8, 5, 2, 2 for M = 1..5.
+    """The verify oracle's cutoff for a factor of M modes: the largest
+    N <= MAX_CUTOFF with (N + 1)**(2M) <= MAX_STATES, that is 8, 8, 5, 2, 2
+    for M = 1..5.
 
     At cutoff 1 the sub-cutoff block is the vacuum alone, where no identity
-    is tested, so from six modes on this raises CapacityError.
+    is tested, so a factor of six or more modes raises CapacityError.
     """
     n = MAX_CUTOFF
     while (n + 1) ** (2 * n_modes) > MAX_STATES:
@@ -80,6 +90,43 @@ def oracle_cutoff(n_modes: int) -> int:
             f"{n_modes} modes admit only cutoff {n} within {MAX_STATES} states"
         )
     return n
+
+
+def factors(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> list[tuple[int, ...]]:
+    """The factors of the Fock space under ``sym``: the smallest sets of
+    modes closed under the cycles of its slot action, which join mode t // 2
+    with mode source[t] // 2 for every slot t.  Each factor is sorted, and
+    the factors come in order of their smallest mode: one mode each for a
+    diagonal action, a pair or a fixed mode each for an involutive pairing.
+
+    H, every linear field, U_S, U_V and TC are products of factor-local
+    terms, so an identity among them holds on the space exactly when it
+    holds on every factor (:func:`restrict`).
+    """
+    root = list(range(len(spectrum)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    for t, s in enumerate(slot_action(spectrum, sym).source):
+        a, b = find(t // 2), find(s // 2)
+        root[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for k in range(len(spectrum)):
+        groups.setdefault(find(k), []).append(k)
+    return [tuple(modes) for modes in groups.values()]
+
+
+def restrict(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], modes: Sequence[int]
+) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
+    """The spectrum and symmetry of one factor, its modes re-indexed in the
+    order of ``modes``; the labels, frequencies, mu and phases are kept."""
+    labels = tuple(spectrum.labels[k] for k in modes)
+    sub = ModeSpectrum(labels, tuple(spectrum.omegas[k] for k in modes), spectrum.mu)
+    return sub, None if sym is None else sym.restrict(modes)
 
 
 def _axis_shape(n_slots: int, slot: int, length: int) -> tuple[int, ...]:

@@ -47,7 +47,8 @@ class ModeSpectrum:
     """Finite admissible frequency spectrum.
 
     ``mu`` is None only for the empty spectrum; otherwise every omega
-    satisfies ``omega >= mu > 0``.
+    satisfies ``omega >= mu > 0``, and omega and mu are finite
+    (DomainError otherwise).
     """
 
     def __init__(self, labels: tuple[str, ...], omegas: tuple[float, ...], mu: Optional[float]):
@@ -58,11 +59,15 @@ class ModeSpectrum:
         for lbl, w in zip(labels, omegas):
             if not w > 0.0:
                 raise AdmissibilityError(f"mode {lbl!r} has nonpositive frequency {w}")
+            if not math.isfinite(w):
+                raise DomainError(f"mode {lbl!r} has infinite frequency")
         if omegas:
             if mu is None:
                 raise ConfigError("nonempty spectrum requires mu")
             if not mu > 0:
                 raise AdmissibilityError("ground-state energy mu must be positive")
+            if not math.isfinite(mu):
+                raise DomainError("ground-state energy mu must be finite")
             if min(omegas) < mu:
                 raise AdmissibilityError("every omega must be >= mu")
         elif mu is not None:
@@ -132,6 +137,13 @@ class SymmetrySpec:
             eta = complex(self.phases[j])
             phases[2 * k], phases[2 * k + 1] = eta, eta.conjugate()
         return SlotAction(tuple(source), tuple(phases))
+
+    def restrict(self, modes: Sequence[int]) -> SymmetrySpec:
+        """The symmetry on the modes ``modes``, a set the pairing maps to
+        itself, re-indexed in the order given."""
+        index = {k: i for i, k in enumerate(modes)}
+        pairing = None if self.pairing is None else tuple(index[self.pairing[k]] for k in modes)
+        return SymmetrySpec(self.kind, tuple(self.phases[k] for k in modes), pairing)
 
 
 class SlotAction:
@@ -245,10 +257,13 @@ def check_alignment(spectrum: ModeSpectrum, sym: SymmetrySpec) -> None:
 
 
 def _parse_float(obj, where: str) -> float:
+    """A JSON number as a float; a string, a bool or anything else is refused."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ConfigError(f"{where}: not a number")
     try:
         return float(obj)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: not a number") from None
+    except OverflowError:  # an integer literal beyond the float range
+        raise DomainError(f"{where}: {obj} is beyond the float range") from None
 
 
 def _parse_complex(obj, where: str) -> complex:
@@ -320,6 +335,8 @@ def load_config(path) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     return parse_config(doc)
 
 

@@ -27,15 +27,25 @@ raises InternalConsistencyError (exit 5).
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` (:func:`doubled_field_checks`, the real-time field of the
 doubled theory) act with the matrix-free Fock oracle of
-:mod:`twistkit.fock` at :func:`twistkit.fock.oracle_cutoff` (8, 8, 5, 2, 2
-for 1-5 modes; CapacityError, exit 3, from six modes on).  An operator
-identity A B = C is checked as A(Bv) - Cv on seeded standard-normal states
-v supported on the sub-cutoff block, compared on the sub-cutoff rows; the
-two exact checks (threshold 0) probe where no rounding enters, a basis
-state and the all-ones state.  The inner-product checks of TC and U use
-seeded unit states on the sub-cutoff block.  Each suite seeds one
-``random.Random(seed)`` (MT19937) and draws from it, in a fixed order,
-every coefficient vector and state as standard complex normals (Box-Muller,
+:mod:`twistkit.fock`.  Each runs once per factor of the space
+(:func:`twistkit.fock.factors`: the smallest sets of modes closed under the
+slot action), on the factor's own spectrum and symmetry, at
+:func:`twistkit.fock.oracle_cutoff` of the factor's mode count: 8 for the
+one- and two-mode factors of every involutive pairing, at most 6561
+states, at any mode count (CapacityError, exit 3, only for a factor of six
+or more modes).  An identity holds on the space exactly when it holds on
+every factor, so each check reports the worst deviation over the factors
+(:func:`_factored`).  One more ``ccr`` check, :data:`CROSS_FACTOR_CHECK`,
+runs the sector commutators on a two-mode space made of the leading modes
+of the first two factors, where a field that reaches the wrong mode fails.
+An operator identity A B = C is checked as A(Bv) - Cv on seeded
+standard-normal states v supported on the sub-cutoff block, compared on
+the sub-cutoff rows; the two exact checks (threshold 0) probe where no
+rounding enters, a basis state and the all-ones state.  The inner-product
+checks of TC and U use seeded unit states on the sub-cutoff block.  Each
+suite seeds one ``random.Random(seed)`` (MT19937) and draws from it, in a
+fixed order and factor by factor in order of smallest mode, every
+coefficient vector and state as standard complex normals (Box-Muller,
 :func:`twistkit.fock.standard_normals`) and the basis state's occupations
 by ``randrange``, so no suite loads ``numpy.random``.
 
@@ -119,9 +129,7 @@ def _unit_states(space: fock.FockSpace, rng: random.Random) -> tuple[np.ndarray,
     return x / np.linalg.norm(x), y / np.linalg.norm(y)
 
 
-def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
-    import random
-
+def suite_ccr(spectrum: ModeSpectrum, sym, rng: random.Random) -> list[CheckResult]:
     import numpy as np
 
     from . import fock
@@ -130,7 +138,6 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     if len(spectrum) == 0:
         return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
     space = _oracle_space(spectrum)
-    rng = random.Random(seed)
     f = fock.standard_normals(rng, len(spectrum))
     g = fock.standard_normals(rng, len(spectrum))
     v = space.random_state(rng)
@@ -185,16 +192,15 @@ def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0) -> list[CheckResult]:
-    import random
-
+def suite_tc(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
+) -> list[CheckResult]:
     import numpy as np
 
     from . import fock
 
     results: list[CheckResult] = []
     space = _oracle_space(spectrum)
-    rng = random.Random(seed)
 
     def tc(state: np.ndarray) -> np.ndarray:
         return fock.apply_tc(space, state)
@@ -238,10 +244,8 @@ def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0)
 
 
 def suite_symmetry(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
 ) -> list[CheckResult]:
-    import random
-
     import numpy as np
 
     from . import fock
@@ -250,7 +254,6 @@ def suite_symmetry(
         raise ConfigError("symmetry suite requires a symmetry in the config")
     results: list[CheckResult] = []
     space = _oracle_space(spectrum)
-    rng = random.Random(seed)
 
     def u(state: np.ndarray) -> np.ndarray:
         return fock.apply_symmetry(space, sym, state)
@@ -626,7 +629,10 @@ def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
 
 
 def doubled_field_checks(
-    ext: realfield.ExtendedSpectrum, sym: SymmetrySpec, cutoff: Optional[int] = None, seed: int = 0
+    ext: realfield.ExtendedSpectrum,
+    sym: SymmetrySpec,
+    cutoff: Optional[int] = None,
+    rng: Optional[random.Random] = None,
 ) -> list[CheckResult]:
     """Fock-oracle checks of the real-time doubled field psi(t, q) =
     :func:`twistkit.fock.field` at t = 0.37.
@@ -642,7 +648,8 @@ def doubled_field_checks(
     (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.  The fourth
     holds for any J, so one more check ties A*(Jq)* to the annihilation
     table :func:`twistkit.fock.annihilation` reads off q: they must agree
-    exactly on v.
+    exactly on v.  States and coefficients are drawn from ``rng``
+    (default ``random.Random(0)``).
     """
     import random
 
@@ -651,7 +658,7 @@ def doubled_field_checks(
     from . import fock
 
     space = _oracle_space(ext.base, cutoff)
-    rng = random.Random(seed)
+    rng = random.Random(0) if rng is None else rng
     n = ext.n_doubled
     q, r = fock.standard_normals(rng, n), fock.standard_normals(rng, n)
     v, x = space.random_state(rng), space.random_state(rng)
@@ -700,6 +707,8 @@ def doubled_field_checks(
 def suite_realfield(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
+    import random
+
     from . import realfield
 
     if sym is None:
@@ -726,8 +735,56 @@ def suite_realfield(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
     results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
-    return results + doubled_field_checks(ext, sym, seed=seed)
 
+    def doubled(factor: ModeSpectrum, factor_sym: SymmetrySpec, rng: random.Random) -> list:
+        return doubled_field_checks(realfield.extend(factor, factor_sym), factor_sym, rng=rng)
+
+    return results + _factored(doubled, spectrum, sym, random.Random(seed))
+
+
+def _factored(
+    checks: Callable, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
+) -> list[CheckResult]:
+    """``checks(factor, factor_sym, rng)`` run on every factor of the Fock
+    oracle (:func:`twistkit.fock.factors`), drawing from the one ``rng`` in
+    order of smallest mode, and merged: one result per check name, in order
+    of first appearance, at the worst deviation over the factors (NaN-aware)
+    and the tightest threshold.  An empty spectrum is its own factor."""
+    from . import fock
+
+    pieces = [fock.restrict(spectrum, sym, modes) for modes in fock.factors(spectrum, sym)]
+    merged: dict[tuple[str, str], list[CheckResult]] = {}
+    for factor, factor_sym in pieces or [(spectrum, sym)]:
+        for check in checks(factor, factor_sym, rng):
+            merged.setdefault((check.suite, check.name), []).append(check)
+    return [
+        CheckResult(suite, name, _worst(c.deviation for c in g), min(c.threshold for c in g))
+        for (suite, name), g in merged.items()
+    ]
+
+
+def _cross_factor_check(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
+) -> list[CheckResult]:
+    """The two sector commutators of :func:`suite_ccr` once more, on the two
+    modes that lead the first two factors, with no symmetry: a field that
+    reaches the wrong mode's axis fails here even where every factor has one
+    mode.  None for fewer than two factors."""
+    from . import fock
+
+    parts = fock.factors(spectrum, sym)
+    if len(parts) < 2:
+        return []
+    pair, _ = fock.restrict(spectrum, None, (parts[0][0], parts[1][0]))
+    sector = [c.deviation for c in suite_ccr(pair, None, rng) if "<g,f>" in c.name]
+    return [CheckResult("ccr", CROSS_FACTOR_CHECK, _worst(sector), 1e-12)]
+
+
+#: Name of the ``ccr`` check on a space of two factors.
+CROSS_FACTOR_CHECK = "sector commutators across two factors on sub-cutoff block"
+
+#: The dense suites, run once per factor of the Fock oracle.
+_FACTORED = ("ccr", "tc", "symmetry")
 
 _SUITE_FUNCS: dict[str, Callable] = {
     "ccr": suite_ccr,
@@ -748,12 +805,27 @@ def run_suite(
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if name != "all":
-        return _SUITE_FUNCS[name](spectrum, sym, seed=seed)
+        return _run_one(name, spectrum, sym, seed)
     results: list[CheckResult] = []
-    for suite_name, func in _SUITE_FUNCS.items():
+    for suite_name in _SUITE_FUNCS:
         if sym is None and suite_name in ("symmetry", "realfield"):
             continue
         if suite_name == "kernel" and not slot_action(spectrum, sym).diagonal:
             continue
-        results.extend(func(spectrum, sym, seed=seed))
+        results.extend(_run_one(suite_name, spectrum, sym, seed))
+    return results
+
+
+def _run_one(
+    name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
+) -> list[CheckResult]:
+    """One suite; a dense one once per factor, with one ``random.Random(seed)``."""
+    if name not in _FACTORED:
+        return _SUITE_FUNCS[name](spectrum, sym, seed=seed)
+    import random
+
+    rng = random.Random(seed)
+    results = _factored(_SUITE_FUNCS[name], spectrum, sym, rng)
+    if name == "ccr":
+        results += _cross_factor_check(spectrum, sym, rng)
     return results

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -901,6 +902,25 @@ REFUSALS = {
         lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [4]), errors.DomainError),
     "kernel_agreement-lag-minus-m": (
         lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [-4]), errors.DomainError),
+    "ModeSpectrum-inf-omega": (
+        lambda: ModeSpectrum(("a",), (math.inf,), 1.0), errors.DomainError),
+    "ModeSpectrum-inf-mu": (
+        lambda: ModeSpectrum(("a",), (1.0,), math.inf), errors.DomainError),
+    "parse_config-inf-string-omega": (
+        lambda: parse_config({"modes": [{"label": "a", "omega": "inf"}]}), errors.ConfigError),
+    "parse_config-numeric-string-omega": (
+        lambda: parse_config({"modes": [{"label": "a", "omega": "1.5"}]}), errors.ConfigError),
+    "parse_config-bool-omega": (
+        lambda: parse_config({"modes": [{"label": "a", "omega": True}]}), errors.ConfigError),
+    "parse_config-1e309-omega": (
+        lambda: parse_config(json.loads('{"modes": [{"label": "a", "omega": 1e309}]}')),
+        errors.DomainError),
+    "parse_config-huge-integer-mu": (
+        lambda: parse_config({"modes": [{"label": "a", "omega": 1.0}], "mu": 10**400}),
+        errors.DomainError),
+    "parse_config-bool-phase": (
+        lambda: parse_config({"modes": [{"label": "a", "omega": 1.0}], "symmetry": {
+            "kind": "unitary", "phases": [{"re": True, "im": 0}]}}), errors.ConfigError),
 }
 
 
@@ -934,13 +954,38 @@ def test_unchecked_inputs_are_refused(call, error):
     "doc, message",
     [({"modes": [{"label": "a", "omega": "x"}]}, "error: modes[0].omega: not a number"),
      ({"modes": [{"label": "a", "omega": [1]}]}, "error: modes[0].omega: not a number"),
-     ({"modes": [{"label": "a", "omega": 1.0}], "mu": "abc"}, "error: mu: not a number")],
-    ids=["omega-string", "omega-list", "mu-string"],
+     ({"modes": [{"label": "a", "omega": 1.0}], "mu": "abc"}, "error: mu: not a number"),
+     ({"modes": [{"label": "a", "omega": "inf"}]}, "error: modes[0].omega: not a number"),
+     ({"modes": [{"label": "a", "omega": "1.5"}]}, "error: modes[0].omega: not a number"),
+     ({"modes": [{"label": "a", "omega": True}]}, "error: modes[0].omega: not a number")],
+    ids=["omega-string", "omega-list", "mu-string", "omega-inf-string", "omega-numeric-string",
+         "omega-bool"],
 )
 def test_non_numeric_config_field_exits_2(doc, message, tmp_path):
     cfg = write_config(tmp_path / "bad.json", doc)
     proc = _run_cli(["-m", "twistkit.cli", "partition", "--config", cfg, "--beta", "1"])
     assert (proc.returncode, proc.stderr) == (2, message + "\n")
+
+
+@pytest.mark.parametrize("command", [["partition", "--beta", "1"], ["verify"],
+                                     ["kernel", "--beta", "1", "--output", "k.csv"]],
+                         ids=["partition", "verify", "kernel"])
+def test_infinite_omega_exits_2(command, tmp_path, capsys):
+    # 1e309 decodes to inf: once Z = 1 (exit 0) or a range error (exit 4)
+    cfg = tmp_path / "inf.json"
+    cfg.write_text('{"modes": [{"label": "a", "omega": 1e309}]}')
+    argv = [str(tmp_path / a) if a == "k.csv" else a for a in command]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: mode 'a' has infinite frequency\n"
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 text, once a bare UnicodeDecodeError
+    proc = _run_cli(["-m", "twistkit.cli", "partition", "--config", str(cfg), "--beta", "1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {cfg} is not UTF-8 text:")
+    assert "Traceback" not in proc.stderr
 
 
 class TestKernelCommand:
@@ -1114,7 +1159,7 @@ def bench_shaped_config(n_modes, kind, seed):
 
 
 class TestVerifyReach:
-    """The cutoff rule checks up to five modes and refuses six."""
+    """The dense suites run per factor, so verify reaches any mode count."""
 
     @pytest.mark.parametrize("n_modes", [4, 5])
     @pytest.mark.parametrize("kind", ["unitary", "antiunitary"])
@@ -1124,10 +1169,40 @@ class TestVerifyReach:
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.strip().endswith("checks passed")
 
-    def test_six_modes_refused(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", bench_shaped_config(6, "unitary", 6))
-        assert main(["verify", "--config", cfg, "--suite", "all"]) == 3
-        assert capsys.readouterr().err.startswith("error:")
+    def test_seven_mode_circle_passes(self, tmp_path, capsys):
+        # seven modes admitted only cutoff 1 in one tensor; each is now its own factor
+        cfg = str(tmp_path / "circle.json")
+        assert main(["spectrum", "gen", "twisted-circle", "--twist", "1", "--mass", "0.5",
+                     "--n-min", "-3", "--n-max", "3", "--output", cfg]) == 0
+        assert main(["verify", "--config", cfg, "--suite", "all"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.strip().endswith("checks passed")
+
+    def test_twelve_unitary_modes_pass(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", bench_shaped_config(12, "unitary", 12))
+        assert main(["verify", "--config", cfg, "--suite", "all"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.strip().endswith("checks passed")
+
+    @pytest.mark.parametrize("config", [bench_shaped_config(5, "unitary", 5),
+                                        bench_shaped_config(5, "antiunitary", 5)],
+                             ids=["unitary-5", "two-pairs-one-fixed"])
+    def test_no_tensor_exceeds_one_pair_factor(self, tmp_path, monkeypatch, config):
+        # every space verify builds is a factor or the two-mode cross-factor
+        # space, at most 9**4 states, at no lower cutoff than one tensor of
+        # all five modes had (fock.oracle_cutoff(5) = 2)
+        built = []
+        init = fock.FockSpace.__init__
+
+        def recording(space, spectrum, cutoff):
+            init(space, spectrum, cutoff)
+            built.append((space.dim, space.cutoff))
+
+        monkeypatch.setattr(fock.FockSpace, "__init__", recording)
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(["verify", "--config", cfg, "--suite", "all"]) == 0
+        assert max(dim for dim, _ in built) <= 9**4
+        assert min(cutoff for _, cutoff in built) == 8
 
     @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
     def test_a_seed_fixes_every_deviation(self, config):
@@ -1140,6 +1215,28 @@ class TestVerifyReach:
         first = run(5)
         assert run(5) == first  # bit-identical
         assert run(6) != first
+
+
+def test_factored_checks_keep_the_worst_deviation_and_a_nan():
+    spectrum = validate_spectrum([("a", 1.0), ("b", 2.0), ("c", 3.0)])
+    worst = {"a": 1e-13, "b": 0.0, "c": 2e-13}
+    seen = []
+
+    def checks(factor, sym, rng):
+        (label,) = factor.labels
+        seen.append((label, rng.random()))
+        return [verify.CheckResult("x", "shared", worst[label], 1e-12),
+                verify.CheckResult("x", "nan", math.nan if label == "b" else 0.0, 1e-12),
+                verify.CheckResult("x", f"only {label}", 0.0, 0.0)]
+
+    merged = verify._factored(checks, spectrum, None, random.Random(7))
+    assert [(c.name, c.threshold) for c in merged] == [
+        ("shared", 1e-12), ("nan", 1e-12), ("only a", 0.0), ("only b", 0.0), ("only c", 0.0)]
+    assert merged[0].deviation == 2e-13
+    assert math.isnan(merged[1].deviation) and not merged[1].passed
+    # one generator, drawn from factor by factor in order of smallest mode
+    rng = random.Random(7)
+    assert seen == [(label, rng.random()) for label in "abc"]
 
 
 class TestVerifyPower:

@@ -81,6 +81,43 @@ class TestOracleCutoff:
             fock.oracle_cutoff(6)
 
 
+class TestFactors:
+    def test_diagonal_actions_split_every_mode(self):
+        spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.4)])
+        unitary = SymmetrySpec(kind="unitary", phases=(1j, -1.0, 1.0))
+        assert fock.factors(spec, unitary) == fock.factors(spec, None) == [(0,), (1,), (2,)]
+        assert fock.factors(validate_spectrum([]), None) == []
+
+    def test_a_pairing_joins_its_modes_and_restricts_inside_them(self):
+        spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.7)])
+        sym = SymmetrySpec(kind="antiunitary", phases=(1j, -1.0, 0.6 + 0.8j), pairing=(2, 1, 0))
+        assert fock.factors(spec, sym) == [(0, 2), (1,)]
+        sub, sub_sym = fock.restrict(spec, sym, (0, 2))
+        assert (sub.labels, sub.omegas, sub.mu) == (("a", "c"), (0.7, 0.7), spec.mu)
+        assert (sub_sym.kind, sub_sym.phases, sub_sym.pairing) == ("antiunitary", (1j, 0.6 + 0.8j), (1, 0))
+        assert fock.restrict(spec, None, (1,))[1] is None
+
+    def test_symmetry_and_tc_are_products_over_factors(self):
+        # on a product state x (x) y of the factors {a, b} and {c}, U and TC
+        # act factor by factor
+        spec = validate_spectrum([("a", 0.8), ("b", 0.8), ("c", 1.3)])
+        sym = SymmetrySpec(kind="antiunitary", phases=(0.6 + 0.8j, 1j, -1.0), pairing=(1, 0, 2))
+        (pair, pair_sym), (fixed, fixed_sym) = (
+            fock.restrict(spec, sym, modes) for modes in fock.factors(spec, sym))
+        rng = np.random.default_rng(3)
+        x = full_random(fock.FockSpace(pair, 2), rng)
+        y = full_random(fock.FockSpace(fixed, 2), rng)
+        full = fock.FockSpace(spec, 2)
+        product = np.multiply.outer(x, y)
+        u_parts = np.multiply.outer(fock.apply_symmetry(fock.FockSpace(pair, 2), pair_sym, x),
+                                    fock.apply_symmetry(fock.FockSpace(fixed, 2), fixed_sym, y))
+        # equal up to the order of the phase products
+        np.testing.assert_allclose(fock.apply_symmetry(full, sym, product), u_parts, rtol=1e-14)
+        tc_parts = np.multiply.outer(fock.apply_tc(fock.FockSpace(pair, 2), x),
+                                     fock.apply_tc(fock.FockSpace(fixed, 2), y))
+        assert np.array_equal(fock.apply_tc(full, product), tc_parts)
+
+
 class TestStandardNormals:
     """The seeded draw behind every oracle state and coefficient vector."""
 

@@ -102,6 +102,38 @@ def wrong_slot_apply_field(monkeypatch):
     monkeypatch.setattr(fock, "apply_field", swapped)
 
 
+def cross_mode_creation(monkeypatch):
+    """Each creation coefficient of a field table moved to the same charge
+    of the next mode; on a one-mode factor this is no change at all."""
+    apply_field = fock.apply_field
+
+    def rolled(space, field, state, subcutoff=False):
+        field = field.copy()
+        field[0] = np.roll(field[0], 2)
+        return apply_field(space, field, state, subcutoff)
+
+    monkeypatch.setattr(fock, "apply_field", rolled)
+
+
+def conjugated_imaginary_time(monkeypatch):
+    """``fock.field`` at the conjugate tau: e^{+omega Im tau} on creation,
+    e^{-omega Im tau} on annihilation."""
+    field = fock.field
+    monkeypatch.setattr(fock, "field", lambda space, q, tau: field(space, q, tau.conjugate()))
+
+
+def flipped_creation_weight(monkeypatch):
+    """Only the creation row of ``fock.field`` at the conjugate tau."""
+    field = fock.field
+
+    def flipped(space, q, tau):
+        table = field(space, q, tau)
+        table[0] = field(space, q, tau.conjugate())[0]
+        return table
+
+    monkeypatch.setattr(fock, "field", flipped)
+
+
 def zero_fock_oracle(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_oracle", lambda *args: 0j)
 
@@ -146,11 +178,14 @@ MUST_FAIL = {
         wrong_slot_apply_field, ["verify", "--suite", "all"],
         ["ccr: [A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block",
          "ccr: [A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block",
+         f"ccr: {verify.CROSS_FACTOR_CHECK}",
          "symmetry: U alpha+*(a) U* = rho alpha+*(a)",
          "realfield: doubled-field oracle: adjoint_covariance",
          "realfield: doubled-field oracle: canonical_pair",
          "realfield: doubled-field oracle: ccr_doubled",
          "realfield: doubled-field oracle: symmetry_covariance"]),
+    "cross-mode-creation": (
+        cross_mode_creation, ["verify", "--suite", "all"], [f"ccr: {verify.CROSS_FACTOR_CHECK}"]),
 }
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)
@@ -166,6 +201,13 @@ UNDETECTED = {
         zero_fock_oracle,
         ["kernel", "--beta", "1e-300", "--grid", "3", "--verify", "--output", "{output}"],
         0, "item 5"),
+    # the tc identity holds at either sign, and no other check takes tau imaginary
+    "imaginary-time-sign-of-field": (
+        conjugated_imaginary_time, ["verify", "--suite", "all"], 0, "item 14"),
+    "imaginary-time-sign-of-field-anti": (
+        conjugated_imaginary_time, ["verify", "--config", ANTI2, "--suite", "all"], 0, "item 14"),
+    "creation-weight-sign-of-field": (
+        flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
 }
 
 
