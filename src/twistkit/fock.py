@@ -136,10 +136,10 @@ def _axis_shape(n_slots: int, slot: int, length: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def _at(n_slots: int, slot: int, level: int, width: int) -> tuple:
-    """Index of one level along a slot axis, and levels 0..width-1 elsewhere."""
+def _at(n_slots: int, slot: int, levels: slice, width: int) -> tuple:
+    """Index of some levels along a slot axis, and levels 0..width-1 elsewhere."""
     index: list = [slice(0, width)] * n_slots
-    index[slot] = level
+    index[slot] = levels
     return tuple(index)
 
 
@@ -228,7 +228,8 @@ def apply_field(
     a sub-cutoff block (a state supported there); the result is the full
     state, or with ``subcutoff`` its sub-cutoff block.  Each coefficient
     scales an amplitude once, so a product of two slot operators on a basis
-    state is one product of two numbers in either order.
+    state is one product of two numbers in either order.  Each slot adds its
+    creation term, then its annihilation term, each for all levels at once.
     """
     n = space.n_slots
     n_in = state.shape[0] if n else 1
@@ -236,14 +237,20 @@ def apply_field(
     width = min(n_in, n_out)
     amps = _creation_amplitudes(space.cutoff)
     out = np.zeros((n_out,) * n, dtype=complex)
+    up = min(space.cutoff, n_in, n_out - 1)  # alpha*|m> = amps[m] |m+1>, m < up
+    down = min(space.cutoff, n_in - 1, n_out)  # alpha|m+1> = amps[m] |m>, m < down
     for s in range(n):
         create, destroy = field[:, s]
-        for m in range(space.cutoff):
-            # alpha*|m> = amps[m] |m+1> and alpha|m+1> = amps[m] |m> on axis s
-            if create != 0 and m < n_in and m + 1 < n_out:
-                out[_at(n, s, m + 1, width)] += (create * amps[m]) * state[_at(n, s, m, width)]
-            if destroy != 0 and m + 1 < n_in and m < n_out:
-                out[_at(n, s, m, width)] += (destroy * amps[m]) * state[_at(n, s, m + 1, width)]
+        if create != 0 and up > 0:
+            source = state[_at(n, s, slice(0, up), width)]
+            out[_at(n, s, slice(1, up + 1), width)] += (
+                (create * amps[:up]).reshape(_axis_shape(n, s, up)) * source
+            )
+        if destroy != 0 and down > 0:
+            source = state[_at(n, s, slice(1, down + 1), width)]
+            out[_at(n, s, slice(0, down), width)] += (
+                (destroy * amps[:down]).reshape(_axis_shape(n, s, down)) * source
+            )
     return out
 
 
