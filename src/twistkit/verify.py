@@ -769,7 +769,7 @@ def _cross_factor_check(
     """The two sector commutators of :func:`suite_ccr` once more, on the two
     modes that lead the first two factors, with no symmetry: a field that
     reaches the wrong mode's axis fails here even where every factor has one
-    mode.  None for fewer than two factors."""
+    mode.  No check for fewer than two factors."""
     from . import fock
 
     parts = fock.factors(spectrum, sym)
