@@ -28,7 +28,8 @@ involutive pairing.  H, every linear field, U_S, U_V and TC are products
 of factor-local terms, so the ``verify`` suites build one space per factor
 (:func:`restrict`), at the factor's :func:`oracle_cutoff`: 8 for the one-
 and two-mode factors of every involutive pairing, 81 and 6561 states.  Only
-a factor of six or more modes is refused (CapacityError).
+a factor of six or more modes is refused (CapacityError).  One more space,
+the union of the first two factors, is held to :data:`CROSS_STATES`.
 
 Field tables are built from the doubled coordinates q = (c, d) of the
 doubled (real) theory, two M-vectors, and only this module knows how q
@@ -72,22 +73,26 @@ if TYPE_CHECKING:
 MAX_CUTOFF = 8
 #: Most states one state tensor may hold: 3**10, a five-mode factor at cutoff 2.
 MAX_STATES = 3**10
+#: Most states of the space across two factors: 9**4, one two-mode factor
+#: at MAX_CUTOFF, so the cross space is never the largest tensor.
+CROSS_STATES = (MAX_CUTOFF + 1) ** 4
 
 
-def oracle_cutoff(n_modes: int) -> int:
+def oracle_cutoff(n_modes: int, max_states: int = MAX_STATES) -> int:
     """The verify oracle's cutoff for a factor of M modes: the largest
-    N <= MAX_CUTOFF with (N + 1)**(2M) <= MAX_STATES, that is 8, 8, 5, 2, 2
-    for M = 1..5.
+    N <= MAX_CUTOFF with (N + 1)**(2M) <= ``max_states``, that is 8, 8, 5,
+    2, 2 for M = 1..5 at MAX_STATES, and 8, 8, 3, 2 for M = 1..4 at
+    CROSS_STATES.
 
     At cutoff 1 the sub-cutoff block is the vacuum alone, where no identity
     is tested, so a factor of six or more modes raises CapacityError.
     """
     n = MAX_CUTOFF
-    while (n + 1) ** (2 * n_modes) > MAX_STATES:
+    while (n + 1) ** (2 * n_modes) > max_states:
         n -= 1
     if n < 2:
         raise CapacityError(
-            f"{n_modes} modes admit only cutoff {n} within {MAX_STATES} states"
+            f"{n_modes} modes admit only cutoff {n} within {max_states} states"
         )
     return n
 
@@ -101,7 +106,10 @@ def factors(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> list[tuple[i
 
     H, every linear field, U_S, U_V and TC are products of factor-local
     terms, so an identity among them holds on the space exactly when it
-    holds on every factor (:func:`restrict`).
+    holds on every factor (:func:`restrict`).  The pairing joins its modes
+    too, which for the slot action of the pairing changes nothing; a slot
+    action that fails to join them still leaves the pair on one factor,
+    where the ``symmetry`` suite's rules from the raw pairing fail it.
     """
     root = list(range(len(spectrum)))
 
@@ -110,8 +118,11 @@ def factors(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> list[tuple[i
             k = root[k]
         return k
 
-    for t, s in enumerate(slot_action(spectrum, sym).source):
-        a, b = find(t // 2), find(s // 2)
+    joins = [(t // 2, s // 2) for t, s in enumerate(slot_action(spectrum, sym).source)]
+    if sym is not None and sym.pairing is not None:
+        joins += enumerate(sym.pairing)
+    for k, j in joins:
+        a, b = find(k), find(j)
         root[max(a, b)] = min(a, b)
     groups: dict[int, list[int]] = {}
     for k in range(len(spectrum)):

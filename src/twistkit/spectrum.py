@@ -142,6 +142,8 @@ class SymmetrySpec:
         """The symmetry on the modes ``modes``, a set the pairing maps to
         itself, re-indexed in the order given."""
         index = {k: i for i, k in enumerate(modes)}
+        if self.pairing is not None and any(self.pairing[k] not in index for k in modes):
+            raise ValueError(f"the pairing does not map the modes {tuple(modes)} to themselves")
         pairing = None if self.pairing is None else tuple(index[self.pairing[k]] for k in modes)
         return SymmetrySpec(self.kind, tuple(self.phases[k] for k in modes), pairing)
 

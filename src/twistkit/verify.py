@@ -35,9 +35,10 @@ one- and two-mode factors of every involutive pairing, at most 6561
 states, at any mode count (CapacityError, exit 3, only for a factor of six
 or more modes).  An identity holds on the space exactly when it holds on
 every factor, so each check reports the worst deviation over the factors
-(:func:`_factored`).  One more ``ccr`` check, :data:`CROSS_FACTOR_CHECK`,
-runs the sector commutators on a two-mode space made of the leading modes
-of the first two factors, where a field that reaches the wrong mode fails.
+(:func:`_factored`).  Each of these checks runs once more on the union of
+the first two factors, named with :data:`CROSS_FACTOR_SUFFIX`, at most
+6561 states (:data:`twistkit.fock.CROSS_STATES`), with its symmetry: there
+a field or a phase read at the wrong mode fails.
 An operator identity A B = C is checked as A(Bv) - Cv on seeded
 standard-normal states v supported on the sub-cutoff block, compared on
 the sub-cutoff rows; the two exact checks (threshold 0) probe where no
@@ -99,10 +100,14 @@ SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
 
 class CheckResult:
     """One check: its suite, its name, the deviation found and the threshold
-    it must not exceed."""
+    it must not exceed.  A check of one mode names its index, ``mode``; a
+    suite lists such checks last, in mode order."""
 
-    def __init__(self, suite: str, name: str, deviation: float, threshold: float):
+    def __init__(
+        self, suite: str, name: str, deviation: float, threshold: float, mode: Optional[int] = None
+    ):
         self.suite, self.name, self.deviation, self.threshold = suite, name, deviation, threshold
+        self.mode = mode
 
     @property
     def passed(self) -> bool:
@@ -129,7 +134,13 @@ def _unit_states(space: fock.FockSpace, rng: random.Random) -> tuple[np.ndarray,
     return x / np.linalg.norm(x), y / np.linalg.norm(y)
 
 
-def suite_ccr(spectrum: ModeSpectrum, sym, rng: random.Random) -> list[CheckResult]:
+def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
+    return _factored(_ccr_checks, spectrum, sym, seed)
+
+
+def _ccr_checks(
+    spectrum: ModeSpectrum, sym, rng: random.Random, cutoff: Optional[int]
+) -> list[CheckResult]:
     import numpy as np
 
     from . import fock
@@ -137,7 +148,7 @@ def suite_ccr(spectrum: ModeSpectrum, sym, rng: random.Random) -> list[CheckResu
     results: list[CheckResult] = []
     if len(spectrum) == 0:
         return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
-    space = _oracle_space(spectrum)
+    space = _oracle_space(spectrum, cutoff)
     f = fock.standard_normals(rng, len(spectrum))
     g = fock.standard_normals(rng, len(spectrum))
     v = space.random_state(rng)
@@ -192,15 +203,19 @@ def suite_ccr(spectrum: ModeSpectrum, sym, rng: random.Random) -> list[CheckResu
     return results
 
 
-def suite_tc(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
+def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0) -> list[CheckResult]:
+    return _factored(_tc_checks, spectrum, sym, seed)
+
+
+def _tc_checks(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random, cutoff: Optional[int]
 ) -> list[CheckResult]:
     import numpy as np
 
     from . import fock
 
     results: list[CheckResult] = []
-    space = _oracle_space(spectrum)
+    space = _oracle_space(spectrum, cutoff)
 
     def tc(state: np.ndarray) -> np.ndarray:
         return fock.apply_tc(space, state)
@@ -244,16 +259,22 @@ def suite_tc(
 
 
 def suite_symmetry(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
+) -> list[CheckResult]:
+    if sym is None:
+        raise ConfigError("symmetry suite requires a symmetry in the config")
+    return _factored(_symmetry_checks, spectrum, sym, seed)
+
+
+def _symmetry_checks(
+    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: Optional[int]
 ) -> list[CheckResult]:
     import numpy as np
 
     from . import fock
 
-    if sym is None:
-        raise ConfigError("symmetry suite requires a symmetry in the config")
     results: list[CheckResult] = []
-    space = _oracle_space(spectrum)
+    space = _oracle_space(spectrum, cutoff)
 
     def u(state: np.ndarray) -> np.ndarray:
         return fock.apply_symmetry(space, sym, state)
@@ -290,7 +311,7 @@ def suite_symmetry(
             name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
         residual = u(fock.apply_field(space, fock.creation(space, unit[k]), v, subcutoff=True))
         residual -= fock.apply_field(space, expected, uv, subcutoff=True)
-        results.append(CheckResult("symmetry", name, _max_abs(residual), 1e-12))
+        results.append(CheckResult("symmetry", name, _max_abs(residual), 1e-12, mode=k))
     return results
 
 
@@ -707,8 +728,6 @@ def doubled_field_checks(
 def suite_realfield(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    import random
-
     from . import realfield
 
     if sym is None:
@@ -736,55 +755,66 @@ def suite_realfield(
         )
     results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
 
-    def doubled(factor: ModeSpectrum, factor_sym: SymmetrySpec, rng: random.Random) -> list:
-        return doubled_field_checks(realfield.extend(factor, factor_sym), factor_sym, rng=rng)
+    def doubled(
+        factor: ModeSpectrum, factor_sym: SymmetrySpec, rng: random.Random, cutoff: Optional[int]
+    ) -> list[CheckResult]:
+        return doubled_field_checks(realfield.extend(factor, factor_sym), factor_sym, cutoff, rng)
 
-    return results + _factored(doubled, spectrum, sym, random.Random(seed))
+    return results + _factored(doubled, spectrum, sym, seed)
+
+
+#: Ends the name of a check run on the union of the first two factors.
+CROSS_FACTOR_SUFFIX = " across two factors"
 
 
 def _factored(
-    checks: Callable, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
+    checks: Callable, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
 ) -> list[CheckResult]:
-    """``checks(factor, factor_sym, rng)`` run on every factor of the Fock
-    oracle (:func:`twistkit.fock.factors`), drawing from the one ``rng`` in
-    order of smallest mode, and merged: one result per check name, in order
-    of first appearance, at the worst deviation over the factors (NaN-aware)
-    and the tightest threshold.  An empty spectrum is its own factor."""
+    """``checks(factor, factor_sym, rng, cutoff)`` run on every factor of
+    the Fock oracle (:func:`twistkit.fock.factors`) at the factor's own
+    cutoff (``None``), drawing from one ``random.Random(seed)`` in order of
+    smallest mode, and merged: one result per check name at the worst
+    deviation over the factors (NaN-aware) and the tightest threshold, in
+    the order one space of all the modes gives them, by first appearance
+    and the checks of one mode last, by mode.  An empty spectrum is its own
+    factor.
+
+    With two factors or more, every check runs once more on the union of
+    the first two, which the pairing maps to itself, at the cutoff of
+    :data:`twistkit.fock.CROSS_STATES`, its name ending in
+    :data:`CROSS_FACTOR_SUFFIX`.  There the operators and phases of two
+    factors meet, so a field or a phase read at the wrong mode fails even
+    where every factor has one mode."""
+    import random
+
     from . import fock
 
-    pieces = [fock.restrict(spectrum, sym, modes) for modes in fock.factors(spectrum, sym)]
+    rng = random.Random(seed)
+    parts = fock.factors(spectrum, sym)
     merged: dict[tuple[str, str], list[CheckResult]] = {}
-    for factor, factor_sym in pieces or [(spectrum, sym)]:
-        for check in checks(factor, factor_sym, rng):
+    for modes in parts or [()]:
+        factor, factor_sym = fock.restrict(spectrum, sym, modes)
+        for check in checks(factor, factor_sym, rng, None):
+            if check.mode is not None:
+                check.mode = modes[check.mode]
             merged.setdefault((check.suite, check.name), []).append(check)
-    return [
-        CheckResult(suite, name, _worst(c.deviation for c in g), min(c.threshold for c in g))
+    results = [
+        CheckResult(
+            suite, name, _worst(c.deviation for c in g), min(c.threshold for c in g), g[0].mode
+        )
         for (suite, name), g in merged.items()
     ]
-
-
-def _cross_factor_check(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random
-) -> list[CheckResult]:
-    """The two sector commutators of :func:`suite_ccr` once more, on the two
-    modes that lead the first two factors, with no symmetry: a field that
-    reaches the wrong mode's axis fails here even where every factor has one
-    mode.  No check for fewer than two factors."""
-    from . import fock
-
-    parts = fock.factors(spectrum, sym)
+    results.sort(key=lambda c: (c.mode is not None, c.mode or 0))
     if len(parts) < 2:
-        return []
-    pair, _ = fock.restrict(spectrum, None, (parts[0][0], parts[1][0]))
-    sector = [c.deviation for c in suite_ccr(pair, None, rng) if "<g,f>" in c.name]
-    return [CheckResult("ccr", CROSS_FACTOR_CHECK, _worst(sector), 1e-12)]
+        return results
+    modes = tuple(sorted(parts[0] + parts[1]))
+    cross, cross_sym = fock.restrict(spectrum, sym, modes)
+    cutoff = fock.oracle_cutoff(len(modes), fock.CROSS_STATES)
+    return results + [
+        CheckResult(c.suite, c.name + CROSS_FACTOR_SUFFIX, c.deviation, c.threshold)
+        for c in checks(cross, cross_sym, rng, cutoff)
+    ]
 
-
-#: Name of the ``ccr`` check on a space of two factors.
-CROSS_FACTOR_CHECK = "sector commutators across two factors on sub-cutoff block"
-
-#: The dense suites, run once per factor of the Fock oracle.
-_FACTORED = ("ccr", "tc", "symmetry")
 
 _SUITE_FUNCS: dict[str, Callable] = {
     "ccr": suite_ccr,
@@ -805,27 +835,12 @@ def run_suite(
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     if name != "all":
-        return _run_one(name, spectrum, sym, seed)
+        return _SUITE_FUNCS[name](spectrum, sym, seed=seed)
     results: list[CheckResult] = []
-    for suite_name in _SUITE_FUNCS:
+    for suite_name, func in _SUITE_FUNCS.items():
         if sym is None and suite_name in ("symmetry", "realfield"):
             continue
         if suite_name == "kernel" and not slot_action(spectrum, sym).diagonal:
             continue
-        results.extend(_run_one(suite_name, spectrum, sym, seed))
-    return results
-
-
-def _run_one(
-    name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
-) -> list[CheckResult]:
-    """One suite; a dense one once per factor, with one ``random.Random(seed)``."""
-    if name not in _FACTORED:
-        return _SUITE_FUNCS[name](spectrum, sym, seed=seed)
-    import random
-
-    rng = random.Random(seed)
-    results = _factored(_SUITE_FUNCS[name], spectrum, sym, rng)
-    if name == "ccr":
-        results += _cross_factor_check(spectrum, sym, rng)
+        results.extend(func(spectrum, sym, seed=seed))
     return results

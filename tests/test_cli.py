@@ -1188,21 +1188,37 @@ class TestVerifyReach:
                                         bench_shaped_config(5, "antiunitary", 5)],
                              ids=["unitary-5", "two-pairs-one-fixed"])
     def test_no_tensor_exceeds_one_pair_factor(self, tmp_path, monkeypatch, config):
-        # every space verify builds is a factor or the two-mode cross-factor
-        # space, at most 9**4 states, at no lower cutoff than one tensor of
-        # all five modes had (fock.oracle_cutoff(5) = 2)
+        # every space verify builds is a factor, at cutoff 8, or the union of
+        # the first two factors; none holds more than 9**4 states, and none
+        # has a lower cutoff than one tensor of all five modes had
         built = []
         init = fock.FockSpace.__init__
 
         def recording(space, spectrum, cutoff):
             init(space, spectrum, cutoff)
-            built.append((space.dim, space.cutoff))
+            built.append((len(spectrum), space.dim, space.cutoff))
 
         monkeypatch.setattr(fock.FockSpace, "__init__", recording)
         cfg = write_config(tmp_path / "cfg.json", config)
         assert main(["verify", "--config", cfg, "--suite", "all"]) == 0
-        assert max(dim for dim, _ in built) <= 9**4
-        assert min(cutoff for _, cutoff in built) == 8
+        assert max(dim for _, dim, _ in built) <= 9**4
+        assert {cutoff for n_modes, _, cutoff in built if n_modes <= 2} == {8}
+        assert min(cutoff for _, _, cutoff in built) >= fock.oracle_cutoff(5)
+
+    def test_mode_checks_keep_the_order_of_the_modes(self, tmp_path):
+        # a <-> c with b fixed: factors (a, c) and (b), lines still a, b, c
+        config = {"modes": [{"label": "a", "omega": 0.8}, {"label": "b", "omega": 1.3},
+                            {"label": "c", "omega": 0.8}],
+                  "symmetry": {"kind": "antiunitary", "pairing": {"a": "c", "b": "b", "c": "a"},
+                               "phases": [{"re": 0.6, "im": 0.8}, {"re": 0.0, "im": 1.0},
+                                          {"re": 0.8, "im": -0.6}]}}
+        spectrum, sym = load_config(write_config(tmp_path / "cfg.json", config))
+        assert fock.factors(spectrum, sym) == [(0, 2), (1,)]
+        names = [r.name for r in verify.run_suite("symmetry", spectrum, sym)]
+        rule = "U alpha+*({0}) U* = eta alpha-*(pi({0}))"
+        per_mode = [rule.format(lbl) for lbl in "abc"]
+        common = ["U is unitary", "[U, H] = 0", "U fixes the vacuum"]
+        assert names == common + per_mode + [n + verify.CROSS_FACTOR_SUFFIX for n in common + per_mode]
 
     @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
     def test_a_seed_fixes_every_deviation(self, config):
@@ -1222,21 +1238,28 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
     worst = {"a": 1e-13, "b": 0.0, "c": 2e-13}
     seen = []
 
-    def checks(factor, sym, rng):
-        (label,) = factor.labels
-        seen.append((label, rng.random()))
-        return [verify.CheckResult("x", "shared", worst[label], 1e-12),
-                verify.CheckResult("x", "nan", math.nan if label == "b" else 0.0, 1e-12),
-                verify.CheckResult("x", f"only {label}", 0.0, 0.0)]
+    def checks(factor, sym, rng, cutoff):
+        seen.append((factor.labels, cutoff, rng.random()))
+        return [verify.CheckResult("x", f"only {lbl}", 0.0, 0.0, mode=k)
+                for k, lbl in enumerate(factor.labels)] + [
+            verify.CheckResult("x", "shared", max(worst[lbl] for lbl in factor.labels), 1e-12),
+            verify.CheckResult("x", "nan", math.nan if factor.labels == ("b",) else 0.0, 1e-12)]
 
-    merged = verify._factored(checks, spectrum, None, random.Random(7))
+    merged = verify._factored(checks, spectrum, None, 7)
+    cross = [f"{name}{verify.CROSS_FACTOR_SUFFIX}" for name in ("only a", "only b", "shared", "nan")]
+    # the checks of one mode follow the others, by mode; then the run across two factors
     assert [(c.name, c.threshold) for c in merged] == [
-        ("shared", 1e-12), ("nan", 1e-12), ("only a", 0.0), ("only b", 0.0), ("only c", 0.0)]
+        ("shared", 1e-12), ("nan", 1e-12), ("only a", 0.0), ("only b", 0.0), ("only c", 0.0),
+        *zip(cross, (0.0, 0.0, 1e-12, 1e-12))]
+    assert [c.mode for c in merged[:5]] == [None, None, 0, 1, 2]
     assert merged[0].deviation == 2e-13
     assert math.isnan(merged[1].deviation) and not merged[1].passed
-    # one generator, drawn from factor by factor in order of smallest mode
+    assert merged[7].deviation == 1e-13 and merged[8].passed
+    # one generator, drawn from factor by factor in order of smallest mode,
+    # then on the first two factors at the cutoff of fock.CROSS_STATES
     rng = random.Random(7)
-    assert seen == [(label, rng.random()) for label in "abc"]
+    expected = [(("a",), None), (("b",), None), (("c",), None), (("a", "b"), 8)]
+    assert seen == [(labels, cutoff, rng.random()) for labels, cutoff in expected]
 
 
 class TestVerifyPower:
@@ -1306,11 +1329,13 @@ class TestDoubledFieldChecks:
         spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
         failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
                   if not r.passed}
-        assert sorted(failed) == [
-            "doubled-field oracle: adjoint_covariance",
-            "doubled-field oracle: annihilation_definition",
-            "doubled-field oracle: canonical_pair",
-        ]
+        assert sorted(failed) == sorted(
+            name + suffix
+            for name in ("doubled-field oracle: adjoint_covariance",
+                         "doubled-field oracle: annihilation_definition",
+                         "doubled-field oracle: canonical_pair")
+            for suffix in ("", verify.CROSS_FACTOR_SUFFIX)
+        )
         assert failed["doubled-field oracle: annihilation_definition"] > 1.0
 
     def test_u_in_place_of_u_star_fails_symmetry_covariance(self, monkeypatch):
@@ -1326,7 +1351,9 @@ class TestDoubledFieldChecks:
         spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
         failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
                   if not r.passed}
-        assert list(failed) == ["U W = W Lambda", "doubled-field oracle: symmetry_covariance"]
+        covariance = "doubled-field oracle: symmetry_covariance"
+        assert list(failed) == [
+            "U W = W Lambda", covariance, covariance + verify.CROSS_FACTOR_SUFFIX]
         assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
 
 
@@ -1351,7 +1378,7 @@ def test_symmetry_kinds_are_normalized_in_one_place():
     # too.  suite_symmetry is left out: its expected rules are written from
     # the raw phases and pairing, per kind, so that a broken normal form
     # fails it instead of agreeing with itself (TestNormalFormIsNotCircular).
-    raw_rule = inspect.getsource(verify.suite_symmetry)
+    raw_rule = inspect.getsource(verify._symmetry_checks)
     # the one-mode spec kernel_agreement hands kernel_oracle, whose
     # (spectrum, sym, ...) signature the benchmark's checks call
     single = "single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))"

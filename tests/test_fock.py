@@ -96,6 +96,16 @@ class TestFactors:
         assert (sub.labels, sub.omegas, sub.mu) == (("a", "c"), (0.7, 0.7), spec.mu)
         assert (sub_sym.kind, sub_sym.phases, sub_sym.pairing) == ("antiunitary", (1j, 0.6 + 0.8j), (1, 0))
         assert fock.restrict(spec, None, (1,))[1] is None
+        with pytest.raises(ValueError, match="does not map"):
+            sym.restrict((0, 1))
+
+    def test_a_slot_action_that_splits_a_pair_leaves_it_on_one_factor(self, monkeypatch):
+        spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.7)])
+        sym = SymmetrySpec(kind="antiunitary", phases=(1j, -1.0, 0.6 + 0.8j), pairing=(2, 1, 0))
+        # the slot action of every mode onto itself, as if the pairing were the identity
+        split = SymmetrySpec(kind="antiunitary", phases=sym.phases, pairing=(0, 1, 2)).action
+        monkeypatch.setattr(SymmetrySpec, "action", property(lambda _: split))
+        assert fock.factors(spec, sym) == [(0, 2), (1,)]
 
     def test_symmetry_and_tc_are_products_over_factors(self):
         # on a product state x (x) y of the factors {a, b} and {c}, U and TC

@@ -23,10 +23,16 @@ import numpy as np
 import pytest
 
 from twistkit import cli, correlation, fock, partition, realfield, verify
+from twistkit.spectrum import SymmetrySpec
 
 GOLDEN = Path(__file__).parent / "golden"
 ANTI = str(GOLDEN / "anti_pair_fixed.json")
 ANTI2 = str(GOLDEN / "anti_two_pairs_fixed.json")
+
+
+def across(check):
+    """A check's name in its run on the union of the first two factors."""
+    return check + verify.CROSS_FACTOR_SUFFIX
 
 
 def rotate_basis(monkeypatch):
@@ -115,6 +121,26 @@ def cross_mode_creation(monkeypatch):
     monkeypatch.setattr(fock, "apply_field", rolled)
 
 
+def phases_at_mirrored_mode(monkeypatch):
+    """``SymmetrySpec.action`` reads the phase of mode j at mode m - 1 - j;
+    on a one-mode factor this is no change at all."""
+    build = SymmetrySpec.action.func
+    monkeypatch.setattr(SymmetrySpec, "action", property(
+        lambda sym: build(SymmetrySpec(sym.kind, sym.phases[::-1], sym.pairing))))
+
+
+def unpaired_normal_form(monkeypatch):
+    """``SymmetrySpec.action`` maps every mode onto itself, as if the
+    pairing were the identity; the factors still keep each pair together."""
+    build = SymmetrySpec.action.func
+
+    def unpaired(sym):
+        identity = None if sym.pairing is None else tuple(range(len(sym.phases)))
+        return build(SymmetrySpec(sym.kind, sym.phases, identity))
+
+    monkeypatch.setattr(SymmetrySpec, "action", property(unpaired))
+
+
 def conjugated_imaginary_time(monkeypatch):
     """``fock.field`` at the conjugate tau: e^{+omega Im tau} on creation,
     e^{-omega Im tau} on annihilation."""
@@ -158,12 +184,16 @@ MUST_FAIL = {
         ["realfield: U W = W Lambda"]),
     "u-for-u-star-verify": (
         u_for_u_star, ["verify", "--config", ANTI, "--suite", "realfield"],
-        ["realfield: U W = W Lambda", "realfield: doubled-field oracle: symmetry_covariance"]),
+        ["realfield: U W = W Lambda", "realfield: doubled-field oracle: symmetry_covariance",
+         across("realfield: doubled-field oracle: symmetry_covariance")]),
     "j-without-half-swap": (
         j_without_half_swap, ["verify", "--config", ANTI, "--suite", "realfield"],
         ["realfield: doubled-field oracle: adjoint_covariance",
          "realfield: doubled-field oracle: canonical_pair",
-         "realfield: doubled-field oracle: annihilation_definition"]),
+         "realfield: doubled-field oracle: annihilation_definition",
+         across("realfield: doubled-field oracle: adjoint_covariance"),
+         across("realfield: doubled-field oracle: canonical_pair"),
+         across("realfield: doubled-field oracle: annihilation_definition")]),
     "flipped-twist-sign-kernel": (
         flipped_twist_sign, ["kernel", *GRID_8_VERIFY], ["kernel: closed form vs Fock-trace oracle"]),
     "flipped-twist-sign-realfield": (
@@ -178,14 +208,40 @@ MUST_FAIL = {
         wrong_slot_apply_field, ["verify", "--suite", "all"],
         ["ccr: [A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block",
          "ccr: [A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block",
-         f"ccr: {verify.CROSS_FACTOR_CHECK}",
+         across("ccr: [A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block"),
+         across("ccr: [A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block"),
          "symmetry: U alpha+*(a) U* = rho alpha+*(a)",
+         across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
          "realfield: doubled-field oracle: adjoint_covariance",
          "realfield: doubled-field oracle: canonical_pair",
          "realfield: doubled-field oracle: ccr_doubled",
-         "realfield: doubled-field oracle: symmetry_covariance"]),
+         "realfield: doubled-field oracle: symmetry_covariance",
+         across("realfield: doubled-field oracle: adjoint_covariance"),
+         across("realfield: doubled-field oracle: canonical_pair"),
+         across("realfield: doubled-field oracle: ccr_doubled"),
+         across("realfield: doubled-field oracle: symmetry_covariance")]),
     "cross-mode-creation": (
-        cross_mode_creation, ["verify", "--suite", "all"], [f"ccr: {verify.CROSS_FACTOR_CHECK}"]),
+        cross_mode_creation, ["verify", "--suite", "all"],
+        [across("ccr: [A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block"),
+         across("ccr: [A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block"),
+         across("ccr: Heisenberg dynamics of A+* on sub-cutoff block"),
+         across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
+         across("symmetry: U alpha+*(b) U* = rho alpha+*(b)"),
+         across("realfield: doubled-field oracle: adjoint_covariance"),
+         across("realfield: doubled-field oracle: equal_time_commutator"),
+         across("realfield: doubled-field oracle: canonical_pair"),
+         across("realfield: doubled-field oracle: ccr_doubled"),
+         across("realfield: doubled-field oracle: symmetry_covariance")]),
+    "phases-at-mirrored-mode": (
+        phases_at_mirrored_mode, ["verify", "--suite", "all"],
+        [across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
+         across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")]),
+    "unpaired-normal-form": (
+        unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
+        ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
+         "symmetry: U alpha+*(b) U* = eta alpha-*(pi(b))",
+         across("symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))"),
+         across("symmetry: U alpha+*(b) U* = eta alpha-*(pi(b))")]),
 }
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)
