@@ -24,9 +24,10 @@ identical inputs produce byte-identical output.
 ``--extended``, with or without ``--verify``) import no numpy:
 :mod:`twistkit.correlation` never loads it, :mod:`twistkit.realfield`
 loads it only for the dense induced matrix, which no subcommand reads, and
-:mod:`twistkit.verify` imports it inside its dense suites only (the
-doubled-field oracle among them), so ``verify --suite kernel`` and
-``verify --suite partition`` are numpy-free too.  Every refusal is a
+:mod:`twistkit.verify` loads it with its dense suites only
+(:mod:`twistkit.fock_suites`, the doubled-field oracle among them), so
+``verify --suite kernel`` and ``verify --suite partition`` are numpy-free
+too.  Every refusal is a
 TwistkitError or OSError raised where the input is checked; :func:`main`
 alone prints it and picks its exit code.
 """
@@ -37,8 +38,9 @@ import argparse
 import json
 import sys
 
-# verify is numpy-free until a dense suite runs, so it loads eagerly; the
-# benchmark's in-process tracer wraps its checks on every workload.
+# verify imports neither numpy nor the dense suites (twistkit.fock_suites,
+# loaded when one runs), so it loads eagerly; the benchmark's in-process
+# tracer wraps its checks on every workload.
 from . import verify
 from .errors import (
     CapacityError,
@@ -103,13 +105,12 @@ def _report_failures(checks: list[verify.CheckResult]) -> int:
 
 def _cmd_partition(args) -> int:
     spectrum, sym = _load(args.config)
+    # every row first, so a refused beta or cutoff prints no partial table
+    rows = [verify.partition_row(spectrum, sym, beta, args.cutoff) for beta in args.beta]
     print("beta,z_untwisted,z_twisted,lower_bound,oracle_z,rel_err,tail_bound")
-    checks = []
-    for beta in args.beta:
-        columns, row_checks = verify.partition_row(spectrum, sym, beta, args.cutoff)
+    for columns, _ in rows:
         print(",".join(fmt(v) for v in columns))
-        checks += row_checks
-    return _report_failures(checks)
+    return _report_failures([check for _, row_checks in rows for check in row_checks])
 
 
 def _select_mode(spectrum: ModeSpectrum, label: Optional[str]) -> int:

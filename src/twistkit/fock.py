@@ -25,11 +25,13 @@ The space is a tensor product over *factors* (:func:`factors`): the
 smallest sets of modes closed under the cycles of the slot action, one
 mode each for a diagonal action, a pair or a fixed mode each for an
 involutive pairing.  H, every linear field, U_S, U_V and TC are products
-of factor-local terms, so the ``verify`` suites build one space per factor
-(:func:`restrict`), at the factor's :func:`oracle_cutoff`: 8 for the one-
-and two-mode factors of every involutive pairing, 81 and 6561 states.  Only
-a factor of six or more modes is refused (CapacityError).  One more space,
-the union of the first two factors, is held to :data:`CROSS_STATES`.
+of factor-local terms, so the dense verify suites
+(:mod:`twistkit.fock_suites`, the one package module that imports this
+one) build one space per factor (:func:`restrict`), at the factor's
+:func:`oracle_cutoff`: 8 for the one- and two-mode factors of every
+involutive pairing, 81 and 6561 states.  Only a factor of six or more
+modes is refused (CapacityError).  One more space, the union of the first
+two factors, is held to :data:`CROSS_STATES`.
 
 Field tables are built from the doubled coordinates q = (c, d) of the
 doubled (real) theory, two M-vectors, and only this module knows how q
@@ -48,7 +50,7 @@ needs ``numpy.random``.
 The truncated traces of the partition-function oracle need no state
 tensors: they are products over the cycles of the slot action, kept with
 their tail bounds beside their one caller in :mod:`twistkit.verify`,
-which imports no numpy at module level.  ``truncation_tail_bound`` is
+which imports neither numpy nor this module.  ``truncation_tail_bound`` is
 re-exported here for ``bench/checks.py`` only.
 """
 

@@ -32,11 +32,11 @@ sectors.
 The module holds closed forms only and runs on ``math`` and ``cmath``.
 The one numpy import is in the dense ``ExtendedSpectrum.induced``, built
 from the sparse image table when first read, by tests and the benchmark.
-The oracles that read this doubling live in :mod:`twistkit.verify`: the
+The oracles that read this doubling live with the verify suites: the
 doubled-theory route to the partition function,
 :func:`twistkit.verify.z_via_realfield`, and the doubled-field oracle,
 which checks the real-time field of the doubled theory in the truncated
-Fock space, :func:`twistkit.verify.doubled_field_checks`.
+Fock space, :func:`twistkit.fock_suites.doubled_field_checks`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twistkit
-from twistkit import cli, correlation, errors, fock, partition, realfield, verify
+from twistkit import cli, correlation, errors, fock, fock_suites, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import (
     UNIT_MODULUS_TOL, ModeSpectrum, SymmetrySpec, load_config, parse_config, spectrum_to_config,
@@ -133,7 +133,8 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_loads_no_numpy_or_dense_modules():
-    heavy = ["numpy", "twistkit.fock", "twistkit.correlation", "twistkit.realfield"]
+    heavy = ["numpy", "twistkit.fock", "twistkit.fock_suites", "twistkit.correlation",
+             "twistkit.realfield"]
     code = f"import sys, twistkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = _run_cli(["-c", code], check=True).stdout
     assert out.strip() == "[]"
@@ -222,11 +223,49 @@ def test_cli_jobs_load_no_dataclasses_or_inspect(argv, anti_config, tmp_path):
 )
 def test_cli_jobs_never_load_numpy_random(argv, dense, tmp_path):
     # the Fock-oracle states are drawn from random.Random; only the dense
-    # suites load numpy at all
+    # suites load numpy at all, and they load it with twistkit.fock_suites
     fill = {"{out}": str(tmp_path / "k.csv"),
             "{anti}": str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")}
     argv = [fill.get(a, a) for a in argv]
-    assert _loaded(argv, ["numpy", "numpy.random"]) == (["numpy"] if dense else [])
+    modules = ["numpy", "numpy.random", "twistkit.fock_suites"]
+    assert _loaded(argv, modules) == (["numpy", "twistkit.fock_suites"] if dense else [])
+
+
+def test_verify_imports_no_numpy_or_fock():
+    # the dense suites, and with them numpy and fock, are twistkit.fock_suites,
+    # which verify loads only when one of them runs
+    imported = _imported("verify")
+    assert not {n.split(".")[0] for n in imported} & {"numpy"}
+    assert not {n.rsplit(".", 1)[-1] for n in imported} & {"fock"}
+    assert "fock_suites" in imported
+
+
+@pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
+def test_verify_compiles_every_package_module_before_numpy(config):
+    # a job compiles the twistkit modules it needs before numpy's heap exists
+    argv = ["verify", "--suite", "all"]
+    if config is not None:
+        argv += ["--config", str(Path(__file__).parent / "golden" / config)]
+    # (a module is looked up, then compiled, before its body imports anything)
+    code = """
+import sys
+found = []
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        found.append(name)
+sys.meta_path.insert(0, Recorder)
+from twistkit.cli import main
+rc = main(sys.argv[1:])
+print(rc, [m for m in found if m == "numpy" or m.startswith("twistkit.")])
+"""
+    proc = _run_cli(["-c", code, *argv], check=True)
+    rc, found = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert rc == "0", proc.stderr
+    found = ast.literal_eval(found)
+    assert {"twistkit.correlation", "twistkit.realfield", "twistkit.fock",
+            "twistkit.fock_suites"} <= set(found)
+    assert found[-1] == "numpy", found
 
 
 def test_no_package_module_names_numpy_random():
@@ -326,6 +365,7 @@ def test_every_public_name_has_a_package_caller():
     "argv",
     [
         ["partition", "--beta", "1", "--cutoff", "-1"],
+        ["partition", "--beta", "1", "--beta", "nan"],
         ["verify", "--seed", "-1"],
         ["spectrum", "gen", "twisted-circle", "--twist", "nan", "--n-min", "0", "--n-max", "2"],
         ["spectrum", "gen", "twisted-circle", "--twist", "inf", "--n-min", "0", "--n-max", "2"],
@@ -334,6 +374,7 @@ def test_every_public_name_has_a_package_caller():
 def test_out_of_domain_numbers_exit_2(argv):
     proc = _run_cli(["-m", "twistkit.cli", *argv])
     assert proc.returncode == 2
+    assert proc.stdout == ""  # a refused run prints no partial table
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
 
@@ -472,19 +513,26 @@ PARTITION_ORACLES = ("partition_trace", "_truncated_geometric", "truncation_tail
                      "twisted_tail_bound", "geometric_log_derivative")
 
 
+def _imported(stem):
+    """The modules and names a package module imports, at any level (inside
+    functions and under TYPE_CHECKING too)."""
+    imported = set()
+    path = Path(twistkit.__file__).parent / f"{stem}.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([node.module or "", *(a.name for a in node.names)])
+    return imported
+
+
 def test_closed_form_modules_reach_no_oracle():
-    # spectrum, partition, correlation and realfield import neither verify
-    # nor fock, at any level (inside functions and under TYPE_CHECKING too),
-    # so no closed form can reach an oracle
+    # spectrum, partition, correlation and realfield import neither verify,
+    # fock nor fock_suites, so no closed form can reach an oracle
     package = Path(twistkit.__file__).parent
     for stem in ("spectrum", "partition", "correlation", "realfield"):
-        imported = set()
-        for node in ast.walk(ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                imported.update(a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                imported.update([node.module or "", *(a.name for a in node.names)])
-        assert not {n.rsplit(".", 1)[-1] for n in imported} & {"verify", "fock"}, stem
+        leaves = {n.rsplit(".", 1)[-1] for n in _imported(stem)}
+        assert not leaves & {"verify", "fock", "fock_suites"}, stem
     # the Z oracles are defined in verify, the kernel oracle's helper in
     # correlation
     defined = {
@@ -1218,7 +1266,8 @@ class TestVerifyReach:
         rule = "U alpha+*({0}) U* = eta alpha-*(pi({0}))"
         per_mode = [rule.format(lbl) for lbl in "abc"]
         common = ["U is unitary", "[U, H] = 0", "U fixes the vacuum"]
-        assert names == common + per_mode + [n + verify.CROSS_FACTOR_SUFFIX for n in common + per_mode]
+        assert names == common + per_mode + [
+            n + fock_suites.CROSS_FACTOR_SUFFIX for n in common + per_mode]
 
     @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
     def test_a_seed_fixes_every_deviation(self, config):
@@ -1245,8 +1294,8 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
             verify.CheckResult("x", "shared", max(worst[lbl] for lbl in factor.labels), 1e-12),
             verify.CheckResult("x", "nan", math.nan if factor.labels == ("b",) else 0.0, 1e-12)]
 
-    merged = verify._factored(checks, spectrum, None, 7)
-    cross = [f"{name}{verify.CROSS_FACTOR_SUFFIX}" for name in ("only a", "only b", "shared", "nan")]
+    merged = fock_suites._factored(checks, spectrum, None, 7)
+    cross = [f"{name}{fock_suites.CROSS_FACTOR_SUFFIX}" for name in ("only a", "only b", "shared", "nan")]
     # the checks of one mode follow the others, by mode; then the run across two factors
     assert [(c.name, c.threshold) for c in merged] == [
         ("shared", 1e-12), ("nan", 1e-12), ("only a", 0.0), ("only b", 0.0), ("only c", 0.0),
@@ -1308,7 +1357,7 @@ class TestDoubledFieldChecks:
     )
     def test_deviations_small(self, sym):
         ext = realfield.extend(validate_spectrum([("k0", 1.0)]), sym)
-        for check in verify.doubled_field_checks(ext, sym, cutoff=12):
+        for check in fock_suites.doubled_field_checks(ext, sym, cutoff=12):
             assert check.deviation < 1e-8, f"{check.name}: {check.deviation}"
 
     def test_equal_time_commutator_two_modes(self):
@@ -1317,7 +1366,8 @@ class TestDoubledFieldChecks:
             kind="antiunitary", phases=(1j, np.exp(0.4j)), pairing=(1, 0)
         )
         ext = realfield.extend(spec, sym)
-        report = {c.name: c.deviation for c in verify.doubled_field_checks(ext, sym, cutoff=3)}
+        report = {c.name: c.deviation
+                  for c in fock_suites.doubled_field_checks(ext, sym, cutoff=3)}
         assert report["doubled-field oracle: equal_time_commutator"] < 1e-12
         assert report["doubled-field oracle: symmetry_covariance"] < 1e-8
 
@@ -1325,7 +1375,7 @@ class TestDoubledFieldChecks:
         # psi is built from fock's tables, not through J, so J = conj breaks
         # every identity that reads J except [A*(Jq)*, A*(r)] = <Jq, r>, which
         # holds for any J; A(q) read off q no longer equals A*(Jq)*
-        monkeypatch.setattr(verify, "_natural_conjugation", np.conj)
+        monkeypatch.setattr(fock_suites, "_natural_conjugation", np.conj)
         spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
         failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
                   if not r.passed}
@@ -1334,7 +1384,7 @@ class TestDoubledFieldChecks:
             for name in ("doubled-field oracle: adjoint_covariance",
                          "doubled-field oracle: annihilation_definition",
                          "doubled-field oracle: canonical_pair")
-            for suffix in ("", verify.CROSS_FACTOR_SUFFIX)
+            for suffix in ("", fock_suites.CROSS_FACTOR_SUFFIX)
         )
         assert failed["doubled-field oracle: annihilation_definition"] > 1.0
 
@@ -1353,7 +1403,7 @@ class TestDoubledFieldChecks:
                   if not r.passed}
         covariance = "doubled-field oracle: symmetry_covariance"
         assert list(failed) == [
-            "U W = W Lambda", covariance, covariance + verify.CROSS_FACTOR_SUFFIX]
+            "U W = W Lambda", covariance, covariance + fock_suites.CROSS_FACTOR_SUFFIX]
         assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
 
 
@@ -1374,16 +1424,17 @@ def test_symmetry_kinds_are_normalized_in_one_place():
             assert name not in source, (module.__name__, name)
     for name in ("z_twisted_unitary", "z_twisted_antiunitary", "antiunitary_partition_trace"):
         assert not hasattr(partition, name), name
-    # correlation, cli and verify choose their routes from the slot action
-    # too.  suite_symmetry is left out: its expected rules are written from
-    # the raw phases and pairing, per kind, so that a broken normal form
-    # fails it instead of agreeing with itself (TestNormalFormIsNotCircular).
-    raw_rule = inspect.getsource(verify._symmetry_checks)
+    # correlation, cli, verify and fock_suites choose their routes from the
+    # slot action too.  The symmetry suite's checks are left out: their
+    # expected rules are written from the raw phases and pairing, per kind,
+    # so that a broken normal form fails them instead of agreeing with
+    # itself (TestNormalFormIsNotCircular).
+    raw_rule = inspect.getsource(fock_suites._symmetry_checks)
     # the one-mode spec kernel_agreement hands kernel_oracle, whose
     # (spectrum, sym, ...) signature the benchmark's checks call
     single = "single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))"
     assert single in inspect.getsource(verify.kernel_agreement)
-    for module in (correlation, cli, verify):
+    for module in (correlation, cli, verify, fock_suites):
         source = inspect.getsource(module).replace(raw_rule, "")
         for name in (".kind", "ANTIUNITARY"):
             assert name not in source, (module.__name__, name)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistkit import cli, correlation, fock, partition, realfield, verify
+from twistkit import cli, correlation, fock, fock_suites, partition, realfield
 from twistkit.spectrum import SymmetrySpec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,7 +32,7 @@ ANTI2 = str(GOLDEN / "anti_two_pairs_fixed.json")
 
 def across(check):
     """A check's name in its run on the union of the first two factors."""
-    return check + verify.CROSS_FACTOR_SUFFIX
+    return check + fock_suites.CROSS_FACTOR_SUFFIX
 
 
 def rotate_basis(monkeypatch):
@@ -67,7 +67,7 @@ def u_for_u_star(monkeypatch):
 
 def j_without_half_swap(monkeypatch):
     """The natural conjugation J(c, d) = (conj(d), conj(c)) as plain conj."""
-    monkeypatch.setattr(verify, "_natural_conjugation", np.conj)
+    monkeypatch.setattr(fock_suites, "_natural_conjugation", np.conj)
 
 
 def flipped_twist_sign(monkeypatch):
