@@ -27,9 +27,10 @@ loads it only for the dense induced matrix, which no subcommand reads, and
 :mod:`twistkit.verify` loads it with its dense suites only
 (:mod:`twistkit.fock_suites`, the doubled-field oracle among them), so
 ``verify --suite kernel`` and ``verify --suite partition`` are numpy-free
-too.  Every refusal is a
-TwistkitError or OSError raised where the input is checked; :func:`main`
-alone prints it and picks its exit code.
+too.  Every refusal is a TwistkitError or OSError raised where the input
+is checked; :func:`main` alone prints it and picks its exit code, and
+``partition`` computes every row before it prints one, so a refused run
+prints no partial table.
 """
 
 from __future__ import annotations

@@ -231,22 +231,13 @@ def test_cli_jobs_never_load_numpy_random(argv, dense, tmp_path):
     assert _loaded(argv, modules) == (["numpy", "twistkit.fock_suites"] if dense else [])
 
 
-def test_verify_imports_no_numpy_or_fock():
-    # the dense suites, and with them numpy and fock, are twistkit.fock_suites,
-    # which verify loads only when one of them runs
-    imported = _imported("verify")
-    assert not {n.split(".")[0] for n in imported} & {"numpy"}
-    assert not {n.rsplit(".", 1)[-1] for n in imported} & {"fock"}
-    assert "fock_suites" in imported
-
-
 @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
 def test_verify_compiles_every_package_module_before_numpy(config):
-    # a job compiles the twistkit modules it needs before numpy's heap exists
+    # a job compiles the twistkit modules it needs before numpy's heap exists:
+    # each is looked up, and compiled, before its body imports anything
     argv = ["verify", "--suite", "all"]
     if config is not None:
         argv += ["--config", str(Path(__file__).parent / "golden" / config)]
-    # (a module is looked up, then compiled, before its body imports anything)
     code = """
 import sys
 found = []
@@ -544,6 +535,15 @@ def test_closed_form_modules_reach_no_oracle():
     assert "z_via_realfield" not in defined["realfield"]
     assert {"z_via_realfield", *PARTITION_ORACLES[:4]} <= defined["verify"]
     assert "geometric_log_derivative" in defined["correlation"]
+
+
+def test_verify_imports_no_numpy_or_fock():
+    # the dense suites, and with them numpy and fock, are twistkit.fock_suites,
+    # which verify loads only when one of them runs
+    imported = _imported("verify")
+    assert not {n.split(".")[0] for n in imported} & {"numpy"}
+    assert not {n.rsplit(".", 1)[-1] for n in imported} & {"fock"}
+    assert "fock_suites" in imported
 
 
 def _raisers(error):
@@ -1295,7 +1295,8 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
             verify.CheckResult("x", "nan", math.nan if factor.labels == ("b",) else 0.0, 1e-12)]
 
     merged = fock_suites._factored(checks, spectrum, None, 7)
-    cross = [f"{name}{fock_suites.CROSS_FACTOR_SUFFIX}" for name in ("only a", "only b", "shared", "nan")]
+    cross = [name + fock_suites.CROSS_FACTOR_SUFFIX
+             for name in ("only a", "only b", "shared", "nan")]
     # the checks of one mode follow the others, by mode; then the run across two factors
     assert [(c.name, c.threshold) for c in merged] == [
         ("shared", 1e-12), ("nan", 1e-12), ("only a", 0.0), ("only b", 0.0), ("only c", 0.0),
