@@ -21,9 +21,8 @@ output uses fixed 17-significant-digit lowercase scientific formatting so
 identical inputs produce byte-identical output.
 
 ``partition``, ``spectrum gen`` and ``kernel`` (with or without
-``--extended``, with or without ``--verify``) import no numpy:
-:mod:`twistkit.correlation` never loads it, :mod:`twistkit.realfield`
-loads it only for the dense induced matrix, which no subcommand reads, and
+``--extended``, with or without ``--verify``) import no numpy: neither
+:mod:`twistkit.correlation` nor :mod:`twistkit.realfield` loads it, and
 :mod:`twistkit.verify` loads it with its dense suites only
 (:mod:`twistkit.fock_suites`, the doubled-field oracle among them), so
 ``verify --suite kernel`` and ``verify --suite partition`` are numpy-free

@@ -27,11 +27,12 @@ mode each for a diagonal action, a pair or a fixed mode each for an
 involutive pairing.  H, every linear field, U_S, U_V and TC are products
 of factor-local terms, so the dense verify suites
 (:mod:`twistkit.fock_suites`, the one package module that imports this
-one) build one space per factor (:func:`restrict`), at the factor's
-:func:`oracle_cutoff`: 8 for the one- and two-mode factors of every
-involutive pairing, 81 and 6561 states.  Only a factor of six or more
-modes is refused (CapacityError).  One more space, the union of the first
-two factors, is held to :data:`CROSS_STATES`.
+one) build one space per factor, cut down by
+:func:`twistkit.spectrum.restrict`, at the factor's :func:`oracle_cutoff`:
+8 for the one- and two-mode factors of every involutive pairing, 81 and
+6561 states.  Only a factor of six or more modes is refused
+(CapacityError).  One more space, the union of the first two factors, is
+held to :data:`CROSS_STATES`.
 
 Field tables are built from the doubled coordinates q = (c, d) of the
 doubled (real) theory, two M-vectors, and only this module knows how q
@@ -108,10 +109,11 @@ def factors(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> list[tuple[i
 
     H, every linear field, U_S, U_V and TC are products of factor-local
     terms, so an identity among them holds on the space exactly when it
-    holds on every factor (:func:`restrict`).  The pairing joins its modes
-    too, which for the slot action of the pairing changes nothing; a slot
-    action that fails to join them still leaves the pair on one factor,
-    where the ``symmetry`` suite's rules from the raw pairing fail it.
+    holds on every factor (:func:`twistkit.spectrum.restrict`).  The
+    pairing joins its modes too, which for the slot action of the pairing
+    changes nothing; a slot action that fails to join them still leaves
+    the pair on one factor, where the ``symmetry`` suite's rules from the
+    raw pairing fail it.
     """
     root = list(range(len(spectrum)))
 
@@ -130,16 +132,6 @@ def factors(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> list[tuple[i
     for k in range(len(spectrum)):
         groups.setdefault(find(k), []).append(k)
     return [tuple(modes) for modes in groups.values()]
-
-
-def restrict(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], modes: Sequence[int]
-) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
-    """The spectrum and symmetry of one factor, its modes re-indexed in the
-    order of ``modes``; the labels, frequencies, mu and phases are kept."""
-    labels = tuple(spectrum.labels[k] for k in modes)
-    sub = ModeSpectrum(labels, tuple(spectrum.omegas[k] for k in modes), spectrum.mu)
-    return sub, None if sym is None else sym.restrict(modes)
 
 
 def _axis_shape(n_slots: int, slot: int, length: int) -> tuple[int, ...]:
@@ -323,43 +315,28 @@ def field(space: FockSpace, q: Sequence[complex], tau: complex) -> np.ndarray:
     return table / math.sqrt(2.0)
 
 
-def _generalized_permutation(
-    state: np.ndarray,
-    source: Sequence[int],
-    phases: Optional[Sequence[np.ndarray]] = None,
-    conjugate: bool = False,
-) -> np.ndarray:
-    """Axis t of the result is axis ``source[t]`` of (phases * state).
-
-    ``phases`` holds one per-level table per slot; their product over the
-    slots multiplies the state in one step, so every entry is one product.
-    The permutation keeps every occupation, so ``state`` may be any block
-    of levels 0..L-1 on each axis, such as the sub-cutoff block.
-    """
-    n = state.ndim
-    if phases is not None:
-        levels = state.shape[0] if n else 1
-        tables = (p[:levels].reshape(_axis_shape(n, s, levels)) for s, p in enumerate(phases))
-        product = reduce(np.multiply, tables, np.ones((1,) * n, dtype=complex))
-        product *= state
-        state = product
-    out = np.transpose(state, source)
-    return np.conj(out) if conjugate else out
-
-
-def _level_phases(phases: Sequence[complex], cutoff: int) -> list[np.ndarray]:
-    """Per-slot tables of the level powers phase**n, n = 0 .. cutoff."""
-    return [p ** np.arange(cutoff + 1) for p in phases]
-
-
 def apply_symmetry(space: FockSpace, sym: SymmetrySpec, state: np.ndarray) -> np.ndarray:
     """Fock-space implementation U_S of either symmetry kind, applied to a
-    full state or a sub-cutoff block; it is unitary in both kinds."""
+    full state or a sub-cutoff block; it is unitary in both kinds.
+
+    Axis t of the result is axis ``source[t]`` of the state times the level
+    powers phase**n of every slot, whose product over the slots multiplies
+    the state in one step, so every entry is one product.  The permutation
+    keeps every occupation, so the state may be any block of levels 0..L-1
+    on each axis."""
     action = slot_action(space.spectrum, sym)
-    return _generalized_permutation(state, action.source, _level_phases(action.phases, space.cutoff))
+    n = state.ndim
+    levels = state.shape[0] if n else 1
+    tables = (
+        (p ** np.arange(levels)).reshape(_axis_shape(n, s, levels))
+        for s, p in enumerate(action.phases)
+    )
+    product = reduce(np.multiply, tables, np.ones((1,) * n, dtype=complex))
+    product *= state
+    return np.transpose(product, action.source)
 
 
 def apply_tc(space: FockSpace, state: np.ndarray) -> np.ndarray:
     """Time-charge reversal of a full state or a sub-cutoff block: swap the
     + and - axes of every mode, then conjugate."""
-    return _generalized_permutation(state, [s ^ 1 for s in range(space.n_slots)], conjugate=True)
+    return np.conj(np.transpose(state, [s ^ 1 for s in range(space.n_slots)]))

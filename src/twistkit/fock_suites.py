@@ -11,7 +11,10 @@ count: 8 for the one- and two-mode factors of every involutive pairing, at
 most 6561 states, at any mode count (CapacityError, exit 3, only for a
 factor of six or more modes).  An identity holds on the space exactly when
 it holds on every factor, so each check reports the worst deviation over
-the factors (:func:`_factored`).  Each of these checks runs once more on
+the factors (:func:`_factored`).  Each check function takes
+``(spectrum, sym, rng, cutoff)``: the factor's spectrum and symmetry, cut
+down by :func:`twistkit.spectrum.restrict`, the suite's generator and the
+cutoff, None for the factor's own.  Each of these checks runs once more on
 the union of the first two factors, named with
 :data:`CROSS_FACTOR_SUFFIX`, at most 6561 states
 (:data:`twistkit.fock.CROSS_STATES`), with its symmetry: there a field or
@@ -47,7 +50,7 @@ from . import realfield
 from . import fock
 import numpy as np
 
-from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec
+from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, restrict
 from .verify import CheckResult, _worst
 
 TYPE_CHECKING = False
@@ -59,7 +62,8 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max()) if np.size(values) else 0.0
 
 
-def _oracle_space(spectrum: ModeSpectrum, cutoff: Optional[int] = None) -> fock.FockSpace:
+def _oracle_space(spectrum: ModeSpectrum, cutoff: Optional[int]) -> fock.FockSpace:
+    """The space of ``spectrum`` at ``cutoff``, or at the oracle's cutoff for None."""
     return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)) if cutoff is None else cutoff)
 
 
@@ -226,30 +230,28 @@ def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
 
 
 def doubled_field_checks(
-    ext: realfield.ExtendedSpectrum,
-    sym: SymmetrySpec,
-    cutoff: Optional[int] = None,
-    rng: Optional[random.Random] = None,
+    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: Optional[int]
 ) -> list[CheckResult]:
     """Fock-oracle checks of the real-time doubled field psi(t, q) =
     :func:`twistkit.fock.field` at t = 0.37.
 
     With A*(q) = :func:`twistkit.fock.creation` and the natural conjugation
     J(c, d) = (conj(d), conj(c)), on seeded states supported on the
-    sub-cutoff block (``cutoff`` defaults to the oracle's): adjoint
+    sub-cutoff block (the oracle's cutoff for ``cutoff`` None): adjoint
     covariance psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>;
     the equal-time commutator [psi(t,q), psi(t,r)] = 0; the canonical pair
     [psi, d/dt psi] = i<Jq, r>, d/dt by centered differences with one
     Richardson step; [A*(Jq)*, A*(r)] = <Jq, r>; and the symmetry covariance
     U psi(t, q) U* = psi(t, U* q), as U psi(t, q) v = psi(t, U* q) U v, with
-    (U* q)_c = conj(u_c) q_sigma(c) read from ``ext.images``.  The fourth
-    holds for any J, so one more check ties A*(Jq)* to the annihilation
-    table :func:`twistkit.fock.annihilation` reads off q: they must agree
-    exactly on v.  States and coefficients are drawn from ``rng``
-    (default ``random.Random(0)``).
+    (U* q)_c = conj(u_c) q_sigma(c) read from the image table ``images``
+    of :func:`twistkit.realfield.extend`.  The fourth holds for any J, so
+    one more check ties A*(Jq)* to the annihilation table
+    :func:`twistkit.fock.annihilation` reads off q: they must agree exactly
+    on v.  States and coefficients are drawn from ``rng``.  The signature
+    is that of every check :func:`_factored` runs.
     """
-    space = _oracle_space(ext.base, cutoff)
-    rng = random.Random(0) if rng is None else rng
+    ext = realfield.extend(spectrum, sym)
+    space = _oracle_space(spectrum, cutoff)
     n = ext.n_doubled
     q, r = fock.standard_normals(rng, n), fock.standard_normals(rng, n)
     v, x = space.random_state(rng), space.random_state(rng)
@@ -295,13 +297,6 @@ def doubled_field_checks(
     return results
 
 
-def _doubled_checks(
-    factor: ModeSpectrum, factor_sym: SymmetrySpec, rng: random.Random, cutoff: Optional[int]
-) -> list[CheckResult]:
-    """:func:`doubled_field_checks` on one factor's doubled theory, for :func:`_factored`."""
-    return doubled_field_checks(realfield.extend(factor, factor_sym), factor_sym, cutoff, rng)
-
-
 #: Ends the name of a check run on the union of the first two factors.
 CROSS_FACTOR_SUFFIX = " across two factors"
 
@@ -328,7 +323,7 @@ def _factored(
     parts = fock.factors(spectrum, sym)
     merged: dict[tuple[str, str], list[CheckResult]] = {}
     for modes in parts or [()]:
-        factor, factor_sym = fock.restrict(spectrum, sym, modes)
+        factor, factor_sym = restrict(spectrum, sym, modes)
         for check in checks(factor, factor_sym, rng, None):
             if check.mode is not None:
                 check.mode = modes[check.mode]
@@ -343,7 +338,7 @@ def _factored(
     if len(parts) < 2:
         return results
     modes = tuple(sorted(parts[0] + parts[1]))
-    cross, cross_sym = fock.restrict(spectrum, sym, modes)
+    cross, cross_sym = restrict(spectrum, sym, modes)
     cutoff = fock.oracle_cutoff(len(modes), fock.CROSS_STATES)
     return results + [
         CheckResult(c.suite, c.name + CROSS_FACTOR_SUFFIX, c.deviation, c.threshold)

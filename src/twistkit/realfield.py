@@ -29,14 +29,14 @@ scalar kernel too) and the ``realfield`` verify suite read that layout;
 for a unitary input every index is fixed, so no block mixes the two
 sectors.
 
-The module holds closed forms only and runs on ``math`` and ``cmath``.
-The one numpy import is in the dense ``ExtendedSpectrum.induced``, built
-from the sparse image table when first read, by tests and the benchmark.
-The oracles that read this doubling live with the verify suites: the
-doubled-theory route to the partition function,
-:func:`twistkit.verify.z_via_realfield`, and the doubled-field oracle,
-which checks the real-time field of the doubled theory in the truncated
-Fock space, :func:`twistkit.fock_suites.doubled_field_checks`.
+The module holds closed forms only and runs on ``math`` and ``cmath``;
+the dense ``ExtendedSpectrum.induced``, read by tests and the benchmark,
+is a table of row tuples built from the sparse image table.  The oracles
+that read this doubling live with the verify suites: the doubled-theory
+route to the partition function, :func:`twistkit.verify.z_via_realfield`,
+and the doubled-field oracle, which checks the real-time field of the
+doubled theory in the truncated Fock space,
+:func:`twistkit.fock_suites.doubled_field_checks`.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ from functools import cached_property
 
 from .correlation import Basis, SampledKernel, kernel_twist_angle, sample_kernels
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ExtendedSpectrum:
@@ -76,16 +72,14 @@ class ExtendedSpectrum:
         return self.base.omegas * 2
 
     @cached_property
-    def induced(self) -> np.ndarray:
-        """The dense (2M, 2M) induced unitary, built when first read."""
-        import numpy as np
-
+    def induced(self) -> tuple[tuple[complex, ...], ...]:
+        """The dense (2M, 2M) induced unitary as a tuple of row tuples,
+        built when first read: entry (sigma(c), c) is u_c, every other 0."""
         n = self.n_doubled
-        induced = np.zeros((n, n), dtype=complex)
+        rows = [[0j] * n for _ in range(n)]
         for c, (target, u) in self.images.items():
-            induced[target, c] = u
-        induced.setflags(write=False)
-        return induced
+            rows[target][c] = u
+        return tuple(map(tuple, rows))
 
 
 def _doubled(slot: int, m: int) -> int:

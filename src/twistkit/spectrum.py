@@ -13,7 +13,9 @@ mode pairing with unit phases (antiunitary case, acting as
 as mode indices, ``pairing[k]`` = pi(k): a config names modes by label,
 and :func:`parse_config` maps each label to its index once.  Both kinds
 are normalized once, here, into a :class:`SlotAction`, which is the only
-form every route outside this module reads.
+form every route outside this module reads.  :func:`restrict` cuts a
+spectrum and its symmetry down to a set of modes that the pairing maps to
+itself, such as one factor of the Fock oracle.
 
 The classes of the package are plain classes whose ``__init__`` validates
 its arguments.  No module imports ``dataclasses``, so that a CLI start
@@ -138,15 +140,6 @@ class SymmetrySpec:
             phases[2 * k], phases[2 * k + 1] = eta, eta.conjugate()
         return SlotAction(tuple(source), tuple(phases))
 
-    def restrict(self, modes: Sequence[int]) -> SymmetrySpec:
-        """The symmetry on the modes ``modes``, a set the pairing maps to
-        itself, re-indexed in the order given."""
-        index = {k: i for i, k in enumerate(modes)}
-        if self.pairing is not None and any(self.pairing[k] not in index for k in modes):
-            raise ValueError(f"the pairing does not map the modes {tuple(modes)} to themselves")
-        pairing = None if self.pairing is None else tuple(index[self.pairing[k]] for k in modes)
-        return SymmetrySpec(self.kind, tuple(self.phases[k] for k in modes), pairing)
-
 
 class SlotAction:
     """A symmetry as a generalized permutation of the 2M (mode, charge) slots.
@@ -186,6 +179,32 @@ def slot_action(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> SlotActi
         return SlotAction(tuple(range(2 * len(spectrum))), (1.0 + 0.0j,) * (2 * len(spectrum)))
     check_alignment(spectrum, sym)
     return sym.action
+
+
+def restrict(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], modes: Sequence[int]
+) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
+    """The spectrum and symmetry on the modes ``modes``, re-indexed in the
+    order given; the labels, frequencies, mu and phases are kept.
+
+    ConfigError unless ``modes`` are distinct mode indices of ``spectrum``
+    (a repeated mode repeats its label, which :class:`ModeSpectrum`
+    refuses) that the pairing maps among themselves, and ``sym`` aligns
+    with ``spectrum`` (:func:`check_alignment`).
+    """
+    for k in modes:
+        if not (hasattr(k, "__index__") and 0 <= k < len(spectrum)):
+            raise ConfigError(f"{k!r} is not a mode index of {len(spectrum)} modes")
+    labels = tuple(spectrum.labels[k] for k in modes)
+    sub = ModeSpectrum(labels, tuple(spectrum.omegas[k] for k in modes), spectrum.mu)
+    if sym is None:
+        return sub, None
+    check_alignment(spectrum, sym)
+    index = {k: i for i, k in enumerate(modes)}
+    if sym.pairing is not None and any(sym.pairing[k] not in index for k in modes):
+        raise ConfigError(f"the pairing does not map the modes {tuple(modes)} to themselves")
+    pairing = None if sym.pairing is None else tuple(index[sym.pairing[k]] for k in modes)
+    return sub, SymmetrySpec(sym.kind, tuple(sym.phases[k] for k in modes), pairing)
 
 
 def principal_angle(phase: complex) -> float:
@@ -287,6 +306,8 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
     _reject_unknown(doc, {"modes", "mu", "symmetry"}, "config")
     if "modes" not in doc:
         raise ConfigError("config: missing 'modes'")
+    if not isinstance(doc["modes"], list):
+        raise ConfigError("modes must be a list")
     raw = []
     for i, m in enumerate(doc["modes"]):
         if not isinstance(m, dict):
@@ -322,9 +343,10 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
             # unknown label becomes -1, which no permutation of them holds
             index = {lbl: k for k, lbl in enumerate(spectrum.labels)}
             pairing = tuple(index.get(str(raw_pairing[lbl]), -1) for lbl in spectrum.labels)
-        phases = tuple(
-            _parse_complex(p, f"symmetry.phases[{i}]") for i, p in enumerate(s.get("phases", []))
-        )
+        raw_phases = s.get("phases", [])
+        if not isinstance(raw_phases, list):
+            raise ConfigError("symmetry.phases must be a list")
+        phases = tuple(_parse_complex(p, f"symmetry.phases[{i}]") for i, p in enumerate(raw_phases))
         sym = SymmetrySpec(kind=kind, phases=phases, pairing=pairing)
         check_alignment(spectrum, sym)
     return spectrum, sym

@@ -471,7 +471,7 @@ def suite_realfield(
     results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
     from . import fock_suites
 
-    return results + fock_suites._factored(fock_suites._doubled_checks, spectrum, sym, seed)
+    return results + fock_suites._factored(fock_suites.doubled_field_checks, spectrum, sym, seed)
 
 
 _SUITE_FUNCS: dict[str, Callable] = {

@@ -97,6 +97,11 @@ def induced_antiunitary(pairing, phases):
     return out
 
 
+def induced(ext):
+    """``ext.induced``, a table of row tuples, as a (2M, 2M) array."""
+    return np.asarray(ext.induced, dtype=complex).reshape(ext.n_doubled, ext.n_doubled)
+
+
 def matrix_of(shape, operator):
     """Dense matrix of a tensor operator, one basis state per column."""
     dim = int(np.prod(shape))
@@ -197,7 +202,7 @@ def extended_image_sum(ext, beta, tau):
     the doubled frequencies, U = ``ext.induced`` and X = e^{-beta W}: no
     eigenbasis.  W commutes with U, so the diagonal factors act on the rows."""
     w = np.array(ext.doubled_omegas())
-    u, eye, x = ext.induced, np.eye(len(w)), np.diag(np.exp(-beta * w))
+    u, eye, x = induced(ext), np.eye(len(w)), np.diag(np.exp(-beta * w))
     fwd = np.linalg.inv(eye - x @ u)
     back = x @ u.conj().T @ np.linalg.inv(eye - x @ u.conj().T)
     return (np.exp(-w * tau)[:, None] * fwd + np.exp(w * tau)[:, None] * back) / (2.0 * w)[:, None]

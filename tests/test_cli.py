@@ -15,8 +15,8 @@ import twistkit
 from twistkit import cli, correlation, errors, fock, fock_suites, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import (
-    UNIT_MODULUS_TOL, ModeSpectrum, SymmetrySpec, load_config, parse_config, spectrum_to_config,
-    twisted_circle_spectrum, validate_spectrum,
+    UNIT_MODULUS_TOL, ModeSpectrum, SymmetrySpec, load_config, parse_config, restrict,
+    spectrum_to_config, twisted_circle_spectrum, validate_spectrum,
 )
 
 LN2 = math.log(2.0)
@@ -468,11 +468,10 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     for name in ("labels", "partners"):
         assert not hasattr(spec, name), name
     assert _label_index_callers() - {"spectrum.parse_config"} == {"cli._select_mode"}
-    # correlation imports no numpy at run time; realfield imports numpy only
-    # in the dense induced matrix and never imports fock: the doubled-field
-    # oracle lives in verify
+    # neither correlation nor realfield imports numpy, and realfield never
+    # imports fock: the doubled-field oracle lives in fock_suites
     assert _numpy_importers(correlation) == []
-    assert _numpy_importers(realfield) == ["ExtendedSpectrum.induced"]
+    assert _numpy_importers(realfield) == []
     assert _numpy_importers(realfield, "fock") == []
     for name in ("field_coefficient_map", "_doubled_creation", "real_time_field",
                  "real_field_checks"):
@@ -969,6 +968,15 @@ REFUSALS = {
     "parse_config-bool-phase": (
         lambda: parse_config({"modes": [{"label": "a", "omega": 1.0}], "symmetry": {
             "kind": "unitary", "phases": [{"re": True, "im": 0}]}}), errors.ConfigError),
+    # mode -1 would be the last mode, mode 3 is past the end, and the
+    # pairing sends a to b, outside (0, 2)
+    "restrict-negative-mode": (lambda: restrict(ONE_MODE, None, (-1,)), errors.ConfigError),
+    "restrict-mode-past-the-end": (
+        lambda: restrict(*load_config(ANTI_PAIR), (3,)), errors.ConfigError),
+    "restrict-split-pair": (
+        lambda: restrict(*load_config(ANTI_PAIR), (0, 2)), errors.ConfigError),
+    "restrict-repeated-mode": (
+        lambda: restrict(*load_config(ANTI_PAIR), (2, 2)), errors.ConfigError),
 }
 
 
@@ -1005,9 +1013,13 @@ def test_unchecked_inputs_are_refused(call, error):
      ({"modes": [{"label": "a", "omega": 1.0}], "mu": "abc"}, "error: mu: not a number"),
      ({"modes": [{"label": "a", "omega": "inf"}]}, "error: modes[0].omega: not a number"),
      ({"modes": [{"label": "a", "omega": "1.5"}]}, "error: modes[0].omega: not a number"),
-     ({"modes": [{"label": "a", "omega": True}]}, "error: modes[0].omega: not a number")],
+     ({"modes": [{"label": "a", "omega": True}]}, "error: modes[0].omega: not a number"),
+     ({"modes": 5}, "error: modes must be a list"),
+     ({"modes": None}, "error: modes must be a list"),
+     ({"modes": [{"label": "a", "omega": 1.0}], "symmetry": {"kind": "unitary", "phases": 7}},
+      "error: symmetry.phases must be a list")],
     ids=["omega-string", "omega-list", "mu-string", "omega-inf-string", "omega-numeric-string",
-         "omega-bool"],
+         "omega-bool", "modes-number", "modes-null", "phases-number"],
 )
 def test_non_numeric_config_field_exits_2(doc, message, tmp_path):
     cfg = write_config(tmp_path / "bad.json", doc)
@@ -1312,6 +1324,20 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
     assert seen == [(labels, cutoff, rng.random()) for labels, cutoff in expected]
 
 
+def test_dense_checks_share_one_signature():
+    # every check _factored runs takes (spectrum, sym, rng, cutoff), and one
+    # validated restriction cuts a factor out of the space
+    for checks in (fock_suites._ccr_checks, fock_suites._tc_checks,
+                   fock_suites._symmetry_checks, fock_suites.doubled_field_checks):
+        params = inspect.signature(checks).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            (name, inspect.Parameter.empty) for name in ("spectrum", "sym", "rng", "cutoff")]
+    assert "_factored(fock_suites.doubled_field_checks," in inspect.getsource(verify.suite_realfield)
+    for owner, name in ((fock_suites, "_doubled_checks"), (fock, "restrict"),
+                        (fock, "_generalized_permutation"), (SymmetrySpec, "restrict")):
+        assert not hasattr(owner, name), name
+
+
 class TestVerifyPower:
     """Deliberately broken Fock oracles fail ``verify --suite all``."""
 
@@ -1357,8 +1383,8 @@ class TestDoubledFieldChecks:
         ids=["unitary", "antiunitary"],
     )
     def test_deviations_small(self, sym):
-        ext = realfield.extend(validate_spectrum([("k0", 1.0)]), sym)
-        for check in fock_suites.doubled_field_checks(ext, sym, cutoff=12):
+        spec = validate_spectrum([("k0", 1.0)])
+        for check in fock_suites.doubled_field_checks(spec, sym, random.Random(0), 12):
             assert check.deviation < 1e-8, f"{check.name}: {check.deviation}"
 
     def test_equal_time_commutator_two_modes(self):
@@ -1366,9 +1392,8 @@ class TestDoubledFieldChecks:
         sym = SymmetrySpec(
             kind="antiunitary", phases=(1j, np.exp(0.4j)), pairing=(1, 0)
         )
-        ext = realfield.extend(spec, sym)
         report = {c.name: c.deviation
-                  for c in fock_suites.doubled_field_checks(ext, sym, cutoff=3)}
+                  for c in fock_suites.doubled_field_checks(spec, sym, random.Random(0), 3)}
         assert report["doubled-field oracle: equal_time_commutator"] < 1e-12
         assert report["doubled-field oracle: symmetry_covariance"] < 1e-8
 

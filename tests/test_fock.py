@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dense
 from twistkit import fock, verify
 from twistkit.errors import CapacityError, ConfigError
-from twistkit.spectrum import SymmetrySpec, validate_spectrum
+from twistkit.spectrum import SymmetrySpec, restrict, validate_spectrum
 
 LN2 = math.log(2.0)
 
@@ -92,12 +92,12 @@ class TestFactors:
         spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.7)])
         sym = SymmetrySpec(kind="antiunitary", phases=(1j, -1.0, 0.6 + 0.8j), pairing=(2, 1, 0))
         assert fock.factors(spec, sym) == [(0, 2), (1,)]
-        sub, sub_sym = fock.restrict(spec, sym, (0, 2))
+        sub, sub_sym = restrict(spec, sym, (0, 2))
         assert (sub.labels, sub.omegas, sub.mu) == (("a", "c"), (0.7, 0.7), spec.mu)
         assert (sub_sym.kind, sub_sym.phases, sub_sym.pairing) == ("antiunitary", (1j, 0.6 + 0.8j), (1, 0))
-        assert fock.restrict(spec, None, (1,))[1] is None
-        with pytest.raises(ValueError, match="does not map"):
-            sym.restrict((0, 1))
+        assert restrict(spec, None, (1,))[1] is None
+        with pytest.raises(ConfigError, match="does not map"):
+            restrict(spec, sym, (0, 1))
 
     def test_a_slot_action_that_splits_a_pair_leaves_it_on_one_factor(self, monkeypatch):
         spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.7)])
@@ -113,7 +113,7 @@ class TestFactors:
         spec = validate_spectrum([("a", 0.8), ("b", 0.8), ("c", 1.3)])
         sym = SymmetrySpec(kind="antiunitary", phases=(0.6 + 0.8j, 1j, -1.0), pairing=(1, 0, 2))
         (pair, pair_sym), (fixed, fixed_sym) = (
-            fock.restrict(spec, sym, modes) for modes in fock.factors(spec, sym))
+            restrict(spec, sym, modes) for modes in fock.factors(spec, sym))
         rng = np.random.default_rng(3)
         x = full_random(fock.FockSpace(pair, 2), rng)
         y = full_random(fock.FockSpace(fixed, 2), rng)
