@@ -14,7 +14,7 @@ it holds on every factor, so each check reports the worst deviation over
 the factors (:func:`_factored`).  Each check function takes
 ``(spectrum, sym, rng, cutoff)``: the factor's spectrum and symmetry, cut
 down by :func:`twistkit.spectrum.restrict`, the suite's generator and the
-cutoff, None for the factor's own.  Each of these checks runs once more on
+cutoff of the space it builds.  Each of these checks runs once more on
 the union of the first two factors, named with
 :data:`CROSS_FACTOR_SUFFIX`, at most 6561 states
 (:data:`twistkit.fock.CROSS_STATES`), with its symmetry: there a field or
@@ -62,11 +62,6 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max()) if np.size(values) else 0.0
 
 
-def _oracle_space(spectrum: ModeSpectrum, cutoff: Optional[int]) -> fock.FockSpace:
-    """The space of ``spectrum`` at ``cutoff``, or at the oracle's cutoff for None."""
-    return fock.FockSpace(spectrum, fock.oracle_cutoff(len(spectrum)) if cutoff is None else cutoff)
-
-
 def _unit_states(space: fock.FockSpace, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
     """Two seeded random unit states on the sub-cutoff block, for inner products."""
     x, y = space.random_state(rng), space.random_state(rng)
@@ -74,12 +69,12 @@ def _unit_states(space: fock.FockSpace, rng: random.Random) -> tuple[np.ndarray,
 
 
 def _ccr_checks(
-    spectrum: ModeSpectrum, sym, rng: random.Random, cutoff: Optional[int]
+    spectrum: ModeSpectrum, sym, rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
     if len(spectrum) == 0:
         return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
-    space = _oracle_space(spectrum, cutoff)
+    space = fock.FockSpace(spectrum, cutoff)
     f = fock.standard_normals(rng, len(spectrum))
     g = fock.standard_normals(rng, len(spectrum))
     v = space.random_state(rng)
@@ -134,10 +129,10 @@ def _ccr_checks(
     return results
 
 def _tc_checks(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random, cutoff: Optional[int]
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
-    space = _oracle_space(spectrum, cutoff)
+    space = fock.FockSpace(spectrum, cutoff)
 
     def tc(state: np.ndarray) -> np.ndarray:
         return fock.apply_tc(space, state)
@@ -180,10 +175,10 @@ def _tc_checks(
     return results
 
 def _symmetry_checks(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: Optional[int]
+    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
-    space = _oracle_space(spectrum, cutoff)
+    space = fock.FockSpace(spectrum, cutoff)
 
     def u(state: np.ndarray) -> np.ndarray:
         return fock.apply_symmetry(space, sym, state)
@@ -230,14 +225,14 @@ def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
 
 
 def doubled_field_checks(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: Optional[int]
+    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     """Fock-oracle checks of the real-time doubled field psi(t, q) =
     :func:`twistkit.fock.field` at t = 0.37.
 
     With A*(q) = :func:`twistkit.fock.creation` and the natural conjugation
     J(c, d) = (conj(d), conj(c)), on seeded states supported on the
-    sub-cutoff block (the oracle's cutoff for ``cutoff`` None): adjoint
+    sub-cutoff block of the space at ``cutoff``: adjoint
     covariance psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>;
     the equal-time commutator [psi(t,q), psi(t,r)] = 0; the canonical pair
     [psi, d/dt psi] = i<Jq, r>, d/dt by centered differences with one
@@ -251,7 +246,7 @@ def doubled_field_checks(
     is that of every check :func:`_factored` runs.
     """
     ext = realfield.extend(spectrum, sym)
-    space = _oracle_space(spectrum, cutoff)
+    space = fock.FockSpace(spectrum, cutoff)
     n = ext.n_doubled
     q, r = fock.standard_normals(rng, n), fock.standard_normals(rng, n)
     v, x = space.random_state(rng), space.random_state(rng)
@@ -305,8 +300,8 @@ def _factored(
     checks: Callable, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
 ) -> list[CheckResult]:
     """``checks(factor, factor_sym, rng, cutoff)`` run on every factor of
-    the Fock oracle (:func:`twistkit.fock.factors`) at the factor's own
-    cutoff (``None``), drawing from one ``random.Random(seed)`` in order of
+    the Fock oracle (:func:`twistkit.fock.factors`) at
+    :func:`twistkit.fock.oracle_cutoff` of its mode count, drawing from one ``random.Random(seed)`` in order of
     smallest mode, and merged: one result per check name at the worst
     deviation over the factors (NaN-aware) and the tightest threshold, in
     the order one space of all the modes gives them, by first appearance
@@ -324,7 +319,7 @@ def _factored(
     merged: dict[tuple[str, str], list[CheckResult]] = {}
     for modes in parts or [()]:
         factor, factor_sym = restrict(spectrum, sym, modes)
-        for check in checks(factor, factor_sym, rng, None):
+        for check in checks(factor, factor_sym, rng, fock.oracle_cutoff(len(modes))):
             if check.mode is not None:
                 check.mode = modes[check.mode]
             merged.setdefault((check.suite, check.name), []).append(check)

@@ -222,13 +222,18 @@ def validate_spectrum(
 ) -> ModeSpectrum:
     """Build a ModeSpectrum from raw (label, omega) pairs, which checks them.
 
-    The empty sequence is accepted and produces the trivial theory whose
-    partition functions are empty products.  ``mu`` defaults to the minimum
-    omega when no hint is given.
+    Each label must be a string, and each omega and ``mu_hint`` an int or
+    a float, not a bool (ConfigError otherwise).  The empty sequence is
+    accepted and produces the trivial theory whose partition functions are
+    empty products.  ``mu`` defaults to the minimum omega when no hint is
+    given.
     """
-    labels = tuple(str(lbl) for lbl, _ in raw)
-    omegas = tuple(float(w) for _, w in raw)
-    mu = min(omegas, default=None) if mu_hint is None else float(mu_hint)
+    labels = tuple(lbl for lbl, _ in raw)
+    for lbl in labels:
+        if not isinstance(lbl, str):
+            raise ConfigError(f"mode label {lbl!r} is not a string")
+    omegas = tuple(_parse_float(w, f"mode {lbl!r} omega") for lbl, w in raw)
+    mu = min(omegas, default=None) if mu_hint is None else _parse_float(mu_hint, "mu")
     return ModeSpectrum(labels=labels, omegas=omegas, mu=mu)
 
 
@@ -315,6 +320,8 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
         _reject_unknown(m, {"label", "omega"}, f"modes[{i}]")
         if "label" not in m or "omega" not in m:
             raise ConfigError(f"modes[{i}]: requires label and omega")
+        if not isinstance(m["label"], str):
+            raise ConfigError(f"modes[{i}].label: not a string")
         raw.append((m["label"], _parse_float(m["omega"], f"modes[{i}].omega")))
     mu = doc.get("mu")
     spectrum = validate_spectrum(raw, mu_hint=None if mu is None else _parse_float(mu, "mu"))
@@ -337,12 +344,14 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
             for lbl in spectrum.labels:
                 if lbl not in raw_pairing:
                     raise ConfigError(f"symmetry.pairing: missing mode {lbl!r}")
+                if not isinstance(raw_pairing[lbl], str):
+                    raise ConfigError(f"symmetry.pairing[{lbl!r}]: not a string")
             if set(raw_pairing) != set(spectrum.labels):
                 raise ConfigError("symmetry.pairing mentions unknown modes")
             # the one place a pairing's labels become mode indices; an
             # unknown label becomes -1, which no permutation of them holds
             index = {lbl: k for k, lbl in enumerate(spectrum.labels)}
-            pairing = tuple(index.get(str(raw_pairing[lbl]), -1) for lbl in spectrum.labels)
+            pairing = tuple(index.get(raw_pairing[lbl], -1) for lbl in spectrum.labels)
         raw_phases = s.get("phases", [])
         if not isinstance(raw_phases, list):
             raise ConfigError("symmetry.phases must be a list")

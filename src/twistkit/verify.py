@@ -1,5 +1,13 @@
 """Named verification suites over a (spectrum, symmetry) configuration.
 
+:func:`run_suite` is the one entry to the suites.  One ordered table maps
+each name of :data:`SUITES` to its body, and one rule states where each
+suite applies (:func:`_refusal`): ``symmetry`` and ``realfield`` need a
+symmetry, and the scalar ``kernel`` suite needs a twist that keeps every
+slot.  An explicit run of a suite that does not apply raises the rule's
+ConfigError or KindError; ``all`` skips it and runs the others in table
+order: ccr, tc, symmetry, partition, kernel, realfield.
+
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
 --verify`` render :func:`partition_row`, :func:`kernel_agreement` and
@@ -27,9 +35,9 @@ raises InternalConsistencyError (exit 5).
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` act with the matrix-free Fock oracle, once per factor of
 the space and once more across the first two factors; their checks live
-in :mod:`twistkit.fock_suites`, which the ``suite_*`` entry points here
-import only when one of them runs.  This module imports neither numpy nor
-:mod:`twistkit.fock`, so :class:`CheckResult`, :data:`SUITES`,
+in :mod:`twistkit.fock_suites`, which one runner here, keyed by suite
+name, imports only when one of them runs.  This module imports neither
+numpy nor :mod:`twistkit.fock`, so :class:`CheckResult`, :data:`SUITES`,
 :func:`run_suite`, :func:`partition_row`, the ``kernel`` and ``partition``
 suites (the latter's doubled-theory route on a non-diagonal action
 included) and the sampled kernel checks of any sampled kernel (``kernel
@@ -56,9 +64,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import partial
 
 from . import partition
-from .errors import ConfigError, DomainError, InternalConsistencyError, KindError, RangeError
+from .errors import ConfigError, InternalConsistencyError, KindError, RangeError, TwistkitError
 from .partition import _log_abs2_one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
@@ -71,9 +80,6 @@ if TYPE_CHECKING:
 
 #: Machine epsilon, 2^-52.
 _EPS = sys.float_info.epsilon
-
-SUITES = ("ccr", "tc", "symmetry", "partition", "kernel", "realfield", "all")
-
 
 class CheckResult:
     """One check: its suite, its name, the deviation found and the threshold
@@ -91,26 +97,17 @@ class CheckResult:
         return self.deviation <= self.threshold
 
 
-def suite_ccr(spectrum: ModeSpectrum, sym, seed: int = 0) -> list[CheckResult]:
-    from . import fock_suites
-
-    return fock_suites._factored(fock_suites._ccr_checks, spectrum, sym, seed)
-
-
-def suite_tc(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0) -> list[CheckResult]:
-    from . import fock_suites
-
-    return fock_suites._factored(fock_suites._tc_checks, spectrum, sym, seed)
-
-
-def suite_symmetry(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
+def _dense(
+    suite: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
 ) -> list[CheckResult]:
-    if sym is None:
-        raise ConfigError("symmetry suite requires a symmetry in the config")
-    from . import fock_suites
+    """The Fock-oracle checks of ``suite``, run factor by factor by
+    :func:`twistkit.fock_suites._factored`: the whole of the ``ccr``, ``tc``
+    and ``symmetry`` suites and the doubled-field checks of ``realfield``."""
+    from . import fock_suites as fs
 
-    return fock_suites._factored(fock_suites._symmetry_checks, spectrum, sym, seed)
+    checks = {"ccr": fs._ccr_checks, "tc": fs._tc_checks, "symmetry": fs._symmetry_checks,
+              "realfield": fs.doubled_field_checks}[suite]
+    return fs._factored(checks, spectrum, sym, seed)
 
 
 #: Occupation cutoff of the truncated partition traces: the ``partition``
@@ -236,9 +233,7 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
     return z.real
 
 
-def suite_partition(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
-) -> list[CheckResult]:
+def _partition(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
     beta = 1.0
     columns, results = partition_row(spectrum, sym, beta, cutoff=PARTITION_CUTOFF)
     z = columns[2]
@@ -358,19 +353,14 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     ]
 
 
-def suite_kernel(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
-) -> list[CheckResult]:
+def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
     import random
 
     from . import correlation
 
     if len(spectrum) == 0:
         return [CheckResult("kernel", "empty-spectrum (vacuous)", 0.0, 0.0)]
-    action = slot_action(spectrum, sym)
-    if not action.diagonal:
-        raise KindError("kernel suite needs one phase per mode, not a symmetry that moves slots")
-    rho = action.phases[0]
+    rho = slot_action(spectrum, sym).phases[0]
     beta = 1.0
     omega, theta = spectrum.omegas[0], correlation.kernel_twist_angle(rho)
     m = 128
@@ -440,13 +430,9 @@ def eigenbasis_checks(
             CheckResult("realfield", "W* W = I", _worst(gram), 1e-12)]
 
 
-def suite_realfield(
-    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
-) -> list[CheckResult]:
+def _realfield(spectrum: ModeSpectrum, sym: SymmetrySpec, seed: int) -> list[CheckResult]:
     from . import realfield
 
-    if sym is None:
-        raise ConfigError("realfield suite requires a symmetry in the config")
     if len(spectrum) == 0:
         return [CheckResult("realfield", "empty-spectrum (vacuous)", 0.0, 0.0)]
     results: list[CheckResult] = []
@@ -469,36 +455,49 @@ def suite_realfield(
             CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
         )
     results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
-    from . import fock_suites
-
-    return results + fock_suites._factored(fock_suites.doubled_field_checks, spectrum, sym, seed)
+    return results + _dense("realfield", spectrum, sym, seed)
 
 
-_SUITE_FUNCS: dict[str, Callable] = {
-    "ccr": suite_ccr,
-    "tc": suite_tc,
-    "symmetry": suite_symmetry,
-    "partition": suite_partition,
-    "kernel": suite_kernel,
-    "realfield": suite_realfield,
+#: Each suite's body, in the order ``all`` runs them.
+_SUITES: dict[str, Callable] = {
+    "ccr": partial(_dense, "ccr"),
+    "tc": partial(_dense, "tc"),
+    "symmetry": partial(_dense, "symmetry"),
+    "partition": _partition,
+    "kernel": _kernel,
+    "realfield": _realfield,
 }
+SUITES = (*_SUITES, "all")
+
+
+def _refusal(
+    name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]
+) -> Optional[TwistkitError]:
+    """Why suite ``name`` does not apply to the configuration, or None where
+    it does: the ``symmetry`` and ``realfield`` suites need a symmetry, and
+    the scalar ``kernel`` suite needs a twist that keeps every slot."""
+    if sym is None and name in ("symmetry", "realfield"):
+        return ConfigError(f"{name} suite requires a symmetry in the config")
+    if name == "kernel" and not slot_action(spectrum, sym).diagonal:
+        return KindError("kernel suite needs one phase per mode, not a symmetry that moves slots")
+    return None
 
 
 def run_suite(
     name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    """Run one named suite (or 'all'); skips kind-mismatched suites under 'all'."""
+    """Run one named suite, refusing it where it does not apply (:func:`_refusal`),
+    or every suite that applies, in table order, for 'all'."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    _require_count(seed, 0, "seed")
     if name != "all":
-        return _SUITE_FUNCS[name](spectrum, sym, seed=seed)
+        refusal = _refusal(name, spectrum, sym)
+        if refusal is not None:
+            raise refusal
+        return _SUITES[name](spectrum, sym, seed)
     results: list[CheckResult] = []
-    for suite_name, func in _SUITE_FUNCS.items():
-        if sym is None and suite_name in ("symmetry", "realfield"):
-            continue
-        if suite_name == "kernel" and not slot_action(spectrum, sym).diagonal:
-            continue
-        results.extend(func(spectrum, sym, seed=seed))
+    for suite_name, body in _SUITES.items():
+        if _refusal(suite_name, spectrum, sym) is None:
+            results += body(spectrum, sym, seed)
     return results

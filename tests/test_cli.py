@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 import math
 import os
@@ -414,7 +415,7 @@ class TestSharedChecksBite:
         assert main(args) == 1
         assert "[FAIL] kernel: closed form vs Fock-trace oracle" in capsys.readouterr().err
         spec, sym = load_config(minus_one_config)
-        assert not all(r.passed for r in verify.suite_kernel(spec, sym))
+        assert not all(r.passed for r in verify.run_suite("kernel", spec, sym))
 
     def test_kernel_fourier_off_by_twice_its_tail(
         self, minus_one_config, tmp_path, monkeypatch, capsys
@@ -435,7 +436,7 @@ class TestSharedChecksBite:
         assert main(args) == 1
         assert "[FAIL] kernel: closed form vs Fourier partial sum" in capsys.readouterr().err
         spec, sym = load_config(minus_one_config)
-        failed = [r.name for r in verify.suite_kernel(spec, sym) if not r.passed]
+        failed = [r.name for r in verify.run_suite("kernel", spec, sym) if not r.passed]
         assert failed == ["closed form vs Fourier partial sum"]
 
 
@@ -624,9 +625,9 @@ class TestSampledKernelChecksBite:
 
     def test_indefinite_kernel_fails_the_suites(self, indefinite, minus_one_config, anti_config):
         spec, sym = load_config(minus_one_config)
-        assert self.failed(verify.suite_kernel(spec, sym), self.SPECTRUM)
+        assert self.failed(verify.run_suite("kernel", spec, sym), self.SPECTRUM)
         spec, sym = load_config(anti_config)
-        assert self.failed(verify.suite_realfield(spec, sym), self.SPECTRUM)
+        assert self.failed(verify.run_suite("realfield", spec, sym), self.SPECTRUM)
 
     def test_indefinite_kernel_fails_kernel_verify(self, indefinite, anti_config, tmp_path, capsys):
         args = ["kernel", "--beta", "1", "--grid", "16", "--output", str(tmp_path / "k.csv")]
@@ -656,7 +657,7 @@ class TestSampledKernelChecksBite:
         )
         spec, sym = load_config(minus_one_config)
         assert self.failed(
-            verify.suite_kernel(spec, sym), "resolvent residual on twisted eigenmode"
+            verify.run_suite("kernel", spec, sym), "resolvent residual on twisted eigenmode"
         )
 
     @pytest.mark.parametrize("omega", [10.0, 1000.0])
@@ -977,6 +978,21 @@ REFUSALS = {
         lambda: restrict(*load_config(ANTI_PAIR), (0, 2)), errors.ConfigError),
     "restrict-repeated-mode": (
         lambda: restrict(*load_config(ANTI_PAIR), (2, 2)), errors.ConfigError),
+    "validate_spectrum-string-omega": (
+        lambda: validate_spectrum([("a", "x")]), errors.ConfigError),
+    "validate_spectrum-null-omega": (
+        lambda: validate_spectrum([("a", None)]), errors.ConfigError),
+    "validate_spectrum-number-label": (
+        lambda: validate_spectrum([(1, 1.0)]), errors.ConfigError),
+    "validate_spectrum-string-mu": (
+        lambda: validate_spectrum([("a", 1.0)], mu_hint="x"), errors.ConfigError),
+    # random.Random would seed from the hash of 1.5
+    "run_suite-fractional-seed": (
+        lambda: verify.run_suite("partition", ONE_MODE, None, 1.5), errors.DomainError),
+    "run_suite-null-seed": (
+        lambda: verify.run_suite("partition", ONE_MODE, None, None), errors.DomainError),
+    "run_suite-string-seed": (
+        lambda: verify.run_suite("partition", ONE_MODE, None, "3"), errors.DomainError),
 }
 
 
@@ -1017,9 +1033,18 @@ def test_unchecked_inputs_are_refused(call, error):
      ({"modes": 5}, "error: modes must be a list"),
      ({"modes": None}, "error: modes must be a list"),
      ({"modes": [{"label": "a", "omega": 1.0}], "symmetry": {"kind": "unitary", "phases": 7}},
-      "error: symmetry.phases must be a list")],
+      "error: symmetry.phases must be a list"),
+     ({"modes": [{"label": [1], "omega": 1.0}]}, "error: modes[0].label: not a string"),
+     ({"modes": [{"label": 1.5, "omega": 1.0}]}, "error: modes[0].label: not a string"),
+     ({"modes": [{"label": "None", "omega": 1.0}, {"label": None, "omega": 1.0}]},
+      "error: modes[1].label: not a string"),
+     ({"modes": [{"label": "1", "omega": 1.0}, {"label": "b", "omega": 1.0}],
+       "symmetry": {"kind": "antiunitary", "pairing": {"1": "b", "b": 1},
+                    "phases": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]}},
+      "error: symmetry.pairing['b']: not a string")],
     ids=["omega-string", "omega-list", "mu-string", "omega-inf-string", "omega-numeric-string",
-         "omega-bool", "modes-number", "modes-null", "phases-number"],
+         "omega-bool", "modes-number", "modes-null", "phases-number", "label-list",
+         "label-number", "label-null", "pairing-number"],
 )
 def test_non_numeric_config_field_exits_2(doc, message, tmp_path):
     cfg = write_config(tmp_path / "bad.json", doc)
@@ -1320,7 +1345,7 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
     # one generator, drawn from factor by factor in order of smallest mode,
     # then on the first two factors at the cutoff of fock.CROSS_STATES
     rng = random.Random(7)
-    expected = [(("a",), None), (("b",), None), (("c",), None), (("a", "b"), 8)]
+    expected = [(("a",), 8), (("b",), 8), (("c",), 8), (("a", "b"), 8)]
     assert seen == [(labels, cutoff, rng.random()) for labels, cutoff in expected]
 
 
@@ -1332,7 +1357,9 @@ def test_dense_checks_share_one_signature():
         params = inspect.signature(checks).parameters.values()
         assert [(p.name, p.default) for p in params] == [
             (name, inspect.Parameter.empty) for name in ("spectrum", "sym", "rng", "cutoff")]
-    assert "_factored(fock_suites.doubled_field_checks," in inspect.getsource(verify.suite_realfield)
+    runner = inspect.getsource(verify._dense)
+    assert '"realfield": fs.doubled_field_checks' in runner and "fs._factored(checks," in runner
+    assert '_dense("realfield", spectrum, sym, seed)' in inspect.getsource(verify._realfield)
     for owner, name in ((fock_suites, "_doubled_checks"), (fock, "restrict"),
                         (fock, "_generalized_permutation"), (SymmetrySpec, "restrict")):
         assert not hasattr(owner, name), name
@@ -1469,6 +1496,32 @@ def test_symmetry_kinds_are_normalized_in_one_place():
             if "UNITARY" in line and not line.lstrip().startswith("from ")
         ]
         assert uses == ([single] if module is verify else []), module.__name__
+
+
+@pytest.mark.parametrize(
+    "config, refused",
+    [({"modes": [{"label": "a", "omega": 0.7}, {"label": "b", "omega": 1.3}]},
+      {"symmetry", "realfield"}),
+     (None, set()),
+     (ANTI_PAIR, {"kernel"})],
+    ids=["no-symmetry", "bundled-unitary", "anti-pair-fixed"],
+)
+def test_each_suite_runs_exactly_where_it_applies(config, refused, tmp_path, capsys):
+    # an explicit run of a suite that does not apply exits 2, and "all" skips it
+    if isinstance(config, dict):
+        config = write_config(tmp_path / "cfg.json", config)
+    args = ["verify"] if config is None else ["verify", "--config", str(config)]
+    names = verify.SUITES[:-1]
+    assert [main([*args, "--suite", s]) for s in names] == [2 * (s in refused) for s in names]
+    capsys.readouterr()
+    assert main([*args, "--suite", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    listed = [suite for suite, _ in itertools.groupby(line.split()[1][:-1] for line in lines)]
+    assert listed == [s for s in names if s not in refused]
+
+
+def test_run_suite_is_the_one_entry_to_the_suites():
+    assert [name for name in vars(verify) if name.startswith("suite")] == []
 
 
 class TestVerifyCommand:

@@ -188,7 +188,7 @@ class TestRoutesReadTheAction:
         with pytest.raises(KindError):
             dense.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
         with pytest.raises(KindError):
-            verify.suite_kernel(single, sym)
+            verify.run_suite("kernel", single, sym)
         assert main(["verify", "--config", ANTI_GOLDEN, "--suite", "kernel"]) == 2
 
     def test_misaligned_spec_is_a_config_error_before_the_action_is_read(self):
@@ -202,7 +202,7 @@ class TestRoutesReadTheAction:
             with pytest.raises(ConfigError):
                 dense.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
             with pytest.raises(ConfigError):
-                verify.suite_kernel(single, sym)
+                verify.run_suite("kernel", single, sym)
 
     def test_antiunitary_positivity_bound_bites(self, monkeypatch, capsys):
         def below_bound(spectrum, sym, beta):
