@@ -24,7 +24,7 @@ identical inputs produce byte-identical output.
 ``--extended``, with or without ``--verify``) import no numpy: neither
 :mod:`twistkit.correlation` nor :mod:`twistkit.realfield` loads it, and
 :mod:`twistkit.verify` loads it with its dense suites only
-(:mod:`twistkit.fock_suites`, the doubled-field oracle among them), so
+(:mod:`twistkit.fock`, the doubled-field oracle among them), so
 ``verify --suite kernel`` and ``verify --suite partition`` are numpy-free
 too.  Every refusal is a TwistkitError or OSError raised where the input
 is checked; :func:`main` alone prints it and picks its exit code, and
@@ -38,8 +38,8 @@ import argparse
 import json
 import sys
 
-# verify imports neither numpy nor the dense suites (twistkit.fock_suites,
-# loaded when one runs), so it loads eagerly; the benchmark's in-process
+# verify imports neither numpy nor the dense suites (twistkit.fock, loaded
+# when one runs), so it loads eagerly; the benchmark's in-process
 # tracer wraps its checks on every workload.
 from . import verify
 from .errors import (

@@ -1,4 +1,5 @@
-"""Truncated two-charge bosonic Fock space, acted on without matrices.
+"""Truncated two-charge bosonic Fock space, acted on without matrices, and
+the dense verify suites that check the field identities on it.
 
 Every closed-form claim in the package is checked against this oracle.
 Each mode carries a pair of oscillators (charge + and charge -), each
@@ -21,19 +22,6 @@ Operators are plain functions of a state:
   permutation of the axes, read from a :class:`twistkit.spectrum.SlotAction`
   for U_S and U_V alike; TC also conjugates.
 
-The space is a tensor product over *factors* (:func:`factors`): the
-smallest sets of modes closed under the cycles of the slot action, one
-mode each for a diagonal action, a pair or a fixed mode each for an
-involutive pairing.  H, every linear field, U_S, U_V and TC are products
-of factor-local terms, so the dense verify suites
-(:mod:`twistkit.fock_suites`, the one package module that imports this
-one) build one space per factor, cut down by
-:func:`twistkit.spectrum.restrict`, at the factor's :func:`oracle_cutoff`:
-8 for the one- and two-mode factors of every involutive pairing, 81 and
-6561 states.  Only a factor of six or more modes is refused
-(CapacityError).  One more space, the union of the first two factors, is
-held to :data:`CROSS_STATES`.
-
 Field tables are built from the doubled coordinates q = (c, d) of the
 doubled (real) theory, two M-vectors, and only this module knows how q
 lands on the slots: :func:`creation` is A*(c, d) = sum_k c_k alpha+*(k) +
@@ -43,34 +31,67 @@ at real tau, with phi(t, f-bar) = psi(it, (f-bar, 0)) and phi-bar(t, f) =
 psi(it, (0, f)).  So A+*(f-bar) = A*(f-bar, 0), A-*(f) = A*(0, f),
 A+(f) = A(0, f) and A-(f-bar) = A(f-bar, 0).
 
-Seeded states and coefficient vectors come from a ``random.Random``
-(MT19937): :func:`standard_normals` reads 53-bit uniforms from its bytes
-and turns them into standard complex normals by Box-Muller, so no caller
-needs ``numpy.random``.
+The dense suites are the ``ccr``, ``tc`` and ``symmetry`` suites of
+:mod:`twistkit.verify` and the doubled-field checks of its ``realfield``
+suite (:func:`doubled_field_checks`, the real-time field of the doubled
+theory).  The space is a tensor product over *factors* (:func:`factors`):
+the smallest sets of modes closed under the cycles of the slot action, one
+mode each for a diagonal action, a pair or a fixed mode each for an
+involutive pairing.  H, every linear field, U_S, U_V and TC are products
+of factor-local terms, so an identity holds on the space exactly when it
+holds on every factor.  Each check takes ``(spectrum, sym, rng, cutoff)``,
+and :func:`_factored` runs it once per factor, on the factor's spectrum
+and symmetry cut down by :func:`twistkit.spectrum.restrict`, at the
+factor's :func:`oracle_cutoff`: 8 for the one- and two-mode factors of
+every involutive pairing, 81 and 6561 states.  Only a factor of six or
+more modes is refused (CapacityError, exit 3).  Each check reports the
+worst deviation over the factors, and runs once more on the union of the
+first two factors, named with :data:`CROSS_FACTOR_SUFFIX` and held to
+:data:`CROSS_STATES`, with its symmetry: there a field or a phase read at
+the wrong mode fails.
 
-The truncated traces of the partition-function oracle need no state
-tensors: they are products over the cycles of the slot action, kept with
-their tail bounds beside their one caller in :mod:`twistkit.verify`,
-which imports neither numpy nor this module.  ``truncation_tail_bound`` is
+An operator identity A B = C is checked as A(Bv) - Cv on seeded
+standard-normal states v supported on the sub-cutoff block, compared on
+the sub-cutoff rows; the two exact checks (threshold 0) probe where no
+rounding enters, a basis state and the all-ones state.  The inner-product
+checks of TC and U use seeded unit states on the sub-cutoff block.  Each
+suite seeds one ``random.Random(seed)`` (MT19937) and draws from it, in a
+fixed order and factor by factor in order of smallest mode, every
+coefficient vector and state as standard complex normals
+(:func:`standard_normals`: 53-bit uniforms read from the generator's bytes,
+turned into normals by Box-Muller) and the basis state's occupations by
+``randrange``, so no suite loads ``numpy.random``.  The ``symmetry`` suite
+reads its rules from the raw phases and pairing, per kind, never from the
+slot action: they are what the normal form is checked against.
+
+This is the one package module that imports numpy.  :mod:`twistkit.verify`
+imports it only inside its dense runner, so a job that runs no dense suite
+loads neither this module nor numpy.  The truncated traces of the
+partition-function oracle need no state tensors: they are products over
+the cycles of the slot action, kept with their tail bounds beside their
+one caller in :mod:`twistkit.verify`.  ``truncation_tail_bound`` is
 re-exported here for ``bench/checks.py`` only.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from functools import reduce
 
-import numpy as np
-
+# realfield (and correlation with it) loads before numpy, so a job
+# compiles every twistkit module it needs while its heap is still small.
+from . import realfield
 from .errors import CapacityError, ConfigError, RangeError
 from .partition import _require_count
-from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
+from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, restrict, slot_action
+from .verify import CheckResult, _worst
 from .verify import truncation_tail_bound  # re-exported for bench/checks.py
+import numpy as np
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import random
-    from typing import Optional, Sequence
+    from typing import Callable, Optional, Sequence
 
 #: Highest occupation cutoff :func:`oracle_cutoff` picks.
 MAX_CUTOFF = 8
@@ -152,7 +173,7 @@ class FockSpace:
     """Occupation tensors over all modes and both charges at one cutoff."""
 
     def __init__(self, spectrum: ModeSpectrum, cutoff: int):
-        _require_count(cutoff, 1, "cutoff", ConfigError)
+        _require_count(cutoff, 1, "cutoff")
         self.spectrum, self.cutoff = spectrum, cutoff
         if self.dim > MAX_STATES:
             raise CapacityError(f"{self.dim} states exceed the cap of {MAX_STATES}")
@@ -340,3 +361,285 @@ def apply_tc(space: FockSpace, state: np.ndarray) -> np.ndarray:
     """Time-charge reversal of a full state or a sub-cutoff block: swap the
     + and - axes of every mode, then conjugate."""
     return np.conj(np.transpose(state, [s ^ 1 for s in range(space.n_slots)]))
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.abs(values).max()) if np.size(values) else 0.0
+
+
+def _unit_states(space: FockSpace, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
+    """Two seeded random unit states on the sub-cutoff block, for inner products."""
+    x, y = space.random_state(rng), space.random_state(rng)
+    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+
+
+def _ccr_checks(
+    spectrum: ModeSpectrum, sym, rng: random.Random, cutoff: int
+) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    if len(spectrum) == 0:
+        return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
+    space = FockSpace(spectrum, cutoff)
+    f = standard_normals(rng, len(spectrum))
+    g = standard_normals(rng, len(spectrum))
+    v = space.random_state(rng)
+
+    zero = np.zeros(len(spectrum), dtype=complex)
+    inner_gf = complex(np.vdot(g, f))  # <g, f>
+    a_plus = annihilation(space, np.concatenate([zero, f]))  # A+(f) = A(0, f)
+    a_plus_star = creation(space, np.concatenate([g.conj(), zero]))  # A+*(g-bar)
+    results.append(
+        CheckResult(
+            "ccr",
+            "[A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block",
+            _max_abs(sub_commutator(space, a_plus, a_plus_star, v) - inner_gf * v),
+            1e-12,
+        )
+    )
+    a_minus = annihilation(space, np.concatenate([g.conj(), zero]))  # A-(g-bar)
+    a_minus_star = creation(space, np.concatenate([zero, f]))  # A-*(f) = A*(0, f)
+    results.append(
+        CheckResult(
+            "ccr",
+            "[A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block",
+            _max_abs(sub_commutator(space, a_minus, a_minus_star, v) - inner_gf * v),
+            1e-12,
+        )
+    )
+    # Exact zero, on a basis state, where each entry of either order is one
+    # product of two coefficients.  Splitting g-bar = Re g - i Im g keeps one
+    # of the two real, so both orders round alike.
+    e = np.zeros((space.cutoff,) * space.n_slots, dtype=complex)
+    e[tuple(rng.randrange(space.cutoff) for _ in range(space.n_slots))] = 1.0
+
+    def cross_commutator(part: np.ndarray) -> float:
+        plus = creation(space, np.concatenate([part, zero]))
+        lhs = apply_field(space, plus, apply_field(space, a_minus_star, e))
+        lhs -= apply_field(space, a_minus_star, apply_field(space, plus, e))
+        return _max_abs(lhs)
+
+    cross = max(cross_commutator(g.real), cross_commutator(g.imag))
+    results.append(CheckResult("ccr", "[A+*(g-bar), A-*(f)] = 0 on full space", cross, 0.0))
+    # dynamics: e^{itH} A+*(f-bar) e^{-itH} = A+*((e^{-it omega} f)-bar)
+    t = 0.83
+    u_t = np.exp(1j * t * space.sub_block(space.energies()))
+    plus = creation(space, np.concatenate([f.conj(), zero]))  # A+*(f-bar)
+    evolved = u_t * apply_field(space, plus, np.conj(u_t) * v, subcutoff=True)
+    f_t = np.conj(f * np.exp(-1j * t * np.asarray(spectrum.omegas)))
+    shifted = creation(space, np.concatenate([f_t, zero]))
+    evolved -= apply_field(space, shifted, v, subcutoff=True)
+    results.append(
+        CheckResult("ccr", "Heisenberg dynamics of A+* on sub-cutoff block", _max_abs(evolved), 1e-10)
+    )
+    return results
+
+
+def _tc_checks(
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random, cutoff: int
+) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    space = FockSpace(spectrum, cutoff)
+
+    def tc(state: np.ndarray) -> np.ndarray:
+        return apply_tc(space, state)
+
+    x, y = _unit_states(space, rng)
+    results.append(CheckResult("tc", "TC squares to the identity", _max_abs(tc(tc(x)) - x), 0.0))
+    lhs = complex(np.vdot(tc(x), tc(y)))
+    rhs = complex(np.vdot(x, y)).conjugate()
+    results.append(CheckResult("tc", "TC is antiunitary on random vectors", abs(lhs - rhs), 1e-12))
+    v = space.random_state(rng)
+    if len(spectrum) > 0:
+        f = standard_normals(rng, len(spectrum))
+        zero = np.zeros(len(spectrum), dtype=complex)
+        q_plus, q_minus = np.concatenate([f.conj(), zero]), np.concatenate([zero, f])
+        # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) v = A-*(f) TC v
+        plus, minus = creation(space, q_plus), creation(space, q_minus)
+        residual = tc(apply_field(space, plus, v, subcutoff=True))
+        residual -= apply_field(space, minus, tc(v), subcutoff=True)
+        results.append(
+            CheckResult(
+                "tc", "TC A+*(f-bar) TC = A-*(f) on sub-cutoff block", _max_abs(residual), 1e-12
+            )
+        )
+        # phi(t, f-bar) = psi(it, (f-bar, 0)) and phibar(t, f) = psi(it, (0, f))
+        t = 0.41
+        phi, phibar = field(space, q_plus, 1j * t), field(space, q_minus, 1j * t)
+        residual = tc(apply_field(space, phi, v, subcutoff=True))
+        residual -= apply_field(space, phibar, tc(v), subcutoff=True)
+        results.append(
+            CheckResult(
+                "tc",
+                "TC phi(t, f-bar) TC = phibar(t, f) on sub-cutoff block",
+                _max_abs(residual),
+                1e-10,
+            )
+        )
+    if sym is not None:
+        residual = apply_symmetry(space, sym, tc(v)) - tc(apply_symmetry(space, sym, v))
+        results.append(CheckResult("tc", "[U_S, TC] = 0", _max_abs(residual), 1e-12))
+    return results
+
+
+def _symmetry_checks(
+    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: int
+) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    space = FockSpace(spectrum, cutoff)
+
+    def u(state: np.ndarray) -> np.ndarray:
+        return apply_symmetry(space, sym, state)
+
+    x, y = _unit_states(space, rng)
+    # U*U = I: U keeps every inner product
+    unitarity = abs(complex(np.vdot(u(x), u(y))) - complex(np.vdot(x, y)))
+    results.append(CheckResult("symmetry", "U is unitary", unitarity, 1e-12))
+    # Exact zero, on the full space: U is a phase times a basis permutation,
+    # so U H 1 - H U 1 is phase * (E(n) - E(U n)), one product per entry.
+    energies = space.energies()
+    h_u_ones = u(np.ones(space.shape))
+    h_u_ones *= energies
+    commutator = u(energies)
+    commutator -= h_u_ones
+    results.append(CheckResult("symmetry", "[U, H] = 0", _max_abs(commutator), 0.0))
+    del energies, h_u_ones, commutator  # three full-space tensors; keeps peak memory down
+    vac = space.vacuum()
+    results.append(CheckResult("symmetry", "U fixes the vacuum", _max_abs(u(vac) - vac), 0.0))
+    v = space.random_state(rng)
+    uv = u(v)
+    # unit doubled coordinates: A+*(k) = A*(e_k, 0) is row k, A-*(k) = A*(0, e_k) row M + k
+    unit = np.eye(space.n_slots)
+    for k, lbl in enumerate(spectrum.labels):
+        # U alpha U* = c beta, as U alpha v = c beta U v.  The rule is read
+        # from the raw config, per kind, never from sym.action: this suite
+        # is what catches a broken slot-action normal form.
+        if sym.kind == UNITARY:
+            expected = creation(space, sym.phases[k] * unit[k])
+            name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
+        else:
+            j = sym.pairing[k]
+            expected = creation(space, sym.phases[j] * unit[len(spectrum) + j])
+            name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
+        residual = u(apply_field(space, creation(space, unit[k]), v, subcutoff=True))
+        residual -= apply_field(space, expected, uv, subcutoff=True)
+        results.append(CheckResult("symmetry", name, _max_abs(residual), 1e-12, mode=k))
+    return results
+
+
+def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
+    """J(c, d) = (conj(d), conj(c)): the conjugate of the half-swap."""
+    return np.conj(np.roll(vec, len(vec) // 2))
+
+
+def doubled_field_checks(
+    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: int
+) -> list[CheckResult]:
+    """Fock-oracle checks of the real-time doubled field psi(t, q) =
+    :func:`field` at t = 0.37.
+
+    With A*(q) = :func:`creation` and the natural conjugation
+    J(c, d) = (conj(d), conj(c)), on seeded states supported on the
+    sub-cutoff block of the space at ``cutoff``: adjoint
+    covariance psi(t,q)* = psi(t, Jq) as <x, psi(t,q) v> = <psi(t,Jq) x, v>;
+    the equal-time commutator [psi(t,q), psi(t,r)] = 0; the canonical pair
+    [psi, d/dt psi] = i<Jq, r>, d/dt by centered differences with one
+    Richardson step; [A*(Jq)*, A*(r)] = <Jq, r>; and the symmetry covariance
+    U psi(t, q) U* = psi(t, U* q), as U psi(t, q) v = psi(t, U* q) U v, with
+    (U* q)_c = conj(u_c) q_sigma(c) read from the image table ``images``
+    of :func:`twistkit.realfield.extend`.  The fourth holds for any J, so
+    one more check ties A*(Jq)* to the annihilation table :func:`annihilation`
+    reads off q: they must agree exactly on v.  States and coefficients are drawn from ``rng``.  The signature
+    is that of every check :func:`_factored` runs.
+    """
+    ext = realfield.extend(spectrum, sym)
+    space = FockSpace(spectrum, cutoff)
+    n = ext.n_doubled
+    q, r = standard_normals(rng, n), standard_normals(rng, n)
+    v, x = space.random_state(rng), space.random_state(rng)
+    t = 0.37
+
+    conj = _natural_conjugation
+
+    def act(table: np.ndarray, state: np.ndarray) -> np.ndarray:
+        return apply_field(space, table, state, subcutoff=True)
+
+    def ddt(h: float) -> np.ndarray:
+        return (field(space, r, t + h) - field(space, r, t - h)) / (2.0 * h)
+
+    psi_q, psi_r = field(space, q, t), field(space, r, t)
+    psi_q_v = act(psi_q, v)
+    pairing = complex(np.dot(conj(q).conjugate(), r))
+    dpsi = (4.0 * ddt(0.5e-3) - ddt(1e-3)) / 3.0
+    images = (ext.images[c] for c in range(n))
+    u_star_q = np.array([u.conjugate() * q[target] for target, u in images])
+    a_q = adjoint(creation(space, conj(q)))  # A*(Jq)*
+    deviations = {
+        "adjoint_covariance": abs(
+            np.vdot(x, psi_q_v) - np.vdot(act(field(space, conj(q), t), x), v)
+        ),
+        "equal_time_commutator": _max_abs(sub_commutator(space, psi_q, psi_r, v)),
+        "canonical_pair": _max_abs(sub_commutator(space, psi_q, dpsi, v) - 1j * pairing * v),
+        "ccr_doubled": _max_abs(sub_commutator(space, a_q, creation(space, r), v) - pairing * v),
+        "symmetry_covariance": _max_abs(
+            apply_symmetry(space, sym, psi_q_v)
+            - act(field(space, u_star_q, t), apply_symmetry(space, sym, v))
+        ),
+    }
+    results = [
+        CheckResult("realfield", f"doubled-field oracle: {key}", float(dev), 1e-8)
+        for key, dev in deviations.items()
+    ]
+    defined = _max_abs(act(annihilation(space, q), v) - act(a_q, v))
+    results.append(
+        CheckResult("realfield", "doubled-field oracle: annihilation_definition", defined, 0.0)
+    )
+    return results
+
+
+#: Ends the name of a check run on the union of the first two factors.
+CROSS_FACTOR_SUFFIX = " across two factors"
+
+
+def _factored(
+    checks: Callable, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
+) -> list[CheckResult]:
+    """``checks(factor, factor_sym, rng, cutoff)`` run on every factor of
+    the Fock oracle (:func:`factors`) at :func:`oracle_cutoff` of its mode
+    count, drawing from one ``random.Random(seed)`` in order of smallest
+    mode, and merged: one result per check name at the worst
+    deviation over the factors (NaN-aware) and the tightest threshold, in
+    the order one space of all the modes gives them, by first appearance
+    and the checks of one mode last, by mode.  An empty spectrum is its own
+    factor.
+
+    With two factors or more, every check runs once more on the union of
+    the first two, which the pairing maps to itself, at the cutoff of
+    :data:`CROSS_STATES`, its name ending in :data:`CROSS_FACTOR_SUFFIX`.
+    There the operators and phases of two
+    factors meet, so a field or a phase read at the wrong mode fails even
+    where every factor has one mode."""
+    rng = random.Random(seed)
+    parts = factors(spectrum, sym)
+    merged: dict[tuple[str, str], list[CheckResult]] = {}
+    for modes in parts or [()]:
+        factor, factor_sym = restrict(spectrum, sym, modes)
+        for check in checks(factor, factor_sym, rng, oracle_cutoff(len(modes))):
+            if check.mode is not None:
+                check.mode = modes[check.mode]
+            merged.setdefault((check.suite, check.name), []).append(check)
+    results = [
+        CheckResult(
+            suite, name, _worst(c.deviation for c in g), min(c.threshold for c in g), g[0].mode
+        )
+        for (suite, name), g in merged.items()
+    ]
+    results.sort(key=lambda c: (c.mode is not None, c.mode or 0))
+    if len(parts) < 2:
+        return results
+    modes = tuple(sorted(parts[0] + parts[1]))
+    cross, cross_sym = restrict(spectrum, sym, modes)
+    cutoff = oracle_cutoff(len(modes), CROSS_STATES)
+    return results + [
+        CheckResult(c.suite, c.name + CROSS_FACTOR_SUFFIX, c.deviation, c.threshold)
+        for c in checks(cross, cross_sym, rng, cutoff)
+    ]

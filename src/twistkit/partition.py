@@ -110,8 +110,8 @@ def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
     return math.exp(-2.0 * s)
 
 
-def _require_count(n: int, least: int, what: str, error: type = DomainError) -> None:
-    """``error`` unless n is an integer >= least: one with ``__index__``, so
-    numpy integers pass and 2.0 does not."""
+def _require_count(n: int, least: int, what: str) -> None:
+    """DomainError unless n is an integer >= least: one with ``__index__``,
+    so numpy integers pass and 2.0 does not."""
     if not hasattr(n, "__index__") or n < least:
-        raise error(f"{what} must be an integer >= {least}, got {n}")
+        raise DomainError(f"{what} must be an integer >= {least}, got {n}")

@@ -36,7 +36,7 @@ that read this doubling live with the verify suites: the doubled-theory
 route to the partition function, :func:`twistkit.verify.z_via_realfield`,
 and the doubled-field oracle, which checks the real-time field of the
 doubled theory in the truncated Fock space,
-:func:`twistkit.fock_suites.doubled_field_checks`.
+:func:`twistkit.fock.doubled_field_checks`.
 """
 
 from __future__ import annotations

@@ -48,24 +48,29 @@ ANTIUNITARY = "antiunitary"
 class ModeSpectrum:
     """Finite admissible frequency spectrum.
 
-    ``mu`` is None only for the empty spectrum; otherwise every omega
-    satisfies ``omega >= mu > 0``, and omega and mu are finite
-    (DomainError otherwise).
+    Each label is a unique string, and each omega and ``mu`` an int or a
+    float, not a bool (ConfigError otherwise); both are held as floats.
+    ``mu`` None means the minimum omega, and the empty spectrum carries
+    none.  Every omega satisfies ``omega >= mu > 0``, and omega and mu are
+    finite (DomainError otherwise).
     """
 
     def __init__(self, labels: tuple[str, ...], omegas: tuple[float, ...], mu: Optional[float]):
         if len(labels) != len(omegas):
             raise ConfigError("labels and omegas must have equal length")
+        for lbl in labels:
+            if not isinstance(lbl, str):
+                raise ConfigError(f"mode label {lbl!r} is not a string")
         if len(set(labels)) != len(labels):
             raise ConfigError("mode labels must be unique")
+        omegas = tuple(_parse_float(w, f"mode {lbl!r} omega") for lbl, w in zip(labels, omegas))
         for lbl, w in zip(labels, omegas):
             if not w > 0.0:
                 raise AdmissibilityError(f"mode {lbl!r} has nonpositive frequency {w}")
             if not math.isfinite(w):
                 raise DomainError(f"mode {lbl!r} has infinite frequency")
         if omegas:
-            if mu is None:
-                raise ConfigError("nonempty spectrum requires mu")
+            mu = min(omegas) if mu is None else _parse_float(mu, "mu")
             if not mu > 0:
                 raise AdmissibilityError("ground-state energy mu must be positive")
             if not math.isfinite(mu):
@@ -220,21 +225,12 @@ def principal_angle(phase: complex) -> float:
 def validate_spectrum(
     raw: Sequence[tuple[str, float]], mu_hint: Optional[float] = None
 ) -> ModeSpectrum:
-    """Build a ModeSpectrum from raw (label, omega) pairs, which checks them.
-
-    Each label must be a string, and each omega and ``mu_hint`` an int or
-    a float, not a bool (ConfigError otherwise).  The empty sequence is
-    accepted and produces the trivial theory whose partition functions are
-    empty products.  ``mu`` defaults to the minimum omega when no hint is
-    given.
+    """Build a ModeSpectrum from raw (label, omega) pairs; its constructor
+    checks them and ``mu_hint``.  The empty sequence is accepted and
+    produces the trivial theory whose partition functions are empty
+    products.  ``mu`` defaults to the minimum omega when no hint is given.
     """
-    labels = tuple(lbl for lbl, _ in raw)
-    for lbl in labels:
-        if not isinstance(lbl, str):
-            raise ConfigError(f"mode label {lbl!r} is not a string")
-    omegas = tuple(_parse_float(w, f"mode {lbl!r} omega") for lbl, w in raw)
-    mu = min(omegas, default=None) if mu_hint is None else _parse_float(mu_hint, "mu")
-    return ModeSpectrum(labels=labels, omegas=omegas, mu=mu)
+    return ModeSpectrum(tuple(lbl for lbl, _ in raw), tuple(w for _, w in raw), mu_hint)
 
 
 def twisted_circle_spectrum(
@@ -283,7 +279,9 @@ def check_alignment(spectrum: ModeSpectrum, sym: SymmetrySpec) -> None:
 
 
 def _parse_float(obj, where: str) -> float:
-    """A JSON number as a float; a string, a bool or anything else is refused."""
+    """A JSON number, an int or a float, as a float; a string, a bool or
+    anything else is refused: the config's number rule and the one
+    :class:`ModeSpectrum` applies."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{where}: not a number")
     try:

@@ -35,13 +35,13 @@ raises InternalConsistencyError (exit 5).
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` act with the matrix-free Fock oracle, once per factor of
 the space and once more across the first two factors; their checks live
-in :mod:`twistkit.fock_suites`, which one runner here, keyed by suite
+beside it in :mod:`twistkit.fock`, which one runner here, keyed by suite
 name, imports only when one of them runs.  This module imports neither
-numpy nor :mod:`twistkit.fock`, so :class:`CheckResult`, :data:`SUITES`,
-:func:`run_suite`, :func:`partition_row`, the ``kernel`` and ``partition``
-suites (the latter's doubled-theory route on a non-diagonal action
-included) and the sampled kernel checks of any sampled kernel (``kernel
---extended --verify``) run on ``math`` alone, and a job that runs none of
+numpy nor :mod:`twistkit.fock` at module level, so :class:`CheckResult`,
+:data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
+and ``partition`` suites (the latter's doubled-theory route on a
+non-diagonal action included) and the sampled kernel checks of any
+sampled kernel (``kernel --extended --verify``) run on ``math`` alone, and a job that runs none of
 the dense suites never compiles their source.
 
 Routes and checks choose their path from the symmetry's
@@ -101,13 +101,13 @@ def _dense(
     suite: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int
 ) -> list[CheckResult]:
     """The Fock-oracle checks of ``suite``, run factor by factor by
-    :func:`twistkit.fock_suites._factored`: the whole of the ``ccr``, ``tc``
-    and ``symmetry`` suites and the doubled-field checks of ``realfield``."""
-    from . import fock_suites as fs
+    :func:`twistkit.fock._factored`: the whole of the ``ccr``, ``tc`` and
+    ``symmetry`` suites and the doubled-field checks of ``realfield``."""
+    from . import fock
 
-    checks = {"ccr": fs._ccr_checks, "tc": fs._tc_checks, "symmetry": fs._symmetry_checks,
-              "realfield": fs.doubled_field_checks}[suite]
-    return fs._factored(checks, spectrum, sym, seed)
+    checks = {"ccr": fock._ccr_checks, "tc": fock._tc_checks, "symmetry": fock._symmetry_checks,
+              "realfield": fock.doubled_field_checks}[suite]
+    return fock._factored(checks, spectrum, sym, seed)
 
 
 #: Occupation cutoff of the truncated partition traces: the ``partition``

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import twistkit
-from twistkit import cli, correlation, errors, fock, fock_suites, partition, realfield, verify
+from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import (
     UNIT_MODULUS_TOL, ModeSpectrum, SymmetrySpec, load_config, parse_config, restrict,
@@ -134,8 +134,7 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_loads_no_numpy_or_dense_modules():
-    heavy = ["numpy", "twistkit.fock", "twistkit.fock_suites", "twistkit.correlation",
-             "twistkit.realfield"]
+    heavy = ["numpy", "twistkit.fock", "twistkit.correlation", "twistkit.realfield"]
     code = f"import sys, twistkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = _run_cli(["-c", code], check=True).stdout
     assert out.strip() == "[]"
@@ -224,12 +223,12 @@ def test_cli_jobs_load_no_dataclasses_or_inspect(argv, anti_config, tmp_path):
 )
 def test_cli_jobs_never_load_numpy_random(argv, dense, tmp_path):
     # the Fock-oracle states are drawn from random.Random; only the dense
-    # suites load numpy at all, and they load it with twistkit.fock_suites
+    # suites load numpy at all, and they load it with twistkit.fock
     fill = {"{out}": str(tmp_path / "k.csv"),
             "{anti}": str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")}
     argv = [fill.get(a, a) for a in argv]
-    modules = ["numpy", "numpy.random", "twistkit.fock_suites"]
-    assert _loaded(argv, modules) == (["numpy", "twistkit.fock_suites"] if dense else [])
+    modules = ["numpy", "numpy.random", "twistkit.fock"]
+    assert _loaded(argv, modules) == (["numpy", "twistkit.fock"] if dense else [])
 
 
 @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
@@ -255,8 +254,7 @@ print(rc, [m for m in found if m == "numpy" or m.startswith("twistkit.")])
     rc, found = proc.stdout.splitlines()[-1].split(" ", 1)
     assert rc == "0", proc.stderr
     found = ast.literal_eval(found)
-    assert {"twistkit.correlation", "twistkit.realfield", "twistkit.fock",
-            "twistkit.fock_suites"} <= set(found)
+    assert {"twistkit.correlation", "twistkit.realfield", "twistkit.fock"} <= set(found)
     assert found[-1] == "numpy", found
 
 
@@ -313,8 +311,9 @@ def _loaded(argv, modules):
 
 
 def _loads_numpy(argv):
-    """Run ``cli.main(argv)`` in a fresh interpreter; whether numpy got loaded."""
-    return _loaded(argv, ["numpy"]) == ["numpy"]
+    """Run ``cli.main(argv)`` in a fresh interpreter; whether numpy, or
+    twistkit.fock, the one package module that imports it, got loaded."""
+    return _loaded(argv, ["numpy", "twistkit.fock"]) != []
 
 
 def test_package_exports_load_lazily():
@@ -470,7 +469,7 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
         assert not hasattr(spec, name), name
     assert _label_index_callers() - {"spectrum.parse_config"} == {"cli._select_mode"}
     # neither correlation nor realfield imports numpy, and realfield never
-    # imports fock: the doubled-field oracle lives in fock_suites
+    # imports fock: the doubled-field oracle lives in fock
     assert _numpy_importers(correlation) == []
     assert _numpy_importers(realfield) == []
     assert _numpy_importers(realfield, "fock") == []
@@ -518,12 +517,12 @@ def _imported(stem):
 
 
 def test_closed_form_modules_reach_no_oracle():
-    # spectrum, partition, correlation and realfield import neither verify,
-    # fock nor fock_suites, so no closed form can reach an oracle
+    # spectrum, partition, correlation and realfield import neither verify
+    # nor fock, so no closed form can reach an oracle
     package = Path(twistkit.__file__).parent
     for stem in ("spectrum", "partition", "correlation", "realfield"):
         leaves = {n.rsplit(".", 1)[-1] for n in _imported(stem)}
-        assert not leaves & {"verify", "fock", "fock_suites"}, stem
+        assert not leaves & {"verify", "fock"}, stem
     # the Z oracles are defined in verify, the kernel oracle's helper in
     # correlation
     defined = {
@@ -538,12 +537,23 @@ def test_closed_form_modules_reach_no_oracle():
 
 
 def test_verify_imports_no_numpy_or_fock():
-    # the dense suites, and with them numpy and fock, are twistkit.fock_suites,
-    # which verify loads only when one of them runs
+    # the dense suites, and with them numpy, live in twistkit.fock, which
+    # verify imports once, inside the dense runner, and nowhere else (not
+    # even for type checking); fock is the one package module with numpy
     imported = _imported("verify")
     assert not {n.split(".")[0] for n in imported} & {"numpy"}
-    assert not {n.rsplit(".", 1)[-1] for n in imported} & {"fock"}
-    assert "fock_suites" in imported
+    fock_imports = [
+        node for node in ast.walk(ast.parse(inspect.getsource(verify)))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "fock" in {n.rsplit(".", 1)[-1]
+                       for n in (getattr(node, "module", None) or "", *(a.name for a in node.names))}
+    ]
+    assert len(fock_imports) == 1 and _numpy_importers(verify, "fock") == ["_dense"]
+    package = Path(twistkit.__file__).parent
+    assert not (package / "fock_suites.py").exists()
+    numpy_users = {path.stem for path in package.glob("*.py")
+                   if {n.split(".")[0] for n in _imported(path.stem)} & {"numpy"}}
+    assert numpy_users == {"fock"}
 
 
 def _raisers(error):
@@ -937,7 +947,7 @@ REFUSALS = {
     "sample_extended_kernel-fractional-grid": (
         lambda: realfield.sample_extended_kernel(
             realfield.extend(*load_config(ANTI_PAIR)), 1.0, 2.5), errors.DomainError),
-    "FockSpace-fractional-cutoff": (lambda: fock.FockSpace(ONE_MODE, 2.5), errors.ConfigError),
+    "FockSpace-fractional-cutoff": (lambda: fock.FockSpace(ONE_MODE, 2.5), errors.DomainError),
     "SymmetrySpec-fractional-pairing": (
         lambda: SymmetrySpec(kind="antiunitary", phases=(1j,), pairing=(0.0,)), errors.ConfigError),
     "SymmetrySpec-string-phase": (
@@ -986,6 +996,27 @@ REFUSALS = {
         lambda: validate_spectrum([(1, 1.0)]), errors.ConfigError),
     "validate_spectrum-string-mu": (
         lambda: validate_spectrum([("a", 1.0)], mu_hint="x"), errors.ConfigError),
+    # the constructor holds the label and number rules itself
+    "ModeSpectrum-string-omega": (lambda: ModeSpectrum(("a",), ("x",), 1.0), errors.ConfigError),
+    "ModeSpectrum-null-omega": (lambda: ModeSpectrum(("a",), (None,), 1.0), errors.ConfigError),
+    "ModeSpectrum-string-mu": (lambda: ModeSpectrum(("a",), (1.0,), "x"), errors.ConfigError),
+    "ModeSpectrum-number-label": (lambda: ModeSpectrum((1,), (1.0,), 1.0), errors.ConfigError),
+    "ModeSpectrum-bool-omega": (lambda: ModeSpectrum(("a",), (True,), 1.0), errors.ConfigError),
+    # library guards no CLI input reaches
+    "ModeSpectrum-misaligned": (
+        lambda: ModeSpectrum(("a", "b"), (1.0,), 1.0), errors.ConfigError),
+    "SymmetrySpec-unknown-kind": (lambda: SymmetrySpec("orthogonal", (1,)), errors.ConfigError),
+    "SymmetrySpec-antiunitary-without-pairing": (
+        lambda: SymmetrySpec("antiunitary", (1,)), errors.ConfigError),
+    "SymmetrySpec-unitary-with-pairing": (
+        lambda: SymmetrySpec("unitary", (1,), (0,)), errors.ConfigError),
+    "kernel_oracle-two-modes": (
+        lambda: correlation.kernel_oracle(
+            validate_spectrum([("a", 1.0), ("b", 2.0)]), None, 1.0, 0.5, 0.0, 8),
+        errors.ConfigError),
+    "kernel_oracle-t-beyond-beta": (
+        lambda: correlation.kernel_oracle(ONE_MODE, None, 1.0, 1.5, 0.0, 8), errors.DomainError),
+    "run_suite-unknown-suite": (lambda: verify.run_suite("nope", ONE_MODE, None), errors.ConfigError),
     # random.Random would seed from the hash of 1.5
     "run_suite-fractional-seed": (
         lambda: verify.run_suite("partition", ONE_MODE, None, 1.5), errors.DomainError),
@@ -1304,7 +1335,7 @@ class TestVerifyReach:
         per_mode = [rule.format(lbl) for lbl in "abc"]
         common = ["U is unitary", "[U, H] = 0", "U fixes the vacuum"]
         assert names == common + per_mode + [
-            n + fock_suites.CROSS_FACTOR_SUFFIX for n in common + per_mode]
+            n + fock.CROSS_FACTOR_SUFFIX for n in common + per_mode]
 
     @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
     def test_a_seed_fixes_every_deviation(self, config):
@@ -1331,8 +1362,8 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
             verify.CheckResult("x", "shared", max(worst[lbl] for lbl in factor.labels), 1e-12),
             verify.CheckResult("x", "nan", math.nan if factor.labels == ("b",) else 0.0, 1e-12)]
 
-    merged = fock_suites._factored(checks, spectrum, None, 7)
-    cross = [name + fock_suites.CROSS_FACTOR_SUFFIX
+    merged = fock._factored(checks, spectrum, None, 7)
+    cross = [name + fock.CROSS_FACTOR_SUFFIX
              for name in ("only a", "only b", "shared", "nan")]
     # the checks of one mode follow the others, by mode; then the run across two factors
     assert [(c.name, c.threshold) for c in merged] == [
@@ -1352,17 +1383,19 @@ def test_factored_checks_keep_the_worst_deviation_and_a_nan():
 def test_dense_checks_share_one_signature():
     # every check _factored runs takes (spectrum, sym, rng, cutoff), and one
     # validated restriction cuts a factor out of the space
-    for checks in (fock_suites._ccr_checks, fock_suites._tc_checks,
-                   fock_suites._symmetry_checks, fock_suites.doubled_field_checks):
+    for checks in (fock._ccr_checks, fock._tc_checks, fock._symmetry_checks,
+                   fock.doubled_field_checks):
         params = inspect.signature(checks).parameters.values()
         assert [(p.name, p.default) for p in params] == [
             (name, inspect.Parameter.empty) for name in ("spectrum", "sym", "rng", "cutoff")]
     runner = inspect.getsource(verify._dense)
-    assert '"realfield": fs.doubled_field_checks' in runner and "fs._factored(checks," in runner
+    assert '"realfield": fock.doubled_field_checks' in runner
+    assert "fock._factored(checks," in runner
     assert '_dense("realfield", spectrum, sym, seed)' in inspect.getsource(verify._realfield)
-    for owner, name in ((fock_suites, "_doubled_checks"), (fock, "restrict"),
-                        (fock, "_generalized_permutation"), (SymmetrySpec, "restrict")):
+    for owner, name in ((fock, "_doubled_checks"), (fock, "_generalized_permutation"),
+                        (SymmetrySpec, "restrict")):
         assert not hasattr(owner, name), name
+    assert fock.restrict is restrict
 
 
 class TestVerifyPower:
@@ -1411,7 +1444,7 @@ class TestDoubledFieldChecks:
     )
     def test_deviations_small(self, sym):
         spec = validate_spectrum([("k0", 1.0)])
-        for check in fock_suites.doubled_field_checks(spec, sym, random.Random(0), 12):
+        for check in fock.doubled_field_checks(spec, sym, random.Random(0), 12):
             assert check.deviation < 1e-8, f"{check.name}: {check.deviation}"
 
     def test_equal_time_commutator_two_modes(self):
@@ -1420,7 +1453,7 @@ class TestDoubledFieldChecks:
             kind="antiunitary", phases=(1j, np.exp(0.4j)), pairing=(1, 0)
         )
         report = {c.name: c.deviation
-                  for c in fock_suites.doubled_field_checks(spec, sym, random.Random(0), 3)}
+                  for c in fock.doubled_field_checks(spec, sym, random.Random(0), 3)}
         assert report["doubled-field oracle: equal_time_commutator"] < 1e-12
         assert report["doubled-field oracle: symmetry_covariance"] < 1e-8
 
@@ -1428,7 +1461,7 @@ class TestDoubledFieldChecks:
         # psi is built from fock's tables, not through J, so J = conj breaks
         # every identity that reads J except [A*(Jq)*, A*(r)] = <Jq, r>, which
         # holds for any J; A(q) read off q no longer equals A*(Jq)*
-        monkeypatch.setattr(fock_suites, "_natural_conjugation", np.conj)
+        monkeypatch.setattr(fock, "_natural_conjugation", np.conj)
         spectrum, sym = load_config(str(Path(__file__).parent / "golden" / "anti_pair_fixed.json"))
         failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
                   if not r.passed}
@@ -1437,7 +1470,7 @@ class TestDoubledFieldChecks:
             for name in ("doubled-field oracle: adjoint_covariance",
                          "doubled-field oracle: annihilation_definition",
                          "doubled-field oracle: canonical_pair")
-            for suffix in ("", fock_suites.CROSS_FACTOR_SUFFIX)
+            for suffix in ("", fock.CROSS_FACTOR_SUFFIX)
         )
         assert failed["doubled-field oracle: annihilation_definition"] > 1.0
 
@@ -1456,7 +1489,7 @@ class TestDoubledFieldChecks:
                   if not r.passed}
         covariance = "doubled-field oracle: symmetry_covariance"
         assert list(failed) == [
-            "U W = W Lambda", covariance, covariance + fock_suites.CROSS_FACTOR_SUFFIX]
+            "U W = W Lambda", covariance, covariance + fock.CROSS_FACTOR_SUFFIX]
         assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
 
 
@@ -1469,27 +1502,27 @@ def test_no_environment_knobs():
 
 
 def test_symmetry_kinds_are_normalized_in_one_place():
-    # fock, partition and realfield read the slot action only; what each
-    # kind does is known to twistkit.spectrum alone
-    for module in (fock, partition, realfield):
+    # partition and realfield read the slot action only; what each kind
+    # does is known to twistkit.spectrum alone
+    for module in (partition, realfield):
         source = inspect.getsource(module)
         for name in ("UNITARY", "ANTIUNITARY", "partner_index", ".kind"):
             assert name not in source, (module.__name__, name)
     for name in ("z_twisted_unitary", "z_twisted_antiunitary", "antiunitary_partition_trace"):
         assert not hasattr(partition, name), name
-    # correlation, cli, verify and fock_suites choose their routes from the
-    # slot action too.  The symmetry suite's checks are left out: their
-    # expected rules are written from the raw phases and pairing, per kind,
-    # so that a broken normal form fails them instead of agreeing with
-    # itself (TestNormalFormIsNotCircular).
-    raw_rule = inspect.getsource(fock_suites._symmetry_checks)
+    # correlation, cli, verify and fock choose their routes from the slot
+    # action too.  The symmetry suite's checks are left out: their expected
+    # rules are written from the raw phases and pairing, per kind, so that
+    # a broken normal form fails them instead of agreeing with itself
+    # (TestNormalFormIsNotCircular).
+    raw_rule = inspect.getsource(fock._symmetry_checks)
     # the one-mode spec kernel_agreement hands kernel_oracle, whose
     # (spectrum, sym, ...) signature the benchmark's checks call
     single = "single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))"
     assert single in inspect.getsource(verify.kernel_agreement)
-    for module in (correlation, cli, verify, fock_suites):
+    for module in (correlation, cli, verify, fock):
         source = inspect.getsource(module).replace(raw_rule, "")
-        for name in (".kind", "ANTIUNITARY"):
+        for name in (".kind", "ANTIUNITARY", "partner_index"):
             assert name not in source, (module.__name__, name)
         uses = [
             line.strip() for line in source.splitlines()
