@@ -1,10 +1,10 @@
 """Mode spectra and symmetry specifications.
 
-A :class:`ModeSpectrum` is a finite list of strictly positive oscillator
-frequencies together with the ground-state energy ``mu`` (the minimum
-frequency).  Finiteness is what makes every downstream trace and product
-unconditionally convergent, so all identities verified elsewhere in the
-package hold without regularization.
+A :class:`ModeSpectrum` is a finite list of labelled, strictly positive
+oscillator frequencies, and nothing else: twist positivity and the
+positivity of the pair correlation need no more.  Finiteness is what makes
+every downstream trace and product unconditionally convergent, so all
+identities verified elsewhere in the package hold without regularization.
 
 A :class:`SymmetrySpec` describes a symmetry commuting with the frequency
 operator, either as per-mode unit phases (unitary case) or as an involutive
@@ -48,14 +48,12 @@ ANTIUNITARY = "antiunitary"
 class ModeSpectrum:
     """Finite admissible frequency spectrum.
 
-    Each label is a unique string, and each omega and ``mu`` an int or a
-    float, not a bool (ConfigError otherwise); both are held as floats.
-    ``mu`` None means the minimum omega, and the empty spectrum carries
-    none.  Every omega satisfies ``omega >= mu > 0``, and omega and mu are
-    finite (DomainError otherwise).
+    Each label is a unique string, and each omega an int or a float, not
+    a bool (ConfigError otherwise), held as a float.  Every omega is
+    positive (AdmissibilityError otherwise) and finite (DomainError).
     """
 
-    def __init__(self, labels: tuple[str, ...], omegas: tuple[float, ...], mu: Optional[float]):
+    def __init__(self, labels: tuple[str, ...], omegas: tuple[float, ...]):
         if len(labels) != len(omegas):
             raise ConfigError("labels and omegas must have equal length")
         for lbl in labels:
@@ -69,25 +67,15 @@ class ModeSpectrum:
                 raise AdmissibilityError(f"mode {lbl!r} has nonpositive frequency {w}")
             if not math.isfinite(w):
                 raise DomainError(f"mode {lbl!r} has infinite frequency")
-        if omegas:
-            mu = min(omegas) if mu is None else _parse_float(mu, "mu")
-            if not mu > 0:
-                raise AdmissibilityError("ground-state energy mu must be positive")
-            if not math.isfinite(mu):
-                raise DomainError("ground-state energy mu must be finite")
-            if min(omegas) < mu:
-                raise AdmissibilityError("every omega must be >= mu")
-        elif mu is not None:
-            raise ConfigError("empty spectrum must not carry mu")
-        self.labels, self.omegas, self.mu = labels, omegas, mu
+        self.labels, self.omegas = labels, omegas
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeSpectrum):
             return NotImplemented
-        return (self.labels, self.omegas, self.mu) == (other.labels, other.omegas, other.mu)
+        return (self.labels, self.omegas) == (other.labels, other.omegas)
 
     def __repr__(self) -> str:
-        return f"ModeSpectrum(labels={self.labels!r}, omegas={self.omegas!r}, mu={self.mu!r})"
+        return f"ModeSpectrum(labels={self.labels!r}, omegas={self.omegas!r})"
 
     def __len__(self) -> int:
         return len(self.omegas)
@@ -98,9 +86,11 @@ class SymmetrySpec:
 
     ``phases[k]`` is the phase on mode k, in the spectrum's mode order:
     the eigenvalue rho_k of a unitary symmetry, eta_k of an antiunitary
-    one.  An antiunitary symmetry also has a ``pairing``, an involutive
-    permutation of the mode indices: ``pairing[k]`` is pi(k).  A unitary
-    symmetry has none.
+    one.  Each is an int, a float or a complex, not a bool (ConfigError
+    otherwise; numpy's float64 and complex128 are subclasses), of unit
+    modulus, and is held as a complex.  An antiunitary symmetry also has a
+    ``pairing``, an involutive permutation of the mode indices:
+    ``pairing[k]`` is pi(k).  A unitary symmetry has none.
     """
 
     def __init__(
@@ -111,9 +101,7 @@ class SymmetrySpec:
     ):
         if kind not in (UNITARY, ANTIUNITARY):
             raise ConfigError(f"unknown symmetry kind {kind!r}")
-        for p in phases:  # a non-number has no __abs__; a NaN component fails too
-            if not (hasattr(p, "__abs__") and abs(abs(p) - 1.0) <= UNIT_MODULUS_TOL):
-                raise ConfigError(f"phase {p!r} is not unit modulus")
+        phases = tuple(_parse_phase(p) for p in phases)
         if kind == ANTIUNITARY:
             if pairing is None:
                 raise ConfigError("antiunitary symmetry requires a pairing")
@@ -141,7 +129,7 @@ class SymmetrySpec:
         source, phases = [0] * (2 * m), [1.0 + 0.0j] * (2 * m)
         for k, j in enumerate(range(m) if self.pairing is None else self.pairing):
             source[2 * j], source[2 * j + 1] = 2 * k + swap, 2 * k + 1 - swap
-            eta = complex(self.phases[j])
+            eta = self.phases[j]
             phases[2 * k], phases[2 * k + 1] = eta, eta.conjugate()
         return SlotAction(tuple(source), tuple(phases))
 
@@ -190,7 +178,7 @@ def restrict(
     spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], modes: Sequence[int]
 ) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
     """The spectrum and symmetry on the modes ``modes``, re-indexed in the
-    order given; the labels, frequencies, mu and phases are kept.
+    order given; the labels, frequencies and phases are kept.
 
     ConfigError unless ``modes`` are distinct mode indices of ``spectrum``
     (a repeated mode repeats its label, which :class:`ModeSpectrum`
@@ -201,7 +189,7 @@ def restrict(
         if not (hasattr(k, "__index__") and 0 <= k < len(spectrum)):
             raise ConfigError(f"{k!r} is not a mode index of {len(spectrum)} modes")
     labels = tuple(spectrum.labels[k] for k in modes)
-    sub = ModeSpectrum(labels, tuple(spectrum.omegas[k] for k in modes), spectrum.mu)
+    sub = ModeSpectrum(labels, tuple(spectrum.omegas[k] for k in modes))
     if sym is None:
         return sub, None
     check_alignment(spectrum, sym)
@@ -222,15 +210,12 @@ def principal_angle(phase: complex) -> float:
     return theta
 
 
-def validate_spectrum(
-    raw: Sequence[tuple[str, float]], mu_hint: Optional[float] = None
-) -> ModeSpectrum:
+def validate_spectrum(raw: Sequence[tuple[str, float]]) -> ModeSpectrum:
     """Build a ModeSpectrum from raw (label, omega) pairs; its constructor
-    checks them and ``mu_hint``.  The empty sequence is accepted and
-    produces the trivial theory whose partition functions are empty
-    products.  ``mu`` defaults to the minimum omega when no hint is given.
+    checks them.  The empty sequence is accepted and produces the trivial
+    theory whose partition functions are empty products.
     """
-    return ModeSpectrum(tuple(lbl for lbl, _ in raw), tuple(w for _, w in raw), mu_hint)
+    return ModeSpectrum(tuple(lbl for lbl, _ in raw), tuple(w for _, w in raw))
 
 
 def twisted_circle_spectrum(
@@ -240,8 +225,11 @@ def twisted_circle_spectrum(
 
     Frequencies are omega_n = sqrt((n + rho/2pi)^2 + m^2) for n in n_range,
     the eigenvalues of -d^2/dx^2 + m^2 on functions obeying
-    f(2pi) = exp(i*rho) f(0).
+    f(2pi) = exp(i*rho) f(0).  The twist and the mass are ints or floats,
+    not bools, and the mode numbers integers, not bools (ConfigError
+    otherwise); the twist and the mass are finite (DomainError).
     """
+    rho_twist, mass = _parse_float(rho_twist, "twist"), _parse_float(mass, "mass")
     if not (math.isfinite(rho_twist) and math.isfinite(mass)):
         raise DomainError(f"twist {rho_twist} and mass {mass} must be finite")
     if mass < 0.0:
@@ -253,6 +241,8 @@ def twisted_circle_spectrum(
         )
     pairs = []
     for n in n_range:
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise ConfigError(f"mode number {n!r} is not an integer")
         omega = math.hypot(n + shift, mass)
         pairs.append((f"n={n}", omega))
     return validate_spectrum(pairs)
@@ -290,6 +280,15 @@ def _parse_float(obj, where: str) -> float:
         raise DomainError(f"{where}: {obj} is beyond the float range") from None
 
 
+def _parse_phase(p) -> complex:
+    """A symmetry phase as a complex: the number rule of :func:`_parse_float`,
+    widened to complex values, then unit modulus (a NaN component fails it)."""
+    c = complex(p) if isinstance(p, complex) else complex(_parse_float(p, f"phase {p!r}"))
+    if not abs(abs(c) - 1.0) <= UNIT_MODULUS_TOL:
+        raise ConfigError(f"phase {p!r} is not unit modulus")
+    return c
+
+
 def _parse_complex(obj, where: str) -> complex:
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ConfigError(f"{where}: complex numbers must be {{re, im}} objects")
@@ -306,7 +305,7 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
     """Parse a decoded config document into (spectrum, symmetry)."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
-    _reject_unknown(doc, {"modes", "mu", "symmetry"}, "config")
+    _reject_unknown(doc, {"modes", "symmetry"}, "config")
     if "modes" not in doc:
         raise ConfigError("config: missing 'modes'")
     if not isinstance(doc["modes"], list):
@@ -321,8 +320,7 @@ def parse_config(doc: dict) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
         if not isinstance(m["label"], str):
             raise ConfigError(f"modes[{i}].label: not a string")
         raw.append((m["label"], _parse_float(m["omega"], f"modes[{i}].omega")))
-    mu = doc.get("mu")
-    spectrum = validate_spectrum(raw, mu_hint=None if mu is None else _parse_float(mu, "mu"))
+    spectrum = validate_spectrum(raw)
 
     sym = None
     if "symmetry" in doc:
@@ -373,12 +371,9 @@ def load_config(path) -> tuple[ModeSpectrum, Optional[SymmetrySpec]]:
 
 def spectrum_to_config(spectrum: ModeSpectrum) -> dict:
     """Serialize a spectrum to the config document shape."""
-    doc = {
+    return {
         "modes": [
             {"label": lbl, "omega": w}
             for lbl, w in zip(spectrum.labels, spectrum.omegas)
         ]
     }
-    if spectrum.mu is not None:
-        doc["mu"] = spectrum.mu
-    return doc

@@ -786,12 +786,6 @@ class TestNaNIsRefused:
         assert "not unit modulus" in capsys.readouterr().err
         assert not (tmp_path / "k.csv").exists()
 
-    def test_nan_mu_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "mu.json",
-                           {"modes": [{"label": "a", "omega": 1.0}], "mu": math.nan})
-        assert main(["partition", "--config", cfg, "--beta", "1"]) == 2
-        assert "mu must be positive" in capsys.readouterr().err
-
     def test_nan_eigenbasis_fails_the_build_checks(self, anti_config, tmp_path, monkeypatch,
                                                    capsys):
         # a NaN root of the 2-cycle's phase product puts NaN in the eigenbasis
@@ -873,7 +867,7 @@ def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: raised by the subcommand\n"
 
 
-ONE_MODE = ModeSpectrum(("a",), (1.0,), 1.0)
+ONE_MODE = ModeSpectrum(("a",), (1.0,))
 ANTI_PAIR = Path(__file__).parent / "golden" / "anti_pair_fixed.json"
 
 #: Inputs each public function used to take unchecked (a nan, a wrong value
@@ -898,7 +892,7 @@ REFUSALS = {
     "kernel_oracle-cutoff": (
         lambda: correlation.kernel_oracle(ONE_MODE, None, 1.0, 0.5, 0.0, -1), errors.DomainError),
     "ModeSpectrum-nan": (
-        lambda: ModeSpectrum(("a",), (math.nan,), 1.0), errors.AdmissibilityError),
+        lambda: ModeSpectrum(("a",), (math.nan,)), errors.AdmissibilityError),
     "grid_spectrum-negative-beta": (
         lambda: correlation.grid_spectrum(1.0, 0.3, -1.0, 4), errors.DomainError),
     "grid_spectrum-empty-grid": (
@@ -952,6 +946,9 @@ REFUSALS = {
         lambda: SymmetrySpec(kind="antiunitary", phases=(1j,), pairing=(0.0,)), errors.ConfigError),
     "SymmetrySpec-string-phase": (
         lambda: SymmetrySpec(kind="unitary", phases=("a",)), errors.ConfigError),
+    # |True| = 1, so a bool once passed the unit-modulus rule and was kept as a bool
+    "SymmetrySpec-bool-phase": (
+        lambda: SymmetrySpec(kind="unitary", phases=(True,)), errors.ConfigError),
     "kernel_agreement-fractional-lag": (
         lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [0.5]), errors.DomainError),
     "kernel_agreement-string-lag": (
@@ -961,9 +958,7 @@ REFUSALS = {
     "kernel_agreement-lag-minus-m": (
         lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [-4]), errors.DomainError),
     "ModeSpectrum-inf-omega": (
-        lambda: ModeSpectrum(("a",), (math.inf,), 1.0), errors.DomainError),
-    "ModeSpectrum-inf-mu": (
-        lambda: ModeSpectrum(("a",), (1.0,), math.inf), errors.DomainError),
+        lambda: ModeSpectrum(("a",), (math.inf,)), errors.DomainError),
     "parse_config-inf-string-omega": (
         lambda: parse_config({"modes": [{"label": "a", "omega": "inf"}]}), errors.ConfigError),
     "parse_config-numeric-string-omega": (
@@ -972,9 +967,6 @@ REFUSALS = {
         lambda: parse_config({"modes": [{"label": "a", "omega": True}]}), errors.ConfigError),
     "parse_config-1e309-omega": (
         lambda: parse_config(json.loads('{"modes": [{"label": "a", "omega": 1e309}]}')),
-        errors.DomainError),
-    "parse_config-huge-integer-mu": (
-        lambda: parse_config({"modes": [{"label": "a", "omega": 1.0}], "mu": 10**400}),
         errors.DomainError),
     "parse_config-bool-phase": (
         lambda: parse_config({"modes": [{"label": "a", "omega": 1.0}], "symmetry": {
@@ -994,17 +986,24 @@ REFUSALS = {
         lambda: validate_spectrum([("a", None)]), errors.ConfigError),
     "validate_spectrum-number-label": (
         lambda: validate_spectrum([(1, 1.0)]), errors.ConfigError),
-    "validate_spectrum-string-mu": (
-        lambda: validate_spectrum([("a", 1.0)], mu_hint="x"), errors.ConfigError),
     # the constructor holds the label and number rules itself
-    "ModeSpectrum-string-omega": (lambda: ModeSpectrum(("a",), ("x",), 1.0), errors.ConfigError),
-    "ModeSpectrum-null-omega": (lambda: ModeSpectrum(("a",), (None,), 1.0), errors.ConfigError),
-    "ModeSpectrum-string-mu": (lambda: ModeSpectrum(("a",), (1.0,), "x"), errors.ConfigError),
-    "ModeSpectrum-number-label": (lambda: ModeSpectrum((1,), (1.0,), 1.0), errors.ConfigError),
-    "ModeSpectrum-bool-omega": (lambda: ModeSpectrum(("a",), (True,), 1.0), errors.ConfigError),
+    "ModeSpectrum-string-omega": (lambda: ModeSpectrum(("a",), ("x",)), errors.ConfigError),
+    "ModeSpectrum-null-omega": (lambda: ModeSpectrum(("a",), (None,)), errors.ConfigError),
+    "ModeSpectrum-number-label": (lambda: ModeSpectrum((1,), (1.0,)), errors.ConfigError),
+    "ModeSpectrum-bool-omega": (lambda: ModeSpectrum(("a",), (True,)), errors.ConfigError),
     # library guards no CLI input reaches
+    "twisted_circle_spectrum-string-twist": (
+        lambda: twisted_circle_spectrum("x", 0.0, [1]), errors.ConfigError),
+    "twisted_circle_spectrum-string-mass": (
+        lambda: twisted_circle_spectrum(1.0, "m", [1]), errors.ConfigError),
+    "twisted_circle_spectrum-bool-twist": (
+        lambda: twisted_circle_spectrum(True, 0.5, [1]), errors.ConfigError),
+    "twisted_circle_spectrum-fractional-mode": (
+        lambda: twisted_circle_spectrum(1.0, 0.0, [1.5]), errors.ConfigError),
+    "twisted_circle_spectrum-bool-mode": (
+        lambda: twisted_circle_spectrum(1.0, 0.0, [True]), errors.ConfigError),
     "ModeSpectrum-misaligned": (
-        lambda: ModeSpectrum(("a", "b"), (1.0,), 1.0), errors.ConfigError),
+        lambda: ModeSpectrum(("a", "b"), (1.0,)), errors.ConfigError),
     "SymmetrySpec-unknown-kind": (lambda: SymmetrySpec("orthogonal", (1,)), errors.ConfigError),
     "SymmetrySpec-antiunitary-without-pairing": (
         lambda: SymmetrySpec("antiunitary", (1,)), errors.ConfigError),
@@ -1057,7 +1056,6 @@ def test_unchecked_inputs_are_refused(call, error):
     "doc, message",
     [({"modes": [{"label": "a", "omega": "x"}]}, "error: modes[0].omega: not a number"),
      ({"modes": [{"label": "a", "omega": [1]}]}, "error: modes[0].omega: not a number"),
-     ({"modes": [{"label": "a", "omega": 1.0}], "mu": "abc"}, "error: mu: not a number"),
      ({"modes": [{"label": "a", "omega": "inf"}]}, "error: modes[0].omega: not a number"),
      ({"modes": [{"label": "a", "omega": "1.5"}]}, "error: modes[0].omega: not a number"),
      ({"modes": [{"label": "a", "omega": True}]}, "error: modes[0].omega: not a number"),
@@ -1073,7 +1071,7 @@ def test_unchecked_inputs_are_refused(call, error):
        "symmetry": {"kind": "antiunitary", "pairing": {"1": "b", "b": 1},
                     "phases": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]}},
       "error: symmetry.pairing['b']: not a string")],
-    ids=["omega-string", "omega-list", "mu-string", "omega-inf-string", "omega-numeric-string",
+    ids=["omega-string", "omega-list", "omega-inf-string", "omega-numeric-string",
          "omega-bool", "modes-number", "modes-null", "phases-number", "label-list",
          "label-number", "label-null", "pairing-number"],
 )
@@ -1093,6 +1091,45 @@ def test_infinite_omega_exits_2(command, tmp_path, capsys):
     argv = [str(tmp_path / a) if a == "k.csv" else a for a in command]
     assert main([*argv, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: mode 'a' has infinite frequency\n"
+
+
+def test_config_carrying_mu_exits_2(tmp_path):
+    # the shape of every config that spectrum gen used to write
+    cfg = write_config(tmp_path / "mu.json", {"modes": [{"label": "a", "omega": 0.5}], "mu": 0.5})
+    proc = _run_cli(["-m", "twistkit.cli", "partition", "--config", cfg, "--beta", "1"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: config: unknown field(s) ['mu']\n")
+
+
+ONE_MODE_DOC = [{"label": "a", "omega": 1.0}]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [([], "config root must be an object"),
+     ({}, "config: missing 'modes'"),
+     ({"modes": [1.0]}, "modes[0] must be an object"),
+     ({"modes": [{"label": "a"}]}, "modes[0]: requires label and omega"),
+     ({"modes": ONE_MODE_DOC, "symmetry": []}, "symmetry must be an object"),
+     ({"modes": ONE_MODE_DOC, "symmetry": {"kind": "orthogonal"}},
+      "symmetry.kind must be 'unitary' or 'antiunitary'"),
+     ({"modes": ONE_MODE_DOC, "symmetry": {"kind": "antiunitary", "pairing": ["a", "a"]}},
+      "symmetry.pairing must be a label -> label object"),
+     ({"modes": ONE_MODE_DOC, "symmetry": {"kind": "antiunitary", "pairing": {}}},
+      "symmetry.pairing: missing mode 'a'"),
+     ({"modes": ONE_MODE_DOC, "symmetry": {"kind": "antiunitary",
+                                           "pairing": {"a": "a", "z": "z"}}},
+      "symmetry.pairing mentions unknown modes"),
+     ({"modes": ONE_MODE_DOC, "symmetry": {"kind": "antiunitary", "pairing": {"a": "a"}}},
+      "pairing and phases must align")],
+    ids=["root-list", "no-modes", "mode-number", "mode-without-omega", "symmetry-list",
+         "unknown-kind", "pairing-list", "pairing-missing-mode", "pairing-unknown-mode",
+         "pairing-without-phases"],
+)
+def test_malformed_config_is_refused_by_name(doc, message):
+    with pytest.raises(errors.ConfigError) as exc:
+        parse_config(doc)
+    assert str(exc.value) == message
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path):
@@ -1129,6 +1166,12 @@ class TestKernelCommand:
                 "--output", str(tmp_path / "k.csv")]
         assert main(args) == 0
         assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_unknown_mode_label_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--beta", "1", "--mode", "nope", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown mode label 'nope'\n"
+        assert not out.exists()
 
     def test_infinite_beta_is_refused_by_name(self, tmp_path, capsys):
         out = tmp_path / "k.csv"
@@ -1622,6 +1665,18 @@ class TestSpectrumGen:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert sorted(m["omega"] for m in doc["modes"]) == [0.5, 0.5]
+
+    def test_output_is_the_modes_and_parses_back(self, capsys):
+        assert main(["spectrum", "gen", "twisted-circle", "--twist", "1", "--mass", "0.5",
+                     "--n-min", "-3", "--n-max", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["modes"]
+        assert parse_config(doc) == (twisted_circle_spectrum(1.0, 0.5, range(-3, 4)), None)
+
+    def test_negative_mass_exits_2(self, capsys):
+        assert main(["spectrum", "gen", "twisted-circle", "--twist", "1", "--mass", "-1",
+                     "--n-min", "0", "--n-max", "2"]) == 2
+        assert capsys.readouterr().err == "error: mass must be nonnegative\n"
 
     def test_massless_untwisted_exits_2(self, capsys):
         rc = main(

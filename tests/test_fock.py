@@ -93,7 +93,7 @@ class TestFactors:
         sym = SymmetrySpec(kind="antiunitary", phases=(1j, -1.0, 0.6 + 0.8j), pairing=(2, 1, 0))
         assert fock.factors(spec, sym) == [(0, 2), (1,)]
         sub, sub_sym = restrict(spec, sym, (0, 2))
-        assert (sub.labels, sub.omegas, sub.mu) == (("a", "c"), (0.7, 0.7), spec.mu)
+        assert (sub.labels, sub.omegas) == (("a", "c"), (0.7, 0.7))
         assert (sub_sym.kind, sub_sym.phases, sub_sym.pairing) == ("antiunitary", (1j, 0.6 + 0.8j), (1, 0))
         assert restrict(spec, None, (1,))[1] is None
         with pytest.raises(ConfigError, match="does not map"):

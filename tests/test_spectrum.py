@@ -18,9 +18,8 @@ from twistkit.spectrum import (
 
 
 class TestValidateSpectrum:
-    def test_single_mode_mu_defaults_to_omega(self):
+    def test_single_mode_keeps_its_omega(self):
         s = validate_spectrum([("k0", 0.693147)])
-        assert s.mu == 0.693147
         assert s.omegas == (0.693147,)
 
     def test_negative_frequency_rejected(self):
@@ -34,23 +33,14 @@ class TestValidateSpectrum:
     def test_empty_spectrum_accepted(self):
         s = validate_spectrum([])
         assert len(s) == 0
-        assert s.mu is None
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
             validate_spectrum([("a", 1.0), ("a", 2.0)])
 
-    def test_mu_hint_respected(self):
-        s = validate_spectrum([("a", 2.0)], mu_hint=1.0)
-        assert s.mu == 1.0
-
-    def test_mu_hint_above_min_rejected(self):
-        with pytest.raises(AdmissibilityError):
-            validate_spectrum([("a", 1.0)], mu_hint=1.5)
-
     def test_idempotent(self):
         s = validate_spectrum([("a", 1.0), ("b", 2.5)])
-        again = validate_spectrum(list(zip(s.labels, s.omegas)), mu_hint=s.mu)
+        again = validate_spectrum(list(zip(s.labels, s.omegas)))
         assert again == s
 
 
@@ -59,7 +49,6 @@ class TestTwistedCircle:
         # -f'' = lambda f with f(2pi) = e^{i rho} f(0): eigenvalues (n + rho/2pi)^2
         s = twisted_circle_spectrum(math.pi, 0.0, range(-1, 1))
         assert sorted(s.omegas) == [0.5, 0.5]
-        assert s.mu == 0.5
 
     def test_massive_untwisted(self):
         s = twisted_circle_spectrum(0.0, 1.0, [0])
@@ -68,11 +57,6 @@ class TestTwistedCircle:
     def test_massless_untwisted_rejected(self):
         with pytest.raises(AdmissibilityError):
             twisted_circle_spectrum(0.0, 0.0, range(-2, 3))
-
-    def test_mu_equals_min_omega(self):
-        s = twisted_circle_spectrum(1.0, 0.3, range(-3, 4))
-        assert s.mu == min(s.omegas)
-        assert all(w >= s.mu > 0 for w in s.omegas)
 
 
 class TestSymmetrySpec:
