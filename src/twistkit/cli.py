@@ -115,8 +115,6 @@ def _cmd_partition(args) -> int:
 
 def _select_mode(spectrum: ModeSpectrum, label: Optional[str]) -> int:
     """The index of the mode ``kernel --mode`` names (default: the first)."""
-    if len(spectrum) == 0:
-        raise ConfigError("kernel export needs at least one mode")
     if label is None:
         return 0
     try:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from functools import lru_cache
 
 from .errors import ConfigError, DomainError, InternalConsistencyError, KindError, RangeError
 from .partition import _require_beta, _require_count
@@ -198,9 +199,13 @@ def geometric_log_derivative(y: complex, cutoff: int) -> complex:
     return slope / acc
 
 
-#: The last Fock-trace pair of :func:`kernel_oracle`, keyed by (rho, x,
-#: cutoff): a check evaluates one kernel at many points.
-_oracle_memo: list = [None, None]
+@lru_cache(maxsize=1)
+def _oscillator_sums(rho: complex, x: float, cutoff: int) -> tuple[complex, ...]:
+    """The Fock-trace pair of :func:`kernel_oracle`, the + oscillator's with
+    twist eigenvalues rho^n and the - oscillator's with conj(rho)^n, kept
+    for the last (rho, x, cutoff): a check evaluates one kernel at many
+    points."""
+    return tuple(geometric_log_derivative(c * x, cutoff) for c in (rho, rho.conjugate()))
 
 
 def kernel_oracle(
@@ -240,12 +245,7 @@ def kernel_oracle(
         raise DomainError("t and s must lie in [0, beta]")
     omega = spectrum.omegas[0]
     x = math.exp(-beta * omega)
-    key = (rho, x, cutoff)
-    if _oracle_memo[0] != key:
-        # + oscillator carries twist eigenvalues rho^n, - oscillator conj(rho)^n.
-        pair = [geometric_log_derivative(c * x, cutoff) for c in (rho, rho.conjugate())]
-        _oracle_memo[:] = [key, pair]
-    plus, minus = _oracle_memo[1]
+    plus, minus = _oscillator_sums(rho, x, cutoff)
     # t >= s: phibar(s) phi(t), where alpha-* alpha- and alpha+ alpha+* survive;
     # t < s: phi(t) phibar(s), where alpha+* alpha+ and alpha- alpha-* survive.
     twist, grown, decayed = (rho.conjugate(), minus, plus) if t >= s else (rho, plus, minus)
@@ -313,9 +313,10 @@ class SampledKernel:
     its eigenmode kernels: lags[d][k] = K_k(d*beta/m, 0), the kernel of
     frequency omegas[k] and twist angle thetas[k].  The block K(t_i, t_j)
     at lag d = i - j >= 0 is basis diag(lags[d]) basis*, its adjoint above
-    the diagonal.  A scalar kernel has one column and no basis (the
-    identity); the extended kernel has one per doubled eigenmode and the
-    per-cycle eigenbasis ``ext.basis`` of its induced unitary.  A basis is
+    the diagonal.  There is at least one column (ConfigError otherwise).
+    A scalar kernel has one column and no basis (the identity); the
+    extended kernel has one per doubled eigenmode and the per-cycle
+    eigenbasis ``ext.basis`` of its induced unitary.  A basis is
     block-diagonal up to a permutation, and kept sparse: one (indices,
     columns) pair per block, where column q sits at indices[q] and holds
     its coefficients on the rows indices[0], indices[1], ..."""
@@ -328,6 +329,8 @@ class SampledKernel:
         lags: tuple[tuple[complex, ...], ...],  # m rows of n
         basis: Optional[Basis] = None,
     ):
+        if not thetas:
+            raise ConfigError("a sampled kernel needs at least one column")
         self.beta, self.omegas, self.thetas = beta, omegas, thetas
         self.lags, self.basis = lags, basis
 
@@ -408,12 +411,12 @@ def export_kernel_csv(path, sampled: SampledKernel) -> None:
     A scalar kernel (one column, no basis) has the columns t, s, re_k,
     im_k, tail_bound (always 0) and is written one t-row per write, one
     join over the slots t, s_0, body_0, t, s_1, body_1 ...; any other
-    layout (a basis, or not exactly one column) carries row_sector and
+    layout (a basis, or more than one column) carries row_sector and
     col_sector on every row, and each (t, s) block is one write, t,s +
-    row_0 + t,s + row_1 ...; a layout without columns has no rows.  Output
-    is deterministic ASCII: fixed row order, 17-significant-digit lowercase
-    scientific floats, LF line endings.  A block entry that is not finite
-    (the lag values are, so only a broken basis gives one) is refused with
+    row_0 + t,s + row_1 and so on.  Output is deterministic ASCII: fixed
+    row order, 17-significant-digit lowercase scientific floats, LF line
+    endings.  A block entry that is not finite (the lag values are, so
+    only a broken basis gives one) is refused with
     InternalConsistencyError before the file is opened."""
     sectors = sampled.basis is not None or len(sampled.thetas) != 1
     blocks = sampled.blocks()
@@ -437,8 +440,6 @@ def export_kernel_csv(path, sampled: SampledKernel) -> None:
     # call per few blocks, not one per block
     with open(path, "wb", buffering=1 << 16) as fh:
         fh.write(columns + b"re_k,im_k,tail_bound\n")
-        if not n:  # a layout without modes has no rows
-            return
         for i, t in enumerate(stamps):
             lower.append(rows(blocks[i]))
             blocks[i] = None

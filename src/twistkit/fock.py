@@ -258,7 +258,7 @@ def apply_field(
     creation term, then its annihilation term, each for all levels at once.
     """
     n = space.n_slots
-    n_in = state.shape[0] if n else 1
+    n_in = state.shape[0]
     n_out = space.cutoff if subcutoff else space.cutoff + 1
     width = min(n_in, n_out)
     amps = _creation_amplitudes(space.cutoff)
@@ -347,7 +347,7 @@ def apply_symmetry(space: FockSpace, sym: SymmetrySpec, state: np.ndarray) -> np
     on each axis."""
     action = slot_action(space.spectrum, sym)
     n = state.ndim
-    levels = state.shape[0] if n else 1
+    levels = state.shape[0]
     tables = (
         (p ** np.arange(levels)).reshape(_axis_shape(n, s, levels))
         for s, p in enumerate(action.phases)
@@ -364,7 +364,7 @@ def apply_tc(space: FockSpace, state: np.ndarray) -> np.ndarray:
 
 
 def _max_abs(values: np.ndarray) -> float:
-    return float(np.abs(values).max()) if np.size(values) else 0.0
+    return float(np.abs(values).max())
 
 
 def _unit_states(space: FockSpace, rng: random.Random) -> tuple[np.ndarray, np.ndarray]:
@@ -377,8 +377,6 @@ def _ccr_checks(
     spectrum: ModeSpectrum, sym, rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
-    if len(spectrum) == 0:
-        return [CheckResult("ccr", "empty-spectrum (vacuous)", 0.0, 0.0)]
     space = FockSpace(spectrum, cutoff)
     f = standard_normals(rng, len(spectrum))
     g = standard_normals(rng, len(spectrum))
@@ -449,32 +447,31 @@ def _tc_checks(
     rhs = complex(np.vdot(x, y)).conjugate()
     results.append(CheckResult("tc", "TC is antiunitary on random vectors", abs(lhs - rhs), 1e-12))
     v = space.random_state(rng)
-    if len(spectrum) > 0:
-        f = standard_normals(rng, len(spectrum))
-        zero = np.zeros(len(spectrum), dtype=complex)
-        q_plus, q_minus = np.concatenate([f.conj(), zero]), np.concatenate([zero, f])
-        # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) v = A-*(f) TC v
-        plus, minus = creation(space, q_plus), creation(space, q_minus)
-        residual = tc(apply_field(space, plus, v, subcutoff=True))
-        residual -= apply_field(space, minus, tc(v), subcutoff=True)
-        results.append(
-            CheckResult(
-                "tc", "TC A+*(f-bar) TC = A-*(f) on sub-cutoff block", _max_abs(residual), 1e-12
-            )
+    f = standard_normals(rng, len(spectrum))
+    zero = np.zeros(len(spectrum), dtype=complex)
+    q_plus, q_minus = np.concatenate([f.conj(), zero]), np.concatenate([zero, f])
+    # TC A+*(f-bar) TC = A-*(f), as TC A+*(f-bar) v = A-*(f) TC v
+    plus, minus = creation(space, q_plus), creation(space, q_minus)
+    residual = tc(apply_field(space, plus, v, subcutoff=True))
+    residual -= apply_field(space, minus, tc(v), subcutoff=True)
+    results.append(
+        CheckResult(
+            "tc", "TC A+*(f-bar) TC = A-*(f) on sub-cutoff block", _max_abs(residual), 1e-12
         )
-        # phi(t, f-bar) = psi(it, (f-bar, 0)) and phibar(t, f) = psi(it, (0, f))
-        t = 0.41
-        phi, phibar = field(space, q_plus, 1j * t), field(space, q_minus, 1j * t)
-        residual = tc(apply_field(space, phi, v, subcutoff=True))
-        residual -= apply_field(space, phibar, tc(v), subcutoff=True)
-        results.append(
-            CheckResult(
-                "tc",
-                "TC phi(t, f-bar) TC = phibar(t, f) on sub-cutoff block",
-                _max_abs(residual),
-                1e-10,
-            )
+    )
+    # phi(t, f-bar) = psi(it, (f-bar, 0)) and phibar(t, f) = psi(it, (0, f))
+    t = 0.41
+    phi, phibar = field(space, q_plus, 1j * t), field(space, q_minus, 1j * t)
+    residual = tc(apply_field(space, phi, v, subcutoff=True))
+    residual -= apply_field(space, phibar, tc(v), subcutoff=True)
+    results.append(
+        CheckResult(
+            "tc",
+            "TC phi(t, f-bar) TC = phibar(t, f) on sub-cutoff block",
+            _max_abs(residual),
+            1e-10,
         )
+    )
     if sym is not None:
         residual = apply_symmetry(space, sym, tc(v)) - tc(apply_symmetry(space, sym, v))
         results.append(CheckResult("tc", "[U_S, TC] = 0", _max_abs(residual), 1e-12))
@@ -609,8 +606,7 @@ def _factored(
     mode, and merged: one result per check name at the worst
     deviation over the factors (NaN-aware) and the tightest threshold, in
     the order one space of all the modes gives them, by first appearance
-    and the checks of one mode last, by mode.  An empty spectrum is its own
-    factor.
+    and the checks of one mode last, by mode.
 
     With two factors or more, every check runs once more on the union of
     the first two, which the pairing maps to itself, at the cutoff of
@@ -621,7 +617,7 @@ def _factored(
     rng = random.Random(seed)
     parts = factors(spectrum, sym)
     merged: dict[tuple[str, str], list[CheckResult]] = {}
-    for modes in parts or [()]:
+    for modes in parts:
         factor, factor_sym = restrict(spectrum, sym, modes)
         for check in checks(factor, factor_sym, rng, oracle_cutoff(len(modes))):
             if check.mode is not None:

@@ -19,7 +19,11 @@ import cmath
 import math
 
 from .errors import DomainError, RangeError
-from .spectrum import ModeSpectrum, SymmetrySpec, slot_action
+from .spectrum import ModeSpectrum, SymmetrySpec, _is_index, slot_action
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 #: Below this value a twisted partition function is reported as
 #: suspiciously small (flagged, not failed): positivity holds for all
@@ -65,10 +69,20 @@ def _log_abs2_one_minus(y: float, rho: complex) -> float:
     return 2.0 * math.log(root) if root > 0.0 else -math.inf
 
 
+def _add_in_order(values: Iterable[float]) -> float:
+    """0.0 + v0 + v1 + ..., rounded term by term: the float ``sum`` of
+    Python 3.11, which 3.12 compensates, so that printed values do not
+    depend on the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def z_untwisted(spectrum: ModeSpectrum, beta: float) -> float:
     """Tr(e^{-beta H}) = prod_k (1 - e^{-beta omega_k})^{-2}."""
     _require_beta(beta)
-    log_z = -sum(_log_abs2_one_minus(beta * w, 1.0 + 0.0j) for w in spectrum.omegas)
+    log_z = -_add_in_order(_log_abs2_one_minus(beta * w, 1.0 + 0.0j) for w in spectrum.omegas)
     return _exp_in_range(log_z, "untwisted partition function")
 
 
@@ -83,7 +97,7 @@ def z_twisted(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) -> float:
     identity Z = sqrt(Tr(U_{V^2} e^{-2 beta H})).
     """
     _require_beta(beta)
-    log_z = -0.5 * sum(
+    log_z = -0.5 * _add_in_order(
         _log_abs2_one_minus(length * beta * spectrum.omegas[first // 2], r)
         for first, length, r in slot_action(spectrum, sym).cycles
     )
@@ -104,14 +118,12 @@ def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
     >= (1 + x)^{-L}, and the cycles cover every slot once.
     """
     _require_beta(beta)
-    s = 0.0
-    for w in spectrum.omegas:
-        s += math.log1p(math.exp(-beta * w))
-    return math.exp(-2.0 * s)
+    return math.exp(-2.0 * _add_in_order(math.log1p(math.exp(-beta * w)) for w in spectrum.omegas))
 
 
 def _require_count(n: int, least: int, what: str) -> None:
-    """DomainError unless n is an integer >= least: one with ``__index__``,
-    so numpy integers pass and 2.0 does not."""
-    if not hasattr(n, "__index__") or n < least:
+    """DomainError unless n is an integer >= least by the one integer rule,
+    :func:`twistkit.spectrum._is_index`: numpy integers pass, 2.0 and True
+    do not."""
+    if not _is_index(n) or n < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {n}")

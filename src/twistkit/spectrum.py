@@ -1,10 +1,11 @@
 """Mode spectra and symmetry specifications.
 
-A :class:`ModeSpectrum` is a finite list of labelled, strictly positive
-oscillator frequencies, and nothing else: twist positivity and the
-positivity of the pair correlation need no more.  Finiteness is what makes
-every downstream trace and product unconditionally convergent, so all
-identities verified elsewhere in the package hold without regularization.
+A :class:`ModeSpectrum` is a finite, nonempty list of labelled, strictly
+positive oscillator frequencies, and nothing else: twist positivity and
+the positivity of the pair correlation need no more, and a theory without
+modes has nothing to prove.  Finiteness is what makes every downstream
+trace and product unconditionally convergent, so all identities verified
+elsewhere in the package hold without regularization.
 
 A :class:`SymmetrySpec` describes a symmetry commuting with the frequency
 operator, either as per-mode unit phases (unitary case) or as an involutive
@@ -46,16 +47,19 @@ ANTIUNITARY = "antiunitary"
 
 
 class ModeSpectrum:
-    """Finite admissible frequency spectrum.
+    """Finite admissible frequency spectrum of at least one mode.
 
-    Each label is a unique string, and each omega an int or a float, not
-    a bool (ConfigError otherwise), held as a float.  Every omega is
-    positive (AdmissibilityError otherwise) and finite (DomainError).
+    There is at least one mode, each label is a unique string, and each
+    omega an int or a float, not a bool (ConfigError otherwise), held as
+    a float.  Every omega is positive (AdmissibilityError otherwise) and
+    finite (DomainError).
     """
 
     def __init__(self, labels: tuple[str, ...], omegas: tuple[float, ...]):
         if len(labels) != len(omegas):
             raise ConfigError("labels and omegas must have equal length")
+        if not labels:
+            raise ConfigError("a spectrum needs at least one mode")
         for lbl in labels:
             if not isinstance(lbl, str):
                 raise ConfigError(f"mode label {lbl!r} is not a string")
@@ -107,7 +111,7 @@ class SymmetrySpec:
                 raise ConfigError("antiunitary symmetry requires a pairing")
             if len(pairing) != len(phases):
                 raise ConfigError("pairing and phases must align")
-            if not all(hasattr(j, "__index__") for j in pairing):
+            if not all(_is_index(j) for j in pairing):
                 raise ConfigError("pairing entries must be mode indices")
             if sorted(pairing) != list(range(len(pairing))):
                 raise ConfigError("pairing is not a permutation of the mode labels")
@@ -186,7 +190,7 @@ def restrict(
     with ``spectrum`` (:func:`check_alignment`).
     """
     for k in modes:
-        if not (hasattr(k, "__index__") and 0 <= k < len(spectrum)):
+        if not (_is_index(k) and 0 <= k < len(spectrum)):
             raise ConfigError(f"{k!r} is not a mode index of {len(spectrum)} modes")
     labels = tuple(spectrum.labels[k] for k in modes)
     sub = ModeSpectrum(labels, tuple(spectrum.omegas[k] for k in modes))
@@ -202,7 +206,7 @@ def restrict(
 
 def principal_angle(phase: complex) -> float:
     """Argument of a unit-modulus number mapped into [0, 2*pi)."""
-    theta = cmath.phase(phase)
+    theta = cmath.phase(phase) + 0.0  # the -0.0 of phase(1 - 0j) becomes +0.0
     if theta < 0.0:
         theta += 2.0 * math.pi
     if theta >= 2.0 * math.pi:
@@ -212,8 +216,7 @@ def principal_angle(phase: complex) -> float:
 
 def validate_spectrum(raw: Sequence[tuple[str, float]]) -> ModeSpectrum:
     """Build a ModeSpectrum from raw (label, omega) pairs; its constructor
-    checks them.  The empty sequence is accepted and produces the trivial
-    theory whose partition functions are empty products.
+    checks them, and refuses the empty sequence (ConfigError).
     """
     return ModeSpectrum(tuple(lbl for lbl, _ in raw), tuple(w for _, w in raw))
 
@@ -226,8 +229,9 @@ def twisted_circle_spectrum(
     Frequencies are omega_n = sqrt((n + rho/2pi)^2 + m^2) for n in n_range,
     the eigenvalues of -d^2/dx^2 + m^2 on functions obeying
     f(2pi) = exp(i*rho) f(0).  The twist and the mass are ints or floats,
-    not bools, and the mode numbers integers, not bools (ConfigError
-    otherwise); the twist and the mass are finite (DomainError).
+    not bools, and the mode numbers integers, not bools, at least one of
+    them (ConfigError otherwise); the twist and the mass are finite
+    (DomainError).
     """
     rho_twist, mass = _parse_float(rho_twist, "twist"), _parse_float(mass, "mass")
     if not (math.isfinite(rho_twist) and math.isfinite(mass)):
@@ -241,7 +245,7 @@ def twisted_circle_spectrum(
         )
     pairs = []
     for n in n_range:
-        if isinstance(n, bool) or not hasattr(n, "__index__"):
+        if not _is_index(n):
             raise ConfigError(f"mode number {n!r} is not an integer")
         omega = math.hypot(n + shift, mass)
         pairs.append((f"n={n}", omega))
@@ -266,6 +270,12 @@ def check_alignment(spectrum: ModeSpectrum, sym: SymmetrySpec) -> None:
 # Config file format (JSON).  Complex numbers are {re, im} pairs; unknown
 # fields are rejected everywhere.
 # ---------------------------------------------------------------------------
+
+
+def _is_index(n) -> bool:
+    """The one integer rule: an int or anything with ``__index__`` (numpy's
+    integers), but not a bool."""
+    return hasattr(n, "__index__") and not isinstance(n, bool)
 
 
 def _parse_float(obj, where: str) -> float:

@@ -14,11 +14,10 @@ the CLI renders them and sets the exit code; ``partition`` and ``kernel
 :func:`sampled_kernel_checks`, the checks the ``partition``, ``kernel``
 and ``realfield`` suites run.  Sampled kernels are checked through the
 closed-form spectra of their twisted-circulant eigenmode grids, never a
-dense grid: positivity reads the closed form (an empty layout is
-vacuously positive), and a pure-Python transform of the exported lag
-values ties them to it.  The ``realfield`` suite reads its sector-mixing
-blocks and its eigenbasis (:func:`eigenbasis_checks`) from the same
-layout.  The ``kernel`` suite's resolvent check reads the eigenmode
+dense grid: positivity reads the closed form, and a pure-Python
+transform of the exported lag values ties them to it.  The ``realfield``
+suite reads its sector-mixing blocks and its eigenbasis
+(:func:`eigenbasis_checks`) from the same layout.  The ``kernel`` suite's resolvent check reads the eigenmode
 residual of the 128-point grid from one sum of its lag values, and it is
 two-sided: the residual must match its closed form, not merely stay below
 it.
@@ -68,7 +67,7 @@ from functools import partial
 
 from . import partition
 from .errors import ConfigError, InternalConsistencyError, KindError, RangeError, TwistkitError
-from .partition import _log_abs2_one_minus, _require_beta, _require_count
+from .partition import _add_in_order, _log_abs2_one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
 TYPE_CHECKING = False
@@ -124,8 +123,8 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     """
     _require_beta(beta)
     _require_count(cutoff, 0, "occupation cutoff")
-    log_keep = sum(_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
-    return 0.0 - math.expm1(log_keep)
+    keep = (_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
+    return 0.0 - math.expm1(_add_in_order(keep))
 
 
 def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
@@ -138,7 +137,8 @@ def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> floa
     """
     _require_beta(beta)
     _require_count(cutoff, 0, "occupation cutoff")
-    return math.expm1(2.0 * sum(math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas))
+    drop = (math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas)
+    return math.expm1(2.0 * _add_in_order(drop))
 
 
 def _truncated_geometric(y: complex, cutoff: int) -> complex:
@@ -328,8 +328,7 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     most 16 eps of max lambda <= sum_j |v_j|.
 
     Positive definiteness is max(0, -min lambda) over the same closed-form
-    spectra, to which the sampled kernel is unitarily similar; a kernel
-    with no modes is vacuously positive (deviation 0).
+    spectra, to which the sampled kernel is unitarily similar.
     """
     if len(sampled.thetas) == 1:
         suite, noun = "kernel", "sampled kernel"
@@ -346,10 +345,9 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
         for n, value in enumerate(_lag_transform(lags, theta)):
             err = abs(value - spectrum[n][k])
             worst = max(worst, err / total if total else err)
-    lowest = min((value for row in spectrum for value in row), default=0.0)
     return [
         CheckResult(suite, "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
-        CheckResult(suite, f"{noun} positive definite", max(0.0, -lowest), 0.0),
+        CheckResult(suite, f"{noun} positive definite", max(0.0, -min(map(min, spectrum))), 0.0),
     ]
 
 
@@ -358,8 +356,6 @@ def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> l
 
     from . import correlation
 
-    if len(spectrum) == 0:
-        return [CheckResult("kernel", "empty-spectrum (vacuous)", 0.0, 0.0)]
     rho = slot_action(spectrum, sym).phases[0]
     beta = 1.0
     omega, theta = spectrum.omegas[0], correlation.kernel_twist_angle(rho)
@@ -433,8 +429,6 @@ def eigenbasis_checks(
 def _realfield(spectrum: ModeSpectrum, sym: SymmetrySpec, seed: int) -> list[CheckResult]:
     from . import realfield
 
-    if len(spectrum) == 0:
-        return [CheckResult("realfield", "empty-spectrum (vacuous)", 0.0, 0.0)]
     results: list[CheckResult] = []
     ext = realfield.extend(spectrum, sym)
     phases = ext.phases

@@ -21,6 +21,17 @@ from twistkit.spectrum import (
 )
 
 LN2 = math.log(2.0)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def neumaier_sum(values, start=0):
+    """The float sum() of Python 3.12 and later: Neumaier's compensated sum."""
+    total, carry = float(start), 0.0
+    for x in values:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry if carry and math.isfinite(carry) else total
 
 
 def write_config(path, doc):
@@ -64,10 +75,26 @@ class TestPartitionCommand:
         assert abs(float(fields[2]) - 4.0 / 9.0) < 1e-12
 
     def test_empty_spectrum(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "empty.json", {"modes": []})
-        assert main(["partition", "--config", cfg, "--beta", "1"]) == 0
-        row = capsys.readouterr().out.strip().splitlines()[1]
-        assert float(row.split(",")[2]) == 1.0
+        # refused by the spectrum's own rule, before its symmetry is read
+        doc = {"modes": [], "symmetry": {"kind": "antiunitary", "phases": [], "pairing": {}}}
+        cfg = write_config(tmp_path / "empty.json", doc)
+        assert main(["partition", "--config", cfg, "--beta", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: a spectrum needs at least one mode\n")
+
+    @pytest.mark.parametrize(
+        "config", [[], ["--config", str(GOLDEN / "anti_two_pairs_fixed.json")]],
+        ids=["bundled", "anti_two_pairs"],
+    )
+    def test_row_bytes_do_not_depend_on_the_float_sum(self, config, monkeypatch, capsys):
+        # Python 3.12's sum() compensates float sums; a row prints the bytes
+        # of the ordered sum under either rule
+        argv = ["partition", *config, "--beta", "0.5", "--beta", "1"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        for module in (partition, verify):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
 
     def test_infinite_beta_is_refused_by_name(self, capsys):
         # Z = 1 at beta = inf is a limit, not a value: refused as the kernel is
@@ -1023,6 +1050,19 @@ REFUSALS = {
         lambda: verify.run_suite("partition", ONE_MODE, None, None), errors.DomainError),
     "run_suite-string-seed": (
         lambda: verify.run_suite("partition", ONE_MODE, None, "3"), errors.DomainError),
+    # a bool carries __index__, but the one integer rule refuses it
+    "FockSpace-bool-cutoff": (lambda: fock.FockSpace(ONE_MODE, True), errors.DomainError),
+    "sample_kernels-bool-grid": (
+        lambda: correlation.sample_kernels(1.0, [0.7], [0.3], True), errors.DomainError),
+    "run_suite-bool-seed": (
+        lambda: verify.run_suite("partition", ONE_MODE, None, True), errors.DomainError),
+    "kernel_agreement-bool-lag": (
+        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [True]), errors.DomainError),
+    "SymmetrySpec-bool-pairing": (
+        lambda: SymmetrySpec("antiunitary", (1, 1), (True, False)), errors.ConfigError),
+    "restrict-bool-mode": (
+        lambda: restrict(validate_spectrum([("a", 1.0), ("b", 2.0)]), None, (True,)),
+        errors.ConfigError),
 }
 
 
@@ -1043,7 +1083,7 @@ def test_integer_cutoffs_are_accepted():
         worst, checks = verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, lags)
         return worst, [c.deviation for c in checks]
 
-    assert agreement([np.int64(-3), True]) == agreement([-3, 1])
+    assert agreement([np.int64(-3), np.int64(1)]) == agreement([-3, 1])
 
 
 @pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())
@@ -1101,6 +1141,20 @@ def test_config_carrying_mu_exits_2(tmp_path):
         2, "", "error: config: unknown field(s) ['mu']\n")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["partition", "--beta", "1"], ["kernel", "--beta", "1", "--output", "k.csv"],
+     ["kernel", "--beta", "1", "--output", "k.csv", "--extended"], ["verify"]],
+    ids=["partition", "kernel", "kernel-extended", "verify"],
+)
+def test_empty_config_exits_2(command, tmp_path, capsys):
+    cfg = write_config(tmp_path / "empty.json", {"modes": []})
+    argv = [str(tmp_path / a) if a == "k.csv" else a for a in command]
+    assert main([*argv, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", "error: a spectrum needs at least one mode\n")
+    assert not (tmp_path / "k.csv").exists()
+
+
 ONE_MODE_DOC = [{"label": "a", "omega": 1.0}]
 
 
@@ -1108,6 +1162,7 @@ ONE_MODE_DOC = [{"label": "a", "omega": 1.0}]
     "doc, message",
     [([], "config root must be an object"),
      ({}, "config: missing 'modes'"),
+     ({"modes": []}, "a spectrum needs at least one mode"),
      ({"modes": [1.0]}, "modes[0] must be an object"),
      ({"modes": [{"label": "a"}]}, "modes[0]: requires label and omega"),
      ({"modes": ONE_MODE_DOC, "symmetry": []}, "symmetry must be an object"),
@@ -1122,7 +1177,7 @@ ONE_MODE_DOC = [{"label": "a", "omega": 1.0}]
       "symmetry.pairing mentions unknown modes"),
      ({"modes": ONE_MODE_DOC, "symmetry": {"kind": "antiunitary", "pairing": {"a": "a"}}},
       "pairing and phases must align")],
-    ids=["root-list", "no-modes", "mode-number", "mode-without-omega", "symmetry-list",
+    ids=["root-list", "no-modes", "empty-modes", "mode-number", "mode-without-omega", "symmetry-list",
          "unknown-kind", "pairing-list", "pairing-missing-mode", "pairing-unknown-mode",
          "pairing-without-phases"],
 )
@@ -1241,26 +1296,6 @@ class TestKernelCommand:
         plain = capsys.readouterr()
         assert main(args + ["--verify"]) == 0
         assert capsys.readouterr() == plain
-
-    @pytest.mark.parametrize("m", [1, 8])
-    @pytest.mark.parametrize(
-        "symmetry",
-        [{"kind": "unitary", "phases": []},
-         {"kind": "antiunitary", "phases": [], "pairing": {}}],
-        ids=["unitary", "antiunitary"],
-    )
-    def test_extended_verify_without_modes_is_vacuous(self, tmp_path, capsys, symmetry, m):
-        # an empty layout is vacuously positive, like the suites' empty spectra
-        cfg = write_config(tmp_path / "empty.json", {"modes": [], "symmetry": symmetry})
-        out = tmp_path / "ext.csv"
-        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", str(m),
-                "--output", str(out), "--extended"]
-        assert main(args) == 0
-        plain = capsys.readouterr()
-        out.unlink()
-        assert main(args + ["--verify"]) == 0
-        assert capsys.readouterr() == plain
-        assert out.read_text() == "t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"
 
     def test_extended_flag_exports_the_extended_kernel_of_a_unitary_config(
         self, tmp_path, capsys
@@ -1677,6 +1712,13 @@ class TestSpectrumGen:
         assert main(["spectrum", "gen", "twisted-circle", "--twist", "1", "--mass", "-1",
                      "--n-min", "0", "--n-max", "2"]) == 2
         assert capsys.readouterr().err == "error: mass must be nonnegative\n"
+
+    def test_empty_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert main(["spectrum", "gen", "twisted-circle", "--twist", "1", "--n-min", "3",
+                     "--n-max", "2", "--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: a spectrum needs at least one mode\n")
+        assert not out.exists()
 
     def test_massless_untwisted_exits_2(self, capsys):
         rc = main(

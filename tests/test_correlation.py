@@ -8,7 +8,7 @@ import pytest
 
 import dense
 from twistkit import correlation as co, verify
-from twistkit.errors import DomainError, RangeError
+from twistkit.errors import ConfigError, DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 
@@ -43,6 +43,10 @@ class TestKernelTwistAngle:
         assert co.kernel_twist_angle(1.0 + 0j) == 0.0
         assert abs(co.kernel_twist_angle(cmath.exp(0.7j)) - (2 * math.pi - 0.7)) < 1e-12
         assert abs(co.kernel_twist_angle(-1.0 + 0j) - math.pi) < 1e-12
+
+    def test_untwisted_angle_is_positive_zero(self):
+        # the angle -0.0 of rho = 1 is what CLI range errors used to print
+        assert math.copysign(1.0, co.kernel_twist_angle(1)) == 1.0
 
     def test_convention_pinned_by_dense_oracle(self):
         # adjudicates the sign: with phase e^{i*0.9}, only theta = -0.9
@@ -237,6 +241,12 @@ class TestKernelOracle:
             dense = dense_kernel_oracle(spec, sym, 1.0, t, s, 14)
             assert abs(fast - dense) < 1e-12
 
+    def test_value_beyond_the_float_range_raises(self):
+        # 1/(2 omega) at omega = 1e-310 times sums of order 1 overflows
+        spec = validate_spectrum([("m", 1e-310)])
+        with pytest.raises(RangeError, match="outside the float range"):
+            co.kernel_oracle(spec, None, 1.0, 0.5, 0.0, 8)
+
     def test_coth_value_at_coincident_points(self):
         spec = validate_spectrum([("m", 1.0)])
         val = co.kernel_oracle(spec, None, 1.0, 0.5, 0.5, 400)
@@ -355,7 +365,7 @@ class TestKernelOracle:
         fresh = {}
         for which in ({}, other):
             for t, s in points:
-                co._oracle_memo[:] = [None, None]
+                co._oscillator_sums.cache_clear()
                 fresh[len(which), t, s] = bits(call(t=t, s=s, **which))
         for _ in range(2):
             for t, s in points:
@@ -679,12 +689,16 @@ class TestCsvExport:
         ]
         assert p.read_text().splitlines()[1:] == want
 
-    def test_basis_free_layout_without_columns_is_header_only(self, tmp_path):
-        # no column and no basis: the sector header and no rows (an
-        # IndexError when the writer read column 0 of every layout without a basis)
-        p = tmp_path / "k.csv"
-        co.export_kernel_csv(p, co.sample_kernels(1.0, [], [], 3))
-        assert p.read_bytes() == b"t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: co.SampledKernel(1.0, (), (), ((),) * 3, basis=()),
+         lambda: co.sample_kernels(1.0, [], [], 3)],
+        ids=["SampledKernel", "sample_kernels"],
+    )
+    def test_layout_without_columns_is_refused(self, build):
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == "a sampled kernel needs at least one column"
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_basis_free_layout_with_two_columns_writes_both(self, tmp_path, m):
@@ -704,8 +718,3 @@ class TestCsvExport:
         assert lines[0] == "t,s,row_sector,col_sector,re_k,im_k,tail_bound"
         assert lines[1:] == want
 
-    def test_layout_without_modes_is_header_only(self, tmp_path):
-        sampled = co.SampledKernel(1.0, (), (), ((),) * 3, basis=())
-        p = tmp_path / "k.csv"
-        co.export_kernel_csv(p, sampled)
-        assert p.read_bytes() == b"t,s,row_sector,col_sector,re_k,im_k,tail_bound\n"

@@ -43,7 +43,6 @@ class TestBuildSpace:
         two = validate_spectrum([("a", 1.0), ("b", 2.0)])
         assert fock.FockSpace(two, 2).dim == 81
         assert fock.FockSpace(two, 2).shape == (3, 3, 3, 3)
-        assert fock.FockSpace(validate_spectrum([]), 5).dim == 1
 
     def test_vacuum_is_index_zero(self):
         space = fock.FockSpace(single_mode(), 3)
@@ -86,7 +85,6 @@ class TestFactors:
         spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.4)])
         unitary = SymmetrySpec(kind="unitary", phases=(1j, -1.0, 1.0))
         assert fock.factors(spec, unitary) == fock.factors(spec, None) == [(0,), (1,), (2,)]
-        assert fock.factors(validate_spectrum([]), None) == []
 
     def test_a_pairing_joins_its_modes_and_restricts_inside_them(self):
         spec = validate_spectrum([("a", 0.7), ("b", 1.1), ("c", 0.7)])
@@ -509,10 +507,6 @@ class TestTwistedTrace:
         z = dense_trace(space, 1.0, SymmetrySpec(kind="unitary", phases=(-1 + 0j,)))
         tail = verify.twisted_tail_bound(spec, 1.0, 40)
         assert abs(z - 4.0 / 9.0) <= (4.0 / 9.0) * tail + 1e-12
-
-    def test_zero_modes(self):
-        space = fock.FockSpace(validate_spectrum([]), 3)
-        assert dense_trace(space, 2.0) == 1.0
 
 
 class TestTailBound:

@@ -21,9 +21,6 @@ class TestUntwisted:
         s = validate_spectrum([("k0", LN2)])
         assert abs(partition.z_untwisted(s, 1.0) - 4.0) < 1e-14
 
-    def test_empty_product(self):
-        assert partition.z_untwisted(validate_spectrum([]), 1.0) == 1.0
-
     def test_monotone_in_beta(self):
         s = validate_spectrum([("a", 0.7), ("b", 1.3)])
         values = [partition.z_untwisted(s, b) for b in (0.5, 1.0, 2.0, 4.0, 8.0)]
@@ -83,9 +80,6 @@ class TestLowerBound:
         sym = SymmetrySpec(kind="unitary", phases=(-1.0 + 0j,))
         z = partition.z_twisted(s, sym, 1.0)
         assert abs(z - partition.positivity_lower_bound(s, 1.0)) < 1e-14
-
-    def test_empty_spectrum(self):
-        assert partition.positivity_lower_bound(validate_spectrum([]), 1.0) == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -156,11 +150,6 @@ class TestAntiunitary:
             tail = verify.truncation_tail_bound(s, 1.0, 25)
             assert abs(z - oracle) / z <= tail + 1e-8
 
-    def test_empty_spectrum(self):
-        s = validate_spectrum([])
-        sym = SymmetrySpec(kind="antiunitary", phases=(), pairing=())
-        assert partition.z_twisted(s, sym, 1.0) == 1.0
-
 
 class TestTinyBetaOmega:
     """Z at beta*omega down to 1e-17, where 1 - e^{-y} cancels completely."""
@@ -188,10 +177,10 @@ class TestTinyBetaOmega:
         tail = verify.truncation_tail_bound(validate_spectrum([("a", 1e-20)]), 1.0, 40)
         assert isinstance(tail, float) and 0.0 <= tail <= 1.0
 
-    @pytest.mark.parametrize("modes, beta", [([], 1.0), ([("a", 1.0)], 1e308)])
+    @pytest.mark.parametrize("modes, beta", [([("a", 1e3)], 1.0), ([("a", 1.0)], 1e308)])
     def test_tail_bound_with_nothing_dropped_is_positive_zero(self, modes, beta):
-        # the empty spectrum and a tail beyond the float range drop no mass:
-        # the bound is +0.0, which formats without a minus sign
+        # a tail beyond the float range, at a large omega or a large beta,
+        # drops no mass: the bound is +0.0, which formats without a minus sign
         tail = verify.truncation_tail_bound(validate_spectrum(modes), beta, 40)
         assert tail == 0.0 and math.copysign(1.0, tail) == 1.0
 

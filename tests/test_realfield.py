@@ -61,9 +61,10 @@ class TestExtend:
     def test_induced_matches_the_raw_rule(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            spec, sym = random_antiunitary(
-                rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(0, 3))
-            )
+            n_pairs, n_fixed = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+            if not n_pairs + n_fixed:  # a spectrum has at least one mode
+                continue
+            spec, sym = random_antiunitary(rng, n_pairs=n_pairs, n_fixed=n_fixed)
             ref = dense.induced_antiunitary(sym.pairing, sym.phases)
             assert np.array_equal(dense.induced(rf.extend(spec, sym)), ref)
             unitary = SymmetrySpec(kind="unitary", phases=sym.phases)
@@ -111,11 +112,10 @@ class TestDiagonalize:
     def test_eigenphases_conjugation_closed(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            spec, sym = random_antiunitary(
-                rng, n_pairs=int(rng.integers(0, 3)), n_fixed=int(rng.integers(0, 3))
-            )
-            if len(spec) == 0:
+            n_pairs, n_fixed = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+            if not n_pairs + n_fixed:
                 continue
+            spec, sym = random_antiunitary(rng, n_pairs=n_pairs, n_fixed=n_fixed)
             phases = rf.extend(spec, sym).phases
             for p in phases:
                 assert np.abs(phases - np.conj(p)).min() < 1e-10

@@ -6,7 +6,6 @@ form, so a broken normalization cannot pass by agreeing with itself.
 """
 
 import cmath
-import json
 import math
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import dense
 from twistkit import correlation, fock, partition, realfield, verify
 from twistkit.cli import _load, main
 from twistkit.errors import ConfigError, InternalConsistencyError, KindError
-from twistkit.spectrum import SlotAction, SymmetrySpec, parse_config, slot_action, validate_spectrum
+from twistkit.spectrum import SlotAction, SymmetrySpec, slot_action, validate_spectrum
 
 ANTI_GOLDEN = str(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
 
@@ -211,30 +210,3 @@ class TestRoutesReadTheAction:
         monkeypatch.setattr(partition, "z_twisted", below_bound)
         assert main(["partition", "--config", ANTI_GOLDEN, "--beta", "1"]) == 1
         assert "[FAIL] partition: twist positivity lower bound" in capsys.readouterr().err
-
-    def test_zero_mode_antiunitary_config_reads_as_unitary(self, tmp_path, capsys):
-        # With no modes the pairing moves no slot, so the empty action is
-        # diagonal: the twisted row is the unitary product formula, without
-        # the doubled-theory line, and the kernel suite runs (vacuously).
-        docs = {
-            kind: {"modes": [], "symmetry": {"kind": kind, "phases": [], **extra}}
-            for kind, extra in (("antiunitary", {"pairing": {}}), ("unitary", {}))
-        }
-        outputs = {}
-        for kind, doc in docs.items():
-            path = tmp_path / f"{kind}.json"
-            path.write_text(json.dumps(doc))
-            assert slot_action(*parse_config(doc)).diagonal
-            assert main(["verify", "--config", str(path), "--suite", "all"]) == 0
-            outputs[kind] = capsys.readouterr().out
-            args = ["kernel", "--config", str(path), "--beta", "1",
-                    "--output", str(tmp_path / "k.csv")]
-            assert main(args) == 2
-            assert capsys.readouterr().err == "error: kernel export needs at least one mode\n"
-        assert outputs["antiunitary"] == outputs["unitary"]
-        listing = outputs["antiunitary"]
-        assert "partition: unitary product formula vs truncated trace" in listing
-        assert "partition: twist positivity lower bound" in listing
-        assert "kernel: empty-spectrum (vacuous)" in listing
-        assert "doubled-theory" not in listing
-        assert listing.endswith("12/12 checks passed\n")

@@ -11,6 +11,7 @@ from twistkit.spectrum import (
     SymmetrySpec,
     parse_config,
     principal_angle,
+    restrict,
     spectrum_to_config,
     twisted_circle_spectrum,
     validate_spectrum,
@@ -30,9 +31,19 @@ class TestValidateSpectrum:
         with pytest.raises(AdmissibilityError):
             validate_spectrum([("a", 0.0)])
 
-    def test_empty_spectrum_accepted(self):
-        s = validate_spectrum([])
-        assert len(s) == 0
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: ModeSpectrum((), ()),
+         lambda: validate_spectrum([]),
+         lambda: twisted_circle_spectrum(1.0, 0.0, range(3, 3)),
+         lambda: restrict(validate_spectrum([("a", 1.0)]), None, ())],
+        ids=["constructor", "validate_spectrum", "twisted_circle_spectrum", "restrict"],
+    )
+    def test_empty_spectrum_refused(self, build):
+        # one rule, in the constructor, which every other route reaches
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value) == "a spectrum needs at least one mode"
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ConfigError):
@@ -84,6 +95,11 @@ class TestSymmetrySpec:
 @given(st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True))
 def test_principal_angle_roundtrip(theta):
     assert abs(principal_angle(cmath.exp(1j * theta)) - theta) < 1e-12
+
+
+def test_principal_angle_of_one_is_positive_zero():
+    # cmath.phase gives -0.0 below the real axis, outside [0, 2*pi) as a signed zero
+    assert math.copysign(1.0, principal_angle(complex(1.0, -0.0))) == 1.0
 
 
 class TestConfig:
