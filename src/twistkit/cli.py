@@ -29,7 +29,8 @@ identical inputs produce byte-identical output.
 too.  Every refusal is a TwistkitError or OSError raised where the input
 is checked; :func:`main` alone prints it and picks its exit code, and
 ``partition`` computes every row before it prints one, so a refused run
-prints no partial table.
+prints no partial table, and ``kernel --verify`` runs every check before
+it writes its CSV, so a refused check writes no file.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def _cmd_kernel(args) -> int:
 
         ext = realfield.extend(spectrum, sym)
         sampled = realfield.sample_extended_kernel(ext, beta, args.grid)
-        correlation.export_kernel_csv(args.output, sampled)
-        print(f"wrote extended kernel grid to {args.output}")
+        lines = [f"wrote extended kernel grid to {args.output}"]
         if args.verify:
             checks = verify.eigenbasis_checks(ext, sampled)
     elif not action.diagonal:
@@ -151,16 +151,18 @@ def _cmd_kernel(args) -> int:
         omega, rho = spectrum.omegas[k], action.phases[2 * k]
         theta = correlation.kernel_twist_angle(rho)
         sampled = correlation.sample_kernels(beta, [omega], [theta], args.grid)
-        correlation.export_kernel_csv(args.output, sampled)
-        print(f"wrote {args.grid * args.grid} kernel samples to {args.output}")
+        lines = [f"wrote {args.grid * args.grid} kernel samples to {args.output}"]
         if args.verify:
             # The closed form and both oracles depend on t - s only, so the
             # 2m - 1 distinct lags of the m x m check grid cover all its cells.
             m = min(args.grid, 8)
             worst, checks = verify.kernel_agreement(omega, rho, beta, m, range(1 - m, m))
-            print(f"max three-way disagreement: {fmt(worst)}")
+            lines.append(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
         checks += verify.sampled_kernel_checks(sampled)
+    # every check first, so a refused one leaves no file behind
+    correlation.export_kernel_csv(args.output, sampled)
+    print("\n".join(lines))
     return _report_failures(checks)
 
 

@@ -4,8 +4,11 @@ All values are finite products, accumulated in log space from factors
 log |1 - r e^{-y}|^2 that do not cancel, so that neither near-unity
 factors nor tiny beta*omega lose precision.  A product that is finite and
 positive but overflows or underflows a float raises RangeError instead of
-returning inf, 0 or nan.  The twisted product runs over the cycles of the
-symmetry's :class:`twistkit.spectrum.SlotAction`, for either kind.
+returning inf, 0 or nan.  One product, :func:`z_twisted`, runs over the
+cycles of the symmetry's :class:`twistkit.spectrum.SlotAction`, for either
+kind and for no symmetry (the identity, the untwisted Z).  Every log-sum
+is :func:`math.fsum`, correctly rounded, so that printed values do not
+depend on the interpreter's float ``sum``.
 
 The module holds closed forms and input guards only, on ``math`` and
 ``cmath``.  The oracles the closed forms are checked against, the
@@ -23,7 +26,7 @@ from .spectrum import ModeSpectrum, SymmetrySpec, _is_index, slot_action
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Iterable
+    from typing import Optional
 
 #: Below this value a twisted partition function is reported as
 #: suspiciously small (flagged, not failed): positivity holds for all
@@ -69,26 +72,10 @@ def _log_abs2_one_minus(y: float, rho: complex) -> float:
     return 2.0 * math.log(root) if root > 0.0 else -math.inf
 
 
-def _add_in_order(values: Iterable[float]) -> float:
-    """0.0 + v0 + v1 + ..., rounded term by term: the float ``sum`` of
-    Python 3.11, which 3.12 compensates, so that printed values do not
-    depend on the interpreter."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def z_untwisted(spectrum: ModeSpectrum, beta: float) -> float:
-    """Tr(e^{-beta H}) = prod_k (1 - e^{-beta omega_k})^{-2}."""
-    _require_beta(beta)
-    log_z = -_add_in_order(_log_abs2_one_minus(beta * w, 1.0 + 0.0j) for w in spectrum.omegas)
-    return _exp_in_range(log_z, "untwisted partition function")
-
-
-def z_twisted(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) -> float:
+def z_twisted(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float) -> float:
     """Tr(U e^{-beta H}) = prod_cycles (1 - r x^L)^{-1}, x = e^{-beta omega},
-    for either symmetry kind.
+    for either symmetry kind; ``sym=None`` is the identity, whose trace
+    Tr(e^{-beta H}) = prod_k (1 - x_k)^{-2} is the untwisted Z.
 
     The cycles of the slot action come in conjugate pairs or are
     self-conjugate, so Z = exp(-1/2 sum_cycles log |1 - r x^L|^2) > 0.  The
@@ -97,11 +84,12 @@ def z_twisted(spectrum: ModeSpectrum, sym: SymmetrySpec, beta: float) -> float:
     identity Z = sqrt(Tr(U_{V^2} e^{-2 beta H})).
     """
     _require_beta(beta)
-    log_z = -0.5 * _add_in_order(
+    log_z = -0.5 * math.fsum(
         _log_abs2_one_minus(length * beta * spectrum.omegas[first // 2], r)
         for first, length, r in slot_action(spectrum, sym).cycles
     )
-    z = _exp_in_range(log_z, "twisted partition function")
+    what = "untwisted partition function" if sym is None else "twisted partition function"
+    z = _exp_in_range(log_z, what)
     if z < TINY_Z_FLAG:
         # Flag (do not fail): positivity is asserted for every beta > 0,
         # but degenerate phase choices can drive the value toward underflow.
@@ -118,7 +106,7 @@ def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:
     >= (1 + x)^{-L}, and the cycles cover every slot once.
     """
     _require_beta(beta)
-    return math.exp(-2.0 * _add_in_order(math.log1p(math.exp(-beta * w)) for w in spectrum.omegas))
+    return math.exp(-2.0 * math.fsum(math.log1p(math.exp(-beta * w)) for w in spectrum.omegas))
 
 
 def _require_count(n: int, least: int, what: str) -> None:

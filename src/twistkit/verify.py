@@ -67,7 +67,7 @@ from functools import partial
 
 from . import partition
 from .errors import ConfigError, InternalConsistencyError, KindError, RangeError, TwistkitError
-from .partition import _add_in_order, _log_abs2_one_minus, _require_beta, _require_count
+from .partition import _log_abs2_one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
 TYPE_CHECKING = False
@@ -124,7 +124,7 @@ def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> f
     _require_beta(beta)
     _require_count(cutoff, 0, "occupation cutoff")
     keep = (_log_abs2_one_minus(beta * w * (cutoff + 1), 1.0 + 0.0j) for w in spectrum.omegas)
-    return 0.0 - math.expm1(_add_in_order(keep))
+    return 0.0 - math.expm1(math.fsum(keep))
 
 
 def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
@@ -138,7 +138,7 @@ def twisted_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> floa
     _require_beta(beta)
     _require_count(cutoff, 0, "occupation cutoff")
     drop = (math.log1p(math.exp(-beta * w * (cutoff + 1))) for w in spectrum.omegas)
-    return math.expm1(2.0 * _add_in_order(drop))
+    return math.expm1(2.0 * math.fsum(drop))
 
 
 def _truncated_geometric(y: complex, cutoff: int) -> complex:
@@ -179,14 +179,16 @@ def partition_row(
     """One partition table row and the checks on it.
 
     Columns: beta, z_untwisted, z_twisted, lower_bound, oracle_z, rel_err,
-    tail_bound (the untwisted one).  Checks: each closed-form Z against its
-    truncated trace at ``cutoff`` (compared as complex numbers, within the
-    route's tail bound plus 1e-10), and for every twist the positivity
-    lower bound, which holds cycle by cycle.  The twisted check is named
-    "unitary product formula" for a diagonal slot action, "antiunitary
-    square-root identity" otherwise.
+    tail_bound (the untwisted one).  Both Z columns are the one closed form
+    :func:`twistkit.partition.z_twisted`, the first at ``sym=None``, the
+    identity.  Checks: each closed-form Z against its truncated trace at
+    ``cutoff`` (compared as complex numbers, within the route's tail bound
+    plus 1e-10), and for every twist the positivity lower bound, which
+    holds cycle by cycle.  The twisted check is named "unitary product
+    formula" for a diagonal slot action, "antiunitary square-root
+    identity" otherwise.
     """
-    z = z_plain = partition.z_untwisted(spectrum, beta)
+    z = z_plain = partition.z_twisted(spectrum, None, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
     tail = truncation_tail_bound(spectrum, beta, cutoff)
     trace = partition_trace(spectrum, None, beta, cutoff)
@@ -225,7 +227,7 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> float:
         z /= 1.0 - lam * math.exp(-beta * w)
     if z == 0.0 or not cmath.isfinite(z):
         raise RangeError(f"real-field partition value {z} is outside the float range")
-    if abs(z) > 0.0 and abs(z.imag) > 1e-10 * abs(z):
+    if abs(z.imag) > 1e-10 * abs(z):
         raise InternalConsistencyError(
             f"real-field partition value {z} is not real; "
             "eigenphases are not conjugation-closed"
@@ -410,10 +412,14 @@ def eigenbasis_checks(
     exported basis ``sampled.basis``, with lambda_c = e^{-i theta_c} from
     ``sampled.thetas`` and U e_b = u_b e_sigma(b) from ``ext.images``: the
     largest |U w - lambda w| entry per column and |W* W - I| entry per block,
-    at 1e-12, far above an L-term rounding and far below a wrong coefficient."""
+    at 1e-12, far above an L-term rounding and far below a wrong coefficient.
+    A column in no block or in two adds 1.0 to W* W = I, the |<w, w> - 1|
+    of a missing column, so a basis that misses columns cannot pass."""
     eigenpairs, gram = [], []
+    blocks_of = [0] * len(sampled.thetas)
     for indices, columns in sampled.basis:
         for c, w in zip(indices, columns):
+            blocks_of[c] += 1
             lam = cmath.rect(1.0, -sampled.thetas[c])
             residual = {b: -lam * w_b for b, w_b in zip(indices, w)}  # U w may leave the block
             for b, w_b in zip(indices, w):
@@ -422,6 +428,7 @@ def eigenbasis_checks(
             eigenpairs += map(abs, residual.values())
             gram += [abs(sum([a.conjugate() * b for a, b in zip(w, x)], 0j) - (x is w))
                      for x in columns]  # <w, x> - delta
+    gram += [1.0 for count in blocks_of if count != 1]
     return [CheckResult("realfield", "U W = W Lambda", _worst(eigenpairs), 1e-12),
             CheckResult("realfield", "W* W = I", _worst(gram), 1e-12)]
 

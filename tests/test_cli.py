@@ -86,8 +86,9 @@ class TestPartitionCommand:
         ids=["bundled", "anti_two_pairs"],
     )
     def test_row_bytes_do_not_depend_on_the_float_sum(self, config, monkeypatch, capsys):
-        # Python 3.12's sum() compensates float sums; a row prints the bytes
-        # of the ordered sum under either rule
+        # Python 3.12's sum() compensates float sums; a row's sums are the
+        # correctly rounded math.fsum, so it prints the same bytes under
+        # either rule of sum()
         argv = ["partition", *config, "--beta", "0.5", "--beta", "1"]
         assert main(argv) == 0
         plain = capsys.readouterr()
@@ -911,7 +912,7 @@ REFUSALS = {
     "partition_trace-zero": (
         lambda: verify.partition_trace(ONE_MODE, None, 0.0, 40), errors.DomainError),
     "z_untwisted-inf": (
-        lambda: partition.z_untwisted(ONE_MODE, math.inf), errors.DomainError),
+        lambda: partition.z_twisted(ONE_MODE, None, math.inf), errors.DomainError),
     "truncation_tail_bound-inf": (
         lambda: verify.truncation_tail_bound(ONE_MODE, math.inf, 40), errors.DomainError),
     "geometric_log_derivative-cutoff": (
@@ -1204,6 +1205,24 @@ class TestKernelCommand:
         assert main(args) == 4
         assert capsys.readouterr().err.startswith("error:")
         assert not recwarn.list  # the range error replaces the ill-conditioning warning
+
+    @pytest.mark.parametrize("extended", [False, True], ids=["scalar", "extended"])
+    def test_refused_verify_writes_no_file(self, extended, tmp_path, capsys):
+        # the kernel samples, but its grid spectrum at omega = 1.5e-154 is
+        # beyond the float range: every check runs before the CSV is
+        # written, so the refusal leaves no file and keeps an existing one
+        cfg = write_config(tmp_path / "tiny.json", {"modes": [{"label": "a", "omega": 1.5e-154}]})
+        fresh, kept = tmp_path / "t.csv", tmp_path / "kept.csv"
+        kept.write_bytes(b"kept\n")
+        for out in (fresh, kept):
+            args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "8", "--verify",
+                    "--output", str(out)] + ["--extended"] * extended
+            with pytest.warns(UserWarning, match="ill-conditioned"):
+                assert main(args) == 4
+            out_text, err = capsys.readouterr()
+            assert out_text == "" and "outside the float range" in err
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("beta", ["1e-300", "1e-150"])
     def test_verify_at_tiny_beta_exits_0(self, beta, tmp_path, capsys):

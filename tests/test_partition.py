@@ -19,16 +19,35 @@ unit_phase = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
 class TestUntwisted:
     def test_worked_example(self):
         s = validate_spectrum([("k0", LN2)])
-        assert abs(partition.z_untwisted(s, 1.0) - 4.0) < 1e-14
+        assert abs(partition.z_twisted(s, None, 1.0) - 4.0) < 1e-14
 
     def test_monotone_in_beta(self):
         s = validate_spectrum([("a", 0.7), ("b", 1.3)])
-        values = [partition.z_untwisted(s, b) for b in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        values = [partition.z_twisted(s, None, b) for b in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a > b > 1.0 for a, b in zip(values, values[1:]))
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DomainError):
-            partition.z_untwisted(validate_spectrum([("a", 1.0)]), 0.0)
+            partition.z_twisted(validate_spectrum([("a", 1.0)]), None, 0.0)
+
+    @given(
+        st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=1, max_size=60),
+        st.floats(min_value=0.2, max_value=10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_identity_twist_is_the_per_mode_product_bit_for_bit(self, omegas, beta):
+        # the identity has one 1-cycle per slot, so its cycle sum is each
+        # mode's term twice; a correctly rounded sum of that list is exactly
+        # twice the per-mode sum, and the halving is exact
+        s = validate_spectrum([(f"k{i}", w) for i, w in enumerate(omegas)])
+        per_mode = math.fsum(partition._log_abs2_one_minus(beta * w, 1.0 + 0.0j) for w in omegas)
+        assert partition.z_twisted(s, None, beta) == math.exp(-per_mode)
+
+    def test_one_closed_form_of_z(self):
+        # the untwisted Z is z_twisted at the identity, and every log-sum is
+        # math.fsum, not a hand-written ordered sum
+        for name in ("z_untwisted", "_add_in_order"):
+            assert not hasattr(partition, name), name
 
 
 class TestTwistedUnitary:
@@ -167,7 +186,7 @@ class TestTinyBetaOmega:
             kind="antiunitary", phases=(1j, 1j), pairing=(1, 0)
         )
         for z in (
-            partition.z_untwisted(one, 1.0),
+            partition.z_twisted(one, None, 1.0),
             partition.z_twisted(one, SymmetrySpec(kind="unitary", phases=(1.0 + 0j,)), 1.0),
             partition.z_twisted(pair, anti, 1.0),
         ):
@@ -192,7 +211,7 @@ class TestRangeErrors:
 
     def test_untwisted_overflow_is_typed(self):
         with pytest.raises(RangeError):
-            partition.z_untwisted(self.SPEC, 1.0)
+            partition.z_twisted(self.SPEC, None, 1.0)
 
     def test_unitary_overflow_is_typed(self):
         sym = SymmetrySpec(kind="unitary", phases=(1.0 + 0j,) * 400)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import dense
 
 from twistkit import correlation as co, partition, realfield as rf, verify
-from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
+from twistkit.spectrum import SlotAction, SymmetrySpec, load_config, validate_spectrum
 
 LN2 = math.log(2.0)
 
@@ -218,6 +219,21 @@ class TestCycleEigenbasis:
                     dev = np.abs(np.reshape(block, ref.shape) - ref).max()
                     assert dev <= 1e-13 * np.abs(ref).max()
         assert lengths == {1, 2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize(
+        "mix", [lambda b: (), lambda b: b[:1], lambda b: b + b[:1]],
+        ids=["no-blocks", "first-block-only", "a-block-twice"],
+    )
+    def test_gram_check_needs_every_column_in_one_block(self, mix):
+        # anti_pair_fixed has 3 cycle blocks and 6 columns; a column in no
+        # block, or in two, reads |<w, w> - 1| = 1 on W* W = I
+        spec, sym = load_config(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
+        ext = rf.extend(spec, sym)
+        full = rf.sample_extended_kernel(ext, 1.0, 4)
+        assert all(c.passed for c in verify.eigenbasis_checks(ext, full))
+        broken = co.sample_kernels(1.0, full.omegas, full.thetas, 4, mix(ext.basis))
+        gram = verify.eigenbasis_checks(ext, broken)[1]
+        assert (gram.name, gram.deviation, gram.passed) == ("W* W = I", 1.0, False)
 
 
 class TestPartitionRoutes:
