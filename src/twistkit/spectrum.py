@@ -231,7 +231,8 @@ def twisted_circle_spectrum(
     f(2pi) = exp(i*rho) f(0).  The twist and the mass are ints or floats,
     not bools, and the mode numbers integers, not bools, at least one of
     them (ConfigError otherwise); the twist and the mass are finite
-    (DomainError).
+    (DomainError).  A zero mode, n + rho/2pi = 0 at zero mass, is refused
+    by :class:`ModeSpectrum` as a nonpositive frequency (AdmissibilityError).
     """
     rho_twist, mass = _parse_float(rho_twist, "twist"), _parse_float(mass, "mass")
     if not (math.isfinite(rho_twist) and math.isfinite(mass)):
@@ -239,10 +240,6 @@ def twisted_circle_spectrum(
     if mass < 0.0:
         raise AdmissibilityError("mass must be nonnegative")
     shift = rho_twist / (2.0 * math.pi)
-    if mass == 0.0 and abs(shift - round(shift)) == 0.0:
-        raise AdmissibilityError(
-            "massless untwisted circle has a zero mode; twist or add mass"
-        )
     pairs = []
     for n in n_range:
         if not _is_index(n):

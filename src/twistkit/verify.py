@@ -14,10 +14,11 @@ the CLI renders them and sets the exit code; ``partition`` and ``kernel
 :func:`sampled_kernel_checks`, the checks the ``partition``, ``kernel``
 and ``realfield`` suites run.  Sampled kernels are checked through the
 closed-form spectra of their twisted-circulant eigenmode grids, never a
-dense grid: positivity reads the closed form, and a pure-Python
-transform of the exported lag values ties them to it.  The ``realfield``
-suite reads its sector-mixing blocks and its eigenbasis
-(:func:`eigenbasis_checks`) from the same layout.  The ``kernel`` suite's resolvent check reads the eigenmode
+dense grid: positivity reads the closed form, a pure-Python transform
+of the exported lag values ties them to it, and every column's lag-0
+value must be real, which makes the whole grid Hermitian.  The
+``realfield`` suite reads its eigenbasis (:func:`eigenbasis_checks`) from
+the same layout.  The ``kernel`` suite's resolvent check reads the eigenmode
 residual of the 128-point grid from one sum of its lag values, and it is
 two-sided: the residual must match its closed form, not merely stay below
 it.
@@ -313,9 +314,17 @@ def _lag_transform(lags: list[complex], theta: float) -> list[float]:
 
 
 def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResult]:
-    """The exported lag values against the closed-form grid spectrum, and
-    the positivity of that spectrum, in the ``kernel`` suite for a scalar
-    kernel and the ``realfield`` suite otherwise.
+    """The Hermitian symmetry of the exported grid, its lag values against
+    the closed-form grid spectrum, and the positivity of that spectrum, in
+    the ``kernel`` suite for a scalar kernel and the ``realfield`` suite
+    otherwise.
+
+    The grid stores the blocks at lags d >= 0 and takes each block above
+    the diagonal as the adjoint of the one below, so it is Hermitian if and
+    only if its lag-0 block W diag(v_0) W* is, that is, if every column's
+    lag-0 value v_0 is real (W is unitary).  The deviation is
+    2 max_k |Im v_0k|, the largest entry of B - B* for B = diag(v_0), at
+    1e-10.
 
     Per eigenmode column with lag values v_0..v_{m-1} and twist theta, the
     eigenvalues of the twisted-circulant grid those values define, Re sum_j
@@ -347,7 +356,9 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
         for n, value in enumerate(_lag_transform(lags, theta)):
             err = abs(value - spectrum[n][k])
             worst = max(worst, err / total if total else err)
+    hermitian = 2.0 * _worst(abs(v.imag) for v in sampled.lags[0])
     return [
+        CheckResult(suite, f"{noun} Hermitian", hermitian, 1e-10),
         CheckResult(suite, "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
         CheckResult(suite, f"{noun} positive definite", max(0.0, -min(map(min, spectrum))), 0.0),
     ]
@@ -364,11 +375,7 @@ def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> l
     m = 128
     rng = random.Random(seed)
     _, results = kernel_agreement(omega, rho, beta, m, [rng.randrange(1 - m, m) for _ in range(20)])
-    sampled = correlation.sample_kernels(beta, [omega], [theta], 32)
-    # the gathered grid is conjugate-symmetric off the diagonal by construction
-    hermitian = 2.0 * abs(sampled.lags[0][0].imag)
-    results.append(CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10))
-    results += sampled_kernel_checks(sampled)
+    results += sampled_kernel_checks(correlation.sample_kernels(beta, [omega], [theta], 32))
     # On the eigenmode e^{i nu t}, nu = theta/beta, the quadrature residual of
     # the resolvent is exactly |h lambda_hat_0 (nu^2 + omega^2) - 1|, with
     # lambda_hat_0 = Re sum_j v_j e^{-i theta j/m} over the lag values.  Aliasing
@@ -436,27 +443,16 @@ def eigenbasis_checks(
 def _realfield(spectrum: ModeSpectrum, sym: SymmetrySpec, seed: int) -> list[CheckResult]:
     from . import realfield
 
-    results: list[CheckResult] = []
     ext = realfield.extend(spectrum, sym)
     phases = ext.phases
     conj_defect = max(min(abs(q - p.conjugate()) for q in phases) for p in phases)
-    results.append(
-        CheckResult(
-            "realfield", "induced eigenphases closed under conjugation", conj_defect, 1e-10
-        )
-    )
     sampled = realfield.sample_extended_kernel(ext, 1.0, 12)
-    if slot_action(spectrum, sym).diagonal:
-        m, n = len(spectrum), ext.n_doubled
-        off = max(
-            abs(block[a * n + b]) for block in sampled.blocks()
-            for a in range(n) for b in range(n) if (a < m) != (b < m)
-        )
-        results.append(
-            CheckResult("realfield", "unitary input: sector-mixing blocks vanish", off, 1e-12)
-        )
-    results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
-    return results + _dense("realfield", spectrum, sym, seed)
+    return [
+        CheckResult("realfield", "induced eigenphases closed under conjugation", conj_defect, 1e-10),
+        *eigenbasis_checks(ext, sampled),
+        *sampled_kernel_checks(sampled),
+        *_dense("realfield", spectrum, sym, seed),
+    ]
 
 
 #: Each suite's body, in the order ``all`` runs them.

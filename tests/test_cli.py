@@ -1746,6 +1746,15 @@ class TestSpectrumGen:
         )
         assert rc == 2
 
+    def test_massless_untwisted_without_its_zero_mode(self, tmp_path, capsys):
+        # only n = 0 is a zero mode; a range without it is a massless circle
+        cfg = tmp_path / "circle.json"
+        assert main(["spectrum", "gen", "twisted-circle", "--twist", "0", "--n-min", "1",
+                     "--n-max", "3", "--output", str(cfg)]) == 0
+        spectrum, sym = load_config(str(cfg))
+        assert (spectrum.omegas, sym) == ((1.0, 2.0, 3.0), None)
+        assert main(["partition", "--config", str(cfg), "--beta", "1"]) == 0
+
     def test_output_roundtrips_through_partition(self, tmp_path, capsys):
         cfg = tmp_path / "circle.json"
         assert (

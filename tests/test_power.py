@@ -164,6 +164,28 @@ def zero_fock_oracle(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_oracle", lambda *args: 0j)
 
 
+def imaginary_lag_0(monkeypatch):
+    """``kernel_closed_form`` plus 1e-9j where t == s: every lag-0 value of a
+    sampled kernel leaves the real line, and nothing else moves."""
+    closed = correlation.kernel_closed_form
+
+    def shifted(omega, theta, beta, t, s):
+        return closed(omega, theta, beta, t, s) + (1e-9j if t == s else 0j)
+
+    monkeypatch.setattr(correlation, "kernel_closed_form", shifted)
+
+
+def mode_b_kernel_scaled(monkeypatch):
+    """``kernel_closed_form`` scaled by 1.01 at omega = 1.5, mode b of the
+    bundled config; mode a is untouched."""
+    closed = correlation.kernel_closed_form
+
+    def scaled(omega, theta, beta, t, s):
+        return closed(omega, theta, beta, t, s) * (1.01 if omega == 1.5 else 1.0)
+
+    monkeypatch.setattr(correlation, "kernel_closed_form", scaled)
+
+
 #: The arguments of a scalar ``kernel --verify`` after its config.
 GRID_8_VERIFY = ["--beta", "1", "--grid", "8", "--verify", "--output", "{output}"]
 
@@ -236,6 +258,28 @@ MUST_FAIL = {
         phases_at_mirrored_mode, ["verify", "--suite", "all"],
         [across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
          across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")]),
+    "imaginary-lag-0-kernel-suite": (
+        imaginary_lag_0, ["verify", "--suite", "kernel"], ["kernel: sampled kernel Hermitian"]),
+    "imaginary-lag-0-realfield-suite": (
+        imaginary_lag_0, ["verify", "--suite", "realfield"],
+        ["realfield: sampled extended kernel Hermitian"]),
+    "imaginary-lag-0-realfield-suite-anti": (
+        imaginary_lag_0, ["verify", "--config", ANTI, "--suite", "realfield"],
+        ["realfield: sampled extended kernel Hermitian"]),
+    "imaginary-lag-0-kernel": (
+        imaginary_lag_0, ["kernel", *GRID_8_VERIFY], ["kernel: sampled kernel Hermitian"]),
+    "imaginary-lag-0-extended-kernel": (
+        imaginary_lag_0,
+        ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
+         "--output", "{output}"],
+        ["realfield: sampled extended kernel Hermitian"]),
+    "mode-b-kernel-scaled-kernel": (
+        mode_b_kernel_scaled, ["kernel", "--mode", "b", *GRID_8_VERIFY],
+        ["kernel: closed form vs Fock-trace oracle", "kernel: closed form vs Fourier partial sum",
+         "kernel: sampled spectrum vs closed form"]),
+    "mode-b-kernel-scaled-all": (
+        mode_b_kernel_scaled, ["verify", "--suite", "all"],
+        ["realfield: sampled spectrum vs closed form"]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
@@ -264,6 +308,9 @@ UNDETECTED = {
         conjugated_imaginary_time, ["verify", "--config", ANTI2, "--suite", "all"], 0, "item 14"),
     "creation-weight-sign-of-field": (
         flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
+    # the kernel suite reads mode 0 only; kernel --mode b --verify catches it
+    "mode-b-kernel-scaled-kernel-suite": (
+        mode_b_kernel_scaled, ["verify", "--suite", "kernel"], 0, "item 1"),
 }
 
 
