@@ -166,7 +166,7 @@ def zero_fock_oracle(monkeypatch):
 
 def imaginary_lag_0(monkeypatch):
     """``kernel_closed_form`` plus 1e-9j where t == s: every lag-0 value of a
-    sampled kernel leaves the real line, and nothing else moves."""
+    sampled kernel leaves the real line, far inside the oracles' thresholds."""
     closed = correlation.kernel_closed_form
 
     def shifted(omega, theta, beta, t, s):
