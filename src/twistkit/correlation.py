@@ -52,7 +52,8 @@ import math
 import warnings
 from functools import lru_cache
 
-from .errors import ConfigError, DomainError, InternalConsistencyError, KindError, RangeError
+from .errors import (CapacityError, ConfigError, DomainError, InternalConsistencyError, KindError,
+                     RangeError)
 from .partition import _require_beta, _require_count
 from .spectrum import ModeSpectrum, SymmetrySpec, principal_angle, slot_action
 
@@ -76,15 +77,23 @@ def kernel_twist_angle(rho: complex) -> float:
     return principal_angle(cmath.exp(1j * KERNEL_TWIST_SIGN * cmath.phase(rho)))
 
 
+#: The largest grid size m: the scalar CSV of an m-point grid has m^2 rows,
+#: 16.8M rows and about 1.2 GB at m = 4096.
+MAX_GRID = 4096
+
+
 def _require_kernel(beta: float, m: int = 1, omega: float = 1.0, theta: float = 0.0) -> None:
     """DomainError unless omega > 0, 0 < beta < inf, 0 <= theta < 2*pi and
-    the grid size m is an integer >= 1; NaN fails each comparison."""
+    the grid size m is an integer >= 1; NaN fails each comparison.
+    CapacityError for m above :data:`MAX_GRID`."""
     if not omega > 0.0:
         raise DomainError("omega must be positive")
     _require_beta(beta)
     if not 0.0 <= theta < 2.0 * math.pi:
         raise DomainError("theta must lie in [0, 2*pi)")
     _require_count(m, 1, "grid size")
+    if m > MAX_GRID:
+        raise CapacityError(f"grid size {m} exceeds the cap of {MAX_GRID}")
 
 
 def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: float) -> complex:

@@ -25,9 +25,9 @@ layout, :func:`sample_extended_kernel`: the (omega, theta) columns of the
 doubled eigenmodes, handed to :func:`twistkit.correlation.sample_kernels`
 with the per-cycle basis.  The CSV export
 (:func:`twistkit.correlation.export_kernel_csv`, the exporter of the
-scalar kernel too) and the ``realfield`` verify suite read that layout;
-for a unitary input every index is fixed, so no block mixes the two
-sectors.
+scalar kernel too) and the ``kernel`` verify suite, for every action,
+read that layout; for a unitary input (or none) every index is fixed, so
+no block mixes the two sectors.
 
 The module holds closed forms only and runs on ``math`` and ``cmath``;
 the dense ``ExtendedSpectrum.induced``, read by tests and the benchmark,
@@ -47,6 +47,10 @@ from functools import cached_property
 
 from .correlation import Basis, SampledKernel, kernel_twist_angle, sample_kernels
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 
 class ExtendedSpectrum:
@@ -128,10 +132,11 @@ def _cycle_eigenpairs(units: list[complex], r: complex) -> list[tuple[complex, l
     return pairs
 
 
-def extend(spectrum: ModeSpectrum, sym: SymmetrySpec) -> ExtendedSpectrum:
+def extend(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> ExtendedSpectrum:
     """Double the spectrum and diagonalize the induced unitary cycle by cycle.
 
-    Unitary input (phases rho) fixes every doubled index: diag(conj(rho); rho).
+    Unitary input (phases rho) fixes every doubled index: diag(conj(rho); rho),
+    the identity at ``sym=None``.
     Antiunitary input (pairing pi, phases eta) swaps the sectors: each k
     gives the 2-cycle k <-> M + pi(k) with u_k = eta_k and
     u_{M+pi(k)} = conj(eta_{pi(k)}).  Each cycle is walked from its

@@ -1,27 +1,30 @@
 """Named verification suites over a (spectrum, symmetry) configuration.
 
 :func:`run_suite` is the one entry to the suites.  One ordered table maps
-each name of :data:`SUITES` to its body, and one rule states where each
-suite applies (:func:`_refusal`): ``symmetry`` and ``realfield`` need a
-symmetry, and the scalar ``kernel`` suite needs a twist that keeps every
-slot.  An explicit run of a suite that does not apply raises the rule's
-ConfigError or KindError; ``all`` skips it and runs the others in table
-order: ccr, tc, symmetry, partition, kernel, realfield.
+each name of :data:`SUITES` to its body.  The ``symmetry`` and
+``realfield`` suites need a symmetry: an explicit run of one on a config
+without it raises ConfigError, and ``all`` skips it and runs the others in
+table order: ccr, tc, symmetry, partition, kernel, realfield.  Every other
+suite runs on every action.
 
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
---verify`` render :func:`partition_row`, :func:`kernel_agreement` and
-:func:`sampled_kernel_checks`, the checks the ``partition``, ``kernel``
-and ``realfield`` suites run.  Sampled kernels are checked through the
-closed-form spectra of their twisted-circulant eigenmode grids, never a
-dense grid: positivity reads the closed form, a pure-Python transform
-of the exported lag values ties them to it, and every column's lag-0
-value must be real, which makes the whole grid Hermitian.  The
-``realfield`` suite reads its eigenbasis (:func:`eigenbasis_checks`) from
-the same layout.  The ``kernel`` suite's resolvent check reads the eigenmode
-residual of the 128-point grid from one sum of its lag values, and it is
-two-sided: the residual must match its closed form, not merely stay below
-it.
+--verify`` render :func:`partition_row`, :func:`kernel_agreement`,
+:func:`eigenbasis_checks` and :func:`sampled_kernel_checks`, the checks
+the ``partition`` and ``kernel`` suites run.  The ``kernel`` suite is the
+one suite that checks a sampled kernel.  It samples the layout that
+``kernel --extended`` exports, one column per doubled eigenmode, for every
+action (the identity included), and checks it through the closed-form
+spectra of its twisted-circulant eigenmode grids, never a dense grid:
+positivity reads the closed form, a pure-Python transform of the exported
+lag values ties them to it, every column's lag-0 value must be real, which
+makes the whole grid Hermitian, and the exported eigenbasis must
+diagonalize the induced unitary.  Its oracle and resolvent checks read
+column M, mode 0's + slot, whose phase is rho_0 for a diagonal action; the
+resolvent check reads the eigenmode residual of the 128-point grid from
+one sum of its lag values, and it is two-sided: the residual must match
+its closed form, not merely stay below it.  The ``realfield`` suite checks
+the doubled theory only: its eigenphases and the doubled-field oracle.
 
 The oracles of the partition function live here, beside their one caller,
 so no closed-form module reaches them: the truncated trace
@@ -40,23 +43,24 @@ name, imports only when one of them runs.  This module imports neither
 numpy nor :mod:`twistkit.fock` at module level, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
 and ``partition`` suites (the latter's doubled-theory route on a
-non-diagonal action included) and the sampled kernel checks of any
-sampled kernel (``kernel --extended --verify``) run on ``math`` alone, and a job that runs none of
-the dense suites never compiles their source.
+non-diagonal action included) and the checks of any sampled kernel
+(``kernel --verify`` on either route) run on ``math`` alone, and a job
+that runs none of the dense suites never compiles their source.
 
 Routes and checks choose their path from the symmetry's
-:class:`~twistkit.spectrum.SlotAction`, not its kind (the scalar kernel
-needs a diagonal one), except the ``symmetry`` suite: its rules, read from
-the raw phases and pairing, are what the normal form is checked against.
+:class:`~twistkit.spectrum.SlotAction`, not its kind, except the
+``symmetry`` suite: its rules, read from the raw phases and pairing, are
+what the normal form is checked against.
 
 The oracle checks of the closed form, :func:`kernel_agreement`, take a
 frequency and the symmetry phase rho, derive the twist angle from rho, and
 compare at integer lags of a grid, where the Fourier partial sum is one
 fold per kernel: ``kernel --verify`` at all 2m - 1 lags of its
 m = min(grid, 8) grid, and the ``kernel`` suite at 20 lags of its
-128-point grid drawn from ``random.Random(seed)``.  The suites build
-their sampled kernels with :func:`twistkit.correlation.sample_kernels`,
-the route the CLI exports.
+128-point grid drawn from ``random.Random(seed)``.  The ``kernel`` suite
+builds its sampled kernels with
+:func:`twistkit.realfield.sample_extended_kernel` and
+:func:`twistkit.correlation.sample_kernels`, the routes the CLI exports.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ import sys
 from functools import partial
 
 from . import partition
-from .errors import ConfigError, InternalConsistencyError, KindError, RangeError, TwistkitError
+from .errors import ConfigError, InternalConsistencyError, RangeError
 from .partition import _log_abs2_one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
@@ -315,9 +319,8 @@ def _lag_transform(lags: list[complex], theta: float) -> list[float]:
 
 def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResult]:
     """The Hermitian symmetry of the exported grid, its lag values against
-    the closed-form grid spectrum, and the positivity of that spectrum, in
-    the ``kernel`` suite for a scalar kernel and the ``realfield`` suite
-    otherwise.
+    the closed-form grid spectrum, and the positivity of that spectrum, as
+    ``kernel`` checks, for a sampled kernel of any layout.
 
     The grid stores the blocks at lags d >= 0 and takes each block above
     the diagonal as the adjoint of the one below, so it is Hermitian if and
@@ -341,10 +344,6 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     Positive definiteness is max(0, -min lambda) over the same closed-form
     spectra, to which the sampled kernel is unitarily similar.
     """
-    if len(sampled.thetas) == 1:
-        suite, noun = "kernel", "sampled kernel"
-    else:
-        suite, noun = "realfield", "sampled extended kernel"
     m = len(sampled.lags)
     spectrum = sampled.spectrum()
     worst = 0.0
@@ -357,25 +356,30 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
             err = abs(value - spectrum[n][k])
             worst = max(worst, err / total if total else err)
     hermitian = 2.0 * _worst(abs(v.imag) for v in sampled.lags[0])
+    negative = max(0.0, -min(map(min, spectrum)))
     return [
-        CheckResult(suite, f"{noun} Hermitian", hermitian, 1e-10),
-        CheckResult(suite, "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
-        CheckResult(suite, f"{noun} positive definite", max(0.0, -min(map(min, spectrum))), 0.0),
+        CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10),
+        CheckResult("kernel", "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
+        CheckResult("kernel", "sampled kernel positive definite", negative, 0.0),
     ]
 
 
 def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
     import random
 
-    from . import correlation
+    from . import correlation, realfield
 
-    rho = slot_action(spectrum, sym).phases[0]
     beta = 1.0
-    omega, theta = spectrum.omegas[0], correlation.kernel_twist_angle(rho)
+    ext = realfield.extend(spectrum, sym)
+    sampled = realfield.sample_extended_kernel(ext, beta, 32)
+    # column M is mode 0's + slot, with the phase rho_0 of a diagonal action
+    k = len(spectrum)
+    omega, rho = ext.doubled_omegas()[k], ext.phases[k]
+    theta = correlation.kernel_twist_angle(rho)
     m = 128
     rng = random.Random(seed)
     _, results = kernel_agreement(omega, rho, beta, m, [rng.randrange(1 - m, m) for _ in range(20)])
-    results += sampled_kernel_checks(correlation.sample_kernels(beta, [omega], [theta], 32))
+    results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
     # On the eigenmode e^{i nu t}, nu = theta/beta, the quadrature residual of
     # the resolvent is exactly |h lambda_hat_0 (nu^2 + omega^2) - 1|, with
     # lambda_hat_0 = Re sum_j v_j e^{-i theta j/m} over the lag values.  Aliasing
@@ -421,7 +425,9 @@ def eigenbasis_checks(
     largest |U w - lambda w| entry per column and |W* W - I| entry per block,
     at 1e-12, far above an L-term rounding and far below a wrong coefficient.
     A column in no block or in two adds 1.0 to W* W = I, the |<w, w> - 1|
-    of a missing column, so a basis that misses columns cannot pass."""
+    of a missing column, so a basis that misses columns cannot pass.  Both
+    are ``kernel`` checks, of the layout the ``kernel`` suite and ``kernel
+    --extended --verify`` read."""
     eigenpairs, gram = [], []
     blocks_of = [0] * len(sampled.thetas)
     for indices, columns in sampled.basis:
@@ -436,21 +442,17 @@ def eigenbasis_checks(
             gram += [abs(sum([a.conjugate() * b for a, b in zip(w, x)], 0j) - (x is w))
                      for x in columns]  # <w, x> - delta
     gram += [1.0 for count in blocks_of if count != 1]
-    return [CheckResult("realfield", "U W = W Lambda", _worst(eigenpairs), 1e-12),
-            CheckResult("realfield", "W* W = I", _worst(gram), 1e-12)]
+    return [CheckResult("kernel", "U W = W Lambda", _worst(eigenpairs), 1e-12),
+            CheckResult("kernel", "W* W = I", _worst(gram), 1e-12)]
 
 
 def _realfield(spectrum: ModeSpectrum, sym: SymmetrySpec, seed: int) -> list[CheckResult]:
     from . import realfield
 
-    ext = realfield.extend(spectrum, sym)
-    phases = ext.phases
+    phases = realfield.extend(spectrum, sym).phases
     conj_defect = max(min(abs(q - p.conjugate()) for q in phases) for p in phases)
-    sampled = realfield.sample_extended_kernel(ext, 1.0, 12)
     return [
         CheckResult("realfield", "induced eigenphases closed under conjugation", conj_defect, 1e-10),
-        *eigenbasis_checks(ext, sampled),
-        *sampled_kernel_checks(sampled),
         *_dense("realfield", spectrum, sym, seed),
     ]
 
@@ -467,34 +469,23 @@ _SUITES: dict[str, Callable] = {
 SUITES = (*_SUITES, "all")
 
 
-def _refusal(
-    name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]
-) -> Optional[TwistkitError]:
-    """Why suite ``name`` does not apply to the configuration, or None where
-    it does: the ``symmetry`` and ``realfield`` suites need a symmetry, and
-    the scalar ``kernel`` suite needs a twist that keeps every slot."""
-    if sym is None and name in ("symmetry", "realfield"):
-        return ConfigError(f"{name} suite requires a symmetry in the config")
-    if name == "kernel" and not slot_action(spectrum, sym).diagonal:
-        return KindError("kernel suite needs one phase per mode, not a symmetry that moves slots")
-    return None
+#: The suites that need a symmetry in the config.
+_NEED_SYMMETRY = ("symmetry", "realfield")
 
 
 def run_suite(
     name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    """Run one named suite, refusing it where it does not apply (:func:`_refusal`),
-    or every suite that applies, in table order, for 'all'."""
+    """Run one named suite, or every suite that applies, in table order, for
+    'all'.  The ``symmetry`` and ``realfield`` suites need a symmetry: an
+    explicit run of one on a config without it raises ConfigError, and 'all'
+    skips it."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     _require_count(seed, 0, "seed")
+    if sym is None and name in _NEED_SYMMETRY:
+        raise ConfigError(f"{name} suite requires a symmetry in the config")
     if name != "all":
-        refusal = _refusal(name, spectrum, sym)
-        if refusal is not None:
-            raise refusal
         return _SUITES[name](spectrum, sym, seed)
-    results: list[CheckResult] = []
-    for suite_name, body in _SUITES.items():
-        if _refusal(suite_name, spectrum, sym) is None:
-            results += body(spectrum, sym, seed)
-    return results
+    return [check for n, body in _SUITES.items() if sym is not None or n not in _NEED_SYMMETRY
+            for check in body(spectrum, sym, seed)]

@@ -665,7 +665,7 @@ class TestSampledKernelChecksBite:
         spec, sym = load_config(minus_one_config)
         assert self.failed(verify.run_suite("kernel", spec, sym), self.SPECTRUM)
         spec, sym = load_config(anti_config)
-        assert self.failed(verify.run_suite("realfield", spec, sym), self.SPECTRUM)
+        assert self.failed(verify.run_suite("kernel", spec, sym), self.SPECTRUM)
 
     def test_indefinite_kernel_fails_kernel_verify(self, indefinite, anti_config, tmp_path, capsys):
         args = ["kernel", "--beta", "1", "--grid", "16", "--output", str(tmp_path / "k.csv")]
@@ -674,7 +674,7 @@ class TestSampledKernelChecksBite:
         args += ["--config", anti_config, "--extended"]
         assert main(args) == 0
         assert main(args + ["--verify"]) == 1
-        assert f"[FAIL] realfield: {self.SPECTRUM}" in capsys.readouterr().err
+        assert f"[FAIL] kernel: {self.SPECTRUM}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "scale", [1.0 - 1e-5, 1.0 - 1e-4, 1.0 + 1e-6, "mirror"],
@@ -828,7 +828,7 @@ class TestNaNIsRefused:
             assert "theta must lie in [0, 2*pi)" in capsys.readouterr().err
             assert not output.exists()
         with pytest.raises(errors.DomainError):
-            verify.run_suite("realfield", *load_config(anti_config))
+            verify.run_suite("kernel", *load_config(anti_config))
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-6, math.nan], ids=["scaled", "nan"])
@@ -863,9 +863,9 @@ def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
     else:
         assert main(args + ["--verify"]) == 1
         assert [line.split(" (")[0] for line in capsys.readouterr().err.splitlines()] == [
-            f"[FAIL] realfield: {name}" for name in failed]
+            f"[FAIL] kernel: {name}" for name in failed]
     seen.clear()
-    results = verify.run_suite("realfield", *load_config(anti_config))
+    results = verify.run_suite("kernel", *load_config(anti_config))
     assert tuple(r.name for r in results if not r.passed) == failed
 
 
@@ -1345,6 +1345,20 @@ class TestKernelCommand:
                 "--output", str(tmp_path / "k.csv")]
         assert main(args + ["--extended"] if extended else args) == 2
 
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("grid", [correlation.MAX_GRID + 1, 100000000000])
+    def test_grid_above_the_cap_exits_3(self, minus_one_config, anti_config, tmp_path, capsys,
+                                        extended, grid):
+        # the one grid guard refuses it before any sampling: at once, and no file
+        out = tmp_path / "k.csv"
+        args = ["kernel", "--config", anti_config if extended else minus_one_config,
+                "--beta", "1", "--grid", str(grid), "--verify", "--output", str(out)]
+        assert main(args + ["--extended"] if extended else args) == 3
+        assert capsys.readouterr().err == (
+            f"error: grid size {grid} exceeds the cap of {correlation.MAX_GRID}\n")
+        assert not out.exists()
+        correlation._require_kernel(1.0, correlation.MAX_GRID)  # the cap itself is allowed
+
 
 def bench_shaped_config(n_modes, kind, seed):
     """Random omegas in [0.3, 3] and unit phases; antiunitary configs pair
@@ -1585,9 +1599,11 @@ class TestDoubledFieldChecks:
         failed = {r.name: r.deviation for r in verify.run_suite("realfield", spectrum, sym)
                   if not r.passed}
         covariance = "doubled-field oracle: symmetry_covariance"
-        assert list(failed) == [
-            "U W = W Lambda", covariance, covariance + fock.CROSS_FACTOR_SUFFIX]
+        assert list(failed) == [covariance, covariance + fock.CROSS_FACTOR_SUFFIX]
         assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
+        # the exported basis is no longer one of U's eigenvectors
+        kernel = verify.run_suite("kernel", spectrum, sym)
+        assert [r.name for r in kernel if not r.passed] == ["U W = W Lambda"]
 
 
 def test_no_environment_knobs():
@@ -1633,7 +1649,7 @@ def test_symmetry_kinds_are_normalized_in_one_place():
     [({"modes": [{"label": "a", "omega": 0.7}, {"label": "b", "omega": 1.3}]},
       {"symmetry", "realfield"}),
      (None, set()),
-     (ANTI_PAIR, {"kernel"})],
+     (ANTI_PAIR, set())],
     ids=["no-symmetry", "bundled-unitary", "anti-pair-fixed"],
 )
 def test_each_suite_runs_exactly_where_it_applies(config, refused, tmp_path, capsys):
@@ -1648,6 +1664,15 @@ def test_each_suite_runs_exactly_where_it_applies(config, refused, tmp_path, cap
     lines = capsys.readouterr().out.splitlines()[:-1]
     listed = [suite for suite, _ in itertools.groupby(line.split()[1][:-1] for line in lines)]
     assert listed == [s for s in names if s not in refused]
+
+
+@pytest.mark.parametrize("config", [None, ANTI_PAIR, GOLDEN / "anti_two_pairs_fixed.json"],
+                         ids=["bundled", "anti-pair-fixed", "anti-two-pairs-fixed"])
+def test_all_runs_each_check_once(config):
+    # one route per check: no two suites run a check of the same name
+    spectrum, sym = load_config(config) if config else cli._load(None)
+    names = [r.name for r in verify.run_suite("all", spectrum, sym)]
+    assert len(names) == len(set(names))
 
 
 def test_run_suite_is_the_one_entry_to_the_suites():

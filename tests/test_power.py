@@ -175,39 +175,54 @@ def imaginary_lag_0(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_closed_form", shifted)
 
 
-def mode_b_kernel_scaled(monkeypatch):
-    """``kernel_closed_form`` scaled by 1.01 at omega = 1.5, mode b of the
-    bundled config; mode a is untouched."""
-    closed = correlation.kernel_closed_form
+def kernel_scaled_at(omega_0):
+    """The mutation that scales ``kernel_closed_form`` by 1.01 at
+    omega = omega_0 and leaves every other frequency untouched."""
 
-    def scaled(omega, theta, beta, t, s):
-        return closed(omega, theta, beta, t, s) * (1.01 if omega == 1.5 else 1.0)
+    def mutate(monkeypatch):
+        closed = correlation.kernel_closed_form
 
-    monkeypatch.setattr(correlation, "kernel_closed_form", scaled)
+        def scaled(omega, theta, beta, t, s):
+            return closed(omega, theta, beta, t, s) * (1.01 if omega == omega_0 else 1.0)
+
+        monkeypatch.setattr(correlation, "kernel_closed_form", scaled)
+
+    return mutate
+
+
+#: Mode b of the bundled config; mode a is untouched.
+mode_b_kernel_scaled = kernel_scaled_at(1.5)
+#: Mode c of ``anti_pair_fixed.json``, the fixed mode of its pairing.
+mode_c_kernel_scaled = kernel_scaled_at(1.3)
 
 
 #: The arguments of a scalar ``kernel --verify`` after its config.
 GRID_8_VERIFY = ["--beta", "1", "--grid", "8", "--verify", "--output", "{output}"]
 
-#: id -> (mutation, argv, the checks that fail, as "suite: name")
+#: id -> (mutation, argv, the checks that fail, as "suite: name").  The rows
+#: "flipped-twist-sign-realfield" and "imaginary-lag-0-realfield-suite-anti"
+#: keep the ids CHANGES.md cites; their checks now live in the kernel suite.
 MUST_FAIL = {
     "basis-rotation-kernel": (
         rotate_basis,
         ["kernel", "--config", ANTI2, "--extended", "--verify", "--beta", "1", "--grid", "16",
          "--output", "{output}"],
-        ["realfield: U W = W Lambda"]),
+        ["kernel: U W = W Lambda"]),
     "basis-rotation-verify": (
-        rotate_basis, ["verify", "--config", ANTI2, "--suite", "realfield"],
-        ["realfield: U W = W Lambda"]),
+        rotate_basis, ["verify", "--config", ANTI2, "--suite", "kernel"],
+        ["kernel: U W = W Lambda"]),
     "u-for-u-star-kernel": (
         u_for_u_star,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
          "--output", "{output}"],
-        ["realfield: U W = W Lambda"]),
+        ["kernel: U W = W Lambda"]),
     "u-for-u-star-verify": (
         u_for_u_star, ["verify", "--config", ANTI, "--suite", "realfield"],
-        ["realfield: U W = W Lambda", "realfield: doubled-field oracle: symmetry_covariance",
+        ["realfield: doubled-field oracle: symmetry_covariance",
          across("realfield: doubled-field oracle: symmetry_covariance")]),
+    "u-for-u-star-kernel-suite": (
+        u_for_u_star, ["verify", "--config", ANTI, "--suite", "kernel"],
+        ["kernel: U W = W Lambda"]),
     "j-without-half-swap": (
         j_without_half_swap, ["verify", "--config", ANTI, "--suite", "realfield"],
         ["realfield: doubled-field oracle: adjoint_covariance",
@@ -219,7 +234,8 @@ MUST_FAIL = {
     "flipped-twist-sign-kernel": (
         flipped_twist_sign, ["kernel", *GRID_8_VERIFY], ["kernel: closed form vs Fock-trace oracle"]),
     "flipped-twist-sign-realfield": (
-        flipped_twist_sign, ["verify", "--suite", "realfield"], ["realfield: U W = W Lambda"]),
+        flipped_twist_sign, ["verify", "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle", "kernel: U W = W Lambda"]),
     "fock-oracle-plus-1e-7-kernel": (
         fock_oracle_plus_1e_7, ["kernel", "--config", "{minus_one}", *GRID_8_VERIFY],
         ["kernel: closed form vs Fock-trace oracle"]),
@@ -260,26 +276,29 @@ MUST_FAIL = {
          across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")]),
     "imaginary-lag-0-kernel-suite": (
         imaginary_lag_0, ["verify", "--suite", "kernel"], ["kernel: sampled kernel Hermitian"]),
-    "imaginary-lag-0-realfield-suite": (
-        imaginary_lag_0, ["verify", "--suite", "realfield"],
-        ["realfield: sampled extended kernel Hermitian"]),
     "imaginary-lag-0-realfield-suite-anti": (
-        imaginary_lag_0, ["verify", "--config", ANTI, "--suite", "realfield"],
-        ["realfield: sampled extended kernel Hermitian"]),
+        imaginary_lag_0, ["verify", "--config", ANTI, "--suite", "kernel"],
+        ["kernel: sampled kernel Hermitian"]),
     "imaginary-lag-0-kernel": (
         imaginary_lag_0, ["kernel", *GRID_8_VERIFY], ["kernel: sampled kernel Hermitian"]),
     "imaginary-lag-0-extended-kernel": (
         imaginary_lag_0,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
          "--output", "{output}"],
-        ["realfield: sampled extended kernel Hermitian"]),
+        ["kernel: sampled kernel Hermitian"]),
     "mode-b-kernel-scaled-kernel": (
         mode_b_kernel_scaled, ["kernel", "--mode", "b", *GRID_8_VERIFY],
         ["kernel: closed form vs Fock-trace oracle", "kernel: closed form vs Fourier partial sum",
          "kernel: sampled spectrum vs closed form"]),
     "mode-b-kernel-scaled-all": (
         mode_b_kernel_scaled, ["verify", "--suite", "all"],
-        ["realfield: sampled spectrum vs closed form"]),
+        ["kernel: sampled spectrum vs closed form"]),
+    "mode-b-kernel-scaled-kernel-suite": (
+        mode_b_kernel_scaled, ["verify", "--suite", "kernel"],
+        ["kernel: sampled spectrum vs closed form"]),
+    "mode-c-kernel-scaled-kernel-suite": (
+        mode_c_kernel_scaled, ["verify", "--config", ANTI, "--suite", "kernel"],
+        ["kernel: sampled spectrum vs closed form"]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
@@ -308,9 +327,6 @@ UNDETECTED = {
         conjugated_imaginary_time, ["verify", "--config", ANTI2, "--suite", "all"], 0, "item 14"),
     "creation-weight-sign-of-field": (
         flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
-    # the kernel suite reads mode 0 only; kernel --mode b --verify catches it
-    "mode-b-kernel-scaled-kernel-suite": (
-        mode_b_kernel_scaled, ["verify", "--suite", "kernel"], 0, "item 1"),
 }
 
 

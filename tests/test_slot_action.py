@@ -179,16 +179,20 @@ class TestNormalFormIsNotCircular:
 class TestRoutesReadTheAction:
     """Routes choose their path from the slot action, not from the kind."""
 
-    def test_scalar_kernel_routes_refuse_a_twist_that_moves_slots(self):
+    def test_scalar_kernel_routes_refuse_a_twist_that_moves_slots(self, tmp_path, capsys):
         single = validate_spectrum([("k0", 0.8)])
         sym = anti((1j,), [0])  # one fixed mode: + and - charges swap
         with pytest.raises(KindError):
             correlation.kernel_oracle(single, sym, 1.0, 0.3, 0.1, 40)
         with pytest.raises(KindError):
             dense.apply_inverse(single, sym, 1.0, np.ones((8, 1)))
-        with pytest.raises(KindError):
-            verify.run_suite("kernel", single, sym)
-        assert main(["verify", "--config", ANTI_GOLDEN, "--suite", "kernel"]) == 2
+        output = tmp_path / "k.csv"
+        assert main(["kernel", "--config", ANTI_GOLDEN, "--beta", "1", "--output", str(output)]) == 2
+        assert "requires --extended" in capsys.readouterr().err
+        assert not output.exists()
+        # the kernel suite samples the extended layout, so it runs on every action
+        assert all(r.passed for r in verify.run_suite("kernel", single, sym))
+        assert main(["verify", "--config", ANTI_GOLDEN, "--suite", "kernel"]) == 0
 
     def test_misaligned_spec_is_a_config_error_before_the_action_is_read(self):
         # The action exists only for a spec aligned with the spectrum, so a
