@@ -12,14 +12,15 @@ and write it with the one exporter,
 lag values to the closed-form grid spectrum and checks their Hermitian
 symmetry and positivity (and the exported eigenbasis on the extended
 route, the oracles on the scalar one).  The scalar route needs a twist
-that keeps every slot (KindError otherwise).  ``verify`` checks the Fock-space identities once per factor of the
-symmetry (:func:`twistkit.fock.factors`), so it runs at any mode count.
-Exit codes: 0 success, 1 assertion failure, 2 parse, usage or
-out-of-domain input (a config that is not UTF-8 JSON, or a config value
-that is not a JSON number or is not finite), 3 capacity exceeded (a Fock
-factor of six or more modes, or a kernel grid above
-:data:`twistkit.correlation.MAX_GRID` points), 4 a result outside the float range
-(RangeError), 5 an internal consistency check failed.  All numeric
+that keeps every slot (KindError otherwise).  ``verify`` checks the
+Fock-space identities once per factor of the symmetry
+(:func:`twistkit.fock.factors`), so it runs at any mode count.  Exit
+codes: 0 success, 1 assertion failure, 2 parse, usage or out-of-domain
+input (a config that is not UTF-8 JSON, or a config value that is not a
+JSON number or is not finite), 3 capacity exceeded (a Fock factor of six
+or more modes, or a kernel grid above
+:data:`twistkit.correlation.MAX_GRID` points), 4 a result outside the
+float range (RangeError), 5 an internal consistency check failed.  All numeric
 output uses fixed 17-significant-digit lowercase scientific formatting so
 identical inputs produce byte-identical output.
 
