@@ -159,8 +159,8 @@ def _cmd_kernel(args) -> int:
         if args.verify:
             # The closed form and both oracles depend on t - s only, so the
             # 2m - 1 distinct lags of the m x m check grid cover all its cells.
-            m = min(args.grid, 8)
-            worst, checks = verify.kernel_agreement(omega, rho, beta, m, range(1 - m, m))
+            probe = correlation.sample_kernels(beta, [omega], [theta], min(args.grid, 8))
+            worst, checks = verify.kernel_agreement(probe, rho)
             lines.append(f"max three-way disagreement: {fmt(worst)}")
     if args.verify:
         checks += verify.sampled_kernel_checks(sampled)

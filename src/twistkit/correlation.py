@@ -145,7 +145,8 @@ def kernel_fourier(
     (nu_n^2 + omega^2) at tau = d*beta/m for d = -(m-1)..m-1, as a list
     indexed by d (Python's negative indices give the lags d < 0), together
     with beta/(2*pi^2*(n_cutoff - 1)), an upper bound on the dropped
-    |n| > n_cutoff terms (valid for n_cutoff >= 2).  This is an
+    |n| > n_cutoff terms, for n_cutoff >= 2 (DomainError otherwise: at
+    n_cutoff = 1 the bound has no finite value).  This is an
     independent oracle for the closed form (the ``kernel`` verify suite and
     ``twistkit kernel --verify``); no production path evaluates it.
 
@@ -167,7 +168,7 @@ def kernel_fourier(
     the float range (beta omega^2 below about 1e-308 at theta = 0).
     """
     _require_kernel(beta, m, omega, theta)
-    _require_count(n_cutoff, 1, "n_cutoff")
+    _require_count(n_cutoff, 2, "n_cutoff")
     bw = beta * omega
     classes = [math.inf]  # h_0 = 0: k_0 = 0 and beta*omega underflows to 0
     if theta or bw:
@@ -192,7 +193,7 @@ def kernel_fourier(
         )
         values.append(total * cmath.rect(1.0, theta * d / m))
     values += [v.conjugate() for v in values[:0:-1]]
-    tail = beta / (2.0 * math.pi**2 * max(n_cutoff - 1, 1))
+    tail = beta / (2.0 * math.pi**2 * (n_cutoff - 1))
     return values, tail
 
 

@@ -20,11 +20,12 @@ positivity reads the closed form, a pure-Python transform of the exported
 lag values ties them to it, every column's lag-0 value must be real, which
 makes the whole grid Hermitian, and the exported eigenbasis must
 diagonalize the induced unitary.  Its oracle and resolvent checks read
-column M, mode 0's + slot, whose phase is rho_0 for a diagonal action; the
-resolvent check reads the eigenmode residual of the 128-point grid from
-one sum of its lag values, and it is two-sided: the residual must match
-its closed form, not merely stay below it.  The ``realfield`` suite checks
-the doubled theory only: its eigenphases and the doubled-field oracle.
+column M, mode 0's + slot, whose phase is rho_0 for a diagonal action,
+sampled once more on a 128-point grid; the resolvent check reads the
+eigenmode residual of that grid from one sum of its lag values, and it is
+two-sided: the residual must match its closed form, not merely stay below
+it.  The ``realfield`` suite checks the doubled theory only: its
+eigenphases and the doubled-field oracle.
 
 The oracles of the partition function live here, beside their one caller,
 so no closed-form module reaches them: the truncated trace
@@ -52,15 +53,17 @@ Routes and checks choose their path from the symmetry's
 ``symmetry`` suite: its rules, read from the raw phases and pairing, are
 what the normal form is checked against.
 
-The oracle checks of the closed form, :func:`kernel_agreement`, take a
-frequency and the symmetry phase rho, derive the twist angle from rho, and
-compare at integer lags of a grid, where the Fourier partial sum is one
-fold per kernel: ``kernel --verify`` at all 2m - 1 lags of its
-m = min(grid, 8) grid, and the ``kernel`` suite at 20 lags of its
-128-point grid drawn from ``random.Random(seed)``.  The ``kernel`` suite
-builds its sampled kernels with
+The oracle checks, :func:`kernel_agreement`, read a sampled kernel of
+one column, like the other kernel checks, and compare its lag values with
+both oracles at every one of its 2m - 1 lags, where the Fourier partial
+sum is one fold per kernel: ``kernel --verify`` on an m = min(grid, 8)
+grid of its kernel, and the ``kernel`` suite on the 128-point grid of
+column M.  This module evaluates no closed form itself: the ``kernel``
+suite builds its sampled kernels with
 :func:`twistkit.realfield.sample_extended_kernel` and
-:func:`twistkit.correlation.sample_kernels`, the routes the CLI exports.
+:func:`twistkit.correlation.sample_kernels`, the routes the CLI exports,
+and reads its spectra from :meth:`~twistkit.correlation.SampledKernel.spectrum`.
+Only the dense suites read the seed, which draws their Fock-oracle states.
 """
 
 from __future__ import annotations
@@ -261,14 +264,15 @@ def _partition(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -
 
 
 def kernel_agreement(
-    omega: float, rho: complex, beta: float, m: int, lags: Iterable[int]
+    sampled: correlation.SampledKernel, rho: complex
 ) -> tuple[float, list[CheckResult]]:
-    """The closed-form kernel of frequency ``omega`` and phase ``rho``
-    against both oracles, at integer lags d in (-m, m) of the m-point grid:
-    the point (d*(beta/m), 0) for d >= 0 and (0, -d*(beta/m)) for d < 0,
-    the times the export samples.  Its twist angle is read from ``rho``
-    (:func:`~twistkit.correlation.kernel_twist_angle`), the phase the Fock
-    trace is taken with, so the two cannot disagree.
+    """The lag values of a one-column sampled kernel (ConfigError
+    otherwise) against both oracles, at every lag d in (-m, m) of its
+    m-point grid: lags[d] at the point (d*(beta/m), 0) for d >= 0, and its
+    conjugate, the adjoint the export writes, at (0, -d*(beta/m)) for
+    d < 0.  Frequency, twist angle, beta and m are the layout's; ``rho`` is
+    the phase the Fock trace is taken with, so a twist angle that does not
+    belong to it fails the Fock-trace check.
 
     At each point: the Fock trace at cutoff 800 (within its tail bound +
     1e-8) and the 4000-term Fourier sum (within its tail bound), which
@@ -279,19 +283,20 @@ def kernel_agreement(
     """
     from . import correlation
 
-    theta = correlation.kernel_twist_angle(rho)
+    if len(sampled.thetas) != 1:
+        raise ConfigError("kernel_agreement reads a sampled kernel of one column")
+    (omega,), (theta,), beta, m = sampled.omegas, sampled.thetas, sampled.beta, len(sampled.lags)
     single = validate_spectrum([("k", omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
     fourier, fourier_tail = correlation.kernel_fourier(omega, theta, beta, m, 4000)
     worst_oracle = worst_fourier = 0.0
-    for d in lags:
-        _require_count(d, 1 - m, "lag")
+    for d in range(1 - m, m):
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
-        closed = correlation.kernel_closed_form(omega, theta, beta, t, s)
+        value = sampled.lags[d][0] if d >= 0 else sampled.lags[-d][0].conjugate()
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
-        worst_oracle = max(worst_oracle, abs(closed - oracle))
-        worst_fourier = max(worst_fourier, abs(closed - fourier[d]))
+        worst_oracle = max(worst_oracle, abs(value - oracle))
+        worst_fourier = max(worst_fourier, abs(value - fourier[d]))
     tail = truncation_tail_bound(single, beta, cutoff)
     checks = [
         CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8),
@@ -365,20 +370,17 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
 
 
 def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
-    import random
-
     from . import correlation, realfield
 
     beta = 1.0
     ext = realfield.extend(spectrum, sym)
     sampled = realfield.sample_extended_kernel(ext, beta, 32)
-    # column M is mode 0's + slot, with the phase rho_0 of a diagonal action
-    k = len(spectrum)
-    omega, rho = ext.doubled_omegas()[k], ext.phases[k]
-    theta = correlation.kernel_twist_angle(rho)
-    m = 128
-    rng = random.Random(seed)
-    _, results = kernel_agreement(omega, rho, beta, m, [rng.randrange(1 - m, m) for _ in range(20)])
+    # column M is mode 0's + slot, with the phase rho_0 of a diagonal action;
+    # the oracles and the resolvent read it once more, sampled at m = 128
+    k, m = len(spectrum), 128
+    omega, theta = sampled.omegas[k], sampled.thetas[k]
+    probe = correlation.sample_kernels(beta, [omega], [theta], m)
+    _, results = kernel_agreement(probe, ext.phases[k])
     results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
     # On the eigenmode e^{i nu t}, nu = theta/beta, the quadrature residual of
     # the resolvent is exactly |h lambda_hat_0 (nu^2 + omega^2) - 1|, with
@@ -395,11 +397,10 @@ def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> l
     h, w2 = beta / m, nu * nu + omega * omega
     if not math.isfinite(w2):
         raise RangeError(f"resolvent residual at omega={omega} is outside the float range")
-    lags = correlation.sample_kernels(beta, [omega], [theta], m).lags
     lam_hat = math.fsum(
-        (row[0] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(lags)
+        (row[0] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(probe.lags)
     )
-    lam = correlation.grid_spectrum(omega, theta, beta, m)
+    lam = [row[0] for row in probe.spectrum()]
     results.append(
         CheckResult(
             "kernel",

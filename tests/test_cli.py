@@ -416,6 +416,30 @@ def test_cli_calls_no_oracle():
         assert name not in source
 
 
+def test_verify_evaluates_no_kernel_closed_form():
+    # Every kernel check reads a sampled layout, and no check draws its lags.
+    source = inspect.getsource(verify)
+    for name in ("kernel_closed_form", "grid_spectrum", "kernel_twist_angle"):
+        assert name not in source
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert "random" not in imported
+
+
+def test_kernel_suite_reads_no_seed(capsys):
+    # it compares every lag of its sampled column; the seed draws only the
+    # Fock-oracle states of the dense suites
+    outputs = []
+    for seed in ("0", "7"):
+        assert main(["verify", "--suite", "kernel", "--seed", seed]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 class TestSharedChecksBite:
     """A broken oracle input fails the CLI command and its verify suite alike."""
 
@@ -933,9 +957,14 @@ REFUSALS = {
         lambda: correlation.kernel_fourier(1.0, 0.3, 1.0, -1, 100), errors.DomainError),
     "sample_kernels-one-theta-per-omega": (
         lambda: correlation.sample_kernels(1.0, [1.0, 2.0], [0.3], 4), errors.ConfigError),
-    "kernel_agreement-empty-grid": (
-        lambda: verify.kernel_agreement(1.0, 1 + 0j, 1.0, 0, [0]),
+    # at one term per side the tail bound beta/(2 pi^2 (N - 1)) is not finite
+    "kernel_fourier-n-cutoff-1": (
+        lambda: correlation.kernel_fourier(1e-3, 2.0 * math.pi - 1e-9, 1.0, 8, 1),
         errors.DomainError),
+    "kernel_agreement-two-columns": (
+        lambda: verify.kernel_agreement(
+            correlation.sample_kernels(1.0, [0.7, 1.3], [0.3, 0.3], 4), 1 + 0j),
+        errors.ConfigError),
     "kernel_closed_form-negative-omega": (
         lambda: correlation.kernel_closed_form(-1.0, 0.3, 1.0, 0.5, 0.0), errors.DomainError),
     "kernel_closed_form-theta-7": (
@@ -977,14 +1006,6 @@ REFUSALS = {
     # |True| = 1, so a bool once passed the unit-modulus rule and was kept as a bool
     "SymmetrySpec-bool-phase": (
         lambda: SymmetrySpec(kind="unitary", phases=(True,)), errors.ConfigError),
-    "kernel_agreement-fractional-lag": (
-        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [0.5]), errors.DomainError),
-    "kernel_agreement-string-lag": (
-        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, ["1"]), errors.DomainError),
-    "kernel_agreement-lag-m": (
-        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [4]), errors.DomainError),
-    "kernel_agreement-lag-minus-m": (
-        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [-4]), errors.DomainError),
     "ModeSpectrum-inf-omega": (
         lambda: ModeSpectrum(("a",), (math.inf,)), errors.DomainError),
     "parse_config-inf-string-omega": (
@@ -1057,8 +1078,6 @@ REFUSALS = {
         lambda: correlation.sample_kernels(1.0, [0.7], [0.3], True), errors.DomainError),
     "run_suite-bool-seed": (
         lambda: verify.run_suite("partition", ONE_MODE, None, True), errors.DomainError),
-    "kernel_agreement-bool-lag": (
-        lambda: verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, [True]), errors.DomainError),
     "SymmetrySpec-bool-pairing": (
         lambda: SymmetrySpec("antiunitary", (1, 1), (True, False)), errors.ConfigError),
     "restrict-bool-mode": (
@@ -1080,11 +1099,12 @@ def test_integer_cutoffs_are_accepted():
     assert sym.action.source == SymmetrySpec(kind="antiunitary", phases=(1j, 1j),
                                              pairing=(1, 0)).action.source
 
-    def agreement(lags):
-        worst, checks = verify.kernel_agreement(0.7, 1 + 0j, 1.0, 4, lags)
+    def agreement(m):
+        worst, checks = verify.kernel_agreement(
+            correlation.sample_kernels(1.0, [0.7], [0.0], m), 1 + 0j)
         return worst, [c.deviation for c in checks]
 
-    assert agreement([np.int64(-3), np.int64(1)]) == agreement([-3, 1])
+    assert agreement(np.int64(4)) == agreement(4)
 
 
 @pytest.mark.parametrize("call, error", REFUSALS.values(), ids=REFUSALS.keys())

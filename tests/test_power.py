@@ -95,6 +95,19 @@ def fock_oracle_plus_1e_7(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_oracle", lambda *args: oracle(*args) + 1e-7)
 
 
+def fock_oracle_plus_1e_7_at_lag_1(monkeypatch):
+    """``kernel_oracle`` plus 1e-7 only where |t - s| = beta/128: lags +-1
+    of the ``kernel`` suite's 128-point grid, which 20 lags drawn from
+    seed 0 missed."""
+    oracle = correlation.kernel_oracle
+
+    def shifted(spectrum, sym, beta, t, s, cutoff):
+        value = oracle(spectrum, sym, beta, t, s, cutoff)
+        return value + (1e-7 if abs(t - s) == beta / 128 else 0.0)
+
+    monkeypatch.setattr(correlation, "kernel_oracle", shifted)
+
+
 def wrong_slot_apply_field(monkeypatch):
     """Each creation coefficient of a field table moved to the other
     charge's slot of its mode: alpha+* and alpha-* trade places."""
@@ -243,6 +256,12 @@ MUST_FAIL = {
         ["kernel: closed form vs Fock-trace oracle"]),
     "fock-oracle-plus-1e-7-verify": (
         fock_oracle_plus_1e_7, ["verify", "--config", "{minus_one}", "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle"]),
+    "fock-oracle-plus-1e-7-at-lag-1-verify": (
+        fock_oracle_plus_1e_7_at_lag_1, ["verify", "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle"]),
+    "fock-oracle-plus-1e-7-at-lag-1-verify-anti": (
+        fock_oracle_plus_1e_7_at_lag_1, ["verify", "--config", ANTI, "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle"]),
     "wrong-slot-apply-field": (
         wrong_slot_apply_field, ["verify", "--suite", "all"],
