@@ -97,8 +97,8 @@ def fock_oracle_plus_1e_7(monkeypatch):
 
 def fock_oracle_plus_1e_7_at_lag_1(monkeypatch):
     """``kernel_oracle`` plus 1e-7 only where |t - s| = beta/128: lags +-1
-    of the ``kernel`` suite's 128-point grid, which 20 lags drawn from
-    seed 0 missed."""
+    of the ``kernel`` suite's 128-point grid, which a sample of its lags
+    may miss."""
     oracle = correlation.kernel_oracle
 
     def shifted(spectrum, sym, beta, t, s, cutoff):
