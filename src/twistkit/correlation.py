@@ -35,7 +35,8 @@ oracles, the sampled layout, its spectrum, the mixing of a sparse basis
 dense references of the tests (the grids and the resolvent quadrature)
 are built from the same layout.  The CSV writer formats rows as ASCII
 ``bytes`` and writes them in binary mode, holding at most m of the 2m - 1
-distinct formatted blocks at a time (:func:`export_kernel_csv`).
+distinct formatted blocks at a time, each one ``bytes`` text with a
+placeholder for its t and s columns (:func:`export_kernel_csv`).
 
 Range errors: values outside the float range raise RangeError, which the
 CLI maps to exit code 4 (here: a closed-form value that overflows, e.g.
@@ -409,25 +410,27 @@ _ROW = b"%s,%.16e,%.16e," + f"{0.0:.16e}\n".encode()
 def export_kernel_csv(path, sampled: SampledKernel) -> None:
     """Write a sampled kernel as CSV: the one kernel exporter, for the
     scalar and the extended kernel alike.  Each block it writes is
-    formatted once, as the row texts after the t and s columns.  Row i of
-    the grid reads the lower blocks K(t_d, 0) for d = i..0 and the adjoint
-    (upper) blocks K(0, t_d) for d = 1..m-1-i, so at most m formatted
-    blocks are held: upper blocks 1..m-1 are formatted first (no row reads
-    upper block 0), lower block d when row d first reads it, and upper
-    block d is dropped after row m-1-d, its last reader.  Each complex
-    block is released when it is formatted as a lower block, its last use;
-    the m x m grid is never formed.
+    formatted once, as the text of its rows after the t and s columns.
+    Row i of the grid reads the lower blocks K(t_d, 0) for d = i..0 and
+    the adjoint (upper) blocks K(0, t_d) for d = 1..m-1-i, so at most m
+    formatted blocks are held: upper blocks 1..m-1 are formatted first
+    (no row reads upper block 0), lower block d when row d first reads
+    it, and upper block d is dropped after row m-1-d, its last reader.
+    Each complex block is released when it is formatted as a lower block,
+    its last use; the m x m grid is never formed.
 
     A scalar kernel (one column, no basis) has the columns t, s, re_k,
     im_k, tail_bound (always 0) and is written one t-row per write, one
     join over the slots t, s_0, body_0, t, s_1, body_1 ...; any other
     layout (a basis, or more than one column) carries row_sector and
-    col_sector on every row, and each (t, s) block is one write, t,s +
-    row_0 + t,s + row_1 and so on.  Output is deterministic ASCII: fixed
-    row order, 17-significant-digit lowercase scientific floats, LF line
-    endings.  A block entry that is not finite (the lag values are, so
-    only a broken basis gives one) is refused with
-    InternalConsistencyError before the file is opened."""
+    col_sector on every row, and its block is formatted as one ``bytes``
+    text whose n^2 rows each start with a NUL placeholder: each (t, s)
+    block is one write of that text with every NUL replaced by t,s, one
+    C-level pass, and no list of n^2 row objects is held.  Output is
+    deterministic ASCII: fixed row order, 17-significant-digit lowercase
+    scientific floats, LF line endings.  A block entry that is not finite
+    (the lag values are, so only a broken basis gives one) is refused
+    with InternalConsistencyError before the file is opened."""
     sectors = sampled.basis is not None or len(sampled.thetas) != 1
     blocks = sampled.blocks()
     if not all(cmath.isfinite(z) for block in blocks for z in block):
@@ -438,7 +441,9 @@ def export_kernel_csv(path, sampled: SampledKernel) -> None:
 
     def rows(block: list[complex]):
         texts = [_ROW % (k, z.real, z.imag) for k, z in zip(keys, block)]
-        return texts if sectors else texts[0]  # a scalar body is one row
+        # a sectored block is one text, each row led by a NUL where its t,s go;
+        # a scalar body is one row
+        return b"\0" + b"\0".join(texts) if sectors else texts[0]
 
     upper = [rows([blocks[d][i].conjugate() for i in transpose]) for d in range(1, m)]
     lower = []
@@ -455,8 +460,7 @@ def export_kernel_csv(path, sampled: SampledKernel) -> None:
             blocks[i] = None
             if sectors:
                 for s, block in zip(stamps, lower[::-1] + upper):
-                    pre = t + b"," + s
-                    fh.write(pre + pre.join(block))
+                    fh.write(block.replace(b"\0", t + b"," + s))
             else:
                 slots[::3] = [t + b","] * m
                 slots[2::3] = lower[::-1] + upper
