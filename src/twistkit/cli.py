@@ -18,8 +18,9 @@ Fock-space identities once per factor of the symmetry
 codes: 0 success, 1 assertion failure, 2 parse, usage or out-of-domain
 input (a config that is not UTF-8 JSON, or a config value that is not a
 JSON number or is not finite), 3 capacity exceeded (a Fock factor of six
-or more modes, or a kernel grid above
-:data:`twistkit.correlation.MAX_GRID` points), 4 a result outside the
+or more modes, a kernel grid above :data:`twistkit.correlation.MAX_GRID`
+points, or a ``partition --cutoff`` whose truncated trace would take more
+than :data:`twistkit.verify.MAX_TRACE_STEPS` steps), 4 a result outside the
 float range (RangeError), 5 an internal consistency check failed.  All numeric
 output uses fixed 17-significant-digit lowercase scientific formatting so
 identical inputs produce byte-identical output.

@@ -32,7 +32,8 @@ so no closed-form module reaches them: the truncated trace
 :func:`partition_trace` with its tail bounds :func:`truncation_tail_bound`
 and :func:`twisted_tail_bound`, read by :func:`partition_row` (at
 :data:`PARTITION_CUTOFF` in the ``partition`` suite and by default in the
-``partition`` subcommand), and the doubled-theory route
+``partition`` subcommand, and capped at :data:`MAX_TRACE_STEPS` Horner
+steps a trace), and the doubled-theory route
 :func:`z_via_realfield` of the ``partition`` suite, whose realness guard
 raises InternalConsistencyError (exit 5).
 
@@ -74,7 +75,7 @@ import sys
 from functools import partial
 
 from . import partition
-from .errors import ConfigError, InternalConsistencyError, RangeError
+from .errors import CapacityError, ConfigError, InternalConsistencyError, RangeError
 from .partition import _log_abs2_one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
@@ -120,6 +121,12 @@ def _dense(
 #: Occupation cutoff of the truncated partition traces: the ``partition``
 #: subcommand's default and the ``partition`` suite's.
 PARTITION_CUTOFF = 40
+
+#: The most Horner steps one truncated partition trace takes, cutoff + 1 per
+#: cycle of the slot action.  A step took about 0.13 us on a 2-core x86-64
+#: machine (Python 3.11), so a trace at the cap takes about 1.3 s; a larger
+#: one is refused (CapacityError) before any sum.
+MAX_TRACE_STEPS = 10**7
 
 
 def truncation_tail_bound(spectrum: ModeSpectrum, beta: float, cutoff: int) -> float:
@@ -170,12 +177,18 @@ def partition_trace(
     x = e^{-beta omega} and S_N the truncated geometric sum, a cycle of
     length L and phase product r contributes S_N(r x^L), accumulated term
     by term.  Equality with the basis sum and a dense trace is asserted in
-    the tests.
+    the tests.  CapacityError where (cutoff + 1) times the number of
+    cycles exceeds :data:`MAX_TRACE_STEPS`, before the first step.
     """
     _require_beta(beta)
     _require_count(cutoff, 0, "occupation cutoff")
+    cycles = slot_action(spectrum, sym).cycles
+    steps = (cutoff + 1) * len(cycles)
+    if steps > MAX_TRACE_STEPS:
+        raise CapacityError(
+            f"a truncated trace of {steps} steps exceeds the cap of {MAX_TRACE_STEPS}")
     total = 1.0 + 0.0j
-    for first, length, r in slot_action(spectrum, sym).cycles:
+    for first, length, r in cycles:
         x = math.exp(-length * beta * spectrum.omegas[first // 2])
         total *= _truncated_geometric(r * x, cutoff)
     return complex(total)

@@ -129,6 +129,24 @@ class TestPartitionCommand:
         spec, _ = load_config(anti_config)
         assert row[6] == f"{verify.truncation_tail_bound(spec, 1.0, 12):.16e}"
 
+    def test_trace_above_the_step_cap_exits_3(self):
+        # 4 cycles on the bundled config, so (cutoff + 1) * 4 steps: refused
+        # before any sum, so at once and with no row (uncapped, this trace
+        # ran for about 11 s)
+        proc = _run_cli(["-m", "twistkit.cli", "partition", "--beta", "1",
+                         "--cutoff", "10000000"], timeout=20)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: a truncated trace of 40000004 steps exceeds the cap of 10000000\n")
+
+    def test_trace_at_the_step_cap_is_accepted(self, monkeypatch):
+        # one mode and no twist: 2 cycles, so cutoff 3 takes 8 steps
+        uncapped = verify.partition_trace(ONE_MODE, None, 1.0, 3)
+        monkeypatch.setattr(verify, "MAX_TRACE_STEPS", 8)
+        assert verify.partition_trace(ONE_MODE, None, 1.0, 3) == uncapped
+        with pytest.raises(errors.CapacityError):
+            verify.partition_trace(ONE_MODE, None, 1.0, 4)
+
     def test_twisted_row_checked_against_twisted_tail_bound(self, tmp_path, capsys):
         # rho = i, N = 1: trace / Z = (1 + x^2)^2, which is exactly the twisted
         # tail bound 0.871 and beyond the untwisted one, 0.600
@@ -971,6 +989,9 @@ REFUSALS = {
         lambda: correlation.kernel_closed_form(1.0, 7.0, 1.0, 0.5, 0.0), errors.DomainError),
     "kernel_closed_form-nan-omega": (
         lambda: correlation.kernel_closed_form(math.nan, 0.3, 1.0, 0.5, 0.0), errors.DomainError),
+    # (cutoff + 1) Horner steps on each of the 2 cycles exceed MAX_TRACE_STEPS
+    "partition_trace-above-the-step-cap": (
+        lambda: verify.partition_trace(ONE_MODE, None, 1.0, 10**7), errors.CapacityError),
     "partition_trace-fractional-cutoff": (
         lambda: verify.partition_trace(ONE_MODE, None, 1.0, 2.5), errors.DomainError),
     "geometric_log_derivative-fractional-cutoff": (
