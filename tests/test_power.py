@@ -188,6 +188,38 @@ def imaginary_lag_0(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_closed_form", shifted)
 
 
+def kernel_scaled_by_1e_14(monkeypatch):
+    """``kernel_closed_form`` scaled by 1 + 1e-14 everywhere."""
+    closed = correlation.kernel_closed_form
+    monkeypatch.setattr(correlation, "kernel_closed_form",
+                        lambda *args: closed(*args) * (1.0 + 1e-14))
+
+
+def basis_column_scaled(monkeypatch):
+    """The first column of the first block of the sampled basis scaled by
+    1 + 1e-9: still an eigenvector of U, no longer of unit length."""
+    sample = realfield.sample_extended_kernel
+
+    def scaled(ext, beta, m):
+        sampled = sample(ext, beta, m)
+        (indices, (w0, *rest)), *blocks = sampled.basis
+        sampled.basis = ((indices, (tuple(a * (1.0 + 1e-9) for a in w0), *rest)), *blocks)
+        return sampled
+
+    monkeypatch.setattr(realfield, "sample_extended_kernel", scaled)
+
+
+def negated_lambda_0(monkeypatch):
+    """``grid_spectrum`` with its first eigenvalue, lambda_0, negated."""
+    spectrum = correlation.grid_spectrum
+
+    def negated(*args):
+        first, *rest = spectrum(*args)
+        return [-first, *rest]
+
+    monkeypatch.setattr(correlation, "grid_spectrum", negated)
+
+
 def kernel_scaled_at(omega_0):
     """The mutation that scales ``kernel_closed_form`` by 1.01 at
     omega = omega_0 and leaves every other frequency untouched."""
@@ -322,6 +354,25 @@ MUST_FAIL = {
     "mode-c-kernel-scaled-kernel-suite": (
         mode_c_kernel_scaled, ["verify", "--config", ANTI, "--suite", "kernel"],
         ["kernel: sampled spectrum vs closed form"]),
+    # the tightest kernel check; on the bundled config this scale passes
+    "kernel-scaled-by-1e-14-verify-anti": (
+        kernel_scaled_by_1e_14, ["verify", "--config", ANTI, "--suite", "kernel"],
+        ["kernel: resolvent residual on twisted eigenmode"]),
+    "basis-column-scaled-verify": (
+        basis_column_scaled, ["verify", "--config", ANTI2, "--suite", "kernel"],
+        ["kernel: W* W = I"]),
+    "basis-column-scaled-kernel": (
+        basis_column_scaled,
+        ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
+         "--output", "{output}"],
+        ["kernel: W* W = I"]),
+    "negated-lambda-0-kernel": (
+        negated_lambda_0, ["kernel", *GRID_8_VERIFY],
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
+    "negated-lambda-0-kernel-suite": (
+        negated_lambda_0, ["verify", "--suite", "kernel"],
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite",
+         "kernel: resolvent residual on twisted eigenmode"]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
