@@ -131,8 +131,8 @@ class TestPartitionCommand:
 
     def test_trace_above_the_step_cap_exits_3(self):
         # 4 cycles on the bundled config, so (cutoff + 1) * 4 steps: refused
-        # before any sum, so at once and with no row (uncapped, this trace
-        # ran for about 11 s)
+        # before any sum, with no row; the timeout stops a run that is not
+        # refused, as this trace takes about 11 s uncapped
         proc = _run_cli(["-m", "twistkit.cli", "partition", "--beta", "1",
                          "--cutoff", "10000000"], timeout=20)
         assert (proc.returncode, proc.stdout) == (3, "")

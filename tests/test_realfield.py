@@ -330,8 +330,7 @@ class TestExtendedKernel:
 
     def test_csv_writer_holds_a_window_of_m_blocks(self, tmp_path):
         # 10 doubled columns at m = 64: the writer holds at most m formatted
-        # blocks of n^2 rows (0.66 MiB measured, 0.90 MiB while each block was
-        # a list of row objects); all 2m of them take 1.81 MiB
+        # blocks of n^2 rows (0.66 MiB measured); all 2m of them take 1.81 MiB
         spec, sym = random_antiunitary(np.random.default_rng(8), 2, 1)
         sampled = rf.sample_extended_kernel(rf.extend(spec, sym), 0.9, 64)
         assert len(sampled.thetas) == 10
@@ -346,7 +345,7 @@ class TestExtendedKernel:
     def test_csv_writer_holds_each_block_as_one_text(self, tmp_path):
         # each formatted block is one bytes text, not a list of n^2 row
         # objects: 671 KiB measured on the two-pair golden config at m = 64
-        # (Python 3.11), against 923 KiB for the lists
+        # (Python 3.11); the lists take 923 KiB
         spec, sym = load_config(Path(__file__).parent / "golden" / "anti_two_pairs_fixed.json")
         sampled = rf.sample_extended_kernel(rf.extend(spec, sym), 1.0, 64)
         tracemalloc.start()
