@@ -10,9 +10,13 @@ and write it with the one exporter,
 :func:`twistkit.correlation.export_kernel_csv`; on either route ``kernel
 --verify`` runs the ``kernel`` suite's named checks: it ties the exported
 lag values to the closed-form grid spectrum and checks their Hermitian
-symmetry and positivity (and the exported eigenbasis on the extended
-route, the oracles on the scalar one).  The scalar route needs a twist
-that keeps every slot (KindError otherwise).  ``verify`` checks the
+and twisted-circulant symmetries and positivity (and the exported
+eigenbasis on the extended route, the Fock-trace oracle on the scalar
+one).  The scalar route prints ``max three-way disagreement: <value>``,
+the largest deviation from the Fock-trace oracle; the line once also took
+a Fourier partial sum, and keeps its text because the benchmark's checks
+(``bench/checks.py``) parse it.  The scalar route needs a twist that
+keeps every slot (KindError otherwise).  ``verify`` checks the
 Fock-space identities once per factor of the symmetry
 (:func:`twistkit.fock.factors`), so it runs at any mode count.  Exit
 codes: 0 success, 1 assertion failure, 2 parse, usage or out-of-domain
@@ -158,7 +162,7 @@ def _cmd_kernel(args) -> int:
         sampled = correlation.sample_kernels(beta, [omega], [theta], args.grid)
         lines = [f"wrote {args.grid * args.grid} kernel samples to {args.output}"]
         if args.verify:
-            # The closed form and both oracles depend on t - s only, so the
+            # The closed form and the oracle depend on t - s only, so the
             # 2m - 1 distinct lags of the m x m check grid cover all its cells.
             probe = correlation.sample_kernels(beta, [omega], [theta], min(args.grid, 8))
             worst, checks = verify.kernel_agreement(probe, rho)

@@ -2,18 +2,18 @@
 
 The per-mode kernel K(t,s) is the Green's function of (-d^2/dtau^2 +
 omega^2) on [0, beta) with the quasi-periodic boundary condition
-g(beta) = e^{i*theta} g(0).  Three independent evaluation routes are
-implemented and cross-checked in the tests: a closed form obtained as a
-geometric image sum, a twisted Fourier partial sum with an explicit tail
-bound, and a normalized twisted Fock trace of the time-ordered two-field
-product.  The two oracles serve the kernel checks, which compare at the
-lags of a grid: :func:`kernel_fourier` gives the partial sum at every lag
-of the m-point grid at once, folding its coefficients by n mod m, and
-:func:`kernel_oracle` keeps the truncated geometric sums of the last
-kernel it evaluated, so a kernel's oracle work is done once, not once per
-point.  Only :mod:`twistkit.verify` and the benchmark's checks call them.
-The Fock trace's one-oscillator sum, :func:`geometric_log_derivative`,
-sits beside :func:`kernel_oracle`, its one caller.
+g(beta) = e^{i*theta} g(0).  Two independent evaluation routes are
+implemented: a closed form obtained as a geometric image sum, and a
+normalized twisted Fock trace of the time-ordered two-field product,
+:func:`kernel_oracle`, which keeps the truncated geometric sums of the
+last kernel it evaluated, so a kernel's oracle work is done once, not once
+per point.  Only :mod:`twistkit.verify` and the benchmark's checks call
+the oracle.  Its one-oscillator sum, :func:`geometric_log_derivative`,
+sits beside its one caller.  The kernel's twisted Fourier series is a
+test reference only (``tests/dense.py``): on a grid, its coefficients
+summed by n mod m are the eigenvalues that :func:`grid_spectrum` gives in
+closed form, and the ``kernel`` checks tie those to the sampled lag
+values.
 
 On the uniform grid t_j = j*beta/m the sampled kernel depends only on
 the lag: K(t_i, t_j) = v[i - j] for i >= j, with v[d] = K(d*beta/m, 0),
@@ -28,8 +28,8 @@ blocks, the spectrum and the one CSV exporter, :func:`export_kernel_csv`,
 derive from that layout.  The spectrum has a closed form,
 :func:`grid_spectrum`, positive for every twist.
 
-No numpy is imported here.  The closed form, the Fourier and Fock-trace
-oracles, the sampled layout, its spectrum, the mixing of a sparse basis
+No numpy is imported here.  The closed form, the Fock-trace oracle, the
+sampled layout, its spectrum, the mixing of a sparse basis
 (:meth:`SampledKernel.blocks`) and the CSV writer run on ``math`` and
 ``cmath`` alone.  No route here forms a dense grid or runs an FFT; the
 dense references of the tests (the grids and the resolvent quadrature)
@@ -134,68 +134,6 @@ def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: flo
             f"< 1e-8 at omega={omega}, theta={theta}, beta={beta}"
         )
     return value
-
-
-def kernel_fourier(
-    omega: float, theta: float, beta: float, m: int, n_cutoff: int
-) -> tuple[list[complex], float]:
-    """Partial twisted-Fourier sums at the lags of the m-point grid, and a
-    rigorous tail bound.
-
-    Returns the values (1/beta) * sum_{|n| <= n_cutoff} e^{i*nu_n*tau} /
-    (nu_n^2 + omega^2) at tau = d*beta/m for d = -(m-1)..m-1, as a list
-    indexed by d (Python's negative indices give the lags d < 0), together
-    with beta/(2*pi^2*(n_cutoff - 1)), an upper bound on the dropped
-    |n| > n_cutoff terms, for n_cutoff >= 2 (DomainError otherwise: at
-    n_cutoff = 1 the bound has no finite value).  This is an
-    independent oracle for the closed form (the ``kernel`` verify suite and
-    ``twistkit kernel --verify``); no production path evaluates it.
-
-    At these lags e^{i*nu_n*tau} = e^{i theta d/m} e^{2 pi i n d/m} depends
-    on n only through n mod m, so the 2*n_cutoff + 1 real coefficients
-    a_n = 1/(beta (nu_n^2 + omega^2)) = beta/(k_n^2 + (beta omega)^2), with
-    k_n = theta + 2 pi n, fold into m residue-class sums A_r of positive
-    terms, each by one ``math.fsum``.  Lag d >= 0 is then
-    e^{i theta d/m} * sum_r e^{2 pi i r d/m} A_r, a direct m-term sum
-    (real and imaginary parts by ``math.fsum``) over a table of m unit
-    roots, each taken at an angle in [-pi, pi]; lag -d is its conjugate,
-    as the coefficients are real.  It is the same finite sum as the
-    term-by-term one, regrouped, and it rounds each term by a few eps,
-    where the term-by-term sum rounds term n's phase by about |n| eps.
-    Each a_n is formed as beta/h/h with h = hypot(k_n, beta omega), so no
-    square leaves the float range, at any beta: a term is 0 only where its
-    own value is below the float range (omega above about 1e154 at
-    beta = 1), and RangeError is raised only where a term itself is beyond
-    the float range (beta omega^2 below about 1e-308 at theta = 0).
-    """
-    _require_kernel(beta, m, omega, theta)
-    _require_count(n_cutoff, 2, "n_cutoff")
-    bw = beta * omega
-    classes = [math.inf]  # h_0 = 0: k_0 = 0 and beta*omega underflows to 0
-    if theta or bw:
-        # class r holds the n = r - n_cutoff mod m, from the first one above -n_cutoff;
-        # no term list is kept, so the memory is O(n_cutoff/m), not O(n_cutoff)
-        classes = [
-            math.fsum([beta / h / h for h in [
-                math.hypot(theta + 2.0 * math.pi * n, bw)
-                for n in range((r + n_cutoff) % m - n_cutoff, n_cutoff + 1, m)
-            ]])
-            for r in range(m)
-        ]
-    if math.inf in classes:
-        raise RangeError(f"Fourier term at omega={omega}, beta={beta} is outside the float range")
-    roots = [cmath.rect(1.0, 2.0 * math.pi * (k - m if 2 * k > m else k) / m) for k in range(m)]
-    values = []
-    for d in range(m):
-        terms = [roots[r * d % m] for r in range(m)]
-        total = complex(
-            math.fsum([w.real * a for w, a in zip(terms, classes)]),
-            math.fsum([w.imag * a for w, a in zip(terms, classes)]),
-        )
-        values.append(total * cmath.rect(1.0, theta * d / m))
-    values += [v.conjugate() for v in values[:0:-1]]
-    tail = beta / (2.0 * math.pi**2 * (n_cutoff - 1))
-    return values, tail
 
 
 def geometric_log_derivative(y: complex, cutoff: int) -> complex:

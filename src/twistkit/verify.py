@@ -18,14 +18,15 @@ action (the identity included), and checks it through the closed-form
 spectra of its twisted-circulant eigenmode grids, never a dense grid:
 positivity reads the closed form, a pure-Python transform of the exported
 lag values ties them to it, every column's lag-0 value must be real, which
-makes the whole grid Hermitian, and the exported eigenbasis must
-diagonalize the induced unitary.  Its oracle and resolvent checks read
-column M, mode 0's + slot, whose phase is rho_0 for a diagonal action,
-sampled once more on a 128-point grid; the resolvent check reads the
-eigenmode residual of that grid from one sum of its lag values, and it is
-two-sided: the residual must match its closed form, not merely stay below
-it.  The ``realfield`` suite checks the doubled theory only: its
-eigenphases and the doubled-field oracle.
+makes the whole grid Hermitian, every column's lags must be
+twisted-circulant, so that the closed form is the grid's spectrum, and the
+exported eigenbasis must diagonalize the induced unitary.  Its oracle and
+resolvent checks read column M, mode 0's + slot, whose phase is rho_0 for
+a diagonal action, sampled once more on a 128-point grid; the resolvent
+check reads the eigenmode residual of that grid from one sum of its lag
+values, and it is two-sided: the residual must match its closed form, not
+merely stay below it.  The ``realfield`` suite checks the doubled theory
+only: its eigenphases and the doubled-field oracle.
 
 The oracles of the partition function live here, beside their one caller,
 so no closed-form module reaches them: the truncated trace
@@ -54,13 +55,15 @@ Routes and checks choose their path from the symmetry's
 ``symmetry`` suite: its rules, read from the raw phases and pairing, are
 what the normal form is checked against.
 
-The oracle checks, :func:`kernel_agreement`, read a sampled kernel of
-one column, like the other kernel checks, and compare its lag values with
-both oracles at every one of its 2m - 1 lags, where the Fourier partial
-sum is one fold per kernel: ``kernel --verify`` on an m = min(grid, 8)
-grid of its kernel, and the ``kernel`` suite on the 128-point grid of
-column M.  This module evaluates no closed form itself: the ``kernel``
-suite builds its sampled kernels with
+The oracle check, :func:`kernel_agreement`, reads a sampled kernel of
+one column, like the other kernel checks, and compares its lag values with
+the Fock-trace oracle at every one of its 2m - 1 lags: ``kernel --verify``
+on an m = min(grid, 8) grid of its kernel, and the ``kernel`` suite on the
+128-point grid of column M.  No Fourier partial sum is needed beside it:
+the Hermitian, twisted-circulant and transform checks already tie every
+lag value to the inverse transform of the full aliasing sums, the
+closed-form grid spectrum, at rounding level.  This module evaluates no
+closed form itself: the ``kernel`` suite builds its sampled kernels with
 :func:`twistkit.realfield.sample_extended_kernel` and
 :func:`twistkit.correlation.sample_kernels`, the routes the CLI exports,
 and reads its spectra from :meth:`~twistkit.correlation.SampledKernel.spectrum`.
@@ -280,42 +283,33 @@ def kernel_agreement(
     sampled: correlation.SampledKernel, rho: complex
 ) -> tuple[float, list[CheckResult]]:
     """The lag values of a one-column sampled kernel (ConfigError
-    otherwise) against both oracles, at every lag d in (-m, m) of its
-    m-point grid: lags[d] at the point (d*(beta/m), 0) for d >= 0, and its
-    conjugate, the adjoint the export writes, at (0, -d*(beta/m)) for
+    otherwise) against the Fock-trace oracle, at every lag d in (-m, m) of
+    its m-point grid: lags[d] at the point (d*(beta/m), 0) for d >= 0, and
+    its conjugate, the adjoint the export writes, at (0, -d*(beta/m)) for
     d < 0.  Frequency, twist angle, beta and m are the layout's; ``rho`` is
     the phase the Fock trace is taken with, so a twist angle that does not
-    belong to it fails the Fock-trace check.
+    belong to it fails the check.
 
-    At each point: the Fock trace at cutoff 800 (within its tail bound +
-    1e-8) and the 4000-term Fourier sum (within its tail bound), which
-    :func:`~twistkit.correlation.kernel_fourier` gives at every lag of the
-    grid at once.  Also returns the worst disagreement the truncations do
-    not explain: the largest Fock deviation or Fourier excess over its tail
-    bound.
+    At each point the Fock trace at cutoff 800 must lie within its tail
+    bound + 1e-8.  Also returns the worst disagreement, the largest
+    deviation.
     """
     from . import correlation
 
     if len(sampled.thetas) != 1:
         raise ConfigError("kernel_agreement reads a sampled kernel of one column")
-    (omega,), (theta,), beta, m = sampled.omegas, sampled.thetas, sampled.beta, len(sampled.lags)
+    (omega,), beta, m = sampled.omegas, sampled.beta, len(sampled.lags)
     single = validate_spectrum([("k", omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
-    fourier, fourier_tail = correlation.kernel_fourier(omega, theta, beta, m, 4000)
-    worst_oracle = worst_fourier = 0.0
+    worst = 0.0
     for d in range(1 - m, m):
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         value = sampled.lags[d][0] if d >= 0 else sampled.lags[-d][0].conjugate()
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
-        worst_oracle = max(worst_oracle, abs(value - oracle))
-        worst_fourier = max(worst_fourier, abs(value - fourier[d]))
+        worst = max(worst, abs(value - oracle))
     tail = truncation_tail_bound(single, beta, cutoff)
-    checks = [
-        CheckResult("kernel", "closed form vs Fock-trace oracle", worst_oracle, tail + 1e-8),
-        CheckResult("kernel", "closed form vs Fourier partial sum", worst_fourier, fourier_tail),
-    ]
-    return max(worst_oracle, worst_fourier - fourier_tail), checks
+    return worst, [CheckResult("kernel", "closed form vs Fock-trace oracle", worst, tail + 1e-8)]
 
 
 def _lag_transform(lags: list[complex], theta: float) -> list[float]:
@@ -336,9 +330,11 @@ def _lag_transform(lags: list[complex], theta: float) -> list[float]:
 
 
 def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResult]:
-    """The Hermitian symmetry of the exported grid, its lag values against
-    the closed-form grid spectrum, and the positivity of that spectrum, as
-    ``kernel`` checks, for a sampled kernel of any layout.
+    """The Hermitian and twisted-circulant symmetries of the exported grid,
+    its lag values against the closed-form grid spectrum, and the
+    positivity of that spectrum, as ``kernel`` checks, for a sampled kernel
+    of any layout.  Together the first three pin every exported lag value
+    to the inverse transform of the closed-form spectrum at rounding level.
 
     The grid stores the blocks at lags d >= 0 and takes each block above
     the diagonal as the adjoint of the one below, so it is Hermitian if and
@@ -347,9 +343,27 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     2 max_k |Im v_0k|, the largest entry of B - B* for B = diag(v_0), at
     1e-10.
 
-    Per eigenmode column with lag values v_0..v_{m-1} and twist theta, the
-    eigenvalues of the twisted-circulant grid those values define, Re sum_j
-    v_j e^{-i theta j/m} e^{-2 pi i j n/m}, against
+    Per eigenmode column with lag values v_0..v_{m-1}, frequency omega and
+    twist theta, the grid is twisted-circulant, so that its eigenvalues are
+    those of the transform below, only if conj(v_d) = e^{-i theta} v_{m-d}
+    for d = 1..m-1: the quasi-periodicity K(beta - tau) = e^{i theta}
+    conj K(tau) (R. M. Gray, Toeplitz and Circulant Matrices: A Review,
+    2006).  The deviation is the largest |conj(v_d) - e^{-i theta} v_{m-d}|
+    relative to max_d |v_d| (1 + omega beta).  The threshold 8 eps is a
+    first-order rounding bound for the closed form, which evaluates v_d as
+    (p + e^{i theta} q)/(2 omega D) with real p(tau) = q(beta - tau) <= p(0)
+    and D the same float at every lag, so D cancels: the sampled times
+    d (beta/m) and beta - (m - d)(beta/m) differ by about 2 eps beta, which
+    moves p and q, whose slopes are at most (omega + 1/beta) p(0), by about
+    2 (1 + omega beta) eps p(0) each; their rounded exponents, below
+    omega beta, add omega beta eps / 2 each; exp, expm1, the products and
+    the carrier e^{-i theta} add about 3 eps.  That is (7 + 5 omega beta)
+    eps of p(0) = 2 omega D v_0 <= 2 omega D max|v|, within 8 (1 + omega
+    beta) eps.  Measured: at most 3.1 eps over 3000 correct kernels (omega
+    log-uniform in [1e-3, 316], beta in [0.1, 10], m from 2 to 384).
+
+    Per column, the eigenvalues of the twisted-circulant grid those values
+    define, Re sum_j v_j e^{-i theta j/m} e^{-2 pi i j n/m}, against
     :meth:`~twistkit.correlation.SampledKernel.spectrum` at the same n.
     The deviation is the largest difference relative to sum_j |v_j|.  The
     threshold 8 (m + 2) eps is a first-order rounding bound (Higham,
@@ -364,8 +378,8 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     """
     m = len(sampled.lags)
     spectrum = sampled.spectrum()
-    worst = 0.0
-    for k, theta in enumerate(sampled.thetas):
+    worst = circulant = 0.0
+    for k, (omega, theta) in enumerate(zip(sampled.omegas, sampled.thetas)):
         lags = [row[k] for row in sampled.lags]
         total = math.fsum(abs(v) for v in lags)
         if not math.isfinite(total):
@@ -373,10 +387,16 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
         for n, value in enumerate(_lag_transform(lags, theta)):
             err = abs(value - spectrum[n][k])
             worst = max(worst, err / total if total else err)
+        carrier = cmath.rect(1.0, -theta)
+        scale = max(map(abs, lags)) * (1.0 + omega * sampled.beta)
+        for d in range(1, m):
+            err = abs(lags[d].conjugate() - carrier * lags[m - d])
+            circulant = max(circulant, err / scale if scale else err)
     hermitian = 2.0 * _worst(abs(v.imag) for v in sampled.lags[0])
     negative = max(0.0, -min(map(min, spectrum)))
     return [
         CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10),
+        CheckResult("kernel", "sampled kernel twisted-circulant", circulant, 8 * _EPS),
         CheckResult("kernel", "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
         CheckResult("kernel", "sampled kernel positive definite", negative, 0.0),
     ]

@@ -155,14 +155,22 @@ def trace_rounding(spectrum, beta, cutoff):
 
 def kernel_fourier(omega, theta, beta, t, s, n_cutoff):
     """The twisted Fourier partial sum (1/beta) sum_{|n| <= N} e^{i nu_n (t-s)}
-    / (nu_n^2 + omega^2), term by term in numpy, and the sum of the moduli of
-    its terms."""
-    ns = np.arange(-n_cutoff, n_cutoff + 1)
-    nu = (theta + 2.0 * math.pi * ns) / beta
-    with np.errstate(over="ignore"):
-        denominators = nu**2 + np.float64(omega) ** 2
-    value = complex(np.sum(np.exp(1j * nu * (t - s)) / denominators) / beta)
-    return value, float(np.sum(1.0 / denominators) / beta)
+    / (nu_n^2 + omega^2), nu_n = (theta + 2 pi n)/beta, term by term in
+    numpy, and the sum of the moduli of its terms.  Each coefficient is
+    formed as beta/h/h with h = hypot(theta + 2 pi n, beta omega), so no
+    square leaves the float range at any beta or omega: a term is 0 only
+    where its own value is below the float range."""
+    k = theta + 2.0 * math.pi * np.arange(-n_cutoff, n_cutoff + 1)
+    h = np.hypot(k, beta * omega)
+    coefficients = beta / h / h
+    value = complex(np.sum(np.exp(1j * k * ((t - s) / beta)) * coefficients))
+    return value, float(np.sum(coefficients))
+
+
+def fourier_tail(beta, n_cutoff):
+    """A bound on the terms |n| > N that :func:`kernel_fourier` drops, for
+    N >= 2: each side's are below sum_{n >= N} beta/(2 pi n)^2."""
+    return beta / (2.0 * math.pi**2 * (n_cutoff - 1))
 
 
 def grid(sampled):

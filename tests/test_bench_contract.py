@@ -1,16 +1,17 @@
 """The call shapes the benchmark harness relies on.
 
 ``bench/checks.py`` calls the Fock-trace kernel oracle, the truncation tail
-bound through ``fock`` and the dense induced unitary of the doubled space;
-``bench/spans.py`` reads ``n_cutoff`` from each ``kernel_fourier`` call and
-``path`` from each ``export_kernel_csv`` call, which it wraps as module
-functions.  The harness runs only in benchmark runs, so a refactor that
-changes one of these shapes would show there first, as a failed run; these
-tests catch it here.
+bound through ``fock`` and the dense induced unitary of the doubled space,
+and parses the ``max three-way disagreement`` line of ``kernel --verify``;
+``bench/spans.py`` reads ``path`` from each ``export_kernel_csv`` call,
+which it wraps as a module function.  The harness runs only in benchmark
+runs, so a refactor that changes one of these shapes would show there
+first, as a failed run; these tests catch it here.
 """
 
 import cmath
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -42,9 +43,21 @@ def test_kernel_oracle_takes_single_sym_beta_t_s_cutoff():
     assert abs(oracle(*args) - closed) <= verify.truncation_tail_bound(SINGLE, 1.3, 800) + 1e-12
 
 
-def test_kernel_fourier_names_its_cutoff_n_cutoff():
-    fourier = _module_function(correlation, "kernel_fourier")
-    assert _bound(fourier, 0.7, 1.1, 1.3, 8, 4000)["n_cutoff"] == 4000
+def test_kernel_verify_prints_the_fock_trace_disagreement(tmp_path, monkeypatch, capsys):
+    # the line bench/checks.py parses, with the regex it parses it by
+    found, agreement = [], verify.kernel_agreement
+
+    def recording(sampled, rho):
+        worst, checks = agreement(sampled, rho)
+        found.extend(checks)
+        return worst, checks
+
+    monkeypatch.setattr(verify, "kernel_agreement", recording)
+    argv = ["kernel", "--beta", "1", "--grid", "8", "--verify", "--output", str(tmp_path / "k.csv")]
+    assert cli.main(argv) == 0
+    values = re.findall(r"max three-way disagreement: (\S+)", capsys.readouterr().out)
+    assert [check.name for check in found] == ["closed form vs Fock-trace oracle"]
+    assert [float(v) for v in values] == [found[0].deviation]
 
 
 def test_export_kernel_csv_names_its_first_parameter_path(tmp_path):

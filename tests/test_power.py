@@ -12,6 +12,7 @@ The rows reuse the golden configs; "{output}" in an argv stands for a CSV
 path and "{minus_one}" for a one-mode config at omega = ln 2, rho = -1.
 """
 
+import cmath
 import contextlib
 import io
 import json
@@ -73,16 +74,6 @@ def j_without_half_swap(monkeypatch):
 def flipped_twist_sign(monkeypatch):
     """The kernel twist angle of rho as +arg(rho) instead of -arg(rho)."""
     monkeypatch.setattr(correlation, "KERNEL_TWIST_SIGN", -correlation.KERNEL_TWIST_SIGN)
-
-
-def fourier_oracle_plus_1e_7(monkeypatch):
-    fourier = correlation.kernel_fourier
-
-    def shifted(*args):
-        values, tail = fourier(*args)
-        return [v + 1e-7 for v in values], tail
-
-    monkeypatch.setattr(correlation, "kernel_fourier", shifted)
 
 
 def z_scaled_by_5e_11(monkeypatch):
@@ -173,6 +164,28 @@ def flipped_creation_weight(monkeypatch):
     monkeypatch.setattr(fock, "field", flipped)
 
 
+def tc_without_conjugation(monkeypatch):
+    """``fock.apply_tc`` swaps the charge axes but does not conjugate: a
+    linear map, no longer antiunitary."""
+    monkeypatch.setattr(fock, "apply_tc", lambda space, state: np.transpose(
+        state, [s ^ 1 for s in range(space.n_slots)]))
+
+
+def minus_slot_energies_shifted(monkeypatch):
+    """``FockSpace.energies`` with every - slot at omega (1 + 1e-6): H no
+    longer commutes with a twist that moves + slots onto - slots."""
+
+    def shifted(space):
+        levels = np.arange(space.cutoff + 1)
+        out = np.zeros(space.shape)
+        for s in range(space.n_slots):
+            w = space.spectrum.omegas[s // 2] * (1.0 + 1e-6 if s % 2 else 1.0)
+            out = out + w * levels.reshape(fock._axis_shape(space.n_slots, s, space.cutoff + 1))
+        return out
+
+    monkeypatch.setattr(fock.FockSpace, "energies", shifted)
+
+
 def zero_fock_oracle(monkeypatch):
     monkeypatch.setattr(correlation, "kernel_oracle", lambda *args: 0j)
 
@@ -220,6 +233,29 @@ def negated_lambda_0(monkeypatch):
     monkeypatch.setattr(correlation, "grid_spectrum", negated)
 
 
+def odd_lag_defect_at(omega_0):
+    """The mutation that adds 0.3 sin(2 pi tau/beta) e^{i theta tau/beta} to
+    ``kernel_closed_form`` at tau = t - s > 0 where omega = omega_0: a
+    change to the lag values u_d = v_d e^{-i theta d/m} that is real and
+    odd in d, so the real part of their transform does not move, and the
+    grid of mode omega_0 turns indefinite."""
+
+    def mutate(monkeypatch):
+        closed = correlation.kernel_closed_form
+
+        def added(omega, theta, beta, t, s):
+            value = closed(omega, theta, beta, t, s)
+            if omega == omega_0 and t > s:
+                tau = t - s
+                value += 0.3 * math.sin(2.0 * math.pi * tau / beta) * cmath.exp(
+                    1j * theta * tau / beta)
+            return value
+
+        monkeypatch.setattr(correlation, "kernel_closed_form", added)
+
+    return mutate
+
+
 def kernel_scaled_at(omega_0):
     """The mutation that scales ``kernel_closed_form`` by 1.01 at
     omega = omega_0 and leaves every other frequency untouched."""
@@ -239,6 +275,8 @@ def kernel_scaled_at(omega_0):
 mode_b_kernel_scaled = kernel_scaled_at(1.5)
 #: Mode c of ``anti_pair_fixed.json``, the fixed mode of its pairing.
 mode_c_kernel_scaled = kernel_scaled_at(1.3)
+#: ROADMAP item 21's defect 1, at mode b of the bundled config.
+mode_b_odd_lag_defect = odd_lag_defect_at(1.5)
 
 
 #: The arguments of a scalar ``kernel --verify`` after its config.
@@ -343,8 +381,7 @@ MUST_FAIL = {
         ["kernel: sampled kernel Hermitian"]),
     "mode-b-kernel-scaled-kernel": (
         mode_b_kernel_scaled, ["kernel", "--mode", "b", *GRID_8_VERIFY],
-        ["kernel: closed form vs Fock-trace oracle", "kernel: closed form vs Fourier partial sum",
-         "kernel: sampled spectrum vs closed form"]),
+        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled spectrum vs closed form"]),
     "mode-b-kernel-scaled-all": (
         mode_b_kernel_scaled, ["verify", "--suite", "all"],
         ["kernel: sampled spectrum vs closed form"]),
@@ -373,6 +410,27 @@ MUST_FAIL = {
         negated_lambda_0, ["verify", "--suite", "kernel"],
         ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite",
          "kernel: resolvent residual on twisted eigenmode"]),
+    "mode-b-odd-lag-defect-kernel-suite": (
+        mode_b_odd_lag_defect, ["verify", "--suite", "kernel"],
+        ["kernel: sampled kernel twisted-circulant"]),
+    "mode-b-odd-lag-defect-extended-kernel": (
+        mode_b_odd_lag_defect,
+        ["kernel", "--extended", "--verify", "--beta", "1", "--grid", "16", "--output", "{output}"],
+        ["kernel: sampled kernel twisted-circulant"]),
+    "tc-without-conjugation": (
+        tc_without_conjugation, ["verify", "--suite", "tc"],
+        ["tc: TC is antiunitary on random vectors",
+         "tc: TC A+*(f-bar) TC = A-*(f) on sub-cutoff block",
+         "tc: TC phi(t, f-bar) TC = phibar(t, f) on sub-cutoff block",
+         "tc: [U_S, TC] = 0",
+         across("tc: TC is antiunitary on random vectors"),
+         across("tc: TC A+*(f-bar) TC = A-*(f) on sub-cutoff block"),
+         across("tc: TC phi(t, f-bar) TC = phibar(t, f) on sub-cutoff block"),
+         across("tc: [U_S, TC] = 0")]),
+    # the bundled config's unitary twist keeps every slot, so it passes
+    "minus-slot-energies-shifted-anti": (
+        minus_slot_energies_shifted, ["verify", "--config", ANTI, "--suite", "symmetry"],
+        ["symmetry: [U, H] = 0", across("symmetry: [U, H] = 0")]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
@@ -383,9 +441,6 @@ MUST_FAIL = {
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)
 UNDETECTED = {
-    "fourier-oracle-plus-1e-7": (
-        fourier_oracle_plus_1e_7, ["kernel", "--config", "{minus_one}", *GRID_8_VERIFY],
-        0, "item 3"),
     "z-scaled-partition": (
         z_scaled_by_5e_11, ["partition", "--beta", "0.5", "--beta", "1"], 0, "item 11"),
     "z-scaled-verify": (
