@@ -69,7 +69,7 @@ Basis = tuple[tuple[tuple[int, ...], tuple[tuple[complex, ...], ...]], ...]
 #: phase rho is K_theta with theta = (-arg rho) mod 2pi.  This is pinned by
 #: the Fock-trace oracle (the t >= s branch places the conjugate field
 #: first) and enforced by a dedicated test; flipping it breaks the
-#: three-way agreement for every nonreal rho.
+#: agreement with that oracle for every nonreal rho.
 KERNEL_TWIST_SIGN = -1
 
 

@@ -233,27 +233,22 @@ def negated_lambda_0(monkeypatch):
     monkeypatch.setattr(correlation, "grid_spectrum", negated)
 
 
-def odd_lag_defect_at(omega_0):
-    """The mutation that adds 0.3 sin(2 pi tau/beta) e^{i theta tau/beta} to
-    ``kernel_closed_form`` at tau = t - s > 0 where omega = omega_0: a
-    change to the lag values u_d = v_d e^{-i theta d/m} that is real and
-    odd in d, so the real part of their transform does not move, and the
-    grid of mode omega_0 turns indefinite."""
+def mode_b_odd_lag_defect(monkeypatch):
+    """ROADMAP item 21's defect 1: ``kernel_closed_form`` plus
+    0.3 sin(2 pi tau/beta) e^{i theta tau/beta} at tau = t - s > 0 where
+    omega = 1.5, mode b of the bundled config.  The lag values u_d =
+    v_d e^{-i theta d/m} move by a real sequence odd in d, so the real
+    part of their transform does not, and mode b's grid turns indefinite."""
+    closed = correlation.kernel_closed_form
 
-    def mutate(monkeypatch):
-        closed = correlation.kernel_closed_form
+    def added(omega, theta, beta, t, s):
+        value = closed(omega, theta, beta, t, s)
+        if omega == 1.5 and t > s:
+            tau = t - s
+            value += 0.3 * math.sin(2.0 * math.pi * tau / beta) * cmath.exp(1j * theta * tau / beta)
+        return value
 
-        def added(omega, theta, beta, t, s):
-            value = closed(omega, theta, beta, t, s)
-            if omega == omega_0 and t > s:
-                tau = t - s
-                value += 0.3 * math.sin(2.0 * math.pi * tau / beta) * cmath.exp(
-                    1j * theta * tau / beta)
-            return value
-
-        monkeypatch.setattr(correlation, "kernel_closed_form", added)
-
-    return mutate
+    monkeypatch.setattr(correlation, "kernel_closed_form", added)
 
 
 def kernel_scaled_at(omega_0):
@@ -275,8 +270,6 @@ def kernel_scaled_at(omega_0):
 mode_b_kernel_scaled = kernel_scaled_at(1.5)
 #: Mode c of ``anti_pair_fixed.json``, the fixed mode of its pairing.
 mode_c_kernel_scaled = kernel_scaled_at(1.3)
-#: ROADMAP item 21's defect 1, at mode b of the bundled config.
-mode_b_odd_lag_defect = odd_lag_defect_at(1.5)
 
 
 #: The arguments of a scalar ``kernel --verify`` after its config.
