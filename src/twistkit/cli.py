@@ -1,20 +1,22 @@
 """Batch command-line front door.
 
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
-twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`
-(``partition`` and ``kernel --verify`` run the suites' own checks); this
-module only renders them.  Both ``kernel`` routes sample their kernel
-from its (omega, theta) columns, :func:`twistkit.correlation.sample_kernels`
-(the extended one through :func:`twistkit.realfield.sample_extended_kernel`),
-and write it with the one exporter,
-:func:`twistkit.correlation.export_kernel_csv`; on either route ``kernel
---verify`` runs the ``kernel`` suite's named checks: it ties the exported
-lag values to the closed-form grid spectrum and checks their Hermitian
-and twisted-circulant symmetries and positivity (and the exported
-eigenbasis on the extended route, the Fock-trace oracle on the scalar
-one).  The scalar route prints ``max three-way disagreement: <value>``,
-the largest deviation from the Fock-trace oracle; the line once also took
-a Fourier partial sum, and keeps its text because the benchmark's checks
+twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`;
+this module only renders them.  ``partition`` runs the ``partition``
+suite's checks on each of its rows, all but the doubled-theory route.
+Both ``kernel`` routes sample their kernel once, from its (omega, theta)
+columns, :func:`twistkit.correlation.sample_kernels` (the extended one
+through :func:`twistkit.realfield.sample_extended_kernel`), and write that
+grid with the one exporter, :func:`twistkit.correlation.export_kernel_csv`;
+``kernel --verify`` checks that same grid with some of the ``kernel``
+suite's named checks.  On either route it ties the exported lag values to
+the closed-form grid spectrum and checks their Hermitian and
+twisted-circulant symmetries and positivity; the extended route adds the
+exported eigenbasis, the scalar one the Fock-trace oracle at every lag.
+Neither runs the suite's resolvent residual, and the extended route runs
+no oracle.  The scalar route prints ``max three-way disagreement:
+<value>``, the deviation of its oracle check; the line once also took a
+Fourier partial sum, and keeps its text because the benchmark's checks
 (``bench/checks.py``) parse it.  The scalar route needs a twist that
 keeps every slot (KindError otherwise).  ``verify`` checks the
 Fock-space identities once per factor of the symmetry
@@ -163,10 +165,9 @@ def _cmd_kernel(args) -> int:
         lines = [f"wrote {args.grid * args.grid} kernel samples to {args.output}"]
         if args.verify:
             # The closed form and the oracle depend on t - s only, so the
-            # 2m - 1 distinct lags of the m x m check grid cover all its cells.
-            probe = correlation.sample_kernels(beta, [omega], [theta], min(args.grid, 8))
-            worst, checks = verify.kernel_agreement(probe, rho)
-            lines.append(f"max three-way disagreement: {fmt(worst)}")
+            # 2m - 1 distinct lags of the exported grid cover all its cells.
+            checks = [verify.kernel_agreement(sampled, 0, rho)]
+            lines.append(f"max three-way disagreement: {fmt(checks[0].deviation)}")
     if args.verify:
         checks += verify.sampled_kernel_checks(sampled)
     # every check first, so a refused one leaves no file behind

@@ -10,23 +10,24 @@ suite runs on every action.
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code; ``partition`` and ``kernel
 --verify`` render :func:`partition_row`, :func:`kernel_agreement`,
-:func:`eigenbasis_checks` and :func:`sampled_kernel_checks`, the checks
-the ``partition`` and ``kernel`` suites run.  The ``kernel`` suite is the
-one suite that checks a sampled kernel.  It samples the layout that
-``kernel --extended`` exports, one column per doubled eigenmode, for every
-action (the identity included), and checks it through the closed-form
-spectra of its twisted-circulant eigenmode grids, never a dense grid:
-positivity reads the closed form, a pure-Python transform of the exported
-lag values ties them to it, every column's lag-0 value must be real, which
-makes the whole grid Hermitian, every column's lags must be
+:func:`eigenbasis_checks` and :func:`sampled_kernel_checks`, some of the
+checks the ``partition`` and ``kernel`` suites run.  The ``kernel`` suite
+is the one suite that checks a sampled kernel.  It samples one layout, the
+one that ``kernel --extended`` exports, on a 32-point grid with one column
+per doubled eigenmode, for every action (the identity included), and every
+one of its checks reads that layout.  It checks it through the
+closed-form spectra of its twisted-circulant eigenmode grids, never a
+dense grid: positivity reads the closed form, a pure-Python transform of
+the exported lag values ties them to it, every column's lag-0 value must
+be real, which makes the whole grid Hermitian, every column's lags must be
 twisted-circulant, so that the closed form is the grid's spectrum, and the
 exported eigenbasis must diagonalize the induced unitary.  Its oracle and
 resolvent checks read column M, mode 0's + slot, whose phase is rho_0 for
-a diagonal action, sampled once more on a 128-point grid; the resolvent
-check reads the eigenmode residual of that grid from one sum of its lag
-values, and it is two-sided: the residual must match its closed form, not
-merely stay below it.  The ``realfield`` suite checks the doubled theory
-only: its eigenphases and the doubled-field oracle.
+a diagonal action; the resolvent check reads the eigenmode residual of
+that column from one sum of its lag values, and it is two-sided: the
+residual must match its closed form, not merely stay below it.  The
+``realfield`` suite checks the doubled theory only: its eigenphases and
+the doubled-field oracle.
 
 The oracles of the partition function live here, beside their one caller,
 so no closed-form module reaches them: the truncated trace
@@ -55,11 +56,11 @@ Routes and checks choose their path from the symmetry's
 ``symmetry`` suite: its rules, read from the raw phases and pairing, are
 what the normal form is checked against.
 
-The oracle check, :func:`kernel_agreement`, reads a sampled kernel of
-one column, like the other kernel checks, and compares its lag values with
-the Fock-trace oracle at every one of its 2m - 1 lags: ``kernel --verify``
-on an m = min(grid, 8) grid of its kernel, and the ``kernel`` suite on the
-128-point grid of column M.  No Fourier partial sum is needed beside it:
+The oracle check, :func:`kernel_agreement`, reads one column of a sampled
+kernel of any layout and compares its lag values with the Fock-trace
+oracle at every one of its 2m - 1 lags: scalar ``kernel --verify`` on the
+grid it exports, and the ``kernel`` suite on column M of its layout.  No
+Fourier partial sum is needed beside it:
 the Hermitian, twisted-circulant and transform checks already tie every
 lag value to the inverse transform of the full aliasing sums, the
 closed-form grid spectrum, at rounding level.  This module evaluates no
@@ -279,37 +280,31 @@ def _partition(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -
     return results
 
 
-def kernel_agreement(
-    sampled: correlation.SampledKernel, rho: complex
-) -> tuple[float, list[CheckResult]]:
-    """The lag values of a one-column sampled kernel (ConfigError
-    otherwise) against the Fock-trace oracle, at every lag d in (-m, m) of
-    its m-point grid: lags[d] at the point (d*(beta/m), 0) for d >= 0, and
-    its conjugate, the adjoint the export writes, at (0, -d*(beta/m)) for
-    d < 0.  Frequency, twist angle, beta and m are the layout's; ``rho`` is
-    the phase the Fock trace is taken with, so a twist angle that does not
-    belong to it fails the check.
+def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -> CheckResult:
+    """Column ``k`` of a sampled kernel of any layout against the Fock-trace
+    oracle, at every lag d in (-m, m) of its m-point grid: lags[d][k] at the
+    point (d*(beta/m), 0) for d >= 0, and its conjugate, the adjoint the
+    export writes, at (0, -d*(beta/m)) for d < 0.  Frequency, twist angle,
+    beta and m are the layout's; ``rho`` is the phase the Fock trace is
+    taken with, so a twist angle that does not belong to it fails the check.
 
     At each point the Fock trace at cutoff 800 must lie within its tail
-    bound + 1e-8.  Also returns the worst disagreement, the largest
-    deviation.
+    bound + 1e-8; the deviation is the worst disagreement.
     """
     from . import correlation
 
-    if len(sampled.thetas) != 1:
-        raise ConfigError("kernel_agreement reads a sampled kernel of one column")
-    (omega,), beta, m = sampled.omegas, sampled.beta, len(sampled.lags)
+    omega, beta, m = sampled.omegas[k], sampled.beta, len(sampled.lags)
     single = validate_spectrum([("k", omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
     worst = 0.0
     for d in range(1 - m, m):
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
-        value = sampled.lags[d][0] if d >= 0 else sampled.lags[-d][0].conjugate()
+        value = sampled.lags[d][k] if d >= 0 else sampled.lags[-d][k].conjugate()
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
         worst = max(worst, abs(value - oracle))
     tail = truncation_tail_bound(single, beta, cutoff)
-    return worst, [CheckResult("kernel", "closed form vs Fock-trace oracle", worst, tail + 1e-8)]
+    return CheckResult("kernel", "closed form vs Fock-trace oracle", worst, tail + 1e-8)
 
 
 def _lag_transform(lags: list[complex], theta: float) -> list[float]:
@@ -403,17 +398,16 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
 
 
 def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
-    from . import correlation, realfield
+    from . import realfield
 
-    beta = 1.0
+    beta, m = 1.0, 32
     ext = realfield.extend(spectrum, sym)
-    sampled = realfield.sample_extended_kernel(ext, beta, 32)
+    sampled = realfield.sample_extended_kernel(ext, beta, m)
     # column M is mode 0's + slot, with the phase rho_0 of a diagonal action;
-    # the oracles and the resolvent read it once more, sampled at m = 128
-    k, m = len(spectrum), 128
+    # the oracle and the resolvent read it
+    k = len(spectrum)
     omega, theta = sampled.omegas[k], sampled.thetas[k]
-    probe = correlation.sample_kernels(beta, [omega], [theta], m)
-    _, results = kernel_agreement(probe, ext.phases[k])
+    results = [kernel_agreement(sampled, k, ext.phases[k])]
     results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
     # On the eigenmode e^{i nu t}, nu = theta/beta, the quadrature residual of
     # the resolvent is exactly |h lambda_hat_0 (nu^2 + omega^2) - 1|, with
@@ -424,16 +418,16 @@ def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> l
     # distance also fails the mirror scale, whose residual flips sign.  16 eps R,
     # R = h max lambda (nu^2 + omega^2), covers the rounding of the lag values
     # (chiefly their sampled times), the sum and the closed form: over 15000
-    # correct kernels at this (m, beta), omega in [1e-3, 1e3], it stayed within
-    # 3.9 eps sum_j |v_j|, and sum_j |v_j| within 1.24 max lambda.
+    # correct kernels at this (m, beta), omega in [1e-3, 1e3] and theta uniform,
+    # the deviation stayed below 0.26 of it.
     nu = theta / beta
     h, w2 = beta / m, nu * nu + omega * omega
     if not math.isfinite(w2):
         raise RangeError(f"resolvent residual at omega={omega} is outside the float range")
     lam_hat = math.fsum(
-        (row[0] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(probe.lags)
+        (row[k] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(sampled.lags)
     )
-    lam = [row[0] for row in probe.spectrum()]
+    lam = [row[k] for row in sampled.spectrum()]
     results.append(
         CheckResult(
             "kernel",

@@ -47,10 +47,10 @@ def test_kernel_verify_prints_the_fock_trace_disagreement(tmp_path, monkeypatch,
     # the line bench/checks.py parses, with the regex it parses it by
     found, agreement = [], verify.kernel_agreement
 
-    def recording(sampled, rho):
-        worst, checks = agreement(sampled, rho)
-        found.extend(checks)
-        return worst, checks
+    def recording(sampled, k, rho):
+        check = agreement(sampled, k, rho)
+        found.append(check)
+        return check
 
     monkeypatch.setattr(verify, "kernel_agreement", recording)
     argv = ["kernel", "--beta", "1", "--grid", "8", "--verify", "--output", str(tmp_path / "k.csv")]

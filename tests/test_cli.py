@@ -487,6 +487,30 @@ class TestSharedChecksBite:
         assert not all(r.passed for r in verify.run_suite("kernel", spec, sym))
 
 
+@pytest.mark.parametrize(
+    "argv, m",
+    [(["kernel", "--beta", "1", "--grid", "64", "--verify", "--output", "{output}"], 64),
+     (["verify", "--suite", "kernel"], 32),
+     (["verify", "--config", str(GOLDEN / "anti_pair_fixed.json"), "--suite", "kernel"], 32),
+     (["kernel", "--config", str(GOLDEN / "anti_pair_fixed.json"), "--extended", "--beta", "1",
+       "--grid", "64", "--verify", "--output", "{output}"], 64)],
+    ids=["kernel-verify", "kernel-suite", "kernel-suite-anti", "extended-kernel-verify-anti"],
+)
+def test_each_kernel_run_samples_one_grid(argv, m, tmp_path, monkeypatch, capsys):
+    # every kernel check reads the one layout the run samples: the grid that
+    # kernel --verify exports, or the kernel suite's 32-point layout
+    grids, init = [], correlation.SampledKernel.__init__
+
+    def counting(self, beta, omegas, thetas, lags, basis=None):
+        grids.append(len(lags))
+        init(self, beta, omegas, thetas, lags, basis)
+
+    monkeypatch.setattr(correlation.SampledKernel, "__init__", counting)
+    output = str(tmp_path / "k.csv")
+    assert main([output if a == "{output}" else a for a in argv]) == 0
+    assert grids == [m]
+
+
 def test_sampled_kernel_checks_read_the_fft_spectrum():
     # positivity reads the closed-form grid spectrum, which the spectrum check
     # ties to the exported lag values; the dense grids are test references only
@@ -707,8 +731,8 @@ class TestSampledKernelChecksBite:
             # the scale s with s R - 1 = -(R - 1), R = h lambda_0 (nu^2 + omega^2):
             # its residual |s R - 1| equals the correct one, so a check that
             # compares residuals passes it (about 0.99989 here)
-            h, w2 = 1.0 / 128, math.pi**2 + LN2**2
-            r = h * correlation.grid_spectrum(LN2, math.pi, 1.0, 128)[0] * w2
+            h, w2 = 1.0 / 32, math.pi**2 + LN2**2
+            r = h * correlation.grid_spectrum(LN2, math.pi, 1.0, 32)[0] * w2
             scale = (2.0 - r) / r
         monkeypatch.setattr(
             correlation, "kernel_closed_form", lambda *args: scale * closed(*args)
@@ -950,10 +974,6 @@ REFUSALS = {
         lambda: correlation.grid_spectrum(1.0, 0.3, 1.0, 0), errors.DomainError),
     "sample_kernels-one-theta-per-omega": (
         lambda: correlation.sample_kernels(1.0, [1.0, 2.0], [0.3], 4), errors.ConfigError),
-    "kernel_agreement-two-columns": (
-        lambda: verify.kernel_agreement(
-            correlation.sample_kernels(1.0, [0.7, 1.3], [0.3, 0.3], 4), 1 + 0j),
-        errors.ConfigError),
     "kernel_closed_form-negative-omega": (
         lambda: correlation.kernel_closed_form(-1.0, 0.3, 1.0, 0.5, 0.0), errors.DomainError),
     "kernel_closed_form-theta-7": (
@@ -1086,9 +1106,8 @@ def test_integer_cutoffs_are_accepted():
                                              pairing=(1, 0)).action.source
 
     def agreement(m):
-        worst, checks = verify.kernel_agreement(
-            correlation.sample_kernels(1.0, [0.7], [0.0], m), 1 + 0j)
-        return worst, [c.deviation for c in checks]
+        return verify.kernel_agreement(
+            correlation.sample_kernels(1.0, [0.7], [0.0], m), 0, 1 + 0j).deviation
 
     assert agreement(np.int64(4)) == agreement(4)
 

@@ -87,14 +87,14 @@ def fock_oracle_plus_1e_7(monkeypatch):
 
 
 def fock_oracle_plus_1e_7_at_lag_1(monkeypatch):
-    """``kernel_oracle`` plus 1e-7 only where |t - s| = beta/128: lags +-1
-    of the ``kernel`` suite's 128-point grid, which a sample of its lags
+    """``kernel_oracle`` plus 1e-7 only where |t - s| = beta/32: lags +-1
+    of the ``kernel`` suite's 32-point grid, which a sample of its lags
     may miss."""
     oracle = correlation.kernel_oracle
 
     def shifted(spectrum, sym, beta, t, s, cutoff):
         value = oracle(spectrum, sym, beta, t, s, cutoff)
-        return value + (1e-7 if abs(t - s) == beta / 128 else 0.0)
+        return value + (1e-7 if abs(t - s) == beta / 32 else 0.0)
 
     monkeypatch.setattr(correlation, "kernel_oracle", shifted)
 
@@ -184,6 +184,55 @@ def minus_slot_energies_shifted(monkeypatch):
         return out
 
     monkeypatch.setattr(fock.FockSpace, "energies", shifted)
+
+
+def symmetry_times(factor):
+    """The mutation that multiplies ``fock.apply_symmetry``'s image by ``factor``."""
+
+    def mutate(monkeypatch):
+        apply_symmetry = fock.apply_symmetry
+        monkeypatch.setattr(fock, "apply_symmetry",
+                            lambda space, sym, state: apply_symmetry(space, sym, state) * factor)
+
+    return mutate
+
+
+#: U times a global phase: unitary still, and it still commutes with every field.
+symmetry_phase_0_1 = symmetry_times(cmath.exp(0.1j))
+#: U times 1 + 1e-9: no longer unitary.
+symmetry_scaled_by_1e_9 = symmetry_times(1.0 + 1e-9)
+
+
+def tc_scaled_by_1e_9(monkeypatch):
+    """``fock.apply_tc`` times 1 + 1e-9: no longer an involution or an isometry."""
+    apply_tc = fock.apply_tc
+    monkeypatch.setattr(fock, "apply_tc", lambda space, state: apply_tc(space, state) * (1.0 + 1e-9))
+
+
+def energies_scaled_by_1e_6(monkeypatch):
+    """``FockSpace.energies`` times 1 + 1e-6: H no longer generates the
+    dynamics at the mode frequencies."""
+    energies = fock.FockSpace.energies
+    monkeypatch.setattr(fock.FockSpace, "energies", lambda space: energies(space) * (1.0 + 1e-6))
+
+
+def turned_eigenphases(monkeypatch):
+    """``realfield._turn`` times e^{1e-6 i}: every induced eigenphase turns
+    the same way, so the set is no longer closed under conjugation."""
+    turn = realfield._turn
+    monkeypatch.setattr(realfield, "_turn",
+                        lambda root, q, length: turn(root, q, length) * cmath.exp(1e-6j))
+
+
+def kernel_and_spectrum_scaled_by_1e_6(monkeypatch):
+    """``kernel_closed_form`` and ``grid_spectrum`` both times 1 + 1e-6: the
+    lag values still match the closed-form spectrum, and only an oracle
+    sees the common scale."""
+    closed, spectrum = correlation.kernel_closed_form, correlation.grid_spectrum
+    monkeypatch.setattr(correlation, "kernel_closed_form",
+                        lambda *args: closed(*args) * (1.0 + 1e-6))
+    monkeypatch.setattr(correlation, "grid_spectrum",
+                        lambda *args: [v * (1.0 + 1e-6) for v in spectrum(*args)])
 
 
 def zero_fock_oracle(monkeypatch):
@@ -323,6 +372,11 @@ MUST_FAIL = {
     "fock-oracle-plus-1e-7-at-lag-1-verify": (
         fock_oracle_plus_1e_7_at_lag_1, ["verify", "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle"]),
+    # the exported grid: at the parent, the oracle read an 8-point probe grid
+    "fock-oracle-plus-1e-7-at-lag-1-kernel": (
+        fock_oracle_plus_1e_7_at_lag_1,
+        ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
+        ["kernel: closed form vs Fock-trace oracle"]),
     "fock-oracle-plus-1e-7-at-lag-1-verify-anti": (
         fock_oracle_plus_1e_7_at_lag_1, ["verify", "--config", ANTI, "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle"]),
@@ -424,6 +478,25 @@ MUST_FAIL = {
     "minus-slot-energies-shifted-anti": (
         minus_slot_energies_shifted, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: [U, H] = 0", across("symmetry: [U, H] = 0")]),
+    "symmetry-phase-0.1": (
+        symmetry_phase_0_1, ["verify", "--suite", "symmetry"],
+        ["symmetry: U fixes the vacuum", across("symmetry: U fixes the vacuum")]),
+    "symmetry-scaled-by-1e-9": (
+        symmetry_scaled_by_1e_9, ["verify", "--suite", "symmetry"],
+        ["symmetry: U is unitary", "symmetry: U fixes the vacuum",
+         across("symmetry: U is unitary"), across("symmetry: U fixes the vacuum")]),
+    "tc-scaled-by-1e-9": (
+        tc_scaled_by_1e_9, ["verify", "--suite", "tc"],
+        ["tc: TC squares to the identity", "tc: TC is antiunitary on random vectors",
+         across("tc: TC squares to the identity"),
+         across("tc: TC is antiunitary on random vectors")]),
+    "energies-scaled-by-1e-6": (
+        energies_scaled_by_1e_6, ["verify", "--suite", "ccr"],
+        ["ccr: Heisenberg dynamics of A+* on sub-cutoff block",
+         across("ccr: Heisenberg dynamics of A+* on sub-cutoff block")]),
+    "turned-eigenphases": (
+        turned_eigenphases, ["verify", "--config", ANTI, "--suite", "realfield"],
+        ["realfield: induced eigenphases closed under conjugation"]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
@@ -447,6 +520,12 @@ UNDETECTED = {
         conjugated_imaginary_time, ["verify", "--suite", "all"], 0, "item 14"),
     "imaginary-time-sign-of-field-anti": (
         conjugated_imaginary_time, ["verify", "--config", ANTI2, "--suite", "all"], 0, "item 14"),
+    # only the Fock-trace oracle sees a common scale, and the extended route runs none
+    "kernel-and-spectrum-scaled-extended": (
+        kernel_and_spectrum_scaled_by_1e_6,
+        ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "16",
+         "--output", "{output}"],
+        0, "items 1 and 13"),
     "creation-weight-sign-of-field": (
         flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
 }
