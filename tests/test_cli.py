@@ -730,7 +730,7 @@ class TestSampledKernelChecksBite:
         if scale == "mirror":
             # the scale s with s R - 1 = -(R - 1), R = h lambda_0 (nu^2 + omega^2):
             # its residual |s R - 1| equals the correct one, so a check that
-            # compares residuals passes it (about 0.99989 here)
+            # compares residuals passes it (about 0.99832 here)
             h, w2 = 1.0 / 32, math.pi**2 + LN2**2
             r = h * correlation.grid_spectrum(LN2, math.pi, 1.0, 32)[0] * w2
             scale = (2.0 - r) / r

@@ -88,7 +88,8 @@ def fock_oracle_plus_1e_7(monkeypatch):
 
 def fock_oracle_plus_1e_7_at_lag_1(monkeypatch):
     """``kernel_oracle`` plus 1e-7 only where |t - s| = beta/32: lags +-1
-    of the ``kernel`` suite's 32-point grid, which a sample of its lags
+    of a 32-point grid, the ``kernel`` suite's or one that ``kernel --grid
+    32`` exports, which a sample of its lags, or a grid of another size,
     may miss."""
     oracle = correlation.kernel_oracle
 
@@ -372,7 +373,6 @@ MUST_FAIL = {
     "fock-oracle-plus-1e-7-at-lag-1-verify": (
         fock_oracle_plus_1e_7_at_lag_1, ["verify", "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle"]),
-    # the exported grid: at the parent, the oracle read an 8-point probe grid
     "fock-oracle-plus-1e-7-at-lag-1-kernel": (
         fock_oracle_plus_1e_7_at_lag_1,
         ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
