@@ -27,9 +27,10 @@ JSON number or is not finite), 3 capacity exceeded (a Fock factor of six
 or more modes, a kernel grid above :data:`twistkit.correlation.MAX_GRID`
 points, or a ``partition --cutoff`` whose truncated trace would take more
 than :data:`twistkit.verify.MAX_TRACE_STEPS` steps), 4 a result outside the
-float range (RangeError), 5 an internal consistency check failed.  All numeric
-output uses fixed 17-significant-digit lowercase scientific formatting so
-identical inputs produce byte-identical output.
+float range (RangeError), 5 the CSV exporter's refusal of a non-finite
+sampled value (InternalConsistencyError, raised nowhere else).  All
+numeric output uses fixed 17-significant-digit lowercase scientific
+formatting so identical inputs produce byte-identical output.
 
 ``partition``, ``spectrum gen`` and ``kernel`` (with or without
 ``--extended``, with or without ``--verify``) import no numpy: neither
@@ -40,8 +41,9 @@ identical inputs produce byte-identical output.
 too.  Every refusal is a TwistkitError or OSError raised where the input
 is checked; :func:`main` alone prints it and picks its exit code, and
 ``partition`` computes every row before it prints one, so a refused run
-prints no partial table, and ``kernel --verify`` runs every check before
-it writes its CSV, so a refused check writes no file.
+prints no partial table, and ``kernel --verify`` runs every check and
+prints its failures before it writes its CSV, so an export that the
+exporter refuses writes no file but still reports the failed checks.
 """
 
 from __future__ import annotations
@@ -170,10 +172,12 @@ def _cmd_kernel(args) -> int:
             lines.append(f"max three-way disagreement: {fmt(checks[0].deviation)}")
     if args.verify:
         checks += verify.sampled_kernel_checks(sampled)
-    # every check first, so a refused one leaves no file behind
+    # every check first, and its failures reported, so a refused export
+    # leaves no file behind and still shows what failed
+    code = _report_failures(checks)
     correlation.export_kernel_csv(args.output, sampled)
     print("\n".join(lines))
-    return _report_failures(checks)
+    return code
 
 
 def _cmd_verify(args) -> int:

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistkit import cli, correlation, fock, partition, realfield
-from twistkit.spectrum import SymmetrySpec
+from twistkit import cli, correlation, fock, partition, realfield, verify
+from twistkit.spectrum import SlotAction, SymmetrySpec
 
 GOLDEN = Path(__file__).parent / "golden"
 ANTI = str(GOLDEN / "anti_pair_fixed.json")
@@ -223,6 +223,40 @@ def turned_eigenphases(monkeypatch):
     turn = realfield._turn
     monkeypatch.setattr(realfield, "_turn",
                         lambda root, q, length: turn(root, q, length) * cmath.exp(1e-6j))
+
+
+def conjugated_slot_0(monkeypatch):
+    """``SymmetrySpec.action`` with the phase of slot 0 conjugated: the
+    closed forms and the traces read it, the raw-phase references do not."""
+    build = SymmetrySpec.action.func
+
+    def conjugated(sym):
+        action = build(sym)
+        phases = list(action.phases)
+        phases[0] = phases[0].conjugate()
+        return SlotAction(action.source, tuple(phases))
+
+    monkeypatch.setattr(SymmetrySpec, "action", property(conjugated))
+
+
+def trace_without_conjugate_phase(monkeypatch):
+    """``verify.partition_trace`` as S_N(rho x)^2 per mode, where the trace
+    has S_N(rho x) S_N(conj(rho) x)."""
+
+    def broken(spectrum, sym, beta, cutoff):
+        total = 1.0 + 0.0j
+        for w, rho in zip(spectrum.omegas, sym.phases if sym else [1.0] * len(spectrum)):
+            total *= verify._truncated_geometric(rho * math.exp(-beta * w), cutoff) ** 2
+        return total
+
+    monkeypatch.setattr(verify, "partition_trace", broken)
+
+
+def z_below_positivity_bound(monkeypatch):
+    """``partition.z_twisted`` as its positivity lower bound times 1 - 1e-6,
+    for every twist and for none."""
+    monkeypatch.setattr(partition, "z_twisted", lambda spectrum, sym, beta: (
+        partition.positivity_lower_bound(spectrum, beta) * (1.0 - 1e-6)))
 
 
 def kernel_and_spectrum_scaled_by_1e_6(monkeypatch):
@@ -497,6 +531,34 @@ MUST_FAIL = {
     "turned-eigenphases": (
         turned_eigenphases, ["verify", "--config", ANTI, "--suite", "realfield"],
         ["realfield: induced eigenphases closed under conjugation"]),
+    # the doubled route's complex Z fails its check; the realfield suite's
+    # closure check fails it too (row "turned-eigenphases")
+    "turned-eigenphases-partition": (
+        turned_eigenphases, ["verify", "--config", ANTI, "--suite", "partition"],
+        ["partition: square-root route vs doubled-theory route"]),
+    "conjugated-slot-0-partition-anti": (
+        conjugated_slot_0, ["partition", "--config", ANTI, "--beta", "1"],
+        ["partition: antiunitary square-root identity vs truncated trace"]),
+    "conjugated-slot-0-partition": (
+        conjugated_slot_0, ["partition", "--beta", "1"],
+        ["partition: unitary product formula vs truncated trace"]),
+    "trace-without-conjugate-phase-partition": (
+        trace_without_conjugate_phase, ["partition", "--beta", "1"],
+        ["partition: unitary product formula vs truncated trace"]),
+    "trace-without-conjugate-phase-verify": (
+        trace_without_conjugate_phase, ["verify", "--suite", "partition"],
+        ["partition: unitary product formula vs truncated trace"]),
+    "z-below-positivity-bound-partition-anti": (
+        z_below_positivity_bound, ["partition", "--config", ANTI, "--beta", "1"],
+        ["partition: untwisted product formula vs truncated trace",
+         "partition: antiunitary square-root identity vs truncated trace",
+         "partition: twist positivity lower bound"]),
+    "z-below-positivity-bound-verify-anti": (
+        z_below_positivity_bound, ["verify", "--config", ANTI, "--suite", "partition"],
+        ["partition: untwisted product formula vs truncated trace",
+         "partition: antiunitary square-root identity vs truncated trace",
+         "partition: twist positivity lower bound",
+         "partition: square-root route vs doubled-theory route"]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
