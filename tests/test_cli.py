@@ -458,6 +458,22 @@ def test_kernel_suite_reads_no_seed(capsys):
     assert outputs[0] == outputs[1]
 
 
+class TestSharedChecksBite:
+    """A broken oracle input fails the CLI command and its verify suite alike."""
+
+    def test_kernel_oracle_off_by_1e_7(self, minus_one_config, tmp_path, monkeypatch, capsys):
+        oracle = correlation.kernel_oracle
+        monkeypatch.setattr(
+            correlation, "kernel_oracle", lambda *args: oracle(*args) + 1e-7
+        )
+        args = ["kernel", "--config", minus_one_config, "--beta", "1", "--grid", "8",
+                "--output", str(tmp_path / "k.csv"), "--verify"]
+        assert main(args) == 1
+        assert "[FAIL] kernel: closed form vs Fock-trace oracle" in capsys.readouterr().err
+        spec, sym = load_config(minus_one_config)
+        assert not all(r.passed for r in verify.run_suite("kernel", spec, sym))
+
+
 @pytest.mark.parametrize(
     "argv, m",
     [(["kernel", "--beta", "1", "--grid", "64", "--verify", "--output", "{output}"], 64),
