@@ -25,8 +25,10 @@ codes: 0 success, 1 assertion failure, 2 parse, usage or out-of-domain
 input (a config that is not UTF-8 JSON, or a config value that is not a
 JSON number or is not finite), 3 capacity exceeded (a Fock factor of six
 or more modes, a kernel grid above :data:`twistkit.correlation.MAX_GRID`
-points, or a ``partition --cutoff`` whose truncated trace would take more
-than :data:`twistkit.verify.MAX_TRACE_STEPS` steps), 4 a result outside the
+points, a ``kernel --extended`` CSV of more than MAX_GRID**2 rows, m^2 n^2
+for n doubled columns, refused before any sampling, or a ``partition
+--cutoff`` whose truncated trace would take more than
+:data:`twistkit.verify.MAX_TRACE_STEPS` steps), 4 a result outside the
 float range (RangeError), 5 the CSV exporter's refusal of a non-finite
 sampled value (InternalConsistencyError, raised nowhere else).  All
 numeric output uses fixed 17-significant-digit lowercase scientific
@@ -150,6 +152,7 @@ def _cmd_kernel(args) -> int:
         from . import realfield
 
         ext = realfield.extend(spectrum, sym)
+        correlation.require_csv_rows(beta, args.grid, len(ext.phases))
         sampled = realfield.sample_extended_kernel(ext, beta, args.grid)
         lines = [f"wrote extended kernel grid to {args.output}"]
         if args.verify:

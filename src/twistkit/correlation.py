@@ -79,7 +79,8 @@ def kernel_twist_angle(rho: complex) -> float:
 
 
 #: The largest grid size m: the scalar CSV of an m-point grid has m^2 rows,
-#: 16.8M rows and about 1.2 GB at m = 4096.
+#: 16.8M rows and about 1.9 GB at m = 4096.  MAX_GRID**2 also caps the
+#: m^2 n^2 rows of a layout of n columns.
 MAX_GRID = 4096
 
 
@@ -95,6 +96,19 @@ def _require_kernel(beta: float, m: int = 1, omega: float = 1.0, theta: float = 
     _require_count(m, 1, "grid size")
     if m > MAX_GRID:
         raise CapacityError(f"grid size {m} exceeds the cap of {MAX_GRID}")
+
+
+def require_csv_rows(beta: float, m: int, n: int) -> None:
+    """The grid guard of :func:`sample_kernels`, then CapacityError where
+    the CSV of an m-point grid of n columns, m^2 n^2 rows, would have more
+    than MAX_GRID**2, the rows of the largest scalar grid.  ``kernel
+    --extended`` calls it before any sampling; the ``kernel`` suite, which
+    writes no CSV, does not, so ``verify`` still runs at any mode count."""
+    _require_kernel(beta, m)
+    rows = (m * n) ** 2
+    if rows > MAX_GRID**2:
+        raise CapacityError(
+            f"a {m}-point grid of {n} columns has {rows} CSV rows, above the cap of {MAX_GRID**2}")
 
 
 def kernel_closed_form(omega: float, theta: float, beta: float, t: float, s: float) -> complex:

@@ -416,7 +416,7 @@ def _ccr_checks(
         lhs -= apply_field(space, a_minus_star, apply_field(space, plus, e))
         return _max_abs(lhs)
 
-    cross = max(cross_commutator(g.real), cross_commutator(g.imag))
+    cross = _worst(map(cross_commutator, (g.real, g.imag)))
     results.append(CheckResult("ccr", "[A+*(g-bar), A-*(f)] = 0 on full space", cross, 0.0))
     # dynamics: e^{itH} A+*(f-bar) e^{-itH} = A+*((e^{-it omega} f)-bar)
     t = 0.83

@@ -52,6 +52,12 @@ non-diagonal action included) and the checks of any sampled kernel
 (``kernel --verify`` on either route) run on ``math`` alone, and a job
 that runs none of the dense suites never compiles their source.
 
+Every deviation, and every threshold read from the data, is the
+NaN-aware maximum :func:`_worst` of its defects, never a bare ``max`` or
+``min``, which may drop a NaN: a non-finite value fails its check and
+aborts nothing.  RangeError is kept for an input or a closed form's own
+value beyond the float range.
+
 Routes and checks choose their path from the symmetry's
 :class:`~twistkit.spectrum.SlotAction`, not its kind, except the
 ``symmetry`` suite: its rules, read from the raw phases and pairing, are
@@ -93,6 +99,12 @@ if TYPE_CHECKING:
 
 #: Machine epsilon, 2^-52.
 _EPS = sys.float_info.epsilon
+
+
+def _worst(defects: Iterable[float]) -> float:
+    """The largest defect, or NaN if any is NaN (``max`` alone may drop it)."""
+    return max(defects, key=lambda d: (d != d, d), default=0.0)
+
 
 class CheckResult:
     """One check: its suite, its name, the deviation found and the threshold
@@ -233,7 +245,7 @@ def partition_row(
     ]
     rel = checks[-1].deviation
     if sym is not None:
-        positivity = max(0.0, bound - z)
+        positivity = _worst((0.0, bound - z))
         checks.append(CheckResult("partition", "twist positivity lower bound", positivity, 1e-14 * z))
     return (beta, z_plain, z, bound, trace.real, rel, tail), checks
 
@@ -295,14 +307,14 @@ def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -
     single = validate_spectrum([("k", omega)])
     single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
-    worst = 0.0
+    defects = []
     for d in range(1 - m, m):
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         value = sampled.lags[d][k] if d >= 0 else sampled.lags[-d][k].conjugate()
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
-        worst = max(worst, abs(value - oracle))
+        defects.append(abs(value - oracle))
     tail = truncation_tail_bound(single, beta, cutoff)
-    return CheckResult("kernel", "closed form vs Fock-trace oracle", worst, tail + 1e-8)
+    return CheckResult("kernel", "closed form vs Fock-trace oracle", _worst(defects), tail + 1e-8)
 
 
 def _lag_transform(lags: list[complex], theta: float) -> list[float]:
@@ -368,29 +380,29 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
 
     Positive definiteness is max(0, -min lambda) over the same closed-form
     spectra, to which the sampled kernel is unitarily similar.
+
+    Every deviation is the NaN-aware maximum :func:`_worst` of its defects,
+    so a NaN or infinite lag value or eigenvalue gives a NaN or infinite
+    deviation and fails its check; it aborts nothing.
     """
     m = len(sampled.lags)
     spectrum = sampled.spectrum()
-    worst = circulant = 0.0
+    transform, circulant = [], []
     for k, (omega, theta) in enumerate(zip(sampled.omegas, sampled.thetas)):
         lags = [row[k] for row in sampled.lags]
-        total = math.fsum(abs(v) for v in lags)
-        if not math.isfinite(total):
-            raise RangeError("sampled kernel lag values sum beyond the float range")
-        for n, value in enumerate(_lag_transform(lags, theta)):
-            err = abs(value - spectrum[n][k])
-            worst = max(worst, err / total if total else err)
+        total = math.fsum(abs(v) for v in lags) or 1.0
+        transform += [abs(value - spectrum[n][k]) / total
+                      for n, value in enumerate(_lag_transform(lags, theta))]
         carrier = cmath.rect(1.0, -theta)
-        scale = max(map(abs, lags)) * (1.0 + omega * sampled.beta)
-        for d in range(1, m):
-            err = abs(lags[d].conjugate() - carrier * lags[m - d])
-            circulant = max(circulant, err / scale if scale else err)
+        scale = _worst(map(abs, lags)) * (1.0 + omega * sampled.beta) or 1.0
+        circulant += [abs(lags[d].conjugate() - carrier * lags[m - d]) / scale for d in range(1, m)]
     hermitian = 2.0 * _worst(abs(v.imag) for v in sampled.lags[0])
-    negative = max(0.0, -min(map(min, spectrum)))
+    negative = _worst([0.0, *(-lam for row in spectrum for lam in row)])
     return [
         CheckResult("kernel", "sampled kernel Hermitian", hermitian, 1e-10),
-        CheckResult("kernel", "sampled kernel twisted-circulant", circulant, 8 * _EPS),
-        CheckResult("kernel", "sampled spectrum vs closed form", worst, 8 * (m + 2) * _EPS),
+        CheckResult("kernel", "sampled kernel twisted-circulant", _worst(circulant), 8 * _EPS),
+        CheckResult("kernel", "sampled spectrum vs closed form", _worst(transform),
+                    8 * (m + 2) * _EPS),
         CheckResult("kernel", "sampled kernel positive definite", negative, 0.0),
     ]
 
@@ -421,24 +433,22 @@ def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> l
     # of it.  The factor h (nu^2 + omega^2) divides both sides, so the check
     # compares |lambda_hat_0 - lambda_0| with 16 eps max lambda, and omega^2
     # never has to be a float.
-    lam_hat = math.fsum(
-        (row[k] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(sampled.lags)
-    )
+    try:
+        lam_hat = math.fsum(
+            (row[k] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(sampled.lags)
+        )
+    except ValueError:  # inf - inf: a non-finite lag value fails this check, aborts nothing
+        lam_hat = math.nan
     lam = [row[k] for row in sampled.spectrum()]
     results.append(
         CheckResult(
             "kernel",
             "resolvent residual on twisted eigenmode",
             abs(lam_hat - lam[0]),
-            16 * _EPS * max(lam),
+            16 * _EPS * _worst(lam),
         )
     )
     return results
-
-
-def _worst(defects: Iterable[float]) -> float:
-    """The largest defect, or NaN if any is NaN (``max`` alone may drop it)."""
-    return max(defects, key=lambda d: (d != d, d), default=0.0)
 
 
 def eigenbasis_checks(
@@ -475,7 +485,8 @@ def _realfield(spectrum: ModeSpectrum, sym: SymmetrySpec, seed: int) -> list[Che
     from . import realfield
 
     phases = realfield.extend(spectrum, sym).phases
-    conj_defect = max(min(abs(q - p.conjugate()) for q in phases) for p in phases)
+    # each phase's conjugate against its nearest phase: a NaN-aware min, -max(-d)
+    conj_defect = _worst(-_worst(-abs(q - p.conjugate()) for q in phases) for p in phases)
     return [
         CheckResult("realfield", "induced eigenphases closed under conjugation", conj_defect, 1e-10),
         *_dense("realfield", spectrum, sym, seed),

@@ -760,7 +760,9 @@ class TestSampledKernelChecksBite:
 
 class TestRangeExitCodes:
     """Results beyond the float range exit 4; a broken route fails its
-    check (exit 1) and never aborts the run."""
+    check (exit 1) and never aborts the run.  A NaN or infinite lag value is
+    a broken route too: it fails its checks, and ``kernel --verify`` prints
+    them before its exporter refuses the non-finite grid (exit 5)."""
 
     @pytest.mark.parametrize("kind", ["none", "antiunitary"])
     def test_partition_overflow_exits_4(self, tmp_path, capsys, kind):
@@ -784,6 +786,27 @@ class TestRangeExitCodes:
             assert main(["verify", "--config", cfg, "--suite", suite]) == 4
             assert "outside the float range" in capsys.readouterr().err
         assert not recwarn.list
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("extended, failing", [
+        (False, ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+                 "sampled spectrum vs closed form"]),
+        (True, ["sampled kernel twisted-circulant", "sampled spectrum vs closed form"])])
+    def test_non_finite_lag_fails_its_checks_then_exits_5(self, anti_config, tmp_path, monkeypatch,
+                                                          capsys, value, extended, failing):
+        closed = correlation.kernel_closed_form
+
+        def broken(omega, theta, beta, t, s):
+            return complex(value) if t - s == beta / 32 else closed(omega, theta, beta, t, s)
+
+        monkeypatch.setattr(correlation, "kernel_closed_form", broken)
+        out = tmp_path / "k.csv"
+        args = ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", str(out)]
+        assert main(args + ["--config", anti_config, "--extended"] if extended else args) == 5
+        *lines, error = capsys.readouterr().err.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [f"[FAIL] kernel: {c}" for c in failing]
+        assert error == "error: sampled kernel block has a non-finite entry"
+        assert not out.exists()
 
     def test_internal_consistency_exits_5(self, anti_config, monkeypatch, capsys):
         # eigenphases not closed under conjugation give the doubled-theory
@@ -1084,6 +1107,9 @@ REFUSALS = {
         lambda: verify.run_suite("partition", ONE_MODE, None, True), errors.DomainError),
     "SymmetrySpec-bool-pairing": (
         lambda: SymmetrySpec("antiunitary", (1, 1), (True, False)), errors.ConfigError),
+    # an extended CSV of m^2 n^2 rows: 410^2 10^2 = 16.81M rows, above 4096^2
+    "require_csv_rows-two-pairs-at-410": (
+        lambda: correlation.require_csv_rows(1.0, 410, 10), errors.CapacityError),
     "restrict-bool-mode": (
         lambda: restrict(validate_spectrum([("a", 1.0), ("b", 2.0)]), None, (True,)),
         errors.ConfigError),
@@ -1380,6 +1406,42 @@ class TestKernelCommand:
         correlation._require_kernel(1.0, correlation.MAX_GRID)  # the cap itself is allowed
 
 
+class TestCsvRowCap:
+    """``kernel --extended`` refuses a CSV of more than MAX_GRID**2 rows,
+    m^2 n^2 for n doubled columns, before any sampling."""
+
+    TWO_PAIRS = str(GOLDEN / "anti_two_pairs_fixed.json")
+
+    def test_the_cap_is_the_largest_scalar_grid(self):
+        # every scalar grid the grid guard accepts passes; n = 10 doubled
+        # columns (two pairs) stop at 409: 16.73M rows, where 410 gives 16.81M
+        assert len(realfield.extend(*load_config(self.TWO_PAIRS)).phases) == 10
+        correlation.require_csv_rows(1.0, correlation.MAX_GRID, 1)
+        correlation.require_csv_rows(1.0, 409, 10)
+        with pytest.raises(errors.CapacityError, match="grid size"):
+            correlation.require_csv_rows(1.0, correlation.MAX_GRID + 1, 1)  # the grid guard first
+
+    @pytest.mark.parametrize("verify_flag", [[], ["--verify"]])
+    def test_extended_export_above_the_cap_exits_3(self, tmp_path, monkeypatch, capsys,
+                                                   verify_flag):
+        monkeypatch.setattr(correlation, "kernel_closed_form", None)  # no sampling
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--config", self.TWO_PAIRS, "--extended", "--beta", "1",
+                     "--grid", "410", "--output", str(out), *verify_flag]) == 3
+        assert capsys.readouterr().err == (
+            "error: a 410-point grid of 10 columns has 16810000 CSV rows, "
+            "above the cap of 16777216\n")
+        assert not out.exists()
+
+    def test_kernel_suite_writes_no_csv_and_runs_at_any_mode_count(self, tmp_path, capsys):
+        # 65 modes: the suite's 32-point layout of 130 columns would be a
+        # 17.3M-row CSV, but the suite exports none
+        modes = [{"label": f"m{k}", "omega": 0.5 + 0.01 * k} for k in range(65)]
+        cfg = write_config(tmp_path / "m65.json", {"modes": modes})
+        assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
+        assert capsys.readouterr().out.endswith("8/8 checks passed\n")
+
+
 def bench_shaped_config(n_modes, kind, seed):
     """Random omegas in [0.3, 3] and unit phases; antiunitary configs pair
     up equal-omega modes and leave one fixed mode when n_modes is odd."""
@@ -1479,6 +1541,28 @@ class TestVerifyReach:
         first = run(5)
         assert run(5) == first  # bit-identical
         assert run(6) != first
+
+
+def bare_extrema(source, scope):
+    """The line of every name ``max`` or ``min``, the builtins, in the
+    top-level statements of ``source`` that ``scope`` accepts by the name
+    they define (None for a statement that defines none)."""
+    return [node.lineno for stmt in ast.parse(source).body if scope(getattr(stmt, "name", None))
+            for node in ast.walk(stmt) if isinstance(node, ast.Name) and node.id in ("max", "min")]
+
+
+def test_checks_reduce_deviations_through_worst_alone():
+    # ROADMAP item 24: a bare max or min may drop a NaN, so every deviation
+    # and data-derived threshold in verify, and in the bodies of the fock
+    # checks, goes through the NaN-aware _worst
+    assert bare_extrema(inspect.getsource(verify), lambda name: name != "_worst") == []
+    checks = [name for name in vars(fock) if name.endswith("_checks")]
+    assert len(checks) == 4
+    assert bare_extrema(inspect.getsource(fock), lambda name: name in checks) == []
+    # the checker bites: the bare reduction the kernel oracle check once took
+    broken = "def kernel_agreement(lags):\n    worst = max(worst, err)\n"
+    assert bare_extrema(broken, lambda name: name != "_worst") == [2]
+    assert bare_extrema("def _worst(d):\n    return max(d)\n", lambda name: name != "_worst") == []
 
 
 def test_factored_checks_keep_the_worst_deviation_and_a_nan():

@@ -317,6 +317,47 @@ def negated_lambda_0(monkeypatch):
     monkeypatch.setattr(correlation, "grid_spectrum", negated)
 
 
+def grid_spectrum_nan_at_3(monkeypatch):
+    """``grid_spectrum`` with its eigenvalue lambda_3 NaN."""
+    spectrum = correlation.grid_spectrum
+
+    def broken(*args):
+        values = spectrum(*args)
+        values[3] = math.nan
+        return values
+
+    monkeypatch.setattr(correlation, "grid_spectrum", broken)
+
+
+def at_lag_1(name, value):
+    """The mutation that makes ``correlation.<name>``, the closed form or the
+    Fock-trace oracle, return ``value`` where |t - s| = beta/32: lags +-1
+    of a 32-point grid.  Both take (beta, t, s) as their third to fifth
+    arguments."""
+
+    def mutate(monkeypatch):
+        original = getattr(correlation, name)
+
+        def replaced(*args):
+            beta, t, s = args[2:5]
+            return complex(value) if abs(t - s) == beta / 32 else original(*args)
+
+        monkeypatch.setattr(correlation, name, replaced)
+
+    return mutate
+
+
+kernel_nan_at_lag_1 = at_lag_1("kernel_closed_form", math.nan)
+kernel_inf_at_lag_1 = at_lag_1("kernel_closed_form", math.inf)
+fock_oracle_nan_at_lag_1 = at_lag_1("kernel_oracle", math.nan)
+
+
+def kernel_inf_everywhere(monkeypatch):
+    """``kernel_closed_form`` infinite at every point: the carrier turns
+    some lag values to -inf, so the resolvent's sum meets inf - inf."""
+    monkeypatch.setattr(correlation, "kernel_closed_form", lambda *args: complex(math.inf))
+
+
 def mode_b_odd_lag_defect(monkeypatch):
     """ROADMAP item 21's defect 1: ``kernel_closed_form`` plus
     0.3 sin(2 pi tau/beta) e^{i theta tau/beta} at tau = t - s > 0 where
@@ -559,6 +600,40 @@ MUST_FAIL = {
          "partition: antiunitary square-root identity vs truncated trace",
          "partition: twist positivity lower bound",
          "partition: square-root route vs doubled-theory route"]),
+    # ROADMAP item 24: a NaN or an infinity at one point fails its checks
+    # through the NaN-aware reducer, and the suite exits 1, not 4
+    **{f"grid-spectrum-nan-at-3-verify{tag}": (
+        grid_spectrum_nan_at_3, ["verify", *config, "--suite", "kernel"],
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite",
+         "kernel: resolvent residual on twisted eigenmode"])
+       for tag, config in (("", []), ("-anti", ["--config", ANTI]))},
+    "grid-spectrum-nan-at-3-kernel": (
+        grid_spectrum_nan_at_3,
+        ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
+    "grid-spectrum-nan-at-3-extended-kernel-anti": (
+        grid_spectrum_nan_at_3,
+        ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
+         "--output", "{output}"],
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
+    **{f"kernel-{kind}-at-lag-1-verify{tag}": (
+        mutate, ["verify", *config, "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
+         "kernel: sampled spectrum vs closed form",
+         "kernel: resolvent residual on twisted eigenmode"])
+       for kind, mutate in (("nan", kernel_nan_at_lag_1), ("inf", kernel_inf_at_lag_1))
+       for tag, config in (("", []), ("-anti", ["--config", ANTI]))},
+    "kernel-inf-everywhere-verify": (
+        kernel_inf_everywhere, ["verify", "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
+         "kernel: sampled spectrum vs closed form",
+         "kernel: resolvent residual on twisted eigenmode"]),
+    **{f"fock-oracle-nan-at-lag-1-{tag}": (
+        fock_oracle_nan_at_lag_1, argv, ["kernel: closed form vs Fock-trace oracle"])
+       for tag, argv in (
+           ("verify", ["verify", "--suite", "kernel"]),
+           ("verify-anti", ["verify", "--config", ANTI, "--suite", "kernel"]),
+           ("kernel", ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"]))},
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
