@@ -2,8 +2,9 @@
 
 Subcommands: ``partition``, ``kernel``, ``verify``, ``spectrum gen
 twisted-circle``.  Checks come as CheckResults from :mod:`twistkit.verify`;
-this module only renders them.  ``partition`` runs the ``partition``
-suite's checks on each of its rows, all but the doubled-theory route.
+this module only renders them.  ``partition`` runs every check of the
+``partition`` suite, in its order, on each of its rows: the suite is
+:func:`twistkit.verify.partition_row` at beta = 1.
 Both ``kernel`` routes sample their kernel once, from its (omega, theta)
 columns, :func:`twistkit.correlation.sample_kernels` (the extended one
 through :func:`twistkit.realfield.sample_extended_kernel`), and write that
@@ -13,8 +14,10 @@ suite's named checks.  On either route it ties the exported lag values to
 the closed-form grid spectrum and checks their Hermitian and
 twisted-circulant symmetries and positivity; the extended route adds the
 exported eigenbasis, the scalar one the Fock-trace oracle at every lag.
-Neither runs the suite's resolvent residual, and the extended route runs
-no oracle.  The scalar route prints ``max three-way disagreement:
+Neither runs the suite's resolvent residual, whose bound holds on the
+suite's grid only (ROADMAP item 11), and the extended route runs no
+oracle, which must first refuse the frequencies it cannot resolve (item
+13).  The scalar route prints ``max three-way disagreement:
 <value>``, the deviation of its oracle check; the line once also took a
 Fourier partial sum, and keeps its text because the benchmark's checks
 (``bench/checks.py``) parse it.  The scalar route needs a twist that
@@ -40,7 +43,9 @@ formatting so identical inputs produce byte-identical output.
 :mod:`twistkit.verify` loads it with its dense suites only
 (:mod:`twistkit.fock`, the doubled-field oracle among them), so
 ``verify --suite kernel`` and ``verify --suite partition`` are numpy-free
-too.  Every refusal is a TwistkitError or OSError raised where the input
+too.  On a twist that moves slots, ``partition`` and the ``partition``
+suite load :mod:`twistkit.realfield` for the doubled-theory route, but not
+:mod:`twistkit.correlation`.  Every refusal is a TwistkitError or OSError raised where the input
 is checked; :func:`main` alone prints it and picks its exit code, and
 ``partition`` computes every row before it prints one, so a refused run
 prints no partial table, and ``kernel --verify`` runs every check and

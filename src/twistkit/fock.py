@@ -79,9 +79,10 @@ import math
 import random
 from functools import reduce
 
-# realfield (and correlation with it) loads before numpy, so a job
-# compiles every twistkit module it needs while its heap is still small.
-from . import realfield
+# correlation and realfield load before numpy, so a job compiles every
+# twistkit module it needs while its heap is still small; correlation is
+# imported for that order only (realfield loads it only when it samples).
+from . import correlation, realfield
 from .errors import CapacityError, ConfigError, RangeError
 from .partition import _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, restrict, slot_action

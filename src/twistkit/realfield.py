@@ -29,9 +29,11 @@ scalar kernel too) and the ``kernel`` verify suite, for every action,
 read that layout; for a unitary input (or none) every index is fixed, so
 no block mixes the two sectors.
 
-The module holds closed forms only and runs on ``math`` and ``cmath``;
-the dense ``ExtendedSpectrum.induced``, read by tests and the benchmark,
-is a table of row tuples built from the sparse image table.  The oracles
+The module holds closed forms only and runs on ``math`` and ``cmath``,
+and it loads :mod:`twistkit.correlation` only when it samples a kernel,
+so the doubled-theory route to Z, which reads :func:`extend` alone, does
+not compile it; the dense ``ExtendedSpectrum.induced``, read by tests and
+the benchmark, is a table of row tuples built from the sparse image table.  The oracles
 that read this doubling live with the verify suites: the doubled-theory
 route to the partition function, :func:`twistkit.verify.z_via_realfield`,
 and the doubled-field oracle, which checks the real-time field of the
@@ -45,12 +47,13 @@ import cmath
 import math
 from functools import cached_property
 
-from .correlation import Basis, SampledKernel, kernel_twist_angle, sample_kernels
 from .spectrum import ModeSpectrum, SlotAction, SymmetrySpec, slot_action
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Optional
+
+    from .correlation import Basis, SampledKernel
 
 
 class ExtendedSpectrum:
@@ -168,6 +171,8 @@ def sample_extended_kernel(ext: ExtendedSpectrum, beta: float, m: int) -> Sample
     correlation operator): in the eigenbasis of the induced unitary it is
     the direct sum of the scalar twisted kernels of the doubled eigenmodes,
     one column each, mixed by the per-cycle basis ``ext.basis``."""
+    from .correlation import kernel_twist_angle, sample_kernels
+
     thetas = [kernel_twist_angle(p) for p in ext.phases]
     return sample_kernels(beta, ext.doubled_omegas(), thetas, m, ext.basis)
 

@@ -8,11 +8,16 @@ table order: ccr, tc, symmetry, partition, kernel, realfield.  Every other
 suite runs on every action.
 
 Each suite runs a fixed list of checks and returns structured results;
-the CLI renders them and sets the exit code; ``partition`` and ``kernel
---verify`` render :func:`partition_row`, :func:`kernel_agreement`,
-:func:`eigenbasis_checks` and :func:`sampled_kernel_checks`, some of the
-checks the ``partition`` and ``kernel`` suites run.  The ``kernel`` suite
-is the one suite that checks a sampled kernel.  It samples one layout, the
+the CLI renders them and sets the exit code.  The ``partition`` suite is
+:func:`partition_row` at beta = 1 and :data:`PARTITION_CUTOFF`, and the
+``partition`` subcommand renders that function on each of its rows, so
+both run one check list.  ``kernel --verify`` renders
+:func:`kernel_agreement`, :func:`eigenbasis_checks` and
+:func:`sampled_kernel_checks`, some of the checks the ``kernel`` suite
+runs: never the resolvent residual, whose bound holds on the suite's grid
+only (ROADMAP item 11), and on the extended route no oracle, which must
+first refuse the frequencies it cannot resolve (item 13).  The ``kernel``
+suite is the one suite that checks a sampled kernel.  It samples one layout, the
 one that ``kernel --extended`` exports, on a 32-point grid with one column
 per doubled eigenmode, for every action (the identity included), and every
 one of its checks reads that layout.  It checks it through the
@@ -35,10 +40,10 @@ so no closed-form module reaches them: the truncated trace
 and :func:`twisted_tail_bound`, read by :func:`partition_row` (at
 :data:`PARTITION_CUTOFF` in the ``partition`` suite and by default in the
 ``partition`` subcommand, and capped at :data:`MAX_TRACE_STEPS` Horner
-steps a trace), and the doubled-theory route
-:func:`z_via_realfield` of the ``partition`` suite, whose complex product
-its route check compares with the closed form, so a non-real value fails
-that check.
+steps a trace), and the doubled-theory route :func:`z_via_realfield`,
+which :func:`partition_row` runs for a twist that moves slots: its route
+check compares the complex product with the closed form, so a non-real
+value fails that check.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` act with the matrix-free Fock oracle, once per factor of
@@ -47,16 +52,19 @@ beside it in :mod:`twistkit.fock`, which one runner here, keyed by suite
 name, imports only when one of them runs.  This module imports neither
 numpy nor :mod:`twistkit.fock` at module level, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
-and ``partition`` suites (the latter's doubled-theory route on a
-non-diagonal action included) and the checks of any sampled kernel
+and ``partition`` suites (the latter's doubled-theory route, which loads
+:mod:`twistkit.realfield` but not :mod:`twistkit.correlation`, included)
+and the checks of any sampled kernel
 (``kernel --verify`` on either route) run on ``math`` alone, and a job
 that runs none of the dense suites never compiles their source.
 
 Every deviation, and every threshold read from the data, is the
 NaN-aware maximum :func:`_worst` of its defects, never a bare ``max`` or
-``min``, which may drop a NaN: a non-finite value fails its check and
-aborts nothing.  RangeError is kept for an input or a closed form's own
-value beyond the float range.
+``min``, which may drop a NaN, and every magnitude and sum of lag values
+(:func:`_abs`, :func:`_fsum`) reads an overflow as NaN, where ``abs`` and
+``math.fsum`` raise: a non-finite value, or finite ones whose size or sum
+is not, fails its check and aborts nothing.  RangeError is kept for an
+input or a closed form's own value beyond the float range.
 
 Routes and checks choose their path from the symmetry's
 :class:`~twistkit.spectrum.SlotAction`, not its kind, except the
@@ -104,6 +112,23 @@ _EPS = sys.float_info.epsilon
 def _worst(defects: Iterable[float]) -> float:
     """The largest defect, or NaN if any is NaN (``max`` alone may drop it)."""
     return max(defects, key=lambda d: (d != d, d), default=0.0)
+
+
+def _abs(v: complex) -> float:
+    """|v|, or NaN where it lies beyond the float range (``abs`` raises there)."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.nan
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum``, or NaN where a partial sum overflows or meets inf - inf
+    (``fsum`` raises there)."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 class CheckResult:
@@ -221,10 +246,14 @@ def partition_row(
     :func:`twistkit.partition.z_twisted`, the first at ``sym=None``, the
     identity.  Checks: each closed-form Z against its truncated trace at
     ``cutoff`` (compared as complex numbers, within the route's tail bound
-    plus 1e-10), and for every twist the positivity lower bound, which
-    holds cycle by cycle.  The twisted check is named "unitary product
-    formula" for a diagonal slot action, "antiunitary square-root
-    identity" otherwise.
+    plus 1e-10), for every twist the positivity lower bound, which holds
+    cycle by cycle, and for a twist that moves slots the square-root route
+    against the doubled-theory route :func:`z_via_realfield`, relative, at
+    1e-10.  The twisted check is named "unitary product formula" for a
+    diagonal slot action, "antiunitary square-root identity" otherwise.
+    These are the checks of the ``partition`` suite, which is this row at
+    beta = 1 and :data:`PARTITION_CUTOFF`, and of the ``partition``
+    subcommand on each of its rows.
     """
     z = z_plain = partition.z_twisted(spectrum, None, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
@@ -247,6 +276,12 @@ def partition_row(
     if sym is not None:
         positivity = _worst((0.0, bound - z))
         checks.append(CheckResult("partition", "twist positivity lower bound", positivity, 1e-14 * z))
+        if not diagonal:
+            from . import realfield
+
+            z_rf = z_via_realfield(realfield.extend(spectrum, sym), beta)
+            checks.append(CheckResult("partition", "square-root route vs doubled-theory route",
+                                      abs(z - z_rf) / abs(z), 1e-10))
     return (beta, z_plain, z, bound, trace.real, rel, tail), checks
 
 
@@ -254,40 +289,31 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> complex:
     """Partition function through the doubled-theory product formula.
 
     One factor (1 - lambda_j e^{-beta omega_j})^{-1} per doubled mode.
+    Each eigenphase is read as the unit phase lambda = e^{i phi}, as
+    :func:`twistkit.partition.z_twisted` reads the slot phases, and with
+    x = e^{-beta omega} the denominator is taken as
+    -expm1(-beta omega) + 2 x sin^2(phi/2) - i x sin(phi), in which nothing
+    cancels: at small beta omega neither a phase's rounded modulus nor the
+    rounding of x moves the product.
     For a unitary input the eigenphases are {conj(rho_k), rho_k} and this
     reproduces the |1 - rho e^{-beta omega}|^{-2} product; for an
     antiunitary input it is an independent route to the square-root
     formula.  The product is returned as it is, complex: it is real only
     if the eigenphases are closed under conjugation, and the route check
-    of the ``partition`` suite reads its imaginary part as a deviation.
+    of :func:`partition_row` reads its imaginary part as a deviation.
     """
     _require_beta(beta)
     z = 1.0 + 0.0j
     for w, lam in zip(ext.doubled_omegas(), ext.phases):
-        z /= 1.0 - lam * math.exp(-beta * w)
+        x, phi = math.exp(-beta * w), cmath.phase(lam)
+        z /= complex(2.0 * x * math.sin(0.5 * phi) ** 2 - math.expm1(-beta * w), -x * math.sin(phi))
     if z == 0.0 or not cmath.isfinite(z):
         raise RangeError(f"real-field partition value {z} is outside the float range")
     return z
 
 
 def _partition(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
-    beta = 1.0
-    columns, results = partition_row(spectrum, sym, beta, cutoff=PARTITION_CUTOFF)
-    z = columns[2]
-    if not slot_action(spectrum, sym).diagonal:
-        from . import realfield
-
-        ext = realfield.extend(spectrum, sym)
-        z_rf = z_via_realfield(ext, beta)
-        results.append(
-            CheckResult(
-                "partition",
-                "square-root route vs doubled-theory route",
-                abs(z - z_rf) / abs(z),
-                1e-10,
-            )
-        )
-    return results
+    return partition_row(spectrum, sym, 1.0, PARTITION_CUTOFF)[1]
 
 
 def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -> CheckResult:
@@ -312,7 +338,7 @@ def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         value = sampled.lags[d][k] if d >= 0 else sampled.lags[-d][k].conjugate()
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
-        defects.append(abs(value - oracle))
+        defects.append(_abs(value - oracle))
     tail = truncation_tail_bound(single, beta, cutoff)
     return CheckResult("kernel", "closed form vs Fock-trace oracle", _worst(defects), tail + 1e-8)
 
@@ -390,12 +416,14 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     transform, circulant = [], []
     for k, (omega, theta) in enumerate(zip(sampled.omegas, sampled.thetas)):
         lags = [row[k] for row in sampled.lags]
-        total = math.fsum(abs(v) for v in lags) or 1.0
+        sizes = [_abs(v) for v in lags]
+        total = _fsum(sizes) or 1.0
         transform += [abs(value - spectrum[n][k]) / total
                       for n, value in enumerate(_lag_transform(lags, theta))]
         carrier = cmath.rect(1.0, -theta)
-        scale = _worst(map(abs, lags)) * (1.0 + omega * sampled.beta) or 1.0
-        circulant += [abs(lags[d].conjugate() - carrier * lags[m - d]) / scale for d in range(1, m)]
+        scale = _worst(sizes) * (1.0 + omega * sampled.beta) or 1.0
+        circulant += [_abs(lags[d].conjugate() - carrier * lags[m - d]) / scale
+                      for d in range(1, m)]
     hermitian = 2.0 * _worst(abs(v.imag) for v in sampled.lags[0])
     negative = _worst([0.0, *(-lam for row in spectrum for lam in row)])
     return [
@@ -433,12 +461,8 @@ def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> l
     # of it.  The factor h (nu^2 + omega^2) divides both sides, so the check
     # compares |lambda_hat_0 - lambda_0| with 16 eps max lambda, and omega^2
     # never has to be a float.
-    try:
-        lam_hat = math.fsum(
-            (row[k] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(sampled.lags)
-        )
-    except ValueError:  # inf - inf: a non-finite lag value fails this check, aborts nothing
-        lam_hat = math.nan
+    lam_hat = _fsum(
+        (row[k] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(sampled.lags))
     lam = [row[k] for row in sampled.spectrum()]
     results.append(
         CheckResult(

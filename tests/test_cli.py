@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,25 @@ class TestPartitionCommand:
     def test_antiunitary_table(self, anti_config, capsys):
         assert main(["partition", "--config", anti_config, "--beta", "1"]) == 0
 
+    @pytest.mark.parametrize("config", ["anti_pair_fixed.json", "anti_two_pairs_fixed.json",
+                                        "near-unit"])
+    def test_doubled_route_agrees_at_small_beta(self, config, tmp_path, capsys):
+        # the doubled route reads each eigenphase as a unit phase and lets
+        # nothing cancel in 1 - lambda e^{-beta omega}: taken literally, it
+        # strayed from Z by 3.8e-9 at beta = 1e-8 on anti_pair_fixed.json,
+        # and by 1.8e-10 at beta = 1e-4 where a phase's modulus is
+        # 1 + 9.1e-15, within the config's unit-modulus tolerance
+        path = str(GOLDEN / config)
+        if config == "near-unit":
+            path = write_config(tmp_path / "near.json", {
+                "modes": [{"label": "a", "omega": 0.5}],
+                "symmetry": {"kind": "antiunitary", "pairing": {"a": "a"},
+                             "phases": [{"re": 0.7648421872844955, "im": 0.6442176872376969}]},
+            })
+        betas = [arg for beta in ("1e-4", "1e-8", "1e-12") for arg in ("--beta", beta)]
+        assert main(["partition", "--config", path, *betas]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_antiunitary_oracle_uses_requested_cutoff(self, anti_config, capsys):
         args = ["partition", "--config", anti_config, "--beta", "1", "--cutoff", "12"]
         assert main(args) == 0
@@ -180,10 +200,13 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_import_loads_no_numpy_or_dense_modules():
-    heavy = ["numpy", "twistkit.fock", "twistkit.correlation", "twistkit.realfield"]
-    code = f"import sys, twistkit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # the package modules every command needs, and no other: each command
+    # loads the rest (correlation, realfield, fock) when it runs
+    code = ("import sys, twistkit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('twistkit')))")
     out = _run_cli(["-c", code], check=True).stdout
-    assert out.strip() == "[]"
+    assert ast.literal_eval(out) == ["twistkit", "twistkit.cli", "twistkit.errors",
+                                     "twistkit.partition", "twistkit.spectrum", "twistkit.verify"]
 
 
 @pytest.mark.parametrize("config", [None, "anti", "circle"])
@@ -204,13 +227,36 @@ def test_spectrum_gen_runs_without_numpy(tmp_path):
     assert len(json.loads((tmp_path / "circle.json").read_text())["modes"]) == 101
 
 
-@pytest.mark.parametrize("config", [None, "anti_pair_fixed.json"], ids=["default", "anti"])
-def test_partition_suite_runs_without_numpy(config):
-    # on a non-diagonal action the suite adds the doubled-theory route, which is numpy-free
-    argv = ["verify", "--suite", "partition"]
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "--suite", "partition"], None),
+    (["verify", "--suite", "partition"], "anti_pair_fixed.json"),
+    (["partition", "--beta", "1"], "anti_pair_fixed.json"),
+], ids=["default", "anti", "partition-anti"])
+def test_partition_suite_runs_without_numpy(argv, config):
+    # on a non-diagonal action the suite and the partition command add the
+    # doubled-theory route: it loads realfield, but neither numpy nor the
+    # kernel's correlation module
     if config is not None:
-        argv += ["--config", str(Path(__file__).parent / "golden" / config)]
-    assert _loads_numpy(argv) is False
+        argv = [*argv, "--config", str(GOLDEN / config)]
+    modules = ["numpy", "twistkit.fock", "twistkit.correlation", "twistkit.realfield"]
+    assert _loaded(argv, modules) == ([] if config is None else ["twistkit.realfield"])
+
+
+@pytest.mark.parametrize("config", [None, "anti_pair_fixed.json", "anti_two_pairs_fixed.json",
+                                    "unitary_generic.json"])
+def test_partition_command_runs_the_partition_suite(config, monkeypatch, capsys):
+    # one check list for Z: checks print only on failure, so fail them all
+    # and compare what each command prints, at partition's default cutoff
+    monkeypatch.setattr(verify.CheckResult, "passed", property(lambda check: False))
+    argv = [] if config is None else ["--config", str(GOLDEN / config)]
+    names = []
+    for command in (["partition", "--beta", "1"], ["verify", "--suite", "partition"]):
+        assert main(command + argv) == 1
+        out, err = capsys.readouterr()
+        names.append(re.findall(r"^\[FAIL\] (.+?) \(deviation", out + err, re.M))
+    assert names[0] == names[1]
+    doubled = "partition: square-root route vs doubled-theory route" in names[0]
+    assert doubled == (config is not None and config.startswith("anti"))
 
 
 @pytest.mark.parametrize("verify_flag", [[], ["--verify"]])

@@ -113,6 +113,25 @@ def wrong_slot_apply_field(monkeypatch):
     monkeypatch.setattr(fock, "apply_field", swapped)
 
 
+def jordan_wigner_signs(monkeypatch):
+    """Fermionic statistics: each slot's terms of ``fock.apply_field`` carry
+    the Jordan-Wigner string (-1)^(occupation of the slots before it), so the
+    operators of distinct slots anticommute instead of commuting."""
+    apply_field = fock.apply_field
+
+    def fermionic(space, field, state, subcutoff=False):
+        n, levels = space.n_slots, np.arange(state.shape[0])
+        out = 0
+        for s in range(n):
+            one_slot = np.zeros_like(field)
+            one_slot[:, s] = field[:, s]
+            before = sum((levels.reshape(fock._axis_shape(n, t, len(levels))) for t in range(s)), 0)
+            out = out + apply_field(space, one_slot, (-1.0) ** before * state, subcutoff)
+        return out
+
+    monkeypatch.setattr(fock, "apply_field", fermionic)
+
+
 def cross_mode_creation(monkeypatch):
     """Each creation coefficient of a field table moved to the same charge
     of the next mode; on a one-mode factor this is no change at all."""
@@ -151,6 +170,20 @@ def conjugated_imaginary_time(monkeypatch):
     e^{-omega Im tau} on annihilation."""
     field = fock.field
     monkeypatch.setattr(fock, "field", lambda space, q, tau: field(space, q, tau.conjugate()))
+
+
+def conjugated_field_annihilation(monkeypatch):
+    """``fock.field`` with its annihilation coefficients conjugated: the
+    commutator of psi(t, q) and psi(t, r) is no longer a symmetric form in
+    q and r, so it no longer vanishes."""
+    field = fock.field
+
+    def conjugated(space, q, tau):
+        table = field(space, q, tau)
+        table[1] = table[1].conj()
+        return table
+
+    monkeypatch.setattr(fock, "field", conjugated)
 
 
 def flipped_creation_weight(monkeypatch):
@@ -352,6 +385,27 @@ kernel_inf_at_lag_1 = at_lag_1("kernel_closed_form", math.inf)
 fock_oracle_nan_at_lag_1 = at_lag_1("kernel_oracle", math.nan)
 
 
+def kernel_scaled_by(factor):
+    """The mutation that scales ``kernel_closed_form`` by ``factor`` everywhere."""
+
+    def mutate(monkeypatch):
+        closed = correlation.kernel_closed_form
+        monkeypatch.setattr(correlation, "kernel_closed_form",
+                            lambda *args: closed(*args) * factor)
+
+    return mutate
+
+
+#: Every lag value finite, but their sum of magnitudes is not: ``math.fsum``
+#: overflows.
+kernel_scaled_by_4e307 = kernel_scaled_by(4e307)
+#: The resolvent's sum of the lag values' real parts overflows too.
+kernel_scaled_by_1_7e308 = kernel_scaled_by(1.7e308)
+#: One lag value with finite parts whose magnitude is beyond the float range,
+#: where ``abs`` raises.
+kernel_beyond_abs_at_lag_1 = at_lag_1("kernel_closed_form", complex(1.5e308, 1.5e308))
+
+
 def kernel_inf_everywhere(monkeypatch):
     """``kernel_closed_form`` infinite at every point: the carrier turns
     some lag values to -inf, so the resolvent's sum meets inf - inf."""
@@ -483,6 +537,24 @@ MUST_FAIL = {
          across("realfield: doubled-field oracle: canonical_pair"),
          across("realfield: doubled-field oracle: ccr_doubled"),
          across("realfield: doubled-field oracle: symmetry_covariance")]),
+    # ROADMAP item 12: the one ccr line that commutes two creators
+    "jordan-wigner-signs-ccr": (
+        jordan_wigner_signs, ["verify", "--suite", "ccr"],
+        ["ccr: [A+*(g-bar), A-*(f)] = 0 on full space",
+         across("ccr: [A+(f), A+*(g-bar)] = <g,f> on sub-cutoff block"),
+         across("ccr: [A-(g-bar), A-*(f)] = <g,f> on sub-cutoff block"),
+         across("ccr: [A+*(g-bar), A-*(f)] = 0 on full space")]),
+    # ROADMAP item 12: the equal-time commutator on each factor
+    "conjugated-field-annihilation": (
+        conjugated_field_annihilation, ["verify", "--config", ANTI, "--suite", "realfield"],
+        ["realfield: doubled-field oracle: adjoint_covariance",
+         "realfield: doubled-field oracle: equal_time_commutator",
+         "realfield: doubled-field oracle: canonical_pair",
+         "realfield: doubled-field oracle: symmetry_covariance",
+         across("realfield: doubled-field oracle: adjoint_covariance"),
+         across("realfield: doubled-field oracle: equal_time_commutator"),
+         across("realfield: doubled-field oracle: canonical_pair"),
+         across("realfield: doubled-field oracle: symmetry_covariance")]),
     "phases-at-mirrored-mode": (
         phases_at_mirrored_mode, ["verify", "--suite", "all"],
         [across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
@@ -577,9 +649,14 @@ MUST_FAIL = {
     "turned-eigenphases-partition": (
         turned_eigenphases, ["verify", "--config", ANTI, "--suite", "partition"],
         ["partition: square-root route vs doubled-theory route"]),
+    # the partition command runs the same route on each of its rows
+    "turned-eigenphases-partition-command": (
+        turned_eigenphases, ["partition", "--config", ANTI, "--beta", "1"],
+        ["partition: square-root route vs doubled-theory route"]),
     "conjugated-slot-0-partition-anti": (
         conjugated_slot_0, ["partition", "--config", ANTI, "--beta", "1"],
-        ["partition: antiunitary square-root identity vs truncated trace"]),
+        ["partition: antiunitary square-root identity vs truncated trace",
+         "partition: square-root route vs doubled-theory route"]),
     "conjugated-slot-0-partition": (
         conjugated_slot_0, ["partition", "--beta", "1"],
         ["partition: unitary product formula vs truncated trace"]),
@@ -593,7 +670,8 @@ MUST_FAIL = {
         z_below_positivity_bound, ["partition", "--config", ANTI, "--beta", "1"],
         ["partition: untwisted product formula vs truncated trace",
          "partition: antiunitary square-root identity vs truncated trace",
-         "partition: twist positivity lower bound"]),
+         "partition: twist positivity lower bound",
+         "partition: square-root route vs doubled-theory route"]),
     "z-below-positivity-bound-verify-anti": (
         z_below_positivity_bound, ["verify", "--config", ANTI, "--suite", "partition"],
         ["partition: untwisted product formula vs truncated trace",
@@ -628,6 +706,47 @@ MUST_FAIL = {
         ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
          "kernel: sampled spectrum vs closed form",
          "kernel: resolvent residual on twisted eigenmode"]),
+    # ROADMAP item 24: finite lag values whose sum or magnitude overflows
+    # fail their checks too, and no OverflowError aborts the run
+    **{f"kernel-scaled-by-{scale}-{tag}": (mutate, argv, [f"kernel: {c}" for c in failing])
+       for scale, mutate, tag, argv, failing in (
+           ("4e307", kernel_scaled_by_4e307, "verify", ["verify", "--suite", "kernel"],
+            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
+             "resolvent residual on twisted eigenmode"]),
+           ("4e307", kernel_scaled_by_4e307, "verify-anti",
+            ["verify", "--config", ANTI, "--suite", "kernel"],
+            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
+             "resolvent residual on twisted eigenmode"]),
+           ("4e307", kernel_scaled_by_4e307, "kernel",
+            ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
+            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form"]),
+           ("4e307", kernel_scaled_by_4e307, "extended-kernel-anti",
+            ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
+             "--output", "{output}"],
+            ["sampled spectrum vs closed form"]),
+           ("1.7e308", kernel_scaled_by_1_7e308, "verify", ["verify", "--suite", "kernel"],
+            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
+             "resolvent residual on twisted eigenmode"]),
+           ("1.7e308", kernel_scaled_by_1_7e308, "verify-anti",
+            ["verify", "--config", ANTI, "--suite", "kernel"],
+            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+             "sampled spectrum vs closed form", "resolvent residual on twisted eigenmode"]))},
+    **{f"kernel-beyond-abs-at-lag-1-{tag}": (
+        kernel_beyond_abs_at_lag_1, argv, [f"kernel: {c}" for c in failing])
+       for tag, argv, failing in (
+           ("verify", ["verify", "--suite", "kernel"],
+            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+             "sampled spectrum vs closed form", "resolvent residual on twisted eigenmode"]),
+           ("verify-anti", ["verify", "--config", ANTI, "--suite", "kernel"],
+            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+             "sampled spectrum vs closed form", "resolvent residual on twisted eigenmode"]),
+           ("kernel", ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
+            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+             "sampled spectrum vs closed form"]),
+           ("extended-kernel-anti",
+            ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
+             "--output", "{output}"],
+            ["sampled kernel twisted-circulant", "sampled spectrum vs closed form"]))},
     **{f"fock-oracle-nan-at-lag-1-{tag}": (
         fock_oracle_nan_at_lag_1, argv, ["kernel: closed form vs Fock-trace oracle"])
        for tag, argv in (
