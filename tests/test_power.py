@@ -258,6 +258,19 @@ def turned_eigenphases(monkeypatch):
                         lambda root, q, length: turn(root, q, length) * cmath.exp(1e-6j))
 
 
+def eigenphases_off_unit(monkeypatch):
+    """``realfield.extend`` with every stored eigenphase scaled by 1 + 1e-6:
+    still closed under conjugation, no longer of unit modulus."""
+    extend = realfield.extend
+
+    def scaled(spectrum, sym):
+        ext = extend(spectrum, sym)
+        ext.phases = tuple(p * (1.0 + 1e-6) for p in ext.phases)
+        return ext
+
+    monkeypatch.setattr(realfield, "extend", scaled)
+
+
 def conjugated_slot_0(monkeypatch):
     """``SymmetrySpec.action`` with the phase of slot 0 conjugated: the
     closed forms and the traces read it, the raw-phase references do not."""
@@ -782,6 +795,12 @@ UNDETECTED = {
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "16",
          "--output", "{output}"],
         0, "items 1 and 13"),
+    # the doubled route reads each eigenphase as a unit phase, as the closed
+    # form reads the slot phases, so that a phase's rounded modulus cannot
+    # move Z at small beta omega; reading the modulus needs a threshold
+    # that follows the route's conditioning
+    "eigenphases-off-unit-partition": (
+        eigenphases_off_unit, ["verify", "--config", ANTI, "--suite", "partition"], 0, "item 11"),
     "creation-weight-sign-of-field": (
         flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
 }
