@@ -62,7 +62,10 @@ coefficient vector and state as standard complex normals
 turned into normals by Box-Muller) and the basis state's occupations by
 ``randrange``, so no suite loads ``numpy.random``.  The ``symmetry`` suite
 reads its rules from the raw phases and pairing, per kind, never from the
-slot action: they are what the normal form is checked against.
+slot action: they are what the normal form is checked against.  A config
+without a symmetry is checked against the unitary identity's raw phases,
+all 1, while U takes the path ``sym=None`` takes, as every suite runs on
+every config.
 
 This is the one package module that imports numpy.  :mod:`twistkit.verify`
 imports it only inside its dense runner, so a job that runs no dense suite
@@ -337,9 +340,10 @@ def field(space: FockSpace, q: Sequence[complex], tau: complex) -> np.ndarray:
     return table / math.sqrt(2.0)
 
 
-def apply_symmetry(space: FockSpace, sym: SymmetrySpec, state: np.ndarray) -> np.ndarray:
-    """Fock-space implementation U_S of either symmetry kind, applied to a
-    full state or a sub-cutoff block; it is unitary in both kinds.
+def apply_symmetry(space: FockSpace, sym: Optional[SymmetrySpec], state: np.ndarray) -> np.ndarray:
+    """Fock-space implementation U_S of either symmetry kind, or of the
+    identity at ``sym=None``, applied to a full state or a sub-cutoff block;
+    it is unitary in both kinds.
 
     Axis t of the result is axis ``source[t]`` of the state times the level
     powers phase**n of every slot, whose product over the slots multiplies
@@ -473,17 +477,17 @@ def _tc_checks(
             1e-10,
         )
     )
-    if sym is not None:
-        residual = apply_symmetry(space, sym, tc(v)) - tc(apply_symmetry(space, sym, v))
-        results.append(CheckResult("tc", "[U_S, TC] = 0", _max_abs(residual), 1e-12))
+    residual = apply_symmetry(space, sym, tc(v)) - tc(apply_symmetry(space, sym, v))
+    results.append(CheckResult("tc", "[U_S, TC] = 0", _max_abs(residual), 1e-12))
     return results
 
 
 def _symmetry_checks(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: int
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     results: list[CheckResult] = []
     space = FockSpace(spectrum, cutoff)
+    raw = sym or SymmetrySpec(UNITARY, (1.0,) * len(spectrum))  # the identity's raw rule
 
     def u(state: np.ndarray) -> np.ndarray:
         return apply_symmetry(space, sym, state)
@@ -511,12 +515,12 @@ def _symmetry_checks(
         # U alpha U* = c beta, as U alpha v = c beta U v.  The rule is read
         # from the raw config, per kind, never from sym.action: this suite
         # is what catches a broken slot-action normal form.
-        if sym.kind == UNITARY:
-            expected = creation(space, sym.phases[k] * unit[k])
+        if raw.kind == UNITARY:
+            expected = creation(space, raw.phases[k] * unit[k])
             name = f"U alpha+*({lbl}) U* = rho alpha+*({lbl})"
         else:
-            j = sym.pairing[k]
-            expected = creation(space, sym.phases[j] * unit[len(spectrum) + j])
+            j = raw.pairing[k]
+            expected = creation(space, raw.phases[j] * unit[len(spectrum) + j])
             name = f"U alpha+*({lbl}) U* = eta alpha-*(pi({lbl}))"
         residual = u(apply_field(space, creation(space, unit[k]), v, subcutoff=True))
         residual -= apply_field(space, expected, uv, subcutoff=True)
@@ -530,7 +534,7 @@ def _natural_conjugation(vec: np.ndarray) -> np.ndarray:
 
 
 def doubled_field_checks(
-    spectrum: ModeSpectrum, sym: SymmetrySpec, rng: random.Random, cutoff: int
+    spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], rng: random.Random, cutoff: int
 ) -> list[CheckResult]:
     """Fock-oracle checks of the real-time doubled field psi(t, q) =
     :func:`field` at t = 0.37.

@@ -14,7 +14,8 @@ mode pairing with unit phases (antiunitary case, acting as
 as mode indices, ``pairing[k]`` = pi(k): a config names modes by label,
 and :func:`parse_config` maps each label to its index once.  Both kinds
 are normalized once, here, into a :class:`SlotAction`, which is the only
-form every route outside this module reads.  :func:`restrict` cuts a
+form every route outside this module reads; a missing symmetry is the
+unitary identity, normalized the same way.  :func:`restrict` cuts a
 spectrum and its symmetry down to a set of modes that the pairing maps to
 itself, such as one factor of the Fock oracle.
 
@@ -145,7 +146,8 @@ class SlotAction:
     state n goes to prod_s phases[s]**n[s] times the state whose slot t holds
     n[source[t]]; an antiunitary twist moves + slots onto - slots.  Only
     states constant on each cycle are fixed, so every trace is a product
-    over the cycles.  A missing symmetry is the identity action.
+    over the cycles.  A missing symmetry is the action of the unitary
+    identity, all phases 1 (:func:`slot_action`).
     """
 
     def __init__(self, source: tuple[int, ...], phases: tuple[complex, ...]):
@@ -171,9 +173,10 @@ class SlotAction:
 
 
 def slot_action(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec]) -> SlotAction:
-    """The slot action of ``sym`` after :func:`check_alignment`; the identity for None."""
+    """The slot action of ``sym`` after :func:`check_alignment`; for None, that
+    of the unitary identity, built by the same normal form."""
     if sym is None:
-        return SlotAction(tuple(range(2 * len(spectrum))), (1.0 + 0.0j,) * (2 * len(spectrum)))
+        return SymmetrySpec(UNITARY, (1.0,) * len(spectrum)).action
     check_alignment(spectrum, sym)
     return sym.action
 

@@ -1,11 +1,11 @@
 """Named verification suites over a (spectrum, symmetry) configuration.
 
 :func:`run_suite` is the one entry to the suites.  One ordered table maps
-each name of :data:`SUITES` to its body.  The ``symmetry`` and
-``realfield`` suites need a symmetry: an explicit run of one on a config
-without it raises ConfigError, and ``all`` skips it and runs the others in
-table order: ccr, tc, symmetry, partition, kernel, realfield.  Every other
-suite runs on every action.
+each name of :data:`SUITES` to its body, and ``all`` runs every suite in
+table order: ccr, tc, symmetry, partition, kernel, realfield.  Every suite
+runs on every config: a missing symmetry is the unitary identity, whose
+slot action :func:`~twistkit.spectrum.slot_action` builds by the one normal
+form.
 
 Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code.  The ``partition`` suite is
@@ -325,21 +325,26 @@ def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -
     taken with, so a twist angle that does not belong to it fails the check.
 
     At each point the Fock trace at cutoff 800 must lie within its tail
-    bound + 1e-8; the deviation is the worst disagreement.
+    bound + 1e-8; the deviation is the worst disagreement.  A ``rho`` that is
+    no unit phase gives no unitary to take the trace with: the deviation is
+    NaN, and the check fails.
     """
     from . import correlation
 
     omega, beta, m = sampled.omegas[k], sampled.beta, len(sampled.lags)
     single = validate_spectrum([("k", omega)])
-    single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
     cutoff = 800
+    tail = truncation_tail_bound(single, beta, cutoff)
+    try:
+        single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
+    except ConfigError:
+        return CheckResult("kernel", "closed form vs Fock-trace oracle", math.nan, tail + 1e-8)
     defects = []
     for d in range(1 - m, m):
         t, s = (d * (beta / m), 0.0) if d >= 0 else (0.0, -d * (beta / m))
         value = sampled.lags[d][k] if d >= 0 else sampled.lags[-d][k].conjugate()
         oracle = correlation.kernel_oracle(single, single_sym, beta, t, s, cutoff)
         defects.append(_abs(value - oracle))
-    tail = truncation_tail_bound(single, beta, cutoff)
     return CheckResult("kernel", "closed form vs Fock-trace oracle", _worst(defects), tail + 1e-8)
 
 
@@ -505,7 +510,7 @@ def eigenbasis_checks(
             CheckResult("kernel", "W* W = I", _worst(gram), 1e-12)]
 
 
-def _realfield(spectrum: ModeSpectrum, sym: SymmetrySpec, seed: int) -> list[CheckResult]:
+def _realfield(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
     from . import realfield
 
     phases = realfield.extend(spectrum, sym).phases
@@ -529,23 +534,14 @@ _SUITES: dict[str, Callable] = {
 SUITES = (*_SUITES, "all")
 
 
-#: The suites that need a symmetry in the config.
-_NEED_SYMMETRY = ("symmetry", "realfield")
-
-
 def run_suite(
     name: str, spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int = 0
 ) -> list[CheckResult]:
-    """Run one named suite, or every suite that applies, in table order, for
-    'all'.  The ``symmetry`` and ``realfield`` suites need a symmetry: an
-    explicit run of one on a config without it raises ConfigError, and 'all'
-    skips it."""
+    """Run one named suite, or every suite in table order for 'all', on any
+    config; ``sym=None`` is the unitary identity."""
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     _require_count(seed, 0, "seed")
-    if sym is None and name in _NEED_SYMMETRY:
-        raise ConfigError(f"{name} suite requires a symmetry in the config")
     if name != "all":
         return _SUITES[name](spectrum, sym, seed)
-    return [check for n, body in _SUITES.items() if sym is not None or n not in _NEED_SYMMETRY
-            for check in body(spectrum, sym, seed)]
+    return [check for body in _SUITES.values() for check in body(spectrum, sym, seed)]

@@ -1794,33 +1794,36 @@ def test_symmetry_kinds_are_normalized_in_one_place():
         assert uses == ([single] if module is verify else []), module.__name__
 
 
-@pytest.mark.parametrize(
-    "config, refused",
-    [({"modes": [{"label": "a", "omega": 0.7}, {"label": "b", "omega": 1.3}]},
-      {"symmetry", "realfield"}),
-     (None, set()),
-     (ANTI_PAIR, set())],
-    ids=["no-symmetry", "bundled-unitary", "anti-pair-fixed"],
-)
-def test_each_suite_runs_exactly_where_it_applies(config, refused, tmp_path, capsys):
-    # an explicit run of a suite that does not apply exits 2, and "all" skips it
+#: Two modes and no symmetry: every suite runs on the unitary identity.
+NO_SYMMETRY = {"modes": [{"label": "a", "omega": 0.7}, {"label": "b", "omega": 1.3}]}
+
+
+@pytest.mark.parametrize("config", [NO_SYMMETRY, None, ANTI_PAIR],
+                         ids=["no-symmetry", "bundled-unitary", "anti-pair-fixed"])
+def test_each_suite_runs_exactly_where_it_applies(config, tmp_path, capsys):
+    # every suite applies to every config, the identity included: no explicit
+    # run exits 2, and "all" runs all six in table order
     if isinstance(config, dict):
         config = write_config(tmp_path / "cfg.json", config)
     args = ["verify"] if config is None else ["verify", "--config", str(config)]
     names = verify.SUITES[:-1]
-    assert [main([*args, "--suite", s]) for s in names] == [2 * (s in refused) for s in names]
+    assert [main([*args, "--suite", s]) for s in names] == [0] * len(names)
     capsys.readouterr()
     assert main([*args, "--suite", "all"]) == 0
     lines = capsys.readouterr().out.splitlines()[:-1]
     listed = [suite for suite, _ in itertools.groupby(line.split()[1][:-1] for line in lines)]
-    assert listed == [s for s in names if s not in refused]
+    assert listed == list(names)
 
 
-@pytest.mark.parametrize("config", [None, ANTI_PAIR, GOLDEN / "anti_two_pairs_fixed.json"],
-                         ids=["bundled", "anti-pair-fixed", "anti-two-pairs-fixed"])
+@pytest.mark.parametrize(
+    "config", [None, ANTI_PAIR, GOLDEN / "anti_two_pairs_fixed.json", NO_SYMMETRY],
+    ids=["bundled", "anti-pair-fixed", "anti-two-pairs-fixed", "no-symmetry"])
 def test_all_runs_each_check_once(config):
     # one route per check: no two suites run a check of the same name
-    spectrum, sym = load_config(config) if config else cli._load(None)
+    if isinstance(config, dict):
+        spectrum, sym = parse_config(config)
+    else:
+        spectrum, sym = load_config(config) if config else cli._load(None)
     names = [r.name for r in verify.run_suite("all", spectrum, sym)]
     assert len(names) == len(set(names))
 

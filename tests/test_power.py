@@ -9,7 +9,8 @@ names the ROADMAP item that closes it.  The change that closes a gap moves
 its row to MUST_FAIL.
 
 The rows reuse the golden configs; "{output}" in an argv stands for a CSV
-path and "{minus_one}" for a one-mode config at omega = ln 2, rho = -1.
+path, "{minus_one}" for a one-mode config at omega = ln 2, rho = -1, and
+"{no_symmetry}" for a two-mode config (a, b) without a symmetry.
 """
 
 import cmath
@@ -18,12 +19,14 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twistkit import cli, correlation, fock, partition, realfield, verify
+from twistkit import spectrum as spectrum_module
 from twistkit.spectrum import SlotAction, SymmetrySpec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -283,6 +286,56 @@ def conjugated_slot_0(monkeypatch):
         return SlotAction(action.source, tuple(phases))
 
     monkeypatch.setattr(SymmetrySpec, "action", property(conjugated))
+
+
+def patch_slot_action(monkeypatch, change):
+    """``slot_action`` as ``change(spectrum, sym, action)`` of its result, in
+    every twistkit module that binds it."""
+    original = spectrum_module.slot_action
+
+    def changed(spectrum, sym):
+        return change(spectrum, sym, original(spectrum, sym))
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("twistkit") and vars(module).get("slot_action") is original:
+            monkeypatch.setattr(module, "slot_action", changed)
+
+
+def identity_action_as(change):
+    """The mutation that replaces the action ``slot_action`` builds for
+    ``sym=None``, the identity, by ``change(action)``."""
+
+    def mutate(monkeypatch):
+        patch_slot_action(monkeypatch, lambda spectrum, sym, action: (
+            action if sym is not None else change(action)))
+
+    return mutate
+
+
+#: The identity with every slot phase -1: U = (-1)^N, which fixes the vacuum,
+#: commutes with H and TC, and is unitary.
+negated_identity_action = identity_action_as(
+    lambda action: SlotAction(action.source, tuple(-p for p in action.phases)))
+#: The identity with the + and - slots of every mode swapped: the charge swap
+#: of an antiunitary twist without its conjugation.
+charge_swapped_identity_action = identity_action_as(
+    lambda action: SlotAction(tuple(s ^ 1 for s in action.source), action.phases))
+
+
+def negated_plus_slot(label):
+    """The mutation that negates the + slot phase of the mode ``label`` in
+    every slot action that holds it: a factor's, the cross space's or the
+    whole spectrum's, whatever its index there.  The phase stays a unit
+    phase, and conjugating it would change nothing where it is real."""
+
+    def change(spectrum, sym, action):
+        if label not in spectrum.labels:
+            return action
+        phases = list(action.phases)
+        phases[2 * spectrum.labels.index(label)] *= -1
+        return SlotAction(action.source, tuple(phases))
+
+    return lambda monkeypatch: patch_slot_action(monkeypatch, change)
 
 
 def trace_without_conjugate_phase(monkeypatch):
@@ -766,6 +819,37 @@ MUST_FAIL = {
            ("verify", ["verify", "--suite", "kernel"]),
            ("verify-anti", ["verify", "--config", ANTI, "--suite", "kernel"]),
            ("kernel", ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"]))},
+    # the identity of a config without a symmetry is built by the one normal
+    # form, and the symmetry suite checks it against the raw rule rho = 1
+    **{f"{tag}-identity-action": (
+        mutate, ["verify", "--config", "{no_symmetry}", "--suite", "all"],
+        ["symmetry: U alpha+*(a) U* = rho alpha+*(a)",
+         "symmetry: U alpha+*(b) U* = rho alpha+*(b)",
+         across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
+         across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")])
+       for tag, mutate in (("negated", negated_identity_action),
+                           ("charge-swapped", charge_swapped_identity_action))},
+    # a non-unit eigenphase gives the oracle no unitary: a NaN deviation, not exit 2
+    **{f"eigenphases-off-unit-kernel{tag}": (
+        eigenphases_off_unit, ["verify", *config, "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle"])
+       for tag, config in (("", []), ("-anti", ["--config", ANTI]))},
+    # ROADMAP item 12: the per-mode symmetry lines that no other row reaches
+    "negated-plus-slot-b": (
+        negated_plus_slot("b"), ["verify", "--suite", "symmetry"],
+        ["symmetry: U alpha+*(b) U* = rho alpha+*(b)",
+         across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")]),
+    "negated-plus-slot-c-anti": (
+        negated_plus_slot("c"), ["verify", "--config", ANTI, "--suite", "symmetry"],
+        ["symmetry: U alpha+*(c) U* = eta alpha-*(pi(c))",
+         across("symmetry: U alpha+*(c) U* = eta alpha-*(pi(c))")]),
+    "negated-plus-slot-d-two-pairs": (
+        negated_plus_slot("d"), ["verify", "--config", ANTI2, "--suite", "symmetry"],
+        ["symmetry: U alpha+*(d) U* = eta alpha-*(pi(d))",
+         across("symmetry: U alpha+*(d) U* = eta alpha-*(pi(d))")]),
+    "negated-plus-slot-e-two-pairs": (
+        negated_plus_slot("e"), ["verify", "--config", ANTI2, "--suite", "symmetry"],
+        ["symmetry: U alpha+*(e) U* = eta alpha-*(pi(e))"]),
     "unpaired-normal-form": (
         unpaired_normal_form, ["verify", "--config", ANTI, "--suite", "symmetry"],
         ["symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))",
@@ -803,6 +887,9 @@ UNDETECTED = {
         eigenphases_off_unit, ["verify", "--config", ANTI, "--suite", "partition"], 0, "item 11"),
     "creation-weight-sign-of-field": (
         flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
+    # the untwisted route's closed form and truncated trace read the same identity
+    "negated-identity-action-partition": (
+        negated_identity_action, ["partition", "--beta", "1"], 0, "item 22"),
 }
 
 
@@ -813,7 +900,11 @@ def run(argv, tmp_path):
         "modes": [{"label": "k0", "omega": math.log(2.0)}],
         "symmetry": {"kind": "unitary", "phases": [{"re": -1.0, "im": 0.0}]},
     }))
-    paths = {"{output}": str(tmp_path / "k.csv"), "{minus_one}": str(minus_one)}
+    no_symmetry = tmp_path / "no_symmetry.json"
+    no_symmetry.write_text(json.dumps({
+        "modes": [{"label": "a", "omega": 0.7}, {"label": "b", "omega": 1.3}]}))
+    paths = {"{output}": str(tmp_path / "k.csv"), "{minus_one}": str(minus_one),
+             "{no_symmetry}": str(no_symmetry)}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([paths.get(a, a) for a in argv])

@@ -52,6 +52,19 @@ class TestNormalForm:
         action = SlotAction((2, 0, 1, 3), (1j, 1j, 1j, -1.0))
         assert action.cycles == [(0, 3, -1j), (3, 1, -1.0)]
 
+    def test_no_symmetry_is_the_unitary_identity_of_the_normal_form(self, monkeypatch):
+        spec = validate_spectrum([("k0", 0.8), ("k1", 1.3)])
+        action = slot_action(spec, None)
+        assert action.source == (0, 1, 2, 3)
+        assert action.phases == (1.0,) * 4
+        # the identity comes from SymmetrySpec.action, the form the symmetry suite checks
+        built = []
+        normal_form = SymmetrySpec.action.func
+        monkeypatch.setattr(SymmetrySpec, "action", property(
+            lambda sym: built.append(sym.phases) or normal_form(sym)))
+        slot_action(spec, None)
+        assert built == [(1.0,) * 2]
+
     def test_computed_once(self):
         sym = SymmetrySpec(kind="unitary", phases=(1j,))
         assert sym.action is sym.action
