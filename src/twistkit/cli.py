@@ -9,14 +9,14 @@ Both ``kernel`` routes sample their kernel once, from its (omega, theta)
 columns, :func:`twistkit.correlation.sample_kernels` (the extended one
 through :func:`twistkit.realfield.sample_extended_kernel`), and write that
 grid with the one exporter, :func:`twistkit.correlation.export_kernel_csv`;
-``kernel --verify`` checks that same grid with some of the ``kernel``
-suite's named checks.  On either route it ties the exported lag values to
-the closed-form grid spectrum and checks their Hermitian and
-twisted-circulant symmetries and positivity; the extended route adds the
-exported eigenbasis, the scalar one the Fock-trace oracle at every lag.
-Neither runs the suite's resolvent residual, whose bound holds on the
-suite's grid only (ROADMAP item 11), and the extended route runs no
-oracle, which must first refuse the frequencies it cannot resolve (item
+``kernel --verify`` checks that same grid with the ``kernel`` suite's
+named checks.  On either route it ties the exported lag values to the
+closed-form grid spectrum, checks their Hermitian and twisted-circulant
+symmetries and positivity, and ties their lag-0 values to Z by the
+energy identity (the scalar route against the 1-cycle of its mode's +
+slot); the extended route adds the exported eigenbasis, the scalar one
+the Fock-trace oracle at every lag.  The extended route runs no oracle,
+which must first refuse the frequencies it cannot resolve (ROADMAP item
 13).  The scalar route prints ``max three-way disagreement:
 <value>``, the deviation of its oracle check; the line once also took a
 Fourier partial sum, and keeps its text because the benchmark's checks
@@ -149,16 +149,15 @@ def _cmd_kernel(args) -> int:
 
     spectrum, sym = _load(args.config)
     action = slot_action(spectrum, sym)
-    beta = args.beta
-    checks = []
+    checks, slot = [], None
     if args.extended:
         if args.mode is not None:
             raise ConfigError("--mode picks one scalar kernel; --extended exports every mode")
         from . import realfield
 
         ext = realfield.extend(spectrum, sym)
-        correlation.require_csv_rows(beta, args.grid, len(ext.phases))
-        sampled = realfield.sample_extended_kernel(ext, beta, args.grid)
+        correlation.require_csv_rows(args.beta, args.grid, len(ext.phases))
+        sampled = realfield.sample_extended_kernel(ext, args.beta, args.grid)
         lines = [f"wrote extended kernel grid to {args.output}"]
         if args.verify:
             checks = verify.eigenbasis_checks(ext, sampled)
@@ -168,10 +167,10 @@ def _cmd_kernel(args) -> int:
             "requires --extended (kernel is defined on the doubled space)"
         )
     else:
-        k = _select_mode(spectrum, args.mode)
-        omega, rho = spectrum.omegas[k], action.phases[2 * k]
+        slot = 2 * _select_mode(spectrum, args.mode)  # the mode's + slot
+        omega, rho = spectrum.omegas[slot // 2], action.phases[slot]
         theta = correlation.kernel_twist_angle(rho)
-        sampled = correlation.sample_kernels(beta, [omega], [theta], args.grid)
+        sampled = correlation.sample_kernels(args.beta, [omega], [theta], args.grid)
         lines = [f"wrote {args.grid * args.grid} kernel samples to {args.output}"]
         if args.verify:
             # The closed form and the oracle depend on t - s only, so the
@@ -180,6 +179,7 @@ def _cmd_kernel(args) -> int:
             lines.append(f"max three-way disagreement: {fmt(checks[0].deviation)}")
     if args.verify:
         checks += verify.sampled_kernel_checks(sampled)
+        checks.append(verify.energy_identity(sampled, spectrum, sym, slot))
     # every check first, and its failures reported, so a refused export
     # leaves no file behind and still shows what failed
     code = _report_failures(checks)

@@ -1,14 +1,16 @@
-"""Closed-form twisted partition functions and twist-positivity bounds.
+"""Closed-form twisted partition functions, their thermal energy and
+twist-positivity bounds.
 
-All values are finite products, accumulated in log space from factors
-log |1 - r e^{-y}|^2 that do not cancel, so that neither near-unity
-factors nor tiny beta*omega lose precision.  A product that is finite and
-positive but overflows or underflows a float raises RangeError instead of
-returning inf, 0 or nan.  One product, :func:`z_twisted`, runs over the
-cycles of the symmetry's :class:`twistkit.spectrum.SlotAction`, for either
-kind and for no symmetry (the identity, the untwisted Z).  Every log-sum
-is :func:`math.fsum`, correctly rounded, so that printed values do not
-depend on the interpreter's float ``sum``.
+Partition functions are finite products, accumulated in log space from
+factors log |1 - r e^{-y}|^2 that do not cancel, so that neither
+near-unity factors nor tiny beta*omega lose precision.  A product that is
+finite and positive but overflows or underflows a float raises RangeError
+instead of returning inf, 0 or nan.  One product, :func:`z_twisted`, runs
+over the cycles of the symmetry's :class:`twistkit.spectrum.SlotAction`,
+for either kind and for no symmetry (the identity, the untwisted Z); its
+thermal energy -d/dbeta log Z, :func:`energy_terms`, is one term per
+cycle.  Every log-sum is :func:`math.fsum`, correctly rounded, so that
+printed values do not depend on the interpreter's float ``sum``.
 
 The module holds closed forms and input guards only, on ``math`` and
 ``cmath``.  The oracles the closed forms are checked against, the
@@ -72,6 +74,14 @@ def _log_abs2_one_minus(y: float, rho: complex) -> float:
     return 2.0 * math.log(root) if root > 0.0 else -math.inf
 
 
+def _one_minus(y: float, phi: float) -> complex:
+    """1 - e^{i phi} e^{-y} for y >= 0, as -expm1(-y) + 2x sin^2(phi/2) -
+    i x sin(phi) with x = e^{-y}, in which nothing cancels: at small y
+    neither the rounding of x nor a phase's rounded modulus moves it."""
+    x = math.exp(-y)
+    return complex(2.0 * x * math.sin(0.5 * phi) ** 2 - math.expm1(-y), -x * math.sin(phi))
+
+
 def z_twisted(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float) -> float:
     """Tr(U e^{-beta H}) = prod_cycles (1 - r x^L)^{-1}, x = e^{-beta omega},
     for either symmetry kind; ``sym=None`` is the identity, whose trace
@@ -97,6 +107,27 @@ def z_twisted(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float) 
 
         warnings.warn(f"twisted partition value {z} is below {TINY_Z_FLAG}")
     return z
+
+
+def energy_terms(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], beta: float) -> list[float]:
+    """-d/dbeta log z_twisted, cycle by cycle: Re[L omega r x^L / (1 - r x^L)]
+    for each cycle (length L, phase product r) of the slot action, in the
+    order of ``SlotAction.cycles``, with x = e^{-beta omega}.  For a twist
+    that keeps every slot, term 2k is the 1-cycle of mode k's + slot.
+
+    Each r is read as the unit phase e^{i arg r}, as the kernel reads its
+    twist angle, and 1 - r x^L is taken by :func:`_one_minus`, so nothing
+    cancels.  The terms sum to the thermal energy of the twisted trace,
+    the lag-0 identity the ``kernel`` checks tie the sampled kernel to
+    (:func:`twistkit.verify.energy_identity`).
+    """
+    _require_beta(beta)
+    terms = []
+    for first, length, r in slot_action(spectrum, sym).cycles:
+        w, phi = spectrum.omegas[first // 2], cmath.phase(r)
+        y = length * beta * w
+        terms.append(length * (w * cmath.rect(math.exp(-y), phi) / _one_minus(y, phi)).real)
+    return terms
 
 
 def positivity_lower_bound(spectrum: ModeSpectrum, beta: float) -> float:

@@ -12,27 +12,26 @@ the CLI renders them and sets the exit code.  The ``partition`` suite is
 :func:`partition_row` at beta = 1 and :data:`PARTITION_CUTOFF`, and the
 ``partition`` subcommand renders that function on each of its rows, so
 both run one check list.  ``kernel --verify`` renders
-:func:`kernel_agreement`, :func:`eigenbasis_checks` and
-:func:`sampled_kernel_checks`, some of the checks the ``kernel`` suite
-runs: never the resolvent residual, whose bound holds on the suite's grid
-only (ROADMAP item 11), and on the extended route no oracle, which must
-first refuse the frequencies it cannot resolve (item 13).  The ``kernel``
-suite is the one suite that checks a sampled kernel.  It samples one layout, the
-one that ``kernel --extended`` exports, on a 32-point grid with one column
-per doubled eigenmode, for every action (the identity included), and every
-one of its checks reads that layout.  It checks it through the
-closed-form spectra of its twisted-circulant eigenmode grids, never a
-dense grid: positivity reads the closed form, a pure-Python transform of
-the exported lag values ties them to it, every column's lag-0 value must
-be real, which makes the whole grid Hermitian, every column's lags must be
-twisted-circulant, so that the closed form is the grid's spectrum, and the
-exported eigenbasis must diagonalize the induced unitary.  Its oracle and
-resolvent checks read column M, mode 0's + slot, whose phase is rho_0 for
-a diagonal action; the resolvent check reads the eigenmode residual of
-that column from one sum of its lag values, and it is two-sided: the
-residual must match its closed form, not merely stay below it.  The
-``realfield`` suite checks the doubled theory only: its eigenphases and
-the doubled-field oracle.
+:func:`kernel_agreement`, :func:`eigenbasis_checks`,
+:func:`sampled_kernel_checks` and :func:`energy_identity`, the checks the
+``kernel`` suite runs, except on the extended route the oracle, which
+must first refuse the frequencies it cannot resolve (ROADMAP item 13).
+The ``kernel`` suite is the one suite that checks a sampled kernel.  It
+samples one layout, the one that ``kernel --extended`` exports, on a
+32-point grid with one column per doubled eigenmode, for every action
+(the identity included), and every one of its checks reads that layout.
+It checks it through the closed-form spectra of its twisted-circulant
+eigenmode grids, never a dense grid: positivity reads the closed form, a
+pure-Python transform of the exported lag values ties them to it, every
+column's lag-0 value must be real, which makes the whole grid Hermitian,
+every column's lags must be twisted-circulant, so that the closed form is
+the grid's spectrum, and the exported eigenbasis must diagonalize the
+induced unitary.  The lag-0 energy identity ties the layout to Z with no
+cutoff, so it sees a common error of the lag values and the closed-form
+spectrum that every other check but the oracle passes.  The oracle reads
+column M, mode 0's + slot, whose phase is rho_0 for a diagonal action.
+The ``realfield`` suite checks the doubled theory only: its eigenphases
+and the doubled-field oracle.
 
 The oracles of the partition function live here, beside their one caller,
 so no closed-form module reaches them: the truncated trace
@@ -82,7 +81,8 @@ closed-form grid spectrum, at rounding level.  This module evaluates no
 closed form itself: the ``kernel`` suite builds its sampled kernels with
 :func:`twistkit.realfield.sample_extended_kernel` and
 :func:`twistkit.correlation.sample_kernels`, the routes the CLI exports,
-and reads its spectra from :meth:`~twistkit.correlation.SampledKernel.spectrum`.
+reads its spectra from :meth:`~twistkit.correlation.SampledKernel.spectrum`,
+and reads the energy of Z from :func:`twistkit.partition.energy_terms`.
 Only the dense suites read the seed, which draws their Fock-oracle states.
 """
 
@@ -95,7 +95,7 @@ from functools import partial
 
 from . import partition
 from .errors import CapacityError, ConfigError, RangeError
-from .partition import _log_abs2_one_minus, _require_beta, _require_count
+from .partition import _log_abs2_one_minus, _one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
 TYPE_CHECKING = False
@@ -290,11 +290,10 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> complex:
 
     One factor (1 - lambda_j e^{-beta omega_j})^{-1} per doubled mode.
     Each eigenphase is read as the unit phase lambda = e^{i phi}, as
-    :func:`twistkit.partition.z_twisted` reads the slot phases, and with
-    x = e^{-beta omega} the denominator is taken as
-    -expm1(-beta omega) + 2 x sin^2(phi/2) - i x sin(phi), in which nothing
-    cancels: at small beta omega neither a phase's rounded modulus nor the
-    rounding of x moves the product.
+    :func:`twistkit.partition.z_twisted` reads the slot phases, and the
+    denominator is taken by :func:`twistkit.partition._one_minus`, in
+    which nothing cancels: at small beta omega neither a phase's rounded
+    modulus nor the rounding of e^{-beta omega} moves the product.
     For a unitary input the eigenphases are {conj(rho_k), rho_k} and this
     reproduces the |1 - rho e^{-beta omega}|^{-2} product; for an
     antiunitary input it is an independent route to the square-root
@@ -305,8 +304,7 @@ def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> complex:
     _require_beta(beta)
     z = 1.0 + 0.0j
     for w, lam in zip(ext.doubled_omegas(), ext.phases):
-        x, phi = math.exp(-beta * w), cmath.phase(lam)
-        z /= complex(2.0 * x * math.sin(0.5 * phi) ** 2 - math.expm1(-beta * w), -x * math.sin(phi))
+        z /= _one_minus(beta * w, cmath.phase(lam))
     if z == 0.0 or not cmath.isfinite(z):
         raise RangeError(f"real-field partition value {z} is outside the float range")
     return z
@@ -440,44 +438,74 @@ def sampled_kernel_checks(sampled: correlation.SampledKernel) -> list[CheckResul
     ]
 
 
+def energy_identity(sampled: correlation.SampledKernel, spectrum: ModeSpectrum,
+                    sym: Optional[SymmetrySpec], slot: Optional[int] = None) -> CheckResult:
+    """The lag-0 energy identity, a ``kernel`` check that ties the sampled
+    kernel to Z with no cutoff: the thermal energy -d/dbeta log Z of the
+    twisted trace is the sum of the equal-time pair correlations,
+
+        sum_j omega_j (omega_j Re v_0j - 1/2) = sum_cycles Re[L omega r x^L / (1 - r x^L)],
+
+    over the columns j of the layout (frequency omega_j, lag-0 value v_0j)
+    on the left and over the cycles of the slot action on the right, the
+    per-cycle terms :func:`twistkit.partition.energy_terms` at the
+    layout's beta.  The extended layout has one column per slot, and the
+    roots of each cycle's r are its columns' eigenphases.  A scalar layout
+    has the one column of a mode whose twist keeps every slot; ``slot``
+    names its + slot, 2k, whose 1-cycle it is compared with.  The left side
+    is written omega (omega v - 1/2), never omega^2 v - omega/2, so that no
+    intermediate overflows where omega^2 does (omega = 1e300).  Grounding:
+    the energy equation and the equal-time free-field propagator (J. I.
+    Kapusta and C. Gale, Finite-Temperature Field Theory, 2nd ed., 2006,
+    ch. 2).
+
+    The threshold 8 eps sum_j t_j / |1 - lambda_j x_j|, with
+    t_j = omega_j (omega_j |v_0j| + 1/2), x_j = e^{-beta omega_j} and the
+    eigenphase lambda_j = e^{-i theta_j}, is a first-order rounding bound
+    that follows the conditioning of 1 - lambda x.  Both sides evaluate
+    sum_j omega_j Re[lambda_j x_j / (1 - lambda_j x_j)] (a cycle's r x^L
+    is (lambda x)^L for each of its L columns, whose terms sum to the
+    cycle's), so each rounding is a perturbation of some lambda_j x_j.  An error delta in the angle a of
+    lambda moves its column's term by at most
+    delta omega x |sin a| (1 - x^2) / |1 - lambda x|^4, which is at most
+    delta / (4 eps) of that column's share 8 eps t_j / |1 - lambda_j x_j|
+    (since omega |v_0| = (1 - x^2) / (2 |1 - lambda x|^2)).  The exported
+    twist angle theta in [0, 2 pi) is rounded by up to about 3 eps near
+    2 pi (half an ulp there, and float(2 pi)'s own 1.1 eps), so this term
+    takes at most 0.78 of the threshold.  The other roundings are
+    relative: the closed form's v_0j = (1 - x^2)/(2 omega D) and the left
+    side's products and difference, a few eps of t_j, and the right
+    side's 1 - r x^L, taken by :func:`~twistkit.partition._one_minus`
+    without cancellation, a few eps of itself; where the angle term is
+    large, |1 - lambda x| is small and these are far below the share.
+    Measured: at most 0.77 of the threshold on a scalar layout and 0.54
+    on an extended one over 220000 random configs (up to 4 modes, either
+    kind, omega log-uniform in [1e-4, 1e3], beta in [1e-2, 1e2], half the
+    phases within 1e-3 of 1).
+
+    The deviation is |left - right|.  A NaN lag value gives a NaN
+    deviation, and an infinite one an infinite threshold, which is read
+    as NaN, so that either fails the check.
+    """
+    terms = partition.energy_terms(spectrum, sym, sampled.beta)
+    columns = list(zip(sampled.omegas, sampled.thetas, sampled.lags[0]))
+    energy = _fsum(w * (w * v.real - 0.5) for w, _, v in columns)
+    slack = _fsum(8 * _EPS * w * (w * _abs(v) + 0.5) / abs(_one_minus(sampled.beta * w, -theta))
+                  for w, theta, v in columns)
+    deviation = abs(energy - _fsum(terms if slot is None else [terms[slot]]))
+    return CheckResult("kernel", "lag-0 energy vs partition function", deviation,
+                       slack if slack < math.inf else math.nan)
+
+
 def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
     from . import realfield
 
-    beta, m = 1.0, 32
     ext = realfield.extend(spectrum, sym)
-    sampled = realfield.sample_extended_kernel(ext, beta, m)
-    # column M is mode 0's + slot, with the phase rho_0 of a diagonal action;
-    # the oracle and the resolvent read it
+    sampled = realfield.sample_extended_kernel(ext, 1.0, 32)  # beta = 1, m = 32
+    # column M is mode 0's + slot, with the phase rho_0 of a diagonal action
     k = len(spectrum)
-    theta = sampled.thetas[k]
-    results = [kernel_agreement(sampled, k, ext.phases[k])]
-    results += eigenbasis_checks(ext, sampled) + sampled_kernel_checks(sampled)
-    # On the eigenmode e^{i nu t}, nu = theta/beta, the quadrature residual of
-    # the resolvent is exactly |h lambda_hat_0 (nu^2 + omega^2) - 1|, h = beta/m,
-    # with lambda_hat_0 = Re sum_j v_j e^{-i theta j/m} over the lag values.
-    # Aliasing only adds positive terms, so a correct kernel has h lambda_0
-    # (nu^2 + omega^2) > 1 (lambda_0 from the closed form), and the residual's
-    # distance from its closed form is h (nu^2 + omega^2) |lambda_hat_0 -
-    # lambda_0|; that distance also fails the mirror scale, whose residual
-    # flips sign.  Its bound is 16 eps h max lambda (nu^2 + omega^2), which
-    # covers the rounding of the lag values (chiefly their sampled times), the
-    # sum and the closed form: over 15000 correct kernels at this (m, beta),
-    # omega in [1e-3, 1e3] and theta uniform, the distance stayed below 0.26
-    # of it.  The factor h (nu^2 + omega^2) divides both sides, so the check
-    # compares |lambda_hat_0 - lambda_0| with 16 eps max lambda, and omega^2
-    # never has to be a float.
-    lam_hat = _fsum(
-        (row[k] * cmath.rect(1.0, -theta * j / m)).real for j, row in enumerate(sampled.lags))
-    lam = [row[k] for row in sampled.spectrum()]
-    results.append(
-        CheckResult(
-            "kernel",
-            "resolvent residual on twisted eigenmode",
-            abs(lam_hat - lam[0]),
-            16 * _EPS * _worst(lam),
-        )
-    )
-    return results
+    return [kernel_agreement(sampled, k, ext.phases[k]), *eigenbasis_checks(ext, sampled),
+            *sampled_kernel_checks(sampled), energy_identity(sampled, spectrum, sym)]
 
 
 def eigenbasis_checks(

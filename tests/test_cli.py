@@ -752,17 +752,20 @@ class TestSampledKernelChecksBite:
         assert main(args + ["--verify"]) == 1
         assert f"[FAIL] kernel: {self.SPECTRUM}" in capsys.readouterr().err
 
+    ENERGY = "lag-0 energy vs partition function"
+
     @pytest.mark.parametrize(
         "scale", [1.0 - 1e-5, 1.0 - 1e-4, 1.0 + 1e-6, "mirror"],
         ids=["minus_1e-5", "minus_1e-4", "plus_1e-6", "mirror"],
     )
-    def test_scaled_kernel_fails_the_resolvent_check(self, minus_one_config, monkeypatch, scale):
-        # two-sided: a kernel slightly too small lowers the residual, and fails too
+    def test_scaled_kernel_fails_the_energy_identity(self, minus_one_config, monkeypatch, scale):
+        # a kernel slightly too small fails as one slightly too large does
         closed = correlation.kernel_closed_form
         if scale == "mirror":
-            # the scale s with s R - 1 = -(R - 1), R = h lambda_0 (nu^2 + omega^2):
-            # its residual |s R - 1| equals the correct one, so a check that
-            # compares residuals passes it (about 0.99832 here)
+            # the scale s with s R - 1 = -(R - 1), R = h lambda_0 (nu^2 + omega^2),
+            # about 0.99832 here: a check that compared the eigenmode residual
+            # |s R - 1| with its correct value would pass it, but s moves the
+            # lag-0 values, and with them the energy, by the factor s
             h, w2 = 1.0 / 32, math.pi**2 + LN2**2
             r = h * correlation.grid_spectrum(LN2, math.pi, 1.0, 32)[0] * w2
             scale = (2.0 - r) / r
@@ -770,22 +773,19 @@ class TestSampledKernelChecksBite:
             correlation, "kernel_closed_form", lambda *args: scale * closed(*args)
         )
         spec, sym = load_config(minus_one_config)
-        assert self.failed(
-            verify.run_suite("kernel", spec, sym), "resolvent residual on twisted eigenmode"
-        )
+        assert self.failed(verify.run_suite("kernel", spec, sym), self.ENERGY)
 
     @pytest.mark.parametrize("omega", [10.0, 1000.0])
-    def test_resolvent_check_passes_correct_kernels_at_large_omega(self, tmp_path, capsys, omega):
-        # the residual is |h lambda_0 (nu^2 + omega^2) - 1| up to rounding, at any m
+    def test_energy_identity_passes_correct_kernels_at_large_omega(self, tmp_path, capsys, omega):
         cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": omega}]})
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
 
-    def test_resolvent_check_passes_where_omega_squared_overflows(self, tmp_path, capsys):
-        # omega^2 = 1e600 is not a float, but the check compares eigenvalues,
-        # not residuals: the factor h (nu^2 + omega^2) divides both sides
+    def test_energy_identity_passes_where_omega_squared_overflows(self, tmp_path, capsys):
+        # omega^2 = 1e600 is not a float, but the identity's left side is
+        # omega (omega v - 1/2), whose every intermediate is
         cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e300}]})
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
-        assert "[pass] kernel: resolvent residual on twisted eigenmode" in capsys.readouterr().out
+        assert f"[pass] kernel: {self.ENERGY} (deviation 0.0" in capsys.readouterr().out
 
     def test_tiny_omega_grid_is_positive_definite(self, tmp_path, capsys, recwarn):
         # omega = 1e-12: max lambda ~ 1.6e25 against a closed-form least

@@ -574,10 +574,9 @@ class TestVerifyResolvent:
         assert abs(dense.verify_resolvent(omega, theta, beta, g, g2, m=m) - loop) <= 1e-13
 
     def test_eigenmode_residual_is_one_sum_of_the_lag_values(self):
-        # what the kernel suite's resolvent check reads instead of this quadrature:
-        # |h lambda_hat_0 (nu^2 + omega^2) - 1|, lambda_hat_0 the carrier-stripped
-        # sum of the m lag values, within the check's 16 eps R; the suite's grid
-        # is m = 32
+        # on an eigenmode the quadrature's residual is one sum of the lag
+        # values, |h lambda_hat_0 (nu^2 + omega^2) - 1| with lambda_hat_0 the
+        # carrier-stripped sum of the m lag values, within 16 eps R
         rng = np.random.default_rng(116)
         beta = 1.0
         worst = 0.0

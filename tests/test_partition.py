@@ -1,13 +1,18 @@
 import cmath
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistkit import partition, verify
+from twistkit import correlation, partition, realfield, verify
+from twistkit.cli import _load
 from twistkit.errors import DomainError, RangeError
 from twistkit.spectrum import SymmetrySpec, validate_spectrum
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LN2 = math.log(2.0)
 
@@ -271,3 +276,83 @@ class TestTinyZFlag:
             pairing=tuple(k ^ 1 for k in range(1010)),  # a{i} <-> b{i}
         )
         self.check(spec, sym, (1.0 + math.exp(-2e-3)) ** -1010)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+@st.composite
+def energy_configs(draw):
+    """Either kind, M <= 4 modes, omega log-uniform in [1e-4, 1e3], beta in
+    [1e-2, 1e2], half the phases within 1e-3 of 1 (near-degenerate
+    |1 - lambda x|), and for antiunitary twists a random omega-preserving
+    involutive pairing."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    omegas = [draw(log_uniform(1e-4, 1e3)) for _ in range(m)]
+    near_one = st.floats(min_value=-1e-3, max_value=1e-3)
+    anywhere = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
+    phases = [cmath.exp(1j * draw(near_one if draw(st.booleans()) else anywhere))
+              for _ in range(m)]
+    if draw(st.booleans()):
+        sym = SymmetrySpec(kind="unitary", phases=tuple(phases))
+    else:
+        order = draw(st.permutations(range(m)))
+        pairing = list(range(m))
+        for i in range(draw(st.integers(min_value=0, max_value=m // 2))):
+            a, b = order[2 * i], order[2 * i + 1]
+            pairing[a], pairing[b] = b, a
+            omegas[b] = omegas[a]
+        sym = SymmetrySpec(kind="antiunitary", phases=tuple(phases), pairing=tuple(pairing))
+    spectrum = validate_spectrum([(f"k{i}", w) for i, w in enumerate(omegas)])
+    return spectrum, sym, draw(log_uniform(1e-2, 1e2))
+
+
+class TestEnergyIdentity:
+    """The per-cycle energy terms are -d/dbeta log Z, and the lag-0 values
+    of every kernel layout sum to them within the check's threshold."""
+
+    ENERGY = "lag-0 energy vs partition function"
+
+    @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json", "anti_two_pairs_fixed.json",
+                                        "unitary_generic.json"])
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
+    def test_terms_are_minus_the_log_derivative_of_z(self, config, beta):
+        # a central difference pins the sign and the factor of every term
+        spectrum, sym = _load(None if config is None else str(GOLDEN / config))
+        h = 1e-5 * beta
+        slope = (math.log(partition.z_twisted(spectrum, sym, beta + h))
+                 - math.log(partition.z_twisted(spectrum, sym, beta - h))) / (2.0 * h)
+        energy = math.fsum(partition.energy_terms(spectrum, sym, beta))
+        assert abs(energy + slope) <= 1e-8 * (1.0 + abs(energy))
+
+    def test_terms_follow_the_cycles(self):
+        # a unitary twist: term 2k is the 1-cycle of mode k's + slot, and the
+        # - slot's conjugate phase gives the same real part
+        spectrum = validate_spectrum([("a", 0.7), ("b", 1.3)])
+        rho = (cmath.exp(0.4j), -1.0 + 0j)
+        terms = partition.energy_terms(spectrum, SymmetrySpec(kind="unitary", phases=rho), 1.0)
+        for k, (w, r) in enumerate(zip((0.7, 1.3), rho)):
+            x = math.exp(-w)
+            want = (w * r * x / (1.0 - r * x)).real
+            assert abs(terms[2 * k] - want) <= 1e-15 and abs(terms[2 * k + 1] - want) <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(energy_configs())
+    def test_every_layout_passes_within_eight_eps(self, config):
+        spectrum, sym, beta = config
+        ext = realfield.extend(spectrum, sym)
+        sampled = realfield.sample_extended_kernel(ext, beta, 2)
+        check = verify.energy_identity(sampled, spectrum, sym)
+        assert check.name == self.ENERGY and check.passed
+        # the threshold's constant is 8: 8 eps sum_j t_j / |1 - lambda_j x_j|
+        slack = math.fsum(
+            w * (w * abs(v) + 0.5) / abs(1.0 - lam * math.exp(-beta * w))
+            for w, lam, v in zip(ext.doubled_omegas(), ext.phases, sampled.lags[0]))
+        assert check.threshold <= 8 * sys.float_info.epsilon * slack * (1.0 + 1e-6)
+        if sym.kind == "unitary":
+            # the scalar layout of each mode, as kernel --verify samples it
+            for k, (w, rho) in enumerate(zip(spectrum.omegas, sym.phases)):
+                theta = correlation.kernel_twist_angle(rho)
+                scalar = correlation.sample_kernels(beta, [w], [theta], 2)
+                assert verify.energy_identity(scalar, spectrum, sym, 2 * k).passed

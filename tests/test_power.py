@@ -391,18 +391,28 @@ def kernel_scaled_by_1e_14(monkeypatch):
                         lambda *args: closed(*args) * (1.0 + 1e-14))
 
 
-def basis_column_scaled(monkeypatch):
-    """The first column of the first block of the sampled basis scaled by
-    1 + 1e-9: still an eigenvector of U, no longer of unit length."""
-    sample = realfield.sample_extended_kernel
+def first_basis_column(change):
+    """The mutation that replaces the first column w0 of the first block of
+    the sampled basis by ``change(w0)``."""
 
-    def scaled(ext, beta, m):
-        sampled = sample(ext, beta, m)
-        (indices, (w0, *rest)), *blocks = sampled.basis
-        sampled.basis = ((indices, (tuple(a * (1.0 + 1e-9) for a in w0), *rest)), *blocks)
-        return sampled
+    def mutate(monkeypatch):
+        sample = realfield.sample_extended_kernel
 
-    monkeypatch.setattr(realfield, "sample_extended_kernel", scaled)
+        def changed(ext, beta, m):
+            sampled = sample(ext, beta, m)
+            (indices, (w0, *rest)), *blocks = sampled.basis
+            sampled.basis = ((indices, (change(w0), *rest)), *blocks)
+            return sampled
+
+        monkeypatch.setattr(realfield, "sample_extended_kernel", changed)
+
+    return mutate
+
+
+#: Scaled by 1 + 1e-9: still an eigenvector of U, no longer of unit length.
+basis_column_scaled = first_basis_column(lambda w0: tuple(a * (1.0 + 1e-9) for a in w0))
+#: Its first coefficient NaN: every block entry that reads it is NaN too.
+basis_column_nan = first_basis_column(lambda w0: (complex(math.nan), *w0[1:]))
 
 
 def negated_lambda_0(monkeypatch):
@@ -465,7 +475,7 @@ def kernel_scaled_by(factor):
 #: Every lag value finite, but their sum of magnitudes is not: ``math.fsum``
 #: overflows.
 kernel_scaled_by_4e307 = kernel_scaled_by(4e307)
-#: The resolvent's sum of the lag values' real parts overflows too.
+#: The lag-0 energy overflows too.
 kernel_scaled_by_1_7e308 = kernel_scaled_by(1.7e308)
 #: One lag value with finite parts whose magnitude is beyond the float range,
 #: where ``abs`` raises.
@@ -474,7 +484,8 @@ kernel_beyond_abs_at_lag_1 = at_lag_1("kernel_closed_form", complex(1.5e308, 1.5
 
 def kernel_inf_everywhere(monkeypatch):
     """``kernel_closed_form`` infinite at every point: the carrier turns
-    some lag values to -inf, so the resolvent's sum meets inf - inf."""
+    some lag values to -inf, and the infinite lag-0 values give the lag-0
+    energy an infinite threshold, which it reads as NaN."""
     monkeypatch.setattr(correlation, "kernel_closed_form", lambda *args: complex(math.inf))
 
 
@@ -641,23 +652,37 @@ MUST_FAIL = {
         ["kernel: sampled kernel Hermitian"]),
     "mode-b-kernel-scaled-kernel": (
         mode_b_kernel_scaled, ["kernel", "--mode", "b", *GRID_8_VERIFY],
-        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled spectrum vs closed form"]),
+        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled spectrum vs closed form",
+         "kernel: lag-0 energy vs partition function"]),
     "mode-b-kernel-scaled-all": (
         mode_b_kernel_scaled, ["verify", "--suite", "all"],
-        ["kernel: sampled spectrum vs closed form"]),
+        ["kernel: sampled spectrum vs closed form", "kernel: lag-0 energy vs partition function"]),
     "mode-b-kernel-scaled-kernel-suite": (
         mode_b_kernel_scaled, ["verify", "--suite", "kernel"],
-        ["kernel: sampled spectrum vs closed form"]),
+        ["kernel: sampled spectrum vs closed form", "kernel: lag-0 energy vs partition function"]),
     "mode-c-kernel-scaled-kernel-suite": (
         mode_c_kernel_scaled, ["verify", "--config", ANTI, "--suite", "kernel"],
-        ["kernel: sampled spectrum vs closed form"]),
-    # the tightest kernel check; on the bundled config this scale passes
+        ["kernel: sampled spectrum vs closed form", "kernel: lag-0 energy vs partition function"]),
+    # the tightest kernel check, on both configs
     "kernel-scaled-by-1e-14-verify-anti": (
         kernel_scaled_by_1e_14, ["verify", "--config", ANTI, "--suite", "kernel"],
-        ["kernel: resolvent residual on twisted eigenmode"]),
+        ["kernel: lag-0 energy vs partition function"]),
+    "kernel-scaled-by-1e-14-verify": (
+        kernel_scaled_by_1e_14, ["verify", "--suite", "kernel"], ["kernel: lag-0 energy vs partition function"]),
+    # the energy identity reads Z, not the closed-form spectrum, so it sees
+    # a common scale of the lag values and the spectrum; no oracle runs here
+    "kernel-and-spectrum-scaled-extended": (
+        kernel_and_spectrum_scaled_by_1e_6,
+        ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "16",
+         "--output", "{output}"],
+        ["kernel: lag-0 energy vs partition function"]),
     "basis-column-scaled-verify": (
         basis_column_scaled, ["verify", "--config", ANTI2, "--suite", "kernel"],
         ["kernel: W* W = I"]),
+    # ROADMAP item 24's family: a NaN basis coefficient fails both basis checks
+    "basis-column-nan-verify": (
+        basis_column_nan, ["verify", "--config", ANTI2, "--suite", "kernel"],
+        ["kernel: U W = W Lambda", "kernel: W* W = I"]),
     "basis-column-scaled-kernel": (
         basis_column_scaled,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
@@ -668,8 +693,7 @@ MUST_FAIL = {
         ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
     "negated-lambda-0-kernel-suite": (
         negated_lambda_0, ["verify", "--suite", "kernel"],
-        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite",
-         "kernel: resolvent residual on twisted eigenmode"]),
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
     "mode-b-odd-lag-defect-kernel-suite": (
         mode_b_odd_lag_defect, ["verify", "--suite", "kernel"],
         ["kernel: sampled kernel twisted-circulant"]),
@@ -748,8 +772,7 @@ MUST_FAIL = {
     # through the NaN-aware reducer, and the suite exits 1, not 4
     **{f"grid-spectrum-nan-at-3-verify{tag}": (
         grid_spectrum_nan_at_3, ["verify", *config, "--suite", "kernel"],
-        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite",
-         "kernel: resolvent residual on twisted eigenmode"])
+        ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"])
        for tag, config in (("", []), ("-anti", ["--config", ANTI]))},
     "grid-spectrum-nan-at-3-kernel": (
         grid_spectrum_nan_at_3,
@@ -763,49 +786,48 @@ MUST_FAIL = {
     **{f"kernel-{kind}-at-lag-1-verify{tag}": (
         mutate, ["verify", *config, "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
-         "kernel: sampled spectrum vs closed form",
-         "kernel: resolvent residual on twisted eigenmode"])
+         "kernel: sampled spectrum vs closed form"])
        for kind, mutate in (("nan", kernel_nan_at_lag_1), ("inf", kernel_inf_at_lag_1))
        for tag, config in (("", []), ("-anti", ["--config", ANTI]))},
     "kernel-inf-everywhere-verify": (
         kernel_inf_everywhere, ["verify", "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
-         "kernel: sampled spectrum vs closed form",
-         "kernel: resolvent residual on twisted eigenmode"]),
+         "kernel: sampled spectrum vs closed form", "kernel: lag-0 energy vs partition function"]),
     # ROADMAP item 24: finite lag values whose sum or magnitude overflows
     # fail their checks too, and no OverflowError aborts the run
     **{f"kernel-scaled-by-{scale}-{tag}": (mutate, argv, [f"kernel: {c}" for c in failing])
        for scale, mutate, tag, argv, failing in (
            ("4e307", kernel_scaled_by_4e307, "verify", ["verify", "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
-             "resolvent residual on twisted eigenmode"]),
+             "lag-0 energy vs partition function"]),
            ("4e307", kernel_scaled_by_4e307, "verify-anti",
             ["verify", "--config", ANTI, "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
-             "resolvent residual on twisted eigenmode"]),
+             "lag-0 energy vs partition function"]),
            ("4e307", kernel_scaled_by_4e307, "kernel",
             ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
-            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form"]),
+            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
+             "lag-0 energy vs partition function"]),
            ("4e307", kernel_scaled_by_4e307, "extended-kernel-anti",
             ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
              "--output", "{output}"],
-            ["sampled spectrum vs closed form"]),
+            ["sampled spectrum vs closed form", "lag-0 energy vs partition function"]),
            ("1.7e308", kernel_scaled_by_1_7e308, "verify", ["verify", "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
-             "resolvent residual on twisted eigenmode"]),
+             "lag-0 energy vs partition function"]),
            ("1.7e308", kernel_scaled_by_1_7e308, "verify-anti",
             ["verify", "--config", ANTI, "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
-             "sampled spectrum vs closed form", "resolvent residual on twisted eigenmode"]))},
+             "sampled spectrum vs closed form", "lag-0 energy vs partition function"]))},
     **{f"kernel-beyond-abs-at-lag-1-{tag}": (
         kernel_beyond_abs_at_lag_1, argv, [f"kernel: {c}" for c in failing])
        for tag, argv, failing in (
            ("verify", ["verify", "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
-             "sampled spectrum vs closed form", "resolvent residual on twisted eigenmode"]),
+             "sampled spectrum vs closed form"]),
            ("verify-anti", ["verify", "--config", ANTI, "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
-             "sampled spectrum vs closed form", "resolvent residual on twisted eigenmode"]),
+             "sampled spectrum vs closed form"]),
            ("kernel", ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
             ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
              "sampled spectrum vs closed form"]),
@@ -873,12 +895,6 @@ UNDETECTED = {
         conjugated_imaginary_time, ["verify", "--suite", "all"], 0, "item 14"),
     "imaginary-time-sign-of-field-anti": (
         conjugated_imaginary_time, ["verify", "--config", ANTI2, "--suite", "all"], 0, "item 14"),
-    # only the Fock-trace oracle sees a common scale, and the extended route runs none
-    "kernel-and-spectrum-scaled-extended": (
-        kernel_and_spectrum_scaled_by_1e_6,
-        ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "16",
-         "--output", "{output}"],
-        0, "items 1 and 13"),
     # the doubled route reads each eigenphase as a unit phase, as the closed
     # form reads the slot phases, so that a phase's rounded modulus cannot
     # move Z at small beta omega; reading the modulus needs a threshold
@@ -923,3 +939,13 @@ def test_mutation_fails_its_checks(mutate, argv, failing, tmp_path, monkeypatch)
 def test_known_gap_is_still_undetected(mutate, argv, code, item, tmp_path, monkeypatch):
     mutate(monkeypatch)
     assert run(argv, tmp_path) == (code, []), f"closed by ROADMAP {item}? move the row to MUST_FAIL"
+
+
+def test_nan_basis_column_fails_the_basis_checks_and_writes_no_file(tmp_path, monkeypatch):
+    # the exporter refuses the NaN blocks (exit 5) only after every check
+    # has run and printed its failure
+    argv = ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
+            "--output", "{output}"]
+    basis_column_nan(monkeypatch)
+    assert run(argv, tmp_path) == (5, ["kernel: U W = W Lambda", "kernel: W* W = I"])
+    assert not (tmp_path / "k.csv").exists()
