@@ -14,7 +14,8 @@ printed values do not depend on the interpreter's float ``sum``.
 
 The module holds closed forms and input guards only, on ``math`` and
 ``cmath``.  The oracles the closed forms are checked against, the
-truncated traces and their tail bounds, live beside their one caller,
+truncated traces with their tail bounds and 1/det(1 - XU) walked from the
+slot table, live beside their one caller,
 :func:`twistkit.verify.partition_row`.
 """
 

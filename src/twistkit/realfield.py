@@ -30,15 +30,15 @@ read that layout; for a unitary input (or none) every index is fixed, so
 no block mixes the two sectors.
 
 The module holds closed forms only and runs on ``math`` and ``cmath``,
-and it loads :mod:`twistkit.correlation` only when it samples a kernel,
-so the doubled-theory route to Z, which reads :func:`extend` alone, does
-not compile it; the dense ``ExtendedSpectrum.induced``, read by tests and
-the benchmark, is a table of row tuples built from the sparse image table.  The oracles
-that read this doubling live with the verify suites: the doubled-theory
-route to the partition function, :func:`twistkit.verify.z_via_realfield`,
-and the doubled-field oracle, which checks the real-time field of the
-doubled theory in the truncated Fock space,
-:func:`twistkit.fock.doubled_field_checks`.
+and it loads :mod:`twistkit.correlation` only when it samples a kernel;
+the dense ``ExtendedSpectrum.induced``, read by tests and the benchmark,
+is a table of row tuples built from the sparse image table.  No route to
+Z reads this module: the ``partition`` checks walk the slot action
+itself (:func:`twistkit.verify.z_via_det`), and the doubled-theory
+product over these eigenphases is a test reference only.  The oracle
+that reads this doubling lives with the verify suites: the doubled-field
+oracle, which checks the real-time field of the doubled theory in the
+truncated Fock space, :func:`twistkit.fock.doubled_field_checks`.
 """
 
 from __future__ import annotations

@@ -39,10 +39,11 @@ so no closed-form module reaches them: the truncated trace
 and :func:`twisted_tail_bound`, read by :func:`partition_row` (at
 :data:`PARTITION_CUTOFF` in the ``partition`` suite and by default in the
 ``partition`` subcommand, and capped at :data:`MAX_TRACE_STEPS` Horner
-steps a trace), and the doubled-theory route :func:`z_via_realfield`,
-which :func:`partition_row` runs for a twist that moves slots: its route
-check compares the complex product with the closed form, so a non-real
-value fails that check.
+steps a trace), and 1/det(1 - XU), :func:`z_via_det`, which
+:func:`partition_row` runs for every twist: it walks the slot table, not
+the cycles the closed form reads, and takes no truncation, so a wrong
+cycle product, or a relative error of Z far below the trace's tail bound,
+fails its check.  The untwisted trace reads the frequencies alone.
 
 The ``ccr``, ``tc`` and ``symmetry`` suites and the doubled-field checks
 of ``realfield`` act with the matrix-free Fock oracle, once per factor of
@@ -51,11 +52,11 @@ beside it in :mod:`twistkit.fock`, which one runner here, keyed by suite
 name, imports only when one of them runs.  This module imports neither
 numpy nor :mod:`twistkit.fock` at module level, so :class:`CheckResult`,
 :data:`SUITES`, :func:`run_suite`, :func:`partition_row`, the ``kernel``
-and ``partition`` suites (the latter's doubled-theory route, which loads
-:mod:`twistkit.realfield` but not :mod:`twistkit.correlation`, included)
-and the checks of any sampled kernel
+and ``partition`` suites and the checks of any sampled kernel
 (``kernel --verify`` on either route) run on ``math`` alone, and a job
-that runs none of the dense suites never compiles their source.
+that runs none of the dense suites never compiles their source; the
+``partition`` suite loads neither :mod:`twistkit.realfield` nor
+:mod:`twistkit.correlation`.
 
 Every deviation, and every threshold read from the data, is the
 NaN-aware maximum :func:`_worst` of its defects, never a bare ``max`` or
@@ -94,8 +95,8 @@ import sys
 from functools import partial
 
 from . import partition
-from .errors import CapacityError, ConfigError, RangeError
-from .partition import _log_abs2_one_minus, _one_minus, _require_beta, _require_count
+from .errors import CapacityError, ConfigError
+from .partition import _exp_in_range, _log_abs2_one_minus, _one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
 TYPE_CHECKING = False
@@ -103,7 +104,6 @@ if TYPE_CHECKING:
     from typing import Callable, Iterable, Optional
 
     from . import correlation, realfield
-    from .realfield import ExtendedSpectrum
 
 #: Machine epsilon, 2^-52.
 _EPS = sys.float_info.epsilon
@@ -218,13 +218,17 @@ def partition_trace(
     Only basis states constant on each cycle are fixed, so with
     x = e^{-beta omega} and S_N the truncated geometric sum, a cycle of
     length L and phase product r contributes S_N(r x^L), accumulated term
-    by term.  Equality with the basis sum and a dense trace is asserted in
-    the tests.  CapacityError where (cutoff + 1) times the number of
-    cycles exceeds :data:`MAX_TRACE_STEPS`, before the first step.
+    by term.  The untwisted trace (``sym=None``) reads the frequencies
+    alone, never the identity's slot action: S_N(x_k) once per slot, in
+    slot order, so each mode's sum enters twice.  Equality with the basis
+    sum and a dense trace is asserted in the tests.  CapacityError where
+    (cutoff + 1) times the number of cycles exceeds
+    :data:`MAX_TRACE_STEPS`, before the first step.
     """
     _require_beta(beta)
     _require_count(cutoff, 0, "occupation cutoff")
-    cycles = slot_action(spectrum, sym).cycles
+    cycles = ([(slot, 1, 1.0) for slot in range(2 * len(spectrum))] if sym is None
+              else slot_action(spectrum, sym).cycles)
     steps = (cutoff + 1) * len(cycles)
     if steps > MAX_TRACE_STEPS:
         raise CapacityError(
@@ -246,14 +250,14 @@ def partition_row(
     :func:`twistkit.partition.z_twisted`, the first at ``sym=None``, the
     identity.  Checks: each closed-form Z against its truncated trace at
     ``cutoff`` (compared as complex numbers, within the route's tail bound
-    plus 1e-10), for every twist the positivity lower bound, which holds
-    cycle by cycle, and for a twist that moves slots the square-root route
-    against the doubled-theory route :func:`z_via_realfield`, relative, at
-    1e-10.  The twisted check is named "unitary product formula" for a
-    diagonal slot action, "antiunitary square-root identity" otherwise.
-    These are the checks of the ``partition`` suite, which is this row at
-    beta = 1 and :data:`PARTITION_CUTOFF`, and of the ``partition``
-    subcommand on each of its rows.
+    plus 1e-10), and for every twist the positivity lower bound, which
+    holds cycle by cycle, and the closed form against 1/det(1 - XU),
+    :func:`z_via_det`, relative, within that route's rounding threshold.
+    The twisted check is named "unitary product formula" for a diagonal
+    slot action, "antiunitary square-root identity" otherwise.  These are
+    the checks of the ``partition`` suite, which is this row at beta = 1
+    and :data:`PARTITION_CUTOFF`, and of the ``partition`` subcommand on
+    each of its rows.
     """
     z = z_plain = partition.z_twisted(spectrum, None, beta)
     bound = partition.positivity_lower_bound(spectrum, beta)
@@ -266,8 +270,7 @@ def partition_row(
         name = "unitary product formula" if diagonal else "antiunitary square-root identity"
         z = partition.z_twisted(spectrum, sym, beta)
         trace = partition_trace(spectrum, sym, beta, cutoff)
-        twisted_tail = twisted_tail_bound(spectrum, beta, cutoff)
-        routes.append((name, z, trace, twisted_tail + 1e-10))
+        routes.append((name, z, trace, twisted_tail_bound(spectrum, beta, cutoff) + 1e-10))
     checks = [
         CheckResult("partition", f"{name} vs truncated trace", abs(value - oracle) / value, threshold)
         for name, value, oracle, threshold in routes
@@ -275,39 +278,79 @@ def partition_row(
     rel = checks[-1].deviation
     if sym is not None:
         positivity = _worst((0.0, bound - z))
-        checks.append(CheckResult("partition", "twist positivity lower bound", positivity, 1e-14 * z))
-        if not diagonal:
-            from . import realfield
-
-            z_rf = z_via_realfield(realfield.extend(spectrum, sym), beta)
-            checks.append(CheckResult("partition", "square-root route vs doubled-theory route",
-                                      abs(z - z_rf) / abs(z), 1e-10))
+        z_det, slack = z_via_det(spectrum, sym, beta)
+        checks += [CheckResult("partition", "twist positivity lower bound", positivity, 1e-14 * z),
+                   CheckResult("partition", "closed form vs 1/det(1 - XU)", abs(z - z_det) / z, slack)]
     return (beta, z_plain, z, bound, trace.real, rel, tail), checks
 
 
-def z_via_realfield(ext: ExtendedSpectrum, beta: float) -> complex:
-    """Partition function through the doubled-theory product formula.
+def z_via_det(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec],
+              beta: float) -> tuple[complex, float]:
+    """(1/det(1 - XU), threshold): Z walked from the slot table, and the
+    rounding threshold of its relative distance from
+    :func:`twistkit.partition.z_twisted`.
 
-    One factor (1 - lambda_j e^{-beta omega_j})^{-1} per doubled mode.
-    Each eigenphase is read as the unit phase lambda = e^{i phi}, as
-    :func:`twistkit.partition.z_twisted` reads the slot phases, and the
-    denominator is taken by :func:`twistkit.partition._one_minus`, in
-    which nothing cancels: at small beta omega neither a phase's rounded
-    modulus nor the rounding of e^{-beta omega} moves the product.
-    For a unitary input the eigenphases are {conj(rho_k), rho_k} and this
-    reproduces the |1 - rho e^{-beta omega}|^{-2} product; for an
-    antiunitary input it is an independent route to the square-root
-    formula.  The product is returned as it is, complex: it is real only
-    if the eigenphases are closed under conjugation, and the route check
-    of :func:`partition_row` reads its imaginary part as a deviation.
+    U is the doubled induced unitary, the transpose of the slot action, and
+    X = e^{-beta Omega} the doubled Boltzmann factor.  The bosonic trace
+    formula Tr Gamma(A) = 1/det(1 - A) for a strict one-particle
+    contraction A (the ideal Bose gas: O. Bratteli and D. W. Robinson,
+    Operator Algebras and Quantum Statistical Mechanics 2, 2nd ed., 1997,
+    ch. 5) gives Z = 1/det(1 - XU).  U is a generalized permutation, so the
+    determinant is a product over its cycles: a cycle of length L, phase
+    product r and x = e^{-beta omega} is a block x times a weighted cyclic
+    shift, whose eigenvalues x r^{1/L} e^{2 pi i q/L} give it the
+    determinant f = 1 - r x^L.  The cycles are walked here from
+    ``action.source`` and ``action.phases``, each slot once, never from
+    ``SlotAction.cycles``, which the closed form and the traces read.  Each
+    f is taken by :func:`twistkit.partition._one_minus`, in which nothing
+    cancels, and no truncation enters.  The complex logs of the factors are
+    summed by :func:`math.fsum`, real and imaginary parts apart, so the
+    value is finite wherever Z is, and RangeError otherwise.  The value is
+    complex: a slot table whose phases are not closed under conjugation
+    gives it a phase, which the real closed form cannot show.
+
+    The threshold is 8 eps sum_cycles (1 + |log |f|| + 7 L x^L / |f|^2),
+    the last term only where x^L < 1/2.  It is a first-order rounding
+    bound, counted here in units of u = eps/2:
+    - Both routes take y = L beta omega and r by the same products in the
+      same order (the walk's leading factor 1 is exact), so neither
+      rounding differs between them.
+    - The walk's |f| is within 7u: _one_minus adds two nonnegative terms,
+      within 5u and u, and takes x sin(phi) within 3u.  The closed form's
+      |f|, hypot(expm1(-y), 2 sqrt(x) sin(phi/2)) where x^L >= 1/2, is
+      within 5.5u.  The exponentials, the fsums' last roundings and the
+      comparison add a few u, shared by the at least two cycles: under
+      7.25 eps a cycle, against the 8.
+    - Each log and each fsum adds u |log |f||, 2 eps |log |f|| in all.
+    - Where x^L < 1/2 the closed form is log1p(x^L (x^L - 2 Re r)), whose
+      argument is within 8u x^L, so log |f| is within 4u x^L / |f|^2.  It
+      reads the modulus of r there, which the walk's unit phase e^{i phi}
+      does not: ||r| - 1| <= L (UNIT_MODULUS_TOL + 1.12 eps), 46.2 L eps,
+      moves log |f| by up to 46.2 L eps x^L / |f|^2, and the rounding of
+      phi against Re r adds pi u x^L / |f|^2.  That is under
+      50 L eps x^L / |f|^2, against the 56.
+    In a slot table built from a symmetry spec, the r of conjugate cycles
+    are exact conjugates and a self-conjugate cycle has a real r >= 0, so
+    the imaginary parts cancel exactly.  Measured: at most 0.17 of the
+    threshold over 40000 configs in the ranges of ROADMAP item 27, and 0.75
+    over 30000 more with every phase off unit modulus by up to 0.99e-14.
     """
     _require_beta(beta)
-    z = 1.0 + 0.0j
-    for w, lam in zip(ext.doubled_omegas(), ext.phases):
-        z /= _one_minus(beta * w, cmath.phase(lam))
-    if z == 0.0 or not cmath.isfinite(z):
-        raise RangeError(f"real-field partition value {z} is outside the float range")
-    return z
+    action = slot_action(spectrum, sym)
+    logs, slack, seen = [], [], set()
+    for first in range(len(action.source)):
+        t, r, length = first, 1, 0
+        while t not in seen:
+            seen.add(t)
+            t, r, length = action.source[t], r * action.phases[t], length + 1
+        if length:
+            y = length * beta * spectrum.omegas[first // 2]
+            x, f = math.exp(-y), _one_minus(y, cmath.phase(r))
+            logs.append(cmath.log(f))
+            # the modulus term only where the closed form reads Re r
+            slack += [1.0 + abs(logs[-1].real), 7 * length * x / abs(f) ** 2 if x < 0.5 else 0.0]
+    modulus = _exp_in_range(-math.fsum(v.real for v in logs), "1/det(1 - XU)")
+    return cmath.rect(modulus, -math.fsum(v.imag for v in logs)), 8 * _EPS * math.fsum(slack)
 
 
 def _partition(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:

@@ -10,6 +10,10 @@ coefficient space.  The basis-sum trace at the end is the exception: it
 reads the slot action's ``source`` and ``phases`` (not its ``cycles``), to
 check the factorization over cycles at sizes no dense matrix reaches.
 
+The doubled-theory product :func:`z_via_realfield` is the reference for
+the induced eigenphases: it multiplies one factor per doubled eigenmode,
+where the package reads Z from the cycles of the slot action.
+
 The sampled-kernel references at the end (the dense grids, the per-cell
 extended kernel, C_beta by a twisted FFT and the resolvent quadrature on
 a test function) are what the package's closed-form grid spectrum and
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from twistkit import correlation, realfield
+from twistkit import correlation, partition, realfield
 from twistkit.errors import ConfigError, KindError, RangeError
 from twistkit.spectrum import slot_action
 
@@ -202,6 +206,27 @@ def eigenbasis(ext):
         for c, column in zip(indices, columns):
             w[list(indices), c] = column
     return w
+
+
+def z_via_realfield(ext, beta):
+    """The partition function as the doubled-theory product, one factor
+    (1 - lambda_j e^{-beta omega_j})^{-1} per doubled eigenmode of ``ext``:
+    the test reference for the induced eigenphases.
+
+    Each eigenphase is read as the unit phase e^{i phi} and each factor
+    taken by ``partition._one_minus``, in which nothing cancels.  For a
+    unitary input the eigenphases are {conj(rho_k), rho_k} and this is the
+    |1 - rho e^{-beta omega}|^{-2} product; for an antiunitary one it is an
+    independent route to the square-root formula.  The product is returned
+    complex, as it is: it is real only if the eigenphases are closed under
+    conjugation.  RangeError where it leaves the float range."""
+    partition._require_beta(beta)
+    z = 1.0 + 0.0j
+    for w, lam in zip(ext.doubled_omegas(), ext.phases):
+        z /= partition._one_minus(beta * w, cmath.phase(lam))
+    if z == 0.0 or not cmath.isfinite(z):
+        raise RangeError(f"real-field partition value {z} is outside the float range")
+    return z
 
 
 def extended_image_sum(ext, beta, tau):

@@ -259,7 +259,7 @@ def test_criterion_7_doubled_space_consistency(capsys):
         )
         beta = float(rng.uniform(0.4, 2.0))
         z_sqrt = partition.z_twisted(spec, sym, beta)
-        z_rf = verify.z_via_realfield(rf.extend(spec, sym), beta)
+        z_rf = dense.z_via_realfield(rf.extend(spec, sym), beta)
         worst_z = max(worst_z, abs(z_sqrt - z_rf) / abs(z_sqrt))
     # extended kernel block structure and positivity
     spec_u = validate_spectrum([("a", 0.9), ("b", 1.4)])

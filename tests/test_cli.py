@@ -17,8 +17,8 @@ import twistkit
 from twistkit import cli, correlation, errors, fock, partition, realfield, verify
 from twistkit.cli import main
 from twistkit.spectrum import (
-    UNIT_MODULUS_TOL, ModeSpectrum, SymmetrySpec, load_config, parse_config, restrict,
-    spectrum_to_config, twisted_circle_spectrum, validate_spectrum,
+    UNIT_MODULUS_TOL, ModeSpectrum, SlotAction, SymmetrySpec, load_config, parse_config,
+    restrict, spectrum_to_config, twisted_circle_spectrum, validate_spectrum,
 )
 
 LN2 = math.log(2.0)
@@ -233,13 +233,13 @@ def test_spectrum_gen_runs_without_numpy(tmp_path):
     (["partition", "--beta", "1"], "anti_pair_fixed.json"),
 ], ids=["default", "anti", "partition-anti"])
 def test_partition_suite_runs_without_numpy(argv, config):
-    # on a non-diagonal action the suite and the partition command add the
-    # doubled-theory route: it loads realfield, but neither numpy nor the
-    # kernel's correlation module
+    # every route to Z reads the slot action, for either kind: neither the
+    # suite nor the partition command loads the doubling module, the
+    # kernel's correlation module, the Fock oracle or numpy
     if config is not None:
         argv = [*argv, "--config", str(GOLDEN / config)]
     modules = ["numpy", "twistkit.fock", "twistkit.correlation", "twistkit.realfield"]
-    assert _loaded(argv, modules) == ([] if config is None else ["twistkit.realfield"])
+    assert _loaded(argv, modules) == []
 
 
 @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json", "anti_two_pairs_fixed.json",
@@ -255,8 +255,9 @@ def test_partition_command_runs_the_partition_suite(config, monkeypatch, capsys)
         out, err = capsys.readouterr()
         names.append(re.findall(r"^\[FAIL\] (.+?) \(deviation", out + err, re.M))
     assert names[0] == names[1]
-    doubled = "partition: square-root route vs doubled-theory route" in names[0]
-    assert doubled == (config is not None and config.startswith("anti"))
+    # every one of these configs has a symmetry, so each runs the det route
+    assert names[0][-1] == "partition: closed form vs 1/det(1 - XU)"
+    assert not any("doubled-theory" in name for name in names[0])
 
 
 @pytest.mark.parametrize("verify_flag", [[], ["--verify"]])
@@ -604,7 +605,7 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
 #: caller in verify (the Fock-trace kernel oracle's helper beside it in
 #: correlation).
 PARTITION_ORACLES = ("partition_trace", "_truncated_geometric", "truncation_tail_bound",
-                     "twisted_tail_bound", "geometric_log_derivative")
+                     "twisted_tail_bound", "z_via_det", "geometric_log_derivative")
 
 
 def _imported(stem):
@@ -635,8 +636,9 @@ def test_closed_form_modules_reach_no_oracle():
         for path in package.glob("*.py")
     }
     assert not defined["partition"] & set(PARTITION_ORACLES)
-    assert "z_via_realfield" not in defined["realfield"]
-    assert {"z_via_realfield", *PARTITION_ORACLES[:4]} <= defined["verify"]
+    # the doubled-theory product is a test reference (tests/dense.py) only
+    assert not any("z_via_realfield" in names for names in defined.values())
+    assert set(PARTITION_ORACLES[:5]) <= defined["verify"]
     assert "geometric_log_derivative" in defined["correlation"]
 
 
@@ -855,23 +857,23 @@ class TestRangeExitCodes:
         assert not out.exists()
 
     def test_internal_consistency_exits_5(self, anti_config, monkeypatch, capsys):
-        # eigenphases not closed under conjugation give the doubled-theory
-        # route a complex Z, which its route check reads as a deviation: the
-        # suite prints every check line and fails that one
-        extend = realfield.extend
-
-        def turned(spectrum, sym):
-            ext = extend(spectrum, sym)
-            ext.phases = (1j * ext.phases[0], *ext.phases[1:])
-            return ext
-
-        monkeypatch.setattr(realfield, "extend", turned)
+        # every cycle product r read as 1 by the closed form and the traces
+        # alike: they still agree, and only 1/det(1 - XU), walked from the
+        # slot table, sees it; the suite prints every check line, fails that
+        # one and exits 1, not 5
+        cycles = SlotAction.cycles.func
+        monkeypatch.setattr(SlotAction, "cycles", property(
+            lambda action: [(first, length, 1.0 + 0j) for first, length, _ in cycles(action)]))
         assert main(["verify", "--config", anti_config, "--suite", "partition"]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert [line.split(" (")[0] for line in captured.out.splitlines()
-                if line.startswith("[FAIL]")] == [
-            "[FAIL] partition: square-root route vs doubled-theory route"]
+        lines = captured.out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "[pass] partition: untwisted product formula vs truncated trace",
+            "[pass] partition: antiunitary square-root identity vs truncated trace",
+            "[pass] partition: twist positivity lower bound",
+            "[FAIL] partition: closed form vs 1/det(1 - XU)",
+            "3/4 checks passed"]
 
 
 class TestUnitModulusRule:
@@ -1061,9 +1063,8 @@ REFUSALS = {
     "kernel_oracle-inf-beta": (
         lambda: correlation.kernel_oracle(ONE_MODE, None, math.inf, 0.2, 0.1, 8),
         errors.DomainError),
-    "z_via_realfield-inf-beta": (
-        lambda: verify.z_via_realfield(realfield.extend(*load_config(ANTI_PAIR)), math.inf),
-        errors.DomainError),
+    "z_via_det-inf-beta": (
+        lambda: verify.z_via_det(*load_config(ANTI_PAIR), math.inf), errors.DomainError),
     "sample_kernels-fractional-grid": (
         lambda: correlation.sample_kernels(1.0, [0.7], [0.3], 2.5), errors.DomainError),
     "grid_spectrum-fractional-grid": (

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from twistkit import correlation, partition, realfield, verify
 from twistkit.cli import _load
 from twistkit.errors import DomainError, RangeError
-from twistkit.spectrum import SymmetrySpec, validate_spectrum
+from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -230,14 +230,12 @@ class TestRangeErrors:
         with pytest.raises(RangeError):
             partition.z_twisted(self.SPEC, sym, 1.0)
 
-    def test_realfield_route_overflow_is_typed(self):
-        from twistkit import realfield
-
+    def test_det_route_overflow_is_typed(self):
         sym = SymmetrySpec(
             kind="antiunitary", phases=(1.0 + 0j,) * 400, pairing=tuple(range(400))
         )
         with pytest.raises(RangeError):
-            verify.z_via_realfield(realfield.extend(self.SPEC, sym), 1.0)
+            verify.z_via_det(self.SPEC, sym, 1.0)
 
     def test_large_but_representable_values_are_unchanged(self):
         # 100 of the modes give Z near e^392 (its square, the inner trace, e^784)
@@ -356,3 +354,65 @@ class TestEnergyIdentity:
                 theta = correlation.kernel_twist_angle(rho)
                 scalar = correlation.sample_kernels(beta, [w], [theta], 2)
                 assert verify.energy_identity(scalar, spectrum, sym, 2 * k).passed
+
+
+class TestDetRoute:
+    """1/det(1 - XU), walked from the slot table, against the closed form:
+    the threshold 8 eps sum_cycles (1 + |log |f|| + 7 L x^L / |f|^2) holds
+    for correct code, and a relative error of 5e-11 exceeds it."""
+
+    DET = "closed form vs 1/det(1 - XU)"
+
+    @staticmethod
+    def bound(spectrum, sym, beta):
+        """The threshold from the cycles of the slot action."""
+        terms = []
+        for first, length, r in sym.action.cycles:
+            x = math.exp(-length * beta * spectrum.omegas[first // 2])
+            f = abs(1.0 - cmath.exp(1j * cmath.phase(r)) * x)
+            terms.append(1.0 + abs(math.log(f)) + (7 * length * x / f ** 2 if x < 0.5 else 0.0))
+        return 8 * sys.float_info.epsilon * math.fsum(terms)
+
+    @pytest.mark.parametrize("config", ["anti_pair_fixed.json", "anti_two_pairs_fixed.json",
+                                        "unitary_generic.json", None])
+    def test_golden_configs_pass_below_1e_12(self, config):
+        # a threshold at most 1e-12 fails a Z scaled by 1 + 5e-11
+        spectrum, sym = _load(None if config is None else str(GOLDEN / config))
+        for beta in (0.25, 0.5, 1.0, 2.0, 4.0):
+            check = verify.partition_row(spectrum, sym, beta, 40)[1][-1]
+            assert check.name == self.DET and check.passed
+            assert check.deviation <= 4 * sys.float_info.epsilon and check.threshold <= 1e-12
+
+    def test_the_walk_reads_the_slot_table_not_the_cycles(self, monkeypatch):
+        # r -> 1 in every cycle moves the closed form, not the walk
+        spectrum, sym = _load(str(GOLDEN / "anti_pair_fixed.json"))
+        cycles = SlotAction.cycles.func
+        monkeypatch.setattr(SlotAction, "cycles", property(
+            lambda action: [(first, length, 1.0 + 0j) for first, length, _ in cycles(action)]))
+        check = verify.partition_row(spectrum, sym, 1.0, 40)[1][-1]
+        assert check.name == self.DET and check.deviation > 1e-3
+
+    def test_z_near_1e300_does_not_overflow(self):
+        # 176 fixed modes at omega = 0.01: Z = (1 - e^-0.02)^-176, about 1e300
+        spectrum = validate_spectrum([(f"k{i}", 0.01) for i in range(176)])
+        sym = SymmetrySpec(kind="antiunitary", phases=(1.0 + 0j,) * 176, pairing=tuple(range(176)))
+        z = partition.z_twisted(spectrum, sym, 1.0)
+        assert 1e299 < z < 1e301
+        z_det, slack = verify.z_via_det(spectrum, sym, 1.0)
+        assert abs(z_det - z) <= slack * z and z_det.imag == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(energy_configs(), st.floats(min_value=-0.99e-14, max_value=0.99e-14), st.booleans())
+    def test_every_twist_passes_within_the_derived_threshold(self, config, off, scaled):
+        # the draws of the energy identity, and the same with every phase off
+        # unit modulus by up to 0.99e-14, which the closed form reads through
+        # Re r where x^L < 1/2
+        spectrum, sym, beta = config
+        if scaled:
+            sym = SymmetrySpec(sym.kind, tuple(p * (1.0 + off) for p in sym.phases), sym.pairing)
+        z = partition.z_twisted(spectrum, sym, beta)
+        z_det, slack = verify.z_via_det(spectrum, sym, beta)
+        assert abs(z - z_det) <= slack * z
+        # the threshold's constants are 8 and 7, and the last term counts
+        # only where the closed form reads Re r
+        assert slack <= self.bound(spectrum, sym, beta) * (1.0 + 1e-9)

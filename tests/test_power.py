@@ -15,6 +15,7 @@ path, "{minus_one}" for a one-mode config at omega = ln 2, rho = -1, and
 
 import cmath
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -274,6 +275,34 @@ def eigenphases_off_unit(monkeypatch):
     monkeypatch.setattr(realfield, "extend", scaled)
 
 
+def cycle_phases_as(change):
+    """The mutation that replaces the phase product r of every cycle that
+    ``SlotAction.cycles`` lists by ``change(r)``: the closed form and the
+    truncated traces read it, the walk of 1/det(1 - XU) does not."""
+
+    def mutate(monkeypatch):
+        cycles = SlotAction.cycles.func
+        monkeypatch.setattr(SlotAction, "cycles", property(
+            lambda action: [(first, length, change(r)) for first, length, r in cycles(action)]))
+
+    return mutate
+
+
+cycle_phases_to_1 = cycle_phases_as(lambda r: 1.0 + 0.0j)
+cycle_phases_squared = cycle_phases_as(lambda r: r * r)
+
+
+def near_unit_constant_scaled(monkeypatch):
+    """The 2 of 2 sqrt(x) sin(theta/2) in ``partition._log_abs2_one_minus``,
+    on its branch x >= 1/2, times 1 + 1e-9, edited in its source."""
+    source = inspect.getsource(partition._log_abs2_one_minus)
+    assert source.count("2.0 * math.sqrt(x)") == 1
+    namespace = {}
+    exec(source.replace("2.0 * math.sqrt(x)", "2.000000002 * math.sqrt(x)"), vars(partition),
+         namespace)
+    monkeypatch.setattr(partition, "_log_abs2_one_minus", namespace["_log_abs2_one_minus"])
+
+
 def conjugated_slot_0(monkeypatch):
     """``SymmetrySpec.action`` with the phase of slot 0 conjugated: the
     closed forms and the traces read it, the raw-phase references do not."""
@@ -528,6 +557,9 @@ mode_b_kernel_scaled = kernel_scaled_at(1.5)
 mode_c_kernel_scaled = kernel_scaled_at(1.3)
 
 
+#: The check of Z against 1/det(1 - XU), as "suite: name".
+DET = "partition: closed form vs 1/det(1 - XU)"
+
 #: The arguments of a scalar ``kernel --verify`` after its config.
 GRID_8_VERIFY = ["--beta", "1", "--grid", "8", "--verify", "--output", "{output}"]
 
@@ -734,40 +766,46 @@ MUST_FAIL = {
     "turned-eigenphases": (
         turned_eigenphases, ["verify", "--config", ANTI, "--suite", "realfield"],
         ["realfield: induced eigenphases closed under conjugation"]),
-    # the doubled route's complex Z fails its check; the realfield suite's
-    # closure check fails it too (row "turned-eigenphases")
-    "turned-eigenphases-partition": (
-        turned_eigenphases, ["verify", "--config", ANTI, "--suite", "partition"],
-        ["partition: square-root route vs doubled-theory route"]),
-    # the partition command runs the same route on each of its rows
-    "turned-eigenphases-partition-command": (
-        turned_eigenphases, ["partition", "--config", ANTI, "--beta", "1"],
-        ["partition: square-root route vs doubled-theory route"]),
+    # the slot table is no longer closed under conjugation: 1/det(1 - XU)
+    # turns complex, which the closed form cannot show
     "conjugated-slot-0-partition-anti": (
         conjugated_slot_0, ["partition", "--config", ANTI, "--beta", "1"],
-        ["partition: antiunitary square-root identity vs truncated trace",
-         "partition: square-root route vs doubled-theory route"]),
+        ["partition: antiunitary square-root identity vs truncated trace", DET]),
     "conjugated-slot-0-partition": (
         conjugated_slot_0, ["partition", "--beta", "1"],
-        ["partition: unitary product formula vs truncated trace"]),
+        ["partition: unitary product formula vs truncated trace", DET]),
     "trace-without-conjugate-phase-partition": (
         trace_without_conjugate_phase, ["partition", "--beta", "1"],
         ["partition: unitary product formula vs truncated trace"]),
     "trace-without-conjugate-phase-verify": (
         trace_without_conjugate_phase, ["verify", "--suite", "partition"],
         ["partition: unitary product formula vs truncated trace"]),
-    "z-below-positivity-bound-partition-anti": (
-        z_below_positivity_bound, ["partition", "--config", ANTI, "--beta", "1"],
+    **{f"z-below-positivity-bound-{tag}-anti": (
+        z_below_positivity_bound, [*argv, "--config", ANTI],
         ["partition: untwisted product formula vs truncated trace",
          "partition: antiunitary square-root identity vs truncated trace",
-         "partition: twist positivity lower bound",
-         "partition: square-root route vs doubled-theory route"]),
-    "z-below-positivity-bound-verify-anti": (
-        z_below_positivity_bound, ["verify", "--config", ANTI, "--suite", "partition"],
-        ["partition: untwisted product formula vs truncated trace",
-         "partition: antiunitary square-root identity vs truncated trace",
-         "partition: twist positivity lower bound",
-         "partition: square-root route vs doubled-theory route"]),
+         "partition: twist positivity lower bound", DET])
+       for tag, argv in (("partition", ["partition", "--beta", "1"]),
+                         ("verify", ["verify", "--suite", "partition"]))},
+    # ROADMAP items 11 and 22: the walk of 1/det(1 - XU) reads the slot
+    # table, so it sees a relative error of Z far below the trace's tail
+    # bound, and a wrong cycle product that the closed form and the traces
+    # share
+    **{f"z-scaled-{tag}": (z_scaled_by_5e_11, argv, failing) for tag, argv, failing in (
+        ("partition", ["partition", "--beta", "0.5", "--beta", "1"], [DET, DET]),
+        ("verify", ["verify", "--config", ANTI, "--suite", "partition"], [DET]))},
+    **{f"cycle-phases-{change}-{tag}{config_tag}": (mutate, [*argv, *config], [DET])
+       for change, mutate in (("to-1", cycle_phases_to_1), ("squared", cycle_phases_squared))
+       for tag, argv in (("partition", ["partition", "--beta", "1"]),
+                         ("verify", ["verify", "--suite", "partition"]))
+       for config_tag, config in (("", []), ("-anti", ["--config", ANTI]))},
+    # the trace's threshold, tail + 1e-10 = 2.6e-9 at beta = 0.5, misses it
+    "near-unit-constant-scaled-partition": (
+        near_unit_constant_scaled, ["partition", "--beta", "0.5"], [DET]),
+    # the untwisted trace reads the frequencies alone, not the identity
+    "negated-identity-action-partition": (
+        negated_identity_action, ["partition", "--beta", "1"],
+        ["partition: untwisted product formula vs truncated trace"]),
     # ROADMAP item 24: a NaN or an infinity at one point fails its checks
     # through the NaN-aware reducer, and the suite exits 1, not 4
     **{f"grid-spectrum-nan-at-3-verify{tag}": (
@@ -842,13 +880,15 @@ MUST_FAIL = {
            ("verify-anti", ["verify", "--config", ANTI, "--suite", "kernel"]),
            ("kernel", ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"]))},
     # the identity of a config without a symmetry is built by the one normal
-    # form, and the symmetry suite checks it against the raw rule rho = 1
+    # form, and the symmetry suite checks it against the raw rule rho = 1;
+    # the untwisted trace reads the frequencies alone
     **{f"{tag}-identity-action": (
         mutate, ["verify", "--config", "{no_symmetry}", "--suite", "all"],
         ["symmetry: U alpha+*(a) U* = rho alpha+*(a)",
          "symmetry: U alpha+*(b) U* = rho alpha+*(b)",
          across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
-         across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")])
+         across("symmetry: U alpha+*(b) U* = rho alpha+*(b)"),
+         "partition: untwisted product formula vs truncated trace"])
        for tag, mutate in (("negated", negated_identity_action),
                            ("charge-swapped", charge_swapped_identity_action))},
     # a non-unit eigenphase gives the oracle no unitary: a NaN deviation, not exit 2
@@ -882,10 +922,6 @@ MUST_FAIL = {
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)
 UNDETECTED = {
-    "z-scaled-partition": (
-        z_scaled_by_5e_11, ["partition", "--beta", "0.5", "--beta", "1"], 0, "item 11"),
-    "z-scaled-verify": (
-        z_scaled_by_5e_11, ["verify", "--config", ANTI, "--suite", "partition"], 0, "item 11"),
     "zero-fock-oracle-at-tiny-beta": (
         zero_fock_oracle,
         ["kernel", "--beta", "1e-300", "--grid", "3", "--verify", "--output", "{output}"],
@@ -895,17 +931,8 @@ UNDETECTED = {
         conjugated_imaginary_time, ["verify", "--suite", "all"], 0, "item 14"),
     "imaginary-time-sign-of-field-anti": (
         conjugated_imaginary_time, ["verify", "--config", ANTI2, "--suite", "all"], 0, "item 14"),
-    # the doubled route reads each eigenphase as a unit phase, as the closed
-    # form reads the slot phases, so that a phase's rounded modulus cannot
-    # move Z at small beta omega; reading the modulus needs a threshold
-    # that follows the route's conditioning
-    "eigenphases-off-unit-partition": (
-        eigenphases_off_unit, ["verify", "--config", ANTI, "--suite", "partition"], 0, "item 11"),
     "creation-weight-sign-of-field": (
         flipped_creation_weight, ["verify", "--suite", "all"], 0, "item 14"),
-    # the untwisted route's closed form and truncated trace read the same identity
-    "negated-identity-action-partition": (
-        negated_identity_action, ["partition", "--beta", "1"], 0, "item 22"),
 }
 
 

@@ -190,7 +190,8 @@ class TestCycleEigenbasis:
     A cycle of length L and phase product r has the eigenvalues
     lambda_q = r^{1/L} e^{2 pi i q/L}, so prod_q (1 - lambda_q x) = 1 - r x^L
     and the doubled-theory product is the cycle product of the partition
-    function, for any slot permutation, not only the involutions a config
+    function, as is the determinant det(1 - XU) walked from the slot table,
+    for any slot permutation, not only the involutions a config
     can give today; the sampled kernel mixed by the sparse basis is the
     image sum, which needs no eigenbasis."""
 
@@ -209,7 +210,12 @@ class TestCycleEigenbasis:
             for beta in (0.3, 1.0, 3.0):
                 z = partition.z_twisted(spec, sym, beta)
                 trace = verify.partition_trace(spec, sym, beta, 400)
-                assert abs(verify.z_via_realfield(ext, beta) - z) <= 1e-14 * z
+                assert abs(dense.z_via_realfield(ext, beta) - z) <= 1e-14 * z
+                # the walk of the slot table against a dense determinant
+                x = np.diag(np.exp(-beta * np.array(ext.doubled_omegas())))
+                z_det, slack = verify.z_via_det(spec, sym, beta)
+                assert abs(z_det * np.linalg.det(np.eye(ext.n_doubled) - x @ u) - 1.0) <= 1e-13
+                assert abs(z_det - z) <= slack * z
                 assert abs(trace - z) <= 1e-14 * z
                 assert z >= partition.positivity_lower_bound(spec, beta)
                 # the sparse mixing against the eigenbasis-free image sum
@@ -240,7 +246,7 @@ class TestPartitionRoutes:
     def test_conjugation_value(self):
         s = validate_spectrum([("k0", LN2)])
         ext = rf.extend(s, conjugation_sym())
-        assert abs(verify.z_via_realfield(ext, 1.0) - 4.0 / 3.0) < 1e-12
+        assert abs(dense.z_via_realfield(ext, 1.0) - 4.0 / 3.0) < 1e-12
 
     def test_routes_agree_randomized(self):
         rng = np.random.default_rng(17)
@@ -250,14 +256,14 @@ class TestPartitionRoutes:
             )
             beta = float(rng.uniform(0.4, 2.0))
             z_sqrt = partition.z_twisted(spec, sym, beta)
-            z_rf = verify.z_via_realfield(rf.extend(spec, sym), beta)
+            z_rf = dense.z_via_realfield(rf.extend(spec, sym), beta)
             assert abs(z_sqrt - z_rf) <= 1e-10 * abs(z_sqrt)
 
     def test_unitary_route_matches_product_formula(self):
         s = validate_spectrum([("a", 0.9), ("b", 1.7)])
         sym = SymmetrySpec(kind="unitary", phases=(1j, cmath.exp(2.2j)))
         z = partition.z_twisted(s, sym, 1.3)
-        z_rf = verify.z_via_realfield(rf.extend(s, sym), 1.3)
+        z_rf = dense.z_via_realfield(rf.extend(s, sym), 1.3)
         assert abs(z - z_rf) < 1e-12 * z
 
 

@@ -116,8 +116,10 @@ def test_every_route_agrees_for_both_kinds(config, small_cutoff):
     enumerated = dense.enumerated_trace(spectrum, sym, beta, small_cutoff)
     factorized = verify.partition_trace(spectrum, sym, beta, small_cutoff)
     assert abs(enumerated - factorized) <= dense.trace_rounding(spectrum, beta, small_cutoff)
-    z_rf = verify.z_via_realfield(realfield.extend(spectrum, sym), beta)
+    z_rf = dense.z_via_realfield(realfield.extend(spectrum, sym), beta)
     assert abs(z - z_rf) <= 1e-10 * z
+    z_det, slack = verify.z_via_det(spectrum, sym, beta)
+    assert abs(z - z_det) <= slack * z
     # twist positivity, for antiunitary twists too: a fixed mode gives
     # 1/(1 - x^2) >= (1 + x)^-2 and a pair |1 - r x^2|^-2 >= (1 + x)^-4
     assert z >= partition.positivity_lower_bound(spectrum, beta)
