@@ -46,7 +46,8 @@ formatting so identical inputs produce byte-identical output.
 too.  ``partition`` and the ``partition`` suite load neither
 :mod:`twistkit.realfield` nor :mod:`twistkit.correlation`, on any config:
 every route to Z they check reads the slot action.  Every refusal is a
-TwistkitError or OSError raised where the input is checked; :func:`main` alone prints it and picks its exit code, and
+TwistkitError or OSError raised where the input is checked; :func:`main`
+alone prints it and picks its exit code, and
 ``partition`` computes every row before it prints one, so a refused run
 prints no partial table, and ``kernel --verify`` runs every check and
 prints its failures before it writes its CSV, so an export that the

@@ -319,7 +319,7 @@ def z_via_det(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec],
       within 5u and u, and takes x sin(phi) within 3u.  The closed form's
       |f|, hypot(expm1(-y), 2 sqrt(x) sin(phi/2)) where x^L >= 1/2, is
       within 5.5u.  The exponentials, the fsums' last roundings and the
-      comparison add a few u, shared by the at least two cycles: under
+      comparison add a few u, shared by at least two cycles: under
       7.25 eps a cycle, against the 8.
     - Each log and each fsum adds u |log |f||, 2 eps |log |f|| in all.
     - Where x^L < 1/2 the closed form is log1p(x^L (x^L - 2 Re r)), whose

@@ -126,11 +126,13 @@ class TestPartitionCommand:
     @pytest.mark.parametrize("config", ["anti_pair_fixed.json", "anti_two_pairs_fixed.json",
                                         "near-unit"])
     def test_doubled_route_agrees_at_small_beta(self, config, tmp_path, capsys):
-        # the doubled route reads each eigenphase as a unit phase and lets
-        # nothing cancel in 1 - lambda e^{-beta omega}: taken literally, it
-        # strayed from Z by 3.8e-9 at beta = 1e-8 on anti_pair_fixed.json,
-        # and by 1.8e-10 at beta = 1e-4 where a phase's modulus is
-        # 1 + 9.1e-15, within the config's unit-modulus tolerance
+        # the route that checks Z at every beta reads each phase as a unit
+        # phase and lets nothing cancel in 1 - r e^{-L beta omega}: the
+        # doubled route, taken literally, strayed from Z by 3.8e-9 at
+        # beta = 1e-8 on anti_pair_fixed.json, and by 1.8e-10 at beta = 1e-4
+        # where a phase's modulus is 1 + 9.1e-15, within the config's
+        # unit-modulus tolerance; its successor, 1/det(1 - XU), must pass
+        # here at its far tighter threshold
         path = str(GOLDEN / config)
         if config == "near-unit":
             path = write_config(tmp_path / "near.json", {

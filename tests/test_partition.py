@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from twistkit import correlation, partition, realfield, verify
 from twistkit.cli import _load
 from twistkit.errors import DomainError, RangeError
-from twistkit.spectrum import SlotAction, SymmetrySpec, validate_spectrum
+from twistkit.spectrum import SymmetrySpec, validate_spectrum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -359,7 +359,9 @@ class TestEnergyIdentity:
 class TestDetRoute:
     """1/det(1 - XU), walked from the slot table, against the closed form:
     the threshold 8 eps sum_cycles (1 + |log |f|| + 7 L x^L / |f|^2) holds
-    for correct code, and a relative error of 5e-11 exceeds it."""
+    for correct code, and a relative error of 5e-11 exceeds it.  The power
+    rows of ``tests/test_power.py`` show that a wrong cycle product fails
+    it."""
 
     DET = "closed form vs 1/det(1 - XU)"
 
@@ -382,15 +384,6 @@ class TestDetRoute:
             check = verify.partition_row(spectrum, sym, beta, 40)[1][-1]
             assert check.name == self.DET and check.passed
             assert check.deviation <= 4 * sys.float_info.epsilon and check.threshold <= 1e-12
-
-    def test_the_walk_reads_the_slot_table_not_the_cycles(self, monkeypatch):
-        # r -> 1 in every cycle moves the closed form, not the walk
-        spectrum, sym = _load(str(GOLDEN / "anti_pair_fixed.json"))
-        cycles = SlotAction.cycles.func
-        monkeypatch.setattr(SlotAction, "cycles", property(
-            lambda action: [(first, length, 1.0 + 0j) for first, length, _ in cycles(action)]))
-        check = verify.partition_row(spectrum, sym, 1.0, 40)[1][-1]
-        assert check.name == self.DET and check.deviation > 1e-3
 
     def test_z_near_1e300_does_not_overflow(self):
         # 176 fixed modes at omega = 0.01: Z = (1 - e^-0.02)^-176, about 1e300
