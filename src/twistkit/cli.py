@@ -9,19 +9,13 @@ Both ``kernel`` routes sample their kernel once, from its (omega, theta)
 columns, :func:`twistkit.correlation.sample_kernels` (the extended one
 through :func:`twistkit.realfield.sample_extended_kernel`), and write that
 grid with the one exporter, :func:`twistkit.correlation.export_kernel_csv`;
-``kernel --verify`` checks that same grid with the ``kernel`` suite's
-named checks.  On either route it ties the exported lag values to the
-closed-form grid spectrum, checks their Hermitian and twisted-circulant
-symmetries and positivity, and ties their lag-0 values to Z by the
-energy identity (the scalar route against the 1-cycle of its mode's +
-slot); the extended route adds the exported eigenbasis, the scalar one
-the Fock-trace oracle at every lag.  The extended route runs no oracle,
-which must first refuse the frequencies it cannot resolve (ROADMAP item
-13).  The scalar route prints ``max three-way disagreement:
-<value>``, the deviation of its oracle check; the line once also took a
-Fourier partial sum, and keeps its text because the benchmark's checks
-(``bench/checks.py``) parse it.  The scalar route needs a twist that
-keeps every slot (KindError otherwise).  ``verify`` checks the
+``kernel --verify`` checks that same grid with the one kernel check list
+of a sampled layout, :func:`twistkit.verify.kernel_checks`, which the
+``kernel`` suite runs too.  The scalar route prints ``max three-way
+disagreement: <value>``, the deviation of its oracle check; the line once
+also took a Fourier partial sum, and keeps its text because the
+benchmark's checks (``bench/checks.py``) parse it.  The scalar route needs
+a twist that keeps every slot (KindError otherwise).  ``verify`` checks the
 Fock-space identities once per factor of the symmetry
 (:func:`twistkit.fock.factors`), so it runs at any mode count.  Exit
 codes: 0 success, 1 assertion failure, 2 parse, usage or out-of-domain
@@ -31,7 +25,9 @@ or more modes, a kernel grid above :data:`twistkit.correlation.MAX_GRID`
 points, a ``kernel --extended`` CSV of more than MAX_GRID**2 rows, m^2 n^2
 for n doubled columns, refused before any sampling, or a ``partition
 --cutoff`` whose truncated trace would take more than
-:data:`twistkit.verify.MAX_TRACE_STEPS` steps), 4 a result outside the
+:data:`twistkit.verify.MAX_TRACE_STEPS` steps, or a Fock-trace oracle
+that cannot resolve the kernel: one whose cutoff would pass that cap, or
+whose rounding leaves no room in its slack), 4 a result outside the
 float range (RangeError), 5 the CSV exporter's refusal of a non-finite
 sampled value (InternalConsistencyError, raised nowhere else).  All
 numeric output uses fixed 17-significant-digit lowercase scientific
@@ -150,7 +146,7 @@ def _cmd_kernel(args) -> int:
 
     spectrum, sym = _load(args.config)
     action = slot_action(spectrum, sym)
-    checks, slot = [], None
+    ext = slot = None
     if args.extended:
         if args.mode is not None:
             raise ConfigError("--mode picks one scalar kernel; --extended exports every mode")
@@ -160,8 +156,6 @@ def _cmd_kernel(args) -> int:
         correlation.require_csv_rows(args.beta, args.grid, len(ext.phases))
         sampled = realfield.sample_extended_kernel(ext, args.beta, args.grid)
         lines = [f"wrote extended kernel grid to {args.output}"]
-        if args.verify:
-            checks = verify.eigenbasis_checks(ext, sampled)
     elif not action.diagonal:
         raise KindError(
             "a symmetry that moves slots (not one phase per mode) "
@@ -169,18 +163,14 @@ def _cmd_kernel(args) -> int:
         )
     else:
         slot = 2 * _select_mode(spectrum, args.mode)  # the mode's + slot
-        omega, rho = spectrum.omegas[slot // 2], action.phases[slot]
-        theta = correlation.kernel_twist_angle(rho)
-        sampled = correlation.sample_kernels(args.beta, [omega], [theta], args.grid)
+        theta = correlation.kernel_twist_angle(action.phases[slot])
+        sampled = correlation.sample_kernels(
+            args.beta, [spectrum.omegas[slot // 2]], [theta], args.grid)
         lines = [f"wrote {args.grid * args.grid} kernel samples to {args.output}"]
-        if args.verify:
-            # The closed form and the oracle depend on t - s only, so the
-            # 2m - 1 distinct lags of the exported grid cover all its cells.
-            checks = [verify.kernel_agreement(sampled, 0, rho)]
-            lines.append(f"max three-way disagreement: {fmt(checks[0].deviation)}")
-    if args.verify:
-        checks += verify.sampled_kernel_checks(sampled)
-        checks.append(verify.energy_identity(sampled, spectrum, sym, slot))
+    checks = verify.kernel_checks(sampled, spectrum, sym, ext, slot) if args.verify else []
+    if checks and ext is None:
+        # the oracle check's deviation, on the line the benchmark's checks parse
+        lines.append(f"max three-way disagreement: {fmt(checks[0].deviation)}")
     # every check first, and its failures reported, so a refused export
     # leaves no file behind and still shows what failed
     code = _report_failures(checks)

@@ -11,13 +11,11 @@ Each suite runs a fixed list of checks and returns structured results;
 the CLI renders them and sets the exit code.  The ``partition`` suite is
 :func:`partition_row` at beta = 1 and :data:`PARTITION_CUTOFF`, and the
 ``partition`` subcommand renders that function on each of its rows, so
-both run one check list.  ``kernel --verify`` renders
-:func:`kernel_agreement`, :func:`eigenbasis_checks`,
-:func:`sampled_kernel_checks` and :func:`energy_identity`, the checks the
-``kernel`` suite runs, except on the extended route the oracle, which
-must first refuse the frequencies it cannot resolve (ROADMAP item 13).
-The ``kernel`` suite is the one suite that checks a sampled kernel.  It
-samples one layout, the one that ``kernel --extended`` exports, on a
+both run one check list.  The kernel checks of a sampled layout of
+either kind are one list too, :func:`kernel_checks`: the ``kernel`` suite
+and ``kernel --verify``, on either route, render it.  The ``kernel``
+suite is the one suite that checks a sampled kernel.  It samples one
+layout, the one that ``kernel --extended`` exports, on a
 32-point grid with one column per doubled eigenmode, for every action
 (the identity included), and every one of its checks reads that layout.
 It checks it through the closed-form spectra of its twisted-circulant
@@ -73,9 +71,11 @@ what the normal form is checked against.
 
 The oracle check, :func:`kernel_agreement`, reads one column of a sampled
 kernel of any layout and compares its lag values with the Fock-trace
-oracle at every one of its 2m - 1 lags: scalar ``kernel --verify`` on the
-grid it exports, and the ``kernel`` suite on column M of its layout.  No
-Fourier partial sum is needed beside it:
+oracle at every one of its 2m - 1 lags: the one column of a scalar
+layout, and column M of an extended one.  It derives its cutoff from the
+oracle's truncation bound, and refuses (CapacityError) a kernel whose
+cutoff passes :data:`MAX_TRACE_STEPS` or whose rounding leaves no room in
+its slack.  No Fourier partial sum is needed beside it:
 the Hermitian, twisted-circulant and transform checks already tie every
 lag value to the inverse transform of the full aliasing sums, the
 closed-form grid spectrum, at rounding level.  This module evaluates no
@@ -95,7 +95,7 @@ import sys
 from functools import partial
 
 from . import partition
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, RangeError
 from .partition import _exp_in_range, _log_abs2_one_minus, _one_minus, _require_beta, _require_count
 from .spectrum import UNITARY, ModeSpectrum, SymmetrySpec, slot_action, validate_spectrum
 
@@ -164,10 +164,12 @@ def _dense(
 #: subcommand's default and the ``partition`` suite's.
 PARTITION_CUTOFF = 40
 
-#: The most Horner steps one truncated partition trace takes, cutoff + 1 per
-#: cycle of the slot action.  A step took about 0.13 us on a 2-core x86-64
-#: machine (Python 3.11), so a trace at the cap takes about 1.3 s; a larger
-#: one is refused (CapacityError) before any sum.
+#: The step cap of both geometric-sum oracles: the most Horner steps one
+#: truncated partition trace takes, cutoff + 1 per cycle of the slot action,
+#: and one sum of the kernel's Fock-trace oracle, cutoff + 1.  A step took
+#: about 0.13 us on a 2-core x86-64 machine (Python 3.11), so a trace at the
+#: cap takes about 1.3 s; a larger one is refused (CapacityError) before any
+#: sum.
 MAX_TRACE_STEPS = 10**7
 
 
@@ -346,6 +348,9 @@ def z_via_det(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec],
         if length:
             y = length * beta * spectrum.omegas[first // 2]
             x, f = math.exp(-y), _one_minus(y, cmath.phase(r))
+            if not f:
+                raise RangeError(f"1/det(1 - XU) at beta={beta} is outside the float range: "
+                                 "a cycle's 1 - r x^L is 0")
             logs.append(cmath.log(f))
             # the modulus term only where the closed form reads Re r
             slack += [1.0 + abs(logs[-1].real), 7 * length * x / abs(f) ** 2 if x < 0.5 else 0.0]
@@ -357,6 +362,79 @@ def _partition(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -
     return partition_row(spectrum, sym, 1.0, PARTITION_CUTOFF)[1]
 
 
+def _oracle_cutoff(omega: float, beta: float, m: int) -> int:
+    """The cutoff N of :func:`kernel_agreement` on an m-point grid, or
+    CapacityError where the Fock-trace oracle cannot resolve the kernel.
+
+    With x = e^{-beta omega} the oracle's one-oscillator sums are
+    S_N'/S_N at y = rho x and conj(rho) x, and
+    S_N'/S_N - 1/(1 - y) = -(N + 1) y^N / (1 - y^{N+1}) exactly.  Each
+    enters the oracle with a weight of modulus at most 1/(2 omega), so at
+    every lag |oracle - K| <= B_N = (N + 1) x^N / ((1 - x^{N+1}) omega).
+    With t = (N + 1) beta omega, B_N = e^{beta omega} (t / expm1(t)) /
+    (beta omega^2), which falls with N.  N is the smallest N >= 800 with
+    B_N <= 1e-9, a tenth of the check's slack 1e-8, found by bisection on
+    log B_N, so every grid whose B_800 fits keeps cutoff 800.  CapacityError
+    where N + 1 exceeds :data:`MAX_TRACE_STEPS`, or beta omega is 0.
+
+    The comparison's rounding is within
+    R = eps (18/g + 32 + 2 min(beta omega, m)) / (omega g h^2), with
+    g = 1 - x and h = 1 - x^{N+1}, to first order in u = eps/2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1 and
+    5.1; complex products within 2.83u):
+    - Horner's rule for S_N has partial sums within 2/|1 - y| and adds at
+      most 3.83u of one a step, damped by |y| = x a step, so it is within
+      3.83 eps/(g h) of S_N, relative.  The derivative's partial sums are
+      within 2.37/(|1 - y| g), which puts S_N' within 8.37 eps/(g^2 h) of
+      |S_N|.  With |S_N'/S_N| <= 2/(g h) and the division, the ratio is
+      within 16.1 eps/(g h)^2 + 2.83 eps/(g h); the rounding of y = rho x,
+      at most eps x, moves it by eps/g^2 more.
+    - The ratios enter with weights e^{-omega (beta - |tau|)} and
+      e^{-omega |tau|} of at most 1.  The first one's exponent is a
+      difference of two rounded products, off by up to 3u beta omega, but
+      its value is below e^{-beta omega/m}, so that error is below
+      1.5 eps min(beta omega, m).  With the four products and the sum, the
+      oracle is within (17.1/g + 10.7 + 1.5 min(beta omega, m)) eps /
+      (omega g h^2).
+    - The closed form is within 16 eps/(omega g): its terms p, q <= 1 - x^2
+      over 2 omega |1 - x e^{i theta}|^2 >= 2 omega g^2 bound every lag
+      value by 2/(omega g), and each is taken to a few eps, exponents
+      included.  The difference adds 2 eps/(omega g h).
+    Measured against 50-digit values of both sides: at most 0.058 of R over
+    2000 draws that the check accepts (omega log-uniform in [1e-6, 1e3], or
+    near the refusal edge; beta log-uniform in [1e-3, 1e2]; rho = 1, -1,
+    within 1e-3 of 1 or uniform; m in [2, 64]), and every deviation within
+    B_N + R over 6000 more (at most 0.991 of it, where B_N, which is
+    attained at rho = 1, dominates).  So a correct lag value is within
+    B_N + R of the oracle, and the check refuses with CapacityError where
+    B_N + R exceeds the slack 1e-8: at beta = 1 below omega = 0.0077, at
+    omega = 1 below beta = 6.7e-4, and at beta = 1e-300 below
+    omega = 3.6e237.
+    """
+    y = beta * omega
+    log_target = math.log(1e-9)
+
+    def log_bound(n: int) -> float:  # log B_n
+        return (math.log(n + 1) - n * y - math.log(-math.expm1(-(n + 1) * y))
+                - math.log(omega))
+
+    lo, hi = 799, MAX_TRACE_STEPS - 1  # the smallest n in (lo, hi] with B_n <= 1e-9
+    if not (y > 0.0 and log_bound(hi) <= log_target):
+        raise CapacityError(
+            f"the Fock-trace oracle at omega={omega}, beta={beta} needs more than "
+            f"{MAX_TRACE_STEPS} steps a sum to resolve the kernel")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if log_bound(mid) <= log_target else (mid, hi)
+    g, h = -math.expm1(-y), -math.expm1(-(hi + 1) * y)
+    rounding = _EPS * (18.0 / g + 32.0 + 2.0 * (y if y < m else m)) / omega / g / h / h
+    if not math.exp(log_bound(hi)) + rounding <= 1e-8:
+        raise CapacityError(
+            f"the Fock-trace oracle cannot resolve the kernel at omega={omega}, beta={beta}: "
+            f"its rounding bound {rounding:.3e} leaves no room in the slack of 1e-8")
+    return hi
+
+
 def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -> CheckResult:
     """Column ``k`` of a sampled kernel of any layout against the Fock-trace
     oracle, at every lag d in (-m, m) of its m-point grid: lags[d][k] at the
@@ -365,16 +443,19 @@ def kernel_agreement(sampled: correlation.SampledKernel, k: int, rho: complex) -
     beta and m are the layout's; ``rho`` is the phase the Fock trace is
     taken with, so a twist angle that does not belong to it fails the check.
 
-    At each point the Fock trace at cutoff 800 must lie within its tail
-    bound + 1e-8; the deviation is the worst disagreement.  A ``rho`` that is
-    no unit phase gives no unitary to take the trace with: the deviation is
-    NaN, and the check fails.
+    At each point the Fock trace at the cutoff :func:`_oracle_cutoff`
+    derives must lie within its tail bound + 1e-8; the deviation is the
+    worst disagreement.  Where that cutoff passes :data:`MAX_TRACE_STEPS`,
+    or the comparison's rounding leaves no room in the slack, the check
+    raises CapacityError before any sum.  A ``rho`` that is no unit phase
+    gives no unitary to take the trace with: the deviation is NaN, and the
+    check fails.
     """
     from . import correlation
 
     omega, beta, m = sampled.omegas[k], sampled.beta, len(sampled.lags)
+    cutoff = _oracle_cutoff(omega, beta, m)
     single = validate_spectrum([("k", omega)])
-    cutoff = 800
     tail = truncation_tail_bound(single, beta, cutoff)
     try:
         single_sym = SymmetrySpec(kind=UNITARY, phases=(rho,))
@@ -540,15 +621,36 @@ def energy_identity(sampled: correlation.SampledKernel, spectrum: ModeSpectrum,
                        slack if slack < math.inf else math.nan)
 
 
+def kernel_checks(sampled: correlation.SampledKernel, spectrum: ModeSpectrum,
+                  sym: Optional[SymmetrySpec], ext: Optional[realfield.ExtendedSpectrum] = None,
+                  slot: Optional[int] = None) -> list[CheckResult]:
+    """Every ``kernel`` check of one sampled layout, in order: the Fock-trace
+    oracle on the layout's oracle column (:func:`kernel_agreement`), the
+    eigenbasis where the layout has one (:func:`eigenbasis_checks`),
+    :func:`sampled_kernel_checks` and :func:`energy_identity`.
+
+    The extended layout of ``ext`` has its oracle column at M, mode 0's +
+    slot, whose phase ``ext.phases[M]`` is rho_0 for a diagonal action.  A
+    scalar layout (``ext=None``) is the one column of the mode whose + slot
+    is ``slot``, read with that slot's phase.
+
+    The oracle runs after :func:`sampled_kernel_checks` and
+    :func:`energy_identity`, so a layout whose closed-form spectrum is
+    beyond the float range is refused as such (RangeError) before the
+    oracle can refuse it for want of a cutoff (CapacityError)."""
+    checks = [*sampled_kernel_checks(sampled), energy_identity(sampled, spectrum, sym, slot)]
+    if ext is None:
+        return [kernel_agreement(sampled, 0, slot_action(spectrum, sym).phases[slot]), *checks]
+    k = len(spectrum)
+    return [kernel_agreement(sampled, k, ext.phases[k]), *eigenbasis_checks(ext, sampled), *checks]
+
+
 def _kernel(spectrum: ModeSpectrum, sym: Optional[SymmetrySpec], seed: int) -> list[CheckResult]:
     from . import realfield
 
     ext = realfield.extend(spectrum, sym)
     sampled = realfield.sample_extended_kernel(ext, 1.0, 32)  # beta = 1, m = 32
-    # column M is mode 0's + slot, with the phase rho_0 of a diagonal action
-    k = len(spectrum)
-    return [kernel_agreement(sampled, k, ext.phases[k]), *eigenbasis_checks(ext, sampled),
-            *sampled_kernel_checks(sampled), energy_identity(sampled, spectrum, sym)]
+    return kernel_checks(sampled, spectrum, sym, ext)
 
 
 def eigenbasis_checks(

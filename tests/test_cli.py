@@ -1,5 +1,8 @@
 import ast
+import cmath
+import contextlib
 import inspect
+import io
 import itertools
 import json
 import math
@@ -8,10 +11,13 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twistkit
 from twistkit import cli, correlation, errors, fock, partition, realfield, verify
@@ -791,21 +797,28 @@ class TestSampledKernelChecksBite:
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
         assert f"[pass] kernel: {self.ENERGY} (deviation 0.0" in capsys.readouterr().out
 
-    def test_tiny_omega_grid_is_positive_definite(self, tmp_path, capsys, recwarn):
-        # omega = 1e-12: max lambda ~ 1.6e25 against a closed-form least
-        # eigenvalue of 0.0156.  The stored doubles themselves are indefinite:
-        # diagonalized at 50 digits, the exported grid's least eigenvalue is
-        # -4.4e8, so these [pass] lines read the closed form, not the file.
-        # A certified floor (ROADMAP item 21) will replace what this pins.
+    def test_tiny_omega_grid_is_refused(self, tmp_path, capsys, recwarn):
+        # omega = 1e-12: the stored doubles are indefinite (diagonalized at 50
+        # digits, the exported grid's least eigenvalue is -4.4e8 against a
+        # closed-form 0.0156), and the kernel suite and kernel --extended
+        # --verify once printed [pass] for positivity.  The Fock-trace oracle
+        # cannot resolve x = 1 - 1e-12, so every kernel route now refuses it
+        # before any sum: exit 3, no check line and no file.  A certified
+        # floor (ROADMAP item 21) is still needed where the oracle resolves
+        # the kernel and the grid is indefinite.
         cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e-12}]})
-        main(["verify", "--config", cfg, "--suite", "kernel"])
-        out = capsys.readouterr().out
-        assert "[pass] kernel: sampled kernel positive definite" in out
-        assert f"[pass] kernel: {self.SPECTRUM}" in out
-        args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "16", "--extended",
-                "--verify", "--output", str(tmp_path / "k.csv")]
-        assert main(args) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "needs more than" in captured.err
+        out = tmp_path / "k.csv"
+        for extended in ([], ["--extended"]):
+            args = ["kernel", "--config", cfg, "--beta", "1", "--grid", "16", "--verify",
+                    "--output", str(out)]
+            assert main(args + extended) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "[pass]" not in captured.err
+            assert captured.err.startswith("error: the Fock-trace oracle at omega=1e-12")
+            assert not out.exists()
 
 
 class TestRangeExitCodes:
@@ -841,7 +854,8 @@ class TestRangeExitCodes:
     @pytest.mark.parametrize("extended, failing", [
         (False, ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
                  "sampled spectrum vs closed form"]),
-        (True, ["sampled kernel twisted-circulant", "sampled spectrum vs closed form"])])
+        (True, ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+                "sampled spectrum vs closed form"])])
     def test_non_finite_lag_fails_its_checks_then_exits_5(self, anti_config, tmp_path, monkeypatch,
                                                           capsys, value, extended, failing):
         closed = correlation.kernel_closed_form
@@ -1321,13 +1335,20 @@ class TestKernelCommand:
         assert kept.read_bytes() == b"kept\n"
 
     @pytest.mark.parametrize("beta", ["1e-300", "1e-150"])
-    def test_verify_at_tiny_beta_exits_0(self, beta, tmp_path, capsys):
-        # the first bundled mode (omega = 1, rho = i): every lag value is of
-        # order beta, near the bottom of the float range
-        args = ["kernel", "--beta", beta, "--grid", "3", "--verify",
-                "--output", str(tmp_path / "k.csv")]
-        assert main(args) == 0
-        assert "[FAIL]" not in capsys.readouterr().out
+    def test_verify_at_tiny_beta_exits_3(self, beta, tmp_path, capsys):
+        # the bundled modes (omega = 1, rho = i first): every lag value is of
+        # order beta, far below the oracle check's absolute slack 1e-8, which
+        # once passed them vacuously; now the oracle's cutoff would pass
+        # MAX_TRACE_STEPS, so either route refuses before any sum, prints no
+        # check and writes no file
+        out = tmp_path / "k.csv"
+        for extended in ([], ["--extended"]):
+            args = ["kernel", "--beta", beta, "--grid", "3", "--verify", "--output", str(out)]
+            assert main(args + extended) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "[pass]" not in captured.err
+            assert captured.err.startswith("error: the Fock-trace oracle at omega=1.0")
+            assert not out.exists()
 
     def test_verify_at_huge_beta_exits_0(self, tmp_path, capsys):
         # the check points are the exported times d*(beta/m); d*beta overflowed
@@ -1453,6 +1474,109 @@ class TestKernelCommand:
             f"error: grid size {grid} exceeds the cap of {correlation.MAX_GRID}\n")
         assert not out.exists()
         correlation._require_kernel(1.0, correlation.MAX_GRID)  # the cap itself is allowed
+
+
+class TestOracleCutoff:
+    """The Fock-trace oracle check sizes its own cutoff from the truncation
+    bound B_N, keeps 800 wherever B_800 fits and refuses (exit 3) a kernel
+    it cannot resolve."""
+
+    @staticmethod
+    def bound(omega, beta, n):
+        """B_n = (n + 1) x^n / ((1 - x^(n+1)) omega), x = e^(-beta omega)."""
+        x = math.exp(-beta * omega)
+        return (n + 1) * x**n / ((1.0 - x ** (n + 1)) * omega)
+
+    @pytest.mark.parametrize("y", [0.97, -0.97, 0.97j, 0.9 * cmath.exp(2.0j), 0.5 + 0.1j])
+    @pytest.mark.parametrize("n", [3, 40, 200])
+    def test_truncation_error_of_the_one_oscillator_sum_is_exact(self, y, n):
+        # S_N'/S_N - 1/(1 - y) = -(N + 1) y^N / (1 - y^(N+1))
+        got = correlation.geometric_log_derivative(y, n) - 1.0 / (1.0 - y)
+        want = -(n + 1) * y**n / (1.0 - y ** (n + 1))
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+    def test_cutoff_is_the_smallest_one_that_fits(self):
+        for omega, beta in ((0.03, 1.0), (0.01, 1.0), (1.0, 0.005), (1.0, 0.01)):
+            n = verify._oracle_cutoff(omega, beta, 32)
+            assert n > 800 and self.bound(omega, beta, n) <= 1e-9
+            assert self.bound(omega, beta, n - 1) > 1e-9
+
+    @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json", "anti_two_pairs_fixed.json",
+                                        "unitary_generic.json"])
+    def test_golden_and_bench_configs_keep_cutoff_800(self, config):
+        spectrum, _ = cli._load(None if config is None else str(GOLDEN / config))
+        for omega in spectrum.omegas:
+            for beta in (0.5, 0.9, 1.0, 1.3, 2.0):
+                assert verify._oracle_cutoff(omega, beta, 33) == 800
+        # the benchmark's configs have omega >= 0.3 and beta omega >= 0.075
+        assert verify._oracle_cutoff(0.3, 0.25, 384) == 800
+        assert self.bound(0.3, 0.25, 800) <= 1e-22
+
+    def test_threshold_is_never_looser_than_at_cutoff_800(self):
+        single = validate_spectrum([("a", 0.03)])
+        sampled = correlation.sample_kernels(1.0, [0.03], [0.0], 8)
+        check = verify.kernel_agreement(sampled, 0, 1.0 + 0j)
+        assert check.passed and check.threshold <= verify.truncation_tail_bound(single, 1.0, 800) + 1e-8
+
+    def test_cutoff_above_the_step_cap_is_refused_before_any_sum(self, monkeypatch):
+        # omega = 0.03 needs N = 1040; a cap of 1000 steps a sum refuses it
+        monkeypatch.setattr(verify, "MAX_TRACE_STEPS", 1000)
+        monkeypatch.setattr(correlation, "geometric_log_derivative", None)  # no sum runs
+        sampled = correlation.sample_kernels(1.0, [0.03], [0.0], 8)
+        with pytest.raises(errors.CapacityError, match="needs more than 1000 steps"):
+            verify.kernel_agreement(sampled, 0, 1.0 + 0j)
+
+    def test_rounding_that_fills_the_slack_is_refused(self):
+        # omega = 0.005 at beta = 1 needs a cutoff below 10^4, far under the
+        # step cap, but the comparison's rounding bound, near 1/(beta omega^2)
+        # times 18 eps / (beta omega), is 3.2e-8: no room in the slack 1e-8
+        assert self.bound(0.005, 1.0, 10**4) <= 1e-9
+        with pytest.raises(errors.CapacityError, match="rounding bound"):
+            verify._oracle_cutoff(0.005, 1.0, 32)
+
+    ONE_MODE = {"modes": [{"label": "a", "omega": 0.03}]}
+    PAIR = {"modes": [{"label": "a", "omega": 0.03}, {"label": "b", "omega": 0.03}],
+            "symmetry": {"kind": "antiunitary", "pairing": {"a": "b", "b": "a"},
+                         "phases": [{"re": 0.6, "im": 0.8}, {"re": 1.0, "im": 0.0}]}}
+
+    def test_omega_0_03_passes_every_kernel_route(self, tmp_path, capsys):
+        # B_800 = 1.01e-6 failed the fixed cutoff 800 against 1.007e-8; the
+        # derived cutoff 1040 resolves it
+        cfg = write_config(tmp_path / "w.json", self.ONE_MODE)
+        assert main(["verify", "--config", cfg, "--suite", "all"]) == 0
+        assert "[pass] kernel: closed form vs Fock-trace oracle" in capsys.readouterr().out
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--config", cfg, "--beta", "1", "--grid", "16", "--verify",
+                     "--output", str(out)]) == 0
+        assert "max three-way disagreement" in capsys.readouterr().out and out.exists()
+        pair = write_config(tmp_path / "pair.json", self.PAIR)
+        assert main(["kernel", "--config", pair, "--extended", "--beta", "1", "--grid", "16",
+                     "--verify", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(math.log(1e-6), math.log(1e3)), st.floats(math.log(1e-3), math.log(1e2)),
+           st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi), st.integers(2, 64))
+    def test_correct_kernels_pass_or_are_refused(self, log_omega, log_beta, a, b, m):
+        # kernel --verify on correct code exits 0 or 3 on either route, never 1
+        omega, beta = math.exp(log_omega), math.exp(log_beta)
+        phases = [{"re": math.cos(t), "im": math.sin(t)} for t in (a, b)]
+        configs = [({"modes": [{"label": "a", "omega": omega}],
+                     "symmetry": {"kind": "unitary", "phases": phases[:1]}}, []),
+                   ({"modes": [{"label": "a", "omega": omega}, {"label": "b", "omega": omega}],
+                     "symmetry": {"kind": "antiunitary", "pairing": {"a": "b", "b": "a"},
+                                  "phases": phases}}, ["--extended"])]
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # near-degenerate kernels warn
+            for doc, extended in configs:
+                cfg, out = write_config(Path(tmp) / "c.json", doc), Path(tmp) / "k.csv"
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(["kernel", "--config", cfg, "--beta", repr(beta), "--grid", str(m),
+                                 "--verify", "--output", str(out), *extended])
+                assert code in (0, 3), err.getvalue()
+                assert out.exists() == (code == 0)
+                out.unlink(missing_ok=True)
 
 
 class TestCsvRowCap:

@@ -237,6 +237,12 @@ class TestRangeErrors:
         with pytest.raises(RangeError):
             verify.z_via_det(self.SPEC, sym, 1.0)
 
+    def test_det_route_zero_factor_is_typed(self):
+        # beta omega = 1e-400 underflows to 0 at r = 1, so the cycle's
+        # 1 - r x^L is 0: RangeError, not the ValueError of cmath.log(0)
+        with pytest.raises(RangeError, match="1 - r x"):
+            verify.z_via_det(validate_spectrum([("a", 1e-200)]), None, 1e-200)
+
     def test_large_but_representable_values_are_unchanged(self):
         # 100 of the modes give Z near e^392 (its square, the inner trace, e^784)
         spec = validate_spectrum([(f"k{i}", 0.01) for i in range(100)])

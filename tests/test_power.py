@@ -6,7 +6,8 @@ reads which checks print ``[FAIL]``.  A MUST_FAIL row names exactly the
 checks that catch its mutation.  An UNDETECTED row is a known gap: it
 asserts the exit code the command gives today, with no check failing, and
 names the ROADMAP item that closes it.  The change that closes a gap moves
-its row to MUST_FAIL.
+its row to MUST_FAIL, or to REFUSED where the command now refuses (exit
+3) on correct and mutated code alike, before the mutated route runs.
 
 The rows reuse the golden configs; "{output}" in an argv stands for a CSV
 path, "{minus_one}" for a one-mode config at omega = ln 2, rho = -1, and
@@ -605,6 +606,12 @@ MUST_FAIL = {
     "fock-oracle-plus-1e-7-kernel": (
         fock_oracle_plus_1e_7, ["kernel", "--config", "{minus_one}", *GRID_8_VERIFY],
         ["kernel: closed form vs Fock-trace oracle"]),
+    # kernel --extended --verify runs the oracle on column M, as the suite does
+    "fock-oracle-plus-1e-7-extended-kernel-anti": (
+        fock_oracle_plus_1e_7,
+        ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
+         "--output", "{output}"],
+        ["kernel: closed form vs Fock-trace oracle"]),
     "fock-oracle-plus-1e-7-verify": (
         fock_oracle_plus_1e_7, ["verify", "--config", "{minus_one}", "--suite", "kernel"],
         ["kernel: closed form vs Fock-trace oracle"]),
@@ -702,12 +709,13 @@ MUST_FAIL = {
     "kernel-scaled-by-1e-14-verify": (
         kernel_scaled_by_1e_14, ["verify", "--suite", "kernel"], ["kernel: lag-0 energy vs partition function"]),
     # the energy identity reads Z, not the closed-form spectrum, so it sees
-    # a common scale of the lag values and the spectrum; no oracle runs here
+    # a common scale of the lag values and the spectrum, as the oracle on
+    # column M does
     "kernel-and-spectrum-scaled-extended": (
         kernel_and_spectrum_scaled_by_1e_6,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "16",
          "--output", "{output}"],
-        ["kernel: lag-0 energy vs partition function"]),
+        ["kernel: closed form vs Fock-trace oracle", "kernel: lag-0 energy vs partition function"]),
     "basis-column-scaled-verify": (
         basis_column_scaled, ["verify", "--config", ANTI2, "--suite", "kernel"],
         ["kernel: W* W = I"]),
@@ -852,7 +860,8 @@ MUST_FAIL = {
            ("4e307", kernel_scaled_by_4e307, "extended-kernel-anti",
             ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
              "--output", "{output}"],
-            ["sampled spectrum vs closed form", "lag-0 energy vs partition function"]),
+            ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
+             "lag-0 energy vs partition function"]),
            ("1.7e308", kernel_scaled_by_1_7e308, "verify", ["verify", "--suite", "kernel"],
             ["closed form vs Fock-trace oracle", "sampled spectrum vs closed form",
              "lag-0 energy vs partition function"]),
@@ -875,7 +884,8 @@ MUST_FAIL = {
            ("extended-kernel-anti",
             ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
              "--output", "{output}"],
-            ["sampled kernel twisted-circulant", "sampled spectrum vs closed form"]))},
+            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+             "sampled spectrum vs closed form"]))},
     **{f"fock-oracle-nan-at-lag-1-{tag}": (
         fock_oracle_nan_at_lag_1, argv, ["kernel: closed form vs Fock-trace oracle"])
        for tag, argv in (
@@ -925,10 +935,6 @@ MUST_FAIL = {
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)
 UNDETECTED = {
-    "zero-fock-oracle-at-tiny-beta": (
-        zero_fock_oracle,
-        ["kernel", "--beta", "1e-300", "--grid", "3", "--verify", "--output", "{output}"],
-        0, "item 5"),
     # the tc identity holds at either sign, and no other check takes tau imaginary
     "imaginary-time-sign-of-field": (
         conjugated_imaginary_time, ["verify", "--suite", "all"], 0, "item 14"),
@@ -969,6 +975,26 @@ def test_mutation_fails_its_checks(mutate, argv, failing, tmp_path, monkeypatch)
 def test_known_gap_is_still_undetected(mutate, argv, code, item, tmp_path, monkeypatch):
     mutate(monkeypatch)
     assert run(argv, tmp_path) == (code, []), f"closed by ROADMAP {item}? move the row to MUST_FAIL"
+
+
+#: id -> (mutation, argv) of a command that correct and mutated code alike
+#: refuse with exit 3 before the mutated route runs: at beta = 1e-300 every
+#: lag value is about 5e-301, far below the oracle check's absolute slack,
+#: and the oracle's cutoff would pass MAX_TRACE_STEPS, so the check refuses
+#: where it once passed a zero oracle
+REFUSED = {
+    "zero-fock-oracle-at-tiny-beta": (
+        zero_fock_oracle,
+        ["kernel", "--beta", "1e-300", "--grid", "3", "--verify", "--output", "{output}"]),
+}
+
+
+@pytest.mark.parametrize("mutate, argv", REFUSED.values(), ids=REFUSED.keys())
+def test_refusal_holds_under_the_mutation(mutate, argv, tmp_path, monkeypatch):
+    assert run(argv, tmp_path) == (3, [])
+    mutate(monkeypatch)
+    assert run(argv, tmp_path) == (3, [])
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_nan_basis_column_fails_the_basis_checks_and_writes_no_file(tmp_path, monkeypatch):
