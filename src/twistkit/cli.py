@@ -163,9 +163,9 @@ def _cmd_kernel(args) -> int:
         )
     else:
         slot = 2 * _select_mode(spectrum, args.mode)  # the mode's + slot
-        theta = correlation.kernel_twist_angle(action.phases[slot])
-        sampled = correlation.sample_kernels(
-            args.beta, [spectrum.omegas[slot // 2]], [theta], args.grid)
+        omega, rho = spectrum.omegas[slot // 2], action.phases[slot]
+        theta = correlation.kernel_twist_angle(rho)
+        sampled = correlation.sample_kernels(args.beta, [omega], [theta], args.grid)
         lines = [f"wrote {args.grid * args.grid} kernel samples to {args.output}"]
     checks = verify.kernel_checks(sampled, spectrum, sym, ext, slot) if args.verify else []
     if checks and ext is None:
