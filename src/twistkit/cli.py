@@ -27,9 +27,11 @@ for n doubled columns, refused before any sampling, or a ``partition
 --cutoff`` whose truncated trace would take more than
 :data:`twistkit.verify.MAX_TRACE_STEPS` steps, or a Fock-trace oracle
 that cannot resolve the kernel: one whose cutoff would pass that cap, or
-whose rounding leaves no room in its slack), 4 a result outside the
-float range (RangeError), 5 the CSV exporter's refusal of a non-finite
-sampled value (InternalConsistencyError, raised nowhere else).  All
+whose certified bound would pass 1e-8, or a lag-0 energy identity that
+cannot resolve it, whose rounding bound reaches its largest term), 4 a
+result outside the float range (RangeError), 5 the CSV exporter's refusal
+of a non-finite sampled value (InternalConsistencyError, raised nowhere
+else).  All
 numeric output uses fixed 17-significant-digit lowercase scientific
 formatting so identical inputs produce byte-identical output.
 

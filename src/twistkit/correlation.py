@@ -25,7 +25,10 @@ each kernel's omega and theta, plus the basis that mixes them (a scalar
 kernel has none).  :func:`sample_kernels` builds it from its (omega,
 theta) columns, for the scalar kernel and the extended one alike; the
 blocks, the spectrum and the one CSV exporter, :func:`export_kernel_csv`,
-derive from that layout.  The spectrum has a closed form,
+derive from that layout.  The blocks of an extended layout are checked
+against the kernel on each cycle's covering circle
+(:func:`twistkit.verify.block_agreement`), which is sampled by
+:func:`sample_kernels` too.  The spectrum has a closed form,
 :func:`grid_spectrum`, positive for every twist.
 
 No numpy is imported here.  The closed form, the Fock-trace oracle, the

@@ -17,8 +17,10 @@ unit eigenvectors v_q = L^{-1/2} sum_j a_j e_{c_j}, with a_0 = 1 and
 a_{j+1} = u_{c_j} a_j / lambda_q.  Eigenmode q sits at column c_q, so each
 column keeps its doubled frequency; a fixed index c has the eigenpair
 (u_c, e_c), and a 2-cycle a < b puts +-sqrt(u_a u_b) in columns a and b.
-The basis is kept sparse, one L x L block per cycle, and checked where it
-is exported, by :func:`twistkit.verify.eigenbasis_checks`.
+The basis is kept sparse, one L x L block per cycle.  What it mixes is
+checked where it is exported: :func:`twistkit.verify.block_agreement`
+compares the blocks with the kernel on each cycle's covering circle,
+walked from the image table, with no eigenbasis.
 
 The extended pair-correlation kernel exists here only in its sampled
 layout, :func:`sample_extended_kernel`: the (omega, theta) columns of the

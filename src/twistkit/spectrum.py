@@ -79,9 +79,6 @@ class ModeSpectrum:
             return NotImplemented
         return (self.labels, self.omegas) == (other.labels, other.omegas)
 
-    def __repr__(self) -> str:
-        return f"ModeSpectrum(labels={self.labels!r}, omegas={self.omegas!r})"
-
     def __len__(self) -> int:
         return len(self.omegas)
 

@@ -491,9 +491,13 @@ def test_cli_calls_no_oracle():
 
 def test_verify_evaluates_no_kernel_closed_form():
     # Every kernel check reads a sampled layout, and no check draws its lags.
+    # The block check samples its reference, the covering-circle kernel, by
+    # the exporter's route, sample_kernels, with the twist angle of its
+    # phase product by the one convention, kernel_twist_angle.
     source = inspect.getsource(verify)
-    for name in ("kernel_closed_form", "grid_spectrum", "kernel_twist_angle"):
+    for name in ("kernel_closed_form", "grid_spectrum"):
         assert name not in source
+    assert source.count("kernel_twist_angle(") == source.count("sample_kernels(") == 1
     imported = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -540,17 +544,23 @@ class TestSharedChecksBite:
 )
 def test_each_kernel_run_samples_one_grid(argv, m, tmp_path, monkeypatch, capsys):
     # every kernel check reads the one layout the run samples: the grid that
-    # kernel --verify exports, or the kernel suite's 32-point layout
+    # kernel --verify exports, or the kernel suite's 32-point layout.  The
+    # only other samples are the block check's references on an extended
+    # layout: one column each, no basis, on the covering circle of its
+    # column's cycle, whose L m points are a multiple of m
     grids, init = [], correlation.SampledKernel.__init__
 
     def counting(self, beta, omegas, thetas, lags, basis=None):
-        grids.append(len(lags))
+        grids.append((len(lags), len(thetas), basis is None))
         init(self, beta, omegas, thetas, lags, basis)
 
     monkeypatch.setattr(correlation.SampledKernel, "__init__", counting)
     output = str(tmp_path / "k.csv")
     assert main([output if a == "{output}" else a for a in argv]) == 0
-    assert grids == [m]
+    (size, columns, scalar), *references = grids
+    assert size == m
+    assert len(references) == (0 if scalar and columns == 1 else columns)
+    assert all(n == 1 and plain and points % m == 0 for points, n, plain in references)
 
 
 def test_sampled_kernel_checks_read_the_fft_spectrum():
@@ -601,7 +611,8 @@ def test_sampled_kernel_checks_read_the_fft_spectrum():
     assert imported and not [name for name in imported if name.startswith("_")]
     # the eigenmode columns are built in one helper, which samples them
     assert inspect.getsource(realfield).count("sample_kernels(") == 1
-    # extend only builds: the eigenbasis it exports is checked in verify; an
+    # extend only builds: the blocks its eigenbasis mixes are checked in
+    # verify, against the covering-circle kernel walked from its images; an
     # InternalConsistencyError is raised only by the exporter's refusal of a
     # non-finite block entry, never by a check
     extend = ast.parse(inspect.getsource(realfield.extend))
@@ -797,6 +808,24 @@ class TestSampledKernelChecksBite:
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
         assert f"[pass] kernel: {self.ENERGY} (deviation 0.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extended", [[], ["--extended"]], ids=["scalar", "extended"])
+    def test_identity_that_cannot_resolve_the_kernel_is_refused(self, tmp_path, capsys, recwarn,
+                                                                extended):
+        # omega = 1e240, beta = 1e-300: beta omega = 1e-60, so the identity's
+        # rounding bound, 8 eps t / |1 - lambda x|, is 1e45 times its largest
+        # term t.  Its absolute slack once overflowed, read as NaN, and
+        # failed correct code (exit 1, deviation 1.5e284); now the relative
+        # threshold is computed without overflow, and the run is refused
+        # (exit 3) with no check line and no file
+        cfg = write_config(tmp_path / "w.json", {"modes": [{"label": "a", "omega": 1e240}]})
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--config", cfg, "--beta", "1e-300", "--grid", "8", "--verify",
+                     "--output", str(out), *extended]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "[" not in captured.err
+        assert captured.err.startswith("error: the lag-0 energy identity cannot resolve the kernel")
+        assert not out.exists()
+
     def test_tiny_omega_grid_is_refused(self, tmp_path, capsys, recwarn):
         # omega = 1e-12: the stored doubles are indefinite (diagonalized at 50
         # digits, the exported grid's least eigenvalue is -4.4e8 against a
@@ -854,8 +883,8 @@ class TestRangeExitCodes:
     @pytest.mark.parametrize("extended, failing", [
         (False, ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
                  "sampled spectrum vs closed form"]),
-        (True, ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
-                "sampled spectrum vs closed form"])])
+        (True, ["closed form vs Fock-trace oracle", "exported blocks vs covering-circle kernel",
+                "sampled kernel twisted-circulant", "sampled spectrum vs closed form"])])
     def test_non_finite_lag_fails_its_checks_then_exits_5(self, anti_config, tmp_path, monkeypatch,
                                                           capsys, value, extended, failing):
         closed = correlation.kernel_closed_form
@@ -962,7 +991,7 @@ def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
     anti_config, tmp_path, monkeypatch, capsys, factor
 ):
     # one coefficient of one eigenvector of the first cycle, off by 1e-6 or NaN:
-    # extend builds it as it is, and the checks of the exported basis fail; a
+    # extend builds it as it is, and the check of the blocks it mixes fails; a
     # NaN reaches the blocks, so the export refuses it before a CSV is written
     eigenpairs = realfield._cycle_eigenpairs
     seen = []
@@ -978,7 +1007,7 @@ def test_a_wrong_eigenvector_coefficient_fails_the_build_checks(
     output = tmp_path / "k.csv"
     args = ["kernel", "--config", anti_config, "--beta", "1", "--grid", "4",
             "--output", str(output), "--extended"]
-    failed = ("U W = W Lambda", "W* W = I")
+    failed = ("exported blocks vs covering-circle kernel",)
     if math.isnan(factor):
         # --verify reports its failed checks before the exporter refuses
         for verify_flag, reported in (([], []), (["--verify"], failed)):
@@ -1221,15 +1250,19 @@ def test_unchecked_inputs_are_refused(call, error):
      ({"modes": [{"label": "1", "omega": 1.0}, {"label": "b", "omega": 1.0}],
        "symmetry": {"kind": "antiunitary", "pairing": {"1": "b", "b": 1},
                     "phases": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]}},
-      "error: symmetry.pairing['b']: not a string")],
+      "error: symmetry.pairing['b']: not a string"),
+     ({"modes": [{"label": "a", "omega": 10**400}]},
+      f"error: modes[0].omega: {10**400} is beyond the float range")],
     ids=["omega-string", "omega-list", "omega-inf-string", "omega-numeric-string",
          "omega-bool", "modes-number", "modes-null", "phases-number", "label-list",
-         "label-number", "label-null", "pairing-number"],
+         "label-number", "label-null", "pairing-number", "omega-integer-beyond-floats"],
 )
-def test_non_numeric_config_field_exits_2(doc, message, tmp_path):
+def test_non_numeric_config_field_exits_2(doc, message, tmp_path, capsys):
+    # in process, so that tier-1 reaches each refusal; main prints the
+    # message and picks the exit code as the console script does
     cfg = write_config(tmp_path / "bad.json", doc)
-    proc = _run_cli(["-m", "twistkit.cli", "partition", "--config", cfg, "--beta", "1"])
-    assert (proc.returncode, proc.stderr) == (2, message + "\n")
+    assert main(["partition", "--config", cfg, "--beta", "1"]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 @pytest.mark.parametrize("command", [["partition", "--beta", "1"], ["verify"],
@@ -1298,13 +1331,12 @@ def test_malformed_config_is_refused_by_name(doc, message):
     assert str(exc.value) == message
 
 
-def test_config_that_is_not_utf8_exits_2(tmp_path):
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 text, once a bare UnicodeDecodeError
-    proc = _run_cli(["-m", "twistkit.cli", "partition", "--config", str(cfg), "--beta", "1"])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: {cfg} is not UTF-8 text:")
-    assert "Traceback" not in proc.stderr
+    assert main(["partition", "--config", str(cfg), "--beta", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {cfg} is not UTF-8 text:")
 
 
 class TestKernelCommand:
@@ -1497,7 +1529,7 @@ class TestOracleCutoff:
 
     def test_cutoff_is_the_smallest_one_that_fits(self):
         for omega, beta in ((0.03, 1.0), (0.01, 1.0), (1.0, 0.005), (1.0, 0.01)):
-            n = verify._oracle_cutoff(omega, beta, 32)
+            n, _ = verify._oracle_cutoff(omega, beta, 32)
             assert n > 800 and self.bound(omega, beta, n) <= 1e-9
             assert self.bound(omega, beta, n - 1) > 1e-9
 
@@ -1507,9 +1539,9 @@ class TestOracleCutoff:
         spectrum, _ = cli._load(None if config is None else str(GOLDEN / config))
         for omega in spectrum.omegas:
             for beta in (0.5, 0.9, 1.0, 1.3, 2.0):
-                assert verify._oracle_cutoff(omega, beta, 33) == 800
+                assert verify._oracle_cutoff(omega, beta, 33)[0] == 800
         # the benchmark's configs have omega >= 0.3 and beta omega >= 0.075
-        assert verify._oracle_cutoff(0.3, 0.25, 384) == 800
+        assert verify._oracle_cutoff(0.3, 0.25, 384)[0] == 800
         assert self.bound(0.3, 0.25, 800) <= 1e-22
 
     def test_threshold_is_never_looser_than_at_cutoff_800(self):
@@ -1517,6 +1549,8 @@ class TestOracleCutoff:
         sampled = correlation.sample_kernels(1.0, [0.03], [0.0], 8)
         check = verify.kernel_agreement(sampled, 0, 1.0 + 0j)
         assert check.passed and check.threshold <= verify.truncation_tail_bound(single, 1.0, 800) + 1e-8
+        # the threshold is the bound the derived cutoff certifies, B_N + R <= 1e-8
+        assert check.threshold == verify._oracle_cutoff(0.03, 1.0, 8)[1] <= 1e-8
 
     def test_cutoff_above_the_step_cap_is_refused_before_any_sum(self, monkeypatch):
         # omega = 0.03 needs N = 1040; a cap of 1000 steps a sum refuses it
@@ -1612,7 +1646,7 @@ class TestCsvRowCap:
         modes = [{"label": f"m{k}", "omega": 0.5 + 0.01 * k} for k in range(65)]
         cfg = write_config(tmp_path / "m65.json", {"modes": modes})
         assert main(["verify", "--config", cfg, "--suite", "kernel"]) == 0
-        assert capsys.readouterr().out.endswith("8/8 checks passed\n")
+        assert capsys.readouterr().out.endswith("7/7 checks passed\n")
 
 
 def bench_shaped_config(n_modes, kind, seed):
@@ -1878,9 +1912,10 @@ class TestDoubledFieldChecks:
         covariance = "doubled-field oracle: symmetry_covariance"
         assert list(failed) == [covariance, covariance + fock.CROSS_FACTOR_SUFFIX]
         assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
-        # the exported basis is no longer one of U's eigenvectors
+        # the exported basis no longer mixes the blocks that U's image sum gives
         kernel = verify.run_suite("kernel", spectrum, sym)
-        assert [r.name for r in kernel if not r.passed] == ["U W = W Lambda"]
+        failed = [r.name for r in kernel if not r.passed]
+        assert failed == ["exported blocks vs covering-circle kernel"]
 
 
 def test_no_environment_knobs():
@@ -2031,6 +2066,14 @@ class TestSpectrumGen:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["modes"]
         assert parse_config(doc) == (twisted_circle_spectrum(1.0, 0.5, range(-3, 4)), None)
+
+    @pytest.mark.parametrize("option, value", [("--twist", "inf"), ("--mass", "nan")])
+    def test_non_finite_twist_or_mass_exits_2(self, capsys, option, value):
+        argv = {"--twist": "1", "--mass": "0.5", option: value}
+        assert main(["spectrum", "gen", "twisted-circle", *(a for kv in argv.items() for a in kv),
+                     "--n-min", "0", "--n-max", "2"]) == 2
+        twist, mass = float(argv["--twist"]), float(argv["--mass"])
+        assert capsys.readouterr() == ("", f"error: twist {twist} and mass {mass} must be finite\n")
 
     def test_negative_mass_exits_2(self, capsys):
         assert main(["spectrum", "gen", "twisted-circle", "--twist", "1", "--mass", "-1",

@@ -1,9 +1,13 @@
 """Golden CLI outputs: each case reruns through ``cli.main`` and must match.
 
-Non-numeric text must match exactly; every 17-significant-digit float
-must match within max(1e-12, 1e-12 * |value|), so refactors may move last
-digits but nothing else.  Regenerate the files (and record the rebaseline
-and its reason in CHANGES.md) with::
+The numpy-free commands, ``partition`` and ``kernel``, must print and
+write the same bytes: their sums are correctly rounded (``math.fsum``) or
+fixed in order, so their output is the same on every supported Python.
+The ``verify`` cases run numpy's dense suites: there non-numeric text
+must match exactly, and every 17-significant-digit float within
+max(1e-12, 1e-12 * |value|), so refactors may move last digits but
+nothing else.  Regenerate the files (and record the rebaseline and its
+reason in CHANGES.md) with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -78,16 +82,10 @@ def assert_matches(got: str, want: str, where: str) -> None:
 def test_golden(name, tmp_path):
     for kind, text in run_case(name, tmp_path).items():
         want = (GOLDEN / f"{name}.{kind}").read_text(encoding="utf-8")
-        assert_matches(text, want, f"{name}.{kind}")
-
-
-@pytest.mark.parametrize("name", ["partition_default", "partition_anti"])
-def test_partition_bytes_are_pinned(name, tmp_path):
-    # partition's log-sums are correctly rounded (math.fsum), so its rows
-    # are the same bytes on every supported Python: pinned exactly, not
-    # within the tolerance above
-    want = (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
-    assert run_case(name, tmp_path)["stdout"] == want
+        if name.startswith("verify_"):
+            assert_matches(text, want, f"{name}.{kind}")
+        else:  # pinned byte for byte, not within the tolerance
+            assert text == want, f"{name}.{kind} differs"
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """The power matrix: named mutations against the checks that must catch them.
 
 Each row breaks one thing with ``monkeypatch`` (a closed form, an oracle,
-a basis, a sign or a phase), runs one command through ``cli.main`` and
+a basis, the mixing of the blocks, a sign or a phase), runs one command
+through ``cli.main`` and
 reads which checks print ``[FAIL]``.  A MUST_FAIL row names exactly the
 checks that catch its mutation.  An UNDETECTED row is a known gap: it
 asserts the exit code the command gives today, with no check failing, and
@@ -10,8 +11,9 @@ its row to MUST_FAIL, or to REFUSED where the command now refuses (exit
 3) on correct and mutated code alike, before the mutated route runs.
 
 The rows reuse the golden configs; "{output}" in an argv stands for a CSV
-path, "{minus_one}" for a one-mode config at omega = ln 2, rho = -1, and
-"{no_symmetry}" for a two-mode config (a, b) without a symmetry.
+path, "{minus_one}" for a one-mode config at omega = ln 2, rho = -1,
+"{no_symmetry}" for a two-mode config (a, b) without a symmetry, and
+"{omega_1e300}" for a one-mode config at omega = 1e300.
 """
 
 import cmath
@@ -22,6 +24,7 @@ import json
 import math
 import re
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +448,30 @@ basis_column_scaled = first_basis_column(lambda w0: tuple(a * (1.0 + 1e-9) for a
 basis_column_nan = first_basis_column(lambda w0: (complex(math.nan), *w0[1:]))
 
 
+def blocks_edited(old, new):
+    """The mutation that replaces ``old`` by ``new`` in the source of
+    ``SampledKernel.blocks``, the mixing whose entries the exporter writes."""
+
+    def mutate(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(correlation.SampledKernel.blocks))
+        assert source.count(old) == 1
+        namespace = {}
+        exec(source.replace(old, new), vars(correlation), namespace)
+        monkeypatch.setattr(correlation.SampledKernel, "blocks", namespace["blocks"])
+
+    return mutate
+
+
+#: The three ``blocks()`` mutants that survived ROADMAP item 29's survey: a
+#: wrong CSV, and every check passed.
+blocks_without_conjugate = blocks_edited("col[j].conjugate()", "col[j]")
+blocks_quotient = blocks_edited("w_a * row[k] * w_b", "w_a * row[k] / w_b")
+blocks_index_minus = blocks_edited("a * n + b", "a * n - b")
+#: One column's lag values scaled by 1 + 1e-9 inside the mixing; the basis is right.
+blocks_column_scaled = blocks_edited("w_a * row[k] * w_b",
+                                     "w_a * row[k] * (1.0 + 1e-9 * (k == 0)) * w_b")
+
+
 def negated_lambda_0(monkeypatch):
     """``grid_spectrum`` with its first eigenvalue, lambda_0, negated."""
     spectrum = correlation.grid_spectrum
@@ -560,6 +587,10 @@ mode_c_kernel_scaled = kernel_scaled_at(1.3)
 
 #: The check of Z against 1/det(1 - XU), as "suite: name".
 DET = "partition: closed form vs 1/det(1 - XU)"
+#: The check of the extended blocks against the covering-circle kernel.
+BLOCKS = "kernel: exported blocks vs covering-circle kernel"
+#: The Fock-trace oracle check of the kernel.
+ORACLE = "kernel: closed form vs Fock-trace oracle"
 
 #: The arguments of a scalar ``kernel --verify`` after its config.
 GRID_8_VERIFY = ["--beta", "1", "--grid", "8", "--verify", "--output", "{output}"]
@@ -574,22 +605,22 @@ MUST_FAIL = {
         rotate_basis,
         ["kernel", "--config", ANTI2, "--extended", "--verify", "--beta", "1", "--grid", "16",
          "--output", "{output}"],
-        ["kernel: U W = W Lambda"]),
+        [BLOCKS]),
     "basis-rotation-verify": (
         rotate_basis, ["verify", "--config", ANTI2, "--suite", "kernel"],
-        ["kernel: U W = W Lambda"]),
+        [BLOCKS]),
     "u-for-u-star-kernel": (
         u_for_u_star,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
          "--output", "{output}"],
-        ["kernel: U W = W Lambda"]),
+        [BLOCKS]),
     "u-for-u-star-verify": (
         u_for_u_star, ["verify", "--config", ANTI, "--suite", "realfield"],
         ["realfield: doubled-field oracle: symmetry_covariance",
          across("realfield: doubled-field oracle: symmetry_covariance")]),
     "u-for-u-star-kernel-suite": (
         u_for_u_star, ["verify", "--config", ANTI, "--suite", "kernel"],
-        ["kernel: U W = W Lambda"]),
+        [BLOCKS]),
     "j-without-half-swap": (
         j_without_half_swap, ["verify", "--config", ANTI, "--suite", "realfield"],
         ["realfield: doubled-field oracle: adjoint_covariance",
@@ -600,9 +631,14 @@ MUST_FAIL = {
          across("realfield: doubled-field oracle: annihilation_definition")]),
     "flipped-twist-sign-kernel": (
         flipped_twist_sign, ["kernel", *GRID_8_VERIFY], ["kernel: closed form vs Fock-trace oracle"]),
+    # a twist that keeps every slot has 1-cycles only, whose blocks and
+    # covering-circle references flip alike; a 2-cycle's do not
     "flipped-twist-sign-realfield": (
         flipped_twist_sign, ["verify", "--suite", "kernel"],
-        ["kernel: closed form vs Fock-trace oracle", "kernel: U W = W Lambda"]),
+        ["kernel: closed form vs Fock-trace oracle"]),
+    "flipped-twist-sign-kernel-suite-anti": (
+        flipped_twist_sign, ["verify", "--config", ANTI, "--suite", "kernel"],
+        ["kernel: closed form vs Fock-trace oracle", BLOCKS]),
     "fock-oracle-plus-1e-7-kernel": (
         fock_oracle_plus_1e_7, ["kernel", "--config", "{minus_one}", *GRID_8_VERIFY],
         ["kernel: closed form vs Fock-trace oracle"]),
@@ -675,20 +711,24 @@ MUST_FAIL = {
         phases_at_mirrored_mode, ["verify", "--suite", "all"],
         [across("symmetry: U alpha+*(a) U* = rho alpha+*(a)"),
          across("symmetry: U alpha+*(b) U* = rho alpha+*(b)")]),
+    # +1e-9j at lag 0 is far above the bound the oracle's cutoff certifies,
+    # the oracle check's threshold, as well as the Hermitian check's 1e-10
     "imaginary-lag-0-kernel-suite": (
-        imaginary_lag_0, ["verify", "--suite", "kernel"], ["kernel: sampled kernel Hermitian"]),
+        imaginary_lag_0, ["verify", "--suite", "kernel"],
+        [ORACLE, "kernel: sampled kernel Hermitian"]),
     "imaginary-lag-0-realfield-suite": (
-        imaginary_lag_0, ["verify", "--suite", "all"], ["kernel: sampled kernel Hermitian"]),
+        imaginary_lag_0, ["verify", "--suite", "all"],
+        [ORACLE, "kernel: sampled kernel Hermitian"]),
     "imaginary-lag-0-realfield-suite-anti": (
         imaginary_lag_0, ["verify", "--config", ANTI, "--suite", "kernel"],
-        ["kernel: sampled kernel Hermitian"]),
+        [ORACLE, "kernel: sampled kernel Hermitian"]),
     "imaginary-lag-0-kernel": (
-        imaginary_lag_0, ["kernel", *GRID_8_VERIFY], ["kernel: sampled kernel Hermitian"]),
+        imaginary_lag_0, ["kernel", *GRID_8_VERIFY], [ORACLE, "kernel: sampled kernel Hermitian"]),
     "imaginary-lag-0-extended-kernel": (
         imaginary_lag_0,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
          "--output", "{output}"],
-        ["kernel: sampled kernel Hermitian"]),
+        [ORACLE, "kernel: sampled kernel Hermitian"]),
     "mode-b-kernel-scaled-kernel": (
         mode_b_kernel_scaled, ["kernel", "--mode", "b", *GRID_8_VERIFY],
         ["kernel: closed form vs Fock-trace oracle", "kernel: sampled spectrum vs closed form",
@@ -718,16 +758,15 @@ MUST_FAIL = {
         ["kernel: closed form vs Fock-trace oracle", "kernel: lag-0 energy vs partition function"]),
     "basis-column-scaled-verify": (
         basis_column_scaled, ["verify", "--config", ANTI2, "--suite", "kernel"],
-        ["kernel: W* W = I"]),
-    # ROADMAP item 24's family: a NaN basis coefficient fails both basis checks
+        [BLOCKS]),
+    # ROADMAP item 24's family: a NaN basis coefficient fails the block check
     "basis-column-nan-verify": (
-        basis_column_nan, ["verify", "--config", ANTI2, "--suite", "kernel"],
-        ["kernel: U W = W Lambda", "kernel: W* W = I"]),
+        basis_column_nan, ["verify", "--config", ANTI2, "--suite", "kernel"], [BLOCKS]),
     "basis-column-scaled-kernel": (
         basis_column_scaled,
         ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
          "--output", "{output}"],
-        ["kernel: W* W = I"]),
+        [BLOCKS]),
     "negated-lambda-0-kernel": (
         negated_lambda_0, ["kernel", *GRID_8_VERIFY],
         ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
@@ -834,13 +873,13 @@ MUST_FAIL = {
         ["kernel: sampled spectrum vs closed form", "kernel: sampled kernel positive definite"]),
     **{f"kernel-{kind}-at-lag-1-verify{tag}": (
         mutate, ["verify", *config, "--suite", "kernel"],
-        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
+        [ORACLE, BLOCKS, "kernel: sampled kernel twisted-circulant",
          "kernel: sampled spectrum vs closed form"])
        for kind, mutate in (("nan", kernel_nan_at_lag_1), ("inf", kernel_inf_at_lag_1))
        for tag, config in (("", []), ("-anti", ["--config", ANTI]))},
     "kernel-inf-everywhere-verify": (
         kernel_inf_everywhere, ["verify", "--suite", "kernel"],
-        ["kernel: closed form vs Fock-trace oracle", "kernel: sampled kernel twisted-circulant",
+        [ORACLE, BLOCKS, "kernel: sampled kernel twisted-circulant",
          "kernel: sampled spectrum vs closed form", "kernel: lag-0 energy vs partition function"]),
     # ROADMAP item 24: finite lag values whose sum or magnitude overflows
     # fail their checks too, and no OverflowError aborts the run
@@ -867,16 +906,19 @@ MUST_FAIL = {
              "lag-0 energy vs partition function"]),
            ("1.7e308", kernel_scaled_by_1_7e308, "verify-anti",
             ["verify", "--config", ANTI, "--suite", "kernel"],
-            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+            ["closed form vs Fock-trace oracle", "exported blocks vs covering-circle kernel",
+             "sampled kernel twisted-circulant",
              "sampled spectrum vs closed form", "lag-0 energy vs partition function"]))},
     **{f"kernel-beyond-abs-at-lag-1-{tag}": (
         kernel_beyond_abs_at_lag_1, argv, [f"kernel: {c}" for c in failing])
        for tag, argv, failing in (
            ("verify", ["verify", "--suite", "kernel"],
-            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+            ["closed form vs Fock-trace oracle", "exported blocks vs covering-circle kernel",
+             "sampled kernel twisted-circulant",
              "sampled spectrum vs closed form"]),
            ("verify-anti", ["verify", "--config", ANTI, "--suite", "kernel"],
-            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+            ["closed form vs Fock-trace oracle", "exported blocks vs covering-circle kernel",
+             "sampled kernel twisted-circulant",
              "sampled spectrum vs closed form"]),
            ("kernel", ["kernel", "--beta", "1", "--grid", "32", "--verify", "--output", "{output}"],
             ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
@@ -884,7 +926,8 @@ MUST_FAIL = {
            ("extended-kernel-anti",
             ["kernel", "--config", ANTI, "--extended", "--beta", "1", "--grid", "32", "--verify",
              "--output", "{output}"],
-            ["closed form vs Fock-trace oracle", "sampled kernel twisted-circulant",
+            ["closed form vs Fock-trace oracle", "exported blocks vs covering-circle kernel",
+             "sampled kernel twisted-circulant",
              "sampled spectrum vs closed form"]))},
     **{f"fock-oracle-nan-at-lag-1-{tag}": (
         fock_oracle_nan_at_lag_1, argv, ["kernel: closed form vs Fock-trace oracle"])
@@ -931,6 +974,24 @@ MUST_FAIL = {
          "symmetry: U alpha+*(b) U* = eta alpha-*(pi(b))",
          across("symmetry: U alpha+*(a) U* = eta alpha-*(pi(a))"),
          across("symmetry: U alpha+*(b) U* = eta alpha-*(pi(b))")]),
+    # ROADMAP item 1: the blocks the exporter writes, against the kernel on
+    # the covering circle; the survey's three blocks() survivors and a
+    # 1e-9 scale of one column inside the mixing
+    **{f"blocks-{tag}-{route}": (mutate, argv, [BLOCKS])
+       for tag, mutate in (("without-conjugate", blocks_without_conjugate),
+                           ("quotient", blocks_quotient), ("index-minus", blocks_index_minus),
+                           ("column-scaled", blocks_column_scaled))
+       for route, argv in (
+           ("extended-kernel-anti",
+            ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
+             "--output", "{output}"]),
+           ("verify-two-pairs", ["verify", "--config", ANTI2, "--suite", "kernel"]))},
+    # ROADMAP item 5: the oracle's threshold is the bound its cutoff
+    # certifies, 1.5e-314 at omega = 1e300, so a zero oracle no longer
+    # passes where every lag value is about 5e-301
+    "zero-fock-oracle-at-huge-omega": (
+        zero_fock_oracle, ["kernel", "--config", "{omega_1e300}", *GRID_8_VERIFY],
+        ["kernel: closed form vs Fock-trace oracle"]),
 }
 
 #: id -> (mutation, argv, the exit code today, the ROADMAP item that closes the gap)
@@ -955,8 +1016,10 @@ def run(argv, tmp_path):
     no_symmetry = tmp_path / "no_symmetry.json"
     no_symmetry.write_text(json.dumps({
         "modes": [{"label": "a", "omega": 0.7}, {"label": "b", "omega": 1.3}]}))
+    omega_1e300 = tmp_path / "omega_1e300.json"
+    omega_1e300.write_text(json.dumps({"modes": [{"label": "a", "omega": 1e300}]}))
     paths = {"{output}": str(tmp_path / "k.csv"), "{minus_one}": str(minus_one),
-             "{no_symmetry}": str(no_symmetry)}
+             "{no_symmetry}": str(no_symmetry), "{omega_1e300}": str(omega_1e300)}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([paths.get(a, a) for a in argv])
@@ -999,9 +1062,9 @@ def test_refusal_holds_under_the_mutation(mutate, argv, tmp_path, monkeypatch):
 
 def test_nan_basis_column_fails_the_basis_checks_and_writes_no_file(tmp_path, monkeypatch):
     # the exporter refuses the NaN blocks (exit 5) only after every check
-    # has run and printed its failure
+    # has run and printed its failure: the block check reads the NaN entries
     argv = ["kernel", "--config", ANTI, "--extended", "--verify", "--beta", "1", "--grid", "8",
             "--output", "{output}"]
     basis_column_nan(monkeypatch)
-    assert run(argv, tmp_path) == (5, ["kernel: U W = W Lambda", "kernel: W* W = I"])
+    assert run(argv, tmp_path) == (5, [BLOCKS])
     assert not (tmp_path / "k.csv").exists()

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dense
 
@@ -227,19 +228,74 @@ class TestCycleEigenbasis:
         assert lengths == {1, 2, 3, 4, 5, 6}
 
     @pytest.mark.parametrize(
-        "mix", [lambda b: (), lambda b: b[:1], lambda b: b + b[:1]],
+        "mix, written",
+        [(lambda b: (), False), (lambda b: b[:1], False), (lambda b: b + b[:1], True)],
         ids=["no-blocks", "first-block-only", "a-block-twice"],
     )
-    def test_gram_check_needs_every_column_in_one_block(self, mix):
-        # anti_pair_fixed has 3 cycle blocks and 6 columns; a column in no
-        # block, or in two, reads |<w, w> - 1| = 1 on W* W = I
+    def test_block_check_reads_what_is_written(self, mix, written):
+        # anti_pair_fixed has 3 cycle blocks and 6 columns.  A column in no
+        # block leaves its entries 0, so the blocks miss the covering-circle
+        # kernel by a whole entry; a block given twice writes its entries
+        # twice, the same values, so the blocks, and the CSV, are right
         spec, sym = load_config(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
         ext = rf.extend(spec, sym)
         full = rf.sample_extended_kernel(ext, 1.0, 4)
-        assert all(c.passed for c in verify.eigenbasis_checks(ext, full))
+        assert verify.block_agreement(ext, full).passed
         broken = co.sample_kernels(1.0, full.omegas, full.thetas, 4, mix(ext.basis))
-        gram = verify.eigenbasis_checks(ext, broken)[1]
-        assert (gram.name, gram.deviation, gram.passed) == ("W* W = I", 1.0, False)
+        check = verify.block_agreement(ext, broken)
+        assert check.name == "exported blocks vs covering-circle kernel"
+        assert broken.blocks() == full.blocks() if written else check.deviation > 0.1
+        assert check.passed == written
+
+
+@st.composite
+def extended_layouts(draw):
+    """(extended spectrum, beta, m) for a slot action built directly: mode
+    cycles of 1 to 6 modes, each slot taking the occupation of its mode's
+    partner, with a charge flip per mode, so that the slot cycles have
+    length 1 to 12; or for a config of either kind, fixed modes and
+    swapped pairs.  Omega is constant on each mode cycle, beta omega
+    log-uniform over [1e-3, 1e3], phases unit, and m in [2, 16]."""
+    angle = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+    log_omega = st.floats(math.log(0.05), math.log(20.0))
+    cycles = draw(st.lists(st.tuples(st.integers(1, 6), log_omega), min_size=1, max_size=3))
+    n = sum(length for length, _ in cycles)
+    order = draw(st.permutations(range(n)))
+    omegas, partner = [0.0] * n, [0] * n
+    for length, w in cycles:
+        modes, order = order[:length], order[length:]
+        for i, k in enumerate(modes):
+            omegas[k], partner[k] = math.exp(w), modes[(i + 1) % length]
+    phases = [cmath.exp(1j * draw(angle)) for _ in range(n)]
+    spec = validate_spectrum([(f"m{k}", w) for k, w in enumerate(omegas)])
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        source = [2 * partner[k] + (e ^ flips[k]) for k in range(n) for e in (0, 1)]
+        action = SlotAction(tuple(source), tuple(p for e in phases for p in (e, e.conjugate())))
+        sym = SimpleNamespace(kind="unitary", phases=(1.0 + 0j,) * n, pairing=None, action=action)
+    elif draw(st.booleans()):
+        sym = SymmetrySpec(kind="unitary", phases=tuple(phases))
+    else:  # fixed modes and swapped pairs: the involutions a config can give
+        pairing, shuffled = list(range(n)), draw(st.permutations(range(n)))
+        for a, b in zip(shuffled[::2], shuffled[1::2]):
+            if omegas[a] == omegas[b]:
+                pairing[a], pairing[b] = b, a
+        sym = SymmetrySpec(kind="antiunitary", phases=tuple(phases), pairing=tuple(pairing))
+    beta = math.exp(draw(st.floats(math.log(1e-3), math.log(1e3)))) / max(omegas)
+    return rf.extend(spec, sym), beta, draw(st.integers(2, 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extended_layouts())
+def test_blocks_match_the_covering_circle_kernel(layout):
+    # the block check passes every correct layout, and on a 1-cycle its
+    # reference is the column itself, bit for bit
+    ext, beta, m = layout
+    sampled = rf.sample_extended_kernel(ext, beta, m)
+    check = verify.block_agreement(ext, sampled)
+    assert check.passed, (check.deviation, check.threshold)
+    if all(len(indices) == 1 for indices, _ in ext.basis):
+        assert check.deviation == 0.0
 
 
 class TestPartitionRoutes:

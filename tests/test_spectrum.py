@@ -54,6 +54,12 @@ class TestValidateSpectrum:
         again = validate_spectrum(list(zip(s.labels, s.omegas)))
         assert again == s
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        s = validate_spectrum([("a", 1.0)])
+        assert s.__eq__((("a",), (1.0,))) is NotImplemented
+        assert s != (("a",), (1.0,)) and s != validate_spectrum([("a", 2.0)])
+
 
 class TestTwistedCircle:
     def test_half_twist_massless(self):
