@@ -744,7 +744,9 @@ def block_agreement(ext: realfield.ExtendedSpectrum,
     slack, top, eta = [], [], _worst(abs(abs(u) - 1.0) for _, u in ext.images.values()) / _EPS
     for c, (omega, theta) in enumerate(zip(ext.doubled_omegas(), sampled.thetas)):
         walk = [(c, 1.0)]  # (c_k, u_0...u_{k-1}) round the cycle of c_0 = c
-        while (step := ext.images[walk[-1][0]])[0] != c and len(walk) < n:
+        # an index with no image, or a walk that does not close within n
+        # steps, ends it with a wrong factor, so the check fails, not raises
+        while (step := ext.images.get(walk[-1][0], (c, 0j)))[0] != c and len(walk) < n:
             walk.append((step[0], walk[-1][1] * step[1]))
         y, size = beta * omega, len(walk)
         twist = correlation.kernel_twist_angle(walk[-1][1] * step[1])  # of r = u_0...u_{L-1}

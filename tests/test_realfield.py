@@ -248,6 +248,21 @@ class TestCycleEigenbasis:
         assert check.passed == written
 
 
+    @pytest.mark.parametrize("broken", ["missing-index", "open-walk"])
+    def test_broken_image_table_fails_the_block_check(self, broken):
+        # a walk that meets an index with no image, or that never returns to
+        # its column, ends with a wrong factor: the check fails, raises nothing
+        spec, sym = load_config(Path(__file__).parent / "golden" / "anti_pair_fixed.json")
+        ext = rf.extend(spec, sym)
+        sampled = rf.sample_extended_kernel(ext, 1.0, 4)
+        if broken == "missing-index":
+            del ext.images[0]
+        else:
+            ext.images = {c: (0, u) for c, (_, u) in ext.images.items()}
+        check = verify.block_agreement(ext, sampled)
+        assert not check.passed and check.deviation > 0.1
+
+
 @st.composite
 def extended_layouts(draw):
     """(extended spectrum, beta, m) for a slot action built directly: mode
