@@ -1914,8 +1914,8 @@ class TestDoubledFieldChecks:
         assert failed["doubled-field oracle: symmetry_covariance"] > 1.0
         # the exported basis no longer mixes the blocks that U's image sum gives
         kernel = verify.run_suite("kernel", spectrum, sym)
-        failed = [r.name for r in kernel if not r.passed]
-        assert failed == ["exported blocks vs covering-circle kernel"]
+        assert [r.name for r in kernel if not r.passed] == [
+            "exported blocks vs covering-circle kernel"]
 
 
 def test_no_environment_knobs():
