@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import dense
 
 from twistkit import correlation as co, partition, realfield as rf, verify
+from twistkit.cli import _load
 from twistkit.spectrum import SlotAction, SymmetrySpec, load_config, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -247,6 +248,17 @@ class TestCycleEigenbasis:
         assert broken.blocks() == full.blocks() if written else check.deviation > 0.1
         assert check.passed == written
 
+
+    @pytest.mark.parametrize("config", [None, "anti_pair_fixed.json", "anti_two_pairs_fixed.json",
+                                        "unitary_generic.json"])
+    def test_block_threshold_keeps_its_power_on_the_golden_configs(self, config):
+        # |1 - lambda x| >= 0.42 there, so the rounding bound stays below
+        # 1e-12 of the largest entry, far below a coefficient off by 1e-9
+        golden = Path(__file__).parent / "golden"
+        ext = rf.extend(*_load(None if config is None else str(golden / config)))
+        for beta in (0.5, 0.9, 1.0, 1.3, 2.0):
+            check = verify.block_agreement(ext, rf.sample_extended_kernel(ext, beta, 32))
+            assert check.passed and check.threshold <= 1e-12
 
     @pytest.mark.parametrize("broken", ["missing-index", "open-walk"])
     def test_broken_image_table_fails_the_block_check(self, broken):
