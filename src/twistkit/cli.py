@@ -31,9 +31,8 @@ whose certified bound would pass 1e-8, or a lag-0 energy identity that
 cannot resolve it, whose rounding bound reaches its largest term), 4 a
 result outside the float range (RangeError), 5 the CSV exporter's refusal
 of a non-finite sampled value (InternalConsistencyError, raised nowhere
-else).  All
-numeric output uses fixed 17-significant-digit lowercase scientific
-formatting so identical inputs produce byte-identical output.
+else).  All numeric output uses fixed 17-significant-digit lowercase
+scientific formatting so identical inputs produce byte-identical output.
 
 ``partition``, ``spectrum gen`` and ``kernel`` (with or without
 ``--extended``, with or without ``--verify``) import no numpy: neither
