@@ -88,6 +88,15 @@ def test_golden(name, tmp_path):
             assert text == want, f"{name}.{kind} differs"
 
 
+@pytest.mark.parametrize("name", ["partition_default", "partition_anti"])
+def test_partition_bytes_are_pinned(name, tmp_path):
+    # partition's log-sums are correctly rounded (math.fsum), so its rows
+    # are the same bytes on every supported Python: pinned exactly, not
+    # within the tolerance that the verify cases get
+    want = (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert run_case(name, tmp_path)["stdout"] == want
+
+
 if __name__ == "__main__":
     import tempfile
 
